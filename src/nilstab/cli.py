@@ -17,7 +17,7 @@ from . import __version__, catalog
 from .cohomology import cocycle_check, skinny_check
 from .errors import NilstabError, NotCoprime, ParseError
 from .obstruction import certify_nonperturbability
-from .representation import defect
+from .representation import MAX_DENSE, defect
 from .validation import DEFAULT_SEED, make_rng, sample_coords
 
 
@@ -36,6 +36,8 @@ def _parse_n_list(text: str) -> list[int]:
         raise click.UsageError(f"bad matrix size list {text!r}") from None
     if not values or any(v < 1 for v in values):
         raise click.UsageError("matrix sizes must be positive integers")
+    if any(v > MAX_DENSE for v in values):
+        raise click.UsageError(f"matrix sizes must be at most {MAX_DENSE}")
     return values
 
 
@@ -58,9 +60,9 @@ def main():
               help="Builtin name (lattice:m, heisenberg3) or JSON document path.")
 @click.option("--cocycle", "cocycle_src", default=None,
               help="Optional cocycle to check: builtin name or JSON path.")
-@click.option("--samples", default=None, type=int,
+@click.option("--samples", default=None, type=click.IntRange(min=1),
               help="Sample count (default 200 for groups, 500 for cocycles).")
-@click.option("--bound", default=3, type=int, show_default=True,
+@click.option("--bound", default=3, type=click.IntRange(min=1), show_default=True,
               help="Coordinate bound for sampled elements.")
 @click.option("--seed", default=DEFAULT_SEED, type=int, show_default=True)
 @click.option("--grid/--no-grid", default=False,
@@ -127,9 +129,9 @@ def certify(group_src, cocycle_src, cycle_src, n_text, seed, out_path):
 @click.option("--group", "group_src", required=True)
 @click.option("--cocycle", "cocycle_src", required=True)
 @click.option("--n", "n_text", default="16,32,64,128,256", show_default=True)
-@click.option("--samples", default=20, type=int, show_default=True,
+@click.option("--samples", default=20, type=click.IntRange(min=1), show_default=True,
               help="Number of sampled (x, y) pairs.")
-@click.option("--bound", default=3, type=int, show_default=True)
+@click.option("--bound", default=3, type=click.IntRange(min=1), show_default=True)
 @click.option("--seed", default=DEFAULT_SEED, type=int, show_default=True)
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):

@@ -15,6 +15,7 @@ kernels by exact finite differences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,6 +40,10 @@ from .errors import (
 from .groups import Element, MalcevGroup
 from .poly import MultiPoly, xy_variables
 from .validation import DEFAULT_SEED, make_rng, sample_coords
+
+# Sections cached per promoted kernel; the degree-4 fit of the Heisenberg
+# kernel and its checks ask for 2811 distinct ones.
+SECTION_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -265,6 +270,8 @@ def extension_skinny_cocycle(ext: CentralExtension) -> KernelCocycle:
             t, kappa = step(t, kappa)
         return t, kappa
 
+    # section is pure in g, so the cache is exact; a fixed bound caps its memory.
+    @functools.lru_cache(maxsize=SECTION_CACHE_SIZE)
     def section(g: Element):
         t, kappa, w = decompose(g)
         t0, k0 = gamma_pow(-w, t, kappa)

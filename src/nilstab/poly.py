@@ -3,9 +3,12 @@
 Coefficients are `fractions.Fraction` and exponent vectors are tuples
 indexed by a fixed, ordered variable list.  Every polynomial this package
 evaluates on group elements is integer valued even when its coefficients
-are not, so evaluation keeps a scaled-integer fast path: coefficients are
-cleared to a common denominator once and integer inputs never touch
-Fraction arithmetic in the inner loop.
+are not, so evaluation has one scaled-integer path: the coefficients are
+cleared to a common denominator `den` once, and a point's value is
+`scaled_sum / den`, where `scaled_sum` sums the integer numerators times
+the powers of the variables that actually occur.  `evaluate` returns that
+quotient as a Fraction; `evaluate_int` divides exactly and never builds a
+Fraction for integer input.  The same sum is exact for Fraction inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from .errors import NonIntegralValue, ParseError
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
+# (den, ((num, ((i, e), ...)), ...)): den times the polynomial as integer
+# terms, each listing only the variables with a nonzero exponent.
+ScaledForm = tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
 
 # JSON transports integers beyond this magnitude as decimal strings.
 _INT64_MAX = 2**63 - 1
@@ -56,7 +62,7 @@ class MultiPoly:
             if clean[exps] == 0:
                 del clean[exps]
         self.terms = clean
-        self._scaled: tuple[int, tuple[tuple[int, Exponents], ...]] | None = None
+        self._scaled: ScaledForm | None = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -148,50 +154,48 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # evaluation
 
-    def _scaled_form(self) -> tuple[int, tuple[tuple[int, Exponents], ...]]:
+    def _scaled_form(self) -> ScaledForm:
         if self._scaled is None:
-            den = 1
-            for c in self.terms.values():
-                den = math.lcm(den, c.denominator)
+            den = self.denominator_lcm()
             rows = tuple(
-                (int(c * den), exps) for exps, c in sorted(self.terms.items())
+                (
+                    c.numerator * (den // c.denominator),
+                    tuple((i, e) for i, e in enumerate(exps) if e),
+                )
+                for exps, c in sorted(self.terms.items())
             )
             self._scaled = (den, rows)
         return self._scaled
 
-    def evaluate(self, values: Sequence[Scalar]) -> Fraction:
-        """Exact value at the given point (ints or Fractions)."""
+    def _scaled_sum(self, values: Sequence[Scalar]) -> tuple[int, Scalar]:
+        """`(den, den * value)` at the point; the sum is an int for int input."""
         if len(values) != len(self.variables):
             raise ValueError(
                 f"expected {len(self.variables)} values, got {len(values)}"
             )
-        if all(isinstance(v, int) for v in values):
-            den, rows = self._scaled_form()
-            total = 0
-            for num, exps in rows:
-                t = num
-                for v, e in zip(values, exps):
-                    if e:
-                        t *= v**e
-                total += t
-            return Fraction(total, den)
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            t = c
-            for v, e in zip(values, exps):
-                if e:
-                    t *= Fraction(v) ** e
-            total += t
-        return total
+        den, rows = self._scaled_form()
+        total = 0
+        for num, factors in rows:
+            for i, e in factors:
+                num *= values[i] if e == 1 else values[i] ** e
+            total += num
+        return den, total
 
-    def evaluate_int(self, values: Sequence[int]) -> int:
-        """Exact value, required to be an integer."""
-        v = self.evaluate(values)
-        if v.denominator != 1:
+    def evaluate(self, values: Sequence[Scalar]) -> Fraction:
+        """Exact value at the given point (ints or Fractions): scaled sum over den."""
+        den, total = self._scaled_sum(values)
+        return Fraction(total, den)
+
+    def evaluate_int(self, values: Sequence[Scalar]) -> int:
+        """Exact value, required to be an integer: divmod of the scaled sum by den."""
+        den, total = self._scaled_sum(values)
+        value, remainder = divmod(total, den)
+        if remainder:
             raise NonIntegralValue(
-                f"{self} evaluated at {tuple(values)} gives non-integer {v}"
+                f"{self} evaluated at {tuple(values)} gives non-integer "
+                f"{Fraction(total, den)}"
             )
-        return v.numerator
+        return value
 
     # ------------------------------------------------------------------
     # structural operations

@@ -160,6 +160,24 @@ def test_certify_rejects_bad_size_lists(runner):
         assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate", "--group", "heisenberg3", "--samples", "-1"],
+        ["validate", "--group", "lattice:2", "--samples", "0"],
+        ["validate", "--group", "lattice:2", "--bound", "0"],
+        ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--bound", "0"],
+        ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--samples", "0"],
+        ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--n", "2000"],
+        ["certify", "--group", "lattice:2", "--cocycle", "z2_skinny",
+         "--cycle", "voiculescu", "--n", "16,2000"],
+    ],
+)
+def test_bad_numeric_input_is_a_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, everything(result)
+
+
 def test_sweep_emits_the_documented_csv(runner):
     args = ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny",
             "--n", "4,8", "--samples", "3"]

@@ -21,7 +21,7 @@ VARS = xy_variables(2, 1)  # ("x1", "x2", "y1")
 
 
 def brute_force_evaluate(p: MultiPoly, values) -> Fraction:
-    # Independent of the scaled-integer fast path inside MultiPoly.evaluate.
+    # Independent of the scaled-integer path inside MultiPoly.evaluate.
     total = Fraction(0)
     for exps, coef in p.terms.items():
         term = coef
@@ -74,10 +74,25 @@ def test_evaluation_is_a_ring_homomorphism(p, q, v):
     assert (p * q).evaluate(v) == p.evaluate(v) * q.evaluate(v)
 
 
+scalars = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=3),
+)
+mixed_points = st.tuples(scalars, scalars, scalars)
+
+
 @settings(deadline=None)
-@given(polys, points)
+@given(polys, mixed_points)
 def test_evaluate_matches_brute_force(p, v):
-    assert p.evaluate(v) == brute_force_evaluate(p, v)
+    expected = brute_force_evaluate(p, v)
+    assert p.evaluate(v) == expected
+    if expected.denominator == 1:
+        value = p.evaluate_int(v)
+        assert type(value) is int
+        assert value == expected
+    else:
+        with pytest.raises(NonIntegralValue):
+            p.evaluate_int(v)
 
 
 @settings(deadline=None)
