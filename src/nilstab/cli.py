@@ -61,31 +61,29 @@ def main():
 @click.option("--cocycle", "cocycle_src", default=None,
               help="Optional cocycle to check: builtin name or JSON path.")
 @click.option("--samples", default=None, type=click.IntRange(min=1),
-              help="Sample count (default 200 for groups, 500 for cocycles).")
+              help="Not used: polynomial checks are exact proofs.")
 @click.option("--bound", default=3, type=click.IntRange(min=1), show_default=True,
-              help="Coordinate bound for sampled elements.")
-@click.option("--seed", default=DEFAULT_SEED, type=int, show_default=True)
+              help="Not used: polynomial checks are exact proofs.")
+@click.option("--seed", default=DEFAULT_SEED, type=int, show_default=True,
+              help="Not used: polynomial checks are exact proofs.")
 @click.option("--grid/--no-grid", default=False,
-              help="Check the cocycle identity on the full [-2,2] grid.")
+              help="Not used: polynomial checks are exact proofs.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False),
               help="Write the report here instead of stdout.")
 def validate(group_src, cocycle_src, samples, bound, seed, grid, fmt, out_path):
-    """Validate a group law and, optionally, a cocycle on it."""
+    """Prove a group law and, optionally, a cocycle on it.
+
+    Every group law and cocycle given here is polynomial, so each check is
+    an exact proof and the sampling and grid options are accepted unused.
+    """
     group = _usage_guard(catalog.resolve_group, group_src)
     try:
-        reports = [group.validate(samples=samples or 200, bound=bound, seed=seed)]
+        reports = [group.validate()]
         if cocycle_src:
             sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
-            reports.append(
-                cocycle_check(
-                    sigma, samples=samples or 500, bound=bound, seed=seed, grid=grid
-                )
-            )
-            reports.append(
-                skinny_check(sigma, samples=samples or 500, bound=bound, seed=seed)
-            )
+            reports += [cocycle_check(sigma), skinny_check(sigma)]
     except click.UsageError:
         raise
     except NilstabError as exc:
@@ -107,16 +105,15 @@ def validate(group_src, cocycle_src, samples, bound, seed, grid, fmt, out_path):
               help="Builtin name (voiculescu, heisenberg_c1) or JSON path.")
 @click.option("--n", "n_text", default="16,32,64,128", show_default=True,
               help="Comma-separated matrix sizes.")
-@click.option("--seed", default=DEFAULT_SEED, type=int, show_default=True)
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
-def certify(group_src, cocycle_src, cycle_src, n_text, seed, out_path):
+def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
     """Emit a JSON non-perturbability certificate for a cocycle and cycle."""
+    n_list = _parse_n_list(n_text)
     group = _usage_guard(catalog.resolve_group, group_src)
     sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
     chain = _usage_guard(catalog.resolve_cycle, cycle_src, group)
-    n_list = _parse_n_list(n_text)
     try:
-        report = certify_nonperturbability(group, sigma, chain, n_list, seed=seed)
+        report = certify_nonperturbability(group, sigma, chain, n_list)
     except NilstabError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
@@ -136,9 +133,9 @@ def certify(group_src, cocycle_src, cycle_src, n_text, seed, out_path):
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     """Tabulate multiplicativity defects and their bounds as CSV."""
+    n_list = _parse_n_list(n_text)
     group = _usage_guard(catalog.resolve_group, group_src)
     sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
-    n_list = _parse_n_list(n_text)
     rng = make_rng(seed)
     pairs = [
         (sample_coords(rng, group.hirsch, bound), sample_coords(rng, group.hirsch, bound))

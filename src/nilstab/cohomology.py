@@ -18,15 +18,15 @@ as alpha(y).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import NonIntegralValue, ParseError
-from .groups import Element, MalcevGroup
+from .groups import Element, MalcevGroup, symbolic_triple
 from .poly import (
     MultiPoly,
+    box_witness,
     poly_from_monomials,
     poly_to_monomials,
     xy_variables,
@@ -36,10 +36,9 @@ from .validation import (
     DEFAULT_SEED,
     ValidationReport,
     make_rng,
+    name_blocks,
     sample_coords,
 )
-
-GRID_RADIUS = 2  # deterministic grid [-2, 2]; conclusive for degree <= 4
 
 
 class PolyCocycle:
@@ -256,21 +255,16 @@ def cocycle_check(
     samples: int = 500,
     bound: int = 3,
     seed: int | None = DEFAULT_SEED,
-    grid: bool = False,
 ) -> ValidationReport:
-    """Normalization and the cocycle identity, on samples or on the grid.
+    """Normalization and the cocycle identity, proved or, for a kernel, sampled.
 
-    Grid mode evaluates the identity for every x, y with coordinates in
-    [-2, 2] and every value of alpha(z) in [-2, 2]; for a polynomial
-    cocycle the defect depends on z only through alpha(z) = z_1, so this
-    covers the full triple grid.  It is conclusive when the defect
-    polynomial has degree at most 4 in each variable, which holds for
-    every cocycle shipped here (total degree <= 4 and a quadratic law).
+    For a PolyCocycle p(x, y1) both are polynomial identities, in generic
+    x, y and z for the cocycle identity, and p is proved integer valued
+    (see `poly.box_witness`); `samples`, `bound` and `seed` are not used.  A
+    KernelCocycle has no polynomial, so it is checked on seeded samples.
     """
-    if grid:
-        if not isinstance(sigma, PolyCocycle):
-            raise ValueError("grid mode needs a polynomial cocycle")
-        return _cocycle_check_grid(sigma)
+    if isinstance(sigma, PolyCocycle):
+        return _prove_poly_cocycle(sigma)
 
     group = sigma.group
     m = group.hirsch
@@ -302,55 +296,39 @@ def cocycle_check(
     )
 
 
-def _cocycle_check_grid(sigma: PolyCocycle) -> ValidationReport:
-    group = sigma.group
+def _prove_poly_cocycle(sigma: PolyCocycle) -> ValidationReport:
+    """Each failure names an integer point that replays it (`box_witness`)."""
+    group, p = sigma.group, sigma.poly
     m = group.hirsch
-    r = GRID_RADIUS
-    points = list(itertools.product(range(-r, r + 1), repeat=m))
-    e = group.identity
-
-    value_cache: dict[tuple[Element, int], int] = {}
-
-    def val(u: Element, t: int) -> int:
-        key = (u, t)
-        got = value_cache.get(key)
-        if got is None:
-            got = sigma.poly.evaluate_int(u + (t,))
-            value_cache[key] = got
-        return got
+    lift = (0,) * (m - 1)  # y = (y1, 0, ..., 0) has alpha(y) = y1
 
     norm_bad = None
-    for u in points:
-        if val(e, u[0]) != 0:
-            norm_bad = f"sigma(e, {u}) = {val(e, u[0])}"
-            break
-        if val(u, 0) != 0:
-            norm_bad = f"sigma({u}, e) = {val(u, 0)}"
-            break
+    found = box_witness(p.substitute({i: 0 for i in range(m)}))
+    if found:
+        norm_bad = f"sigma(e, {found[0][m:] + lift}) = {found[1]}"
+    elif found := box_witness(p.substitute({m: 0})):
+        norm_bad = f"sigma({found[0][:m]}, e) = {found[1]}"
 
-    ident_bad = None
-    t_range = range(-r, r + 1)
-    for x in points:
-        if ident_bad:
-            break
-        for y in points:
-            xy = group.multiply(x, y)
-            base = val(x, y[0])
-            y1 = y[0]
-            for t in t_range:
-                # t plays the role of z_1 = alpha(z); (y*z)_1 = y_1 + t.
-                defect = val(y, t) - val(xy, t) + val(x, y1 + t) - base
-                if defect != 0:
-                    ident_bad = f"defect {defect} at x={x}, y={y}, alpha(z)={t}"
-                    break
-            if ident_bad:
-                break
-    size = len(points) ** 2 * len(t_range)
+    x, y, z = symbolic_triple(m)
+    xy = group.multiply_symbolic(x, y)
+    yz_1 = group.multiply_symbolic(y, z)[0]
+    defect = (
+        p.compose(y + z[:1]) - p.compose(xy + z[:1])
+        + p.compose(x + [yz_1]) - p.compose(x + y[:1])
+    )
+    found = box_witness(defect)
+    ident_bad = found and (
+        f"defect {defect} is {found[1]} at {name_blocks(found[0], m)}"
+    )
+
+    found = box_witness(p, integral=True)
+    integral_bad = found and f"sigma({found[0][:m]}, {found[0][m:] + lift}) = {found[1]}"
     return ValidationReport(
         f"cocycle {sigma.name}",
         (
-            CheckResult(f"normalization on the [-{r}, {r}] grid", norm_bad is None, norm_bad),
-            CheckResult(f"cocycle identity on the full grid ({size} triples)", ident_bad is None, ident_bad),
+            CheckResult("normalization (exact)", norm_bad is None, norm_bad),
+            CheckResult("cocycle identity (exact)", ident_bad is None, ident_bad),
+            CheckResult("integrality (exact)", integral_bad is None, integral_bad),
         ),
     )
 
@@ -362,40 +340,53 @@ def skinny_check(
     bound: int = 3,
     seed: int | None = DEFAULT_SEED,
 ) -> ValidationReport:
-    """Sampled check that sigma factors through (x, alpha(y)) and kills ker x ker."""
+    """Check that sigma factors through (x, alpha(y)) and kills ker x ker.
+
+    A PolyCocycle reads y only through y1 = alpha(y), the canonical
+    homomorphism, so it factors by construction, and p(0, x2..xm, 0) = 0 is
+    proved as a polynomial identity.  A KernelCocycle is sampled instead.
+    """
     group = sigma.group
     m = group.hirsch
-    if alpha is None:
-        alpha = group.canonical_hom
-    rng = make_rng(seed)
-
     dep_bad = None
     ker_bad = None
-    for _ in range(samples):
-        x = sample_coords(rng, m, bound)
-        y = sample_coords(rng, m, bound)
-        y_alt = (y[0],) + sample_coords(rng, m - 1, bound) if m > 1 else y
-        if alpha(y) == alpha(y_alt):
-            if dep_bad is None and sigma(x, y) != sigma(x, y_alt):
-                dep_bad = (
-                    f"sigma({x}, {y}) = {sigma(x, y)} but "
-                    f"sigma({x}, {y_alt}) = {sigma(x, y_alt)} with equal alpha"
-                )
-        kx = (0,) + x[1:]
-        ky = (0,) + y[1:]
-        if alpha(kx) == 0 and alpha(ky) == 0:
-            if ker_bad is None and sigma(kx, ky) != 0:
-                ker_bad = f"sigma({kx}, {ky}) = {sigma(kx, ky)} on kernel pair"
+    if isinstance(sigma, PolyCocycle):
+        if alpha is not None:
+            raise ValueError("a polynomial cocycle reads alpha(y) as y1")
+        found = box_witness(sigma.poly.substitute({0: 0, m: 0}))
+        if found:
+            ker_bad = f"sigma({found[0][:m]}, {group.identity}) = {found[1]} on kernel pair"
+        how = "exact"
+    else:
+        if alpha is None:
+            alpha = group.canonical_hom
+        rng = make_rng(seed)
+        for _ in range(samples):
+            x = sample_coords(rng, m, bound)
+            y = sample_coords(rng, m, bound)
+            y_alt = (y[0],) + sample_coords(rng, m - 1, bound) if m > 1 else y
+            if alpha(y) == alpha(y_alt):
+                if dep_bad is None and sigma(x, y) != sigma(x, y_alt):
+                    dep_bad = (
+                        f"sigma({x}, {y}) = {sigma(x, y)} but "
+                        f"sigma({x}, {y_alt}) = {sigma(x, y_alt)} with equal alpha"
+                    )
+            kx = (0,) + x[1:]
+            ky = (0,) + y[1:]
+            if alpha(kx) == 0 and alpha(ky) == 0:
+                if ker_bad is None and sigma(kx, ky) != 0:
+                    ker_bad = f"sigma({kx}, {ky}) = {sigma(kx, ky)} on kernel pair"
+        how = f"{samples} samples"
     return ValidationReport(
         f"skinny {sigma.name}",
         (
             CheckResult(
-                f"value depends only on (x, alpha(y)) ({samples} samples)",
+                f"value depends only on (x, alpha(y)) ({how})",
                 dep_bad is None,
                 dep_bad,
             ),
             CheckResult(
-                f"vanishes on ker(alpha) x ker(alpha) ({samples} samples)",
+                f"vanishes on ker(alpha) x ker(alpha) ({how})",
                 ker_bad is None,
                 ker_bad,
             ),

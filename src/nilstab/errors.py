@@ -36,7 +36,7 @@ class NotASection(NilstabError):
 
 
 class NotSkinny(NilstabError):
-    """A cocycle does not factor through (x, alpha(y)) on samples."""
+    """A cocycle does not factor through (x, alpha(y)) or kill ker(alpha) x ker(alpha)."""
 
 
 class NotSurjective(NilstabError):

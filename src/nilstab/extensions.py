@@ -67,12 +67,12 @@ class CentralExtension:
         return self.base.element(g) + (0,)
 
 
-def central_extension(
-    group: MalcevGroup,
-    sigma: PolyCocycle,
-    check: bool = True,
-) -> CentralExtension:
-    """Build the extension group of `group` by the skinny cocycle `sigma`."""
+def central_extension(group: MalcevGroup, sigma: PolyCocycle) -> CentralExtension:
+    """Build the extension group of `group` by the skinny cocycle `sigma`.
+
+    Raises InvalidCocycle unless sigma is proved a normalized, integer
+    valued cocycle and the extension law is proved a group law.
+    """
     if sigma.group is not group and sigma.group != group:
         raise ValueError("cocycle lives on a different group")
     m = group.hirsch
@@ -93,20 +93,14 @@ def central_extension(
         tuple(law),
         name=f"ext({group.name or 'group'}; {sigma.name})",
     )
-    if check:
-        degree_ok = all(
-            sigma.poly.variable_degree(i) <= 4 for i in range(m + 1)
-        ) and sigma.poly.total_degree() <= 4
-        report = cocycle_check(sigma, grid=degree_ok)
-        if not report.ok:
-            raise InvalidCocycle(
-                "cocycle fails its own identity:\n" + report.summary()
-            )
-        total_report = total.validate()
-        if not total_report.ok:
-            raise InvalidCocycle(
-                "extension law failed validation:\n" + total_report.summary()
-            )
+    report = cocycle_check(sigma)
+    if not report.ok:
+        raise InvalidCocycle("cocycle failed validation:\n" + report.summary())
+    total_report = total.validate()
+    if not total_report.ok:
+        raise InvalidCocycle(
+            "extension law failed validation:\n" + total_report.summary()
+        )
     return CentralExtension(base=group, total=total, cocycle=sigma)
 
 
@@ -201,7 +195,7 @@ def extension_skinny_cocycle(ext: CentralExtension) -> KernelCocycle:
     m = base.hirsch
     a = total.basis(1)
 
-    skinny = skinny_check(ext.cocycle, samples=200)
+    skinny = skinny_check(ext.cocycle)
     if not skinny.ok:
         raise NotSkinny(
             "the input cocycle is not skinny:\n" + skinny.summary()

@@ -8,8 +8,9 @@ triangular,
     p_i = x_i + y_i + q_i(x_1..x_{i-1}, y_1..y_{i-1}),
 
 which makes the zero tuple the identity and lets inverses be solved by
-back substitution.  Triangularity and the identity laws are checked
-symbolically; associativity and integrality are checked on samples.
+back substitution.  `MalcevGroup.validate` proves this and associativity
+as polynomial identities, and proves each law integer valued; nothing is
+sampled.
 """
 
 from __future__ import annotations
@@ -18,17 +19,25 @@ import json
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .errors import NonIntegralValue, NotCentral, ParseError, ValidationError
-from .poly import MultiPoly, poly_from_monomials, poly_to_monomials, xy_variables
-from .validation import (
-    CheckResult,
-    DEFAULT_SEED,
-    ValidationReport,
-    make_rng,
-    sample_coords,
+from .errors import NotCentral, ParseError, ValidationError
+from .poly import (
+    MultiPoly,
+    box_witness,
+    poly_from_monomials,
+    poly_to_monomials,
+    xy_variables,
 )
+from .validation import CheckResult, ValidationReport, name_blocks
 
 Element = tuple[int, ...]
+
+
+def symbolic_triple(m: int) -> tuple[list[MultiPoly], ...]:
+    """Generic elements x, y, z: their coordinates are the variables x1..zm."""
+    names = xy_variables(m, m) + tuple(f"z{i + 1}" for i in range(m))
+    return tuple(
+        [MultiPoly.variable(names, k * m + i) for i in range(m)] for k in range(3)
+    )
 
 
 @dataclass(frozen=True)
@@ -127,94 +136,43 @@ class MalcevGroup:
     # ------------------------------------------------------------------
     # validation
 
-    def validate(
-        self,
-        samples: int = 200,
-        bound: int = 3,
-        seed: int | None = DEFAULT_SEED,
-    ) -> ValidationReport:
-        """Symbolic identity/triangularity checks plus sampled associativity."""
+    def multiply_symbolic(self, x: list[MultiPoly], y: list[MultiPoly]) -> list[MultiPoly]:
+        """The product of two elements whose coordinates are polynomials."""
+        return [p.compose(x + y) for p in self.law]
+
+    def validate(self) -> ValidationReport:
+        """Prove the identity laws, triangularity, integrality and associativity.
+
+        Each is decided exactly by `box_witness`, and a failure names an
+        integer point that replays it.
+        """
         m = self.hirsch
         variables = xy_variables(m, m)
-        checks: list[CheckResult] = []
-
-        zero_y = {m + j: 0 for j in range(m)}
-        zero_x = {j: 0 for j in range(m)}
+        x, y, z = symbolic_triple(m)
+        left = self.multiply_symbolic(self.multiply_symbolic(x, y), z)
+        right = self.multiply_symbolic(x, self.multiply_symbolic(y, z))
+        checks = []
         for i, p in enumerate(self.law):
-            right = p.substitute(zero_y)
-            expected = MultiPoly.variable(variables, i)
-            if right == expected:
-                checks.append(CheckResult(f"identity-law right (law {i + 1})", True))
-            else:
-                checks.append(
-                    CheckResult(
-                        f"identity-law right (law {i + 1})",
-                        False,
-                        f"law_{i + 1}(x, e) - x_{i + 1} = {right - expected}",
-                    )
+            k = i + 1
+            # q_k = law_k - x_k - y_k must vanish at x = e and at y = e, and
+            # may only read coordinates below k.
+            q = p - MultiPoly.variable(variables, i) - MultiPoly.variable(variables, m + i)
+            high = {j: 0 for j in range(2 * m) if j % m >= i}
+            for kind, what, poly, integral in (
+                ("identity-law right", f"law_{k}(x, e) - x{k}",
+                 q.substitute({m + j: 0 for j in range(m)}), False),
+                ("identity-law left", f"law_{k}(e, y) - y{k}",
+                 q.substitute({j: 0 for j in range(m)}), False),
+                ("triangularity", f"the part of law_{k} - x{k} - y{k} reading "
+                 f"coordinates {k}..{m}", q - q.substitute(high), False),
+                ("integrality", f"law_{k}", p, True),
+                ("associativity", f"((x*y)*z)_{k} - (x*(y*z))_{k}", left[i] - right[i], False),
+            ):
+                found = box_witness(poly, integral)
+                bad = found and (
+                    f"{what} = {poly}, which is {found[1]} at {name_blocks(found[0], m)}"
                 )
-            left = p.substitute(zero_x)
-            expected = MultiPoly.variable(variables, m + i)
-            if left == expected:
-                checks.append(CheckResult(f"identity-law left (law {i + 1})", True))
-            else:
-                checks.append(
-                    CheckResult(
-                        f"identity-law left (law {i + 1})",
-                        False,
-                        f"law_{i + 1}(e, y) - y_{i + 1} = {left - expected}",
-                    )
-                )
-
-        for i, p in enumerate(self.law):
-            rest = (
-                p
-                - MultiPoly.variable(variables, i)
-                - MultiPoly.variable(variables, m + i)
-            )
-            bad = None
-            for exps in rest.terms:
-                # q_i may only read x_j, y_j with j < i (0-based coordinate index).
-                high = [
-                    variables[j]
-                    for j in range(2 * m)
-                    if exps[j] and (j if j < m else j - m) >= i
-                ]
-                if high:
-                    bad = f"law_{i + 1} has a term with exponents {exps} touching {high}"
-                    break
-            checks.append(CheckResult(f"triangularity (law {i + 1})", bad is None, bad))
-
-        rng = make_rng(seed)
-        assoc_bad = None
-        integral_bad = None
-        for _ in range(samples):
-            x = sample_coords(rng, m, bound)
-            y = sample_coords(rng, m, bound)
-            z = sample_coords(rng, m, bound)
-            try:
-                left = self.multiply(self.multiply(x, y), z)
-                right = self.multiply(x, self.multiply(y, z))
-            except NonIntegralValue as exc:
-                if integral_bad is None:
-                    integral_bad = f"{exc} (triple {x}, {y}, {z})"
-                continue
-            if left != right and assoc_bad is None:
-                assoc_bad = f"({x}*{y})*{z} = {left} but {x}*({y}*{z}) = {right}"
-        checks.append(
-            CheckResult(
-                f"integrality on {samples} sampled triples",
-                integral_bad is None,
-                integral_bad,
-            )
-        )
-        checks.append(
-            CheckResult(
-                f"associativity on {samples} sampled triples",
-                assoc_bad is None,
-                assoc_bad,
-            )
-        )
+                checks.append(CheckResult(f"{kind} (law {k})", bad is None, bad))
         return ValidationReport(self.name or f"group(hirsch={self.hirsch})", tuple(checks))
 
     # ------------------------------------------------------------------
@@ -262,8 +220,8 @@ def lattice(m: int) -> MalcevGroup:
     return MalcevGroup(m, law, name=f"lattice:{m}")
 
 
-def from_document(doc: Mapping, validate: bool = True) -> MalcevGroup:
-    """Build a group from its JSON document, then run the validation suite."""
+def from_document(doc: Mapping) -> MalcevGroup:
+    """Build a group from its JSON document, then prove its law valid."""
     if not isinstance(doc, Mapping):
         raise ParseError(f"group document must be an object, got {type(doc).__name__}")
     try:
@@ -280,12 +238,11 @@ def from_document(doc: Mapping, validate: bool = True) -> MalcevGroup:
     if not isinstance(name, str):
         raise ParseError("group name must be a string")
     group = MalcevGroup(hirsch, law, name=name)
-    if validate:
-        report = group.validate()
-        if not report.ok:
-            raise ValidationError(
-                "group document failed validation:\n" + report.summary(), report
-            )
+    report = group.validate()
+    if not report.ok:
+        raise ValidationError(
+            "group document failed validation:\n" + report.summary(), report
+        )
     return group
 
 

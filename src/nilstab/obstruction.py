@@ -221,7 +221,6 @@ class CertificateReport:
     statement: str
     sign_convention: str
     tolerances: dict
-    seed: int
 
     def to_json(self) -> dict:
         return {
@@ -243,7 +242,6 @@ class CertificateReport:
             "statement": self.statement,
             "sign_convention": self.sign_convention,
             "tolerances": self.tolerances,
-            "seed": self.seed,
         }
 
 
@@ -259,7 +257,6 @@ def certify_nonperturbability(
     chain: Chain2,
     n_list: Sequence[int],
     residual_tol: float = RESIDUAL_TOL,
-    seed: int = DEFAULT_SEED,
 ) -> CertificateReport:
     """Winding certificate: the family rho_n pairs to -<sigma, c> for each n.
 
@@ -314,7 +311,6 @@ def certify_nonperturbability(
             "log_series": LOG_TOL,
             "precondition_margin": PRECONDITION_MARGIN,
         },
-        seed=seed,
     )
 
 

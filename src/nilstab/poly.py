@@ -9,10 +9,13 @@ cleared to a common denominator `den` once, and a point's value is
 the powers of the variables that actually occur.  `evaluate` returns that
 quotient as a Fraction; `evaluate_int` divides exactly and never builds a
 Fraction for integer input.  The same sum is exact for Fraction inputs.
+`box_witness` decides whether a polynomial is zero, or integer valued, and
+turns a failure into a concrete integer point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -217,6 +220,19 @@ class MultiPoly:
             out[key] = out.get(key, Fraction(0)) + factor
         return MultiPoly(self.variables, out)
 
+    def compose(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
+        """Substitute images[i] for variable i; the result uses the images' variables."""
+        if not images or len(images) != len(self.variables):
+            raise ValueError(f"expected {len(self.variables)} images, got {len(images)}")
+        out = MultiPoly.zero(images[0].variables)
+        for exps, c in self.terms.items():
+            term = MultiPoly.constant(out.variables, c)
+            for image, e in zip(images, exps):
+                if e:
+                    term = term * image**e
+            out = out + term
+        return out
+
     def project(self, keep: Sequence[int], new_variables: Iterable[str]) -> "MultiPoly":
         """Re-express over `new_variables` = old variables at `keep` indices.
 
@@ -296,6 +312,39 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def box_witness(
+    p: MultiPoly, integral: bool = False
+) -> tuple[tuple[int, ...], Fraction] | None:
+    """A point of p's degree box where p is nonzero, and p's value there.
+
+    With integral=True, a point where p is not an integer.  p is written in
+    the binomial basis, p = sum b_K * prod(binom(x_i, k_i)), using
+    x^e = sum_k surj(e, k) * binom(x, k); the work is proportional to the
+    terms' exponent products, not to the size of the box.  p = 0 iff every
+    b_K is 0, and p is integer valued iff every b_K is an integer (Polya),
+    so None is a proof.  Otherwise the least failing K is the witness:
+    every smaller b_J is 0 (or an integer), so p(K) = b_K (or b_K mod 1).
+    """
+    coefficients: dict[Exponents, Fraction] = {}
+    for exps, c in p.terms.items():
+        # surj(e, 0) = 0 for e > 0, so k_i runs over 1..e_i, or is 0 if e_i = 0.
+        for k in itertools.product(*(range(1, e + 1) if e else (0,) for e in exps)):
+            weight = math.prod(_surjections(e, j) for e, j in zip(exps, k))
+            coefficients[k] = coefficients.get(k, Fraction(0)) + c * weight
+    failing = [
+        k for k, b in coefficients.items() if (b.denominator != 1 if integral else b != 0)
+    ]
+    if not failing:
+        return None
+    point = min(failing, key=lambda k: (sum(k), k))
+    return point, p.evaluate(point)
+
+
+def _surjections(n: int, k: int) -> int:
+    """The number of maps from n onto k elements, k! * Stirling2(n, k)."""
+    return sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
 
 
 # ----------------------------------------------------------------------

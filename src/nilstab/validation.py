@@ -1,15 +1,18 @@
 """Check reports and seeded sampling shared by the validators.
 
-Sampled checks are falsification searches, not proofs; every failure is
-recorded with a concrete witness so it can be replayed.  All sampling is
-driven by `random.Random` with an explicit seed, so a rerun with the same
-inputs reproduces the same report byte for byte.
+Polynomial laws and cocycles are proved exactly; only cocycles given by a
+kernel function are sampled, and sampled checks are falsification
+searches, not proofs.  Every failure is recorded with a concrete integer
+witness so it can be replayed.  All sampling is driven by `random.Random`
+with an explicit seed, so a rerun with the same inputs reproduces the same
+report byte for byte.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 # Fixed default so sampled checks reproduce across runs.  (The project
 # convention is one shared seed everywhere unless a caller overrides it.)
@@ -67,3 +70,11 @@ def sample_coords(rng: random.Random, length: int, bound: int) -> tuple[int, ...
     if bound < 1:
         raise ValueError("sampling bound must be at least 1")
     return tuple(rng.randint(-bound, bound) for _ in range(length))
+
+
+def name_blocks(point: Sequence[int], length: int) -> str:
+    """'x=(..), y=(..)': a witness point cut into blocks x, y, z of `length`."""
+    names = "xyz"[: len(point) // length]
+    return ", ".join(
+        f"{name}={tuple(point[k * length:(k + 1) * length])}" for k, name in enumerate(names)
+    )

@@ -1,10 +1,13 @@
-"""Shared helpers: an independent third boundary map and unitary factories.
+"""Shared helpers: a third boundary map, unitary factories, a witness parser.
 
 The helpers here are deliberately written against the public definitions
 rather than against library internals, so they can serve as oracles.
 """
 
 from __future__ import annotations
+
+import ast
+import re
 
 import numpy as np
 
@@ -52,3 +55,11 @@ def exact_expm(matrix: np.ndarray) -> np.ndarray:
     herm = 1j * matrix
     eigenvalues, vectors = np.linalg.eigh(herm)
     return (vectors * np.exp(-1j * eigenvalues)) @ vectors.conj().T
+
+
+def witness_blocks(witness: str) -> dict[str, tuple[int, ...]]:
+    """The integer blocks named in a witness, e.g. 'x=(1, 0), y=(0, 2)'."""
+    return {
+        name: ast.literal_eval(block)
+        for name, block in re.findall(r"\b([xyz])=(\([-\d, ]*\))", witness)
+    }

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import nilstab
+from nilstab import catalog
 from nilstab.catalog import z2_skinny
 from nilstab.cli import main
 from nilstab.groups import lattice
@@ -60,7 +61,35 @@ def test_validate_group_and_cocycle_with_grid(runner):
     reports = json.loads(result.output)
     assert [r["ok"] for r in reports] == [True, True, True]
     names = " ".join(c["name"] for r in reports for c in r["checks"])
-    assert "full grid" in names
+    assert "cocycle identity (exact)" in names
+
+
+@pytest.mark.parametrize(
+    "group, cocycle",
+    [("heisenberg3", "builtin:heisenberg_skinny"), ("lattice:2", "builtin:z2_skinny")],
+    ids=["heisenberg3", "lattice2"],
+)
+def test_validate_output_does_not_depend_on_sampling_options(runner, group, cocycle):
+    base = ["validate", "--group", group, "--cocycle", cocycle, "--format", "json"]
+    outputs = set()
+    for extra in (["--seed", "1"], ["--seed", "2"], ["--samples", "7"],
+                  ["--samples", "5000"], ["--grid"], ["--no-grid"]):
+        result = runner.invoke(main, base + extra)
+        assert result.exit_code == 0
+        outputs.add(result.output)
+    assert len(outputs) == 1
+
+
+def test_validate_fails_a_cocycle_that_is_not_integer_valued(runner, tmp_path):
+    doc = {"name": "half", "hirsch": 2,
+           "poly": [{"coef": [1, 2], "x_exps": [0, 1], "y_exps": [1]}]}
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(
+        main, ["validate", "--group", "lattice:2", "--cocycle", str(path)]
+    )
+    assert result.exit_code == 1
+    assert "[FAIL] integrality (exact)" in result.output
 
 
 def test_validate_flags_a_failing_cocycle(runner, tmp_path):
@@ -117,6 +146,7 @@ def test_certify_emits_a_json_certificate(runner):
     assert doc["sigma_pairing"] == 1
     assert [run["n"] for run in doc["runs"]] == [16, 32]
     assert all(run["rounded"] == -1 for run in doc["runs"])
+    assert "seed" not in doc  # certify draws no random numbers
 
 
 def test_certify_heisenberg_at_odd_sizes(runner):
@@ -148,6 +178,25 @@ def test_certify_fails_cleanly_when_no_size_is_coprime(runner):
     )
     assert result.exit_code == 1
     assert "denominator" in everything(result)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny",
+         "--cycle", "heisenberg_c1", "--n", "2000"],
+        ["sweep", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny",
+         "--n", "17,x"],
+    ],
+)
+def test_bad_sizes_are_rejected_before_anything_is_resolved(runner, monkeypatch, args):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("resolved before the size list was parsed")
+
+    for name in ("resolve_group", "resolve_cocycle", "resolve_cycle"):
+        monkeypatch.setattr(catalog, name, unreachable)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, everything(result)
 
 
 def test_certify_rejects_bad_size_lists(runner):

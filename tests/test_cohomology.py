@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boundary3
+from conftest import boundary3, witness_blocks
 from nilstab.catalog import (
     heisenberg3,
     heisenberg_c1,
@@ -37,6 +39,26 @@ from nilstab.poly import MultiPoly, xy_variables
 Z2 = lattice(2)
 H3 = heisenberg3()
 coords2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+VARS21 = xy_variables(2, 1)
+
+
+def on_z2(terms: dict, name: str) -> PolyCocycle:
+    return PolyCocycle(Z2, MultiPoly(VARS21, terms), name=name)
+
+
+# Polynomials on Z^2 that each break at least one cocycle property.
+BROKEN = (
+    on_z2({(1, 0, 0): 1, (0, 0, 1): 1}, "affine"),  # x1 + y1: normalization, identity
+    on_z2({(2, 0, 1): 1}, "quadratic"),  # x1^2*y1: identity, by -2*x1*y1*z1
+    on_z2({(0, 1, 0): 1}, "x2"),  # normalization, identity and ker x ker
+)
+
+
+def replay_sigma(sigma: PolyCocycle, witness: str) -> tuple[Fraction, Fraction]:
+    """(p at the witness 'sigma(a, b) = v', the stated v); e is the identity."""
+    match = re.match(r"sigma\((.*)\) = (\S+)", witness)
+    a, b = ast.literal_eval(match[1].replace("e", repr(sigma.group.identity)))
+    return sigma.poly.evaluate(a + (b[0],)), Fraction(match[2])
 
 
 def test_poly_cocycle_evaluates_its_polynomial():
@@ -82,11 +104,30 @@ def test_scaling_multiplies_values_and_pairings():
 
 def test_cocycle_check_passes_for_the_builtin_cocycles():
     for sigma in (z2_skinny(), heisenberg_skinny()):
-        sampled = cocycle_check(sigma)
-        assert sampled.ok, sampled.summary()
-        gridded = cocycle_check(sigma, grid=True)
-        assert gridded.ok, gridded.summary()
-        assert "full grid" in gridded.checks[1].name
+        proved = cocycle_check(sigma)
+        assert proved.ok, proved.summary()
+        assert [c.name for c in proved.checks] == [
+            "normalization (exact)",
+            "cocycle identity (exact)",
+            "integrality (exact)",
+        ]
+
+
+@pytest.mark.parametrize(
+    "sigma", [z2_skinny(), heisenberg_skinny(), *BROKEN], ids=lambda s: s.name
+)
+def test_proved_verdicts_agree_with_sampled_kernel_verdicts(sigma):
+    # The sampled checks on the same values, seen as a kernel, are an
+    # independent oracle for the proofs: each check must agree.
+    proved = cocycle_check(sigma)
+    sampled = cocycle_check(sigma.as_kernel(), samples=500)
+    assert [c.passed for c in proved.checks[:2]] == [c.passed for c in sampled.checks]
+    assert proved.checks[2].passed  # every polynomial here is integer valued
+    proved_skinny = skinny_check(sigma)
+    sampled_skinny = skinny_check(sigma.as_kernel(), samples=500)
+    assert [c.passed for c in proved_skinny.checks] == [
+        c.passed for c in sampled_skinny.checks
+    ]
 
 
 def test_cocycle_check_flags_a_normalization_failure():
@@ -96,11 +137,11 @@ def test_cocycle_check_flags_a_normalization_failure():
         MultiPoly.variable(vars21, 0) + MultiPoly.variable(vars21, 2),
         name="affine",
     )
-    report = cocycle_check(sigma, samples=50)
-    failed = [c for c in report.failures() if c.name.startswith("normalization")]
-    assert failed and "sigma(" in failed[0].witness
-    grid_report = cocycle_check(sigma, grid=True)
-    assert not grid_report.ok
+    for report in (cocycle_check(sigma), cocycle_check(sigma.as_kernel(), samples=50)):
+        failed = [c for c in report.failures() if c.name.startswith("normalization")]
+        assert failed and "sigma(" in failed[0].witness
+        value, stated = replay_sigma(sigma, failed[0].witness)
+        assert value == stated != 0
 
 
 def test_cocycle_check_flags_a_cocycle_identity_failure():
@@ -109,14 +150,29 @@ def test_cocycle_check_flags_a_cocycle_identity_failure():
     sigma = PolyCocycle(
         Z2, MultiPoly(vars21, {(2, 0, 1): Fraction(1)}), name="quadratic"
     )
-    for report in (cocycle_check(sigma, samples=200), cocycle_check(sigma, grid=True)):
+    reports = (cocycle_check(sigma), cocycle_check(sigma.as_kernel(), samples=200))
+    for report in reports:
         failed = [c for c in report.failures() if "identity" in c.name]
         assert failed and "defect" in failed[0].witness
+        at = witness_blocks(failed[0].witness)
+        x, y, z = at["x"], at["y"], at["z"]
+        defect = (
+            sigma(y, z) - sigma(Z2.multiply(x, y), z)
+            + sigma(x, Z2.multiply(y, z)) - sigma(x, y)
+        )
+        assert defect == -2 * x[0] * y[0] * z[0] != 0
+    assert "defect -2*x1*y1*z1 is -2 at" in reports[0].failures()[0].witness
 
 
-def test_grid_mode_needs_a_polynomial_cocycle():
-    with pytest.raises(ValueError):
-        cocycle_check(z2_skinny().as_kernel(), grid=True)
+def test_cocycle_check_flags_a_cocycle_that_is_not_integer_valued():
+    # 1/2*x2*y1 is a normalized bilinear cocycle, but not integer valued.
+    sigma = on_z2({(0, 1, 1): Fraction(1, 2)}, "half")
+    [failure] = cocycle_check(sigma).failures()
+    assert failure.name == "integrality (exact)"
+    value, stated = replay_sigma(sigma, failure.witness)
+    assert value == stated and value.denominator != 1
+    with pytest.raises(NonIntegralValue):
+        cocycle_check(sigma.as_kernel(), samples=50)
 
 
 def test_coboundaries_always_satisfy_the_cocycle_identity():
@@ -135,6 +191,16 @@ def test_skinny_check_passes_for_the_builtin_cocycles():
     for sigma in (z2_skinny(), heisenberg_skinny()):
         report = skinny_check(sigma)
         assert report.ok, report.summary()
+
+
+def test_skinny_check_proves_vanishing_on_the_kernel():
+    sigma = BROKEN[2]  # x2: sigma((0, x2), (0, y2)) = x2
+    [failure] = skinny_check(sigma).failures()
+    assert "ker(alpha)" in failure.name and "kernel pair" in failure.witness
+    value, stated = replay_sigma(sigma, failure.witness.removesuffix(" on kernel pair"))
+    assert value == stated != 0
+    with pytest.raises(ValueError):
+        skinny_check(sigma, alpha=lambda g: g[1])
 
 
 def test_skinny_check_flags_dependence_and_kernel_failures():

@@ -79,6 +79,10 @@ def test_extension_rejects_a_non_cocycle():
     )
     with pytest.raises(InvalidCocycle):
         central_extension(Z2, affine)
+    # A normalized cocycle that is not integer valued.
+    half = PolyCocycle(Z2, MultiPoly(vars21, {(0, 1, 1): Fraction(1, 2)}))
+    with pytest.raises(InvalidCocycle, match="integrality"):
+        central_extension(Z2, half)
 
 
 def test_extension_by_zero_is_the_direct_product():

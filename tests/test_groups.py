@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import witness_blocks
 from nilstab.catalog import heisenberg3
 from nilstab.errors import NotCentral, ParseError, ValidationError
 from nilstab.groups import (
@@ -102,7 +103,7 @@ def test_lattice_is_coordinatewise_addition():
     z3 = lattice(3)
     assert z3.multiply((1, 2, 3), (4, 5, 6)) == (5, 7, 9)
     assert z3.inverse((1, -2, 3)) == (-1, 2, -3)
-    assert z3.validate(samples=50).ok
+    assert z3.validate().ok
 
 
 def test_validation_passes_for_the_builtin_groups():
@@ -115,11 +116,14 @@ def test_validation_passes_for_the_builtin_groups():
 def test_validation_catches_a_broken_identity_law():
     vars6 = xy_variables(3, 3)
     bad = broken_heisenberg(MultiPoly.constant(vars6, 1))
-    report = bad.validate(samples=20)
-    failed = {c.name for c in report.failures()}
-    assert "identity-law right (law 3)" in failed
-    assert "identity-law left (law 3)" in failed
-    assert any(c.witness for c in report.failures())
+    report = bad.validate()
+    failed = {c.name: c.witness for c in report.failures()}
+    assert set(failed) == {"identity-law right (law 3)", "identity-law left (law 3)"}
+    # Replay: law_3(x, e) - x3 and law_3(e, y) - y3 are 1 at the witness.
+    for name, index in (("identity-law right (law 3)", 2), ("identity-law left (law 3)", 5)):
+        at = witness_blocks(failed[name])
+        point = at["x"] + at["y"]
+        assert bad.law[2].evaluate(point) - point[index] == 1
 
 
 def test_validation_catches_a_nonassociative_law():
@@ -127,9 +131,12 @@ def test_validation_catches_a_nonassociative_law():
     # x2 * y1^2 respects both identity laws and triangularity but is not
     # a 2-cocycle on the abelianization, so associativity fails.
     extra = MultiPoly(vars6, {(0, 1, 0, 2, 0, 0): Fraction(1)})
-    report = broken_heisenberg(extra).validate(samples=200)
-    failed = {c.name for c in report.failures()}
-    assert failed == {"associativity on 200 sampled triples"}
+    bad = broken_heisenberg(extra)
+    [failure] = bad.validate().failures()
+    assert failure.name == "associativity (law 3)"
+    at = witness_blocks(failure.witness)
+    x, y, z = at["x"], at["y"], at["z"]
+    assert bad.multiply(bad.multiply(x, y), z) != bad.multiply(x, bad.multiply(y, z))
 
 
 def test_validation_catches_a_triangularity_violation():
@@ -137,18 +144,25 @@ def test_validation_catches_a_triangularity_violation():
     # x3 * y3 reaches coordinate 3 inside law 3, which may only read
     # coordinates 1 and 2.
     extra = MultiPoly(vars6, {(0, 0, 1, 0, 0, 1): Fraction(1)})
-    report = broken_heisenberg(extra).validate(samples=20)
+    group = broken_heisenberg(extra)
+    report = group.validate()
     bad = [c for c in report.failures() if c.name == "triangularity (law 3)"]
     assert bad and "law_3" in bad[0].witness
+    # Replay: zeroing coordinate 3 of both arguments changes law_3 - x3 - y3.
+    at = witness_blocks(bad[0].witness)
+    point, lowered = at["x"] + at["y"], at["x"][:2] + (0,) + at["y"][:2] + (0,)
+    rest = group.law[2] - MultiPoly.variable(vars6, 2) - MultiPoly.variable(vars6, 5)
+    assert rest.evaluate(point) != rest.evaluate(lowered)
 
 
 def test_validation_catches_non_integer_products():
     vars6 = xy_variables(3, 3)
     extra = MultiPoly(vars6, {(1, 0, 0, 1, 0, 0): Fraction(1, 2)})
-    report = broken_heisenberg(extra).validate(samples=200)
-    assert any(
-        c.name.startswith("integrality") and not c.passed for c in report.checks
-    )
+    bad = broken_heisenberg(extra)
+    [failure] = bad.validate().failures()
+    assert failure.name.startswith("integrality")
+    at = witness_blocks(failure.witness)
+    assert bad.law[2].evaluate(at["x"] + at["y"]).denominator != 1
 
 
 def test_inverse_refuses_a_nontriangular_law():

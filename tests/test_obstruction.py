@@ -193,6 +193,7 @@ def test_certificate_for_the_lattice_cocycle():
     assert doc["expected_winding"] == -1
     assert doc["sign_convention"]
     assert doc["tolerances"]["residual"] == 1e-6
+    assert "seed" not in doc
 
 
 def test_certificate_for_the_promoted_heisenberg_cocycle():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from nilstab.errors import NonIntegralValue, ParseError
 from nilstab.poly import (
     MultiPoly,
+    box_witness,
     poly_from_monomials,
     poly_to_monomials,
     xy_variables,
@@ -103,6 +106,92 @@ def test_power_is_repeated_multiplication(p, e, v):
         expected = expected * p
     assert p**e == expected
     assert (p**e).evaluate(v) == p.evaluate(v) ** e
+
+
+def to_sympy(p: MultiPoly, sympy):
+    symbols = sympy.symbols(p.variables)
+    total = sympy.Integer(0)
+    for exps, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for symbol, e in zip(symbols, exps):
+            term *= symbol**e
+        total += term
+    return total
+
+
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), coefficients, max_size=3
+).map(lambda terms: MultiPoly(VARS, terms))
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_polys, st.tuples(small_polys, small_polys, small_polys))
+def test_compose_agrees_with_sympy_substitution(p, images):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(VARS)
+    expected = sympy.expand(
+        to_sympy(p, sympy).subs(
+            {s: to_sympy(q, sympy) for s, q in zip(symbols, images)},
+            simultaneous=True,
+        )
+    )
+    assert sympy.expand(to_sympy(p.compose(images), sympy) - expected) == 0
+
+
+def binomial(index: int, k: int) -> MultiPoly:
+    # binom(v, k): integer valued with coefficient denominator up to k!.
+    v = MultiPoly.variable(VARS, index)
+    out = MultiPoly.constant(VARS, 1)
+    for r in range(k):
+        out = out * (v - r)
+    return Fraction(1, math.factorial(k)) * out
+
+
+def binomial_combination(terms: dict) -> MultiPoly:
+    out = MultiPoly.zero(VARS)
+    for exps, c in terms.items():
+        term = MultiPoly.constant(VARS, c)
+        for index, k in enumerate(exps):
+            term = term * binomial(index, k)
+        out = out + term
+    return out
+
+
+integer_valued = st.dictionaries(exponent_keys, st.integers(-3, 3), max_size=4).map(
+    binomial_combination
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(integer_valued, polys, st.booleans())
+def test_box_witness_agrees_with_brute_force(base, extra, perturb):
+    # Degrees are at most 3 per variable, so [-3, 3]^3 covers a degree box.
+    p = base + extra if perturb else base
+    values = [
+        brute_force_evaluate(p, v) for v in itertools.product(range(-3, 4), repeat=3)
+    ]
+    found = box_witness(p, integral=True)
+    assert (found is None) == all(v.denominator == 1 for v in values)
+    if found:
+        assert brute_force_evaluate(p, found[0]) == found[1]
+        assert found[1].denominator != 1
+    found = box_witness(p)
+    assert (found is None) == p.is_zero() == all(v == 0 for v in values)
+    if found:
+        assert brute_force_evaluate(p, found[0]) == found[1] != 0
+
+
+def test_box_witness_finds_the_least_failing_point():
+    # x1^2*x2*y1 - x1*x2*y1 = 2*binom(x1, 2)*x2*y1 is 0 below (2, 1, 1).
+    p = MultiPoly(VARS, {(2, 1, 1): 1, (1, 1, 1): -1})
+    assert box_witness(p) == ((2, 1, 1), 2)
+    assert box_witness(Fraction(1, 2) * p, integral=True) is None
+    assert box_witness(Fraction(1, 4) * p, integral=True) == ((2, 1, 1), Fraction(1, 2))
+    assert box_witness(MultiPoly.zero(VARS)) is None
+    # Only each term's own exponent box is visited, however many variables.
+    wide = xy_variables(30, 30)
+    product = MultiPoly(wide, {(1,) * 60: 1})
+    assert box_witness(product) == ((1,) * 60, 1)
 
 
 def test_evaluate_int_requires_an_integer_value():
