@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import NoReturn
 
 import click
 
 from . import __version__, catalog
 from .cohomology import cocycle_check, skinny_check
-from .errors import NilstabError, NotCoprime, ParseError
+from .errors import NilstabError, NotCoprime, ParseError, ValidationError
 from .obstruction import certify_nonperturbability
 from .representation import MAX_DENSE, defect
 from .validation import DEFAULT_SEED, make_rng, sample_coords
@@ -27,6 +28,12 @@ def _usage_guard(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
         raise click.UsageError(str(exc)) from exc
+
+
+def _fail(exc: NilstabError) -> NoReturn:
+    """Report a failed check on stderr and exit 1."""
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(1)
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -78,17 +85,16 @@ def validate(group_src, cocycle_src, samples, bound, seed, grid, fmt, out_path):
     Every group law and cocycle given here is polynomial, so each check is
     an exact proof and the sampling and grid options are accepted unused.
     """
-    group = _usage_guard(catalog.resolve_group, group_src)
     try:
+        group = _usage_guard(catalog.resolve_group, group_src)
         reports = [group.validate()]
         if cocycle_src:
             sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
             reports += [cocycle_check(sigma), skinny_check(sigma)]
-    except click.UsageError:
-        raise
+    except ValidationError as exc:
+        reports = [exc.report]  # a group document whose law failed its proof
     except NilstabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
     if fmt == "json":
         text = json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True)
         text += "\n"
@@ -109,14 +115,13 @@ def validate(group_src, cocycle_src, samples, bound, seed, grid, fmt, out_path):
 def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
     """Emit a JSON non-perturbability certificate for a cocycle and cycle."""
     n_list = _parse_n_list(n_text)
-    group = _usage_guard(catalog.resolve_group, group_src)
-    sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
-    chain = _usage_guard(catalog.resolve_cycle, cycle_src, group)
     try:
+        group = _usage_guard(catalog.resolve_group, group_src)
+        sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
+        chain = _usage_guard(catalog.resolve_cycle, cycle_src, group)
         report = certify_nonperturbability(group, sigma, chain, n_list)
     except NilstabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
     text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     _emit(text, out_path)
     sys.exit(0)
@@ -134,8 +139,11 @@ def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
 def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     """Tabulate multiplicativity defects and their bounds as CSV."""
     n_list = _parse_n_list(n_text)
-    group = _usage_guard(catalog.resolve_group, group_src)
-    sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
+    try:
+        group = _usage_guard(catalog.resolve_group, group_src)
+        sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
+    except NilstabError as exc:
+        _fail(exc)
     rng = make_rng(seed)
     pairs = [
         (sample_coords(rng, group.hirsch, bound), sample_coords(rng, group.hirsch, bound))

@@ -13,6 +13,20 @@ families of skinny cocycles pair to minus the cocycle/cycle pairing, so a
 nonzero cocycle pairing certifies that the family cannot be perturbed
 into a representation.
 
+Two paths compute the pairing, chosen by what is paired:
+
+- `certify_nonperturbability` pairs the phase-shift family of a
+  PolyCocycle exactly.  Each log argument is a shift-0 phase-shift matrix
+  with residues r_j mod n, so it lies in the convergence ball exactly when
+  6 |centred(r_j)| < n, its log is diagonal with entries
+  2 pi i centred(r_j) / n, and the winding is the Fraction
+  sum coef * sum_j centred(r_j) / n.  This works at any n that
+  `build_rho` accepts.
+- `winding_pairing` takes dense matrices: general families such as the
+  perturbed representations of the null test, and the oracle that the
+  exact path is tested against.  It uses the series log with an exp
+  round trip and power-iteration norms, for n up to MAX_DENSE.
+
 Sign convention: the log argument uses rho(ab) rho(b)^-1 rho(a)^-1; the
 reversed ordering rho(ab) rho(a)^-1 rho(b)^-1 flips the sign of the
 pairing.  Both orderings are required to stay inside the convergence
@@ -23,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -43,7 +58,7 @@ from .errors import (
     TorsionPairing,
 )
 from .groups import Element, MalcevGroup
-from .representation import build_rho, frobenius_norm, operator_norm
+from .representation import PhaseShiftMatrix, build_rho, frobenius_norm, operator_norm
 from .validation import DEFAULT_SEED
 
 # Families closer than this to a representation always pair to zero.
@@ -53,6 +68,9 @@ LOG_TOL = 1e-14
 LOG_MAX_TERMS = 200
 PRECONDITION_MARGIN = 1e-8
 RESIDUAL_TOL = 1e-6
+
+# The two multiplication orderings of a term's log argument.
+ORDERINGS = ("rho(ab)rho(b)*rho(a)*", "rho(ab)rho(a)*rho(b)*")
 
 UnitaryFamily = Union[Mapping[Element, np.ndarray], Callable[[Element], np.ndarray]]
 
@@ -164,7 +182,7 @@ def winding_pairing(
         word = m_ab @ m_b.conj().T @ m_a.conj().T
         other = m_ab @ m_a.conj().T @ m_b.conj().T
         eye = np.eye(word.shape[0], dtype=complex)
-        for ordering, label in ((word, "rho(ab)rho(b)*rho(a)*"), (other, "rho(ab)rho(a)*rho(b)*")):
+        for ordering, label in zip((word, other), ORDERINGS):
             distance = operator_norm(ordering - eye)
             if distance + PRECONDITION_MARGIN >= 1.0:
                 raise TermOutOfRange(
@@ -201,10 +219,19 @@ def rho_family(
 
 @dataclass(frozen=True)
 class CertificateRun:
+    """The winding at one matrix size and how it was obtained.
+
+    `winding` is exact and `raw` is its float value.  `margin` is the
+    smallest n - 6 max_j |centred(r_j)| over the terms and both orderings:
+    positive means every log argument is inside the convergence ball.
+    """
+
     n: int
     raw: float
     rounded: int | None
-    residual: float
+    path: str
+    winding: Fraction
+    margin: int
 
 
 @dataclass(frozen=True)
@@ -220,7 +247,6 @@ class CertificateReport:
     distance_bound: float
     statement: str
     sign_convention: str
-    tolerances: dict
 
     def to_json(self) -> dict:
         return {
@@ -234,14 +260,15 @@ class CertificateReport:
                     "n": r.n,
                     "raw": r.raw,
                     "rounded": r.rounded,
-                    "residual": r.residual,
+                    "path": r.path,
+                    "winding": str(r.winding),
+                    "margin": r.margin,
                 }
                 for r in self.runs
             ],
             "distance_bound": self.distance_bound,
             "statement": self.statement,
             "sign_convention": self.sign_convention,
-            "tolerances": self.tolerances,
         }
 
 
@@ -251,18 +278,75 @@ SIGN_CONVENTION = (
 )
 
 
+def _centred(word: PhaseShiftMatrix) -> np.ndarray:
+    """The word's residues as representatives in (-n/2, n/2]."""
+    r = word.residues
+    return np.where(2 * r > word.n, r - word.n, r)
+
+
+def _exact_run(
+    group: MalcevGroup, sigma: PolyCocycle, chain: Chain2, n: int
+) -> CertificateRun:
+    """The winding of rho_n against the chain, in exact residue arithmetic.
+
+    Each ordering of each term is a shift-0 phase-shift matrix with
+    residues r_j.  Its distance to the identity is
+    max_j 2 sin(pi |centred(r_j)| / n), which is below 1 exactly when
+    6 |centred(r_j)| < n; otherwise TermOutOfRange names the term.  Inside
+    the ball the series log is diagonal with entries
+    2 pi i centred(r_j) / n, so the term adds coef * sum_j centred(r_j) / n.
+    """
+    rho = {g: build_rho(sigma, n, g) for g in chain.support(group)}
+    winding = Fraction(0)
+    margin = n
+    for index, (coef, a, b) in enumerate(chain.terms):
+        ab = group.multiply(a, b)
+        a_inv, b_inv = rho[a].adjoint(), rho[b].adjoint()
+        words = (
+            rho[ab].compose(b_inv).compose(a_inv),
+            rho[ab].compose(a_inv).compose(b_inv),
+        )
+        centred = []
+        for word, label in zip(words, ORDERINGS):
+            if word.shift != 0:
+                raise TermOutOfRange(
+                    f"term {index}: {label} shifts by {word.shift}", term_index=index
+                )
+            c = _centred(word)
+            worst = int(np.argmax(np.abs(c)))
+            term_margin = n - 6 * abs(int(c[worst]))
+            if term_margin <= 0:
+                raise TermOutOfRange(
+                    f"term {index}: {label} has residue {int(c[worst])} mod {n} at "
+                    f"index {worst}, outside the log's convergence ball (6|r| < n)",
+                    term_index=index,
+                )
+            margin = min(margin, term_margin)
+            centred.append(c)
+        winding += coef * Fraction(int(np.sum(centred[0])), n)
+    return CertificateRun(
+        n=n,
+        raw=float(winding),
+        rounded=winding.numerator if winding.denominator == 1 else None,
+        path="exact",
+        winding=winding,
+        margin=margin,
+    )
+
+
 def certify_nonperturbability(
     group: MalcevGroup,
     sigma: PolyCocycle,
     chain: Chain2,
     n_list: Sequence[int],
-    residual_tol: float = RESIDUAL_TOL,
 ) -> CertificateReport:
     """Winding certificate: the family rho_n pairs to -<sigma, c> for each n.
 
-    Raises NotACycle if the chain has a boundary, TorsionPairing if the
-    cocycle pairs to zero (no obstruction to certify), and PairingMismatch
-    if a computed winding disagrees with the prediction.
+    Every pairing is exact (see `_exact_run`).  Raises NotACycle if the
+    chain has a boundary, TorsionPairing if the cocycle pairs to zero (no
+    obstruction to certify), TermOutOfRange if a log argument leaves the
+    convergence ball, and PairingMismatch if a winding disagrees with the
+    prediction.
     """
     if not n_list:
         raise ValueError("need at least one matrix size")
@@ -274,21 +358,14 @@ def certify_nonperturbability(
         raise TorsionPairing(
             "the cocycle pairs to zero against this cycle; nothing to certify"
         )
-    support = chain.support(group)
     runs = []
     for n in n_list:
-        family = rho_family(sigma, n, support)
-        result = winding_pairing(family, chain, group, residual_tol=residual_tol)
-        if result.rounded != -s:
+        run = _exact_run(group, sigma, chain, n)
+        if run.rounded != -s:
             raise PairingMismatch(
-                f"at n={n} the winding is {result.raw} (rounded {result.rounded}), "
-                f"expected {-s}"
+                f"at n={n} the winding is {run.winding}, expected {-s}"
             )
-        runs.append(
-            CertificateRun(
-                n=n, raw=result.raw, rounded=result.rounded, residual=result.residual
-            )
-        )
+        runs.append(run)
     statement = (
         f"Any family of unitaries within {PERTURBATION_RADIUS:.6f} (= 1/24) of these "
         f"matrices in operator norm on the listed elements has winding pairing 0 "
@@ -306,11 +383,6 @@ def certify_nonperturbability(
         distance_bound=PERTURBATION_RADIUS,
         statement=statement,
         sign_convention=SIGN_CONVENTION,
-        tolerances={
-            "residual": residual_tol,
-            "log_series": LOG_TOL,
-            "precondition_margin": PRECONDITION_MARGIN,
-        },
     )
 
 

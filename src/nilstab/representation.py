@@ -6,14 +6,20 @@ standard basis of C^n by
 
     rho_n(x) delta_j = exp(2 pi i p(x, j) / n) * delta_{j + x_1 mod n},
 
-so each rho_n(x) is a cyclic shift with one unit phase per column.  The
-exponent is reduced mod n in exact integer arithmetic before a single
-exponentiation, which keeps the phases honest for huge exponents.
+so each rho_n(x) is a cyclic shift with one root of unity per column.  A
+PhaseShiftMatrix stores the integer residues p(x, j) mod n, not the
+phases: products, adjoints and the scalar identity are exact residue
+arithmetic at any n, and only `phases` and `to_dense` (capped at
+MAX_DENSE) touch floating point.
 
 The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is a scalar
 chi_n(x, y)^{-1} = exp(-2 pi i p(x, y_1) / n) away from zero, giving the
 proven bounds 2*pi*|sigma(x,y)|/sqrt(n) (Frobenius) and 2*pi*|sigma(x,y)|/n
-(operator).
+(operator).  `defect` measures it from the residue gaps d_j: the
+difference of two phase-shift matrices with equal shift has one entry per
+column, so its norms are sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| with
+w = exp(2 pi i / n).  The dense norms below serve general matrices and
+the tests' oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .errors import (
 from .groups import Element
 
 MAX_DENSE = 1024  # double precision keeps phases well below 1e-12 up to here
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 10_000
@@ -44,88 +51,109 @@ POWER_MAX_ITER = 10_000
 
 @dataclass(frozen=True, eq=False)
 class PhaseShiftMatrix:
-    """A unitary acting by delta_j -> phases[j] * delta_{(j + shift) mod n}."""
+    """A unitary acting by delta_j -> w^residues[j] * delta_{(j + shift) mod n}.
+
+    Here w = exp(2 pi i / n).  The residues are int64 values reduced mod n,
+    so every phase is exactly an n-th root of unity.
+    """
 
     n: int
     shift: int
-    phases: np.ndarray
+    residues: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DENSE:
-            raise ValueError(f"matrix size must be in [1, {MAX_DENSE}], got {self.n}")
-        if self.phases.shape != (self.n,):
+        if self.n < 1:
+            raise ValueError(f"matrix size must be positive, got {self.n}")
+        residues = np.asarray(self.residues)
+        if residues.shape != (self.n,):
             raise DimensionMismatch(
-                f"expected {self.n} phases, got shape {self.phases.shape}"
+                f"expected {self.n} residues, got shape {residues.shape}"
             )
+        if not np.issubdtype(residues.dtype, np.integer):
+            raise ValueError(f"residues must be integers, got dtype {residues.dtype}")
+        object.__setattr__(self, "residues", residues.astype(np.int64) % self.n)
         object.__setattr__(self, "shift", self.shift % self.n)
-        moduli = np.abs(self.phases)
-        worst = float(np.max(np.abs(moduli - 1.0))) if self.n else 0.0
-        if worst > 1e-9:
-            raise ValueError(f"phases are not unit modulus (off by {worst:.3e})")
 
     @classmethod
     def identity(cls, n: int) -> "PhaseShiftMatrix":
-        return cls(n, 0, np.ones(n, dtype=complex))
+        return cls(n, 0, np.zeros(n, dtype=np.int64))
+
+    @property
+    def phases(self) -> np.ndarray:
+        return np.exp(2j * np.pi * self.residues / self.n)
 
     def compose(self, other: "PhaseShiftMatrix") -> "PhaseShiftMatrix":
         """Matrix product self @ other (apply `other` first)."""
         if self.n != other.n:
             raise DimensionMismatch(f"sizes {self.n} and {other.n} differ")
         # Column j of the product picks up self's phase at j + other.shift.
-        phases = other.phases * np.roll(self.phases, -other.shift)
-        return PhaseShiftMatrix(self.n, self.shift + other.shift, phases)
+        residues = other.residues + np.roll(self.residues, -other.shift)
+        return PhaseShiftMatrix(self.n, self.shift + other.shift, residues)
 
     def adjoint(self) -> "PhaseShiftMatrix":
-        phases = np.conj(np.roll(self.phases, self.shift))
-        return PhaseShiftMatrix(self.n, -self.shift, phases)
+        return PhaseShiftMatrix(self.n, -self.shift, -np.roll(self.residues, self.shift))
 
-    def scale(self, scalar: complex) -> "PhaseShiftMatrix":
-        return PhaseShiftMatrix(self.n, self.shift, self.phases * scalar)
+    def twist(self, k: int) -> "PhaseShiftMatrix":
+        """This matrix times the scalar exp(2 pi i k / n)."""
+        return PhaseShiftMatrix(self.n, self.shift, self.residues + k % self.n)
 
     def to_dense(self) -> np.ndarray:
+        if self.n > MAX_DENSE:
+            raise ValueError(
+                f"dense matrices are limited to size {MAX_DENSE}, got {self.n}"
+            )
         dense = np.zeros((self.n, self.n), dtype=complex)
         cols = np.arange(self.n)
         dense[(cols + self.shift) % self.n, cols] = self.phases
         return dense
 
-    def is_scalar(self, tol: float = 1e-12) -> bool:
-        if self.shift != 0:
-            return False
-        return bool(np.max(np.abs(self.phases - self.phases[0])) <= tol)
+    def is_scalar(self) -> bool:
+        return self.shift == 0 and bool(np.all(self.residues == self.residues[0]))
 
 
 def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
-    """The phase-shift unitary representing x at matrix size n."""
-    if not 1 <= n <= MAX_DENSE:
-        raise ValueError(f"matrix size must be in [1, {MAX_DENSE}], got {n}")
+    """The phase-shift unitary representing x at matrix size n.
+
+    The residues p(x, j) mod n come from one vectorized Horner evaluation
+    of p(x, t) * scale mod scale * n over j = 0..n, where scale clears the
+    denominators at x.  Every value must be divisible by scale (an integer
+    cocycle value), and the value at j = n must repeat the one at j = 0.
+    """
+    if n < 1:
+        raise ValueError(f"matrix size must be positive, got {n}")
     den = sigma.poly.denominator_lcm()
     if math.gcd(n, den) != 1:
         raise NotCoprime(
             f"n = {n} shares a factor with the coefficient denominator {den}"
         )
+    # Horner steps stay below den * n * (n + 1); scale below divides den.
+    if den * n * (n + 1) > INT64_MAX:
+        raise ValueError(
+            f"matrix size {n} is too large for int64 residue arithmetic "
+            f"with coefficient denominator {den}"
+        )
     x = sigma.group.element(x)
     scale, coeffs = sigma.specialize_first(x)
-
-    def exponent(j: int) -> int:
-        total = 0
-        power = 1
-        for c in coeffs:
-            total += c * power
-            power *= j
-        if total % scale:
-            raise NonIntegralValue(
-                f"cocycle value {total}/{scale} at ({x}, {j}) is not an integer"
-            )
-        return total // scale
-
+    modulus = scale * n
+    reduced = [c % modulus for c in coeffs]
+    j = np.arange(n + 1, dtype=np.int64)
+    total = np.full(n + 1, reduced[-1], dtype=np.int64)
+    for c in reversed(reduced[:-1]):
+        total = (total * j + c) % modulus
+    fractional = np.flatnonzero(total % scale)
+    if fractional.size:
+        at = int(fractional[0])
+        value = sum(c * at**e for e, c in enumerate(coeffs))
+        raise NonIntegralValue(
+            f"cocycle value {value}/{scale} at ({x}, {at}) is not an integer"
+        )
+    residues = total // scale
     # Well-definedness spot check: the exponent must only matter mod n.
-    if (exponent(n) - exponent(0)) % n != 0:
+    if residues[n] != residues[0]:
         raise NotCoprime(
             f"exponent is not periodic mod {n}; denominators are incompatible"
         )
-    residues = np.array([exponent(j) % n for j in range(n)], dtype=float)
-    phases = np.exp(2j * np.pi * residues / n)
-    return PhaseShiftMatrix(n, x[0], phases)
+    return PhaseShiftMatrix(n, x[0], residues[:n])
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +215,24 @@ def norm(matrix: np.ndarray, kind: str = "frobenius") -> float:
 # defects and the scalar identity
 
 
+def difference_norms(a: PhaseShiftMatrix, b: PhaseShiftMatrix) -> tuple[float, float]:
+    """Frobenius and operator norms of a - b, for equal sizes and shifts.
+
+    a - b has one entry per column, w^a_j - w^b_j in row j + shift, so its
+    singular values are |1 - w^d_j| = 2 |sin(pi d_j / n)| with d_j = a_j - b_j.
+    """
+    if a.n != b.n:
+        raise DimensionMismatch(f"sizes {a.n} and {b.n} differ")
+    if a.shift != b.shift:
+        raise ValueError(
+            f"shifts {a.shift} and {b.shift} differ; the difference is not "
+            f"a phase-shift matrix"
+        )
+    gaps = (a.residues - b.residues) % a.n
+    chords = 2.0 * np.abs(np.sin(np.pi * gaps / a.n))
+    return float(np.sqrt(np.sum(chords**2))), float(np.max(chords))
+
+
 @dataclass(frozen=True)
 class DefectResult:
     n: int
@@ -205,20 +251,20 @@ BOUND_SLACK = 1e-9
 def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> DefectResult:
     """Measured multiplicativity defect of rho_n at (x, y), with its bounds.
 
-    Raises BoundViolated if a measured norm exceeds the proven bound plus
-    a 1e-9 slack; that would falsify the construction, not the sample.
+    The norms of rho_n(x*y) - rho_n(x) rho_n(y) come from the residue gaps
+    (see `difference_norms`), so no matrix is formed.  Raises BoundViolated
+    if a measured norm exceeds the proven bound plus a 1e-9 slack; that
+    would falsify the construction, not the sample.
     """
     group = sigma.group
     x = group.element(x)
     y = group.element(y)
     rho_xy = build_rho(sigma, n, group.multiply(x, y))
     product = build_rho(sigma, n, x).compose(build_rho(sigma, n, y))
-    difference = rho_xy.to_dense() - product.to_dense()
-    fro = frobenius_norm(difference)
-    op = operator_norm(difference)
-    s = abs(sigma(x, y))
-    fro_bound = 2 * math.pi * s / math.sqrt(n)
-    op_bound = 2 * math.pi * s / n
+    fro, op = difference_norms(rho_xy, product)
+    s = sigma(x, y)
+    fro_bound = 2 * math.pi * abs(s) / math.sqrt(n)
+    op_bound = 2 * math.pi * abs(s) / n
     if fro > fro_bound + BOUND_SLACK:
         raise BoundViolated(
             f"Frobenius defect {fro} exceeds bound {fro_bound} at ({x}, {y}), n={n}"
@@ -231,7 +277,7 @@ def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> De
         n=n,
         x=x,
         y=y,
-        sigma_xy=sigma(x, y),
+        sigma_xy=s,
         frobenius=fro,
         frobenius_bound=fro_bound,
         operator=op,
@@ -251,9 +297,12 @@ def chi_scalar_check(
     n: int,
     x: Sequence[int],
     y: Sequence[int],
-    tol: float = 1e-12,
 ) -> Chi:
-    """Verify rho(x*y) rho(y)^-1 rho(x)^-1 = chi_n(x, y)^{-1} I and return chi."""
+    """Prove rho(x*y) rho(y)^-1 rho(x)^-1 = chi_n(x, y)^{-1} I and return chi.
+
+    The word is a shift-0 phase-shift matrix, and every residue must equal
+    -sigma(x, y) mod n exactly; NotScalar names the first one that does not.
+    """
     group = sigma.group
     x = group.element(x)
     y = group.element(y)
@@ -264,15 +313,16 @@ def chi_scalar_check(
     if word.shift != 0:
         raise NotScalar(f"triple product shifts by {word.shift}")
     residue = sigma(x, y) % n
-    chi = cmath.exp(2j * math.pi * residue / n)
-    deviation = np.abs(word.phases - np.conj(chi))
-    worst = int(np.argmax(deviation))
-    if deviation[worst] > tol:
+    expected = -residue % n
+    off = np.flatnonzero(word.residues != expected)
+    if off.size:
+        first = int(off[0])
         raise NotScalar(
-            f"diagonal entry {worst} is off by {deviation[worst]:.3e}",
-            index=worst,
+            f"diagonal entry {first} has residue {int(word.residues[first])} mod {n}, "
+            f"expected {expected}",
+            index=first,
         )
-    return Chi(chi)
+    return Chi(cmath.exp(2j * math.pi * residue / n))
 
 
 # ----------------------------------------------------------------------
@@ -283,16 +333,14 @@ def voiculescu_pair(n: int) -> tuple[PhaseShiftMatrix, PhaseShiftMatrix]:
     """The cyclic shift u_n and the clock v_n = diag(exp(2 pi i (j+1)/n)).
 
     Their commutator u v u^-1 v^-1 is exactly exp(-2 pi i / n) times the
-    identity; this is asserted on every call.  Up to conjugating by the
-    shift (a relabeling of the basis), u^a v^b equals the phase-shift
-    unitary of the cocycle x2*y1 on the rank-2 lattice at (a, b).
+    identity, that is residue -1 mod n on the diagonal; this is checked
+    exactly on every call.  Up to conjugating by the shift (a relabeling of
+    the basis), u^a v^b equals the phase-shift unitary of the cocycle
+    x2*y1 on the rank-2 lattice at (a, b).
     """
-    u = PhaseShiftMatrix(n, 1, np.ones(n, dtype=complex))
-    v = PhaseShiftMatrix(
-        n, 0, np.exp(2j * np.pi * (np.arange(n) + 1) / n)
-    )
+    u = PhaseShiftMatrix(n, 1, np.zeros(n, dtype=np.int64))
+    v = PhaseShiftMatrix(n, 0, np.arange(1, n + 1, dtype=np.int64))
     word = u.compose(v).compose(u.adjoint()).compose(v.adjoint())
-    expected = cmath.exp(-2j * math.pi / n)
-    if word.shift != 0 or float(np.max(np.abs(word.phases - expected))) > 1e-13:
+    if word.shift != 0 or np.any(word.residues != (n - 1) % n):
         raise AssertionError("shift/clock commutator identity failed")
     return u, v

@@ -104,13 +104,14 @@ def test_criterion_1_shift_clock_commutator():
 
 def test_criterion_2_triple_products_are_the_predicted_scalars():
     # rho(x) rho(y) rho(x*y)^-1 = chi I with chi = exp(2 pi i sigma/n),
-    # for 200 seeded pairs per group and size, to 1e-12.
+    # for 200 seeded pairs per group and size: exact on residues, and the
+    # returned scalar and a dense subsample to 1e-12.
     for group, make_sigma, sizes in SCALAR_CASES:
         sigma = make_sigma()
         pairs = sample_pairs(group, 200)
         for n in sizes:
             for index, (x, y) in enumerate(pairs):
-                chi = chi_scalar_check(sigma, n, x, y, tol=1e-12)
+                chi = chi_scalar_check(sigma, n, x, y)
                 predicted = cmath.exp(2j * math.pi * (sigma(x, y) % n) / n)
                 assert abs(chi.value - predicted) <= 1e-12
                 if index < 10:
@@ -240,12 +241,8 @@ def test_criterion_9_logarithms_and_structured_arithmetic():
         assert operator_norm(matrix_exp(log) - u) <= 1e-10
     for _ in range(50):
         n = int(rng.integers(2, 33))
-        a = PhaseShiftMatrix(
-            n, int(rng.integers(0, n)), np.exp(2j * np.pi * rng.uniform(0, 1, n))
-        )
-        b = PhaseShiftMatrix(
-            n, int(rng.integers(0, n)), np.exp(2j * np.pi * rng.uniform(0, 1, n))
-        )
+        a = PhaseShiftMatrix(n, int(rng.integers(0, n)), rng.integers(0, n, n))
+        b = PhaseShiftMatrix(n, int(rng.integers(0, n)), rng.integers(0, n, n))
         gap = a.compose(b).to_dense() - a.to_dense() @ b.to_dense()
         assert float(np.max(np.abs(gap))) <= 1e-12
         gap = a.adjoint().to_dense() - a.to_dense().conj().T

@@ -134,6 +134,48 @@ def test_validate_writes_to_a_file(runner, tmp_path):
     assert "lattice:1: ok" in out.read_text()
 
 
+@pytest.fixture()
+def broken_group(tmp_path):
+    """heisenberg3's document with a constant 1 added to law 3."""
+    doc = catalog.heisenberg3().to_document()
+    doc["law"][2].append({"coef": [1, 1], "x_exps": [0, 0, 0], "y_exps": [0, 0, 0]})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_validate_reports_a_group_document_that_fails_its_proof(
+    runner, broken_group, tmp_path
+):
+    result = runner.invoke(main, ["validate", "--group", broken_group, "--format", "json"])
+    assert result.exit_code == 1, everything(result)
+    (report,) = json.loads(result.output)
+    assert report["ok"] is False
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["identity-law right (law 3)", "identity-law left (law 3)"]
+
+    out = tmp_path / "report.txt"
+    result = runner.invoke(main, ["validate", "--group", broken_group, "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output == ""
+    assert "[FAIL] identity-law right (law 3)" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify", "--cocycle", "zero", "--cycle", "voiculescu"],
+        ["sweep", "--cocycle", "zero"],
+    ],
+)
+def test_an_invalid_group_document_fails_cleanly(runner, broken_group, args):
+    result = runner.invoke(main, [*args, "--group", broken_group])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert everything(result).startswith("error: group document failed validation")
+    assert "Traceback" not in everything(result)
+
+
 def test_certify_emits_a_json_certificate(runner):
     result = runner.invoke(
         main,

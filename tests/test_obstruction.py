@@ -185,14 +185,22 @@ def test_certificate_for_the_lattice_cocycle():
     assert report.expected_winding == -1
     assert [run.n for run in report.runs] == [16, 32]
     assert all(run.rounded == -1 for run in report.runs)
-    assert all(run.residual < 1e-6 for run in report.runs)
+    assert all(run.winding == -1 and run.raw == -1.0 for run in report.runs)
+    # The first ordering has residue -1 on the diagonal, the second 0, so
+    # the margin n - 6*max|centred(r_j)| is n - 6.
+    assert [run.margin for run in report.runs] == [10, 26]
     assert report.distance_bound == PERTURBATION_RADIUS
     assert "1/24" in report.statement
     doc = report.to_json()
     json.loads(json.dumps(doc))
     assert doc["expected_winding"] == -1
     assert doc["sign_convention"]
-    assert doc["tolerances"]["residual"] == 1e-6
+    assert [(r["path"], r["winding"], r["margin"]) for r in doc["runs"]] == [
+        ("exact", "-1", 10),
+        ("exact", "-1", 26),
+    ]
+    assert isinstance(doc["runs"][0]["raw"], float)
+    assert "tolerances" not in doc
     assert "seed" not in doc
 
 
@@ -204,6 +212,67 @@ def test_certificate_for_the_promoted_heisenberg_cocycle():
     )
     assert report.expected_winding == -1
     assert all(run.rounded == -1 for run in report.runs)
+
+
+def _dense_outcome(group, sigma, chain, n):
+    try:
+        result = winding_pairing(rho_family(sigma, n, chain.support(group)), chain, group)
+    except TermOutOfRange as exc:
+        return ("out of range", exc.term_index), None
+    return result.rounded, result.raw
+
+
+def _exact_outcome(group, sigma, chain, n):
+    try:
+        run = certify_nonperturbability(group, sigma, chain, [n]).runs[0]
+    except TermOutOfRange as exc:
+        return ("out of range", exc.term_index), None
+    return run.rounded, run.raw
+
+
+@pytest.mark.parametrize(
+    "group, make_sigma, make_cycle, sizes",
+    [
+        (Z2, z2_skinny, voiculescu_cycle, (17, 33, 65, 257, 1023)),
+        (H3, heisenberg_skinny, heisenberg_c1, (17, 33, 65, 257)),
+    ],
+)
+def test_exact_certificate_agrees_with_the_dense_pairing(
+    group, make_sigma, make_cycle, sizes
+):
+    # Everything is checked twice: the exact residue pairing against the
+    # dense series-log pairing, for the builtin and scaled cocycles.  For
+    # k = -3 at n = 17 the first term's word has residue 3 and 6 * 3 > 17,
+    # so both paths must refuse that term.
+    chain = make_cycle()
+    for k in (1, 2, -3):
+        sigma = make_sigma().scale(k)
+        for n in sizes if k == 1 else sizes[:3]:
+            exact_rounded, exact_raw = _exact_outcome(group, sigma, chain, n)
+            dense_rounded, dense_raw = _dense_outcome(group, sigma, chain, n)
+            assert exact_rounded == dense_rounded, (k, n)
+            if exact_raw is not None:
+                assert exact_rounded == -k
+                assert abs(exact_raw - dense_raw) < 1e-9
+
+
+def test_both_paths_refuse_a_term_outside_the_convergence_ball():
+    # At n = 3 the word rho(ab) rho(b)* rho(a)* of the first term has
+    # residue -1, and 6 * 1 >= 3: |exp(2 pi i/3) - 1| > 1.
+    chain = voiculescu_cycle()
+    assert _exact_outcome(Z2, z2_skinny(), chain, 3)[0] == ("out of range", 0)
+    assert _dense_outcome(Z2, z2_skinny(), chain, 3)[0] == ("out of range", 0)
+    with pytest.raises(TermOutOfRange, match="term 0"):
+        certify_nonperturbability(Z2, z2_skinny(), chain, [3])
+
+
+def test_certificate_past_the_dense_cap():
+    n = 2**20 + 1
+    report = certify_nonperturbability(Z2, z2_skinny(), voiculescu_cycle(), [n])
+    (run,) = report.runs
+    assert (run.rounded, run.winding, run.margin) == (-1, -1, n - 6)
+    with pytest.raises(ValueError):
+        rho_family(z2_skinny(), n, [(1, 0)])
 
 
 def test_certificate_requires_a_cycle():

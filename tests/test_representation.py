@@ -9,13 +9,17 @@ import numpy as np
 import pytest
 
 from nilstab.catalog import heisenberg3, heisenberg_skinny, z2_skinny
-from nilstab.errors import DimensionMismatch, NotCoprime
+from nilstab.cohomology import PolyCocycle
+from nilstab.errors import DimensionMismatch, NotCoprime, NotScalar
+from nilstab.groups import lattice
+from nilstab.poly import MultiPoly, xy_variables
 from nilstab.representation import (
     MAX_DENSE,
     PhaseShiftMatrix,
     build_rho,
     chi_scalar_check,
     defect,
+    difference_norms,
     frobenius_norm,
     norm,
     operator_norm,
@@ -25,8 +29,9 @@ from nilstab.validation import make_rng, sample_coords
 
 
 def random_phase_shift(rng: np.random.Generator, n: int) -> PhaseShiftMatrix:
-    phases = np.exp(2j * np.pi * rng.uniform(0, 1, size=n))
-    return PhaseShiftMatrix(n, int(rng.integers(0, n)), phases)
+    # Residues are drawn outside [0, n) too, so reduction mod n is exercised.
+    residues = rng.integers(-3 * n, 3 * n, size=n)
+    return PhaseShiftMatrix(n, int(rng.integers(0, n)), residues)
 
 
 # ----------------------------------------------------------------------
@@ -41,19 +46,25 @@ def test_identity_matrix_is_the_identity():
 
 
 def test_shift_is_normalized_modulo_n():
-    m = PhaseShiftMatrix(4, 9, np.ones(4, dtype=complex))
+    m = PhaseShiftMatrix(4, 9, np.zeros(4, dtype=np.int64))
     assert m.shift == 1
-    m = PhaseShiftMatrix(4, -1, np.ones(4, dtype=complex))
+    m = PhaseShiftMatrix(4, -1, np.zeros(4, dtype=np.int64))
     assert m.shift == 3
+    m = PhaseShiftMatrix(4, 0, np.array([5, -1, 4, 2]))
+    assert m.residues.tolist() == [1, 3, 0, 2]
 
 
 def test_phases_must_be_unimodular():
+    # Phases are stored as integer residues, so each one is exactly an n-th
+    # root of unity; float exponents, a wrong length and n = 0 are refused.
+    m = PhaseShiftMatrix(5, 0, np.array([0, 1, 7, -2, 4]))
+    assert np.max(np.abs(np.abs(m.phases) - 1.0)) < 1e-15
     with pytest.raises(ValueError):
-        PhaseShiftMatrix(3, 0, np.array([1.0, 2.0, 1.0], dtype=complex))
+        PhaseShiftMatrix(3, 0, np.array([0.5, 1.0, 0.0]))
     with pytest.raises(DimensionMismatch):
-        PhaseShiftMatrix(3, 0, np.ones(4, dtype=complex))
+        PhaseShiftMatrix(3, 0, np.zeros(4, dtype=np.int64))
     with pytest.raises(ValueError):
-        PhaseShiftMatrix(0, 0, np.ones(0, dtype=complex))
+        PhaseShiftMatrix(0, 0, np.zeros(0, dtype=np.int64))
 
 
 def test_compose_matches_dense_matrix_multiplication():
@@ -74,7 +85,7 @@ def test_adjoint_matches_dense_conjugate_transpose():
         assert np.max(np.abs(gap)) < 1e-13
         unit = a.compose(a.adjoint())
         assert unit.shift == 0
-        assert np.max(np.abs(unit.phases - 1)) < 1e-13
+        assert not unit.residues.any()
 
 
 def test_dense_form_is_unitary():
@@ -83,11 +94,15 @@ def test_dense_form_is_unitary():
     assert np.max(np.abs(a @ a.conj().T - np.eye(9))) < 1e-13
 
 
-def test_scale_multiplies_every_phase():
+def test_twist_multiplies_every_phase():
     eye = PhaseShiftMatrix.identity(4)
-    rotated = eye.scale(cmath.exp(0.25j))
+    rotated = eye.twist(3)
     assert rotated.is_scalar()
-    assert np.max(np.abs(rotated.phases - cmath.exp(0.25j))) < 1e-15
+    assert rotated.residues.tolist() == [3, 3, 3, 3]
+    assert np.max(np.abs(rotated.phases + 1j)) < 1e-15
+    a = random_phase_shift(np.random.default_rng(7), 7)
+    gap = a.twist(-9).to_dense() - cmath.exp(-18j * math.pi / 7) * a.to_dense()
+    assert np.max(np.abs(gap)) < 1e-13
 
 
 # ----------------------------------------------------------------------
@@ -99,12 +114,14 @@ def test_rho_phases_for_the_lattice_cocycle():
     # fourth roots of unity in order and the shift is x1 = 1.
     r = build_rho(z2_skinny(), 4, (1, 1))
     assert r.shift == 1
+    assert r.residues.tolist() == [0, 1, 2, 3]
     assert np.max(np.abs(r.phases - np.array([1, 1j, -1, -1j]))) < 1e-14
 
 
 def test_rho_of_the_identity_is_the_identity():
     r = build_rho(z2_skinny(), 7, (0, 0))
     assert r.shift == 0
+    assert not r.residues.any()
     assert np.max(np.abs(r.phases - 1)) == 0
 
 
@@ -117,10 +134,9 @@ def test_rho_respects_the_cocycle_twist():
         x = sample_coords(rng, 2, 6)
         y = sample_coords(rng, 2, 6)
         lhs = build_rho(sigma, n, x).compose(build_rho(sigma, n, y))
-        chi = cmath.exp(2j * math.pi * (sigma(x, y) % n) / n)
-        rhs = build_rho(sigma, n, group.multiply(x, y)).scale(chi)
+        rhs = build_rho(sigma, n, group.multiply(x, y)).twist(sigma(x, y))
         assert lhs.shift == rhs.shift
-        assert np.max(np.abs(lhs.phases - rhs.phases)) < 1e-12
+        assert np.array_equal(lhs.residues, rhs.residues)
 
 
 def test_rho_requires_n_coprime_to_the_denominator():
@@ -135,8 +151,26 @@ def test_rho_requires_n_coprime_to_the_denominator():
 def test_rho_rejects_out_of_range_sizes():
     with pytest.raises(ValueError):
         build_rho(z2_skinny(), 0, (1, 1))
+    # Residues exist past the dense cap; only the dense form refuses them.
+    big = build_rho(z2_skinny(), MAX_DENSE + 1, (1, 1))
+    assert big.residues.tolist() == list(range(MAX_DENSE + 1))
     with pytest.raises(ValueError):
-        build_rho(z2_skinny(), MAX_DENSE + 1, (1, 1))
+        big.to_dense()
+    # n * (n + 1) past int64 is refused before any array is allocated.
+    with pytest.raises(ValueError, match="int64"):
+        build_rho(z2_skinny(), 2**32, (1, 1))
+    with pytest.raises(ValueError, match="int64"):
+        build_rho(heisenberg_skinny(), 2**31 + 1, (1, 1, 1))
+
+
+def test_rho_matches_a_loop_over_exact_integer_exponents():
+    # The vectorized Horner evaluation mod scale * n against Python ints,
+    # including coordinates large enough that p(x, j) exceeds int64.
+    sigma = heisenberg_skinny()
+    for x in [(1, 2, 3), (-5, 7, -11), (10**12, -(10**15), 3 * 10**14)]:
+        for n in (1, 17, 129):
+            expected = [int(sigma.poly.evaluate(x + (j,))) % n for j in range(n)]
+            assert build_rho(sigma, n, x).residues.tolist() == expected
 
 
 # ----------------------------------------------------------------------
@@ -166,19 +200,25 @@ def test_operator_norm_matches_the_svd():
 def test_operator_norm_of_phase_differences_matches_the_closed_form():
     # For equal shifts the difference has one entry per column, so the
     # operator norm is the largest phase gap and the Frobenius norm is
-    # the l2 norm of the gaps.  The rotations below keep the gap values
-    # well separated; power iteration cannot certify a top value inside
-    # a near-tied cluster (see the NoConvergence test).
+    # the l2 norm of the gaps; difference_norms computes both from the
+    # residues.  Gaps of distinct residues mod 12 are well separated, and
+    # equal residues tie exactly; power iteration cannot certify a top
+    # value inside a near-tied cluster (see the NoConvergence test).
     n = 12
-    base = np.exp(2j * np.pi * np.arange(1, n + 1) / (n + 5))
-    rotated = base * np.exp(2j * np.pi * np.arange(n) ** 2 / 97)
+    base = np.arange(1, n + 1)
+    rotated = base + np.arange(n) ** 2
     for shift in (0, 1, 5):
         a = PhaseShiftMatrix(n, shift, base)
         b = PhaseShiftMatrix(n, shift, rotated)
         diff = a.to_dense() - b.to_dense()
         gaps = np.abs(a.phases - b.phases)
+        fro, op = difference_norms(a, b)
         assert abs(operator_norm(diff) - float(np.max(gaps))) < 1e-10
         assert abs(frobenius_norm(diff) - float(np.linalg.norm(gaps))) < 1e-10
+        assert abs(op - operator_norm(diff)) < 1e-10
+        assert abs(fro - frobenius_norm(diff)) < 1e-10
+    with pytest.raises(ValueError):
+        difference_norms(PhaseShiftMatrix(n, 1, base), PhaseShiftMatrix(n, 2, base))
 
 
 def test_operator_norm_reports_a_lower_bound_when_it_cannot_settle():
@@ -236,6 +276,27 @@ def test_defect_bounds_hold_on_random_samples():
             assert abs(result.frobenius - expected) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "make_sigma, sizes", [(z2_skinny, (16, 64, 128)), (heisenberg_skinny, (17, 65, 129))]
+)
+def test_defect_matches_the_dense_difference(make_sigma, sizes):
+    # The residue-gap norms against dense frobenius_norm and operator_norm
+    # of rho(x*y) - rho(x) rho(y).
+    sigma = make_sigma()
+    group = sigma.group
+    rng = make_rng(37)
+    for n in sizes:
+        for _ in range(8):
+            x = sample_coords(rng, group.hirsch, 3)
+            y = sample_coords(rng, group.hirsch, 3)
+            result = defect(sigma, n, x, y)
+            dense = build_rho(sigma, n, group.multiply(x, y)).to_dense() - (
+                build_rho(sigma, n, x).to_dense() @ build_rho(sigma, n, y).to_dense()
+            )
+            assert abs(result.frobenius - frobenius_norm(dense)) < 1e-9
+            assert abs(result.operator - operator_norm(dense)) < 1e-9
+
+
 def test_defect_shrinks_like_the_square_root_of_n():
     small = defect(z2_skinny(), 256, (0, 1), (1, 0))
     large = defect(z2_skinny(), 512, (0, 1), (1, 0))
@@ -252,6 +313,16 @@ def test_chi_scalar_check_returns_the_predicted_scalar():
         chi = chi_scalar_check(sigma, 32, x, y)
         expected = cmath.exp(2j * math.pi * (sigma(x, y) % 32) / 32)
         assert abs(chi.value - expected) < 1e-13
+
+
+def test_chi_scalar_check_names_the_first_entry_off_the_scalar():
+    # x1*y1^2 is not a cocycle: the word's residue at k is
+    # -x1*(y1^2 + 2*(k - x1 - y1)*y1), and -sigma(x, y) = -x1*y1^2.  At
+    # x = y = (2, 0) and n = 16 they agree mod 16 at k = 0 and differ at k = 1.
+    sigma = PolyCocycle(lattice(2), MultiPoly(xy_variables(2, 1), {(1, 0, 2): 1}))
+    with pytest.raises(NotScalar) as info:
+        chi_scalar_check(sigma, 16, (2, 0), (2, 0))
+    assert info.value.index == 1
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +343,7 @@ def test_shift_clock_commutator_is_the_expected_scalar():
         assert word.shift == 0
         expected = cmath.exp(-2j * math.pi / n)
         assert np.max(np.abs(word.phases - expected)) < 1e-13
+        assert word.residues.tolist() == [n - 1] * n
     u2, v2 = voiculescu_pair(2)
     dense = u2.to_dense() @ v2.to_dense() @ u2.to_dense().conj().T @ v2.to_dense().conj().T
     assert np.max(np.abs(dense + np.eye(2))) < 1e-13  # commutator = -I
