@@ -18,7 +18,7 @@ from . import __version__, catalog
 from .cohomology import cocycle_check, skinny_check
 from .errors import NilstabError, NotCoprime, ParseError, ValidationError
 from .obstruction import certify_nonperturbability
-from .representation import MAX_DENSE, defect
+from .representation import defect, max_exact_size
 from .validation import DEFAULT_SEED, make_rng, sample_coords
 
 
@@ -43,9 +43,18 @@ def _parse_n_list(text: str) -> list[int]:
         raise click.UsageError(f"bad matrix size list {text!r}") from None
     if not values or any(v < 1 for v in values):
         raise click.UsageError("matrix sizes must be positive integers")
-    if any(v > MAX_DENSE for v in values):
-        raise click.UsageError(f"matrix sizes must be at most {MAX_DENSE}")
+    _check_sizes(values, 1)
     return values
+
+
+def _check_sizes(values: list[int], den: int) -> None:
+    """Refuse sizes whose residues overflow int64 under coefficient denominator den."""
+    limit = max_exact_size(den)
+    if max(values) > limit:
+        raise click.UsageError(
+            f"matrix size {max(values)} is too large for int64 residue arithmetic; "
+            f"the limit is {limit} for coefficient denominator {den}"
+        )
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -87,7 +96,7 @@ def validate(group_src, cocycle_src, samples, bound, seed, grid, fmt, out_path):
     """
     try:
         group = _usage_guard(catalog.resolve_group, group_src)
-        reports = [group.validate()]
+        reports = [group.validate() if group.proof is None else group.proof]
         if cocycle_src:
             sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
             reports += [cocycle_check(sigma), skinny_check(sigma)]
@@ -119,6 +128,7 @@ def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
         group = _usage_guard(catalog.resolve_group, group_src)
         sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
         chain = _usage_guard(catalog.resolve_cycle, cycle_src, group)
+        _check_sizes(n_list, sigma.poly.denominator_lcm())
         report = certify_nonperturbability(group, sigma, chain, n_list)
     except NilstabError as exc:
         _fail(exc)
@@ -144,6 +154,7 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
         sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
     except NilstabError as exc:
         _fail(exc)
+    _check_sizes(n_list, sigma.poly.denominator_lcm())
     rng = make_rng(seed)
     pairs = [
         (sample_coords(rng, group.hirsch, bound), sample_coords(rng, group.hirsch, bound))

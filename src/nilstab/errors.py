@@ -55,14 +55,6 @@ class DimensionMismatch(NilstabError):
     """Two matrices of different sizes were combined."""
 
 
-class NoConvergence(NilstabError):
-    """An iteration hit its step limit; carries the best certified value."""
-
-    def __init__(self, message: str, lower_bound: float | None = None):
-        super().__init__(message)
-        self.lower_bound = lower_bound
-
-
 class BoundViolated(NilstabError):
     """A measured defect exceeded its proven bound plus tolerance."""
 

@@ -16,7 +16,7 @@ sampled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .errors import NotCentral, ParseError, ValidationError
@@ -47,6 +47,11 @@ class MalcevGroup:
     hirsch: int
     law: tuple[MultiPoly, ...]
     name: str = ""
+    # The passing report that admitted a group read by `from_document`;
+    # None for groups built in code.
+    proof: ValidationReport | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.hirsch < 1:
@@ -221,7 +226,10 @@ def lattice(m: int) -> MalcevGroup:
 
 
 def from_document(doc: Mapping) -> MalcevGroup:
-    """Build a group from its JSON document, then prove its law valid."""
+    """Build a group from its JSON document, then prove its law valid.
+
+    The passing report is kept as the group's `proof`.
+    """
     if not isinstance(doc, Mapping):
         raise ParseError(f"group document must be an object, got {type(doc).__name__}")
     try:
@@ -243,6 +251,7 @@ def from_document(doc: Mapping) -> MalcevGroup:
         raise ValidationError(
             "group document failed validation:\n" + report.summary(), report
         )
+    object.__setattr__(group, "proof", report)
     return group
 
 

@@ -5,13 +5,13 @@ pairing is
 
     <rho, c> = (1 / 2 pi i) sum_j coef_j * Tr log(rho(a_j b_j) rho(b_j)^-1 rho(a_j)^-1),
 
-with log the power series at the identity.  When c is a cycle the value
-is an exact integer for any family whose log arguments stay inside the
-convergence ball, and it vanishes for every family within 1/24 (operator
-norm) of a genuine representation on the support of c.  The phase-shift
-families of skinny cocycles pair to minus the cocycle/cycle pairing, so a
-nonzero cocycle pairing certifies that the family cannot be perturbed
-into a representation.
+with log the power series at the identity, which converges on the ball
+||W - I|| < 1.  When c is a cycle the value is an exact integer for any
+family whose log arguments stay inside that ball, and it vanishes for
+every family within 1/24 (operator norm) of a genuine representation on
+the support of c.  The phase-shift families of skinny cocycles pair to
+minus the cocycle/cycle pairing, so a nonzero cocycle pairing certifies
+that the family cannot be perturbed into a representation.
 
 Two paths compute the pairing, chosen by what is paired:
 
@@ -24,8 +24,10 @@ Two paths compute the pairing, chosen by what is paired:
   `build_rho` accepts.
 - `winding_pairing` takes dense matrices: general families such as the
   perturbed representations of the null test, and the oracle that the
-  exact path is tested against.  It uses the series log with an exp
-  round trip and power-iteration norms, for n up to MAX_DENSE.
+  exact path is tested against.  It checks the ball with SVD norms, and
+  each term adds the arguments of the log argument's eigenvalues, since
+  the trace of the series log is the sum of the eigenvalues' principal
+  logs.  Every step is one LAPACK call, with no truncation budget.
 
 Sign convention: the log argument uses rho(ab) rho(b)^-1 rho(a)^-1; the
 reversed ordering rho(ab) rho(a)^-1 rho(b)^-1 flips the sign of the
@@ -50,7 +52,6 @@ from .cohomology import (
 )
 from .errors import (
     DimensionMismatch,
-    NoConvergence,
     NotACycle,
     PairingMismatch,
     TermOutOfRange,
@@ -64,10 +65,11 @@ from .validation import DEFAULT_SEED
 # Families closer than this to a representation always pair to zero.
 PERTURBATION_RADIUS = 1.0 / 24.0
 
-LOG_TOL = 1e-14
-LOG_MAX_TERMS = 200
 PRECONDITION_MARGIN = 1e-8
 RESIDUAL_TOL = 1e-6
+# Largest Frobenius distance from the skew-Hermitian (matrix_exp) or the
+# unitary (matrix_log_near_identity) matrices that a dense input may have.
+DOMAIN_TOL = 1e-8
 
 # The two multiplication orderings of a term's log argument.
 ORDERINGS = ("rho(ab)rho(b)*rho(a)*", "rho(ab)rho(a)*rho(b)*")
@@ -82,54 +84,45 @@ def _square(matrix) -> np.ndarray:
     return matrix
 
 
-def matrix_exp(matrix: np.ndarray, max_terms: int = 120) -> np.ndarray:
-    """Taylor-series exponential; ample for the small norms used here."""
-    matrix = _square(matrix)
-    n = matrix.shape[0]
-    total = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, max_terms + 1):
-        term = term @ matrix / k
-        total += term
-        if frobenius_norm(term) <= 1e-17 * (1.0 + frobenius_norm(total)):
-            return total
-    raise NoConvergence(f"matrix exponential needed more than {max_terms} terms")
+def _require(gap: np.ndarray, domain: str) -> None:
+    """Refuse an input whose departure `gap` from `domain` exceeds DOMAIN_TOL."""
+    size = frobenius_norm(gap)
+    if size > DOMAIN_TOL:
+        raise ValueError(f"expected a {domain} matrix; it is {size:.3e} away")
 
 
-def matrix_log_near_identity(
-    matrix: np.ndarray,
-    tol: float = LOG_TOL,
-    max_terms: int = LOG_MAX_TERMS,
-) -> np.ndarray:
-    """Power-series logarithm of a matrix with ||M - I|| < 1.
+def matrix_exp(matrix: np.ndarray) -> np.ndarray:
+    """exp(S) for a skew-Hermitian S, from the eigendecomposition of iS.
 
-    The precondition uses the power-iteration operator norm plus a 1e-8
-    safety margin.  Terms are added until the k-th term drops below tol;
-    the Frobenius norm dominates the operator norm, so testing it keeps
-    the operator-norm truncation contract.  The result is verified by
-    exponentiating back:  ||exp(log M) - M|| must be within 10*tol.
+    iS is Hermitian, so LAPACK's eigh gives iS = V diag(w) V* with V
+    unitary and exp(S) = V diag(exp(-i w)) V*.  ValueError if
+    ||S + S*||_F exceeds DOMAIN_TOL.
     """
     matrix = _square(matrix)
-    n = matrix.shape[0]
-    deviation = matrix - np.eye(n, dtype=complex)
-    distance = operator_norm(deviation)
+    _require(matrix + matrix.conj().T, "skew-Hermitian")
+    eigenvalues, vectors = np.linalg.eigh(1j * matrix)
+    return (vectors * np.exp(-1j * eigenvalues)) @ vectors.conj().T
+
+
+def matrix_log_near_identity(matrix: np.ndarray) -> np.ndarray:
+    """The log of a unitary U with ||U - I|| < 1, from one eigendecomposition.
+
+    U = V diag(l) V^-1 with every l_j in |z - 1| < 1, where the principal
+    log agrees with the power series at the identity, so the result is
+    V diag(log l) V^-1.  TooFarFromIdentity if ||U - I|| + 1e-8 >= 1;
+    ValueError if ||U* U - I||_F exceeds DOMAIN_TOL, since off the
+    unitaries (a Jordan block, say) U need not be diagonalizable.
+    """
+    matrix = _square(matrix)
+    eye = np.eye(matrix.shape[0], dtype=complex)
+    distance = operator_norm(matrix - eye)
     if distance + PRECONDITION_MARGIN >= 1.0:
         raise TooFarFromIdentity(
             f"||M - I|| = {distance:.6f} is not safely below 1"
         )
-    log = deviation.copy()
-    term = deviation
-    for k in range(2, max_terms + 1):
-        term = term @ deviation
-        log += ((-1) ** (k + 1) / k) * term
-        if frobenius_norm(term) / k < tol:
-            break
-    roundtrip = operator_norm(matrix_exp(log) - matrix)
-    if roundtrip > 10 * tol:
-        raise NoConvergence(
-            f"log series left an exp round-trip error of {roundtrip:.3e}"
-        )
-    return log
+    _require(matrix.conj().T @ matrix - eye, "unitary")
+    eigenvalues, vectors = np.linalg.eig(matrix)
+    return (vectors * np.log(eigenvalues)) @ np.linalg.inv(vectors)
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +140,6 @@ class PairingResult:
     raw: float
     rounded: int | None
     residual: float
-    per_term_log_norms: tuple[float, ...]
     cycle: bool
 
 
@@ -161,19 +153,18 @@ def winding_pairing(
     rho: UnitaryFamily,
     chain: Chain2,
     group: MalcevGroup,
-    log_tol: float = LOG_TOL,
-    residual_tol: float = RESIDUAL_TOL,
 ) -> PairingResult:
     """Evaluate the winding pairing of a unitary family against a 2-chain.
 
     `rho` is a mapping (or callable) defined on every a_j, b_j, and a_j*b_j
     of the chain.  Each log argument, in both multiplication orderings,
     must lie strictly inside the unit ball around the identity, else
-    TermOutOfRange names the offending term.
+    TermOutOfRange names the offending term.  Inside the ball every
+    eigenvalue l_j of the argument W lies in |z - 1| < 1, so
+    Im Tr log W = sum_j arg l_j, with the eigenvalues from LAPACK.
     """
     lookup = _family_lookup(rho)
     total = 0.0
-    log_norms: list[float] = []
     for index, (coef, a, b) in enumerate(chain.terms):
         ab = group.multiply(a, b)
         m_ab = _square(lookup(ab))
@@ -189,21 +180,13 @@ def winding_pairing(
                     f"term {index}: ||{label} - I|| = {distance:.6f} >= 1",
                     term_index=index,
                 )
-        log = matrix_log_near_identity(word, tol=log_tol)
-        log_norms.append(frobenius_norm(log))
-        total += coef * float(np.imag(np.trace(log)))
+        total += coef * float(np.sum(np.angle(np.linalg.eigvals(word))))
     raw = total / (2 * math.pi)
     nearest = round(raw)
     residual = abs(raw - nearest)
     closed = boundary2(group, chain).is_zero()
-    rounded = nearest if (closed and residual < residual_tol) else None
-    return PairingResult(
-        raw=raw,
-        rounded=rounded,
-        residual=residual,
-        per_term_log_norms=tuple(log_norms),
-        cycle=closed,
-    )
+    rounded = nearest if (closed and residual < RESIDUAL_TOL) else None
+    return PairingResult(raw=raw, rounded=rounded, residual=residual, cycle=closed)
 
 
 def rho_family(

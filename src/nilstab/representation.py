@@ -9,8 +9,9 @@ standard basis of C^n by
 so each rho_n(x) is a cyclic shift with one root of unity per column.  A
 PhaseShiftMatrix stores the integer residues p(x, j) mod n, not the
 phases: products, adjoints and the scalar identity are exact residue
-arithmetic at any n, and only `phases` and `to_dense` (capped at
-MAX_DENSE) touch floating point.
+arithmetic at any n up to `max_exact_size` (where int64 Horner steps
+stop fitting), and only `phases` and `to_dense` (capped at MAX_DENSE)
+touch floating point.
 
 The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is a scalar
 chi_n(x, y)^{-1} = exp(-2 pi i p(x, y_1) / n) away from zero, giving the
@@ -18,8 +19,8 @@ proven bounds 2*pi*|sigma(x,y)|/sqrt(n) (Frobenius) and 2*pi*|sigma(x,y)|/n
 (operator).  `defect` measures it from the residue gaps d_j: the
 difference of two phase-shift matrices with equal shift has one entry per
 column, so its norms are sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| with
-w = exp(2 pi i / n).  The dense norms below serve general matrices and
-the tests' oracle.
+w = exp(2 pi i / n).  The dense norms below (the Frobenius norm and the
+SVD operator norm) serve general matrices and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .cohomology import PolyCocycle
 from .errors import (
     BoundViolated,
     DimensionMismatch,
-    NoConvergence,
     NonIntegralValue,
     NotCoprime,
     NotScalar,
@@ -44,9 +44,6 @@ from .groups import Element
 
 MAX_DENSE = 1024  # double precision keeps phases well below 1e-12 up to here
 INT64_MAX = int(np.iinfo(np.int64).max)
-
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +108,15 @@ class PhaseShiftMatrix:
         return self.shift == 0 and bool(np.all(self.residues == self.residues[0]))
 
 
+def max_exact_size(den: int = 1) -> int:
+    """The largest n with den * n * (n + 1) <= INT64_MAX.
+
+    `build_rho` accepts exactly the sizes up to this one for a cocycle
+    whose coefficient denominator is den.
+    """
+    return (math.isqrt(4 * (INT64_MAX // den) + 1) - 1) // 2
+
+
 def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     """The phase-shift unitary representing x at matrix size n.
 
@@ -127,7 +133,7 @@ def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
             f"n = {n} shares a factor with the coefficient denominator {den}"
         )
     # Horner steps stay below den * n * (n + 1); scale below divides den.
-    if den * n * (n + 1) > INT64_MAX:
+    if n > max_exact_size(den):
         raise ValueError(
             f"matrix size {n} is too large for int64 residue arithmetic "
             f"with coefficient denominator {den}"
@@ -164,51 +170,12 @@ def frobenius_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix))
 
 
-def operator_norm(
-    matrix: np.ndarray,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
-) -> float:
-    """Largest singular value by power iteration on M* M.
-
-    Starts from the normalized all-ones vector so runs are deterministic.
-    Iteration stops once the eigenvector residual ||Gv - rayleigh*v|| is
-    within tolerance, which localizes the Rayleigh quotient to that far
-    from an eigenvalue of G; a successive-estimates test would accept
-    slowly mixing iterates long before they settle.  The Rayleigh
-    quotient never exceeds the top eigenvalue, so on NoConvergence the
-    exception carries a certified lower bound.
-    """
+def operator_norm(matrix: np.ndarray) -> float:
+    """Largest singular value of a square matrix, from LAPACK's SVD."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {matrix.shape}")
-    n = matrix.shape[0]
-    gram = matrix.conj().T @ matrix
-    v = np.ones(n, dtype=complex) / math.sqrt(n)
-    rayleigh = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        rayleigh = float(np.real(np.vdot(v, w)))
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        residual = float(np.linalg.norm(w - rayleigh * v))
-        if residual <= tol * max(1.0, rayleigh):
-            return math.sqrt(max(rayleigh, 0.0))
-        v = w / norm_w
-    raise NoConvergence(
-        f"power iteration did not stabilize within {max_iter} steps; "
-        f"largest singular value is at least {math.sqrt(max(rayleigh, 0.0))}",
-        lower_bound=math.sqrt(max(rayleigh, 0.0)),
-    )
-
-
-def norm(matrix: np.ndarray, kind: str = "frobenius") -> float:
-    if kind == "frobenius":
-        return frobenius_norm(matrix)
-    if kind == "operator":
-        return operator_norm(matrix)
-    raise ValueError(f"unknown norm kind {kind!r}")
+    return float(np.linalg.norm(matrix, 2))
 
 
 # ----------------------------------------------------------------------

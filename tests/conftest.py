@@ -49,8 +49,8 @@ def random_unitary_near_identity(
 def exact_expm(matrix: np.ndarray) -> np.ndarray:
     """Reference exponential via the Hermitian spectral theorem.
 
-    Only valid for skew-adjoint input; independent of the library's own
-    Taylor-series exponential.
+    Only valid for skew-adjoint input; written out here so that the
+    library's `matrix_exp` is checked against the definition, not itself.
     """
     herm = 1j * matrix
     eigenvalues, vectors = np.linalg.eigh(herm)

@@ -12,7 +12,7 @@ import nilstab
 from nilstab import catalog
 from nilstab.catalog import z2_skinny
 from nilstab.cli import main
-from nilstab.groups import lattice
+from nilstab.groups import MalcevGroup, lattice
 
 
 @pytest.fixture()
@@ -161,6 +161,24 @@ def test_validate_reports_a_group_document_that_fails_its_proof(
     assert "[FAIL] identity-law right (law 3)" in out.read_text()
 
 
+def test_validate_proves_a_group_document_once(runner, tmp_path, monkeypatch):
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(catalog.heisenberg3().to_document()))
+    calls = []
+    prove = MalcevGroup.validate
+
+    def counted(group):
+        calls.append(group)
+        return prove(group)
+
+    monkeypatch.setattr(MalcevGroup, "validate", counted)
+    result = runner.invoke(main, ["validate", "--group", str(path), "--format", "json"])
+    assert result.exit_code == 0, everything(result)
+    (report,) = json.loads(result.output)
+    assert report["ok"] is True
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -226,7 +244,7 @@ def test_certify_fails_cleanly_when_no_size_is_coprime(runner):
     "args",
     [
         ["certify", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny",
-         "--cycle", "heisenberg_c1", "--n", "2000"],
+         "--cycle", "heisenberg_c1", "--n", "3037000500"],
         ["sweep", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny",
          "--n", "17,x"],
     ],
@@ -259,14 +277,59 @@ def test_certify_rejects_bad_size_lists(runner):
         ["validate", "--group", "lattice:2", "--bound", "0"],
         ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--bound", "0"],
         ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--samples", "0"],
-        ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--n", "2000"],
+        ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--n", "3037000500"],
         ["certify", "--group", "lattice:2", "--cocycle", "z2_skinny",
-         "--cycle", "voiculescu", "--n", "16,2000"],
+         "--cycle", "voiculescu", "--n", "16,3037000500"],
     ],
 )
 def test_bad_numeric_input_is_a_usage_error(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, everything(result)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify", "--cycle", "heisenberg_c1"],
+        ["sweep"],
+    ],
+)
+def test_sizes_past_int64_for_the_cocycle_denominator_are_a_usage_error(runner, args):
+    # n * (n + 1) fits in int64 at n = 2147483649, but twice it does not:
+    # heisenberg_skinny has denominator 2.  Refused before any residue is formed.
+    result = runner.invoke(
+        main,
+        [*args, "--group", "heisenberg3", "--cocycle", "heisenberg_skinny",
+         "--n", "2147483649"],
+    )
+    assert result.exit_code == 2, everything(result)
+    assert "int64" in everything(result)
+    assert "Traceback" not in everything(result)
+
+
+def test_certify_goes_past_the_dense_cap(runner):
+    result = runner.invoke(
+        main,
+        ["certify", "--group", "lattice:2", "--cocycle", "z2_skinny",
+         "--cycle", "voiculescu", "--n", "2000,2049"],
+    )
+    assert result.exit_code == 0, everything(result)
+    doc = json.loads(result.output)
+    assert [(run["n"], run["winding"]) for run in doc["runs"]] == [
+        (2000, "-1"), (2049, "-1")
+    ]
+
+
+def test_sweep_goes_past_the_dense_cap(runner):
+    result = runner.invoke(
+        main,
+        ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny",
+         "--n", "2000", "--samples", "3"],
+    )
+    assert result.exit_code == 0, everything(result)
+    rows = result.output.splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.startswith("2000,") and row.endswith(",ok") for row in rows)
 
 
 def test_sweep_emits_the_documented_csv(runner):

@@ -21,7 +21,6 @@ from nilstab.catalog import (
 )
 from nilstab.cohomology import Chain2, pair_cocycle_cycle
 from nilstab.errors import (
-    NoConvergence,
     NotACycle,
     TermOutOfRange,
     TooFarFromIdentity,
@@ -60,9 +59,25 @@ def test_matrix_exp_matches_scipy():
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(42)
     for _ in range(10):
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        gap = matrix_exp(m) - scipy_linalg.expm(m)
+        raw = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        skew = (raw - raw.conj().T) / 2
+        gap = matrix_exp(skew) - scipy_linalg.expm(skew)
         assert np.max(np.abs(gap)) < 1e-11
+
+
+def test_exp_and_log_refuse_input_outside_their_domains():
+    # An eigendecomposition formula is only right on normal input; on the
+    # Jordan block I + J/2 it silently misses scipy's log (by 0.5) and exp.
+    # So exp takes skew-Hermitian input only, and log unitary input only.
+    rng = np.random.default_rng(44)
+    general = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        matrix_exp(general)
+    jordan = np.eye(3, dtype=complex) + 0.5 * np.eye(3, k=1)
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        matrix_exp(jordan)
+    with pytest.raises(ValueError, match="unitary"):
+        matrix_log_near_identity(jordan)
 
 
 def test_log_of_the_identity_is_zero():
@@ -78,13 +93,12 @@ def test_log_of_a_scalar_rotation_is_the_rotation_angle():
         assert abs(float(np.imag(np.trace(log))) - 5 * theta) < 1e-12
 
 
-def test_log_refuses_to_return_a_sloppy_series_tail():
-    # Distance 2 sin(1/2) = 0.959 passes the precondition but the series
-    # tail cannot reach 1e-14 within the term budget; the exp round-trip
-    # check must turn that into an error instead of a quietly bad log.
+def test_log_is_exact_near_the_edge_of_the_ball():
+    # Distance 2 sin(1/2) = 0.959: a truncated series would need far more
+    # terms here than near the identity.
     m = cmath.exp(1j) * np.eye(3, dtype=complex)
-    with pytest.raises(NoConvergence):
-        matrix_log_near_identity(m)
+    log = matrix_log_near_identity(m)
+    assert np.max(np.abs(log - 1j * np.eye(3))) < 1e-13
 
 
 def test_log_round_trips_through_exp():
@@ -118,7 +132,6 @@ def test_winding_against_the_lattice_cocycle_is_minus_one():
         assert result.rounded == -1
         assert abs(result.raw + 1) < 1e-9
         assert result.residual < 1e-6
-        assert len(result.per_term_log_norms) == 2
 
 
 def test_winding_equals_minus_the_cocycle_pairing_for_scaled_cocycles():
@@ -309,6 +322,17 @@ def test_small_perturbations_of_a_genuine_representation_pair_to_zero():
     assert max(p.residual for p in report.pairings) < 1e-6
 
 
+def test_null_test_pairs_a_trial_with_nearly_tied_singular_values_to_zero():
+    # A 64-dimensional trial whose perturbations have nearly tied top
+    # singular values, which an iterative operator norm could not settle.
+    exponents = np.random.default_rng(1).uniform(0.0, 1.0, size=(64, 2))
+    rep = character_representation(exponents)
+    report = perturbation_null_test(
+        Z2, rep, voiculescu_cycle(), epsilon=1 / 25, trials=1, seed=2105841877
+    )
+    assert [p.rounded for p in report.pairings] == [0]
+
+
 def test_null_test_is_deterministic_for_a_fixed_seed():
     rep = character_representation([[0.3, 0.7], [0.11, 0.59]])
     first = perturbation_null_test(Z2, rep, voiculescu_cycle(), trials=5, seed=7)
@@ -339,12 +363,6 @@ def test_null_test_requires_a_cycle():
 
 # ----------------------------------------------------------------------
 # numerical edges
-
-
-def test_matrix_exp_raises_when_the_series_cannot_settle():
-    huge = 600.0 * np.eye(2)
-    with pytest.raises(NoConvergence):
-        matrix_exp(huge)
 
 
 def test_scalar_log_trace_matches_the_cocycle_residue():
