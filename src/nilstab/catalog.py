@@ -2,12 +2,14 @@
 
 Everything here is constructed from the library's own operations (the
 discrete Heisenberg group is the central extension of the rank-2 lattice
-by the cocycle x2*y1, and its skinny cocycle is fitted from the promoted
-kernel), so these objects double as end-to-end exercises of the package.
+by the cocycle x2*y1, and its skinny cocycle is the promotion of x2*y1,
+derived in closed form and proved), so these objects double as end-to-end
+exercises of the package.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cache
 from typing import Callable, Sequence
 
@@ -19,10 +21,9 @@ from .extensions import (
     CentralExtension,
     central_commutator_cycle,
     central_extension,
-    extension_skinny_cocycle,
-    interpolate_polynomial_cocycle,
+    promoted_cocycle,
 )
-from .groups import MalcevGroup, lattice, load_group, rename
+from .groups import MalcevGroup, lattice, load_group
 from .poly import MultiPoly, xy_variables
 
 
@@ -40,7 +41,7 @@ def heisenberg_extension() -> CentralExtension:
     ext = central_extension(lattice(2), z2_skinny())
     return CentralExtension(
         base=ext.base,
-        total=rename(ext.total, "heisenberg3"),
+        total=replace(ext.total, name="heisenberg3"),
         cocycle=ext.cocycle,
     )
 
@@ -53,15 +54,15 @@ def heisenberg3() -> MalcevGroup:
 def heisenberg_skinny() -> PolyCocycle:
     """Polynomial skinny cocycle on the Heisenberg group pairing 1 with c_1.
 
-    Built live: the lattice cocycle is promoted to a pointwise kernel on
-    the extension group and then fitted exactly.  The result is
+    Built live: `promoted_cocycle` derives the promotion of the lattice
+    cocycle x2*y1 in closed form and proves it an integer valued skinny
+    cocycle pairing 1 with c_1, raising if any proof fails; no kernel is
+    evaluated and nothing is sampled.  The result is
     -x3*y1 - x2*(y1^2 + y1)/2, so its coefficient denominator is 2 and
     phase-shift representations exist exactly at odd matrix sizes.
     """
-    ext = heisenberg_extension()
-    omega = extension_skinny_cocycle(ext)
-    fitted = interpolate_polynomial_cocycle(omega, degree_bound=4)
-    return PolyCocycle(ext.total, fitted.poly, name="heisenberg_skinny")
+    sigma = promoted_cocycle(heisenberg_extension())
+    return PolyCocycle(sigma.group, sigma.poly, name="heisenberg_skinny")
 
 
 def zero_cocycle(group: MalcevGroup) -> PolyCocycle:

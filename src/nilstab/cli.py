@@ -119,7 +119,8 @@ def validate(group_src, cocycle_src, samples, bound, seed, grid, fmt, out_path):
 @click.option("--cycle", "cycle_src", required=True,
               help="Builtin name (voiculescu, heisenberg_c1) or JSON path.")
 @click.option("--n", "n_text", default="16,32,64,128", show_default=True,
-              help="Comma-separated matrix sizes.")
+              help="Comma-separated matrix sizes, each coprime to the cocycle's "
+                   "coefficient denominator (odd sizes for heisenberg_skinny).")
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
     """Emit a JSON non-perturbability certificate for a cocycle and cycle."""
@@ -140,7 +141,10 @@ def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
 @main.command()
 @click.option("--group", "group_src", required=True)
 @click.option("--cocycle", "cocycle_src", required=True)
-@click.option("--n", "n_text", default="16,32,64,128,256", show_default=True)
+@click.option("--n", "n_text", default="16,32,64,128,256", show_default=True,
+              help="Comma-separated matrix sizes, each coprime to the cocycle's "
+                   "coefficient denominator (odd sizes for heisenberg_skinny); "
+                   "rows at other sizes are skipped:not_coprime.")
 @click.option("--samples", default=20, type=click.IntRange(min=1), show_default=True,
               help="Number of sampled (x, y) pairs.")
 @click.option("--bound", default=3, type=click.IntRange(min=1), show_default=True)

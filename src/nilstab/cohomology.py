@@ -132,11 +132,6 @@ class KernelCocycle:
 Cocycle = Union[PolyCocycle, KernelCocycle]
 
 
-def scale_cocycle(sigma: Cocycle, k: int) -> Cocycle:
-    """The cocycle k*sigma, of the same representation kind as sigma."""
-    return sigma.scale(k)
-
-
 def cocycle_from_document(group: MalcevGroup, doc: Mapping) -> PolyCocycle:
     if not isinstance(doc, Mapping):
         raise ParseError("cocycle document must be an object")

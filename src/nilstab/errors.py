@@ -39,10 +39,6 @@ class NotSkinny(NilstabError):
     """A cocycle does not factor through (x, alpha(y)) or kill ker(alpha) x ker(alpha)."""
 
 
-class NotSurjective(NilstabError):
-    """The reference homomorphism to the integers misses 1."""
-
-
 class DegreeBoundTooSmall(NilstabError):
     """Polynomial interpolation could not reproduce the kernel at this degree."""
 

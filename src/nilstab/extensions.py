@@ -9,13 +9,15 @@ The central fiber is embedded as k -> (0, ..., 0, k) and projection drops
 the last coordinate.  This module also promotes a skinny cocycle on G to
 a skinny cocycle on the extension group that pairs to k against the cycle
 [a | z^k] - [z^k | a] (a the first-coordinate generator lift, z the
-central generator), and fits polynomial representatives to pointwise
-kernels by exact finite differences.
+central generator).  The promotion is derived in closed form from exact
+polynomial operations (powers of a, conjugation by a, a discrete sum) and
+proved before it is returned.  `interpolate_polynomial_cocycle` fits
+polynomial representatives to pointwise kernels by exact finite
+differences.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,22 +30,20 @@ from .cohomology import (
     KernelCocycle,
     PolyCocycle,
     cocycle_check,
+    pair_cocycle_cycle,
     skinny_check,
 )
 from .errors import (
     DegreeBoundTooSmall,
     InvalidCocycle,
+    NilstabError,
     NotASection,
     NotSkinny,
-    NotSurjective,
+    PairingMismatch,
 )
 from .groups import Element, MalcevGroup
-from .poly import MultiPoly, xy_variables
+from .poly import MultiPoly, _surjections, xy_variables
 from .validation import DEFAULT_SEED, make_rng, sample_coords
-
-# Sections cached per promoted kernel; the degree-4 fit of the Heisenberg
-# kernel and its checks ask for 2811 distinct ones.
-SECTION_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -168,132 +168,113 @@ def central_commutator_cycle(ext: CentralExtension, k: int) -> Chain2:
 # promotion of a skinny cocycle to the extension group
 
 
-def extension_skinny_cocycle(ext: CentralExtension) -> KernelCocycle:
+def promoted_cocycle(ext: CentralExtension) -> PolyCocycle:
     """A skinny cocycle omega on the extension group with <omega, c_k> = k.
 
-    Here c_k = central_commutator_cycle(ext, k).  The construction splits
-    the extension group E as a semidirect product (Z x K) x| Z, where K is
-    the kernel of alpha in the base, alpha reads the first coordinate, and
-    the two Z factors are the central fiber and the image of alpha.
-    Concretely, with a = (1, 0, ..., 0) in E, every g in E factors uniquely
-    as
+    Here c_k = central_commutator_cycle(ext, k).  With a = (1, 0, ..., 0)
+    in the extension group E, every g in E factors uniquely as
+    g = rest * a^w with w = g_1, where rest has first coordinate 0.  Let
+    F(i) be the fiber (last) coordinate of a^-i * rest * a^i and S the
+    discrete antiderivative of F: S(i + 1) - S(i) = F(i), S(0) = 0, both
+    polynomial in i and in g's coordinates.  Then
 
-        g = psi(t, kappa) * a^w,   w = alpha(project(g)) = g_1,
+        omega(g, h) = S(g_1 + 1) - S(g_1 + h_1 + 1).
 
-    where psi(t, kappa) = (kappa_1..kappa_m, t) pairs the fiber value t
-    with a kernel element kappa.  Conjugation by a induces an automorphism
-    gamma of Z x K, and the auxiliary group B = (Z x Z x K) x| Z twisted by
-
-        eta(u, t, kappa) = (u + t, gamma(t, kappa))
-
-    is a central extension of E by the leading Z.  The section used here
-    lifts a^w * kernel-part multiplicatively (power first), which makes the
-    resulting omega(g, h) depend on h only through h_1; omega is the fiber
-    cocycle of that section, read off the leading Z coordinate.
+    This is the fiber cocycle of the section g -> z^U(g) * rest * a^w,
+    U(g) = S(g_1 + 1) - S(1), into the central extension of E by Z that
+    splits E as (Z x K) x| Z (K the kernel of alpha in the base, z the new
+    central generator).  Every step is exact polynomial arithmetic in
+    Mal'cev coordinates: a^w is polynomial in w, conjugation by a is the
+    group law, and S is summed in the binomial basis.  The result is proved
+    a normalized, integer valued skinny cocycle pairing 1 with c_1; a
+    failed proof raises.
     """
-    base, total = ext.base, ext.total
-    m = base.hirsch
-    a = total.basis(1)
+    total = ext.total
+    m = total.hirsch
+    power = _power_of_first_generator(total)
+    variables = xy_variables(m, 1)
+    x = [MultiPoly.variable(variables, j) for j in range(m)]
+    # y1 stands for the summation index i until it is substituted away.
+    i = MultiPoly.variable(variables, m)
 
-    skinny = skinny_check(ext.cocycle)
-    if not skinny.ok:
-        raise NotSkinny(
-            "the input cocycle is not skinny:\n" + skinny.summary()
+    def a_to(w: MultiPoly) -> list[MultiPoly]:
+        return [p.compose([w]) for p in power]
+
+    rest = total.multiply_symbolic(x, a_to(-x[0]))
+    conjugate = total.multiply_symbolic(total.multiply_symbolic(a_to(-i), rest), a_to(i))
+    s = _antiderivative(conjugate[-1], m)
+    omega = s.compose(x + [x[0] + 1]) - s.compose(x + [x[0] + i + 1])
+    sigma = PolyCocycle(total, omega, name=f"promoted({ext.cocycle.name})")
+
+    report = cocycle_check(sigma)
+    if not report.ok:
+        raise InvalidCocycle("promoted cocycle failed its proof:\n" + report.summary())
+    thin = skinny_check(sigma)
+    if not thin.ok:
+        raise NotSkinny("promoted cocycle is not skinny:\n" + thin.summary())
+    pairing = pair_cocycle_cycle(sigma, central_commutator_cycle(ext, 1))
+    if pairing != 1:
+        raise PairingMismatch(f"promoted cocycle pairs to {pairing} with c_1, not 1")
+    return sigma
+
+
+def _power_of_first_generator(group: MalcevGroup) -> list[MultiPoly]:
+    """The coordinates of a^w, a = (1, 0, ..., 0), as polynomials in w.
+
+    Newton interpolation through w = 0..m+1, then a proof for every integer
+    w: P(0) = e and P(w) * a = P(w + 1) as polynomial identities, so
+    P(w) = a^w by induction upward and, multiplying by a^-1, downward.
+    """
+    m = group.hirsch
+    a = group.basis(1)
+    values = [group.identity]
+    for _ in range(m + 1):
+        values.append(group.multiply(values[-1], a))
+    w = MultiPoly.variable(("w",), 0)
+    power = [MultiPoly.zero(w.variables) for _ in range(m)]
+    binomial = MultiPoly.constant(w.variables, 1)  # binom(w, k)
+    columns = [list(c) for c in zip(*values)]
+    for k in range(m + 2):
+        power = [p + col[0] * binomial for p, col in zip(power, columns)]
+        columns = [[v - u for u, v in zip(col, col[1:])] for col in columns]
+        binomial = binomial * (w - k) * Fraction(1, k + 1)
+    a_const = [MultiPoly.constant(w.variables, c) for c in a]
+    if tuple(p.evaluate((0,)) for p in power) != group.identity or (
+        group.multiply_symbolic(power, a_const) != [p.compose([w + 1]) for p in power]
+    ):
+        raise NilstabError(
+            f"a^w in {group.name or 'the group'} is not a polynomial of degree "
+            f"at most {m + 1} in w"
         )
-    if total.canonical_hom(a) != 1:
-        raise NotSurjective("alpha never takes the value 1 on the chosen lift")
+    return power
 
-    a_inv = total.inverse(a)
-    kernel_identity = base.identity
 
-    def decompose(g: Element) -> tuple[int, Element, int]:
-        """g = psi(t, kappa) * a^w with w = g_1; returns (t, kappa, w)."""
-        w = g[0]
-        rest = total.multiply(g, total.power(a, -w))
-        if rest[0] != 0:
-            raise NotSurjective(f"decomposition failed for {g}")
-        return rest[m], rest[:m], w
+def _antiderivative(f: MultiPoly, index: int) -> MultiPoly:
+    """S with S(i + 1) - S(i) = f and S(0) = 0, i the variable at `index`.
 
-    def psi(t: int, kappa: Element) -> Element:
-        return tuple(kappa) + (t,)
-
-    def gamma(t: int, kappa: Element) -> tuple[int, Element]:
-        conj = total.multiply(total.multiply(a, psi(t, kappa)), a_inv)
-        t2, k2, w2 = decompose(conj)
-        assert w2 == 0
-        return t2, k2
-
-    def gamma_inv(t: int, kappa: Element) -> tuple[int, Element]:
-        conj = total.multiply(total.multiply(a_inv, psi(t, kappa)), a)
-        t2, k2, w2 = decompose(conj)
-        assert w2 == 0
-        return t2, k2
-
-    # Elements of B are (u, t, kappa, w): u and t integers, kappa in K,
-    # w the semidirect exponent.  V = (u, t, kappa) is the direct factor.
-
-    def v_add(v1, v2):
-        return (v1[0] + v2[0], v1[1] + v2[1], base.multiply(v1[2], v2[2]))
-
-    def v_neg(v):
-        return (-v[0], -v[1], base.inverse(v[2]))
-
-    def eta(v):
-        t2, k2 = gamma(v[1], v[2])
-        return (v[0] + v[1], t2, k2)
-
-    def eta_inv(v):
-        t2, k2 = gamma_inv(v[1], v[2])
-        return (v[0] - t2, t2, k2)
-
-    def eta_pow(v, j: int):
-        step = eta if j >= 0 else eta_inv
-        for _ in range(abs(j)):
-            v = step(v)
-        return v
-
-    def b_mul(p, q):
-        return (v_add(p[0], eta_pow(q[0], p[1])), p[1] + q[1])
-
-    def b_inv(p):
-        return (v_neg(eta_pow(p[0], -p[1])), -p[1])
-
-    def gamma_pow(j: int, t: int, kappa: Element) -> tuple[int, Element]:
-        step = gamma if j >= 0 else gamma_inv
-        for _ in range(abs(j)):
-            t, kappa = step(t, kappa)
-        return t, kappa
-
-    # section is pure in g, so the cache is exact; a fixed bound caps its memory.
-    @functools.lru_cache(maxsize=SECTION_CACHE_SIZE)
-    def section(g: Element):
-        t, kappa, w = decompose(g)
-        t0, k0 = gamma_pow(-w, t, kappa)
-        return b_mul(((0, 0, kernel_identity), w), ((0, t0, k0), 0))
-
-    def omega(g: Element, h: Element) -> int:
-        word = b_mul(
-            b_mul(section(g), section(h)),
-            b_inv(section(total.multiply(g, h))),
+    Each i^d is sum_k surj(d, k) * binom(i, k), and binom(i, k + 1) is the
+    sum of binom(j, k) over 0 <= j < i.
+    """
+    i = MultiPoly.variable(f.variables, index)
+    binomials = [MultiPoly.constant(f.variables, 1)]  # binom(i, k)
+    out = MultiPoly.zero(f.variables)
+    for exps, c in f.terms.items():
+        d = exps[index]
+        while len(binomials) < d + 2:
+            k = len(binomials)
+            binomials.append(binomials[-1] * (i - (k - 1)) * Fraction(1, k))
+        coefficient = MultiPoly(f.variables, {exps[:index] + (0,) + exps[index + 1:]: c})
+        out = out + coefficient * sum(
+            _surjections(d, k) * binomials[k + 1] for k in range(d + 1)
         )
-        (u, t, kappa), w = word
-        # Everything except the leading coordinate must cancel; a survivor
-        # means the bookkeeping above is wrong.
-        if t != 0 or w != 0 or kappa != kernel_identity:
-            raise AssertionError(
-                f"section word did not land in the fiber: {word}"
-            )
-        return u
-
-    return KernelCocycle(
-        total, omega, name=f"promoted({ext.cocycle.name})"
-    )
+    return out
 
 
 # ----------------------------------------------------------------------
 # exact polynomial interpolation of skinny kernels
 
 
+# No package caller: kept only because the benchmark tracer (perfbench/tracing.py) targets it.
 def interpolate_polynomial_cocycle(
     omega: Cocycle,
     degree_bound: int = 4,

@@ -16,7 +16,7 @@ sampled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import NotCentral, ParseError, ValidationError
@@ -266,7 +266,3 @@ def load_group(path) -> MalcevGroup:
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     return from_document(doc)
-
-
-def rename(group: MalcevGroup, name: str) -> MalcevGroup:
-    return replace(group, name=name)

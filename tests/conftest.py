@@ -1,4 +1,5 @@
-"""Shared helpers: a third boundary map, unitary factories, a witness parser.
+"""Shared helpers: a third boundary map, unitary factories, a witness parser,
+and the pointwise promotion of a skinny cocycle.
 
 The helpers here are deliberately written against the public definitions
 rather than against library internals, so they can serve as oracles.
@@ -7,12 +8,15 @@ rather than against library internals, so they can serve as oracles.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 
 import numpy as np
 
-from nilstab.cohomology import Chain2
-from nilstab.groups import MalcevGroup
+from nilstab.cohomology import Chain2, KernelCocycle, skinny_check
+from nilstab.errors import NotSkinny
+from nilstab.extensions import CentralExtension
+from nilstab.groups import Element, MalcevGroup
 
 
 def boundary3(group: MalcevGroup, triples) -> Chain2:
@@ -63,3 +67,123 @@ def witness_blocks(witness: str) -> dict[str, tuple[int, ...]]:
         name: ast.literal_eval(block)
         for name, block in re.findall(r"\b([xyz])=(\([-\d, ]*\))", witness)
     }
+
+
+def extension_skinny_cocycle(ext: CentralExtension) -> KernelCocycle:
+    """The promoted cocycle evaluated point by point: the reference oracle.
+
+    A skinny cocycle omega on the extension group with <omega, c_k> = k,
+    c_k = central_commutator_cycle(ext, k).  The construction splits
+    the extension group E as a semidirect product (Z x K) x| Z, where K is
+    the kernel of alpha in the base, alpha reads the first coordinate, and
+    the two Z factors are the central fiber and the image of alpha.
+    Concretely, with a = (1, 0, ..., 0) in E, every g in E factors uniquely
+    as
+
+        g = psi(t, kappa) * a^w,   w = alpha(project(g)) = g_1,
+
+    where psi(t, kappa) = (kappa_1..kappa_m, t) pairs the fiber value t
+    with a kernel element kappa.  Conjugation by a induces an automorphism
+    gamma of Z x K, and the auxiliary group B = (Z x Z x K) x| Z twisted by
+
+        eta(u, t, kappa) = (u + t, gamma(t, kappa))
+
+    is a central extension of E by the leading Z.  The section used here
+    lifts a^w * kernel-part multiplicatively (power first), which makes the
+    resulting omega(g, h) depend on h only through h_1; omega is the fiber
+    cocycle of that section, read off the leading Z coordinate.
+    """
+    base, total = ext.base, ext.total
+    m = base.hirsch
+    a = total.basis(1)
+
+    skinny = skinny_check(ext.cocycle)
+    if not skinny.ok:
+        raise NotSkinny(
+            "the input cocycle is not skinny:\n" + skinny.summary()
+        )
+
+    a_inv = total.inverse(a)
+    kernel_identity = base.identity
+
+    def decompose(g: Element) -> tuple[int, Element, int]:
+        """g = psi(t, kappa) * a^w with w = g_1; returns (t, kappa, w)."""
+        w = g[0]
+        rest = total.multiply(g, total.power(a, -w))
+        assert rest[0] == 0, f"decomposition failed for {g}"
+        return rest[m], rest[:m], w
+
+    def psi(t: int, kappa: Element) -> Element:
+        return tuple(kappa) + (t,)
+
+    def gamma(t: int, kappa: Element) -> tuple[int, Element]:
+        conj = total.multiply(total.multiply(a, psi(t, kappa)), a_inv)
+        t2, k2, w2 = decompose(conj)
+        assert w2 == 0
+        return t2, k2
+
+    def gamma_inv(t: int, kappa: Element) -> tuple[int, Element]:
+        conj = total.multiply(total.multiply(a_inv, psi(t, kappa)), a)
+        t2, k2, w2 = decompose(conj)
+        assert w2 == 0
+        return t2, k2
+
+    # Elements of B are (u, t, kappa, w): u and t integers, kappa in K,
+    # w the semidirect exponent.  V = (u, t, kappa) is the direct factor.
+
+    def v_add(v1, v2):
+        return (v1[0] + v2[0], v1[1] + v2[1], base.multiply(v1[2], v2[2]))
+
+    def v_neg(v):
+        return (-v[0], -v[1], base.inverse(v[2]))
+
+    def eta(v):
+        t2, k2 = gamma(v[1], v[2])
+        return (v[0] + v[1], t2, k2)
+
+    def eta_inv(v):
+        t2, k2 = gamma_inv(v[1], v[2])
+        return (v[0] - t2, t2, k2)
+
+    def eta_pow(v, j: int):
+        step = eta if j >= 0 else eta_inv
+        for _ in range(abs(j)):
+            v = step(v)
+        return v
+
+    def b_mul(p, q):
+        return (v_add(p[0], eta_pow(q[0], p[1])), p[1] + q[1])
+
+    def b_inv(p):
+        return (v_neg(eta_pow(p[0], -p[1])), -p[1])
+
+    def gamma_pow(j: int, t: int, kappa: Element) -> tuple[int, Element]:
+        step = gamma if j >= 0 else gamma_inv
+        for _ in range(abs(j)):
+            t, kappa = step(t, kappa)
+        return t, kappa
+
+    # section is pure in g, so the cache is exact; it lives as long as omega.
+    @functools.cache
+    def section(g: Element):
+        t, kappa, w = decompose(g)
+        t0, k0 = gamma_pow(-w, t, kappa)
+        return b_mul(((0, 0, kernel_identity), w), ((0, t0, k0), 0))
+
+    def omega(g: Element, h: Element) -> int:
+        word = b_mul(
+            b_mul(section(g), section(h)),
+            b_inv(section(total.multiply(g, h))),
+        )
+        (u, t, kappa), w = word
+        # Everything except the leading coordinate must cancel; a survivor
+        # means the bookkeeping above is wrong.
+        if t != 0 or w != 0 or kappa != kernel_identity:
+            raise AssertionError(
+                f"section word did not land in the fiber: {word}"
+            )
+        return u
+
+    return KernelCocycle(
+        total, omega, name=f"promoted({ext.cocycle.name})"
+    )

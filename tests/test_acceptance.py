@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from conftest import random_unitary_near_identity
+from conftest import extension_skinny_cocycle, random_unitary_near_identity
 from nilstab.catalog import (
     character_representation,
     heisenberg3,
@@ -29,7 +29,7 @@ from nilstab.cohomology import (
 )
 from nilstab.extensions import (
     central_commutator_cycle,
-    extension_skinny_cocycle,
+    promoted_cocycle,
     scaling_map,
     section_cocycle,
 )
@@ -164,11 +164,12 @@ def test_criterion_4_winding_certificates():
 
 def test_criterion_5_promoted_cocycle_pairs_to_k():
     # The promoted cocycle on the central extension pairs exactly to k
-    # against the k-th central commutator cycle, k = -2..3.
+    # against the k-th central commutator cycle, k = -2..3, both evaluated
+    # point by point and in closed form.
     ext = heisenberg_extension()
-    omega = extension_skinny_cocycle(ext)
-    for k in range(-2, 4):
-        assert pair_cocycle_cycle(omega, central_commutator_cycle(ext, k)) == k
+    for omega in (extension_skinny_cocycle(ext), promoted_cocycle(ext)):
+        for k in range(-2, 4):
+            assert pair_cocycle_cycle(omega, central_commutator_cycle(ext, k)) == k
     verdict(5, "promoted cocycle pairs to k against the k-th cycle")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -20,15 +21,41 @@ from nilstab.catalog import (
     z2_skinny,
     zero_cocycle,
 )
-from nilstab.cohomology import is_cycle, pair_cocycle_cycle
+from nilstab.cohomology import KernelCocycle, is_cycle, pair_cocycle_cycle
 from nilstab.errors import ParseError
 from nilstab.groups import lattice
+from nilstab.validation import make_rng
 
 
 def test_builtin_constructors_are_cached():
     assert heisenberg3() is heisenberg3()
     assert z2_skinny() is z2_skinny()
     assert heisenberg_skinny() is heisenberg_skinny()
+
+
+def test_the_heisenberg_cocycle_is_built_without_sampling(monkeypatch):
+    # Derived and proved symbolically from cold caches: no kernel is
+    # evaluated and no random generator is made.
+    calls = {"kernel": 0, "rng": 0}
+    kernel_call = KernelCocycle.__call__
+
+    def counted_kernel(self, x, y):
+        calls["kernel"] += 1
+        return kernel_call(self, x, y)
+
+    def counted_rng(seed):
+        calls["rng"] += 1
+        return make_rng(seed)
+
+    monkeypatch.setattr(KernelCocycle, "__call__", counted_kernel)
+    for name, module in list(sys.modules.items()):  # every binding of make_rng
+        if name.split(".")[0] == "nilstab" and getattr(module, "make_rng", None) is make_rng:
+            monkeypatch.setattr(module, "make_rng", counted_rng)
+    for builder in (heisenberg_skinny, heisenberg_extension, z2_skinny):
+        builder.cache_clear()
+    sigma = heisenberg_skinny()
+    assert calls == {"kernel": 0, "rng": 0}
+    assert str(sigma.poly) == "-1/2*x2*y1^2 - 1/2*x2*y1 - x3*y1"
 
 
 def test_builtin_names():

@@ -29,7 +29,6 @@ from nilstab.cohomology import (
     cocycle_from_document,
     is_cycle,
     pair_cocycle_cycle,
-    scale_cocycle,
     skinny_check,
 )
 from nilstab.errors import NonIntegralValue, ParseError
@@ -93,12 +92,12 @@ def test_kernel_cocycle_rejects_non_integer_values():
 
 def test_scaling_multiplies_values_and_pairings():
     sigma = z2_skinny()
-    tripled = scale_cocycle(sigma, 3)
+    tripled = sigma.scale(3)
     assert isinstance(tripled, PolyCocycle)
     assert tripled((2, 5), (7, 1)) == 3 * sigma((2, 5), (7, 1))
     cycle = voiculescu_cycle()
     assert pair_cocycle_cycle(tripled, cycle) == 3 * pair_cocycle_cycle(sigma, cycle)
-    as_kernel = scale_cocycle(sigma.as_kernel(), -2)
+    as_kernel = sigma.as_kernel().scale(-2)
     assert as_kernel((2, 5), (7, 1)) == -2 * sigma((2, 5), (7, 1))
 
 

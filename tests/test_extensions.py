@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import extension_skinny_cocycle
 from nilstab.catalog import (
     heisenberg3,
     heisenberg_extension,
@@ -25,18 +27,20 @@ from nilstab.cohomology import (
 from nilstab.errors import (
     DegreeBoundTooSmall,
     InvalidCocycle,
+    NilstabError,
     NotASection,
     NotSkinny,
 )
 from nilstab.extensions import (
+    CentralExtension,
     central_commutator_cycle,
     central_extension,
-    extension_skinny_cocycle,
     interpolate_polynomial_cocycle,
+    promoted_cocycle,
     scaling_map,
     section_cocycle,
 )
-from nilstab.groups import lattice
+from nilstab.groups import MalcevGroup, lattice
 from nilstab.poly import MultiPoly, xy_variables
 from nilstab.validation import make_rng, sample_coords
 
@@ -179,9 +183,42 @@ def test_promoted_cocycle_matches_the_closed_form():
 
 def test_promoted_cocycle_pairs_to_k_with_the_kth_commutator_cycle():
     ext = heisenberg_extension()
-    omega = extension_skinny_cocycle(ext)
-    for k in range(-3, 5):
-        assert pair_cocycle_cycle(omega, central_commutator_cycle(ext, k)) == k
+    for omega in (extension_skinny_cocycle(ext), promoted_cocycle(ext)):
+        for k in range(-3, 5):
+            assert pair_cocycle_cycle(omega, central_commutator_cycle(ext, k)) == k
+
+
+def hirsch4_extension() -> CentralExtension:
+    return central_extension(H3, heisenberg_skinny())
+
+
+@pytest.mark.parametrize(
+    "make_ext", [heisenberg_extension, hirsch4_extension], ids=["heisenberg3", "hirsch4"]
+)
+def test_closed_form_matches_the_pointwise_oracle(make_ext):
+    ext = make_ext()
+    closed = promoted_cocycle(ext)
+    oracle = extension_skinny_cocycle(ext)
+    m = ext.total.hirsch
+    for point in itertools.product(range(-2, 3), repeat=m + 1):
+        x, y = point[:m], (point[m],) + (0,) * (m - 1)
+        assert closed(x, y) == oracle(x, y), (x, y)
+    rng = make_rng(19)
+    for _ in range(300):
+        x = sample_coords(rng, m, 6)
+        y = sample_coords(rng, m, 6)
+        assert closed(x, y) == oracle(x, y), (x, y)
+
+
+def test_promotion_refuses_a_power_that_is_not_polynomial_of_low_degree():
+    # law_2 = x2 + y2 + x1^3*y1 makes (a^w)_2 = sum_{j<w} j^3, of degree 4 in w,
+    # beyond the degree m + 1 = 3 that the interpolation proves.
+    variables = xy_variables(2, 2)
+    x1, x2, y1, y2 = (MultiPoly.variable(variables, j) for j in range(4))
+    skew = MalcevGroup(2, (x1 + y1, x2 + y2 + x1**3 * y1), name="skew")
+    zero = PolyCocycle(lattice(1), MultiPoly.zero(xy_variables(1, 1)))
+    with pytest.raises(NilstabError, match="not a polynomial of degree at most 3"):
+        promoted_cocycle(CentralExtension(base=lattice(1), total=skew, cocycle=zero))
 
 
 def test_promoted_cocycle_passes_the_cocycle_and_skinny_checks():
@@ -200,6 +237,7 @@ def test_interpolation_recovers_a_known_polynomial_exactly():
 def test_interpolation_recovers_the_promoted_cocycle():
     omega = extension_skinny_cocycle(heisenberg_extension())
     fitted = interpolate_polynomial_cocycle(omega, degree_bound=4)
+    assert fitted.poly == promoted_cocycle(heisenberg_extension()).poly
     expected = MultiPoly(
         xy_variables(3, 1),
         {

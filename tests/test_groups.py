@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
@@ -18,7 +19,6 @@ from nilstab.groups import (
     from_document,
     lattice,
     load_group,
-    rename,
 )
 from nilstab.poly import MultiPoly, xy_variables
 
@@ -254,6 +254,6 @@ def test_load_group_reports_json_position(tmp_path):
 
 
 def test_rename_only_changes_the_name():
-    fresh = rename(H3, "alias")
+    fresh = replace(H3, name="alias")
     assert fresh.name == "alias"
     assert fresh.law == H3.law
