@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import NoReturn
 
@@ -18,7 +19,7 @@ from . import __version__, catalog
 from .cohomology import cocycle_check, skinny_check
 from .errors import NilstabError, NotCoprime, ParseError, ValidationError
 from .obstruction import certify_nonperturbability
-from .representation import defect, max_exact_size
+from .representation import defects, max_exact_size
 from .validation import DEFAULT_SEED, make_rng, sample_coords
 
 
@@ -158,7 +159,8 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
         sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
     except NilstabError as exc:
         _fail(exc)
-    _check_sizes(n_list, sigma.poly.denominator_lcm())
+    den = sigma.poly.denominator_lcm()
+    _check_sizes(n_list, den)
     rng = make_rng(seed)
     pairs = [
         (sample_coords(rng, group.hirsch, bound), sample_coords(rng, group.hirsch, bound))
@@ -166,26 +168,29 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     ]
     lines = ["n,x,y,sigma_xy,frob_defect,frob_bound,op_defect,op_bound,status"]
     failed = False
-    for n in n_list:
-        for x, y in pairs:
+    for n, rows in zip(n_list, defects(sigma, n_list, pairs)):
+        for (x, y), row in zip(pairs, rows):
             x_text = ";".join(str(c) for c in x)
             y_text = ";".join(str(c) for c in y)
-            try:
-                row = defect(sigma, n, x, y)
-            except NotCoprime:
+            if isinstance(row, NotCoprime):
                 lines.append(
                     f"{n},{x_text},{y_text},{sigma(x, y)},,,,,skipped:not_coprime"
                 )
-                continue
-            except NilstabError as exc:
-                click.echo(f"error: {exc}", err=True)
+            elif isinstance(row, NilstabError):
+                click.echo(f"error: {row}", err=True)
                 failed = True
-                continue
-            lines.append(
-                f"{n},{x_text},{y_text},{row.sigma_xy},"
-                f"{row.frobenius!r},{row.frobenius_bound!r},"
-                f"{row.operator!r},{row.operator_bound!r},ok"
-            )
+            else:
+                lines.append(
+                    f"{n},{x_text},{y_text},{row.sigma_xy},"
+                    f"{row.frobenius!r},{row.frobenius_bound!r},"
+                    f"{row.operator!r},{row.operator_bound!r},ok"
+                )
+    if all(math.gcd(n, den) != 1 for n in n_list):
+        click.echo(
+            f"error: no size in --n is coprime to the coefficient denominator {den}",
+            err=True,
+        )
+        failed = True
     _emit("\n".join(lines) + "\n", out_path)
     sys.exit(1 if failed else 0)
 

@@ -18,8 +18,8 @@ as alpha(y).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import NonIntegralValue, ParseError
@@ -68,27 +68,26 @@ class PolyCocycle:
         return KernelCocycle(self.group, self.__call__, name=self.name)
 
     def specialize_first(self, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-        """Integer coefficients (den, c_0..c_d) of p(x, t) = sum(c_e t^e)/den."""
+        """Integer coefficients (den, c_0..c_d) of p(x, t) = sum(c_e t^e)/den.
+
+        Built from the polynomial's scaled-integer form and reduced by
+        gcd(den, c_0..c_d), so den is the smallest denominator at x.
+        """
         x = self.group.element(x)
         m = self.group.hirsch
-        by_degree: dict[int, Fraction] = {}
-        for exps, coef in self.poly.terms.items():
-            c = coef
-            for v, e in zip(x, exps[:m]):
-                if e:
-                    c *= v**e
-            d = exps[m]
-            by_degree[d] = by_degree.get(d, Fraction(0)) + c
-        degree = max(by_degree, default=0)
-        den = 1
-        from math import lcm
-
-        for c in by_degree.values():
-            den = lcm(den, c.denominator)
-        coeffs = tuple(
-            int(by_degree.get(e, Fraction(0)) * den) for e in range(degree + 1)
-        )
-        return den, coeffs
+        den, rows = self.poly._scaled_form()
+        by_degree: dict[int, int] = {}
+        for num, factors in rows:
+            degree = 0
+            for i, e in factors:
+                if i == m:
+                    degree = e
+                else:
+                    num *= x[i] if e == 1 else x[i] ** e
+            by_degree[degree] = by_degree.get(degree, 0) + num
+        coeffs = [by_degree.get(e, 0) for e in range(max(by_degree, default=0) + 1)]
+        g = math.gcd(den, *coeffs)
+        return den // g, tuple(c // g for c in coeffs)
 
     def to_document(self) -> dict:
         return {

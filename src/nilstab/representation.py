@@ -11,12 +11,16 @@ PhaseShiftMatrix stores the integer residues p(x, j) mod n, not the
 phases: products, adjoints and the scalar identity are exact residue
 arithmetic at any n up to `max_exact_size` (where int64 Horner steps
 stop fitting), and only `phases` and `to_dense` (capped at MAX_DENSE)
-touch floating point.
+touch floating point.  One private kernel computes every residue: a
+single int64 Horner pass over j = 0..n for a batch of rows, each with its
+own modulus.  `build_rho` is its one-row case.
 
 The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is a scalar
 chi_n(x, y)^{-1} = exp(-2 pi i p(x, y_1) / n) away from zero, giving the
 proven bounds 2*pi*|sigma(x,y)|/sqrt(n) (Frobenius) and 2*pi*|sigma(x,y)|/n
-(operator).  `defect` measures it from the residue gaps d_j: the
+(operator).  `defects` measures it for many pairs at once, with one kernel
+call per size for the rows of x, y and x*y of every pair, and `defect` is
+its one-pair case.  The norms come from the residue gaps d_j: the
 difference of two phase-shift matrices with equal shift has one entry per
 column, so its norms are sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| with
 w = exp(2 pi i / n).  The dense norms below (the Frobenius norm and the
@@ -36,6 +40,7 @@ from .cohomology import PolyCocycle
 from .errors import (
     BoundViolated,
     DimensionMismatch,
+    NilstabError,
     NonIntegralValue,
     NotCoprime,
     NotScalar,
@@ -120,46 +125,81 @@ def max_exact_size(den: int = 1) -> int:
 def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     """The phase-shift unitary representing x at matrix size n.
 
-    The residues p(x, j) mod n come from one vectorized Horner evaluation
-    of p(x, t) * scale mod scale * n over j = 0..n, where scale clears the
-    denominators at x.  Every value must be divisible by scale (an integer
-    cocycle value), and the value at j = n must repeat the one at j = 0.
+    The one-row case of the residue kernel that `defects` runs on a whole
+    batch; it raises that row's NonIntegralValue or NotCoprime.
+    """
+    x = sigma.group.element(x)
+    residues, errors = _residue_rows(
+        n, sigma.poly.denominator_lcm(), [(x, *sigma.specialize_first(x))]
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return PhaseShiftMatrix(n, x[0], residues[0])
+
+
+def _residue_rows(
+    n: int, den: int, rows: Sequence[tuple[Element, int, tuple[int, ...]]]
+) -> tuple[np.ndarray, list[NilstabError | None]]:
+    """Residues p(x, j) mod n for j = 0..n-1, one row per (x, scale, coeffs).
+
+    Each row holds p(x, t) = sum(coeffs[e] t^e) / scale (`specialize_first`).
+    One int64 Horner pass evaluates every row's scale * p(x, j) mod scale * n
+    over j = 0..n, in place.  A row's values must be divisible by its scale
+    (integer cocycle values) and must repeat at j = n what they were at
+    j = 0; a row that fails gets its NonIntegralValue or NotCoprime in the
+    returned list, and the other rows still come back.  The size itself
+    must be coprime to den, the coefficient denominator, and at most
+    `max_exact_size(den)`.
     """
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
-    den = sigma.poly.denominator_lcm()
     if math.gcd(n, den) != 1:
         raise NotCoprime(
             f"n = {n} shares a factor with the coefficient denominator {den}"
         )
-    # Horner steps stay below den * n * (n + 1); scale below divides den.
+    # Horner steps stay below scale * n * (n + 1), and every scale divides den.
     if n > max_exact_size(den):
         raise ValueError(
             f"matrix size {n} is too large for int64 residue arithmetic "
             f"with coefficient denominator {den}"
         )
-    x = sigma.group.element(x)
-    scale, coeffs = sigma.specialize_first(x)
-    modulus = scale * n
-    reduced = [c % modulus for c in coeffs]
+    width = max((len(coeffs) for _, _, coeffs in rows), default=1)
+    scales = np.array([scale for _, scale, _ in rows], dtype=np.int64)[:, None]
+    table = np.array(
+        [
+            [c % (scale * n) for c in coeffs] + [0] * (width - len(coeffs))
+            for _, scale, coeffs in rows
+        ],
+        dtype=np.int64,
+    ).reshape(-1, width)
+    moduli = scales * n
     j = np.arange(n + 1, dtype=np.int64)
-    total = np.full(n + 1, reduced[-1], dtype=np.int64)
-    for c in reversed(reduced[:-1]):
-        total = (total * j + c) % modulus
-    fractional = np.flatnonzero(total % scale)
-    if fractional.size:
-        at = int(fractional[0])
+    total = np.repeat(table[:, -1:], n + 1, axis=1)
+    for e in range(width - 2, -1, -1):
+        total *= j
+        total += table[:, e : e + 1]
+        total %= moduli
+    errors: list[NilstabError | None] = [None] * len(rows)
+    # A polynomial of degree < width that is integral at j = 0..width-1 is
+    # integral at every integer (its Newton coefficients are integers), so
+    # the first width columns decide integrality on all of j = 0..n and
+    # hold the first failing j.
+    fractional = total[:, :width] % scales
+    for i in np.flatnonzero(fractional.any(axis=1)):
+        x, scale, coeffs = rows[i]
+        at = int(np.flatnonzero(fractional[i])[0])
         value = sum(c * at**e for e, c in enumerate(coeffs))
-        raise NonIntegralValue(
+        errors[i] = NonIntegralValue(
             f"cocycle value {value}/{scale} at ({x}, {at}) is not an integer"
         )
-    residues = total // scale
+    total //= scales  # now the residues p(x, j) mod n
     # Well-definedness spot check: the exponent must only matter mod n.
-    if residues[n] != residues[0]:
-        raise NotCoprime(
-            f"exponent is not periodic mod {n}; denominators are incompatible"
-        )
-    return PhaseShiftMatrix(n, x[0], residues[:n])
+    for i in np.flatnonzero(total[:, n] != total[:, 0]):
+        if errors[i] is None:
+            errors[i] = NotCoprime(
+                f"exponent is not periodic mod {n}; denominators are incompatible"
+            )
+    return total[:, :n], errors
 
 
 # ----------------------------------------------------------------------
@@ -195,9 +235,22 @@ def difference_norms(a: PhaseShiftMatrix, b: PhaseShiftMatrix) -> tuple[float, f
             f"shifts {a.shift} and {b.shift} differ; the difference is not "
             f"a phase-shift matrix"
         )
-    gaps = (a.residues - b.residues) % a.n
-    chords = 2.0 * np.abs(np.sin(np.pi * gaps / a.n))
-    return float(np.sqrt(np.sum(chords**2))), float(np.max(chords))
+    fro, op = _gap_norms(a.residues - b.residues, a.n)
+    return float(fro), float(op)
+
+
+def _gap_norms(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Norms sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| over the last axis.
+
+    Works in place on one float array, since `defects` passes whole batches.
+    """
+    chords = np.pi * (gaps % n)
+    chords /= n
+    np.abs(np.sin(chords, out=chords), out=chords)
+    chords *= 2.0
+    op = np.max(chords, axis=-1)
+    chords *= chords
+    return np.sqrt(np.sum(chords, axis=-1)), op
 
 
 @dataclass(frozen=True)
@@ -215,29 +268,86 @@ class DefectResult:
 BOUND_SLACK = 1e-9
 
 
-def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> DefectResult:
-    """Measured multiplicativity defect of rho_n at (x, y), with its bounds.
+def defects(
+    sigma: PolyCocycle,
+    sizes: Sequence[int],
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> list[list[DefectResult | NilstabError]]:
+    """Measured multiplicativity defects of rho_n at every size and pair.
 
-    The norms of rho_n(x*y) - rho_n(x) rho_n(y) come from the residue gaps
-    (see `difference_norms`), so no matrix is formed.  Raises BoundViolated
-    if a measured norm exceeds the proven bound plus a 1e-9 slack; that
-    would falsify the construction, not the sample.
+    Returns one list per size, with one entry per pair: its DefectResult,
+    or the NilstabError that pair's check raised there.  A size sharing a
+    factor with the coefficient denominator gives NotCoprime throughout.
+    The pair-only work (x*y, sigma(x, y) and the specializations of x, y
+    and x*y) is done once; each size then makes one residue-kernel call
+    for all 3 * len(pairs) rows.  rho_n(x) rho_n(y) is gathered from the
+    residues, and the norms of rho_n(x*y) - rho_n(x) rho_n(y) come from the
+    residue gaps (see `difference_norms`), so no matrix is formed.  A
+    measured norm above its proven bound plus a 1e-9 slack gives
+    BoundViolated; that would falsify the construction, not the sample.
     """
     group = sigma.group
-    x = group.element(x)
-    y = group.element(y)
-    rho_xy = build_rho(sigma, n, group.multiply(x, y))
-    product = build_rho(sigma, n, x).compose(build_rho(sigma, n, y))
-    fro, op = difference_norms(rho_xy, product)
-    s = sigma(x, y)
+    den = sigma.poly.denominator_lcm()
+    xs = [group.element(x) for x, _ in pairs]
+    ys = [group.element(y) for _, y in pairs]
+    products = [group.multiply(x, y) for x, y in zip(xs, ys)]
+    values: list[int | NilstabError] = []
+    for x, y in zip(xs, ys):
+        try:
+            values.append(sigma(x, y))
+        except NilstabError as exc:
+            values.append(exc)
+    # Rows in the order the checks run: x*y first, then x, then y.
+    rows = [(g, *sigma.specialize_first(g)) for g in products + xs + ys]
+    count = len(pairs)
+    table = []
+    for n in sizes:
+        try:
+            residues, errors = _residue_rows(n, den, rows)
+        except NotCoprime as exc:
+            table.append([s if isinstance(s, NilstabError) else exc for s in values])
+            continue
+        if any((xy[0] - x[0] - y[0]) % n for x, y, xy in zip(xs, ys, products)):
+            raise ValueError(
+                f"the group law does not add first coordinates mod {n}; the "
+                f"defect is not a phase-shift matrix"
+            )
+        rho_xy, rho_x, rho_y = np.split(residues, 3)
+        # Column j of rho(x) rho(y) picks up rho(x)'s residue at j + y_1.
+        y_shifts = np.array([y[0] % n for y in ys], dtype=np.int64)
+        shifted = np.arange(n) + y_shifts[:, None]
+        shifted %= n
+        gaps = np.take_along_axis(rho_x, shifted, axis=1)
+        gaps += rho_y
+        np.subtract(rho_xy, gaps, out=gaps)
+        # The batch is the largest array here; free it before the norms.
+        del residues, rho_xy, rho_x, rho_y, shifted
+        fros, ops = (norms.tolist() for norms in _gap_norms(gaps, n))
+        out: list[DefectResult | NilstabError] = []
+        for i, (x, y, s) in enumerate(zip(xs, ys, values)):
+            failed = [e for e in errors[i::count] if e is not None]
+            if isinstance(s, NilstabError):
+                out.append(s)
+            elif failed:
+                out.append(failed[0])
+            else:
+                out.append(_checked(n, x, y, s, fros[i], ops[i]))
+        table.append(out)
+    return table
+
+
+def _checked(
+    n: int, x: Element, y: Element, s: int, fro: float, op: float
+) -> DefectResult | BoundViolated:
+    """The measured norms at (x, y) with their bounds, or the bound they exceed."""
     fro_bound = 2 * math.pi * abs(s) / math.sqrt(n)
     op_bound = 2 * math.pi * abs(s) / n
     if fro > fro_bound + BOUND_SLACK:
-        raise BoundViolated(
+        return BoundViolated(
             f"Frobenius defect {fro} exceeds bound {fro_bound} at ({x}, {y}), n={n}"
         )
     if op > op_bound + BOUND_SLACK:
-        raise BoundViolated(
+        return BoundViolated(
             f"operator defect {op} exceeds bound {op_bound} at ({x}, {y}), n={n}"
         )
     return DefectResult(
@@ -250,6 +360,18 @@ def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> De
         operator=op,
         operator_bound=op_bound,
     )
+
+
+def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> DefectResult:
+    """Measured multiplicativity defect of rho_n at (x, y), with its bounds.
+
+    The one-pair, one-size case of `defects`; raises the pair's error
+    (BoundViolated, NonIntegralValue or NotCoprime) instead of returning it.
+    """
+    ((row,),) = defects(sigma, [n], [(x, y)])
+    if isinstance(row, NilstabError):
+        raise row
+    return row
 
 
 @dataclass(frozen=True)

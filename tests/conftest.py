@@ -1,5 +1,5 @@
 """Shared helpers: a third boundary map, unitary factories, a witness parser,
-and the pointwise promotion of a skinny cocycle.
+the pointwise promotion of a skinny cocycle and a Fraction specialization.
 
 The helpers here are deliberately written against the public definitions
 rather than against library internals, so they can serve as oracles.
@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import ast
 import functools
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 
-from nilstab.cohomology import Chain2, KernelCocycle, skinny_check
+from nilstab.cohomology import Chain2, KernelCocycle, PolyCocycle, skinny_check
 from nilstab.errors import NotSkinny
 from nilstab.extensions import CentralExtension
 from nilstab.groups import Element, MalcevGroup
@@ -33,6 +35,32 @@ def boundary3(group: MalcevGroup, triples) -> Chain2:
         terms.append((coef, a, group.multiply(b, c)))
         terms.append((-coef, a, b))
     return Chain2.build(terms)
+
+
+def specialize_first_by_fractions(sigma: PolyCocycle, x) -> tuple[int, tuple[int, ...]]:
+    """(den, c_0..c_d) with p(x, t) = sum(c_e t^e)/den, summed in Fractions.
+
+    The oracle for `PolyCocycle.specialize_first`, which works on the
+    polynomial's scaled-integer form instead.
+    """
+    x = sigma.group.element(x)
+    m = sigma.group.hirsch
+    by_degree: dict[int, Fraction] = {}
+    for exps, coef in sigma.poly.terms.items():
+        c = coef
+        for v, e in zip(x, exps[:m]):
+            if e:
+                c *= v**e
+        d = exps[m]
+        by_degree[d] = by_degree.get(d, Fraction(0)) + c
+    degree = max(by_degree, default=0)
+    den = 1
+    for c in by_degree.values():
+        den = math.lcm(den, c.denominator)
+    coeffs = tuple(
+        int(by_degree.get(e, Fraction(0)) * den) for e in range(degree + 1)
+    )
+    return den, coeffs
 
 
 def random_unitary_near_identity(

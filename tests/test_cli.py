@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import nilstab
-from nilstab import catalog
+from nilstab import catalog, representation
 from nilstab.catalog import z2_skinny
 from nilstab.cli import main
 from nilstab.groups import MalcevGroup, lattice
@@ -370,6 +370,49 @@ def test_sweep_skips_sizes_sharing_a_factor_with_the_denominator(runner):
     for line in skipped:
         assert line.split(",")[0] == "4"
         assert line.split(",")[4:8] == ["", "", "", ""]
+
+
+def test_sweep_fails_when_no_size_is_coprime(runner):
+    # The default sizes are all even and heisenberg_skinny has denominator 2:
+    # every row is skipped, so nothing was measured.
+    result = runner.invoke(
+        main,
+        ["sweep", "--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
+         "--samples", "2"],
+    )
+    assert result.exit_code == 1
+    rows = result.stdout.strip().split("\n")[1:]
+    assert len(rows) == 10
+    assert all(row.endswith(",skipped:not_coprime") for row in rows)
+    assert result.stderr == (
+        "error: no size in --n is coprime to the coefficient denominator 2\n"
+    )
+
+
+def test_sweep_reports_a_failed_row_and_prints_the_others(runner, monkeypatch):
+    # Inflate the second pair's measured Frobenius norm at every size: its
+    # rows fail their bound, and the rows of the other pairs still print.
+    real = representation._gap_norms
+
+    def inflated(gaps, n):
+        fro, op = real(gaps, n)
+        fro[1] += 1.0
+        return fro, op
+
+    monkeypatch.setattr(representation, "_gap_norms", inflated)
+    args = ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny",
+            "--n", "4,8", "--samples", "3"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    errors = result.stderr.splitlines()
+    assert len(errors) == 2
+    assert all(e.startswith("error: Frobenius defect") for e in errors)
+    rows = result.stdout.strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == ["4", "4", "8", "8"]
+    assert all(row.endswith(",ok") for row in rows)
+    monkeypatch.undo()
+    rows_kept = runner.invoke(main, args).stdout.strip().split("\n")[1:]
+    assert rows == rows_kept[:1] + rows_kept[2:4] + rows_kept[5:]
 
 
 def test_sweep_writes_to_a_file(runner, tmp_path):

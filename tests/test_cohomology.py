@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boundary3, witness_blocks
+from conftest import boundary3, specialize_first_by_fractions, witness_blocks
 from nilstab.catalog import (
     heisenberg3,
     heisenberg_c1,
@@ -82,6 +82,23 @@ def test_poly_cocycle_specialize_first_gives_integer_coefficients():
         value = sum(c * t**e for e, c in enumerate(coeffs))
         assert value % den == 0
         assert value // den == sigma((2, 3, 5), (t, 0, 0))
+
+
+rational_cocycles = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool),
+    max_size=5,
+).map(lambda terms: PolyCocycle(H3, MultiPoly(xy_variables(3, 1), terms)))
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(st.just(heisenberg_skinny()), rational_cocycles),
+    st.tuples(*[st.integers(-(10**6), 10**6)] * 3),
+)
+def test_specialize_first_matches_the_fraction_oracle(sigma, x):
+    # heisenberg_skinny's scale at x is 1 or 2 with the parity of x2.
+    assert sigma.specialize_first(x) == specialize_first_by_fractions(sigma, x)
 
 
 def test_kernel_cocycle_rejects_non_integer_values():

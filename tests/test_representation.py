@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nilstab.catalog import heisenberg3, heisenberg_skinny, z2_skinny
 from nilstab.cohomology import PolyCocycle
-from nilstab.errors import DimensionMismatch, NotCoprime, NotScalar
+from nilstab.errors import DimensionMismatch, NonIntegralValue, NotCoprime, NotScalar
 from nilstab.groups import lattice
 from nilstab.poly import MultiPoly, xy_variables
 from nilstab.representation import (
@@ -19,6 +20,7 @@ from nilstab.representation import (
     build_rho,
     chi_scalar_check,
     defect,
+    defects,
     difference_norms,
     frobenius_norm,
     operator_norm,
@@ -260,25 +262,71 @@ def test_defect_bounds_hold_on_random_samples():
             assert abs(result.frobenius - expected) < 1e-9
 
 
+def dense_from_exact_exponents(sigma: PolyCocycle, n: int, x) -> np.ndarray:
+    # rho_n(x) from Python-int exponents p(x, j), independent of the kernel.
+    dense = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        exponent = int(sigma.poly.evaluate(tuple(x) + (j,))) % n
+        dense[(j + x[0]) % n, j] = cmath.exp(2j * math.pi * exponent / n)
+    return dense
+
+
 @pytest.mark.parametrize(
     "make_sigma, sizes", [(z2_skinny, (16, 64, 128)), (heisenberg_skinny, (17, 65, 129))]
 )
 def test_defect_matches_the_dense_difference(make_sigma, sizes):
-    # The residue-gap norms against dense frobenius_norm and operator_norm
-    # of rho(x*y) - rho(x) rho(y).
+    # One batch per size against dense frobenius_norm and operator_norm of
+    # rho(x*y) - rho(x) rho(y), built both from build_rho and from a loop
+    # over exact exponents.  The pairs include y_1 < 0 and y_1 >= n, and
+    # heisenberg_skinny's rows mix the scales 1 and 2.
     sigma = make_sigma()
     group = sigma.group
     rng = make_rng(37)
-    for n in sizes:
-        for _ in range(8):
-            x = sample_coords(rng, group.hirsch, 3)
-            y = sample_coords(rng, group.hirsch, 3)
-            result = defect(sigma, n, x, y)
-            dense = build_rho(sigma, n, group.multiply(x, y)).to_dense() - (
+    pairs = [
+        (sample_coords(rng, group.hirsch, 3), sample_coords(rng, group.hirsch, 3))
+        for _ in range(8)
+    ]
+    pairs += [
+        ((2, -1, 4)[: group.hirsch], (y1, 3, -1)[: group.hirsch])
+        for y1 in (-200, 150, 10**12)
+    ]
+    scales = {sigma.specialize_first(v)[0] for pair in pairs for v in pair}
+    assert scales == {1, sigma.poly.denominator_lcm()}
+    assert any(y[0] < 0 for _, y in pairs)
+    for n, rows in zip(sizes, defects(sigma, sizes, pairs)):
+        assert any(y[0] >= n for _, y in pairs)
+        for (x, y), result in zip(pairs, rows):
+            assert result == defect(sigma, n, x, y)
+            xy = group.multiply(x, y)
+            dense = build_rho(sigma, n, xy).to_dense() - (
                 build_rho(sigma, n, x).to_dense() @ build_rho(sigma, n, y).to_dense()
             )
-            assert abs(result.frobenius - frobenius_norm(dense)) < 1e-9
-            assert abs(result.operator - operator_norm(dense)) < 1e-9
+            exact = dense_from_exact_exponents(sigma, n, xy) - (
+                dense_from_exact_exponents(sigma, n, x)
+                @ dense_from_exact_exponents(sigma, n, y)
+            )
+            for oracle in (dense, exact):
+                assert abs(result.frobenius - frobenius_norm(oracle)) < 1e-12
+                assert abs(result.operator - operator_norm(oracle)) < 1e-12
+
+
+def test_defects_report_a_non_integral_row_and_keep_the_others():
+    # x2*y1/2 is a cocycle whose value is not an integer at x2 odd, j odd.
+    # In the second pair only x = (1, 1) has such a row: x*y = (3, 2).
+    poly = MultiPoly(xy_variables(2, 1), {(0, 1, 1): Fraction(1, 2)})
+    sigma = PolyCocycle(lattice(2), poly)
+    pairs = [((0, 2), (1, 0)), ((1, 1), (2, 1)), ((3, 4), (5, -2))]
+    (rows,) = defects(sigma, [7], pairs)
+    assert defects(sigma, [7, 9], []) == [[], []]
+    assert isinstance(rows[1], NonIntegralValue)
+    assert "cocycle value 1/2 at ((1, 1), 1)" in str(rows[1])
+    for (x, y), row in zip(pairs[::2], rows[::2]):
+        assert row == defect(sigma, 7, x, y)
+        assert row.sigma_xy == sigma(x, y)
+    with pytest.raises(NonIntegralValue, match=r"at \(\(1, 1\), 1\)"):
+        defect(sigma, 7, *pairs[1])
+    with pytest.raises(NonIntegralValue, match=r"at \(\(1, 1\), 1\)"):
+        build_rho(sigma, 7, (1, 1))
 
 
 def test_defect_shrinks_like_the_square_root_of_n():

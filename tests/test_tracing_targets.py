@@ -1,9 +1,12 @@
-"""The benchmark tracer's targets name functions that exist in the package."""
+"""The benchmark tracer's targets exist, and a traced session runs clean."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,21 @@ def test_every_tracer_target_resolves(module_name, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_a_traced_benchmark_session_runs_clean():
+    # Resolving names does not catch a changed signature of a traced
+    # function; a traced session calls the wrapped functions its workload uses.
+    session = TRACING.parent / "session.py"
+    done = subprocess.run(
+        [sys.executable, str(session), "--workload", "lattice-dense", "--seed", "1",
+         "--trace", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["mismatches"] == []
+    assert result["operations"]
+    for record in result["operations"]:
+        assert record["error"] is None, record
+        assert record["mismatches"] == [], record
