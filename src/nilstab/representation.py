@@ -19,8 +19,9 @@ The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is a scalar
 chi_n(x, y)^{-1} = exp(-2 pi i p(x, y_1) / n) away from zero, giving the
 proven bounds 2*pi*|sigma(x,y)|/sqrt(n) (Frobenius) and 2*pi*|sigma(x,y)|/n
 (operator).  `defects` measures it for many pairs at once, with one kernel
-call per size for the rows of x, y and x*y of every pair, and `defect` is
-its one-pair case.  The norms come from the residue gaps d_j: the
+call per size for the rows of x, y and x*y of every pair (or per chunk of
+pairs, once a size's rows pass BATCH_ENTRIES), and `defect` is its
+one-pair case.  The norms come from the residue gaps d_j: the
 difference of two phase-shift matrices with equal shift has one entry per
 column, so its norms are sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| with
 w = exp(2 pi i / n).  The dense norms below (the Frobenius norm and the
@@ -266,6 +267,11 @@ class DefectResult:
 
 
 BOUND_SLACK = 1e-9
+# int64 entries per residue-kernel call (3 rows of n + 1 per pair):
+# `defects` splits a size's pairs into chunks that fit, so its memory does
+# not grow with the sample count at large n (one pair per call from
+# n = 174,762 on).
+BATCH_ENTRIES = 1 << 20
 
 
 def defects(
@@ -276,15 +282,18 @@ def defects(
     """Measured multiplicativity defects of rho_n at every size and pair.
 
     Returns one list per size, with one entry per pair: its DefectResult,
-    or the NilstabError that pair's check raised there.  A size sharing a
-    factor with the coefficient denominator gives NotCoprime throughout.
-    The pair-only work (x*y, sigma(x, y) and the specializations of x, y
-    and x*y) is done once; each size then makes one residue-kernel call
-    for all 3 * len(pairs) rows.  rho_n(x) rho_n(y) is gathered from the
-    residues, and the norms of rho_n(x*y) - rho_n(x) rho_n(y) come from the
-    residue gaps (see `difference_norms`), so no matrix is formed.  A
-    measured norm above its proven bound plus a 1e-9 slack gives
-    BoundViolated; that would falsify the construction, not the sample.
+    or the NilstabError that pair's check raised there, in `defect`'s order
+    (the rows of x*y, x and y, then sigma(x, y), then the bounds).  A size
+    sharing a factor with the coefficient denominator gives NotCoprime
+    throughout, or sigma(x, y)'s error where that fails.  The pair-only
+    work (x*y, sigma(x, y) and the specializations of x, y and x*y) is done
+    once; each size then runs the residue kernel on the rows of as many
+    pairs at a time as fit in BATCH_ENTRIES (all of them at the sizes the
+    sweep usually takes).  rho_n(x) rho_n(y) is gathered from the residues,
+    and the norms of rho_n(x*y) - rho_n(x) rho_n(y) come from the residue
+    gaps (see `difference_norms`), so no matrix is formed.  A measured norm
+    above its proven bound plus a 1e-9 slack gives BoundViolated; that
+    would falsify the construction, not the sample.
     """
     group = sigma.group
     den = sigma.poly.denominator_lcm()
@@ -297,43 +306,61 @@ def defects(
             values.append(sigma(x, y))
         except NilstabError as exc:
             values.append(exc)
-    # Rows in the order the checks run: x*y first, then x, then y.
-    rows = [(g, *sigma.specialize_first(g)) for g in products + xs + ys]
-    count = len(pairs)
+    # Three rows per pair, in the order the checks run: x*y, x, y.
+    rows = [
+        (g, *sigma.specialize_first(g))
+        for triple in zip(products, xs, ys)
+        for g in triple
+    ]
     table = []
     for n in sizes:
-        try:
-            residues, errors = _residue_rows(n, den, rows)
-        except NotCoprime as exc:
-            table.append([s if isinstance(s, NilstabError) else exc for s in values])
-            continue
-        if any((xy[0] - x[0] - y[0]) % n for x, y, xy in zip(xs, ys, products)):
-            raise ValueError(
-                f"the group law does not add first coordinates mod {n}; the "
-                f"defect is not a phase-shift matrix"
-            )
-        rho_xy, rho_x, rho_y = np.split(residues, 3)
-        # Column j of rho(x) rho(y) picks up rho(x)'s residue at j + y_1.
-        y_shifts = np.array([y[0] % n for y in ys], dtype=np.int64)
-        shifted = np.arange(n) + y_shifts[:, None]
-        shifted %= n
-        gaps = np.take_along_axis(rho_x, shifted, axis=1)
-        gaps += rho_y
-        np.subtract(rho_xy, gaps, out=gaps)
-        # The batch is the largest array here; free it before the norms.
-        del residues, rho_xy, rho_x, rho_y, shifted
-        fros, ops = (norms.tolist() for norms in _gap_norms(gaps, n))
+        step = max(1, BATCH_ENTRIES // (3 * (n + 1)))
         out: list[DefectResult | NilstabError] = []
-        for i, (x, y, s) in enumerate(zip(xs, ys, values)):
-            failed = [e for e in errors[i::count] if e is not None]
-            if isinstance(s, NilstabError):
-                out.append(s)
-            elif failed:
-                out.append(failed[0])
-            else:
-                out.append(_checked(n, x, y, s, fros[i], ops[i]))
+        try:
+            for start in range(0, len(pairs), step):
+                chunk = slice(3 * start, 3 * (start + step))
+                out += _defect_chunk(n, den, rows[chunk], values[start : start + step])
+        except NotCoprime as exc:
+            out = [s if isinstance(s, NilstabError) else exc for s in values]
         table.append(out)
     return table
+
+
+def _defect_chunk(
+    n: int,
+    den: int,
+    rows: Sequence[tuple[Element, int, tuple[int, ...]]],
+    values: Sequence[int | NilstabError],
+) -> list[DefectResult | NilstabError]:
+    """`defects` at size n for consecutive pairs: one kernel call on their rows."""
+    residues, errors = _residue_rows(n, den, rows)
+    products, xs, ys = ([g for g, _, _ in rows[k::3]] for k in range(3))
+    if any((xy[0] - x[0] - y[0]) % n for x, y, xy in zip(xs, ys, products)):
+        raise ValueError(
+            f"the group law does not add first coordinates mod {n}; the "
+            f"defect is not a phase-shift matrix"
+        )
+    rho_xy, rho_x, rho_y = (residues[k::3] for k in range(3))
+    # Column j of rho(x) rho(y) picks up rho(x)'s residue at j + y_1.
+    y_shifts = np.array([y[0] % n for y in ys], dtype=np.int64)
+    shifted = np.arange(n) + y_shifts[:, None]
+    shifted %= n
+    gaps = np.take_along_axis(rho_x, shifted, axis=1)
+    gaps += rho_y
+    np.subtract(rho_xy, gaps, out=gaps)
+    # The batch is the largest array here; free it before the norms.
+    del residues, rho_xy, rho_x, rho_y, shifted
+    fros, ops = (norms.tolist() for norms in _gap_norms(gaps, n))
+    out: list[DefectResult | NilstabError] = []
+    for i, (x, y, s) in enumerate(zip(xs, ys, values)):
+        failed = [e for e in errors[3 * i : 3 * i + 3] if e is not None]
+        if failed:
+            out.append(failed[0])
+        elif isinstance(s, NilstabError):
+            out.append(s)
+        else:
+            out.append(_checked(n, x, y, s, fros[i], ops[i]))
+    return out
 
 
 def _checked(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,9 @@ from nilstab.cohomology import PolyCocycle
 from nilstab.errors import DimensionMismatch, NonIntegralValue, NotCoprime, NotScalar
 from nilstab.groups import lattice
 from nilstab.poly import MultiPoly, xy_variables
+from nilstab import representation
 from nilstab.representation import (
+    BATCH_ENTRIES,
     MAX_DENSE,
     PhaseShiftMatrix,
     build_rho,
@@ -312,14 +315,19 @@ def test_defect_matches_the_dense_difference(make_sigma, sizes):
 
 def test_defects_report_a_non_integral_row_and_keep_the_others():
     # x2*y1/2 is a cocycle whose value is not an integer at x2 odd, j odd.
-    # In the second pair only x = (1, 1) has such a row: x*y = (3, 2).
+    # In the second pair only x = (1, 1) has such a row: x*y = (3, 2).  In
+    # the fourth sigma((0, 1), (1, 0)) = 1/2 fails too, but the row of
+    # x*y = (1, 1) fails first, as in `defect`'s order of checks.
     poly = MultiPoly(xy_variables(2, 1), {(0, 1, 1): Fraction(1, 2)})
     sigma = PolyCocycle(lattice(2), poly)
-    pairs = [((0, 2), (1, 0)), ((1, 1), (2, 1)), ((3, 4), (5, -2))]
+    pairs = [((0, 2), (1, 0)), ((1, 1), (2, 1)), ((3, 4), (5, -2)), ((0, 1), (1, 0))]
     (rows,) = defects(sigma, [7], pairs)
     assert defects(sigma, [7, 9], []) == [[], []]
-    assert isinstance(rows[1], NonIntegralValue)
-    assert "cocycle value 1/2 at ((1, 1), 1)" in str(rows[1])
+    for row in (rows[1], rows[3]):
+        assert isinstance(row, NonIntegralValue)
+        assert "cocycle value 1/2 at ((1, 1), 1)" in str(row)
+    with pytest.raises(NonIntegralValue, match="non-integer 1/2"):
+        sigma(*pairs[3])
     for (x, y), row in zip(pairs[::2], rows[::2]):
         assert row == defect(sigma, 7, x, y)
         assert row.sigma_xy == sigma(x, y)
@@ -327,6 +335,38 @@ def test_defects_report_a_non_integral_row_and_keep_the_others():
         defect(sigma, 7, *pairs[1])
     with pytest.raises(NonIntegralValue, match=r"at \(\(1, 1\), 1\)"):
         build_rho(sigma, 7, (1, 1))
+
+
+def test_defects_bound_their_memory_at_large_n(monkeypatch):
+    # At n = 2^16 + 1 five pairs fill a kernel call, so 40 pairs take eight
+    # calls, and the peak allocation stays near that of a 4-pair sweep
+    # rather than growing tenfold with the sample count.
+    sigma = heisenberg_skinny()
+    n = 2**16 + 1
+    rng = make_rng(41)
+    pairs = [(sample_coords(rng, 3, 9), sample_coords(rng, 3, 9)) for _ in range(40)]
+    expected = [defect(sigma, n, x, y) for x, y in pairs]
+    peaks = []
+    for count in (4, 40):
+        tracemalloc.start()
+        try:
+            (rows,) = defects(sigma, [n], pairs[:count])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rows == expected[:count]
+    assert peaks[1] < 2 * peaks[0]
+    calls = []
+    kernel = representation._residue_rows
+
+    def recording(n, den, rows):
+        calls.append(len(rows))
+        return kernel(n, den, rows)
+
+    monkeypatch.setattr(representation, "_residue_rows", recording)
+    assert defects(sigma, [17, n], pairs)[1] == expected
+    assert calls == [120] + [15] * 8
+    assert 15 * (n + 1) <= BATCH_ENTRIES < 18 * (n + 1)
 
 
 def test_defect_shrinks_like_the_square_root_of_n():
