@@ -20,8 +20,11 @@ Two paths compute the pairing, chosen by what is paired:
   with residues r_j mod n, so it lies in the convergence ball exactly when
   6 |centred(r_j)| < n, its log is diagonal with entries
   2 pi i centred(r_j) / n, and the winding is the Fraction
-  sum coef * sum_j centred(r_j) / n.  This works at any n that
-  `build_rho` accepts.
+  sum coef * sum_j centred(r_j) / n.  All sizes are paired in one pass:
+  one residue kernel call for the rows of every (size, support element)
+  pair, cut into consecutive chunks of sizes only where the padded rows
+  would pass BATCH_ENTRIES, and both orderings' residues come from those
+  rows by index arithmetic.  This works at any n that `build_rho` accepts.
 - `winding_pairing` takes dense matrices: general families such as the
   perturbed representations of the null test, and the oracle that the
   exact path is tested against.  It checks the ball with SVD norms, and
@@ -40,10 +43,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import __version__
 from .cohomology import (
     Chain2,
     PolyCocycle,
@@ -59,7 +63,15 @@ from .errors import (
     TorsionPairing,
 )
 from .groups import Element, MalcevGroup
-from .representation import PhaseShiftMatrix, build_rho, frobenius_norm, operator_norm
+from .representation import (
+    BATCH_ENTRIES,
+    _residue_rows,
+    _residue_word,
+    _size_error,
+    build_rho,
+    frobenius_norm,
+    operator_norm,
+)
 from .validation import DEFAULT_SEED
 
 # Families closer than this to a representation always pair to zero.
@@ -207,6 +219,8 @@ class CertificateRun:
     `winding` is exact and `raw` is its float value.  `margin` is the
     smallest n - 6 max_j |centred(r_j)| over the terms and both orderings:
     positive means every log argument is inside the convergence ball.
+    `terms` holds each chain term's contribution coef * sum_j centred(r_j) / n
+    (first ordering); they sum to `winding`.
     """
 
     n: int
@@ -215,6 +229,7 @@ class CertificateRun:
     path: str
     winding: Fraction
     margin: int
+    terms: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -246,12 +261,14 @@ class CertificateReport:
                     "path": r.path,
                     "winding": str(r.winding),
                     "margin": r.margin,
+                    "terms": [str(t) for t in r.terms],
                 }
                 for r in self.runs
             ],
             "distance_bound": self.distance_bound,
             "statement": self.statement,
             "sign_convention": self.sign_convention,
+            "version": __version__,
         }
 
 
@@ -261,16 +278,37 @@ SIGN_CONVENTION = (
 )
 
 
-def _centred(word: PhaseShiftMatrix) -> np.ndarray:
-    """The word's residues as representatives in (-n/2, n/2]."""
-    r = word.residues
-    return np.where(2 * r > word.n, r - word.n, r)
+def _size_chunks(
+    n_list: Sequence[int], den: int, width: int
+) -> Iterator[list[int]]:
+    """Consecutive chunks of n_list for one kernel call each.
+
+    A chunk's width rows per size, padded to its largest size, fit in
+    BATCH_ENTRIES int64 entries; a size too big for that has a chunk of
+    its own.  The first size the kernel would refuse ends the chunks: its
+    error is raised once the chunks before it have been consumed.
+    """
+    chunk: list[int] = []
+    top = 0
+    for n in n_list:
+        error = _size_error(n, den)
+        if error is not None:
+            if chunk:
+                yield chunk
+            raise error
+        top = max(top, n)
+        if chunk and (len(chunk) + 1) * width * (top + 1) > BATCH_ENTRIES:
+            yield chunk
+            chunk, top = [], n
+        chunk.append(n)
+    if chunk:
+        yield chunk
 
 
-def _exact_run(
-    group: MalcevGroup, sigma: PolyCocycle, chain: Chain2, n: int
-) -> CertificateRun:
-    """The winding of rho_n against the chain, in exact residue arithmetic.
+def _exact_runs(
+    group: MalcevGroup, sigma: PolyCocycle, chain: Chain2, n_list: Sequence[int]
+) -> Iterator[CertificateRun]:
+    """The winding of rho_n against the chain at each n, in exact residue arithmetic.
 
     Each ordering of each term is a shift-0 phase-shift matrix with
     residues r_j.  Its distance to the identity is
@@ -278,43 +316,95 @@ def _exact_run(
     6 |centred(r_j)| < n; otherwise TermOutOfRange names the term.  Inside
     the ball the series log is diagonal with entries
     2 pi i centred(r_j) / n, so the term adds coef * sum_j centred(r_j) / n.
+
+    The support, each term's a*b and each element's specialization are
+    computed once; then one kernel call per chunk of sizes (see
+    `_size_chunks`) gives the residues of every (size, element) pair.
+    Runs come one size at a time, and each size raises its first failing
+    check: the kernel's row errors in support order, then per term the
+    shift and both orderings' ball tests.
     """
-    rho = {g: build_rho(sigma, n, g) for g in chain.support(group)}
-    winding = Fraction(0)
-    margin = n
-    for index, (coef, a, b) in enumerate(chain.terms):
-        ab = group.multiply(a, b)
-        a_inv, b_inv = rho[a].adjoint(), rho[b].adjoint()
-        words = (
-            rho[ab].compose(b_inv).compose(a_inv),
-            rho[ab].compose(a_inv).compose(b_inv),
-        )
-        centred = []
-        for word, label in zip(words, ORDERINGS):
-            if word.shift != 0:
+    support = chain.support(group)
+    den = sigma.poly.denominator_lcm()
+    rows = [(g, *sigma.specialize_first(g)) for g in support]
+    at = {g: i for i, g in enumerate(support)}
+    terms = [
+        (coef, at[a], at[b], at[group.multiply(a, b)]) for coef, a, b in chain.terms
+    ]
+    for chunk in _size_chunks(n_list, den, len(rows)):
+        yield from _exact_chunk(chunk, den, rows, terms)
+
+
+def _exact_chunk(
+    sizes: list[int],
+    den: int,
+    rows: list[tuple[Element, int, tuple[int, ...]]],
+    terms: list[tuple[int, int, int, int]],
+) -> Iterator[CertificateRun]:
+    """`_exact_runs` for one chunk of sizes: one kernel call on all their rows."""
+    residues, errors = _residue_rows(
+        [n for n in sizes for _ in rows], den, rows * len(sizes)
+    )
+    residues = residues.reshape(len(sizes), len(rows), -1)
+    n = np.array(sizes, dtype=np.int64)
+    half = (n[:, None] - 1) // 2
+    padding = np.arange(residues.shape[2]) >= n[:, None]
+    every = np.arange(len(sizes))
+    firsts = [g[0] for g, _, _ in rows]
+    shifts = [np.array([f % m for m in sizes], dtype=np.int64) for f in firsts]
+    # Per term: the words' shift at each size, and per ordering the worst
+    # centred residue, its index and the sum of the centred residues.
+    checks = []
+    for _, a, b, ab in terms:
+        orderings = []
+        for x, y in ((a, b), (b, a)):
+            word = _residue_word(
+                residues[:, ab], residues[:, y], residues[:, x], shifts[x], shifts[y], n
+            )
+            # Centre in (-n/2, n/2]: (r + h) mod n - h with h = (n - 1) // 2.
+            word += half
+            word %= n[:, None]
+            word -= half
+            word[padding] = 0
+            worst = np.argmax(np.abs(word), axis=1)
+            orderings.append(
+                (word[every, worst].tolist(), worst.tolist(), word.sum(axis=1).tolist())
+            )
+        shift = [(firsts[ab] - firsts[a] - firsts[b]) % m for m in sizes]
+        checks.append((shift, orderings))
+    for i, size in enumerate(sizes):
+        for error in errors[i * len(rows) : (i + 1) * len(rows)]:
+            if error is not None:
+                raise error
+        margin = size
+        contributions = []
+        for index, ((coef, *_), (shift, orderings)) in enumerate(zip(terms, checks)):
+            if shift[i]:
                 raise TermOutOfRange(
-                    f"term {index}: {label} shifts by {word.shift}", term_index=index
-                )
-            c = _centred(word)
-            worst = int(np.argmax(np.abs(c)))
-            term_margin = n - 6 * abs(int(c[worst]))
-            if term_margin <= 0:
-                raise TermOutOfRange(
-                    f"term {index}: {label} has residue {int(c[worst])} mod {n} at "
-                    f"index {worst}, outside the log's convergence ball (6|r| < n)",
+                    f"term {index}: {ORDERINGS[0]} shifts by {shift[i]}",
                     term_index=index,
                 )
-            margin = min(margin, term_margin)
-            centred.append(c)
-        winding += coef * Fraction(int(np.sum(centred[0])), n)
-    return CertificateRun(
-        n=n,
-        raw=float(winding),
-        rounded=winding.numerator if winding.denominator == 1 else None,
-        path="exact",
-        winding=winding,
-        margin=margin,
-    )
+            for (values, worst, _), label in zip(orderings, ORDERINGS):
+                term_margin = size - 6 * abs(values[i])
+                if term_margin <= 0:
+                    raise TermOutOfRange(
+                        f"term {index}: {label} has residue {values[i]} mod {size} "
+                        f"at index {worst[i]}, outside the log's convergence ball "
+                        f"(6|r| < n)",
+                        term_index=index,
+                    )
+                margin = min(margin, term_margin)
+            contributions.append(coef * Fraction(orderings[0][2][i], size))
+        winding = sum(contributions, Fraction(0))
+        yield CertificateRun(
+            n=size,
+            raw=float(winding),
+            rounded=winding.numerator if winding.denominator == 1 else None,
+            path="exact",
+            winding=winding,
+            margin=margin,
+            terms=tuple(contributions),
+        )
 
 
 def certify_nonperturbability(
@@ -325,11 +415,14 @@ def certify_nonperturbability(
 ) -> CertificateReport:
     """Winding certificate: the family rho_n pairs to -<sigma, c> for each n.
 
-    Every pairing is exact (see `_exact_run`).  Raises NotACycle if the
-    chain has a boundary, TorsionPairing if the cocycle pairs to zero (no
-    obstruction to certify), TermOutOfRange if a log argument leaves the
-    convergence ball, and PairingMismatch if a winding disagrees with the
-    prediction.
+    Every pairing is exact, and all sizes are computed in one batched pass
+    (see `_exact_runs`); the runs keep the order and multiplicity of
+    n_list.  Raises NotACycle if the chain has a boundary, TorsionPairing
+    if the cocycle pairs to zero (no obstruction to certify), and then the
+    first failing size's error: the residue kernel's (NotCoprime, a size
+    past `max_exact_size`, NonIntegralValue), TermOutOfRange if a log
+    argument leaves the convergence ball, or PairingMismatch if the
+    winding disagrees with the prediction.
     """
     if not n_list:
         raise ValueError("need at least one matrix size")
@@ -342,11 +435,10 @@ def certify_nonperturbability(
             "the cocycle pairs to zero against this cycle; nothing to certify"
         )
     runs = []
-    for n in n_list:
-        run = _exact_run(group, sigma, chain, n)
+    for run in _exact_runs(group, sigma, chain, n_list):
         if run.rounded != -s:
             raise PairingMismatch(
-                f"at n={n} the winding is {run.winding}, expected {-s}"
+                f"at n={run.n} the winding is {run.winding}, expected {-s}"
             )
         runs.append(run)
     statement = (

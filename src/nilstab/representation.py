@@ -13,7 +13,10 @@ arithmetic at any n up to `max_exact_size` (where int64 Horner steps
 stop fitting), and only `phases` and `to_dense` (capped at MAX_DENSE)
 touch floating point.  One private kernel computes every residue: a
 single int64 Horner pass over j = 0..n for a batch of rows, each with its
-own modulus.  `build_rho` is its one-row case.
+own size and modulus.  `build_rho` is its one-row case, the certificate
+runs it once for the rows of all its sizes, and `chi_scalar_check` forms
+its word from three rows by index arithmetic (`_residue_word`), as the
+certificate does.
 
 The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is a scalar
 chi_n(x, y)^{-1} = exp(-2 pi i p(x, y_1) / n) away from zero, giving the
@@ -138,44 +141,61 @@ def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     return PhaseShiftMatrix(n, x[0], residues[0])
 
 
+def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
+    """Why the residue kernel refuses size n for coefficient denominator den, if it does."""
+    if n < 1:
+        return ValueError(f"matrix size must be positive, got {n}")
+    if math.gcd(n, den) != 1:
+        return NotCoprime(
+            f"n = {n} shares a factor with the coefficient denominator {den}"
+        )
+    if n > max_exact_size(den):
+        return ValueError(
+            f"matrix size {n} is too large for int64 residue arithmetic "
+            f"with coefficient denominator {den}"
+        )
+    return None
+
+
 def _residue_rows(
-    n: int, den: int, rows: Sequence[tuple[Element, int, tuple[int, ...]]]
+    n: int | Sequence[int],
+    den: int,
+    rows: Sequence[tuple[Element, int, tuple[int, ...]]],
 ) -> tuple[np.ndarray, list[NilstabError | None]]:
     """Residues p(x, j) mod n for j = 0..n-1, one row per (x, scale, coeffs).
 
     Each row holds p(x, t) = sum(coeffs[e] t^e) / scale (`specialize_first`).
-    One int64 Horner pass evaluates every row's scale * p(x, j) mod scale * n
-    over j = 0..n, in place.  A row's values must be divisible by its scale
-    (integer cocycle values) and must repeat at j = n what they were at
-    j = 0; a row that fails gets its NonIntegralValue or NotCoprime in the
-    returned list, and the other rows still come back.  The size itself
-    must be coprime to den, the coefficient denominator, and at most
-    `max_exact_size(den)`.
+    `n` is one size for every row, or a list with one size per row; rows
+    are then padded to the largest size N, and the columns j >= n of a
+    row hold no residue.  One int64 Horner pass evaluates every row's
+    scale * p(x, j) mod scale * n over j = 0..N, in place; each step stays
+    below den * N * (N + 1), which `max_exact_size(den)` keeps in int64.
+    A row's values must be divisible by its scale (integer cocycle values)
+    and must repeat at j = n what they were at j = 0; a row that fails
+    gets its NonIntegralValue or NotCoprime in the returned list, and the
+    other rows still come back.  Every size must be coprime to den, the
+    coefficient denominator, and at most `max_exact_size(den)`; the first
+    size that is not raises.
     """
-    if n < 1:
-        raise ValueError(f"matrix size must be positive, got {n}")
-    if math.gcd(n, den) != 1:
-        raise NotCoprime(
-            f"n = {n} shares a factor with the coefficient denominator {den}"
-        )
-    # Horner steps stay below scale * n * (n + 1), and every scale divides den.
-    if n > max_exact_size(den):
-        raise ValueError(
-            f"matrix size {n} is too large for int64 residue arithmetic "
-            f"with coefficient denominator {den}"
-        )
+    sizes = list(n) if isinstance(n, Sequence) else [n] * len(rows)
+    for size in dict.fromkeys(sizes):
+        error = _size_error(size, den)
+        if error is not None:
+            raise error
+    top = max(sizes, default=1)
     width = max((len(coeffs) for _, _, coeffs in rows), default=1)
     scales = np.array([scale for _, scale, _ in rows], dtype=np.int64)[:, None]
     table = np.array(
         [
-            [c % (scale * n) for c in coeffs] + [0] * (width - len(coeffs))
-            for _, scale, coeffs in rows
+            [c % (scale * size) for c in coeffs] + [0] * (width - len(coeffs))
+            for (_, scale, coeffs), size in zip(rows, sizes)
         ],
         dtype=np.int64,
     ).reshape(-1, width)
-    moduli = scales * n
-    j = np.arange(n + 1, dtype=np.int64)
-    total = np.repeat(table[:, -1:], n + 1, axis=1)
+    sizes = np.array(sizes, dtype=np.int64)[:, None]
+    moduli = scales * sizes
+    j = np.arange(top + 1, dtype=np.int64)
+    total = np.repeat(table[:, -1:], top + 1, axis=1)
     for e in range(width - 2, -1, -1):
         total *= j
         total += table[:, e : e + 1]
@@ -183,9 +203,10 @@ def _residue_rows(
     errors: list[NilstabError | None] = [None] * len(rows)
     # A polynomial of degree < width that is integral at j = 0..width-1 is
     # integral at every integer (its Newton coefficients are integers), so
-    # the first width columns decide integrality on all of j = 0..n and
-    # hold the first failing j.
+    # the first width columns within j <= n decide integrality on all of
+    # j = 0..n and hold the first failing j.
     fractional = total[:, :width] % scales
+    fractional *= j[:width] <= sizes
     for i in np.flatnonzero(fractional.any(axis=1)):
         x, scale, coeffs = rows[i]
         at = int(np.flatnonzero(fractional[i])[0])
@@ -195,12 +216,43 @@ def _residue_rows(
         )
     total //= scales  # now the residues p(x, j) mod n
     # Well-definedness spot check: the exponent must only matter mod n.
-    for i in np.flatnonzero(total[:, n] != total[:, 0]):
+    ends = np.take_along_axis(total, sizes, axis=1)[:, 0]
+    for i in np.flatnonzero(ends != total[:, 0]):
         if errors[i] is None:
             errors[i] = NotCoprime(
-                f"exponent is not periodic mod {n}; denominators are incompatible"
+                f"exponent is not periodic mod {sizes[i, 0]}; denominators are "
+                f"incompatible"
             )
-    return total[:, :n], errors
+    return total[:, :top], errors
+
+
+def _residue_word(
+    r_ab: np.ndarray,
+    r_b: np.ndarray,
+    r_a: np.ndarray,
+    shift_a: np.ndarray,
+    shift_b: np.ndarray,
+    sizes: np.ndarray,
+) -> np.ndarray:
+    """Residues of the word rho(ab) rho(b)* rho(a)*, one row per size.
+
+    r_ab, r_b and r_a are kernel rows (padded to a common width), shift_a
+    and shift_b the first coordinates of a and b reduced mod each row's
+    size.  When the word's shift is 0 it is diagonal, with residue
+    r_ab[j - s_a - s_b] - r_b[j - s_a - s_b] - r_a[j - s_a] mod n at
+    column j; swapping a and b gives the ordering rho(ab) rho(a)* rho(b)*.
+    Columns j >= n are padding.
+    """
+    n = sizes[:, None]
+    j = np.arange(r_ab.shape[1], dtype=np.int64)
+    at = (j - shift_a[:, None]) % n
+    word = -np.take_along_axis(r_a, at, axis=1)
+    at -= shift_b[:, None]
+    at %= n
+    word += np.take_along_axis(r_ab, at, axis=1)
+    word -= np.take_along_axis(r_b, at, axis=1)
+    word %= n
+    return word
 
 
 # ----------------------------------------------------------------------
@@ -422,19 +474,26 @@ def chi_scalar_check(
     group = sigma.group
     x = group.element(x)
     y = group.element(y)
-    rho_xy = build_rho(sigma, n, group.multiply(x, y))
-    rho_x = build_rho(sigma, n, x)
-    rho_y = build_rho(sigma, n, y)
-    word = rho_xy.compose(rho_y.adjoint()).compose(rho_x.adjoint())
-    if word.shift != 0:
-        raise NotScalar(f"triple product shifts by {word.shift}")
+    xy = group.multiply(x, y)
+    rows = [(g, *sigma.specialize_first(g)) for g in (xy, x, y)]
+    residues, errors = _residue_rows(n, sigma.poly.denominator_lcm(), rows)
+    for error in errors:
+        if error is not None:
+            raise error
+    shift = (xy[0] - x[0] - y[0]) % n
+    if shift != 0:
+        raise NotScalar(f"triple product shifts by {shift}")
+    r_xy, r_x, r_y = residues[:, None]
+    (word,) = _residue_word(
+        r_xy, r_y, r_x, np.array([x[0] % n]), np.array([y[0] % n]), np.array([n])
+    )
     residue = sigma(x, y) % n
     expected = -residue % n
-    off = np.flatnonzero(word.residues != expected)
+    off = np.flatnonzero(word != expected)
     if off.size:
         first = int(off[0])
         raise NotScalar(
-            f"diagonal entry {first} has residue {int(word.residues[first])} mod {n}, "
+            f"diagonal entry {first} has residue {int(word[first])} mod {n}, "
             f"expected {expected}",
             index=first,
         )

@@ -1,5 +1,6 @@
 """Shared helpers: a third boundary map, unitary factories, a witness parser,
-the pointwise promotion of a skinny cocycle and a Fraction specialization.
+the pointwise promotion of a skinny cocycle, a Fraction specialization and
+the size-by-size exact winding pairing.
 
 The helpers here are deliberately written against the public definitions
 rather than against library internals, so they can serve as oracles.
@@ -15,10 +16,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from nilstab.cohomology import Chain2, KernelCocycle, PolyCocycle, skinny_check
-from nilstab.errors import NotSkinny
+from nilstab.cohomology import (
+    Chain2,
+    KernelCocycle,
+    PolyCocycle,
+    pair_cocycle_cycle,
+    skinny_check,
+)
+from nilstab.errors import NotSkinny, PairingMismatch, TermOutOfRange
 from nilstab.extensions import CentralExtension
 from nilstab.groups import Element, MalcevGroup
+from nilstab.obstruction import ORDERINGS, CertificateRun
+from nilstab.representation import build_rho
 
 
 def boundary3(group: MalcevGroup, triples) -> Chain2:
@@ -215,3 +224,74 @@ def extension_skinny_cocycle(ext: CentralExtension) -> KernelCocycle:
     return KernelCocycle(
         total, omega, name=f"promoted({ext.cocycle.name})"
     )
+
+
+def exact_run_by_words(
+    group: MalcevGroup, sigma: PolyCocycle, chain: Chain2, n: int
+) -> CertificateRun:
+    """The exact winding at one size, word by word: the reference oracle.
+
+    Builds each support element's phase-shift unitary with `build_rho`,
+    forms both orderings of every term with `compose` and `adjoint`, and
+    applies the ball test 6 |centred(r_j)| < n and the sum
+    coef * sum_j centred(r_j) / n to their residues, with the checks and
+    messages of `certify_nonperturbability`.
+    """
+    rho = {g: build_rho(sigma, n, g) for g in chain.support(group)}
+    terms = []
+    margin = n
+    for index, (coef, a, b) in enumerate(chain.terms):
+        ab = group.multiply(a, b)
+        a_inv, b_inv = rho[a].adjoint(), rho[b].adjoint()
+        words = (
+            rho[ab].compose(b_inv).compose(a_inv),
+            rho[ab].compose(a_inv).compose(b_inv),
+        )
+        centred = []
+        for word, label in zip(words, ORDERINGS):
+            if word.shift != 0:
+                raise TermOutOfRange(
+                    f"term {index}: {label} shifts by {word.shift}", term_index=index
+                )
+            r = word.residues
+            c = np.where(2 * r > n, r - n, r)
+            worst = int(np.argmax(np.abs(c)))
+            term_margin = n - 6 * abs(int(c[worst]))
+            if term_margin <= 0:
+                raise TermOutOfRange(
+                    f"term {index}: {label} has residue {int(c[worst])} mod {n} at "
+                    f"index {worst}, outside the log's convergence ball (6|r| < n)",
+                    term_index=index,
+                )
+            margin = min(margin, term_margin)
+            centred.append(c)
+        terms.append(coef * Fraction(int(np.sum(centred[0])), n))
+    winding = sum(terms, Fraction(0))
+    return CertificateRun(
+        n=n,
+        raw=float(winding),
+        rounded=winding.numerator if winding.denominator == 1 else None,
+        path="exact",
+        winding=winding,
+        margin=margin,
+        terms=tuple(terms),
+    )
+
+
+def certificate_runs_by_words(
+    group: MalcevGroup, sigma: PolyCocycle, chain: Chain2, n_list
+) -> list[CertificateRun]:
+    """The runs of a certificate, one size at a time (see `exact_run_by_words`).
+
+    Raises the first failing size's error, PairingMismatch included.
+    """
+    s = pair_cocycle_cycle(sigma, chain)
+    runs = []
+    for n in n_list:
+        run = exact_run_by_words(group, sigma, chain, n)
+        if run.rounded != -s:
+            raise PairingMismatch(
+                f"at n={n} the winding is {run.winding}, expected {-s}"
+            )
+        runs.append(run)
+    return runs

@@ -5,11 +5,19 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import exact_expm, random_unitary_near_identity
+import nilstab
+from conftest import (
+    certificate_runs_by_words,
+    exact_expm,
+    random_unitary_near_identity,
+)
+from nilstab import obstruction
 from nilstab.catalog import (
     character_representation,
     heisenberg3,
@@ -19,14 +27,24 @@ from nilstab.catalog import (
     z2_skinny,
     zero_cocycle,
 )
-from nilstab.cohomology import Chain2, pair_cocycle_cycle
+from nilstab.cohomology import Chain2, PolyCocycle, pair_cocycle_cycle
 from nilstab.errors import (
+    NilstabError,
+    NonIntegralValue,
     NotACycle,
+    NotCoprime,
+    PairingMismatch,
     TermOutOfRange,
     TooFarFromIdentity,
     TorsionPairing,
 )
+from nilstab.extensions import (
+    central_commutator_cycle,
+    central_extension,
+    promoted_cocycle,
+)
 from nilstab.groups import lattice
+from nilstab.poly import MultiPoly, xy_variables
 from nilstab.obstruction import (
     PERTURBATION_RADIUS,
     certify_nonperturbability,
@@ -213,6 +231,10 @@ def test_certificate_for_the_lattice_cocycle():
         ("exact", "-1", 26),
     ]
     assert isinstance(doc["runs"][0]["raw"], float)
+    # The first term's word is the scalar residue -1, the second's is 0.
+    assert [run.terms for run in report.runs] == [(-1, 0), (-1, 0)]
+    assert [r["terms"] for r in doc["runs"]] == [["-1", "0"], ["-1", "0"]]
+    assert doc["version"] == nilstab.__version__
     assert "tolerances" not in doc
     assert "seed" not in doc
 
@@ -277,6 +299,108 @@ def test_both_paths_refuse_a_term_outside_the_convergence_ball():
     assert _dense_outcome(Z2, z2_skinny(), chain, 3)[0] == ("out of range", 0)
     with pytest.raises(TermOutOfRange, match="term 0"):
         certify_nonperturbability(Z2, z2_skinny(), chain, [3])
+
+
+def _hirsch4():
+    ext = central_extension(H3, heisenberg_skinny())
+    return ext.total, promoted_cocycle(ext), central_commutator_cycle(ext, 1)
+
+
+CERTIFIED = {
+    "lattice:2": lambda: (Z2, z2_skinny(), voiculescu_cycle()),
+    "heisenberg3": lambda: (H3, heisenberg_skinny(), heisenberg_c1()),
+    "hirsch4": _hirsch4,
+}
+
+
+def _runs_or_error(certify, group, sigma, chain, n_list):
+    try:
+        return certify(group, sigma, chain, n_list)
+    except (NilstabError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "term_index", None)
+
+
+def _batched_runs(group, sigma, chain, n_list):
+    report = certify_nonperturbability(group, sigma, chain, n_list)
+    assert all(sum(run.terms) == run.winding for run in report.runs)
+    return list(report.runs)
+
+
+@pytest.mark.parametrize(
+    "name, n_list",
+    [
+        # Unsorted, with duplicates, small sizes around one past 2^16.
+        ("lattice:2", [33, 17, 33, 2**16 + 1, 16, 17]),
+        ("heisenberg3", [65, 17, 2**16 + 1, 17, 33]),
+        # Sizes coprime to the denominator 6.
+        ("hirsch4", [35, 25, 2**16 + 1, 25, 65]),
+    ],
+)
+def test_batched_certificate_matches_the_size_by_size_oracle(name, n_list):
+    # For k = -3 on lattice:2 and heisenberg3 a word at n = 17 has residue
+    # +-3 and 6 * 3 > 17, so the list fails by TermOutOfRange at its first
+    # 17, after a good size.
+    group, sigma, chain = CERTIFIED[name]()
+    for k in (1, 2, -3):
+        scaled = sigma.scale(k)
+        batched = _runs_or_error(_batched_runs, group, scaled, chain, n_list)
+        oracle = _runs_or_error(certificate_runs_by_words, group, scaled, chain, n_list)
+        assert batched == oracle, (name, k)
+        assert isinstance(batched, list) or batched[0] is TermOutOfRange
+
+
+def test_batched_certificate_raises_the_oracles_first_error():
+    half = PolyCocycle(Z2, MultiPoly(xy_variables(2, 1), {(0, 1, 1): Fraction(1, 2)}))
+    # sigma((0, 2), (1, 1)) = 1 and sigma((1, 1), (0, 2)) = 0, so the
+    # pairing is 1, but the row of (1, 1) is 1/2 at j = 1.
+    odd_row = Chain2.build([(1, (0, 2), (1, 1)), (-1, (1, 1), (0, 2))])
+    voiculescu = voiculescu_cycle()
+    cases = [
+        (TermOutOfRange, Z2, z2_skinny(), voiculescu, [17, 3, 33]),
+        (TermOutOfRange, H3, heisenberg_skinny().scale(-3), heisenberg_c1(), [33, 17, 16]),
+        (NotCoprime, H3, heisenberg_skinny(), heisenberg_c1(), [17, 16, 33]),
+        (NonIntegralValue, Z2, half, odd_row, [17, 33]),
+        # 18 * x2*y1 has residue -18 = -1 mod 17, inside the ball: winding -1.
+        (PairingMismatch, Z2, z2_skinny().scale(18), voiculescu, [109, 17, 3]),
+        (ValueError, Z2, z2_skinny(), voiculescu, [17, 3037000500]),
+    ]
+    for expected, group, sigma, chain, n_list in cases:
+        batched = _runs_or_error(_batched_runs, group, sigma, chain, n_list)
+        oracle = _runs_or_error(certificate_runs_by_words, group, sigma, chain, n_list)
+        assert batched == oracle
+        assert batched[0] is expected, batched
+
+
+def test_certificate_sizes_share_kernel_calls_within_a_memory_bound(monkeypatch):
+    # Sizes are cut into consecutive chunks whose padded rows fit in
+    # BATCH_ENTRIES, so small sizes listed with 2^20 + 1 are not padded to
+    # it: the peak stays near that of the large size alone.
+    big = 2**20 + 1
+    peaks = []
+    for n_list in ([big], [17, 33, big]):
+        tracemalloc.start()
+        try:
+            report = certify_nonperturbability(Z2, z2_skinny(), voiculescu_cycle(), n_list)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [(run.n, run.rounded) for run in report.runs] == [(n, -1) for n in n_list]
+    assert peaks[1] < 1.5 * peaks[0]
+    calls = []
+    kernel = obstruction._residue_rows
+
+    def recording(n, den, rows):
+        calls.append(len(rows))
+        return kernel(n, den, rows)
+
+    monkeypatch.setattr(obstruction, "_residue_rows", recording)
+    certify_nonperturbability(Z2, z2_skinny(), voiculescu_cycle(), [17, 33, big])
+    assert calls == [6, 3]
+    # The heisenberg benchmark's 57 sizes take one call.
+    calls.clear()
+    sizes = list(range(17, 130, 2))
+    certify_nonperturbability(H3, heisenberg_skinny(), heisenberg_c1(), sizes)
+    assert calls == [3 * len(sizes)]
 
 
 def test_certificate_past_the_dense_cap():

@@ -392,9 +392,34 @@ def test_chi_scalar_check_names_the_first_entry_off_the_scalar():
     # -x1*(y1^2 + 2*(k - x1 - y1)*y1), and -sigma(x, y) = -x1*y1^2.  At
     # x = y = (2, 0) and n = 16 they agree mod 16 at k = 0 and differ at k = 1.
     sigma = PolyCocycle(lattice(2), MultiPoly(xy_variables(2, 1), {(1, 0, 2): 1}))
-    with pytest.raises(NotScalar) as info:
+    with pytest.raises(NotScalar, match="diagonal entry 1 has residue") as info:
         chi_scalar_check(sigma, 16, (2, 0), (2, 0))
     assert info.value.index == 1
+
+
+def test_chi_scalar_check_makes_one_kernel_call_and_no_products(monkeypatch):
+    # The word comes from the residue rows of x*y, x and y by index
+    # arithmetic, with no phase-shift products.
+    calls = []
+    kernel = representation._residue_rows
+
+    def recording(n, den, rows):
+        calls.append([g for g, _, _ in rows])
+        return kernel(n, den, rows)
+
+    def refuse(*args):
+        raise AssertionError("no phase-shift products expected")
+
+    monkeypatch.setattr(representation, "_residue_rows", recording)
+    monkeypatch.setattr(PhaseShiftMatrix, "compose", refuse)
+    monkeypatch.setattr(PhaseShiftMatrix, "adjoint", refuse)
+    sigma = heisenberg_skinny()
+    chi = chi_scalar_check(sigma, 33, (1, 2, -3), (4, 0, 5))
+    assert calls == [[(5, 2, 10), (1, 2, -3), (4, 0, 5)]]
+    residue = sigma((1, 2, -3), (4, 0, 5)) % 33
+    assert abs(chi.value - cmath.exp(2j * math.pi * residue / 33)) < 1e-13
+    with pytest.raises(NotCoprime):
+        chi_scalar_check(sigma, 32, (1, 2, -3), (4, 0, 5))
 
 
 # ----------------------------------------------------------------------

@@ -34,13 +34,11 @@ def test_every_tracer_target_resolves(module_name, path):
     assert callable(owner)
 
 
-def test_a_traced_benchmark_session_runs_clean():
-    # Resolving names does not catch a changed signature of a traced
-    # function; a traced session calls the wrapped functions its workload uses.
+def _assert_session_runs_clean(workload: str, trace: str) -> None:
     session = TRACING.parent / "session.py"
     done = subprocess.run(
-        [sys.executable, str(session), "--workload", "lattice-dense", "--seed", "1",
-         "--trace", "1"],
+        [sys.executable, str(session), "--workload", workload, "--seed", "1",
+         "--trace", trace],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -50,3 +48,16 @@ def test_a_traced_benchmark_session_runs_clean():
     for record in result["operations"]:
         assert record["error"] is None, record
         assert record["mismatches"] == [], record
+
+
+def test_a_traced_benchmark_session_runs_clean():
+    # Resolving names does not catch a changed signature of a traced
+    # function; a traced session calls the wrapped functions its workload uses.
+    _assert_session_runs_clean("lattice-dense", "1")
+
+
+def test_a_heisenberg_benchmark_session_runs_clean():
+    # The session checks that each of the 57 certificate runs rounds to
+    # the expected winding, and the smallest size's raw value against
+    # scipy's logm.
+    _assert_session_runs_clean("heisenberg", "0")
