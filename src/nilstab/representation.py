@@ -177,23 +177,26 @@ def _residue_rows(
     coefficient denominator, and at most `max_exact_size(den)`; the first
     size that is not raises.
     """
-    sizes = list(n) if isinstance(n, Sequence) else [n] * len(rows)
+    sizes = list(n) if isinstance(n, Sequence) else [n]
     for size in dict.fromkeys(sizes):
         error = _size_error(size, den)
         if error is not None:
             raise error
     top = max(sizes, default=1)
+    # A read-only view: one size per row, broadcast from one for all rows.
+    sizes = np.broadcast_to(
+        np.array(sizes, dtype=np.int64).reshape(-1, 1), (len(rows), 1)
+    )
     width = max((len(coeffs) for _, _, coeffs in rows), default=1)
     scales = np.array([scale for _, scale, _ in rows], dtype=np.int64)[:, None]
+    moduli = scales * sizes
     table = np.array(
         [
-            [c % (scale * size) for c in coeffs] + [0] * (width - len(coeffs))
-            for (_, scale, coeffs), size in zip(rows, sizes)
+            [c % m for c in coeffs] + [0] * (width - len(coeffs))
+            for (_, _, coeffs), m in zip(rows, moduli[:, 0].tolist())
         ],
         dtype=np.int64,
     ).reshape(-1, width)
-    sizes = np.array(sizes, dtype=np.int64)[:, None]
-    moduli = scales * sizes
     j = np.arange(top + 1, dtype=np.int64)
     total = np.repeat(table[:, -1:], top + 1, axis=1)
     for e in range(width - 2, -1, -1):

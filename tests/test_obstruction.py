@@ -44,7 +44,6 @@ from nilstab.extensions import (
     promoted_cocycle,
 )
 from nilstab.groups import lattice
-from nilstab.poly import MultiPoly, xy_variables
 from nilstab.obstruction import (
     PERTURBATION_RADIUS,
     certify_nonperturbability,
@@ -54,6 +53,7 @@ from nilstab.obstruction import (
     rho_family,
     winding_pairing,
 )
+from nilstab.poly import MultiPoly, xy_variables
 from nilstab.representation import frobenius_norm, operator_norm
 
 Z2 = lattice(2)
@@ -355,6 +355,16 @@ def test_batched_certificate_raises_the_oracles_first_error():
     # pairing is 1, but the row of (1, 1) is 1/2 at j = 1.
     odd_row = Chain2.build([(1, (0, 2), (1, 1)), (-1, (1, 1), (0, 2))])
     voiculescu = voiculescu_cycle()
+    # x2*(y1 + y1*(y1 - 1)/4) pairs to 1 with the Voiculescu cycle and is
+    # integral at j = 0, 1 but not at j = 2: size 1 (padded to 35 in the
+    # batch) still only checks j <= 1, and winds to 0 there.
+    quarter = PolyCocycle(
+        Z2,
+        MultiPoly(
+            xy_variables(2, 1),
+            {(0, 1, 1): Fraction(3, 4), (0, 1, 2): Fraction(1, 4)},
+        ),
+    )
     cases = [
         (TermOutOfRange, Z2, z2_skinny(), voiculescu, [17, 3, 33]),
         (TermOutOfRange, H3, heisenberg_skinny().scale(-3), heisenberg_c1(), [33, 17, 16]),
@@ -362,6 +372,8 @@ def test_batched_certificate_raises_the_oracles_first_error():
         (NonIntegralValue, Z2, half, odd_row, [17, 33]),
         # 18 * x2*y1 has residue -18 = -1 mod 17, inside the ball: winding -1.
         (PairingMismatch, Z2, z2_skinny().scale(18), voiculescu, [109, 17, 3]),
+        (PairingMismatch, Z2, quarter, voiculescu, [1, 35]),
+        (NonIntegralValue, Z2, quarter, voiculescu, [35, 1]),
         (ValueError, Z2, z2_skinny(), voiculescu, [17, 3037000500]),
     ]
     for expected, group, sigma, chain, n_list in cases:
