@@ -237,24 +237,27 @@ def _residue_word(
     shift_b: np.ndarray,
     sizes: np.ndarray,
 ) -> np.ndarray:
-    """Residues of the word rho(ab) rho(b)* rho(a)*, one row per size.
+    """Residues of the word rho(ab) rho(b)* rho(a)*, one row per size, unreduced.
 
     r_ab, r_b and r_a are kernel rows (padded to a common width), shift_a
     and shift_b the first coordinates of a and b reduced mod each row's
     size.  When the word's shift is 0 it is diagonal, with residue
     r_ab[j - s_a - s_b] - r_b[j - s_a - s_b] - r_a[j - s_a] mod n at
     column j; swapping a and b gives the ordering rho(ab) rho(a)* rho(b)*.
-    Columns j >= n are padding.
+    The differences come back as they are, in (-2n, n), for the caller
+    to reduce mod n.  Columns j >= n are padding.
     """
     n = sizes[:, None]
-    j = np.arange(r_ab.shape[1], dtype=np.int64)
-    at = (j - shift_a[:, None]) % n
-    word = -np.take_along_axis(r_a, at, axis=1)
+    # Wrap j - s into [0, n) on the columns j < n without a modulo; on the
+    # padding the index only has to stay inside the row.
+    at = np.arange(r_ab.shape[1], dtype=np.int64) - shift_a[:, None]
+    np.add(at, n, out=at, where=at < 0)
+    word = np.take_along_axis(r_a, at, axis=1)
+    np.negative(word, out=word)
     at -= shift_b[:, None]
-    at %= n
+    np.add(at, n, out=at, where=at < 0)
     word += np.take_along_axis(r_ab, at, axis=1)
     word -= np.take_along_axis(r_b, at, axis=1)
-    word %= n
     return word
 
 
@@ -490,6 +493,7 @@ def chi_scalar_check(
     (word,) = _residue_word(
         r_xy, r_y, r_x, np.array([x[0] % n]), np.array([y[0] % n]), np.array([n])
     )
+    word %= n
     residue = sigma(x, y) % n
     expected = -residue % n
     off = np.flatnonzero(word != expected)
