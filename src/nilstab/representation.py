@@ -183,10 +183,8 @@ def _residue_rows(
         if error is not None:
             raise error
     top = max(sizes, default=1)
-    # A read-only view: one size per row, broadcast from one for all rows.
-    sizes = np.broadcast_to(
-        np.array(sizes, dtype=np.int64).reshape(-1, 1), (len(rows), 1)
-    )
+    # One size per row, or one (1, 1) size that broadcasts over the rows.
+    sizes = np.array(sizes, dtype=np.int64)[:, None]
     width = max((len(coeffs) for _, _, coeffs in rows), default=1)
     scales = np.array([scale for _, scale, _ in rows], dtype=np.int64)[:, None]
     moduli = scales * sizes
@@ -219,11 +217,12 @@ def _residue_rows(
         )
     total //= scales  # now the residues p(x, j) mod n
     # Well-definedness spot check: the exponent must only matter mod n.
-    ends = np.take_along_axis(total, sizes, axis=1)[:, 0]
+    row_sizes = moduli[:, 0] // scales[:, 0]
+    ends = total[np.arange(len(rows)), row_sizes]
     for i in np.flatnonzero(ends != total[:, 0]):
         if errors[i] is None:
             errors[i] = NotCoprime(
-                f"exponent is not periodic mod {sizes[i, 0]}; denominators are "
+                f"exponent is not periodic mod {row_sizes[i]}; denominators are "
                 f"incompatible"
             )
     return total[:, :top], errors
