@@ -168,20 +168,18 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     ]
     lines = ["n,x,y,sigma_xy,frob_defect,frob_bound,op_defect,op_bound,status"]
     failed = False
+    # Each pair's "x,y" fields, formatted once for all sizes.
+    texts = [f"{';'.join(map(str, x))},{';'.join(map(str, y))}" for x, y in pairs]
     for n, rows in zip(n_list, defects(sigma, n_list, pairs)):
-        for (x, y), row in zip(pairs, rows):
-            x_text = ";".join(str(c) for c in x)
-            y_text = ";".join(str(c) for c in y)
+        for (x, y), text, row in zip(pairs, texts, rows):
             if isinstance(row, NotCoprime):
-                lines.append(
-                    f"{n},{x_text},{y_text},{sigma(x, y)},,,,,skipped:not_coprime"
-                )
+                lines.append(f"{n},{text},{sigma(x, y)},,,,,skipped:not_coprime")
             elif isinstance(row, NilstabError):
                 click.echo(f"error: {row}", err=True)
                 failed = True
             else:
                 lines.append(
-                    f"{n},{x_text},{y_text},{row.sigma_xy},"
+                    f"{n},{text},{row.sigma_xy},"
                     f"{row.frobenius!r},{row.frobenius_bound!r},"
                     f"{row.operator!r},{row.operator_bound!r},ok"
                 )

@@ -18,9 +18,10 @@ as alpha(y).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import NonIntegralValue, ParseError
 from .groups import Element, MalcevGroup, symbolic_triple
@@ -67,27 +68,41 @@ class PolyCocycle:
     def as_kernel(self) -> "KernelCocycle":
         return KernelCocycle(self.group, self.__call__, name=self.name)
 
+    def value_columns(
+        self, x: Sequence[np.ndarray], y: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, dict[int, NonIntegralValue]]:
+        """sigma(x, y) for rows of pairs, each element given as m coordinate columns.
+
+        The columns are arrays of Python ints (dtype=object).  Returns the
+        values and, by row, the NonIntegralValue that sigma(x, y) raises there.
+        """
+        return self.poly.evaluate_int_columns([*x, y[0]])
+
+    def specialize_columns(
+        self, x: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """`specialize_first` for rows of elements given as m coordinate columns.
+
+        Returns the column of scales and the coefficient columns c_0..c_d,
+        each reduced by its row's gcd(den, c_0..c_d); every entry is a
+        Python int.
+        """
+        den, coeffs = self.poly.scaled_columns([*x, None], split=self.group.hirsch)
+        g = np.full(len(coeffs[0]), den, dtype=object)
+        for c in coeffs:
+            g = np.gcd(g, c)
+        return den // g, [c // g for c in coeffs]
+
     def specialize_first(self, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
         """Integer coefficients (den, c_0..c_d) of p(x, t) = sum(c_e t^e)/den.
 
-        Built from the polynomial's scaled-integer form and reduced by
-        gcd(den, c_0..c_d), so den is the smallest denominator at x.
+        The one-row case of `specialize_columns`: built from the
+        polynomial's scaled-integer form and reduced by gcd(den, c_0..c_d),
+        so den is the smallest denominator at x.
         """
         x = self.group.element(x)
-        m = self.group.hirsch
-        den, rows = self.poly._scaled_form()
-        by_degree: dict[int, int] = {}
-        for num, factors in rows:
-            degree = 0
-            for i, e in factors:
-                if i == m:
-                    degree = e
-                else:
-                    num *= x[i] if e == 1 else x[i] ** e
-            by_degree[degree] = by_degree.get(degree, 0) + num
-        coeffs = [by_degree.get(e, 0) for e in range(max(by_degree, default=0) + 1)]
-        g = math.gcd(den, *coeffs)
-        return den // g, tuple(c // g for c in coeffs)
+        scales, coeffs = self.specialize_columns([np.array([v], dtype=object) for v in x])
+        return scales[0], tuple(c[0] for c in coeffs)
 
     def to_document(self) -> dict:
         return {

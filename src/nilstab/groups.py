@@ -19,6 +19,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import NotCentral, ParseError, ValidationError
 from .poly import (
     MultiPoly,
@@ -98,6 +100,25 @@ class MalcevGroup:
     def multiply(self, x: Sequence[int], y: Sequence[int]) -> Element:
         point = self.element(x) + self.element(y)
         return tuple(p.evaluate_int(point) for p in self.law)
+
+    def multiply_columns(
+        self, x: Sequence[np.ndarray], y: Sequence[np.ndarray]
+    ) -> list[np.ndarray]:
+        """`multiply` for rows of pairs, each element given as m coordinate columns.
+
+        The columns are arrays of Python ints (dtype=object), and so are the
+        product's.  Raises the NonIntegralValue that `multiply` raises at
+        the first failing row, for its first failing law.
+        """
+        columns = [*x, *y]
+        product, failures = [], []
+        for k, p in enumerate(self.law):
+            values, errors = p.evaluate_int_columns(columns)
+            product.append(values)
+            failures += [(row, k, error) for row, error in errors.items()]
+        if failures:
+            raise min(failures, key=lambda f: f[:2])[2]
+        return product
 
     def inverse(self, x: Sequence[int]) -> Element:
         """Solve multiply(x, z) = identity by back substitution.

@@ -56,6 +56,7 @@ from .cohomology import (
 )
 from .errors import (
     DimensionMismatch,
+    NilstabError,
     NotACycle,
     PairingMismatch,
     TermOutOfRange,
@@ -67,6 +68,8 @@ from .representation import (
     BATCH_ENTRIES,
     _residue_rows,
     _residue_word,
+    _Rows,
+    _rows,
     _size_error,
     build_rho,
     frobenius_norm,
@@ -317,16 +320,17 @@ def _exact_runs(
     the ball the series log is diagonal with entries
     2 pi i centred(r_j) / n, so the term adds coef * sum_j centred(r_j) / n.
 
-    The support, each term's a*b and each element's specialization are
-    computed once; then one kernel call per chunk of sizes (see
-    `_size_chunks`) gives the residues of every (size, element) pair.
+    The support, each term's a*b and the kernel rows of the support (one
+    columnar specialization, `representation._rows`) are computed once;
+    then one kernel call per chunk of sizes (see `_size_chunks`) gives the
+    residues of every (size, element) pair.
     Runs come one size at a time, and each size raises its first failing
     check: the kernel's row errors in support order, then per term the
     shift and both orderings' ball tests.
     """
     support = chain.support(group)
     den = sigma.poly.denominator_lcm()
-    rows = [(g, *sigma.specialize_first(g)) for g in support]
+    rows = _rows(sigma, support)
     at = {g: i for i, g in enumerate(support)}
     terms = [
         (coef, at[a], at[b], at[group.multiply(a, b)]) for coef, a, b in chain.terms
@@ -338,20 +342,23 @@ def _exact_runs(
 def _exact_chunk(
     sizes: list[int],
     den: int,
-    rows: list[tuple[Element, int, tuple[int, ...]]],
+    rows: _Rows,
     terms: list[tuple[int, int, int, int]],
 ) -> Iterator[CertificateRun]:
     """`_exact_runs` for one chunk of sizes: one kernel call on all their rows."""
+    count = len(rows)
     residues, errors = _residue_rows(
-        [n for n in sizes for _ in rows], den, rows * len(sizes)
+        [n for n in sizes for _ in range(count)],
+        den,
+        rows[np.tile(np.arange(count), len(sizes))],
     )
-    residues = residues.reshape(len(sizes), len(rows), -1)
     n = np.array(sizes, dtype=np.int64)
     half = (n[:, None] - 1) // 2
-    padding = np.arange(residues.shape[2]) >= n[:, None]
+    padding = np.arange(residues.shape[1]) >= n[:, None]
     every = np.arange(len(sizes))
-    firsts = [g[0] for g, _, _ in rows]
-    shifts = [np.array([f % m for m in sizes], dtype=np.int64) for f in firsts]
+    base = every * count  # the kernel row of each size's first support element
+    firsts = rows.elements[:, 0].tolist()
+    shifts = (rows.elements[:, :1] % n).astype(np.int64)
     # Per term: the words' shift at each size, and per ordering the worst
     # centred residue, its index and the sum of the centred residues.
     checks = []
@@ -359,7 +366,7 @@ def _exact_chunk(
         orderings = []
         for x, y in ((a, b), (b, a)):
             word = _residue_word(
-                residues[:, ab], residues[:, y], residues[:, x], shifts[x], shifts[y], n
+                residues, base + ab, base + y, base + x, shifts[x], shifts[y], n
             )
             # Centre in (-n/2, n/2]: (r + h) mod n - h with h = (n - 1) // 2.
             word += half
@@ -372,10 +379,12 @@ def _exact_chunk(
             )
         shift = [(firsts[ab] - firsts[a] - firsts[b]) % m for m in sizes]
         checks.append((shift, orderings))
+    first_errors: dict[int, NilstabError] = {}
+    for row in sorted(errors):
+        first_errors.setdefault(row // count, errors[row])
     for i, size in enumerate(sizes):
-        for error in errors[i * len(rows) : (i + 1) * len(rows)]:
-            if error is not None:
-                raise error
+        if i in first_errors:
+            raise first_errors[i]
         margin = size
         contributions = []
         for index, ((coef, *_), (shift, orderings)) in enumerate(zip(terms, checks)):

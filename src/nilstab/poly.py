@@ -9,6 +9,12 @@ cleared to a common denominator `den` once, and a point's value is
 the powers of the variables that actually occur.  `evaluate` returns that
 quotient as a Fraction; `evaluate_int` divides exactly and never builds a
 Fraction for integer input.  The same sum is exact for Fraction inputs.
+`scaled_columns` is that sum over many points at once: each variable is a
+column, a numpy array of dtype=object holding Python ints, so every step
+stays exact at any coordinate size; with one variable split out it gives
+the coefficient columns of that variable's powers.  `evaluate_int_columns`
+is `evaluate_int` over columns, with the same errors for the rows that
+fail.
 `box_witness` decides whether a polynomial is zero, or integer valued, and
 turns a failure into a concrete integer point.
 """
@@ -19,6 +25,8 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import NonIntegralValue, ParseError
 
@@ -194,11 +202,73 @@ class MultiPoly:
         den, total = self._scaled_sum(values)
         value, remainder = divmod(total, den)
         if remainder:
-            raise NonIntegralValue(
-                f"{self} evaluated at {tuple(values)} gives non-integer "
-                f"{Fraction(total, den)}"
-            )
+            raise self._non_integral(values, total, den)
         return value
+
+    def _non_integral(
+        self, values: Sequence[Scalar], total: int, den: int
+    ) -> NonIntegralValue:
+        return NonIntegralValue(
+            f"{self} evaluated at {tuple(values)} gives non-integer {Fraction(total, den)}"
+        )
+
+    def scaled_columns(
+        self, columns: Sequence[np.ndarray | None], split: int | None = None
+    ) -> tuple[int, list[np.ndarray]]:
+        """`(den, sums)`: den times the polynomial at every row of the columns.
+
+        `columns` holds one array of Python ints (dtype=object) per
+        variable, all of one length, and row i is the point
+        (columns[0][i], columns[1][i], ...).  With split=None, `sums` is the
+        one column of den * p.  With split=k, variable k stays free: sums[e]
+        is the column of den times the coefficient of its e-th power, for
+        e = 0..variable_degree(k), and columns[k] is not read (it may be
+        None; some other variable must be given).  Every product is a Python
+        int, so the sums are exact at any coordinate size.
+        """
+        if len(columns) != len(self.variables):
+            raise ValueError(
+                f"expected {len(self.variables)} columns, got {len(columns)}"
+            )
+        columns = [
+            c if k == split else np.asarray(c, dtype=object)
+            for k, c in enumerate(columns)
+        ]
+        size = len(next(c for k, c in enumerate(columns) if k != split))
+        den, rows = self._scaled_form()
+        width = 1 if split is None else self.variable_degree(split) + 1
+        sums = [np.zeros(size, dtype=object) for _ in range(width)]
+        powers: dict[tuple[int, int], np.ndarray] = {}
+        for num, factors in rows:
+            degree = 0
+            term = num
+            for i, e in factors:
+                if i == split:
+                    degree = e
+                    continue
+                if (i, e) not in powers:
+                    powers[i, e] = columns[i] if e == 1 else columns[i] ** e
+                term = term * powers[i, e]
+            sums[degree] += term
+        return den, sums
+
+    def evaluate_int_columns(
+        self, columns: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, dict[int, NonIntegralValue]]:
+        """`evaluate_int` at every row of the columns (see `scaled_columns`).
+
+        Returns the column of values and, by row, the NonIntegralValue that
+        `evaluate_int` raises there; a failing row's value is the floor.
+        """
+        den, (total,) = self.scaled_columns(columns)
+        if den == 1:
+            return total, {}
+        failing = np.flatnonzero(total % den).tolist()
+        errors = {
+            i: self._non_integral([c[i] for c in columns], total[i], den)
+            for i in failing
+        }
+        return total // den, errors
 
     # ------------------------------------------------------------------
     # structural operations

@@ -13,17 +13,21 @@ arithmetic at any n up to `max_exact_size` (where int64 Horner steps
 stop fitting), and only `phases` and `to_dense` (capped at MAX_DENSE)
 touch floating point.  One private kernel computes every residue: a
 single int64 Horner pass over j = 0..n for a batch of rows, each with its
-own size and modulus.  `build_rho` is its one-row case, the certificate
-runs it once for the rows of all its sizes, and `chi_scalar_check` forms
-its word from three rows by index arithmetic (`_residue_word`), as the
-certificate does.
+own size and modulus.  It takes its rows as columns (`_Rows`: elements,
+scales and coefficient columns), which `PolyCocycle.specialize_columns`
+gives for any number of elements at once in exact Python-int columns.
+`build_rho` is its one-row case, the certificate runs it once for the
+rows of all its sizes, and `chi_scalar_check` forms its word from three
+rows by flat-index gathers (`_residue_word`), as the certificate does.
 
 The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is a scalar
 chi_n(x, y)^{-1} = exp(-2 pi i p(x, y_1) / n) away from zero, giving the
 proven bounds 2*pi*|sigma(x,y)|/sqrt(n) (Frobenius) and 2*pi*|sigma(x,y)|/n
-(operator).  `defects` measures it for many pairs at once, with one kernel
-call per size for the rows of x, y and x*y of every pair (or per chunk of
-pairs, once a size's rows pass BATCH_ENTRIES), and `defect` is its
+(operator).  `defects` measures it for many pairs at once: x*y,
+sigma(x, y) and the specializations of x, y and x*y are computed for all
+pairs together in integer columns, then one kernel call per size covers
+the rows of every pair (or one per chunk of pairs, once a size's rows pass
+BATCH_ENTRIES), and the bounds are compared as arrays.  `defect` is its
 one-pair case.  The norms come from the residue gaps d_j: the
 difference of two phase-shift matrices with equal shift has one entry per
 column, so its norms are sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| with
@@ -133,12 +137,10 @@ def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     batch; it raises that row's NonIntegralValue or NotCoprime.
     """
     x = sigma.group.element(x)
-    residues, errors = _residue_rows(
-        n, sigma.poly.denominator_lcm(), [(x, *sigma.specialize_first(x))]
-    )
-    if errors[0] is not None:
+    residues, errors = _residue_rows(n, sigma.poly.denominator_lcm(), _rows(sigma, [x]))
+    if errors:
         raise errors[0]
-    return PhaseShiftMatrix(n, x[0], residues[0])
+    return PhaseShiftMatrix(n, x[0], residues[0, :n])
 
 
 def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
@@ -157,25 +159,56 @@ def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
     return None
 
 
-def _residue_rows(
-    n: int | Sequence[int],
-    den: int,
-    rows: Sequence[tuple[Element, int, tuple[int, ...]]],
-) -> tuple[np.ndarray, list[NilstabError | None]]:
-    """Residues p(x, j) mod n for j = 0..n-1, one row per (x, scale, coeffs).
+@dataclass(frozen=True)
+class _Rows:
+    """Residue kernel rows as columns.
 
-    Each row holds p(x, t) = sum(coeffs[e] t^e) / scale (`specialize_first`).
-    `n` is one size for every row, or a list with one size per row; rows
-    are then padded to the largest size N, and the columns j >= n of a
-    row hold no residue.  One int64 Horner pass evaluates every row's
-    scale * p(x, j) mod scale * n over j = 0..N, in place; each step stays
-    below den * N * (N + 1), which `max_exact_size(den)` keeps in int64.
-    A row's values must be divisible by its scale (integer cocycle values)
-    and must repeat at j = n what they were at j = 0; a row that fails
-    gets its NonIntegralValue or NotCoprime in the returned list, and the
-    other rows still come back.  Every size must be coprime to den, the
-    coefficient denominator, and at most `max_exact_size(den)`; the first
-    size that is not raises.
+    Row i is p(x, t) = sum_e coeffs[i, e] t^e / scales[i] at x = elements[i].
+    `elements` (rows, m), `scales` (rows,) and `coeffs` (rows, width) hold
+    Python ints (dtype=object), as `PolyCocycle.specialize_columns` gives
+    them.
+    """
+
+    elements: np.ndarray
+    scales: np.ndarray
+    coeffs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scales)
+
+    def __getitem__(self, index) -> "_Rows":
+        """The rows at a slice or an array of row indices."""
+        return _Rows(self.elements[index], self.scales[index], self.coeffs[index])
+
+
+def _rows(sigma: PolyCocycle, elements) -> _Rows:
+    """The kernel rows of the elements: a list of Elements or an (rows, m) object array."""
+    elements = np.asarray(elements, dtype=object).reshape(-1, sigma.group.hirsch)
+    scales, coeffs = sigma.specialize_columns(list(elements.T))
+    return _Rows(elements, scales, np.stack(coeffs, axis=1))
+
+
+def _residue_rows(
+    n: int | Sequence[int], den: int, rows: _Rows
+) -> tuple[np.ndarray, dict[int, NilstabError]]:
+    """Residues p(x, j) mod n for j = 0..n, one row per kernel row (see `_Rows`).
+
+    `n` is one size for every row, or a list with one size per row.  The
+    result is a contiguous int64 array with N + 1 columns for the largest
+    size N: in a row of size n, column j holds p(x, j) mod n for j <= n
+    (column n repeats column 0), and the columns past n are padding.  Each
+    call builds its int64 table of coefficients mod scale * n with one
+    array `%` on the Python ints; then one int64 Horner pass evaluates
+    every row's scale * p(x, j) mod scale * n over j = 0..N, in place.  It
+    reduces at the last step and wherever the next step could pass int64;
+    reduced at every step, the values stay below den * N * (N + 1), which
+    `max_exact_size(den)` keeps in int64.  A row's values must be divisible
+    by its scale (integer cocycle values) and must repeat at j = n what
+    they were at j = 0; the rows that fail come back by row index with
+    their NonIntegralValue or NotCoprime, and the other rows are still
+    computed.  Every size must be coprime to den, the coefficient
+    denominator, and at most `max_exact_size(den)`; the first size that is
+    not raises.
     """
     sizes = list(n) if isinstance(n, Sequence) else [n]
     for size in dict.fromkeys(sizes):
@@ -185,78 +218,89 @@ def _residue_rows(
     top = max(sizes, default=1)
     # One size per row, or one (1, 1) size that broadcasts over the rows.
     sizes = np.array(sizes, dtype=np.int64)[:, None]
-    width = max((len(coeffs) for _, _, coeffs in rows), default=1)
-    scales = np.array([scale for _, scale, _ in rows], dtype=np.int64)[:, None]
+    scales = rows.scales.astype(np.int64)[:, None]
     moduli = scales * sizes
-    table = np.array(
-        [
-            [c % m for c in coeffs] + [0] * (width - len(coeffs))
-            for (_, _, coeffs), m in zip(rows, moduli[:, 0].tolist())
-        ],
-        dtype=np.int64,
-    ).reshape(-1, width)
+    table = (rows.coeffs % moduli).astype(np.int64)
+    width = table.shape[1]
     j = np.arange(top + 1, dtype=np.int64)
     total = np.repeat(table[:, -1:], top + 1, axis=1)
+    # Reduce only at the last step, or where the next step could leave
+    # int64: every value stays below `bound`.
+    modulus = int(moduli.max(initial=1))
+    bound = modulus
     for e in range(width - 2, -1, -1):
         total *= j
         total += table[:, e : e + 1]
-        total %= moduli
-    errors: list[NilstabError | None] = [None] * len(rows)
+        bound = bound * top + modulus
+        if e == 0 or bound * top + modulus > INT64_MAX:
+            total %= moduli
+            bound = modulus
+    errors: dict[int, NilstabError] = {}
     # A polynomial of degree < width that is integral at j = 0..width-1 is
     # integral at every integer (its Newton coefficients are integers), so
     # the first width columns within j <= n decide integrality on all of
     # j = 0..n and hold the first failing j.
     fractional = total[:, :width] % scales
     fractional *= j[:width] <= sizes
-    for i in np.flatnonzero(fractional.any(axis=1)):
-        x, scale, coeffs = rows[i]
+    for i in np.flatnonzero(fractional.any(axis=1)).tolist():
         at = int(np.flatnonzero(fractional[i])[0])
-        value = sum(c * at**e for e, c in enumerate(coeffs))
+        value = sum(c * at**e for e, c in enumerate(rows.coeffs[i]))
         errors[i] = NonIntegralValue(
-            f"cocycle value {value}/{scale} at ({x}, {at}) is not an integer"
+            f"cocycle value {value}/{rows.scales[i]} at ({tuple(rows.elements[i])}, "
+            f"{at}) is not an integer"
         )
-    total //= scales  # now the residues p(x, j) mod n
+    if scales.max(initial=1) > 1:
+        total //= scales  # now the residues p(x, j) mod n
     # Well-definedness spot check: the exponent must only matter mod n.
     row_sizes = moduli[:, 0] // scales[:, 0]
     ends = total[np.arange(len(rows)), row_sizes]
-    for i in np.flatnonzero(ends != total[:, 0]):
-        if errors[i] is None:
-            errors[i] = NotCoprime(
+    for i in np.flatnonzero(ends != total[:, 0]).tolist():
+        errors.setdefault(
+            i,
+            NotCoprime(
                 f"exponent is not periodic mod {row_sizes[i]}; denominators are "
                 f"incompatible"
-            )
-    return total[:, :top], errors
+            ),
+        )
+    return total, errors
 
 
 def _residue_word(
-    r_ab: np.ndarray,
-    r_b: np.ndarray,
-    r_a: np.ndarray,
+    residues: np.ndarray,
+    ab: np.ndarray,
+    b: np.ndarray,
+    a: np.ndarray,
     shift_a: np.ndarray,
     shift_b: np.ndarray,
     sizes: np.ndarray,
 ) -> np.ndarray:
-    """Residues of the word rho(ab) rho(b)* rho(a)*, one row per size, unreduced.
+    """Residues of the word rho(ab) rho(b)* rho(a)*, one row per word, unreduced.
 
-    r_ab, r_b and r_a are kernel rows (padded to a common width), shift_a
-    and shift_b the first coordinates of a and b reduced mod each row's
-    size.  When the word's shift is 0 it is diagonal, with residue
+    `residues` is the residue kernel's result; ab, b and a hold each
+    word's kernel rows, shift_a and shift_b the first coordinates of a and
+    b reduced mod the word's size.  When the word's shift is 0 it is
+    diagonal, with residue
     r_ab[j - s_a - s_b] - r_b[j - s_a - s_b] - r_a[j - s_a] mod n at
     column j; swapping a and b gives the ordering rho(ab) rho(a)* rho(b)*.
-    The differences come back as they are, in (-2n, n), for the caller
-    to reduce mod n.  Columns j >= n are padding.
+    Every gather is one `np.take` on flat indices into the residues.  The
+    differences come back as they are, in (-2n, n), for the caller to
+    reduce mod n.  Columns j >= n are padding.
     """
+    width = residues.shape[1]
+    flat = residues.reshape(-1)
     n = sizes[:, None]
     # Wrap j - s into [0, n) on the columns j < n without a modulo; on the
     # padding the index only has to stay inside the row.
-    at = np.arange(r_ab.shape[1], dtype=np.int64) - shift_a[:, None]
+    at = np.arange(width, dtype=np.int64) - shift_a[:, None]
     np.add(at, n, out=at, where=at < 0)
-    word = np.take_along_axis(r_a, at, axis=1)
+    word = np.take(flat, at + (a * width)[:, None])
     np.negative(word, out=word)
     at -= shift_b[:, None]
     np.add(at, n, out=at, where=at < 0)
-    word += np.take_along_axis(r_ab, at, axis=1)
-    word -= np.take_along_axis(r_b, at, axis=1)
+    at += (ab * width)[:, None]
+    word += np.take(flat, at)
+    at += ((b - ab) * width)[:, None]
+    word -= np.take(flat, at)
     return word
 
 
@@ -300,12 +344,17 @@ def difference_norms(a: PhaseShiftMatrix, b: PhaseShiftMatrix) -> tuple[float, f
 def _gap_norms(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Norms sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| over the last axis.
 
-    Works in place on one float array, since `defects` passes whole batches.
+    A gap matters only mod n, so the n chords 2 |sin(pi d / n)| are computed
+    once and gathered.  `np.take` wraps each gap into [0, n) by adding or
+    subtracting n, which is cheap because the callers' gaps lie in
+    (-2n, n).  Works in place on one float array, since `defects` passes
+    whole batches.
     """
-    chords = np.pi * (gaps % n)
-    chords /= n
-    np.abs(np.sin(chords, out=chords), out=chords)
-    chords *= 2.0
+    table = np.pi * np.arange(n)
+    table /= n
+    np.abs(np.sin(table, out=table), out=table)
+    table *= 2.0
+    chords = np.take(table, gaps, mode="wrap")
     op = np.max(chords, axis=-1)
     chords *= chords
     return np.sqrt(np.sum(chords, axis=-1)), op
@@ -343,107 +392,118 @@ def defects(
     (the rows of x*y, x and y, then sigma(x, y), then the bounds).  A size
     sharing a factor with the coefficient denominator gives NotCoprime
     throughout, or sigma(x, y)'s error where that fails.  The pair-only
-    work (x*y, sigma(x, y) and the specializations of x, y and x*y) is done
-    once; each size then runs the residue kernel on the rows of as many
-    pairs at a time as fit in BATCH_ENTRIES (all of them at the sizes the
-    sweep usually takes).  rho_n(x) rho_n(y) is gathered from the residues,
-    and the norms of rho_n(x*y) - rho_n(x) rho_n(y) come from the residue
-    gaps (see `difference_norms`), so no matrix is formed.  A measured norm
-    above its proven bound plus a 1e-9 slack gives BoundViolated; that
-    would falsify the construction, not the sample.
+    work is done once, for all pairs at once, on exact integer columns:
+    x*y (`MalcevGroup.multiply_columns`), sigma(x, y)
+    (`PolyCocycle.value_columns`) and the specializations of x, y and x*y
+    (`PolyCocycle.specialize_columns`).  Each size then runs the residue
+    kernel on the rows of as many pairs at a time as fit in BATCH_ENTRIES
+    (all of them at the sizes the sweep usually takes).  rho_n(x) rho_n(y)
+    is gathered from the residues, and the norms of
+    rho_n(x*y) - rho_n(x) rho_n(y) come from the residue gaps (see
+    `difference_norms`), so no matrix is formed.  The bounds are compared
+    as arrays.  A measured norm above its proven bound plus a 1e-9 slack
+    gives BoundViolated; that would falsify the construction, not the
+    sample.
     """
     group = sigma.group
+    m = group.hirsch
     den = sigma.poly.denominator_lcm()
     xs = [group.element(x) for x, _ in pairs]
     ys = [group.element(y) for _, y in pairs]
-    products = [group.multiply(x, y) for x, y in zip(xs, ys)]
-    values: list[int | NilstabError] = []
-    for x, y in zip(xs, ys):
-        try:
-            values.append(sigma(x, y))
-        except NilstabError as exc:
-            values.append(exc)
+    x = np.array(xs, dtype=object).reshape(-1, m)
+    y = np.array(ys, dtype=object).reshape(-1, m)
+    xy = np.stack(group.multiply_columns(list(x.T), list(y.T)), axis=1)
+    values, value_errors = sigma.value_columns(list(x.T), list(y.T))
     # Three rows per pair, in the order the checks run: x*y, x, y.
-    rows = [
-        (g, *sigma.specialize_first(g))
-        for triple in zip(products, xs, ys)
-        for g in triple
-    ]
+    rows = _rows(sigma, np.stack([xy, x, y], axis=1))
     table = []
     for n in sizes:
         step = max(1, BATCH_ENTRIES // (3 * (n + 1)))
-        out: list[DefectResult | NilstabError] = []
+        fro, op = np.empty(len(pairs)), np.empty(len(pairs))
+        failed: dict[int, NilstabError] = {}
         try:
             for start in range(0, len(pairs), step):
-                chunk = slice(3 * start, 3 * (start + step))
-                out += _defect_chunk(n, den, rows[chunk], values[start : start + step])
+                chunk = slice(start, start + step)
+                fro[chunk], op[chunk], errors = _defect_chunk(
+                    n, den, rows[3 * start : 3 * (start + step)]
+                )
+                for row in sorted(errors):
+                    failed.setdefault(start + row // 3, errors[row])
         except NotCoprime as exc:
-            out = [s if isinstance(s, NilstabError) else exc for s in values]
-        table.append(out)
+            table.append([value_errors.get(i, exc) for i in range(len(pairs))])
+            continue
+        for i, error in value_errors.items():
+            failed.setdefault(i, error)
+        table.append(_checked(n, xs, ys, values, fro, op, failed))
     return table
 
 
 def _defect_chunk(
-    n: int,
-    den: int,
-    rows: Sequence[tuple[Element, int, tuple[int, ...]]],
-    values: Sequence[int | NilstabError],
-) -> list[DefectResult | NilstabError]:
-    """`defects` at size n for consecutive pairs: one kernel call on their rows."""
+    n: int, den: int, rows: _Rows
+) -> tuple[np.ndarray, np.ndarray, dict[int, NilstabError]]:
+    """Norms of rho_n(x*y) - rho_n(x) rho_n(y) for consecutive pairs.
+
+    `rows` holds the kernel rows x*y, x and y of each pair; one kernel call
+    gives their residues.  Returns the Frobenius and operator norms and
+    the kernel's errors by row.
+    """
     residues, errors = _residue_rows(n, den, rows)
-    products, xs, ys = ([g for g, _, _ in rows[k::3]] for k in range(3))
-    if any((xy[0] - x[0] - y[0]) % n for x, y, xy in zip(xs, ys, products)):
+    firsts = (rows.elements[:, 0] % n).astype(np.int64)
+    xy_1, x_1, y_1 = firsts[0::3], firsts[1::3], firsts[2::3]
+    if np.any((xy_1 - x_1 - y_1) % n):
         raise ValueError(
             f"the group law does not add first coordinates mod {n}; the "
             f"defect is not a phase-shift matrix"
         )
-    rho_xy, rho_x, rho_y = (residues[k::3] for k in range(3))
-    # Column j of rho(x) rho(y) picks up rho(x)'s residue at j + y_1.
-    y_shifts = np.array([y[0] % n for y in ys], dtype=np.int64)
-    shifted = np.arange(n) + y_shifts[:, None]
-    shifted %= n
-    gaps = np.take_along_axis(rho_x, shifted, axis=1)
-    gaps += rho_y
-    np.subtract(rho_xy, gaps, out=gaps)
+    # Column j of rho(x) rho(y) picks up rho(x)'s residue at j + y_1,
+    # wrapped into [0, n) without a modulo, in the flat residues.
+    at = np.arange(n, dtype=np.int64) + y_1[:, None]
+    np.subtract(at, n, out=at, where=at >= n)
+    at += (np.arange(1, len(rows), 3) * residues.shape[1])[:, None]
+    gaps = np.take(residues.reshape(-1), at)
+    gaps += residues[2::3, :n]
+    np.subtract(residues[0::3, :n], gaps, out=gaps)
     # The batch is the largest array here; free it before the norms.
-    del residues, rho_xy, rho_x, rho_y, shifted
-    fros, ops = (norms.tolist() for norms in _gap_norms(gaps, n))
-    out: list[DefectResult | NilstabError] = []
-    for i, (x, y, s) in enumerate(zip(xs, ys, values)):
-        failed = [e for e in errors[3 * i : 3 * i + 3] if e is not None]
-        if failed:
-            out.append(failed[0])
-        elif isinstance(s, NilstabError):
-            out.append(s)
-        else:
-            out.append(_checked(n, x, y, s, fros[i], ops[i]))
-    return out
+    del residues, at
+    fro, op = _gap_norms(gaps, n)
+    return fro, op, errors
 
 
 def _checked(
-    n: int, x: Element, y: Element, s: int, fro: float, op: float
-) -> DefectResult | BoundViolated:
-    """The measured norms at (x, y) with their bounds, or the bound they exceed."""
-    fro_bound = 2 * math.pi * abs(s) / math.sqrt(n)
-    op_bound = 2 * math.pi * abs(s) / n
-    if fro > fro_bound + BOUND_SLACK:
-        return BoundViolated(
-            f"Frobenius defect {fro} exceeds bound {fro_bound} at ({x}, {y}), n={n}"
-        )
-    if op > op_bound + BOUND_SLACK:
-        return BoundViolated(
-            f"operator defect {op} exceeds bound {op_bound} at ({x}, {y}), n={n}"
-        )
-    return DefectResult(
-        n=n,
-        x=x,
-        y=y,
-        sigma_xy=s,
-        frobenius=fro,
-        frobenius_bound=fro_bound,
-        operator=op,
-        operator_bound=op_bound,
-    )
+    n: int,
+    xs: Sequence[Element],
+    ys: Sequence[Element],
+    values: np.ndarray,
+    fro: np.ndarray,
+    op: np.ndarray,
+    failed: dict[int, NilstabError],
+) -> list[DefectResult | NilstabError]:
+    """Each pair's measured norms with their bounds, or its error.
+
+    `failed` holds the pairs whose rows or sigma(x, y) failed; a pair
+    whose norm exceeds its bound gets BoundViolated, the Frobenius bound
+    checked first.
+    """
+    tau = 2 * math.pi * np.abs(values).astype(float)
+    fro_bound = tau / math.sqrt(n)
+    op_bound = tau / n
+    for label, measured, bound in (
+        ("Frobenius", fro, fro_bound),
+        ("operator", op, op_bound),
+    ):
+        for i in np.flatnonzero(measured > bound + BOUND_SLACK).tolist():
+            failed.setdefault(
+                i,
+                BoundViolated(
+                    f"{label} defect {float(measured[i])} exceeds bound "
+                    f"{float(bound[i])} at ({xs[i]}, {ys[i]}), n={n}"
+                ),
+            )
+    columns = (values, fro, fro_bound, op, op_bound)
+    return [
+        failed[i] if i in failed else DefectResult(n, x, y, *fields)
+        for i, (x, y, *fields) in enumerate(zip(xs, ys, *(c.tolist() for c in columns)))
+    ]
 
 
 def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> DefectResult:
@@ -480,18 +540,20 @@ def chi_scalar_check(
     x = group.element(x)
     y = group.element(y)
     xy = group.multiply(x, y)
-    rows = [(g, *sigma.specialize_first(g)) for g in (xy, x, y)]
-    residues, errors = _residue_rows(n, sigma.poly.denominator_lcm(), rows)
-    for error in errors:
-        if error is not None:
-            raise error
+    residues, errors = _residue_rows(
+        n, sigma.poly.denominator_lcm(), _rows(sigma, [xy, x, y])
+    )
+    if errors:
+        raise errors[min(errors)]
     shift = (xy[0] - x[0] - y[0]) % n
     if shift != 0:
         raise NotScalar(f"triple product shifts by {shift}")
-    r_xy, r_x, r_y = residues[:, None]
+    # Kernel rows 0, 2 and 1 hold x*y, y and x.
     (word,) = _residue_word(
-        r_xy, r_y, r_x, np.array([x[0] % n]), np.array([y[0] % n]), np.array([n])
+        residues, np.array([0]), np.array([2]), np.array([1]),
+        np.array([x[0] % n]), np.array([y[0] % n]), np.array([n]),
     )
+    word = word[:n]
     word %= n
     residue = sigma(x, y) % n
     expected = -residue % n

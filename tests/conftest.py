@@ -1,6 +1,6 @@
 """Shared helpers: a third boundary map, unitary factories, a witness parser,
-the pointwise promotion of a skinny cocycle, a Fraction specialization and
-the size-by-size exact winding pairing.
+the pointwise promotion of a skinny cocycle, a Fraction specialization, the
+pair-by-pair defect measurement and the size-by-size exact winding pairing.
 
 The helpers here are deliberately written against the public definitions
 rather than against library internals, so they can serve as oracles.
@@ -23,11 +23,25 @@ from nilstab.cohomology import (
     pair_cocycle_cycle,
     skinny_check,
 )
-from nilstab.errors import NotSkinny, PairingMismatch, TermOutOfRange
+from nilstab.errors import (
+    BoundViolated,
+    NilstabError,
+    NonIntegralValue,
+    NotCoprime,
+    NotSkinny,
+    PairingMismatch,
+    TermOutOfRange,
+)
 from nilstab.extensions import CentralExtension
 from nilstab.groups import Element, MalcevGroup
 from nilstab.obstruction import ORDERINGS, CertificateRun
-from nilstab.representation import build_rho
+from nilstab.representation import (
+    BOUND_SLACK,
+    DefectResult,
+    PhaseShiftMatrix,
+    build_rho,
+    difference_norms,
+)
 
 
 def boundary3(group: MalcevGroup, triples) -> Chain2:
@@ -70,6 +84,84 @@ def specialize_first_by_fractions(sigma: PolyCocycle, x) -> tuple[int, tuple[int
         int(by_degree.get(e, Fraction(0)) * den) for e in range(degree + 1)
     )
     return den, coeffs
+
+
+def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
+    """`representation.defects` pair by pair: the reference oracle.
+
+    Each pair is prepared on its own (`multiply`, sigma(x, y) and the
+    Fraction specialization of x*y, x and y), and each row's residues come
+    from Python-int values p(g, j) for j = 0..n, so neither the columnar
+    evaluation nor the residue kernel is used.  The norms compare x*y's
+    phase-shift matrix with the product of x's and y's (`compose`,
+    `difference_norms`).  A pair's entry is the first of: the size's
+    NotCoprime (after sigma(x, y)'s error), a row's NonIntegralValue or
+    periodicity NotCoprime in the order x*y, x, y, sigma(x, y)'s error, and
+    the Frobenius and then the operator BoundViolated, with `defects`'
+    messages.
+    """
+    group = sigma.group
+    den = sigma.poly.denominator_lcm()
+    prepared = []
+    for x, y in pairs:
+        x, y = group.element(x), group.element(y)
+        try:
+            s = sigma(x, y)
+        except NilstabError as exc:
+            s = exc
+        triple = (group.multiply(x, y), x, y)
+        rows = [(g, *specialize_first_by_fractions(sigma, g)) for g in triple]
+        prepared.append((x, y, s, rows))
+    table = []
+    for n in sizes:
+        out = []
+        for x, y, s, rows in prepared:
+            if math.gcd(n, den) != 1:
+                out.append(s if isinstance(s, NilstabError) else NotCoprime(
+                    f"n = {n} shares a factor with the coefficient denominator {den}"
+                ))
+                continue
+            matrices = []
+            for g, scale, coeffs in rows:
+                # scale * p(g, j) for j = 0..n, in Python ints.
+                j = np.arange(n + 1, dtype=object)
+                values = np.zeros(n + 1, dtype=object)
+                for c in reversed(coeffs):
+                    values = values * j + c
+                bad = np.flatnonzero(values % scale)
+                if bad.size:
+                    at = int(bad[0])
+                    matrices.append(NonIntegralValue(
+                        f"cocycle value {values[at]}/{scale} at ({g}, {at}) "
+                        f"is not an integer"
+                    ))
+                elif (values[n] // scale - values[0] // scale) % n:
+                    matrices.append(NotCoprime(
+                        f"exponent is not periodic mod {n}; denominators are incompatible"
+                    ))
+                else:
+                    residues = (values[:n] // scale % n).astype(np.int64)
+                    matrices.append(PhaseShiftMatrix(n, g[0], residues))
+            failed = [m for m in matrices if isinstance(m, NilstabError)]
+            if failed or isinstance(s, NilstabError):
+                out.append(failed[0] if failed else s)
+                continue
+            rho_xy, rho_x, rho_y = matrices
+            fro, op = difference_norms(rho_xy, rho_x.compose(rho_y))
+            fro_bound = 2 * math.pi * abs(s) / math.sqrt(n)
+            op_bound = 2 * math.pi * abs(s) / n
+            if fro > fro_bound + BOUND_SLACK:
+                out.append(BoundViolated(
+                    f"Frobenius defect {fro} exceeds bound {fro_bound} at ({x}, {y}), n={n}"
+                ))
+            elif op > op_bound + BOUND_SLACK:
+                out.append(BoundViolated(
+                    f"operator defect {op} exceeds bound {op_bound} at ({x}, {y}), n={n}"
+                ))
+            else:
+                out.append(DefectResult(n, x, y, s, fro, fro_bound, op, op_bound))
+        table.append(out)
+    return table
 
 
 def random_unitary_near_identity(

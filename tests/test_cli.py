@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.metadata
 import json
 
@@ -424,3 +425,67 @@ def test_sweep_writes_to_a_file(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert out.read_text().startswith("n,x,y,")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
+          "--n", "17,33,65,129", "--samples", "200", "--seed", "1"],
+         "4e5c67a054a26831990ae2213c119bc6fc3df8a83c8be31938dce3d855f688e7"),
+        (["--group", "lattice:2", "--cocycle", "builtin:z2_skinny",
+          "--n", "257,513,1023", "--samples", "20", "--seed", "1"],
+         "f9667ebb71226fc097999eec8e9b33cb74d8ff3c663483eb0a115b10e75925c3"),
+    ],
+    ids=["heisenberg", "lattice-dense"],
+)
+def test_benchmark_sweeps_print_the_pinned_csv(runner, args, digest):
+    # The SHA-256 of the CSV these sweeps printed before the sweep's
+    # per-pair work became columnar (x86-64, numpy 2.4): every row, sigma
+    # value and float repr is unchanged.
+    result = runner.invoke(main, ["sweep", *args])
+    assert result.exit_code == 0, everything(result)
+    assert _sha256(result.stdout) == digest
+    assert result.stderr == ""
+
+
+def test_failing_sweeps_keep_their_exit_codes_and_stderr(runner, monkeypatch):
+    # The all-skipped sweep, and a sweep whose second pair fails its
+    # Frobenius bound (inflated, as above), with their pinned outputs.
+    skipped = runner.invoke(
+        main,
+        ["sweep", "--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
+         "--samples", "2"],
+    )
+    assert skipped.exit_code == 1
+    assert _sha256(skipped.stdout) == (
+        "0f475b6d8621df797929df65263c126752a36fff0ef88774c7329ffb92f4b30b"
+    )
+    assert skipped.stderr == (
+        "error: no size in --n is coprime to the coefficient denominator 2\n"
+    )
+    real = representation._gap_norms
+
+    def inflated(gaps, n):
+        fro, op = real(gaps, n)
+        fro[1] += 1.0
+        return fro, op
+
+    monkeypatch.setattr(representation, "_gap_norms", inflated)
+    failed = runner.invoke(
+        main,
+        ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny",
+         "--n", "4,8", "--samples", "3"],
+    )
+    assert failed.exit_code == 1
+    assert _sha256(failed.stdout) == (
+        "6d9ad001080d562fe95787d4949429a504360da499beb5a2ee98d380043d4244"
+    )
+    assert failed.stderr == (
+        "error: Frobenius defect 1.0 exceeds bound 0.0 at ((-3, 3), (0, -2)), n=4\n"
+        "error: Frobenius defect 1.0 exceeds bound 0.0 at ((-3, 3), (0, -2)), n=8\n"
+    )

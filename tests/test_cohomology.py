@@ -7,6 +7,7 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +100,31 @@ rational_cocycles = st.dictionaries(
 def test_specialize_first_matches_the_fraction_oracle(sigma, x):
     # heisenberg_skinny's scale at x is 1 or 2 with the parity of x2.
     assert sigma.specialize_first(x) == specialize_first_by_fractions(sigma, x)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(st.just(heisenberg_skinny()), rational_cocycles),
+    st.lists(st.tuples(*[st.integers(-(2**70), 2**70)] * 4), min_size=1, max_size=8),
+)
+def test_columns_match_the_scalar_evaluation_past_int64(sigma, points):
+    # Rows (x1, x2, x3, y1) with coordinates up to 2^70, where any int64
+    # step would overflow: sigma's columns equal evaluate_int (its value
+    # or its error) and the specializations the Fraction oracle, row by row.
+    columns = [np.array(c, dtype=object) for c in zip(*points)]
+    values, errors = sigma.value_columns(columns[:3], columns[3:])
+    scales, coeffs = sigma.specialize_columns(columns[:3])
+    for i, point in enumerate(points):
+        try:
+            expected = sigma.poly.evaluate_int(point)
+        except NonIntegralValue as exc:
+            assert str(errors[i]) == str(exc)
+        else:
+            assert i not in errors
+            assert values[i] == expected and type(values[i]) is int
+        assert (scales[i], tuple(c[i] for c in coeffs)) == specialize_first_by_fractions(
+            sigma, point[:3]
+        )
 
 
 def test_kernel_cocycle_rejects_non_integer_values():

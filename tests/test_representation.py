@@ -10,9 +10,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import defects_by_pairs
 from nilstab.catalog import heisenberg3, heisenberg_skinny, z2_skinny
 from nilstab.cohomology import PolyCocycle
-from nilstab.errors import DimensionMismatch, NonIntegralValue, NotCoprime, NotScalar
+from nilstab.errors import (
+    DimensionMismatch,
+    NilstabError,
+    NonIntegralValue,
+    NotCoprime,
+    NotScalar,
+)
+from nilstab.extensions import central_extension, promoted_cocycle
 from nilstab.groups import lattice
 from nilstab.poly import MultiPoly, xy_variables
 from nilstab import representation
@@ -337,6 +345,81 @@ def test_defects_report_a_non_integral_row_and_keep_the_others():
         build_rho(sigma, 7, (1, 1))
 
 
+def assert_same_defects(table, oracle):
+    # Field for field, and errors by type and message.
+    assert len(table) == len(oracle)
+    for rows, expected in zip(table, oracle):
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            if isinstance(want, NilstabError):
+                assert type(row) is type(want)
+                assert str(row) == str(want)
+            else:
+                assert row == want
+
+
+def hirsch4_skinny() -> PolyCocycle:
+    return promoted_cocycle(central_extension(heisenberg3(), heisenberg_skinny()))
+
+
+@pytest.mark.parametrize(
+    "make_sigma, sizes",
+    [
+        (z2_skinny, (1, 2, 16, 257)),
+        (heisenberg_skinny, (16, 17, 33, 129)),
+        (hirsch4_skinny, (9, 25, 35, 127)),
+    ],
+    ids=["lattice2", "heisenberg3", "hirsch4"],
+)
+def test_defects_match_the_pair_by_pair_oracle(make_sigma, sizes):
+    # Sampled pairs, plus coordinates past int64 and y_1 < 0 and y_1 >= n;
+    # heisenberg_skinny (denominator 2) and the Hirsch-4 cocycle
+    # (denominator 6) mix several row scales, and sizes 16 and 9 share a
+    # factor with them.
+    sigma = make_sigma()
+    group = sigma.group
+    m = group.hirsch
+    rng = make_rng(43)
+    pairs = [(sample_coords(rng, m, 4), sample_coords(rng, m, 4)) for _ in range(30)]
+    pairs += [
+        ((2, -1, 4, 3)[:m], (y1, 3, -1, 5)[:m]) for y1 in (-200, 300, 10**12)
+    ]
+    pairs += [((-(2**70), 3 * 2**65, 7, -5)[:m], (2**66 + 1, -9, 2**70, 1)[:m])]
+    scales = {sigma.specialize_first(v)[0] for pair in pairs for v in pair}
+    assert len(scales) == (1 if m == 2 else 2 if m == 3 else 4)
+    table = defects(sigma, sizes, pairs)
+    assert_same_defects(table, defects_by_pairs(sigma, sizes, pairs))
+    kinds = {type(row) for rows in table for row in rows}
+    assert kinds == ({representation.DefectResult, NotCoprime} if m > 2
+                     else {representation.DefectResult})
+
+
+def test_defects_match_the_oracle_on_non_integral_rows():
+    # x2*y1/2 fails at x2 odd and j odd: rows and sigma(x, y) fail in
+    # several orders, and size 4 shares the factor 2.
+    poly = MultiPoly(xy_variables(2, 1), {(0, 1, 1): Fraction(1, 2)})
+    sigma = PolyCocycle(lattice(2), poly)
+    rng = make_rng(47)
+    pairs = [(sample_coords(rng, 2, 3), sample_coords(rng, 2, 3)) for _ in range(20)]
+    pairs += [((0, 2), (1, 0)), ((1, 1), (2, 1)), ((3, 4), (5, -2)), ((0, 1), (1, 0))]
+    table = defects(sigma, [7, 4, 9], pairs)
+    assert_same_defects(table, defects_by_pairs(sigma, [7, 4, 9], pairs))
+    kinds = {type(row) for row in table[0]}
+    assert kinds == {representation.DefectResult, NonIntegralValue}
+    assert {type(row) for row in table[1]} == {NotCoprime, NonIntegralValue}
+
+
+def test_defects_match_the_oracle_across_chunks():
+    # At n = 2^16 + 1 five pairs fill a kernel call, so twelve pairs take
+    # three calls.
+    sigma = heisenberg_skinny()
+    n = 2**16 + 1
+    assert BATCH_ENTRIES // (3 * (n + 1)) == 5
+    rng = make_rng(53)
+    pairs = [(sample_coords(rng, 3, 9), sample_coords(rng, 3, 9)) for _ in range(12)]
+    assert_same_defects(defects(sigma, [n], pairs), defects_by_pairs(sigma, [n], pairs))
+
+
 def test_defects_bound_their_memory_at_large_n(monkeypatch):
     # At n = 2^16 + 1 five pairs fill a kernel call, so 40 pairs take eight
     # calls, and the peak allocation stays near that of a 4-pair sweep
@@ -404,7 +487,7 @@ def test_chi_scalar_check_makes_one_kernel_call_and_no_products(monkeypatch):
     kernel = representation._residue_rows
 
     def recording(n, den, rows):
-        calls.append([g for g, _, _ in rows])
+        calls.append([tuple(g) for g in rows.elements])
         return kernel(n, den, rows)
 
     def refuse(*args):
