@@ -88,7 +88,7 @@ class PolyCocycle:
         Python int.
         """
         den, coeffs = self.poly.scaled_columns([*x, None], split=self.group.hirsch)
-        g = np.full(len(coeffs[0]), den, dtype=object)
+        g = den
         for c in coeffs:
             g = np.gcd(g, c)
         return den // g, [c // g for c in coeffs]
