@@ -20,11 +20,12 @@ Two paths compute the pairing, chosen by what is paired:
   with residues r_j mod n, so it lies in the convergence ball exactly when
   6 |centred(r_j)| < n, its log is diagonal with entries
   2 pi i centred(r_j) / n, and the winding is the Fraction
-  sum coef * sum_j centred(r_j) / n.  All sizes are paired in one pass:
-  one residue kernel call for the rows of every (size, support element)
-  pair, cut into consecutive chunks of sizes only where the padded rows
-  would pass BATCH_ENTRIES, and both orderings' residues come from those
-  rows by index arithmetic.  This works at any n that `build_rho` accepts.
+  sum coef * sum_j centred(r_j) / n.  The residues of each word are the
+  values mod n of one integer polynomial in the column, built once per
+  certificate from the support's rows.  When n divides its Newton
+  differences the word is a constant, which needs O(1) work per size;
+  only a word that is not constant mod n takes a residue kernel call.
+  This works at any n that `build_rho` accepts.
 - `winding_pairing` takes dense matrices: general families such as the
   perturbed representations of the null test, and the oracle that the
   exact path is tested against.  It checks the ball with SVD norms, and
@@ -56,7 +57,6 @@ from .cohomology import (
 )
 from .errors import (
     DimensionMismatch,
-    NilstabError,
     NotACycle,
     PairingMismatch,
     TermOutOfRange,
@@ -65,12 +65,11 @@ from .errors import (
 )
 from .groups import Element, MalcevGroup
 from .representation import (
-    BATCH_ENTRIES,
-    _residue_rows,
-    _residue_word,
-    _Rows,
+    _first_nonintegral,
+    _periodicity_error,
     _rows,
     _size_error,
+    _word,
     build_rho,
     frobenius_norm,
     operator_norm,
@@ -281,33 +280,6 @@ SIGN_CONVENTION = (
 )
 
 
-def _size_chunks(
-    n_list: Sequence[int], den: int, width: int
-) -> Iterator[list[int]]:
-    """Consecutive chunks of n_list for one kernel call each.
-
-    A chunk's width rows per size, padded to its largest size, fit in
-    BATCH_ENTRIES int64 entries; a size too big for that has a chunk of
-    its own.  The first size the kernel would refuse ends the chunks: its
-    error is raised once the chunks before it have been consumed.
-    """
-    chunk: list[int] = []
-    top = 0
-    for n in n_list:
-        error = _size_error(n, den)
-        if error is not None:
-            if chunk:
-                yield chunk
-            raise error
-        top = max(top, n)
-        if chunk and (len(chunk) + 1) * width * (top + 1) > BATCH_ENTRIES:
-            yield chunk
-            chunk, top = [], n
-        chunk.append(n)
-    if chunk:
-        yield chunk
-
-
 def _exact_runs(
     group: MalcevGroup, sigma: PolyCocycle, chain: Chain2, n_list: Sequence[int]
 ) -> Iterator[CertificateRun]:
@@ -320,99 +292,81 @@ def _exact_runs(
     the ball the series log is diagonal with entries
     2 pi i centred(r_j) / n, so the term adds coef * sum_j centred(r_j) / n.
 
-    The support, each term's a*b and the kernel rows of the support (one
-    columnar specialization, `representation._rows`) are computed once;
-    then one kernel call per chunk of sizes (see `_size_chunks`) gives the
-    residues of every (size, element) pair.
-    Runs come one size at a time, and each size raises its first failing
-    check: the kernel's row errors in support order, then per term the
-    shift and both orderings' ball tests.
+    The per-term work is done once: the support's rows (one columnar
+    specialization, `representation._rows`), each row's first non-integral
+    j, and per term and ordering the word polynomial w of
+    `representation._word`, whose residue at every column is w(t) mod n
+    for some t.  Per size the work is O(1): when n divides every Newton
+    difference of w the word is the constant centred(w(0)), with worst
+    index 0, margin n - 6 |c| and sum n c.  Only a word that is not
+    constant mod n takes a kernel call, on its one row.  Runs come one size
+    at a time, and each size raises its first failing check: the size's
+    own (`_size_error`), the rows' in support order (`_periodicity_error`),
+    then per term the shift and both orderings' ball tests.
     """
     support = chain.support(group)
     den = sigma.poly.denominator_lcm()
     rows = _rows(sigma, support)
+    firsts = _first_nonintegral(rows)
     at = {g: i for i, g in enumerate(support)}
-    terms = [
-        (coef, at[a], at[b], at[group.multiply(a, b)]) for coef, a, b in chain.terms
-    ]
-    for chunk in _size_chunks(n_list, den, len(rows)):
-        yield from _exact_chunk(chunk, den, rows, terms)
-
-
-def _exact_chunk(
-    sizes: list[int],
-    den: int,
-    rows: _Rows,
-    terms: list[tuple[int, int, int, int]],
-) -> Iterator[CertificateRun]:
-    """`_exact_runs` for one chunk of sizes: one kernel call on all their rows."""
-    count = len(rows)
-    residues, errors = _residue_rows(
-        [n for n in sizes for _ in range(count)],
-        den,
-        rows[np.tile(np.arange(count), len(sizes))],
-    )
-    n = np.array(sizes, dtype=np.int64)
-    half = (n[:, None] - 1) // 2
-    padding = np.arange(residues.shape[1]) >= n[:, None]
-    every = np.arange(len(sizes))
-    base = every * count  # the kernel row of each size's first support element
-    firsts = rows.elements[:, 0].tolist()
-    shifts = (rows.elements[:, :1] % n).astype(np.int64)
-    # Per term: the words' shift at each size, and per ordering the worst
-    # centred residue, its index and the sum of the centred residues.
-    checks = []
-    for _, a, b, ab in terms:
-        orderings = []
-        for x, y in ((a, b), (b, a)):
-            word = _residue_word(
-                residues, base + ab, base + y, base + x, shifts[x], shifts[y], n
-            )
-            # Centre in (-n/2, n/2]: (r + h) mod n - h with h = (n - 1) // 2.
-            word += half
-            word %= n[:, None]
-            word -= half
-            word[padding] = 0
-            worst = np.argmax(np.abs(word), axis=1)
-            orderings.append(
-                (word[every, worst].tolist(), worst.tolist(), word.sum(axis=1).tolist())
-            )
-        shift = [(firsts[ab] - firsts[a] - firsts[b]) % m for m in sizes]
-        checks.append((shift, orderings))
-    first_errors: dict[int, NilstabError] = {}
-    for row in sorted(errors):
-        first_errors.setdefault(row // count, errors[row])
-    for i, size in enumerate(sizes):
-        if i in first_errors:
-            raise first_errors[i]
-        margin = size
-        contributions = []
-        for index, ((coef, *_), (shift, orderings)) in enumerate(zip(terms, checks)):
-            if shift[i]:
+    # A row that is not integer valued fails every size, so the words are
+    # needed, and integral, only when every row is integer valued.
+    integral = all(first is None for first in firsts)
+    terms, words = [], []
+    for coef, a, b in chain.terms:
+        ab = group.multiply(a, b)
+        terms.append((coef, ab[0] - a[0] - b[0]))
+        if integral:
+            i, j, ij = at[a], at[b], at[ab]
+            words.append((_word(rows, ij, i, j), _word(rows, ij, j, i)))
+    for n in n_list:
+        error = _size_error(n, den) or _periodicity_error(rows, firsts, n)
+        if error is not None:
+            raise error
+        half = (n - 1) // 2
+        margin = n
+        sums = []
+        for index, ((coef, shift), orderings) in enumerate(zip(terms, words)):
+            if shift % n:
                 raise TermOutOfRange(
-                    f"term {index}: {ORDERINGS[0]} shifts by {shift[i]}",
+                    f"term {index}: {ORDERINGS[0]} shifts by {shift % n}",
                     term_index=index,
                 )
-            for (values, worst, _), label in zip(orderings, ORDERINGS):
-                term_margin = size - 6 * abs(values[i])
+            totals = []
+            for word, label in zip(orderings, ORDERINGS):
+                # Centre in (-n/2, n/2]: (r + h) mod n - h with h = (n - 1) // 2.
+                if word.is_constant(n):
+                    worst = 0
+                    value = (word.value + half) % n - half
+                    total = n * value
+                else:
+                    centred = word.residues(n)
+                    centred += half
+                    centred %= n
+                    centred -= half
+                    worst = int(np.argmax(np.abs(centred)))
+                    value = int(centred[worst])
+                    total = int(centred.sum())
+                term_margin = n - 6 * abs(value)
                 if term_margin <= 0:
                     raise TermOutOfRange(
-                        f"term {index}: {label} has residue {values[i]} mod {size} "
-                        f"at index {worst[i]}, outside the log's convergence ball "
+                        f"term {index}: {label} has residue {value} mod {n} "
+                        f"at index {worst}, outside the log's convergence ball "
                         f"(6|r| < n)",
                         term_index=index,
                     )
                 margin = min(margin, term_margin)
-            contributions.append(coef * Fraction(orderings[0][2][i], size))
-        winding = sum(contributions, Fraction(0))
+                totals.append(total)
+            sums.append(coef * totals[0])
+        winding = Fraction(sum(sums), n)
         yield CertificateRun(
-            n=size,
+            n=n,
             raw=float(winding),
             rounded=winding.numerator if winding.denominator == 1 else None,
             path="exact",
             winding=winding,
             margin=margin,
-            terms=tuple(contributions),
+            terms=tuple(Fraction(total, n) for total in sums),
         )
 
 
@@ -424,12 +378,12 @@ def certify_nonperturbability(
 ) -> CertificateReport:
     """Winding certificate: the family rho_n pairs to -<sigma, c> for each n.
 
-    Every pairing is exact, and all sizes are computed in one batched pass
-    (see `_exact_runs`); the runs keep the order and multiplicity of
+    Every pairing is exact, and each term's words are built once for all
+    sizes (see `_exact_runs`); the runs keep the order and multiplicity of
     n_list.  Raises NotACycle if the chain has a boundary, TorsionPairing
     if the cocycle pairs to zero (no obstruction to certify), and then the
-    first failing size's error: the residue kernel's (NotCoprime, a size
-    past `max_exact_size`, NonIntegralValue), TermOutOfRange if a log
+    first failing size's error: NotCoprime, a size past `max_exact_size`,
+    NonIntegralValue or a periodicity NotCoprime, TermOutOfRange if a log
     argument leaves the convergence ball, or PairingMismatch if the
     winding disagrees with the prediction.
     """

@@ -16,9 +16,13 @@ single int64 Horner pass over j = 0..n for a batch of rows, each with its
 own size and modulus.  It takes its rows as columns (`_Rows`: elements,
 scales and coefficient columns), which `PolyCocycle.specialize_columns`
 gives for any number of elements at once in exact Python-int columns.
-`build_rho` is its one-row case, the certificate runs it once for the
-rows of all its sizes, and `chi_scalar_check` forms its word from three
-rows by flat-index gathers (`_residue_word`), as the certificate does.
+`build_rho` is its one-row case.  The word rho(x*y) rho(y)* rho(x)* needs
+no residue table: its residues are the values mod n of one integer
+polynomial w in the column (`_word`), which is constant mod n exactly
+when n divides its Newton differences.  `chi_scalar_check` and the
+certificate prove their words that way, after checking that each row is
+well defined mod n (`_periodicity_error`), and run the kernel only on
+the one row of a word that is not constant.
 
 The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is a scalar
 chi_n(x, y)^{-1} = exp(-2 pi i p(x, y_1) / n) away from zero, giving the
@@ -265,43 +269,128 @@ def _residue_rows(
     return total, errors
 
 
-def _residue_word(
-    residues: np.ndarray,
-    ab: np.ndarray,
-    b: np.ndarray,
-    a: np.ndarray,
-    shift_a: np.ndarray,
-    shift_b: np.ndarray,
-    sizes: np.ndarray,
-) -> np.ndarray:
-    """Residues of the word rho(ab) rho(b)* rho(a)*, one row per word, unreduced.
+def _first_nonintegral(rows: _Rows) -> list[int | None]:
+    """Per row, the first j with p(x, j) not an integer, or None if there is none.
 
-    `residues` is the residue kernel's result; ab, b and a hold each
-    word's kernel rows, shift_a and shift_b the first coordinates of a and
-    b reduced mod the word's size.  When the word's shift is 0 it is
-    diagonal, with residue
-    r_ab[j - s_a - s_b] - r_b[j - s_a - s_b] - r_a[j - s_a] mod n at
-    column j; swapping a and b gives the ordering rho(ab) rho(a)* rho(b)*.
-    Every gather is one `np.take` on flat indices into the residues.  The
-    differences come back as they are, in (-2n, n), for the caller to
-    reduce mod n.  Columns j >= n are padding.
+    A polynomial of degree < width is integer valued exactly when its
+    Newton differences at 0 are integers, and the first j where p(x, j)
+    fails is the first k where the k-th difference fails, so j = 0..width-1
+    decide it.
     """
-    width = residues.shape[1]
-    flat = residues.reshape(-1)
-    n = sizes[:, None]
-    # Wrap j - s into [0, n) on the columns j < n without a modulo; on the
-    # padding the index only has to stay inside the row.
-    at = np.arange(width, dtype=np.int64) - shift_a[:, None]
-    np.add(at, n, out=at, where=at < 0)
-    word = np.take(flat, at + (a * width)[:, None])
-    np.negative(word, out=word)
-    at -= shift_b[:, None]
-    np.add(at, n, out=at, where=at < 0)
-    at += (ab * width)[:, None]
-    word += np.take(flat, at)
-    at += ((b - ab) * width)[:, None]
-    word -= np.take(flat, at)
-    return word
+    width = rows.coeffs.shape[1]
+    firsts = []
+    for scale, coeffs in zip(rows.scales.tolist(), rows.coeffs.tolist()):
+        firsts.append(
+            next((j for j in range(width) if _scaled(coeffs, j) % scale), None)
+        )
+    return firsts
+
+
+def _scaled(coeffs: Sequence[int], t: int) -> int:
+    """sum_e coeffs[e] t^e in Python ints: a row's scale * p(x, t)."""
+    total = 0
+    for c in reversed(coeffs):
+        total = total * t + c
+    return total
+
+
+def _periodicity_error(
+    rows: _Rows, firsts: Sequence[int | None], n: int
+) -> NonIntegralValue | NotCoprime | None:
+    """The first row whose residues are not well defined mod n, as its error.
+
+    `firsts` holds each row's first non-integral j (`_first_nonintegral`).
+    A row failing at some j <= n gets the kernel's NonIntegralValue.  A row
+    that is integer valued everywhere needs no check: scale * p(x, t) is
+    an integer polynomial, so it changes by a multiple of n from t to
+    t + n, and since its scale divides the denominator, which is coprime
+    to n, p(x, t + n) - p(x, t) is a multiple of n as well.  Only a row
+    integral just up to j = n remains: (p(x, t + n) - p(x, t)) / n has
+    degree < width, so t = 0..width-1 prove or refute that it is integer
+    valued, and the first failing t gives NotCoprime.  (Such a row always
+    fails: at t = first - n the difference is not even an integer.)
+    """
+    for i, first in enumerate(firsts):
+        if first is None:
+            continue
+        scale, coeffs = rows.scales[i], rows.coeffs[i].tolist()
+        x = tuple(rows.elements[i])
+        if first <= n:
+            return NonIntegralValue(
+                f"cocycle value {_scaled(coeffs, first)}/{scale} at ({x}, {first}) "
+                f"is not an integer"
+            )
+        for t in range(len(coeffs)):
+            step = _scaled(coeffs, t + n) - _scaled(coeffs, t)
+            if step % (scale * n):
+                return NotCoprime(
+                    f"exponent is not periodic mod {n}: (p(x, t + n) - p(x, t))/n = "
+                    f"{step}/{scale * n} at ({x}, {t}) is not an integer"
+                )
+    return None
+
+
+@dataclass(frozen=True)
+class _Word:
+    """The diagonal of rho(x*y) rho(y)* rho(x)* as a polynomial in the column.
+
+    With every row integer valued and periodic mod n, the word's residue at
+    column j is w(t) mod n at t = j - x_1 - y_1 mod n, for the integer
+    valued polynomial w(t) = p(x*y, t) - p(y, t) - p(x, t + y_1) (see
+    `_word`).  `value` is w(0) and `step` the gcd of the Newton differences
+    Delta^k w(0), k >= 1.  Since w(t) = sum_k Delta^k w(0) C(t, k), the
+    word is the constant w(0) mod n whenever n divides `step`.  `row` is w
+    as one kernel row, and `shift` is x_1 + y_1.
+    """
+
+    value: int
+    step: int
+    row: _Rows
+    shift: int
+
+    def is_constant(self, n: int) -> bool:
+        return self.step % n == 0
+
+    def residues(self, n: int) -> np.ndarray:
+        """The word's n residues mod n in column order: one kernel call on w."""
+        residues, errors = _residue_rows(n, int(self.row.scales[0]), self.row)
+        if errors:
+            raise errors[0]
+        return np.roll(residues[0, :n], self.shift % n)
+
+
+def _word(rows: _Rows, xy: int, x: int, y: int) -> _Word:
+    """The word rho(x*y) rho(y)* rho(x)* of the kernel rows xy, x and y.
+
+    Exact in Python ints.  Each row is p(g, t) = c_g(t) / s_g; over the
+    common scale s = lcm(s_xy, s_x, s_y), s * w(t) has the coefficients of
+    c_xy * s/s_xy - c_y * s/s_y - c_x(t + y_1) * s/s_x, with c_x(t + y_1)
+    expanded by the binomial theorem.  The rows must be integer valued.
+    """
+    scales = rows.scales.tolist()
+    coeffs = rows.coeffs.tolist()
+    y_1 = rows.elements[y, 0]
+    width = len(coeffs[x])
+    shifted = [
+        sum(math.comb(e, k) * c * y_1 ** (e - k) for e, c in enumerate(coeffs[x]) if e >= k)
+        for k in range(width)
+    ]
+    scale = math.lcm(scales[xy], scales[x], scales[y])
+    poly = [
+        (a * (scale // scales[xy]) - b * (scale // scales[y]) - c * (scale // scales[x]))
+        for a, b, c in zip(coeffs[xy], coeffs[y], shifted)
+    ]
+    values = [_scaled(poly, t) // scale for t in range(width)]
+    value, step = values[0], 0
+    for _ in range(width - 1):
+        values = [b - a for a, b in zip(values, values[1:])]
+        step = math.gcd(step, values[0])
+    row = _Rows(
+        rows.elements[x : x + 1],
+        np.array([scale], dtype=object),
+        np.array([poly], dtype=object),
+    )
+    return _Word(value, step, row, rows.elements[x, 0] + y_1)
 
 
 # ----------------------------------------------------------------------
@@ -535,33 +624,39 @@ def chi_scalar_check(
 
     The word is a shift-0 phase-shift matrix, and every residue must equal
     -sigma(x, y) mod n exactly; NotScalar names the first one that does not.
+    The rows of x*y, x and y are checked as the certificate checks its
+    rows (`_periodicity_error`), and the word is the polynomial of `_word`: a
+    constant word is proved from its Newton differences, and any other
+    word's residues take one kernel call.
     """
     group = sigma.group
     x = group.element(x)
     y = group.element(y)
     xy = group.multiply(x, y)
-    residues, errors = _residue_rows(
-        n, sigma.poly.denominator_lcm(), _rows(sigma, [xy, x, y])
-    )
-    if errors:
-        raise errors[min(errors)]
+    error = _size_error(n, sigma.poly.denominator_lcm())
+    if error is not None:
+        raise error
+    rows = _rows(sigma, [xy, x, y])
+    error = _periodicity_error(rows, _first_nonintegral(rows), n)
+    if error is not None:
+        raise error
     shift = (xy[0] - x[0] - y[0]) % n
     if shift != 0:
         raise NotScalar(f"triple product shifts by {shift}")
-    # Kernel rows 0, 2 and 1 hold x*y, y and x.
-    (word,) = _residue_word(
-        residues, np.array([0]), np.array([2]), np.array([1]),
-        np.array([x[0] % n]), np.array([y[0] % n]), np.array([n]),
-    )
-    word = word[:n]
-    word %= n
+    word = _word(rows, 0, 1, 2)
     residue = sigma(x, y) % n
     expected = -residue % n
-    off = np.flatnonzero(word != expected)
-    if off.size:
-        first = int(off[0])
+    if word.is_constant(n):
+        first, value = 0, word.value % n
+    else:
+        # A periodic word that is constant on one period has every
+        # difference divisible by n, so this one is off somewhere.
+        residues = word.residues(n)
+        first = int(np.flatnonzero(residues != expected)[0])
+        value = int(residues[first])
+    if value != expected:
         raise NotScalar(
-            f"diagonal entry {first} has residue {int(word[first])} mod {n}, "
+            f"diagonal entry {first} has residue {value} mod {n}, "
             f"expected {expected}",
             index=first,
         )

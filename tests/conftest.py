@@ -318,18 +318,45 @@ def extension_skinny_cocycle(ext: CentralExtension) -> KernelCocycle:
     )
 
 
+def _periodic_rho(sigma: PolyCocycle, n: int, g) -> PhaseShiftMatrix:
+    """`build_rho`, with the exponent proved periodic mod n.
+
+    `build_rho` only compares p(g, n) with p(g, 0).  Here, once the row is
+    integral at j <= n, (p(g, t + n) - p(g, t)) / n is evaluated in exact
+    integers at t = 0..deg, which decides whether it is integer valued;
+    the first t where it is not gives NotCoprime, with the message of
+    `certify_nonperturbability`.
+    """
+    try:
+        rho = build_rho(sigma, n, g)
+    except NotCoprime:
+        if math.gcd(n, sigma.poly.denominator_lcm()) != 1:
+            raise
+        rho = None  # build_rho's j = n spot check failed; the proof names t
+    scale, coeffs = specialize_first_by_fractions(sigma, g)
+    for t in range(len(coeffs)):
+        step = sum(c * ((t + n) ** e - t**e) for e, c in enumerate(coeffs))
+        if step % (scale * n):
+            raise NotCoprime(
+                f"exponent is not periodic mod {n}: (p(x, t + n) - p(x, t))/n = "
+                f"{step}/{scale * n} at ({g}, {t}) is not an integer"
+            )
+    return rho
+
+
 def exact_run_by_words(
     group: MalcevGroup, sigma: PolyCocycle, chain: Chain2, n: int
 ) -> CertificateRun:
     """The exact winding at one size, word by word: the reference oracle.
 
-    Builds each support element's phase-shift unitary with `build_rho`,
-    forms both orderings of every term with `compose` and `adjoint`, and
-    applies the ball test 6 |centred(r_j)| < n and the sum
+    Builds each support element's phase-shift unitary with `build_rho`
+    and proves its exponent periodic mod n (`_periodic_rho`), forms both
+    orderings of every term with `compose` and `adjoint`, and applies the
+    ball test 6 |centred(r_j)| < n and the sum
     coef * sum_j centred(r_j) / n to their residues, with the checks and
     messages of `certify_nonperturbability`.
     """
-    rho = {g: build_rho(sigma, n, g) for g in chain.support(group)}
+    rho = {g: _periodic_rho(sigma, n, g) for g in chain.support(group)}
     terms = []
     margin = n
     for index, (coef, a, b) in enumerate(chain.terms):

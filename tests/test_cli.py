@@ -453,6 +453,29 @@ def test_benchmark_sweeps_print_the_pinned_csv(runner, args, digest):
     assert result.stderr == ""
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
+          "--cycle", "builtin:heisenberg_c1",
+          "--n", ",".join(str(n) for n in range(17, 130, 2))],
+         "4fefdc6f799f5a99c234b81451151df6d9b88e8cbeda229099bd7c6dad260f8f"),
+        (["--group", "lattice:2", "--cocycle", "builtin:z2_skinny",
+          "--cycle", "builtin:voiculescu", "--n", "257,513,1023"],
+         "8d3f9e376f9c24e31abb708bb5396a61a2f915b885a41b3a1e4f219598d72b81"),
+    ],
+    ids=["heisenberg", "lattice-dense"],
+)
+def test_benchmark_certificates_print_the_pinned_json(runner, args, digest):
+    # The SHA-256 of the JSON these certificates printed when every size
+    # was paired through residue tables, before the closed form.  The
+    # JSON records the package version, so a version bump re-pins them.
+    result = runner.invoke(main, ["certify", *args])
+    assert result.exit_code == 0, everything(result)
+    assert _sha256(result.stdout) == digest
+    assert result.stderr == ""
+
+
 def test_failing_sweeps_keep_their_exit_codes_and_stderr(runner, monkeypatch):
     # The all-skipped sweep, and a sweep whose second pair fails its
     # Frobenius bound (inflated, as above), with their pinned outputs.

@@ -13,11 +13,12 @@ import pytest
 
 import nilstab
 from conftest import (
+    boundary3,
     certificate_runs_by_words,
     exact_expm,
     random_unitary_near_identity,
 )
-from nilstab import obstruction
+from nilstab import representation
 from nilstab.catalog import (
     character_representation,
     heisenberg3,
@@ -54,7 +55,7 @@ from nilstab.obstruction import (
     winding_pairing,
 )
 from nilstab.poly import MultiPoly, xy_variables
-from nilstab.representation import frobenius_norm, operator_norm
+from nilstab.representation import build_rho, frobenius_norm, operator_norm
 
 Z2 = lattice(2)
 H3 = heisenberg3()
@@ -356,8 +357,9 @@ def test_batched_certificate_raises_the_oracles_first_error():
     odd_row = Chain2.build([(1, (0, 2), (1, 1)), (-1, (1, 1), (0, 2))])
     voiculescu = voiculescu_cycle()
     # x2*(y1 + y1*(y1 - 1)/4) pairs to 1 with the Voiculescu cycle and is
-    # integral at j = 0, 1 but not at j = 2: size 1 (padded to 35 in the
-    # batch) still only checks j <= 1, and winds to 0 there.
+    # integral at j = 0, 1 but not at j = 2.  Size 1 checks integrality
+    # only at j <= 1, but p(x, t + 1) - p(x, t) is 3/2 at t = 1, so the
+    # exponent is not periodic mod 1.
     quarter = PolyCocycle(
         Z2,
         MultiPoly(
@@ -372,7 +374,7 @@ def test_batched_certificate_raises_the_oracles_first_error():
         (NonIntegralValue, Z2, half, odd_row, [17, 33]),
         # 18 * x2*y1 has residue -18 = -1 mod 17, inside the ball: winding -1.
         (PairingMismatch, Z2, z2_skinny().scale(18), voiculescu, [109, 17, 3]),
-        (PairingMismatch, Z2, quarter, voiculescu, [1, 35]),
+        (NotCoprime, Z2, quarter, voiculescu, [1, 35]),
         (NonIntegralValue, Z2, quarter, voiculescu, [35, 1]),
         (ValueError, Z2, z2_skinny(), voiculescu, [17, 3037000500]),
     ]
@@ -383,36 +385,89 @@ def test_batched_certificate_raises_the_oracles_first_error():
         assert batched[0] is expected, batched
 
 
-def test_certificate_sizes_share_kernel_calls_within_a_memory_bound(monkeypatch):
-    # Sizes are cut into consecutive chunks whose padded rows fit in
-    # BATCH_ENTRIES, so small sizes listed with 2^20 + 1 are not padded to
-    # it: the peak stays near that of the large size alone.
+@pytest.mark.parametrize(
+    "a, b, c, n, expected",
+    [
+        # A word that is not constant mod 17: the kernel fallback.
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), 17,
+         "term 4: rho(ab)rho(a)*rho(b)* has residue 8 mod 17 at index 7"),
+        # Constant mod 17 but not a constant polynomial: winds to -1.
+        ((1, 0, 0), (0, 17, 0), (0, 0, 1), 17, None),
+        ((1, 0, 0), (0, 17, 0), (0, 0, 1), 19,
+         "term 4: rho(ab)rho(a)*rho(b)* has residue -9 mod 19 at index 5"),
+    ],
+)
+def test_certificate_of_non_commuting_terms_matches_both_oracles(a, b, c, n, expected):
+    # heisenberg_c1 plus the boundary of [a|b|c] is a cycle whose terms
+    # multiply non-commuting elements, so their words are not all the
+    # constant -sigma(a, b).
+    chain = Chain2.build([*heisenberg_c1().terms, *boundary3(H3, [(1, a, b, c)]).terms])
+    sigma = heisenberg_skinny()
+    runs = _runs_or_error(_batched_runs, H3, sigma, chain, [n])
+    assert runs == _runs_or_error(certificate_runs_by_words, H3, sigma, chain, [n])
+    dense_rounded, dense_raw = _dense_outcome(H3, sigma, chain, n)
+    if expected is None:
+        (run,) = runs
+        assert (run.winding, run.margin) == (-1, 11)
+        assert dense_rounded == -1 and abs(dense_raw + 1) < 1e-9
+    else:
+        assert runs[0] is TermOutOfRange and runs[2] == 4
+        assert runs[1].startswith(expected)
+        assert dense_rounded == ("out of range", 4)
+
+
+def test_certificate_proves_the_exponent_periodic_where_the_spot_check_passes():
+    # The row of (0, 1) is t + 2*C(t, 3)/3, integral at t = 0..2 but 11/3
+    # at t = 3.  At n = 2 build_rho's check p(x, 2) = p(x, 0) mod 2 passes,
+    # but (p(x, t + 2) - p(x, t))/2 is 4/3 at t = 1: the certificate
+    # refuses the size.  At n = 5 the row fails at j = 3 <= n.
+    poly = MultiPoly(
+        xy_variables(2, 1),
+        {(0, 1, 1): Fraction(11, 9), (0, 1, 2): Fraction(-1, 3), (0, 1, 3): Fraction(1, 9)},
+    )
+    sigma = PolyCocycle(Z2, poly)
+    assert build_rho(sigma, 2, (0, 1)).residues.tolist() == [0, 1]
+    chain = voiculescu_cycle()
+    for n, error, message in [
+        (2, NotCoprime, "(p(x, t + n) - p(x, t))/n = 24/18 at ((0, 1), 1) is not an integer"),
+        (5, NonIntegralValue, "cocycle value 33/9 at ((0, 1), 3) is not an integer"),
+    ]:
+        with pytest.raises(error) as info:
+            certify_nonperturbability(Z2, sigma, chain, [n])
+        assert message in str(info.value)
+        assert _runs_or_error(certificate_runs_by_words, Z2, sigma, chain, [n]) == (
+            error, str(info.value), None
+        )
+
+
+def test_certificates_of_the_builtin_cycles_need_no_kernel_call(monkeypatch):
+    # Every word of the builtin cycles is constant mod n, so no residue is
+    # computed at any size, and the memory does not grow with n.
     big = 2**20 + 1
-    peaks = []
     for n_list in ([big], [17, 33, big]):
         tracemalloc.start()
         try:
             report = certify_nonperturbability(Z2, z2_skinny(), voiculescu_cycle(), n_list)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert [(run.n, run.rounded) for run in report.runs] == [(n, -1) for n in n_list]
-    assert peaks[1] < 1.5 * peaks[0]
+        assert peak < 1 << 20
     calls = []
-    kernel = obstruction._residue_rows
+    kernel = representation._residue_rows
 
     def recording(n, den, rows):
         calls.append(len(rows))
         return kernel(n, den, rows)
 
-    monkeypatch.setattr(obstruction, "_residue_rows", recording)
-    certify_nonperturbability(Z2, z2_skinny(), voiculescu_cycle(), [17, 33, big])
-    assert calls == [6, 3]
-    # The heisenberg benchmark's 57 sizes take one call.
-    calls.clear()
-    sizes = list(range(17, 130, 2))
-    certify_nonperturbability(H3, heisenberg_skinny(), heisenberg_c1(), sizes)
-    assert calls == [3 * len(sizes)]
+    monkeypatch.setattr(representation, "_residue_rows", recording)
+    for name, n_list in [
+        ("lattice:2", [17, 33, big]),
+        ("heisenberg3", list(range(17, 130, 2)) + [big]),
+        ("hirsch4", [25, 35, big]),
+    ]:
+        certify_nonperturbability(*CERTIFIED[name](), n_list)
+    assert calls == []
 
 
 def test_certificate_past_the_dense_cap():

@@ -480,9 +480,11 @@ def test_chi_scalar_check_names_the_first_entry_off_the_scalar():
     assert info.value.index == 1
 
 
-def test_chi_scalar_check_makes_one_kernel_call_and_no_products(monkeypatch):
-    # The word comes from the residue rows of x*y, x and y by index
-    # arithmetic, with no phase-shift products.
+def test_chi_scalar_check_proves_constant_words_without_the_kernel(monkeypatch):
+    # The word is a polynomial in the column built from the rows of x*y, x
+    # and y, with no phase-shift products.  Its Newton differences prove it
+    # constant mod n, so no residue is computed; the word that is not
+    # constant takes one kernel call, on its own row.
     calls = []
     kernel = representation._residue_rows
 
@@ -498,11 +500,33 @@ def test_chi_scalar_check_makes_one_kernel_call_and_no_products(monkeypatch):
     monkeypatch.setattr(PhaseShiftMatrix, "adjoint", refuse)
     sigma = heisenberg_skinny()
     chi = chi_scalar_check(sigma, 33, (1, 2, -3), (4, 0, 5))
-    assert calls == [[(5, 2, 10), (1, 2, -3), (4, 0, 5)]]
+    assert calls == []
     residue = sigma((1, 2, -3), (4, 0, 5)) % 33
     assert abs(chi.value - cmath.exp(2j * math.pi * residue / 33)) < 1e-13
     with pytest.raises(NotCoprime):
         chi_scalar_check(sigma, 32, (1, 2, -3), (4, 0, 5))
+    assert calls == []
+    not_a_cocycle = PolyCocycle(lattice(2), MultiPoly(xy_variables(2, 1), {(1, 0, 2): 1}))
+    with pytest.raises(NotScalar, match="diagonal entry 1 has residue"):
+        chi_scalar_check(not_a_cocycle, 16, (2, 0), (2, 0))
+    assert calls == [[(2, 0)]]
+
+
+def test_defects_are_the_chords_of_the_cocycle_value():
+    # The phase-shift word rho(x*y)^-1 rho(x) rho(y) is the scalar
+    # exp(2 pi i sigma(x, y) / n), so the defect is |1 - chi| times a
+    # unitary: 2 sqrt(n) |sin(pi sigma / n)| (Frobenius) and
+    # 2 |sin(pi sigma / n)| (operator).  The sweep prints the measured
+    # values; this checks them against the closed form.
+    sigma = heisenberg_skinny()
+    rng = make_rng(59)
+    pairs = [(sample_coords(rng, 3, 9), sample_coords(rng, 3, 9)) for _ in range(600)]
+    sizes = [17, 129, 1023]
+    for n, rows in zip(sizes, defects(sigma, sizes, pairs)):
+        for row in rows:
+            chord = 2 * abs(math.sin(math.pi * row.sigma_xy / n))
+            assert abs(row.frobenius - math.sqrt(n) * chord) <= 1e-10
+            assert abs(row.operator - chord) <= 1e-10
 
 
 # ----------------------------------------------------------------------
