@@ -23,7 +23,7 @@ from .extensions import (
     central_extension,
     promoted_cocycle,
 )
-from .groups import MalcevGroup, lattice, load_group
+from .groups import MalcevGroup, lattice, load_group, read_json_document
 from .poly import MultiPoly, xy_variables
 
 
@@ -134,16 +134,7 @@ def resolve_cocycle(source: str, group: MalcevGroup) -> PolyCocycle:
         if group != heisenberg3():
             raise ParseError("heisenberg_skinny lives on the group heisenberg3")
         return heisenberg_skinny()
-    import json
-
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{source}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return cocycle_from_document(group, doc)
+    return cocycle_from_document(group, read_json_document(source))
 
 
 def resolve_cycle(source: str, group: MalcevGroup) -> Chain2:
@@ -154,16 +145,7 @@ def resolve_cycle(source: str, group: MalcevGroup) -> Chain2:
     elif name == "heisenberg_c1":
         chain = heisenberg_c1()
     else:
-        import json
-
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"{source}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-        chain = Chain2.from_json(doc)
+        chain = Chain2.from_json(read_json_document(source))
     for _, a, b in chain.terms:
         if len(a) != group.hirsch or len(b) != group.hirsch:
             raise ParseError(

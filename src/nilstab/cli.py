@@ -173,8 +173,15 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     for n, rows in zip(n_list, defects(sigma, n_list, pairs)):
         for (x, y), text, row in zip(pairs, texts, rows):
             if isinstance(row, NotCoprime):
-                lines.append(f"{n},{text},{sigma(x, y)},,,,,skipped:not_coprime")
-            elif isinstance(row, NilstabError):
+                # A row refused at this size may pair with a failing sigma(x, y).
+                try:
+                    value = sigma(x, y)
+                except NilstabError as exc:
+                    row = exc
+                else:
+                    lines.append(f"{n},{text},{value},,,,,skipped:not_coprime")
+                    continue
+            if isinstance(row, NilstabError):
                 click.echo(f"error: {row}", err=True)
                 failed = True
             else:

@@ -276,14 +276,17 @@ def from_document(doc: Mapping) -> MalcevGroup:
     return group
 
 
+def read_json_document(path) -> object:
+    """The JSON document at path; ParseError names where invalid JSON breaks."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
+
+
 def load_group(path) -> MalcevGroup:
     """Read and validate a JSON group document from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return from_document(doc)
+    return from_document(read_json_document(path))

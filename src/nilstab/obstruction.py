@@ -66,9 +66,8 @@ from .errors import (
 from .groups import Element, MalcevGroup
 from .representation import (
     _first_nonintegral,
-    _periodicity_error,
+    _require_rows,
     _rows,
-    _size_error,
     _word,
     build_rho,
     frobenius_norm,
@@ -301,7 +300,7 @@ def _exact_runs(
     index 0, margin n - 6 |c| and sum n c.  Only a word that is not
     constant mod n takes a kernel call, on its one row.  Runs come one size
     at a time, and each size raises its first failing check: the size's
-    own (`_size_error`), the rows' in support order (`_periodicity_error`),
+    own (`_size_error`), the rows' in support order (`_periodicity_errors`),
     then per term the shift and both orderings' ball tests.
     """
     support = chain.support(group)
@@ -311,7 +310,7 @@ def _exact_runs(
     at = {g: i for i, g in enumerate(support)}
     # A row that is not integer valued fails every size, so the words are
     # needed, and integral, only when every row is integer valued.
-    integral = all(first is None for first in firsts)
+    integral = not firsts
     terms, words = [], []
     for coef, a, b in chain.terms:
         ab = group.multiply(a, b)
@@ -320,9 +319,7 @@ def _exact_runs(
             i, j, ij = at[a], at[b], at[ab]
             words.append((_word(rows, ij, i, j), _word(rows, ij, j, i)))
     for n in n_list:
-        error = _size_error(n, den) or _periodicity_error(rows, firsts, n)
-        if error is not None:
-            raise error
+        _require_rows(n, den, rows, firsts)
         half = (n - 1) // 2
         margin = n
         sums = []

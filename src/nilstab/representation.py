@@ -11,18 +11,21 @@ PhaseShiftMatrix stores the integer residues p(x, j) mod n, not the
 phases: products, adjoints and the scalar identity are exact residue
 arithmetic at any n up to `max_exact_size` (where int64 Horner steps
 stop fitting), and only `phases` and `to_dense` (capped at MAX_DENSE)
-touch floating point.  One private kernel computes every residue: a
-single int64 Horner pass over j = 0..n for a batch of rows, each with its
-own size and modulus.  It takes its rows as columns (`_Rows`: elements,
-scales and coefficient columns), which `PolyCocycle.specialize_columns`
-gives for any number of elements at once in exact Python-int columns.
-`build_rho` is its one-row case.  The word rho(x*y) rho(y)* rho(x)* needs
-no residue table: its residues are the values mod n of one integer
-polynomial w in the column (`_word`), which is constant mod n exactly
-when n divides its Newton differences.  `chi_scalar_check` and the
-certificate prove their words that way, after checking that each row is
-well defined mod n (`_periodicity_error`), and run the kernel only on
-the one row of a word that is not constant.
+touch floating point.  rho_n(x) is well defined only when its exponent
+p(x, j) matters only mod n, and one proof decides that for every caller:
+each row p(x, .) has its first non-integral j found once
+(`_first_nonintegral`), and `_periodicity_errors` turns that into the
+row's NonIntegralValue or NotCoprime at a given n.  One private kernel
+computes the residues of the rows that pass: a single int64 Horner pass
+over j = 0..n-1 for a batch of rows at one size.  It takes its rows as
+columns (`_Rows`: elements, scales and coefficient columns), which
+`PolyCocycle.specialize_columns` gives for any number of elements at once
+in exact Python-int columns.  `build_rho` is its one-row case.  The word
+rho(x*y) rho(y)* rho(x)* needs no residue table: its residues are the
+values mod n of one integer polynomial w in the column (`_word`), which
+is constant mod n exactly when n divides its Newton differences.
+`chi_scalar_check` and the certificate prove their words that way, and
+run the kernel only on the one row of a word that is not constant.
 
 The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is a scalar
 chi_n(x, y)^{-1} = exp(-2 pi i p(x, y_1) / n) away from zero, giving the
@@ -137,14 +140,15 @@ def max_exact_size(den: int = 1) -> int:
 def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     """The phase-shift unitary representing x at matrix size n.
 
-    The one-row case of the residue kernel that `defects` runs on a whole
-    batch; it raises that row's NonIntegralValue or NotCoprime.
+    Raises the size's error (`_size_error`), or the row's NonIntegralValue
+    or NotCoprime if its exponent is not well defined mod n
+    (`_periodicity_errors`); otherwise one kernel call gives the residues.
     """
     x = sigma.group.element(x)
-    residues, errors = _residue_rows(n, sigma.poly.denominator_lcm(), _rows(sigma, [x]))
-    if errors:
-        raise errors[0]
-    return PhaseShiftMatrix(n, x[0], residues[0, :n])
+    den = sigma.poly.denominator_lcm()
+    rows = _rows(sigma, [x])
+    _require_rows(n, den, rows, _first_nonintegral(rows))
+    return PhaseShiftMatrix(n, x[0], _residue_rows(n, den, rows)[0])
 
 
 def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
@@ -192,98 +196,59 @@ def _rows(sigma: PolyCocycle, elements) -> _Rows:
     return _Rows(elements, scales, np.stack(coeffs, axis=1))
 
 
-def _residue_rows(
-    n: int | Sequence[int], den: int, rows: _Rows
-) -> tuple[np.ndarray, dict[int, NilstabError]]:
-    """Residues p(x, j) mod n for j = 0..n, one row per kernel row (see `_Rows`).
+def _residue_rows(n: int, den: int, rows: _Rows) -> np.ndarray:
+    """Residues p(x, j) mod n for j = 0..n-1, one row per kernel row (`_Rows`).
 
-    `n` is one size for every row, or a list with one size per row.  The
-    result is a contiguous int64 array with N + 1 columns for the largest
-    size N: in a row of size n, column j holds p(x, j) mod n for j <= n
-    (column n repeats column 0), and the columns past n are padding.  Each
-    call builds its int64 table of coefficients mod scale * n with one
-    array `%` on the Python ints; then one int64 Horner pass evaluates
-    every row's scale * p(x, j) mod scale * n over j = 0..N, in place.  It
-    reduces at the last step and wherever the next step could pass int64;
-    reduced at every step, the values stay below den * N * (N + 1), which
-    `max_exact_size(den)` keeps in int64.  A row's values must be divisible
-    by its scale (integer cocycle values) and must repeat at j = n what
-    they were at j = 0; the rows that fail come back by row index with
-    their NonIntegralValue or NotCoprime, and the other rows are still
-    computed.  Every size must be coprime to den, the coefficient
-    denominator, and at most `max_exact_size(den)`; the first size that is
-    not raises.
+    The size n must be coprime to den, the coefficient denominator, and
+    at most `max_exact_size(den)`; a size that is not raises.  A row's
+    residues mean something only when it is integer valued and periodic
+    mod n, which callers check first (`_periodicity_errors`).  One array
+    `%` on the Python ints gives the int64 table of coefficients mod
+    scale * n; then one int64 Horner pass evaluates every row's
+    scale * p(x, j) mod scale * n over j = 0..n-1, in place.  It reduces
+    at the last step and wherever the next step could pass int64; reduced
+    at every step, the values stay below den * n * n, which
+    `max_exact_size(den)` keeps in int64.  Returns a contiguous int64
+    array of n columns.
     """
-    sizes = list(n) if isinstance(n, Sequence) else [n]
-    for size in dict.fromkeys(sizes):
-        error = _size_error(size, den)
-        if error is not None:
-            raise error
-    top = max(sizes, default=1)
-    # One size per row, or one (1, 1) size that broadcasts over the rows.
-    sizes = np.array(sizes, dtype=np.int64)[:, None]
+    error = _size_error(n, den)
+    if error is not None:
+        raise error
     scales = rows.scales.astype(np.int64)[:, None]
-    moduli = scales * sizes
+    moduli = scales * n
     table = (rows.coeffs % moduli).astype(np.int64)
-    width = table.shape[1]
-    j = np.arange(top + 1, dtype=np.int64)
-    total = np.repeat(table[:, -1:], top + 1, axis=1)
+    j = np.arange(n, dtype=np.int64)
+    total = np.repeat(table[:, -1:], n, axis=1)
     # Reduce only at the last step, or where the next step could leave
     # int64: every value stays below `bound`.
     modulus = int(moduli.max(initial=1))
     bound = modulus
-    for e in range(width - 2, -1, -1):
+    for e in range(table.shape[1] - 2, -1, -1):
         total *= j
         total += table[:, e : e + 1]
-        bound = bound * top + modulus
-        if e == 0 or bound * top + modulus > INT64_MAX:
+        bound = bound * n + modulus
+        if e == 0 or bound * n + modulus > INT64_MAX:
             total %= moduli
             bound = modulus
-    errors: dict[int, NilstabError] = {}
-    # A polynomial of degree < width that is integral at j = 0..width-1 is
-    # integral at every integer (its Newton coefficients are integers), so
-    # the first width columns within j <= n decide integrality on all of
-    # j = 0..n and hold the first failing j.
-    fractional = total[:, :width] % scales
-    fractional *= j[:width] <= sizes
-    for i in np.flatnonzero(fractional.any(axis=1)).tolist():
-        at = int(np.flatnonzero(fractional[i])[0])
-        value = sum(c * at**e for e, c in enumerate(rows.coeffs[i]))
-        errors[i] = NonIntegralValue(
-            f"cocycle value {value}/{rows.scales[i]} at ({tuple(rows.elements[i])}, "
-            f"{at}) is not an integer"
-        )
     if scales.max(initial=1) > 1:
         total //= scales  # now the residues p(x, j) mod n
-    # Well-definedness spot check: the exponent must only matter mod n.
-    row_sizes = moduli[:, 0] // scales[:, 0]
-    ends = total[np.arange(len(rows)), row_sizes]
-    for i in np.flatnonzero(ends != total[:, 0]).tolist():
-        errors.setdefault(
-            i,
-            NotCoprime(
-                f"exponent is not periodic mod {row_sizes[i]}; denominators are "
-                f"incompatible"
-            ),
-        )
-    return total, errors
+    return total
 
 
-def _first_nonintegral(rows: _Rows) -> list[int | None]:
-    """Per row, the first j with p(x, j) not an integer, or None if there is none.
+def _first_nonintegral(rows: _Rows) -> dict[int, int]:
+    """The rows that are not integer valued, each with its first non-integral j.
 
     A polynomial of degree < width is integer valued exactly when its
     Newton differences at 0 are integers, and the first j where p(x, j)
     fails is the first k where the k-th difference fails, so j = 0..width-1
-    decide it.
+    decide it.  One product with the Vandermonde matrix, in Python ints,
+    gives every row's scale * p(x, t) at t = 0..width-1.
     """
     width = rows.coeffs.shape[1]
-    firsts = []
-    for scale, coeffs in zip(rows.scales.tolist(), rows.coeffs.tolist()):
-        firsts.append(
-            next((j for j in range(width) if _scaled(coeffs, j) % scale), None)
-        )
-    return firsts
+    powers = np.vander(np.arange(width, dtype=object), increasing=True)
+    fractional = (rows.coeffs @ powers.T % rows.scales[:, None]).astype(bool)
+    failing = np.flatnonzero(fractional.any(axis=1)).tolist()
+    return {i: int(fractional[i].argmax()) for i in failing}
 
 
 def _scaled(coeffs: Sequence[int], t: int) -> int:
@@ -294,40 +259,51 @@ def _scaled(coeffs: Sequence[int], t: int) -> int:
     return total
 
 
-def _periodicity_error(
-    rows: _Rows, firsts: Sequence[int | None], n: int
-) -> NonIntegralValue | NotCoprime | None:
-    """The first row whose residues are not well defined mod n, as its error.
+def _periodicity_errors(
+    rows: _Rows, firsts: dict[int, int], n: int
+) -> dict[int, NonIntegralValue | NotCoprime]:
+    """The rows whose residues are not well defined mod n, each with its error.
 
-    `firsts` holds each row's first non-integral j (`_first_nonintegral`).
-    A row failing at some j <= n gets the kernel's NonIntegralValue.  A row
-    that is integer valued everywhere needs no check: scale * p(x, t) is
-    an integer polynomial, so it changes by a multiple of n from t to
-    t + n, and since its scale divides the denominator, which is coprime
-    to n, p(x, t + n) - p(x, t) is a multiple of n as well.  Only a row
-    integral just up to j = n remains: (p(x, t + n) - p(x, t)) / n has
-    degree < width, so t = 0..width-1 prove or refute that it is integer
-    valued, and the first failing t gives NotCoprime.  (Such a row always
-    fails: at t = first - n the difference is not even an integer.)
+    `firsts` holds each failing row's first non-integral j
+    (`_first_nonintegral`), and rows missing from it need no check:
+    scale * p(x, t) is an integer polynomial, so it changes by a multiple
+    of n from t to t + n, and since the scale divides the denominator,
+    which is coprime to n, p(x, t + n) - p(x, t) is a multiple of n as
+    well.  A row failing at some j <= n gets NonIntegralValue.  For a row
+    integral just up to j = n, (p(x, t + n) - p(x, t)) / n has degree
+    < width, so t = 0..width-1 prove or refute that it is integer valued,
+    and the first failing t gives NotCoprime.  (Such a row always fails:
+    at t = first - n the difference is not even an integer.)  The errors
+    come in row order.
     """
-    for i, first in enumerate(firsts):
-        if first is None:
-            continue
+    errors: dict[int, NonIntegralValue | NotCoprime] = {}
+    for i, first in firsts.items():
         scale, coeffs = rows.scales[i], rows.coeffs[i].tolist()
         x = tuple(rows.elements[i])
         if first <= n:
-            return NonIntegralValue(
+            errors[i] = NonIntegralValue(
                 f"cocycle value {_scaled(coeffs, first)}/{scale} at ({x}, {first}) "
                 f"is not an integer"
             )
+            continue
         for t in range(len(coeffs)):
             step = _scaled(coeffs, t + n) - _scaled(coeffs, t)
             if step % (scale * n):
-                return NotCoprime(
+                errors[i] = NotCoprime(
                     f"exponent is not periodic mod {n}: (p(x, t + n) - p(x, t))/n = "
                     f"{step}/{scale * n} at ({x}, {t}) is not an integer"
                 )
-    return None
+                break
+    return errors
+
+
+def _require_rows(n: int, den: int, rows: _Rows, firsts: dict[int, int]) -> None:
+    """Raise the size's error, else the first row's `_periodicity_errors` entry."""
+    error = _size_error(n, den) or next(
+        iter(_periodicity_errors(rows, firsts, n).values()), None
+    )
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True)
@@ -353,10 +329,8 @@ class _Word:
 
     def residues(self, n: int) -> np.ndarray:
         """The word's n residues mod n in column order: one kernel call on w."""
-        residues, errors = _residue_rows(n, int(self.row.scales[0]), self.row)
-        if errors:
-            raise errors[0]
-        return np.roll(residues[0, :n], self.shift % n)
+        residues = _residue_rows(n, int(self.row.scales[0]), self.row)
+        return np.roll(residues[0], self.shift % n)
 
 
 def _word(rows: _Rows, xy: int, x: int, y: int) -> _Word:
@@ -462,10 +436,9 @@ class DefectResult:
 
 
 BOUND_SLACK = 1e-9
-# int64 entries per residue-kernel call (3 rows of n + 1 per pair):
-# `defects` splits a size's pairs into chunks that fit, so its memory does
-# not grow with the sample count at large n (one pair per call from
-# n = 174,762 on).
+# int64 entries per residue-kernel call (3 rows of n per pair): `defects`
+# splits a size's pairs into chunks that fit, so its memory does not grow
+# with the sample count at large n (one pair per call from n = 174,763 on).
 BATCH_ENTRIES = 1 << 20
 
 
@@ -483,16 +456,17 @@ def defects(
     throughout, or sigma(x, y)'s error where that fails.  The pair-only
     work is done once, for all pairs at once, on exact integer columns:
     x*y (`MalcevGroup.multiply_columns`), sigma(x, y)
-    (`PolyCocycle.value_columns`) and the specializations of x, y and x*y
-    (`PolyCocycle.specialize_columns`).  Each size then runs the residue
-    kernel on the rows of as many pairs at a time as fit in BATCH_ENTRIES
-    (all of them at the sizes the sweep usually takes).  rho_n(x) rho_n(y)
-    is gathered from the residues, and the norms of
-    rho_n(x*y) - rho_n(x) rho_n(y) come from the residue gaps (see
-    `difference_norms`), so no matrix is formed.  The bounds are compared
-    as arrays.  A measured norm above its proven bound plus a 1e-9 slack
-    gives BoundViolated; that would falsify the construction, not the
-    sample.
+    (`PolyCocycle.value_columns`), the specializations of x, y and x*y
+    (`PolyCocycle.specialize_columns`) and each row's first non-integral
+    j (`_first_nonintegral`).  Each size then proves its rows well defined
+    mod n (`_periodicity_errors`) and runs the residue kernel on the rows
+    of as many pairs at a time as fit in BATCH_ENTRIES (all of them at the
+    sizes the sweep usually takes).  rho_n(x) rho_n(y) is gathered from
+    the residues, and the norms of rho_n(x*y) - rho_n(x) rho_n(y) come
+    from the residue gaps (see `difference_norms`), so no matrix is
+    formed.  The bounds are compared as arrays.  A measured norm above its
+    proven bound plus a 1e-9 slack gives BoundViolated; that would falsify
+    the construction, not the sample.
     """
     group = sigma.group
     m = group.hirsch
@@ -505,40 +479,41 @@ def defects(
     values, value_errors = sigma.value_columns(list(x.T), list(y.T))
     # Three rows per pair, in the order the checks run: x*y, x, y.
     rows = _rows(sigma, np.stack([xy, x, y], axis=1))
+    firsts = _first_nonintegral(rows)
     table = []
     for n in sizes:
-        step = max(1, BATCH_ENTRIES // (3 * (n + 1)))
-        fro, op = np.empty(len(pairs)), np.empty(len(pairs))
-        failed: dict[int, NilstabError] = {}
-        try:
-            for start in range(0, len(pairs), step):
-                chunk = slice(start, start + step)
-                fro[chunk], op[chunk], errors = _defect_chunk(
-                    n, den, rows[3 * start : 3 * (start + step)]
-                )
-                for row in sorted(errors):
-                    failed.setdefault(start + row // 3, errors[row])
-        except NotCoprime as exc:
-            table.append([value_errors.get(i, exc) for i in range(len(pairs))])
+        error = _size_error(n, den)
+        if isinstance(error, NotCoprime):
+            table.append([value_errors.get(i, error) for i in range(len(pairs))])
             continue
-        for i, error in value_errors.items():
-            failed.setdefault(i, error)
+        if error is not None:
+            raise error
+        failed: dict[int, NilstabError] = {}
+        for row, row_error in _periodicity_errors(rows, firsts, n).items():
+            failed.setdefault(row // 3, row_error)
+        for i, value_error in value_errors.items():
+            failed.setdefault(i, value_error)
+        step = max(1, BATCH_ENTRIES // (3 * n))
+        fro, op = np.empty(len(pairs)), np.empty(len(pairs))
+        for start in range(0, len(pairs), step):
+            chunk = slice(start, start + step)
+            batch = rows[3 * start : 3 * (start + step)]
+            fro[chunk], op[chunk] = _defect_chunk(n, den, batch)
         table.append(_checked(n, xs, ys, values, fro, op, failed))
     return table
 
 
-def _defect_chunk(
-    n: int, den: int, rows: _Rows
-) -> tuple[np.ndarray, np.ndarray, dict[int, NilstabError]]:
+def _defect_chunk(n: int, den: int, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
     """Norms of rho_n(x*y) - rho_n(x) rho_n(y) for consecutive pairs.
 
     `rows` holds the kernel rows x*y, x and y of each pair; one kernel call
-    gives their residues.  Returns the Frobenius and operator norms and
-    the kernel's errors by row.
+    gives their residues.  Returns the Frobenius and operator norms.  A
+    pair with a row that is not well defined mod n gets meaningless norms,
+    which `defects` replaces by the row's error.
     """
-    residues, errors = _residue_rows(n, den, rows)
-    firsts = (rows.elements[:, 0] % n).astype(np.int64)
-    xy_1, x_1, y_1 = firsts[0::3], firsts[1::3], firsts[2::3]
+    residues = _residue_rows(n, den, rows)
+    shifts = (rows.elements[:, 0] % n).astype(np.int64)
+    xy_1, x_1, y_1 = shifts[0::3], shifts[1::3], shifts[2::3]
     if np.any((xy_1 - x_1 - y_1) % n):
         raise ValueError(
             f"the group law does not add first coordinates mod {n}; the "
@@ -548,14 +523,13 @@ def _defect_chunk(
     # wrapped into [0, n) without a modulo, in the flat residues.
     at = np.arange(n, dtype=np.int64) + y_1[:, None]
     np.subtract(at, n, out=at, where=at >= n)
-    at += (np.arange(1, len(rows), 3) * residues.shape[1])[:, None]
+    at += (np.arange(1, len(rows), 3) * n)[:, None]
     gaps = np.take(residues.reshape(-1), at)
-    gaps += residues[2::3, :n]
-    np.subtract(residues[0::3, :n], gaps, out=gaps)
+    gaps += residues[2::3]
+    np.subtract(residues[0::3], gaps, out=gaps)
     # The batch is the largest array here; free it before the norms.
     del residues, at
-    fro, op = _gap_norms(gaps, n)
-    return fro, op, errors
+    return _gap_norms(gaps, n)
 
 
 def _checked(
@@ -625,7 +599,7 @@ def chi_scalar_check(
     The word is a shift-0 phase-shift matrix, and every residue must equal
     -sigma(x, y) mod n exactly; NotScalar names the first one that does not.
     The rows of x*y, x and y are checked as the certificate checks its
-    rows (`_periodicity_error`), and the word is the polynomial of `_word`: a
+    rows (`_periodicity_errors`), and the word is the polynomial of `_word`: a
     constant word is proved from its Newton differences, and any other
     word's residues take one kernel call.
     """
@@ -633,13 +607,8 @@ def chi_scalar_check(
     x = group.element(x)
     y = group.element(y)
     xy = group.multiply(x, y)
-    error = _size_error(n, sigma.poly.denominator_lcm())
-    if error is not None:
-        raise error
     rows = _rows(sigma, [xy, x, y])
-    error = _periodicity_error(rows, _first_nonintegral(rows), n)
-    if error is not None:
-        raise error
+    _require_rows(n, sigma.poly.denominator_lcm(), rows, _first_nonintegral(rows))
     shift = (xy[0] - x[0] - y[0]) % n
     if shift != 0:
         raise NotScalar(f"triple product shifts by {shift}")

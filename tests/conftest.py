@@ -92,13 +92,14 @@ def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
     Each pair is prepared on its own (`multiply`, sigma(x, y) and the
     Fraction specialization of x*y, x and y), and each row's residues come
     from Python-int values p(g, j) for j = 0..n, so neither the columnar
-    evaluation nor the residue kernel is used.  The norms compare x*y's
-    phase-shift matrix with the product of x's and y's (`compose`,
-    `difference_norms`).  A pair's entry is the first of: the size's
-    NotCoprime (after sigma(x, y)'s error), a row's NonIntegralValue or
-    periodicity NotCoprime in the order x*y, x, y, sigma(x, y)'s error, and
-    the Frobenius and then the operator BoundViolated, with `defects`'
-    messages.
+    evaluation nor the residue kernel is used.  A row integral at j <= n
+    is proved periodic mod n by `_periodicity_refutation`.  The norms
+    compare x*y's phase-shift matrix with the product of x's and y's
+    (`compose`, `difference_norms`).  A pair's entry is the first of: the
+    size's NotCoprime (after sigma(x, y)'s error), a row's
+    NonIntegralValue or periodicity NotCoprime in the order x*y, x, y,
+    sigma(x, y)'s error, and the Frobenius and then the operator
+    BoundViolated, with `defects`' messages.
     """
     group = sigma.group
     den = sigma.poly.denominator_lcm()
@@ -135,13 +136,13 @@ def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
                         f"cocycle value {values[at]}/{scale} at ({g}, {at}) "
                         f"is not an integer"
                     ))
-                elif (values[n] // scale - values[0] // scale) % n:
-                    matrices.append(NotCoprime(
-                        f"exponent is not periodic mod {n}; denominators are incompatible"
-                    ))
-                else:
-                    residues = (values[:n] // scale % n).astype(np.int64)
-                    matrices.append(PhaseShiftMatrix(n, g[0], residues))
+                    continue
+                refutation = _periodicity_refutation(g, scale, coeffs, n)
+                if refutation is not None:
+                    matrices.append(refutation)
+                    continue
+                residues = (values[:n] // scale % n).astype(np.int64)
+                matrices.append(PhaseShiftMatrix(n, g[0], residues))
             failed = [m for m in matrices if isinstance(m, NilstabError)]
             if failed or isinstance(s, NilstabError):
                 out.append(failed[0] if failed else s)
@@ -318,29 +319,35 @@ def extension_skinny_cocycle(ext: CentralExtension) -> KernelCocycle:
     )
 
 
-def _periodic_rho(sigma: PolyCocycle, n: int, g) -> PhaseShiftMatrix:
-    """`build_rho`, with the exponent proved periodic mod n.
+def _periodicity_refutation(g, scale: int, coeffs, n: int) -> NotCoprime | None:
+    """NotCoprime if p(g, t) = sum(c_e t^e)/scale is not periodic mod n, else None.
 
-    `build_rho` only compares p(g, n) with p(g, 0).  Here, once the row is
-    integral at j <= n, (p(g, t + n) - p(g, t)) / n is evaluated in exact
-    integers at t = 0..deg, which decides whether it is integer valued;
-    the first t where it is not gives NotCoprime, with the message of
-    `certify_nonperturbability`.
+    (p(g, t + n) - p(g, t)) / n has degree <= deg, so its exact values at
+    t = 0..deg decide whether it is integer valued; the first t where it
+    is not gives NotCoprime, with the message of
+    `certify_nonperturbability`.  The row must be integral at j <= n.
     """
-    try:
-        rho = build_rho(sigma, n, g)
-    except NotCoprime:
-        if math.gcd(n, sigma.poly.denominator_lcm()) != 1:
-            raise
-        rho = None  # build_rho's j = n spot check failed; the proof names t
-    scale, coeffs = specialize_first_by_fractions(sigma, g)
     for t in range(len(coeffs)):
         step = sum(c * ((t + n) ** e - t**e) for e, c in enumerate(coeffs))
         if step % (scale * n):
-            raise NotCoprime(
+            return NotCoprime(
                 f"exponent is not periodic mod {n}: (p(x, t + n) - p(x, t))/n = "
                 f"{step}/{scale * n} at ({g}, {t}) is not an integer"
             )
+    return None
+
+
+def _periodic_rho(sigma: PolyCocycle, n: int, g) -> PhaseShiftMatrix:
+    """`build_rho`, with the exponent proved periodic mod n here as well.
+
+    `build_rho` raises the size's and the row's errors; on a row it
+    accepts, the Fraction specialization is proved periodic mod n
+    (`_periodicity_refutation`), independently of the library's proof.
+    """
+    rho = build_rho(sigma, n, g)
+    refutation = _periodicity_refutation(g, *specialize_first_by_fractions(sigma, g), n)
+    if refutation is not None:
+        raise refutation
     return rho
 
 

@@ -111,6 +111,10 @@ def test_resolve_group_reads_documents(tmp_path):
     path.write_text(json.dumps(lattice(2).to_document()))
     group = resolve_group(str(path))
     assert group.law == lattice(2).law
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    with pytest.raises(ParseError, match="line 1"):
+        resolve_group(str(bad))
 
 
 def test_resolve_cocycle_builtin_names():
@@ -141,6 +145,10 @@ def test_resolve_cycle_builtin_names_and_documents(tmp_path):
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(voiculescu_cycle().to_json()))
     assert resolve_cycle(str(path), lattice(2)) == voiculescu_cycle()
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    with pytest.raises(ParseError, match="line 1"):
+        resolve_cycle(str(bad), lattice(2))
 
 
 def test_resolve_cycle_checks_coordinate_lengths():

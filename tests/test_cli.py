@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib.metadata
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -13,7 +14,9 @@ import nilstab
 from nilstab import catalog, representation
 from nilstab.catalog import z2_skinny
 from nilstab.cli import main
+from nilstab.cohomology import PolyCocycle
 from nilstab.groups import MalcevGroup, lattice
+from nilstab.poly import MultiPoly, xy_variables
 
 
 @pytest.fixture()
@@ -371,6 +374,31 @@ def test_sweep_skips_sizes_sharing_a_factor_with_the_denominator(runner):
     for line in skipped:
         assert line.split(",")[0] == "4"
         assert line.split(",")[4:8] == ["", "", "", ""]
+
+
+def test_sweep_skips_rows_not_periodic_mod_n(runner, tmp_path):
+    # 2*x2*C(y1, 3)/3 is not periodic mod 2 at any x2 that 3 does not
+    # divide, so every sampled pair is refused at n = 2: a pair whose
+    # sigma(x, y) is an integer is skipped, and one whose sigma(x, y) is
+    # not reports that error.
+    poly = MultiPoly(
+        xy_variables(2, 1),
+        {(0, 1, 1): Fraction(2, 9), (0, 1, 2): Fraction(-1, 3), (0, 1, 3): Fraction(1, 9)},
+    )
+    path = tmp_path / "den9.json"
+    path.write_text(json.dumps(PolyCocycle(lattice(2), poly).to_document()))
+    result = runner.invoke(
+        main,
+        ["sweep", "--group", "lattice:2", "--cocycle", str(path), "--n", "2",
+         "--samples", "4", "--bound", "2", "--seed", "3"],
+    )
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.stdout.strip().split("\n")[1:] == [
+        "2,-1;2,2;-1,0,,,,,skipped:not_coprime",
+        "2,0;2,1;2,0,,,,,skipped:not_coprime",
+    ]
+    errors = result.stderr.strip().split("\n")
+    assert len(errors) == 2 and all("gives non-integer" in e for e in errors)
 
 
 def test_sweep_fails_when_no_size_is_coprime(runner):

@@ -55,7 +55,13 @@ from nilstab.obstruction import (
     winding_pairing,
 )
 from nilstab.poly import MultiPoly, xy_variables
-from nilstab.representation import build_rho, frobenius_norm, operator_norm
+from nilstab.representation import (
+    build_rho,
+    chi_scalar_check,
+    defect,
+    frobenius_norm,
+    operator_norm,
+)
 
 Z2 = lattice(2)
 H3 = heisenberg3()
@@ -418,15 +424,15 @@ def test_certificate_of_non_commuting_terms_matches_both_oracles(a, b, c, n, exp
 
 def test_certificate_proves_the_exponent_periodic_where_the_spot_check_passes():
     # The row of (0, 1) is t + 2*C(t, 3)/3, integral at t = 0..2 but 11/3
-    # at t = 3.  At n = 2 build_rho's check p(x, 2) = p(x, 0) mod 2 passes,
-    # but (p(x, t + 2) - p(x, t))/2 is 4/3 at t = 1: the certificate
-    # refuses the size.  At n = 5 the row fails at j = 3 <= n.
+    # at t = 3.  At n = 2 the spot check p(x, 2) = p(x, 0) mod 2 passes,
+    # but (p(x, t + 2) - p(x, t))/2 is 4/3 at t = 1: the certificate,
+    # build_rho, defect and chi_scalar_check all refuse the size with the
+    # same error.  At n = 5 the row fails at j = 3 <= n.
     poly = MultiPoly(
         xy_variables(2, 1),
         {(0, 1, 1): Fraction(11, 9), (0, 1, 2): Fraction(-1, 3), (0, 1, 3): Fraction(1, 9)},
     )
     sigma = PolyCocycle(Z2, poly)
-    assert build_rho(sigma, 2, (0, 1)).residues.tolist() == [0, 1]
     chain = voiculescu_cycle()
     for n, error, message in [
         (2, NotCoprime, "(p(x, t + n) - p(x, t))/n = 24/18 at ((0, 1), 1) is not an integer"),
@@ -435,6 +441,14 @@ def test_certificate_proves_the_exponent_periodic_where_the_spot_check_passes():
         with pytest.raises(error) as info:
             certify_nonperturbability(Z2, sigma, chain, [n])
         assert message in str(info.value)
+        for refused in (
+            lambda: build_rho(sigma, n, (0, 1)),
+            lambda: defect(sigma, n, (0, 1), (0, 0)),
+            lambda: chi_scalar_check(sigma, n, (0, 1), (0, 0)),
+        ):
+            with pytest.raises(error) as other:
+                refused()
+            assert str(other.value) == str(info.value)
         assert _runs_or_error(certificate_runs_by_words, Z2, sigma, chain, [n]) == (
             error, str(info.value), None
         )

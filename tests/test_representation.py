@@ -407,6 +407,34 @@ def test_defects_match_the_oracle_on_non_integral_rows():
     kinds = {type(row) for row in table[0]}
     assert kinds == {representation.DefectResult, NonIntegralValue}
     assert {type(row) for row in table[1]} == {NotCoprime, NonIntegralValue}
+    # x2*(y1^3 - 3*y1^2 + 2*y1)/9 = 2*x2*C(y1, 3)/3: the row of (0, 1) is
+    # integral at j <= 2 and p(x, 2) = p(x, 0), yet (p(x, t + 2) - p(x, t))/2
+    # is 1/3 at t = 1, so it is not periodic mod 2; at 5 it fails at j = 3.
+    # The polynomial is no cocycle, so an accepted pair may break its bound.
+    den9 = PolyCocycle(lattice(2), MultiPoly(
+        xy_variables(2, 1),
+        {(0, 1, 1): Fraction(2, 9), (0, 1, 2): Fraction(-1, 3), (0, 1, 3): Fraction(1, 9)},
+    ))
+    pairs = [((0, 1), (0, 0)), ((1, 0), (0, 1)), ((1, 3), (2, 0)), ((2, 0), (1, 5))]
+    table = defects(den9, [2, 3, 5], pairs)
+    assert_same_defects(table, defects_by_pairs(den9, [2, 3, 5], pairs))
+    assert str(table[0][0]).endswith(
+        "(p(x, t + n) - p(x, t))/n = 6/18 at ((0, 1), 1) is not an integer"
+    )
+    assert [type(row).__name__ for row in table[0]] == [
+        "NotCoprime", "NotCoprime", "DefectResult", "NotCoprime"
+    ]
+    assert [type(row).__name__ for row in table[2]] == [
+        "NonIntegralValue", "NonIntegralValue", "BoundViolated", "NonIntegralValue"
+    ]
+    for n, rows in zip([2, 3, 5], table):
+        for refused in (
+            lambda: build_rho(den9, n, (0, 1)),
+            lambda: chi_scalar_check(den9, n, (0, 1), (0, 0)),
+        ):
+            with pytest.raises(type(rows[0])) as info:
+                refused()
+            assert str(info.value) == str(rows[0])
 
 
 def test_defects_match_the_oracle_across_chunks():
