@@ -168,8 +168,11 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     ]
     lines = ["n,x,y,sigma_xy,frob_defect,frob_bound,op_defect,op_bound,status"]
     failed = False
-    # Each pair's "x,y" fields, formatted once for all sizes.
+    # Each pair's "x,y" fields, formatted once for all sizes, and each
+    # distinct tail of measured fields once per sweep.  No field is ever
+    # -0.0 or NaN, so equal tails print the same text.
     texts = [f"{';'.join(map(str, x))},{';'.join(map(str, y))}" for x, y in pairs]
+    tails: dict[tuple, str] = {}
     for n, rows in zip(n_list, defects(sigma, n_list, pairs)):
         for (x, y), text, row in zip(pairs, texts, rows):
             if isinstance(row, NotCoprime):
@@ -185,11 +188,14 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
                 click.echo(f"error: {row}", err=True)
                 failed = True
             else:
-                lines.append(
-                    f"{n},{text},{row.sigma_xy},"
-                    f"{row.frobenius!r},{row.frobenius_bound!r},"
-                    f"{row.operator!r},{row.operator_bound!r},ok"
-                )
+                key = row[3:]  # sigma_xy, the two norms and their bounds
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = (
+                        f"{row.sigma_xy},{row.frobenius!r},{row.frobenius_bound!r},"
+                        f"{row.operator!r},{row.operator_bound!r},ok"
+                    )
+                lines.append(f"{n},{text},{tail}")
     if all(math.gcd(n, den) != 1 for n in n_list):
         click.echo(
             f"error: no size in --n is coprime to the coefficient denominator {den}",

@@ -293,51 +293,54 @@ def _exact_runs(
 
     The per-term work is done once: the support's rows (one columnar
     specialization, `representation._rows`), each row's first non-integral
-    j, and per term and ordering the word polynomial w of
-    `representation._word`, whose residue at every column is w(t) mod n
-    for some t.  Per size the work is O(1): when n divides every Newton
-    difference of w the word is the constant centred(w(0)), with worst
-    index 0, margin n - 6 |c| and sum n c.  Only a word that is not
-    constant mod n takes a kernel call, on its one row.  Runs come one size
-    at a time, and each size raises its first failing check: the size's
-    own (`_size_error`), the rows' in support order (`_periodicity_errors`),
-    then per term the shift and both orderings' ball tests.
+    j, and for every term and ordering, in one call of
+    `representation._word`, the word polynomial w, whose residue at every
+    column is w(t) mod n for some t.  Per size the work is O(1): when n
+    divides every Newton difference of w the word is the constant
+    centred(w(0)), with worst index 0, margin n - 6 |c| and sum n c.  Only
+    a word that is not constant mod n takes a kernel call, on its one row.
+    Runs come one size at a time, and each size raises its first failing
+    check: the size's own (`_size_error`), the rows' in support order
+    (`_periodicity_errors`), then per term the shift and both orderings'
+    ball tests.
     """
     support = chain.support(group)
     den = sigma.poly.denominator_lcm()
     rows = _rows(sigma, support)
     firsts = _first_nonintegral(rows)
     at = {g: i for i, g in enumerate(support)}
-    # A row that is not integer valued fails every size, so the words are
-    # needed, and integral, only when every row is integer valued.
-    integral = not firsts
-    terms, words = [], []
+    terms, triples = [], []
     for coef, a, b in chain.terms:
         ab = group.multiply(a, b)
         terms.append((coef, ab[0] - a[0] - b[0]))
-        if integral:
-            i, j, ij = at[a], at[b], at[ab]
-            words.append((_word(rows, ij, i, j), _word(rows, ij, j, i)))
+        triples += [(at[ab], at[a], at[b]), (at[ab], at[b], at[a])]
+    # A row that is not integer valued fails every size, so the words are
+    # needed, and integral, only when every row is integer valued.  Word
+    # 2k + o is ordering o of term k.
+    words, values, steps = None, [], []
+    if not firsts:
+        words = _word(rows, *np.array(triples, dtype=np.intp).reshape(-1, 3).T)
+        values, steps = words.values.tolist(), words.steps.tolist()
     for n in n_list:
         _require_rows(n, den, rows, firsts)
         half = (n - 1) // 2
         margin = n
         sums = []
-        for index, ((coef, shift), orderings) in enumerate(zip(terms, words)):
+        for index, (coef, shift) in enumerate(terms):
             if shift % n:
                 raise TermOutOfRange(
                     f"term {index}: {ORDERINGS[0]} shifts by {shift % n}",
                     term_index=index,
                 )
             totals = []
-            for word, label in zip(orderings, ORDERINGS):
+            for k, label in enumerate(ORDERINGS, start=2 * index):
                 # Centre in (-n/2, n/2]: (r + h) mod n - h with h = (n - 1) // 2.
-                if word.is_constant(n):
+                if steps[k] % n == 0:
                     worst = 0
-                    value = (word.value + half) % n - half
+                    value = (values[k] + half) % n - half
                     total = n * value
                 else:
-                    centred = word.residues(n)
+                    centred = words.residues(n, k)
                     centred += half
                     centred %= n
                     centred -= half

@@ -22,24 +22,28 @@ columns (`_Rows`: elements, scales and coefficient columns), which
 `PolyCocycle.specialize_columns` gives for any number of elements at once
 in exact Python-int columns.  `build_rho` is its one-row case.  The word
 rho(x*y) rho(y)* rho(x)* needs no residue table: its residues are the
-values mod n of one integer polynomial w in the column (`_word`), which
-is constant mod n exactly when n divides its Newton differences.
-`chi_scalar_check` and the certificate prove their words that way, and
-run the kernel only on the one row of a word that is not constant.
+values mod n of one integer polynomial w in the column (`_word`, built
+for many words at once), which is constant mod n exactly when n divides
+its Newton differences.  `chi_scalar_check`, the certificate and
+`defects` prove their words that way, and run the kernel only on the rows
+of words that are not constant.
 
 The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is a scalar
 chi_n(x, y)^{-1} = exp(-2 pi i p(x, y_1) / n) away from zero, giving the
 proven bounds 2*pi*|sigma(x,y)|/sqrt(n) (Frobenius) and 2*pi*|sigma(x,y)|/n
 (operator).  `defects` measures it for many pairs at once: x*y,
-sigma(x, y) and the specializations of x, y and x*y are computed for all
-pairs together in integer columns, then one kernel call per size covers
-the rows of every pair (or one per chunk of pairs, once a size's rows pass
-BATCH_ENTRIES), and the bounds are compared as arrays.  `defect` is its
-one-pair case.  The norms come from the residue gaps d_j: the
-difference of two phase-shift matrices with equal shift has one entry per
-column, so its norms are sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| with
-w = exp(2 pi i / n).  The dense norms below (the Frobenius norm and the
-SVD operator norm) serve general matrices and the tests' oracle.
+sigma(x, y), the specializations of x, y and x*y and each pair's word
+are computed for all pairs together in integer columns.  The defect's gap
+at column j is w(j) mod n, so at each size a pair whose word is constant
+mod n gets its norms in closed form from the one gap w(0) mod n
+(`_constant_gap_norms`), with no residues; only the other pairs take the
+kernel, on their word rows, in chunks of at most BATCH_ENTRIES entries.
+The bounds are compared as arrays.  `defect` is its one-pair case.  The
+norms come from the residue gaps d_j: the difference of two phase-shift
+matrices with equal shift has one entry per column, so its norms are
+sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| with w = exp(2 pi i / n).
+The dense norms below (the Frobenius norm and the SVD operator norm)
+serve general matrices and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -235,6 +239,15 @@ def _residue_rows(n: int, den: int, rows: _Rows) -> np.ndarray:
     return total
 
 
+def _powers(width: int) -> np.ndarray:
+    """The Python ints t^e at [e, t], for e, t < width.
+
+    `coeffs @ _powers(width)` evaluates each row of coefficients at
+    t = 0..width-1.
+    """
+    return np.array([[t**e for t in range(width)] for e in range(width)], dtype=object)
+
+
 def _first_nonintegral(rows: _Rows) -> dict[int, int]:
     """The rows that are not integer valued, each with its first non-integral j.
 
@@ -244,9 +257,8 @@ def _first_nonintegral(rows: _Rows) -> dict[int, int]:
     decide it.  One product with the Vandermonde matrix, in Python ints,
     gives every row's scale * p(x, t) at t = 0..width-1.
     """
-    width = rows.coeffs.shape[1]
-    powers = np.vander(np.arange(width, dtype=object), increasing=True)
-    fractional = (rows.coeffs @ powers.T % rows.scales[:, None]).astype(bool)
+    powers = _powers(rows.coeffs.shape[1])
+    fractional = (rows.coeffs @ powers % rows.scales[:, None]).astype(bool)
     failing = np.flatnonzero(fractional.any(axis=1)).tolist()
     return {i: int(fractional[i].argmax()) for i in failing}
 
@@ -307,64 +319,64 @@ def _require_rows(n: int, den: int, rows: _Rows, firsts: dict[int, int]) -> None
 
 
 @dataclass(frozen=True)
-class _Word:
-    """The diagonal of rho(x*y) rho(y)* rho(x)* as a polynomial in the column.
+class _Words:
+    """The diagonals of rho(x*y) rho(y)* rho(x)* as polynomials in the column.
 
-    With every row integer valued and periodic mod n, the word's residue at
-    column j is w(t) mod n at t = j - x_1 - y_1 mod n, for the integer
+    With every row integer valued and periodic mod n, word i's residue at
+    column j is w(t) mod n at t = j - shifts[i] mod n, for the integer
     valued polynomial w(t) = p(x*y, t) - p(y, t) - p(x, t + y_1) (see
-    `_word`).  `value` is w(0) and `step` the gcd of the Newton differences
-    Delta^k w(0), k >= 1.  Since w(t) = sum_k Delta^k w(0) C(t, k), the
-    word is the constant w(0) mod n whenever n divides `step`.  `row` is w
-    as one kernel row, and `shift` is x_1 + y_1.
+    `_word`); the defect rho(x*y) - rho(x) rho(y) has the gap w(j) at
+    column j.  `values` holds each w(0) and `steps` the gcd of its Newton
+    differences Delta^k w(0), k >= 1.  Since w(t) = sum_k Delta^k w(0) C(t, k),
+    word i is the constant w(0) mod n whenever n divides steps[i].
+    `rows` holds each w as one kernel row, and `shifts` each x_1 + y_1.
+    The columns hold Python ints (dtype=object).
     """
 
-    value: int
-    step: int
-    row: _Rows
-    shift: int
+    values: np.ndarray
+    steps: np.ndarray
+    rows: _Rows
+    shifts: np.ndarray
 
-    def is_constant(self, n: int) -> bool:
-        return self.step % n == 0
-
-    def residues(self, n: int) -> np.ndarray:
-        """The word's n residues mod n in column order: one kernel call on w."""
-        residues = _residue_rows(n, int(self.row.scales[0]), self.row)
-        return np.roll(residues[0], self.shift % n)
+    def residues(self, n: int, i: int) -> np.ndarray:
+        """Word i's n residues mod n in column order: one kernel call on its row."""
+        row = self.rows[i : i + 1]
+        residues = _residue_rows(n, int(row.scales[0]), row)
+        return np.roll(residues[0], self.shifts[i] % n)
 
 
-def _word(rows: _Rows, xy: int, x: int, y: int) -> _Word:
-    """The word rho(x*y) rho(y)* rho(x)* of the kernel rows xy, x and y.
+def _word(rows: _Rows, xy, x, y) -> _Words:
+    """The words rho(x*y) rho(y)* rho(x)* of the kernel rows at index arrays xy, x, y.
 
-    Exact in Python ints.  Each row is p(g, t) = c_g(t) / s_g; over the
-    common scale s = lcm(s_xy, s_x, s_y), s * w(t) has the coefficients of
+    Exact, on Python-int columns, for all words at once.  Each row is
+    p(g, t) = c_g(t) / s_g; over the common scale s = lcm(s_xy, s_x, s_y),
+    s * w(t) has the coefficients of
     c_xy * s/s_xy - c_y * s/s_y - c_x(t + y_1) * s/s_x, with c_x(t + y_1)
-    expanded by the binomial theorem.  The rows must be integer valued.
+    a Taylor shift by repeated Horner steps.  The rows must be integer
+    valued.
     """
-    scales = rows.scales.tolist()
-    coeffs = rows.coeffs.tolist()
+    xy, x, y = (np.asarray(i, dtype=np.intp) for i in (xy, x, y))
     y_1 = rows.elements[y, 0]
-    width = len(coeffs[x])
-    shifted = [
-        sum(math.comb(e, k) * c * y_1 ** (e - k) for e, c in enumerate(coeffs[x]) if e >= k)
-        for k in range(width)
-    ]
-    scale = math.lcm(scales[xy], scales[x], scales[y])
-    poly = [
-        (a * (scale // scales[xy]) - b * (scale // scales[y]) - c * (scale // scales[x]))
-        for a, b, c in zip(coeffs[xy], coeffs[y], shifted)
-    ]
-    values = [_scaled(poly, t) // scale for t in range(width)]
-    value, step = values[0], 0
-    for _ in range(width - 1):
-        values = [b - a for a, b in zip(values, values[1:])]
-        step = math.gcd(step, values[0])
-    row = _Rows(
-        rows.elements[x : x + 1],
-        np.array([scale], dtype=object),
-        np.array([poly], dtype=object),
+    shifted = rows.coeffs[x]  # a copy, shifted in place
+    width = shifted.shape[1]
+    for low in range(width - 1):
+        for e in range(width - 2, low - 1, -1):
+            shifted[:, e] += y_1 * shifted[:, e + 1]
+    s_xy, s_x, s_y = rows.scales[xy], rows.scales[x], rows.scales[y]
+    scale = np.lcm(np.lcm(s_xy, s_x), s_y)
+    poly = (
+        rows.coeffs[xy] * (scale // s_xy)[:, None]
+        - rows.coeffs[y] * (scale // s_y)[:, None]
+        - shifted * (scale // s_x)[:, None]
     )
-    return _Word(value, step, row, rows.elements[x, 0] + y_1)
+    differences = poly @ _powers(width) // scale[:, None]  # w(t) at t = 0..width-1
+    values = differences[:, 0]
+    steps = np.zeros(len(values), dtype=object)
+    for _ in range(width - 1):
+        differences = differences[:, 1:] - differences[:, :-1]
+        steps = np.gcd(steps, differences[:, 0])
+    word_rows = _Rows(rows.elements[x], scale, poly)
+    return _Words(values, steps, word_rows, rows.elements[x, 0] + y_1)
 
 
 # ----------------------------------------------------------------------
@@ -404,27 +416,46 @@ def difference_norms(a: PhaseShiftMatrix, b: PhaseShiftMatrix) -> tuple[float, f
     return float(fro), float(op)
 
 
-def _gap_norms(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Norms sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| over the last axis.
-
-    A gap matters only mod n, so the n chords 2 |sin(pi d / n)| are computed
-    once and gathered.  `np.take` wraps each gap into [0, n) by adding or
-    subtracting n, which is cheap because the callers' gaps lie in
-    (-2n, n).  Works in place on one float array, since `defects` passes
-    whole batches.
-    """
+def _chords(n: int) -> np.ndarray:
+    """The n chords |1 - w^d| = 2 |sin(pi d / n)| for d = 0..n-1."""
     table = np.pi * np.arange(n)
     table /= n
     np.abs(np.sin(table, out=table), out=table)
     table *= 2.0
-    chords = np.take(table, gaps, mode="wrap")
+    return table
+
+
+def _gap_norms(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Norms sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| over the last axis.
+
+    A gap matters only mod n, so the n chords are computed once and
+    gathered.  `np.take` wraps each gap into [0, n) by adding or
+    subtracting n, which is cheap because the callers' gaps lie in
+    (-n, n).  Works in place on one float array, since `defects` passes
+    whole batches.
+    """
+    chords = np.take(_chords(n), gaps, mode="wrap")
     op = np.max(chords, axis=-1)
     chords *= chords
     return np.sqrt(np.sum(chords, axis=-1)), op
 
 
-@dataclass(frozen=True)
-class DefectResult:
+def _constant_gap_norms(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_gap_norms` of rows of n equal gaps, one gap in [0, n) per row.
+
+    The operator norm is the gap's chord.  The Frobenius norm sums n copies
+    of its square as a broadcast view, which numpy sums in the same order
+    as a stored row, so both floats equal `_gap_norms` on the full row
+    (a test checks this bit for bit).  Only the distinct gaps are summed,
+    so memory is O(n + distinct gaps).
+    """
+    distinct, inverse = np.unique(gaps, return_inverse=True)
+    chords = _chords(n)[distinct]
+    squares = np.broadcast_to((chords * chords)[:, None], (len(distinct), n))
+    return np.sqrt(np.sum(squares, axis=-1))[inverse], chords[inverse]
+
+
+class DefectResult(NamedTuple):
     n: int
     x: Element
     y: Element
@@ -436,9 +467,10 @@ class DefectResult:
 
 
 BOUND_SLACK = 1e-9
-# int64 entries per residue-kernel call (3 rows of n per pair): `defects`
-# splits a size's pairs into chunks that fit, so its memory does not grow
-# with the sample count at large n (one pair per call from n = 174,763 on).
+# int64 entries per residue-kernel call (one word row of n per pair):
+# `defects` splits the pairs whose word is not constant mod n into chunks
+# that fit, so its memory does not grow with the sample count at large n
+# (one pair per call from n = 524,289 on).
 BATCH_ENTRIES = 1 << 20
 
 
@@ -453,20 +485,25 @@ def defects(
     or the NilstabError that pair's check raised there, in `defect`'s order
     (the rows of x*y, x and y, then sigma(x, y), then the bounds).  A size
     sharing a factor with the coefficient denominator gives NotCoprime
-    throughout, or sigma(x, y)'s error where that fails.  The pair-only
-    work is done once, for all pairs at once, on exact integer columns:
-    x*y (`MalcevGroup.multiply_columns`), sigma(x, y)
+    throughout, or sigma(x, y)'s error where that fails.
+
+    The pair-only work is done once, for all pairs at once, on exact
+    integer columns: x*y (`MalcevGroup.multiply_columns`), sigma(x, y)
     (`PolyCocycle.value_columns`), the specializations of x, y and x*y
-    (`PolyCocycle.specialize_columns`) and each row's first non-integral
-    j (`_first_nonintegral`).  Each size then proves its rows well defined
-    mod n (`_periodicity_errors`) and runs the residue kernel on the rows
-    of as many pairs at a time as fit in BATCH_ENTRIES (all of them at the
-    sizes the sweep usually takes).  rho_n(x) rho_n(y) is gathered from
-    the residues, and the norms of rho_n(x*y) - rho_n(x) rho_n(y) come
-    from the residue gaps (see `difference_norms`), so no matrix is
-    formed.  The bounds are compared as arrays.  A measured norm above its
-    proven bound plus a 1e-9 slack gives BoundViolated; that would falsify
-    the construction, not the sample.
+    (`PolyCocycle.specialize_columns`), each row's first non-integral j
+    (`_first_nonintegral`) and the word w of each pair whose rows are
+    integer valued (`_word`); a pair with a row that is not fails every
+    size.  The gap of rho_n(x*y) - rho_n(x) rho_n(y) at column j is
+    w(j) mod n, so the norms come from the gaps (see `difference_norms`)
+    and no matrix is formed.  Each size proves its rows well defined mod n
+    (`_periodicity_errors`) and checks that the law adds first coordinates
+    mod n.  A pair whose word is constant mod n, which n dividing its
+    Newton differences proves, needs no residues: its norms are those of
+    the constant gap w(0) mod n (`_constant_gap_norms`).  Only the other
+    pairs take the residue kernel, on their word rows, as many at a time
+    as fit in BATCH_ENTRIES.  The bounds are compared as arrays.  A
+    measured norm above its proven bound plus a 1e-9 slack gives
+    BoundViolated; that would falsify the construction, not the sample.
     """
     group = sigma.group
     m = group.hirsch
@@ -477,9 +514,13 @@ def defects(
     y = np.array(ys, dtype=object).reshape(-1, m)
     xy = np.stack(group.multiply_columns(list(x.T), list(y.T)), axis=1)
     values, value_errors = sigma.value_columns(list(x.T), list(y.T))
+    shifts = xy[:, 0] - x[:, 0] - y[:, 0]
     # Three rows per pair, in the order the checks run: x*y, x, y.
     rows = _rows(sigma, np.stack([xy, x, y], axis=1))
     firsts = _first_nonintegral(rows)
+    failing = {row // 3 for row in firsts}
+    integral = np.array([i for i in range(len(pairs)) if i not in failing], dtype=np.intp)
+    words = _word(rows, 3 * integral, 3 * integral + 1, 3 * integral + 2)
     table = []
     for n in sizes:
         error = _size_error(n, den)
@@ -493,43 +534,25 @@ def defects(
             failed.setdefault(row // 3, row_error)
         for i, value_error in value_errors.items():
             failed.setdefault(i, value_error)
-        step = max(1, BATCH_ENTRIES // (3 * n))
-        fro, op = np.empty(len(pairs)), np.empty(len(pairs))
-        for start in range(0, len(pairs), step):
-            chunk = slice(start, start + step)
-            batch = rows[3 * start : 3 * (start + step)]
-            fro[chunk], op[chunk] = _defect_chunk(n, den, batch)
+        if np.any(shifts % n):
+            raise ValueError(
+                f"the group law does not add first coordinates mod {n}; the "
+                f"defect is not a phase-shift matrix"
+            )
+        # Pairs with a failing row keep zero norms; their error replaces them.
+        fro, op = np.zeros(len(pairs)), np.zeros(len(pairs))
+        constant = words.steps % n == 0
+        gaps = (words.values[constant] % n).astype(np.int64)
+        at = integral[constant]
+        fro[at], op[at] = _constant_gap_norms(gaps, n)
+        rest = np.flatnonzero(~constant)
+        step = max(1, BATCH_ENTRIES // n)
+        for start in range(0, len(rest), step):
+            chunk = rest[start : start + step]
+            at = integral[chunk]
+            fro[at], op[at] = _gap_norms(_residue_rows(n, den, words.rows[chunk]), n)
         table.append(_checked(n, xs, ys, values, fro, op, failed))
     return table
-
-
-def _defect_chunk(n: int, den: int, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
-    """Norms of rho_n(x*y) - rho_n(x) rho_n(y) for consecutive pairs.
-
-    `rows` holds the kernel rows x*y, x and y of each pair; one kernel call
-    gives their residues.  Returns the Frobenius and operator norms.  A
-    pair with a row that is not well defined mod n gets meaningless norms,
-    which `defects` replaces by the row's error.
-    """
-    residues = _residue_rows(n, den, rows)
-    shifts = (rows.elements[:, 0] % n).astype(np.int64)
-    xy_1, x_1, y_1 = shifts[0::3], shifts[1::3], shifts[2::3]
-    if np.any((xy_1 - x_1 - y_1) % n):
-        raise ValueError(
-            f"the group law does not add first coordinates mod {n}; the "
-            f"defect is not a phase-shift matrix"
-        )
-    # Column j of rho(x) rho(y) picks up rho(x)'s residue at j + y_1,
-    # wrapped into [0, n) without a modulo, in the flat residues.
-    at = np.arange(n, dtype=np.int64) + y_1[:, None]
-    np.subtract(at, n, out=at, where=at >= n)
-    at += (np.arange(1, len(rows), 3) * n)[:, None]
-    gaps = np.take(residues.reshape(-1), at)
-    gaps += residues[2::3]
-    np.subtract(residues[0::3], gaps, out=gaps)
-    # The batch is the largest array here; free it before the norms.
-    del residues, at
-    return _gap_norms(gaps, n)
 
 
 def _checked(
@@ -612,15 +635,15 @@ def chi_scalar_check(
     shift = (xy[0] - x[0] - y[0]) % n
     if shift != 0:
         raise NotScalar(f"triple product shifts by {shift}")
-    word = _word(rows, 0, 1, 2)
+    words = _word(rows, [0], [1], [2])
     residue = sigma(x, y) % n
     expected = -residue % n
-    if word.is_constant(n):
-        first, value = 0, word.value % n
+    if words.steps[0] % n == 0:
+        first, value = 0, words.values[0] % n
     else:
         # A periodic word that is constant on one period has every
         # difference divisible by n, so this one is off somewhere.
-        residues = word.residues(n)
+        residues = words.residues(n, 0)
         first = int(np.flatnonzero(residues != expected)[0])
         value = int(residues[first])
     if value != expected:

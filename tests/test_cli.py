@@ -418,17 +418,22 @@ def test_sweep_fails_when_no_size_is_coprime(runner):
     )
 
 
+def inflate_second_frobenius(monkeypatch) -> None:
+    # Add 1 to the second pair's measured Frobenius norm before each
+    # size's norms are checked against their bounds.
+    real = representation._checked
+
+    def inflated(n, xs, ys, values, fro, op, failed):
+        fro[1] += 1.0
+        return real(n, xs, ys, values, fro, op, failed)
+
+    monkeypatch.setattr(representation, "_checked", inflated)
+
+
 def test_sweep_reports_a_failed_row_and_prints_the_others(runner, monkeypatch):
     # Inflate the second pair's measured Frobenius norm at every size: its
     # rows fail their bound, and the rows of the other pairs still print.
-    real = representation._gap_norms
-
-    def inflated(gaps, n):
-        fro, op = real(gaps, n)
-        fro[1] += 1.0
-        return fro, op
-
-    monkeypatch.setattr(representation, "_gap_norms", inflated)
+    inflate_second_frobenius(monkeypatch)
     args = ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny",
             "--n", "4,8", "--samples", "3"]
     result = runner.invoke(main, args)
@@ -481,6 +486,22 @@ def test_benchmark_sweeps_print_the_pinned_csv(runner, args, digest):
     assert result.stderr == ""
 
 
+def test_a_sweep_past_the_dense_cap_prints_the_pinned_csv(runner):
+    # The SHA-256 of the CSV this sweep printed when every pair's defect
+    # came from a residue table of 3 * (2^20 + 1) entries per pair (x86-64,
+    # numpy 2.4); now every word is proved constant mod n instead.
+    result = runner.invoke(
+        main,
+        ["sweep", "--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
+         "--n", "1048577", "--samples", "20", "--seed", "1"],
+    )
+    assert result.exit_code == 0, everything(result)
+    assert _sha256(result.stdout) == (
+        "48d42c5d1c27a859d7cb227c59b2c19da63b3b93c9ab0e19033d2106c43fe357"
+    )
+    assert result.stderr == ""
+
+
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -519,14 +540,7 @@ def test_failing_sweeps_keep_their_exit_codes_and_stderr(runner, monkeypatch):
     assert skipped.stderr == (
         "error: no size in --n is coprime to the coefficient denominator 2\n"
     )
-    real = representation._gap_norms
-
-    def inflated(gaps, n):
-        fro, op = real(gaps, n)
-        fro[1] += 1.0
-        return fro, op
-
-    monkeypatch.setattr(representation, "_gap_norms", inflated)
+    inflate_second_frobenius(monkeypatch)
     failed = runner.invoke(
         main,
         ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny",

@@ -437,21 +437,43 @@ def test_defects_match_the_oracle_on_non_integral_rows():
             assert str(info.value) == str(rows[0])
 
 
+def square_of_y1() -> PolyCocycle:
+    # x1*y1^2 on Z^2 is no cocycle: the word of (x, y) is
+    # w(t) = -2*x1*y1*t - x1*y1^2, constant mod n only where n divides
+    # 2*x1*y1, so most pairs need residues.
+    return PolyCocycle(lattice(2), MultiPoly(xy_variables(2, 1), {(1, 0, 2): 1}))
+
+
+def record_kernel_calls(monkeypatch) -> list[int]:
+    # The number of rows in each `_residue_rows` call from now on.
+    calls = []
+    kernel = representation._residue_rows
+
+    def recording(n, den, rows):
+        calls.append(len(rows))
+        return kernel(n, den, rows)
+
+    monkeypatch.setattr(representation, "_residue_rows", recording)
+    return calls
+
+
 def test_defects_match_the_oracle_across_chunks():
-    # At n = 2^16 + 1 five pairs fill a kernel call, so twelve pairs take
-    # three calls.
-    sigma = heisenberg_skinny()
+    # At n = 2^16 + 1 fifteen word rows fill a kernel call.  The cocycle's
+    # words are constant mod n and take none; the 18 words of x1*y1^2,
+    # all with x1*y1 != 0, take two calls (15 and 3 rows).
     n = 2**16 + 1
-    assert BATCH_ENTRIES // (3 * (n + 1)) == 5
-    rng = make_rng(53)
-    pairs = [(sample_coords(rng, 3, 9), sample_coords(rng, 3, 9)) for _ in range(12)]
-    assert_same_defects(defects(sigma, [n], pairs), defects_by_pairs(sigma, [n], pairs))
+    assert BATCH_ENTRIES // n == 15
+    for sigma, count in ((heisenberg_skinny(), 12), (square_of_y1(), 18)):
+        rng = make_rng(53)
+        m = sigma.group.hirsch
+        pairs = [(sample_coords(rng, m, 9), sample_coords(rng, m, 9)) for _ in range(count)]
+        assert_same_defects(defects(sigma, [n], pairs), defects_by_pairs(sigma, [n], pairs))
 
 
 def test_defects_bound_their_memory_at_large_n(monkeypatch):
-    # At n = 2^16 + 1 five pairs fill a kernel call, so 40 pairs take eight
-    # calls, and the peak allocation stays near that of a 4-pair sweep
-    # rather than growing tenfold with the sample count.
+    # heisenberg_skinny is a cocycle, so every pair's word is constant mod
+    # n: no residue is computed, and the peak allocation stays near that
+    # of a 4-pair sweep rather than growing tenfold with the sample count.
     sigma = heisenberg_skinny()
     n = 2**16 + 1
     rng = make_rng(41)
@@ -467,17 +489,65 @@ def test_defects_bound_their_memory_at_large_n(monkeypatch):
             tracemalloc.stop()
         assert rows == expected[:count]
     assert peaks[1] < 2 * peaks[0]
-    calls = []
-    kernel = representation._residue_rows
+    calls = record_kernel_calls(monkeypatch)
+    table = defects(sigma, [17, n, 2**20 + 1], pairs)
+    assert table[1] == expected
+    assert all(isinstance(row, representation.DefectResult) for row in table[2])
+    assert calls == []
 
-    def recording(n, den, rows):
-        calls.append(len(rows))
-        return kernel(n, den, rows)
 
-    monkeypatch.setattr(representation, "_residue_rows", recording)
-    assert defects(sigma, [17, n], pairs)[1] == expected
-    assert calls == [120] + [15] * 8
-    assert 15 * (n + 1) <= BATCH_ENTRIES < 18 * (n + 1)
+def test_defects_chunk_the_words_that_are_not_constant(monkeypatch):
+    # With x1*y1^2 the 35 pairs with x1*y1 != 0 need residues at both
+    # sizes (|x1*y1| <= 81), and the other five none.  At 17 they take one
+    # kernel call; at 2^16 + 1 fifteen word rows fill a call, so they take
+    # three.
+    sigma = square_of_y1()
+    n = 2**16 + 1
+    rng = make_rng(41)
+    pairs = [(sample_coords(rng, 2, 9), sample_coords(rng, 2, 9)) for _ in range(40)]
+    assert sum(x[0] * y[0] != 0 for x, y in pairs) == 35
+    expected = [defects(sigma, [n], [pair])[0][0] for pair in pairs]
+    calls = record_kernel_calls(monkeypatch)
+    table = defects(sigma, [17, n], pairs)
+    assert calls == [35, 15, 15, 5]
+    assert_same_defects(table[1:], [expected])
+
+
+def test_defects_split_words_constant_mod_n_from_the_others(monkeypatch):
+    # With x1*y1^2 a pair with x1*y1 = 3 has a word that is no constant
+    # polynomial but is constant mod 3 and mod 6, since n divides
+    # 2*x1*y1 there; with x1*y1 = 2 it is constant mod 4 only, and with
+    # x1*y1 = 0 constant at every size.  Each size runs the kernel on
+    # exactly the words that are not constant mod n, and every entry
+    # matches the pair-by-pair oracle.
+    sigma = square_of_y1()
+    rng = make_rng(61)
+    pairs = [(sample_coords(rng, 2, 4), sample_coords(rng, 2, 4)) for _ in range(30)]
+    pairs += [((3, 1), (1, -2)), ((1, 0), (2, 5)), ((0, 1), (5, 2)), ((-1, 2), (-3, 0))]
+    sizes = [3, 4, 6, 7, 12]
+    calls = record_kernel_calls(monkeypatch)
+    table = defects(sigma, sizes, pairs)
+    busy = [sum(2 * x[0] * y[0] % n != 0 for x, y in pairs) for n in sizes]
+    assert calls == busy
+    assert all(0 < count < len(pairs) for count in busy)
+    for n in (3, 6):
+        assert any(x[0] * y[0] != 0 and 2 * x[0] * y[0] % n == 0 for x, y in pairs)
+    assert_same_defects(table, defects_by_pairs(sigma, sizes, pairs))
+    kinds = {type(row) for rows in table for row in rows}
+    assert representation.DefectResult in kinds and len(kinds) > 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1023, 2**16 + 1])
+def test_constant_gap_norms_equal_the_norms_of_the_full_rows(n):
+    # The closed form sums a broadcast row of n equal squared chords; it
+    # must give the very floats that `_gap_norms` gives on the stored row.
+    rng = np.random.default_rng(n)
+    gaps = rng.integers(0, n, size=12)
+    gaps = np.concatenate([gaps, gaps[:4], [0, n - 1]])
+    fro, op = representation._constant_gap_norms(gaps, n)
+    full_fro, full_op = representation._gap_norms(np.repeat(gaps[:, None], n, axis=1), n)
+    assert fro.tolist() == full_fro.tolist()
+    assert op.tolist() == full_op.tolist()
 
 
 def test_defect_shrinks_like_the_square_root_of_n():
