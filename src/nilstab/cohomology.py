@@ -27,6 +27,7 @@ from .errors import NonIntegralValue, ParseError
 from .groups import Element, MalcevGroup, symbolic_triple
 from .poly import (
     MultiPoly,
+    _decode_json_int,
     box_witness,
     poly_from_monomials,
     poly_to_monomials,
@@ -154,6 +155,8 @@ def cocycle_from_document(group: MalcevGroup, doc: Mapping) -> PolyCocycle:
     except KeyError as exc:
         raise ParseError(f"cocycle document missing key {exc}") from exc
     hirsch = doc.get("hirsch", group.hirsch)
+    if not isinstance(hirsch, int) or isinstance(hirsch, bool):
+        raise ParseError(f"hirsch must be an integer, got {hirsch!r}")
     if hirsch != group.hirsch:
         raise ParseError(
             f"cocycle is for Hirsch length {hirsch}, group has {group.hirsch}"
@@ -221,7 +224,12 @@ class Chain2:
                 raise ParseError(f"chain term missing key {exc}") from exc
             if not isinstance(coef, int) or isinstance(coef, bool):
                 raise ParseError(f"chain coefficient must be an integer, got {coef!r}")
-            terms.append((coef, tuple(int(v) for v in a), tuple(int(v) for v in b)))
+            if not (isinstance(a, list) and isinstance(b, list)):
+                raise ParseError(
+                    f"chain term coordinates must be lists, got {a!r} and {b!r}"
+                )
+            a, b = (tuple(_decode_json_int(v) for v in g) for g in (a, b))
+            terms.append((coef, a, b))
         return cls.build(terms)
 
 

@@ -258,7 +258,7 @@ def from_document(doc: Mapping) -> MalcevGroup:
         law_docs = doc["law"]
     except KeyError as exc:
         raise ParseError(f"group document missing key {exc}") from exc
-    if not isinstance(hirsch, int) or hirsch < 1:
+    if not isinstance(hirsch, int) or isinstance(hirsch, bool) or hirsch < 1:
         raise ParseError(f"hirsch must be a positive integer, got {hirsch!r}")
     if not isinstance(law_docs, list) or len(law_docs) != hirsch:
         raise ParseError(f"law must be a list of {hirsch} polynomials")

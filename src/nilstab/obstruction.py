@@ -65,7 +65,6 @@ from .errors import (
 )
 from .groups import Element, MalcevGroup
 from .representation import (
-    _first_nonintegral,
     _require_rows,
     _rows,
     _word,
@@ -291,14 +290,15 @@ def _exact_runs(
     the ball the series log is diagonal with entries
     2 pi i centred(r_j) / n, so the term adds coef * sum_j centred(r_j) / n.
 
-    The per-term work is done once: the support's rows (one columnar
-    specialization, `representation._rows`), each row's first non-integral
-    j, and for every term and ordering, in one call of
-    `representation._word`, the word polynomial w, whose residue at every
-    column is w(t) mod n for some t.  Per size the work is O(1): when n
-    divides every Newton difference of w the word is the constant
-    centred(w(0)), with worst index 0, margin n - 6 |c| and sum n c.  Only
-    a word that is not constant mod n takes a kernel call, on its one row.
+    The per-term work is done once: the support's rows in Newton form with
+    each row's first non-integral j (one columnar specialization,
+    `representation._rows`), and for every term and ordering, in one call
+    of `representation._word`, the Newton differences of the word
+    polynomial w, whose residue at every column is w(t) mod n for some t.
+    Per size the work is O(1): when n divides every Newton difference of w
+    the word is the constant centred(w(0)), with worst index 0, margin
+    n - 6 |c| and sum n c.  Only a word that is not constant mod n takes a
+    kernel call, on its differences.
     Runs come one size at a time, and each size raises its first failing
     check: the size's own (`_size_error`), the rows' in support order
     (`_periodicity_errors`), then per term the shift and both orderings'
@@ -307,7 +307,6 @@ def _exact_runs(
     support = chain.support(group)
     den = sigma.poly.denominator_lcm()
     rows = _rows(sigma, support)
-    firsts = _first_nonintegral(rows)
     at = {g: i for i, g in enumerate(support)}
     terms, triples = [], []
     for coef, a, b in chain.terms:
@@ -318,11 +317,11 @@ def _exact_runs(
     # needed, and integral, only when every row is integer valued.  Word
     # 2k + o is ordering o of term k.
     words, values, steps = None, [], []
-    if not firsts:
+    if not rows.firsts:
         words = _word(rows, *np.array(triples, dtype=np.intp).reshape(-1, 3).T)
         values, steps = words.values.tolist(), words.steps.tolist()
     for n in n_list:
-        _require_rows(n, den, rows, firsts)
+        _require_rows(n, den, rows)
         half = (n - 1) // 2
         margin = n
         sums = []

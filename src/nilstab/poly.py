@@ -477,11 +477,15 @@ def poly_from_monomials(monomials, x_count: int, y_count: int) -> MultiPoly:
         den = _decode_json_int(raw_coef[1])
         if den == 0:
             raise ParseError("zero denominator in coefficient")
+        if not (isinstance(x_exps, list) and isinstance(y_exps, list)):
+            raise ParseError(
+                f"x_exps and y_exps must be lists, got {x_exps!r} and {y_exps!r}"
+            )
         if len(x_exps) != x_count or len(y_exps) != y_count:
             raise ParseError(
                 f"exponent lists must have lengths {x_count} and {y_count}"
             )
-        exps = tuple(_decode_json_int(e) for e in list(x_exps) + list(y_exps))
+        exps = tuple(_decode_json_int(e) for e in x_exps + y_exps)
         if any(e < 0 for e in exps):
             raise ParseError(f"negative exponent in {exps}")
         terms[exps] = terms.get(exps, Fraction(0)) + Fraction(num, den)

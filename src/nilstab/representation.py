@@ -9,24 +9,28 @@ standard basis of C^n by
 so each rho_n(x) is a cyclic shift with one root of unity per column.  A
 PhaseShiftMatrix stores the integer residues p(x, j) mod n, not the
 phases: products, adjoints and the scalar identity are exact residue
-arithmetic at any n up to `max_exact_size` (where int64 Horner steps
-stop fitting), and only `phases` and `to_dense` (capped at MAX_DENSE)
-touch floating point.  rho_n(x) is well defined only when its exponent
-p(x, j) matters only mod n, and one proof decides that for every caller:
-each row p(x, .) has its first non-integral j found once
-(`_first_nonintegral`), and `_periodicity_errors` turns that into the
-row's NonIntegralValue or NotCoprime at a given n.  One private kernel
-computes the residues of the rows that pass: a single int64 Horner pass
-over j = 0..n-1 for a batch of rows at one size.  It takes its rows as
-columns (`_Rows`: elements, scales and coefficient columns), which
-`PolyCocycle.specialize_columns` gives for any number of elements at once
-in exact Python-int columns.  `build_rho` is its one-row case.  The word
-rho(x*y) rho(y)* rho(x)* needs no residue table: its residues are the
-values mod n of one integer polynomial w in the column (`_word`, built
-for many words at once), which is constant mod n exactly when n divides
-its Newton differences.  `chi_scalar_check`, the certificate and
-`defects` prove their words that way, and run the kernel only on the rows
-of words that are not constant.
+arithmetic at any n up to `max_exact_size`, and only `phases` and
+`to_dense` (capped at MAX_DENSE) touch floating point.
+
+Every row p(x, .) and every word is held in one form, its Newton
+differences Delta^k p(x, 0) (`_Rows`, `_Words`): a polynomial is integer
+valued exactly when they are integers, it is constant mod n exactly when
+n divides those of order k >= 1, and its values are their sums
+p(x, t) = sum_k Delta^k p(x, 0) C(t, k).  `_rows` builds the rows of any
+number of elements at once, in exact Python-int columns, from
+`PolyCocycle.specialize_columns`, and records each row's first
+non-integral j.  rho_n(x) is well defined only when its exponent matters
+only mod n, and one proof decides that for every caller:
+`_periodicity_errors` turns a row's first non-integral j into its
+NonIntegralValue or NotCoprime at a given n.  One private kernel,
+`_residues`, computes the values mod n at j = 0..n-1 of a batch of integer
+difference rows at one size, by one prefix sum mod n per degree in int64.
+`build_rho` is its one-row case.  The word rho(x*y) rho(y)* rho(x)* needs
+no residue table: its residues are the values mod n of one integer
+polynomial w in the column, whose differences `_word` gets from those of
+the three rows (for many words at once).  `chi_scalar_check`, the
+certificate and `defects` prove their words constant that way, and run
+the kernel only on the words that are not.
 
 The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is a scalar
 chi_n(x, y)^{-1} = exp(-2 pi i p(x, y_1) / n) away from zero, giving the
@@ -37,7 +41,8 @@ are computed for all pairs together in integer columns.  The defect's gap
 at column j is w(j) mod n, so at each size a pair whose word is constant
 mod n gets its norms in closed form from the one gap w(0) mod n
 (`_constant_gap_norms`), with no residues; only the other pairs take the
-kernel, on their word rows, in chunks of at most BATCH_ENTRIES entries.
+kernel, on their word differences, in chunks of at most BATCH_ENTRIES
+entries.
 The bounds are compared as arrays.  `defect` is its one-pair case.  The
 norms come from the residue gaps d_j: the difference of two phase-shift
 matrices with equal shift has one entry per column, so its norms are
@@ -135,8 +140,10 @@ class PhaseShiftMatrix:
 def max_exact_size(den: int = 1) -> int:
     """The largest n with den * n * (n + 1) <= INT64_MAX.
 
-    `build_rho` accepts exactly the sizes up to this one for a cocycle
-    whose coefficient denominator is den.
+    `build_rho`, `defects` and the certificate accept exactly the sizes up
+    to this one for a cocycle whose coefficient denominator is den.  The
+    residue kernel itself needs only n * (n + 1) <= INT64_MAX, the bound at
+    den = 1; the cap's factor den is kept as the sizes' policy.
     """
     return (math.isqrt(4 * (INT64_MAX // den) + 1) - 1) // 2
 
@@ -146,17 +153,19 @@ def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
 
     Raises the size's error (`_size_error`), or the row's NonIntegralValue
     or NotCoprime if its exponent is not well defined mod n
-    (`_periodicity_errors`); otherwise one kernel call gives the residues.
+    (`_periodicity_errors`); otherwise one kernel call on the row's integer
+    Newton differences gives the residues.
     """
     x = sigma.group.element(x)
     den = sigma.poly.denominator_lcm()
     rows = _rows(sigma, [x])
-    _require_rows(n, den, rows, _first_nonintegral(rows))
-    return PhaseShiftMatrix(n, x[0], _residue_rows(n, den, rows)[0])
+    _require_rows(n, den, rows)
+    residues = _residues(n, rows.differences // rows.scales[:, None])
+    return PhaseShiftMatrix(n, x[0], residues[0])
 
 
 def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
-    """Why the residue kernel refuses size n for coefficient denominator den, if it does."""
+    """Why size n is refused for coefficient denominator den, if it is."""
     if n < 1:
         return ValueError(f"matrix size must be positive, got {n}")
     if math.gcd(n, den) != 1:
@@ -173,115 +182,87 @@ def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
 
 @dataclass(frozen=True)
 class _Rows:
-    """Residue kernel rows as columns.
+    """Rows p(x, t) of the cocycle at many elements x, as columns in Newton form.
 
-    Row i is p(x, t) = sum_e coeffs[i, e] t^e / scales[i] at x = elements[i].
-    `elements` (rows, m), `scales` (rows,) and `coeffs` (rows, width) hold
-    Python ints (dtype=object), as `PolyCocycle.specialize_columns` gives
-    them.
+    Row i is p(x, t) = sum_k differences[i, k] C(t, k) / scales[i] at
+    x = elements[i]: `differences` holds scale * Delta^k p(x, 0).  Such a
+    row is integer valued exactly when every Delta^k p(x, 0) is an integer
+    (Polya), and its first non-integral j is the first k where one is not,
+    since p(x, j) = sum_{k <= j} Delta^k p(x, 0) C(j, k).  `firsts` maps
+    each row that is not integer valued to that j.  `elements` (rows, m),
+    `scales` (rows,) and `differences` (rows, width) hold Python ints
+    (dtype=object).
     """
 
     elements: np.ndarray
     scales: np.ndarray
-    coeffs: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.scales)
-
-    def __getitem__(self, index) -> "_Rows":
-        """The rows at a slice or an array of row indices."""
-        return _Rows(self.elements[index], self.scales[index], self.coeffs[index])
+    differences: np.ndarray
+    firsts: dict[int, int]
 
 
 def _rows(sigma: PolyCocycle, elements) -> _Rows:
-    """The kernel rows of the elements: a list of Elements or an (rows, m) object array."""
+    """The rows of the elements: a list of Elements or an (rows, m) object array.
+
+    `PolyCocycle.specialize_columns` gives each row's scale and integer
+    coefficients; one product with the Vandermonde matrix, in Python ints,
+    gives scale * p(x, t) at t = 0..width-1, which are differenced in place.
+    """
     elements = np.asarray(elements, dtype=object).reshape(-1, sigma.group.hirsch)
     scales, coeffs = sigma.specialize_columns(list(elements.T))
-    return _Rows(elements, scales, np.stack(coeffs, axis=1))
+    width = len(coeffs)
+    powers = np.array([[t**e for t in range(width)] for e in range(width)], dtype=object)
+    differences = np.stack(coeffs, axis=1) @ powers
+    for k in range(1, width):
+        differences[:, k:] = differences[:, k:] - differences[:, k - 1 : -1]
+    fractional = (differences % scales[:, None]).astype(bool)
+    failing = np.flatnonzero(fractional.any(axis=1)).tolist()
+    firsts = {i: int(fractional[i].argmax()) for i in failing}
+    return _Rows(elements, scales, differences, firsts)
 
 
-def _residue_rows(n: int, den: int, rows: _Rows) -> np.ndarray:
-    """Residues p(x, j) mod n for j = 0..n-1, one row per kernel row (`_Rows`).
+def _residues(n: int, differences: np.ndarray) -> np.ndarray:
+    """Values mod n at t = 0..n-1 of integer polynomials given by Newton differences.
 
-    The size n must be coprime to den, the coefficient denominator, and
-    at most `max_exact_size(den)`; a size that is not raises.  A row's
-    residues mean something only when it is integer valued and periodic
-    mod n, which callers check first (`_periodicity_errors`).  One array
-    `%` on the Python ints gives the int64 table of coefficients mod
-    scale * n; then one int64 Horner pass evaluates every row's
-    scale * p(x, j) mod scale * n over j = 0..n-1, in place.  It reduces
-    at the last step and wherever the next step could pass int64; reduced
-    at every step, the values stay below den * n * n, which
-    `max_exact_size(den)` keeps in int64.  Returns a contiguous int64
-    array of n columns.
+    Row i is q(t) = sum_k differences[i, k] C(t, k), with integer
+    differences.  From the top degree down, Delta^k q(j) is Delta^k q(0)
+    plus the exclusive prefix sum of Delta^(k+1) q up to j, reduced mod n.
+    The summands lie in [0, n), so every value stays below n * n, which
+    int64 holds at every size up to `max_exact_size()`; a larger size
+    raises.  Returns a contiguous int64 array of n columns.
     """
-    error = _size_error(n, den)
+    error = _size_error(n, 1)
     if error is not None:
         raise error
-    scales = rows.scales.astype(np.int64)[:, None]
-    moduli = scales * n
-    table = (rows.coeffs % moduli).astype(np.int64)
-    j = np.arange(n, dtype=np.int64)
-    total = np.repeat(table[:, -1:], n, axis=1)
-    # Reduce only at the last step, or where the next step could leave
-    # int64: every value stays below `bound`.
-    modulus = int(moduli.max(initial=1))
-    bound = modulus
-    for e in range(table.shape[1] - 2, -1, -1):
-        total *= j
-        total += table[:, e : e + 1]
-        bound = bound * n + modulus
-        if e == 0 or bound * n + modulus > INT64_MAX:
-            total %= moduli
-            bound = modulus
-    if scales.max(initial=1) > 1:
-        total //= scales  # now the residues p(x, j) mod n
-    return total
+    table = (differences % n).astype(np.int64)
+    rows, width = table.shape
+    # Delta^k q(j) of row i sits at flat[i * n + j + k], so each level's
+    # prefix sum runs in place, one index before the level above: where it
+    # writes Delta^k q(j) it reads Delta^(k+1) q(j - 1).  Delta^k q(0)
+    # overwrites the previous row's Delta^(k+1) q(n - 1), which no exclusive
+    # sum reads.
+    flat = np.empty(rows * n + width - 1, dtype=np.int64)
+    flat[width - 1 :].reshape(rows, n)[:] = table[:, -1:]
+    for k in range(width - 2, -1, -1):
+        level = flat[k : k + rows * n].reshape(rows, n)
+        level[:, 0] = table[:, k]
+        np.cumsum(level, axis=1, out=level)
+        level %= n
+    return flat[: rows * n].reshape(rows, n)
 
 
-def _powers(width: int) -> np.ndarray:
-    """The Python ints t^e at [e, t], for e, t < width.
-
-    `coeffs @ _powers(width)` evaluates each row of coefficients at
-    t = 0..width-1.
-    """
-    return np.array([[t**e for t in range(width)] for e in range(width)], dtype=object)
+def _scaled(differences: Sequence[int], t: int) -> int:
+    """sum_k differences[k] C(t, k) in Python ints: a row's scale * p(x, t)."""
+    return sum(d * math.comb(t, k) for k, d in enumerate(differences))
 
 
-def _first_nonintegral(rows: _Rows) -> dict[int, int]:
-    """The rows that are not integer valued, each with its first non-integral j.
-
-    A polynomial of degree < width is integer valued exactly when its
-    Newton differences at 0 are integers, and the first j where p(x, j)
-    fails is the first k where the k-th difference fails, so j = 0..width-1
-    decide it.  One product with the Vandermonde matrix, in Python ints,
-    gives every row's scale * p(x, t) at t = 0..width-1.
-    """
-    powers = _powers(rows.coeffs.shape[1])
-    fractional = (rows.coeffs @ powers % rows.scales[:, None]).astype(bool)
-    failing = np.flatnonzero(fractional.any(axis=1)).tolist()
-    return {i: int(fractional[i].argmax()) for i in failing}
-
-
-def _scaled(coeffs: Sequence[int], t: int) -> int:
-    """sum_e coeffs[e] t^e in Python ints: a row's scale * p(x, t)."""
-    total = 0
-    for c in reversed(coeffs):
-        total = total * t + c
-    return total
-
-
-def _periodicity_errors(
-    rows: _Rows, firsts: dict[int, int], n: int
-) -> dict[int, NonIntegralValue | NotCoprime]:
+def _periodicity_errors(rows: _Rows, n: int) -> dict[int, NonIntegralValue | NotCoprime]:
     """The rows whose residues are not well defined mod n, each with its error.
 
-    `firsts` holds each failing row's first non-integral j
-    (`_first_nonintegral`), and rows missing from it need no check:
-    scale * p(x, t) is an integer polynomial, so it changes by a multiple
-    of n from t to t + n, and since the scale divides the denominator,
-    which is coprime to n, p(x, t + n) - p(x, t) is a multiple of n as
-    well.  A row failing at some j <= n gets NonIntegralValue.  For a row
+    Only the rows in `rows.firsts` need a check: scale * p(x, t) is an
+    integer polynomial, so it changes by a multiple of n from t to t + n,
+    and since the scale divides the denominator, which is coprime to n,
+    p(x, t + n) - p(x, t) is a multiple of n as well when p is integer
+    valued.  A row failing at some j <= n gets NonIntegralValue.  For a row
     integral just up to j = n, (p(x, t + n) - p(x, t)) / n has degree
     < width, so t = 0..width-1 prove or refute that it is integer valued,
     and the first failing t gives NotCoprime.  (Such a row always fails:
@@ -289,17 +270,17 @@ def _periodicity_errors(
     come in row order.
     """
     errors: dict[int, NonIntegralValue | NotCoprime] = {}
-    for i, first in firsts.items():
-        scale, coeffs = rows.scales[i], rows.coeffs[i].tolist()
+    for i, first in rows.firsts.items():
+        scale, differences = rows.scales[i], rows.differences[i].tolist()
         x = tuple(rows.elements[i])
         if first <= n:
             errors[i] = NonIntegralValue(
-                f"cocycle value {_scaled(coeffs, first)}/{scale} at ({x}, {first}) "
+                f"cocycle value {_scaled(differences, first)}/{scale} at ({x}, {first}) "
                 f"is not an integer"
             )
             continue
-        for t in range(len(coeffs)):
-            step = _scaled(coeffs, t + n) - _scaled(coeffs, t)
+        for t in range(len(differences)):
+            step = _scaled(differences, t + n) - _scaled(differences, t)
             if step % (scale * n):
                 errors[i] = NotCoprime(
                     f"exponent is not periodic mod {n}: (p(x, t + n) - p(x, t))/n = "
@@ -309,10 +290,10 @@ def _periodicity_errors(
     return errors
 
 
-def _require_rows(n: int, den: int, rows: _Rows, firsts: dict[int, int]) -> None:
+def _require_rows(n: int, den: int, rows: _Rows) -> None:
     """Raise the size's error, else the first row's `_periodicity_errors` entry."""
     error = _size_error(n, den) or next(
-        iter(_periodicity_errors(rows, firsts, n).values()), None
+        iter(_periodicity_errors(rows, n).values()), None
     )
     if error is not None:
         raise error
@@ -326,57 +307,51 @@ class _Words:
     column j is w(t) mod n at t = j - shifts[i] mod n, for the integer
     valued polynomial w(t) = p(x*y, t) - p(y, t) - p(x, t + y_1) (see
     `_word`); the defect rho(x*y) - rho(x) rho(y) has the gap w(j) at
-    column j.  `values` holds each w(0) and `steps` the gcd of its Newton
-    differences Delta^k w(0), k >= 1.  Since w(t) = sum_k Delta^k w(0) C(t, k),
-    word i is the constant w(0) mod n whenever n divides steps[i].
-    `rows` holds each w as one kernel row, and `shifts` each x_1 + y_1.
-    The columns hold Python ints (dtype=object).
+    column j.  `differences` holds each word's integer Newton differences
+    Delta^k w(0), so `values` (column 0) is each w(0), and `steps` holds
+    the gcd of the differences for k >= 1.  Since
+    w(t) = sum_k Delta^k w(0) C(t, k), word i is the constant w(0) mod n
+    whenever n divides steps[i].  `shifts` holds each x_1 + y_1.  The
+    columns hold Python ints (dtype=object).
     """
 
-    values: np.ndarray
+    differences: np.ndarray
     steps: np.ndarray
-    rows: _Rows
     shifts: np.ndarray
 
+    @property
+    def values(self) -> np.ndarray:
+        return self.differences[:, 0]
+
     def residues(self, n: int, i: int) -> np.ndarray:
-        """Word i's n residues mod n in column order: one kernel call on its row."""
-        row = self.rows[i : i + 1]
-        residues = _residue_rows(n, int(row.scales[0]), row)
+        """Word i's n residues mod n in column order, from one kernel call."""
+        residues = _residues(n, self.differences[i : i + 1])
         return np.roll(residues[0], self.shifts[i] % n)
 
 
 def _word(rows: _Rows, xy, x, y) -> _Words:
-    """The words rho(x*y) rho(y)* rho(x)* of the kernel rows at index arrays xy, x, y.
+    """The words rho(x*y) rho(y)* rho(x)* of the rows at index arrays xy, x, y.
 
-    Exact, on Python-int columns, for all words at once.  Each row is
-    p(g, t) = c_g(t) / s_g; over the common scale s = lcm(s_xy, s_x, s_y),
-    s * w(t) has the coefficients of
-    c_xy * s/s_xy - c_y * s/s_y - c_x(t + y_1) * s/s_x, with c_x(t + y_1)
-    a Taylor shift by repeated Horner steps.  The rows must be integer
-    valued.
+    Exact, on Python-int columns, for all words at once.  The rows must be
+    integer valued, so each has integer Newton differences
+    d_g = differences // scales.  Newton's forward formula
+    Delta^k p(x, t + y_1) = sum_i C(y_1, i) Delta^(k+i) p(x, t) gives
+    Delta^k w(0) = d_xy[k] - d_y[k] - sum_i C(y_1, i) d_x[k + i], with
+    C(y_1, i) from the exact recurrence C(y_1, i) = C(y_1, i - 1) (y_1 - i + 1) / i.
     """
     xy, x, y = (np.asarray(i, dtype=np.intp) for i in (xy, x, y))
+    d_xy, d_x, d_y = (rows.differences[i] // rows.scales[i, None] for i in (xy, x, y))
     y_1 = rows.elements[y, 0]
-    shifted = rows.coeffs[x]  # a copy, shifted in place
-    width = shifted.shape[1]
-    for low in range(width - 1):
-        for e in range(width - 2, low - 1, -1):
-            shifted[:, e] += y_1 * shifted[:, e + 1]
-    s_xy, s_x, s_y = rows.scales[xy], rows.scales[x], rows.scales[y]
-    scale = np.lcm(np.lcm(s_xy, s_x), s_y)
-    poly = (
-        rows.coeffs[xy] * (scale // s_xy)[:, None]
-        - rows.coeffs[y] * (scale // s_y)[:, None]
-        - shifted * (scale // s_x)[:, None]
-    )
-    differences = poly @ _powers(width) // scale[:, None]  # w(t) at t = 0..width-1
-    values = differences[:, 0]
-    steps = np.zeros(len(values), dtype=object)
-    for _ in range(width - 1):
-        differences = differences[:, 1:] - differences[:, :-1]
-        steps = np.gcd(steps, differences[:, 0])
-    word_rows = _Rows(rows.elements[x], scale, poly)
-    return _Words(values, steps, word_rows, rows.elements[x, 0] + y_1)
+    width = d_x.shape[1]
+    differences = d_xy - d_y
+    binomial = np.ones(len(y_1), dtype=object)  # C(y_1, i)
+    for i in range(width):
+        differences[:, : width - i] -= binomial[:, None] * d_x[:, i:]
+        binomial = binomial * (y_1 - i) // (i + 1)
+    steps = np.zeros(len(y_1), dtype=object)
+    for k in range(1, width):
+        steps = np.gcd(steps, differences[:, k])
+    return _Words(differences, steps, rows.elements[x, 0] + y_1)
 
 
 # ----------------------------------------------------------------------
@@ -489,19 +464,18 @@ def defects(
 
     The pair-only work is done once, for all pairs at once, on exact
     integer columns: x*y (`MalcevGroup.multiply_columns`), sigma(x, y)
-    (`PolyCocycle.value_columns`), the specializations of x, y and x*y
-    (`PolyCocycle.specialize_columns`), each row's first non-integral j
-    (`_first_nonintegral`) and the word w of each pair whose rows are
-    integer valued (`_word`); a pair with a row that is not fails every
-    size.  The gap of rho_n(x*y) - rho_n(x) rho_n(y) at column j is
+    (`PolyCocycle.value_columns`), the rows of x, y and x*y in Newton form
+    with each row's first non-integral j (`_rows`), and the word w of each
+    pair whose rows are integer valued (`_word`); a pair with a row that is
+    not fails every size.  The gap of rho_n(x*y) - rho_n(x) rho_n(y) at column j is
     w(j) mod n, so the norms come from the gaps (see `difference_norms`)
     and no matrix is formed.  Each size proves its rows well defined mod n
     (`_periodicity_errors`) and checks that the law adds first coordinates
     mod n.  A pair whose word is constant mod n, which n dividing its
     Newton differences proves, needs no residues: its norms are those of
     the constant gap w(0) mod n (`_constant_gap_norms`).  Only the other
-    pairs take the residue kernel, on their word rows, as many at a time
-    as fit in BATCH_ENTRIES.  The bounds are compared as arrays.  A
+    pairs take the residue kernel, on their words' differences, as many at
+    a time as fit in BATCH_ENTRIES.  The bounds are compared as arrays.  A
     measured norm above its proven bound plus a 1e-9 slack gives
     BoundViolated; that would falsify the construction, not the sample.
     """
@@ -517,8 +491,7 @@ def defects(
     shifts = xy[:, 0] - x[:, 0] - y[:, 0]
     # Three rows per pair, in the order the checks run: x*y, x, y.
     rows = _rows(sigma, np.stack([xy, x, y], axis=1))
-    firsts = _first_nonintegral(rows)
-    failing = {row // 3 for row in firsts}
+    failing = {row // 3 for row in rows.firsts}
     integral = np.array([i for i in range(len(pairs)) if i not in failing], dtype=np.intp)
     words = _word(rows, 3 * integral, 3 * integral + 1, 3 * integral + 2)
     table = []
@@ -530,7 +503,7 @@ def defects(
         if error is not None:
             raise error
         failed: dict[int, NilstabError] = {}
-        for row, row_error in _periodicity_errors(rows, firsts, n).items():
+        for row, row_error in _periodicity_errors(rows, n).items():
             failed.setdefault(row // 3, row_error)
         for i, value_error in value_errors.items():
             failed.setdefault(i, value_error)
@@ -550,7 +523,7 @@ def defects(
         for start in range(0, len(rest), step):
             chunk = rest[start : start + step]
             at = integral[chunk]
-            fro[at], op[at] = _gap_norms(_residue_rows(n, den, words.rows[chunk]), n)
+            fro[at], op[at] = _gap_norms(_residues(n, words.differences[chunk]), n)
         table.append(_checked(n, xs, ys, values, fro, op, failed))
     return table
 
@@ -631,7 +604,7 @@ def chi_scalar_check(
     y = group.element(y)
     xy = group.multiply(x, y)
     rows = _rows(sigma, [xy, x, y])
-    _require_rows(n, sigma.poly.denominator_lcm(), rows, _first_nonintegral(rows))
+    _require_rows(n, sigma.poly.denominator_lcm(), rows)
     shift = (xy[0] - x[0] - y[0]) % n
     if shift != 0:
         raise NotScalar(f"triple product shifts by {shift}")

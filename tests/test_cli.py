@@ -311,6 +311,23 @@ def test_sizes_past_int64_for_the_cocycle_denominator_are_a_usage_error(runner, 
     assert "Traceback" not in everything(result)
 
 
+def test_a_cycle_with_a_fractional_coordinate_is_a_usage_error(runner, tmp_path):
+    # 1.5 is refused, not truncated to 1 and certified.
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps([
+        {"coef": 1, "a": [0, 1], "b": [1, 0]},
+        {"coef": -1, "a": [1.5, 0], "b": [0, 1]},
+    ]))
+    result = runner.invoke(
+        main,
+        ["certify", "--group", "lattice:2", "--cocycle", "z2_skinny",
+         "--cycle", str(path), "--n", "16"],
+    )
+    assert result.exit_code == 2, everything(result)
+    assert "1.5" in everything(result)
+    assert "Traceback" not in everything(result)
+
+
 def test_certify_goes_past_the_dense_cap(runner):
     result = runner.invoke(
         main,

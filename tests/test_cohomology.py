@@ -19,6 +19,7 @@ from nilstab.catalog import (
     heisenberg_skinny,
     voiculescu_cycle,
     z2_skinny,
+    zero_cocycle,
 )
 from nilstab.cohomology import (
     Chain2,
@@ -291,6 +292,10 @@ def test_chain_json_round_trip():
         [{"coef": "1", "a": [0, 1], "b": [1, 0]}],
         [{"coef": True, "a": [0, 1], "b": [1, 0]}],
         ["term"],
+        [{"coef": 1, "a": [1.5, 0], "b": [0, 1]}],  # not truncated to (1, 0)
+        [{"coef": 1, "a": ["x", 0], "b": [0, 1]}],
+        [{"coef": 1, "a": 5, "b": [0, 1]}],
+        [{"coef": 1, "a": [0, 1], "b": [True, 0]}],
     ],
 )
 def test_chain_from_json_rejects_malformed_documents(doc):
@@ -356,3 +361,8 @@ def test_cocycle_document_rejects_wrong_group():
         cocycle_from_document(Z2, {"name": "missing poly"})
     with pytest.raises(ParseError):
         cocycle_from_document(Z2, "not an object")
+    doc = zero_cocycle(lattice(1)).to_document()
+    cocycle_from_document(lattice(1), doc)
+    doc["hirsch"] = True
+    with pytest.raises(ParseError, match="hirsch must be an integer"):
+        cocycle_from_document(lattice(1), doc)

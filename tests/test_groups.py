@@ -271,6 +271,8 @@ def test_from_document_rejects_malformed_input():
         from_document({"hirsch": 0, "law": []})
     with pytest.raises(ParseError):
         from_document({"hirsch": 2, "law": [[]]})  # law list too short
+    with pytest.raises(ParseError, match="hirsch must be a positive integer"):
+        from_document({**lattice(1).to_document(), "hirsch": True})
 
 
 def test_from_document_validates_the_law():

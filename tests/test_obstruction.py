@@ -468,13 +468,13 @@ def test_certificates_of_the_builtin_cycles_need_no_kernel_call(monkeypatch):
         assert [(run.n, run.rounded) for run in report.runs] == [(n, -1) for n in n_list]
         assert peak < 1 << 20
     calls = []
-    kernel = representation._residue_rows
+    kernel = representation._residues
 
-    def recording(n, den, rows):
-        calls.append(len(rows))
-        return kernel(n, den, rows)
+    def recording(n, differences):
+        calls.append(len(differences))
+        return kernel(n, differences)
 
-    monkeypatch.setattr(representation, "_residue_rows", recording)
+    monkeypatch.setattr(representation, "_residues", recording)
     for name, n_list in [
         ("lattice:2", [17, 33, big]),
         ("heisenberg3", list(range(17, 130, 2)) + [big]),

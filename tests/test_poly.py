@@ -302,6 +302,8 @@ def test_json_codec_merges_repeated_monomials():
         [{"coef": [1, 1], "x_exps": [0, -1], "y_exps": [0]}],  # negative exponent
         [{"coef": ["x", 1], "x_exps": [0, 0], "y_exps": [0]}],  # bad literal
         [{"coef": [True, 1], "x_exps": [0, 0], "y_exps": [0]}],  # bool is not int
+        [{"coef": [1, 1], "x_exps": 0, "y_exps": [0]}],  # not a list
+        [{"coef": [1, 1], "x_exps": [0, 0], "y_exps": "0"}],  # not a list
     ],
 )
 def test_json_codec_rejects_malformed_documents(doc):

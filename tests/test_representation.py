@@ -176,11 +176,28 @@ def test_rho_rejects_out_of_range_sizes():
 
 
 def test_rho_matches_a_loop_over_exact_integer_exponents():
-    # The vectorized Horner evaluation mod scale * n against Python ints,
-    # including coordinates large enough that p(x, j) exceeds int64.
-    sigma = heisenberg_skinny()
-    for x in [(1, 2, 3), (-5, 7, -11), (10**12, -(10**15), 3 * 10**14)]:
-        for n in (1, 17, 129):
+    # The residue kernel against p(x, j) mod n evaluated in Python ints,
+    # including coordinates large enough that p(x, j) exceeds int64: the
+    # denominator-2 Heisenberg cocycle (degree 2 in y1), also at a size
+    # past the dense cap, and the Hirsch-4 cocycle (degree 3 in y1,
+    # denominator 6) at coordinates past 2^64.
+    heisenberg = heisenberg_skinny()
+    big = (10**12, -(10**15), 3 * 10**14)
+    hirsch4 = hirsch4_skinny()
+    assert hirsch4.poly.denominator_lcm() == 6
+    assert max(e[-1] for e in hirsch4.poly.terms) == 3
+    cases = [
+        (heisenberg, x, (1, 17, 129)) for x in [(1, 2, 3), (-5, 7, -11), big]
+    ] + [
+        (heisenberg, big, (2**16 + 1,)),
+        (heisenberg, (-7, 2**70 + 3, 5), (2**16 + 1,)),
+    ] + [
+        (hirsch4, x, (1, 25, 35))
+        for x in [(1, 2, 3, 4), (-3, 5, -2, 7), (3 * 2**64 + 1, -(2**65), 2**66 - 7, 5),
+                  (-(2**64) - 5, 2**67, -(2**65) + 1, 2**64 + 9)]
+    ]
+    for sigma, x, sizes in cases:
+        for n in sizes:
             expected = [int(sigma.poly.evaluate(x + (j,))) % n for j in range(n)]
             assert build_rho(sigma, n, x).residues.tolist() == expected
 
@@ -445,15 +462,15 @@ def square_of_y1() -> PolyCocycle:
 
 
 def record_kernel_calls(monkeypatch) -> list[int]:
-    # The number of rows in each `_residue_rows` call from now on.
+    # The number of rows in each `_residues` call from now on.
     calls = []
-    kernel = representation._residue_rows
+    kernel = representation._residues
 
-    def recording(n, den, rows):
-        calls.append(len(rows))
-        return kernel(n, den, rows)
+    def recording(n, differences):
+        calls.append(len(differences))
+        return kernel(n, differences)
 
-    monkeypatch.setattr(representation, "_residue_rows", recording)
+    monkeypatch.setattr(representation, "_residues", recording)
     return calls
 
 
@@ -584,16 +601,16 @@ def test_chi_scalar_check_proves_constant_words_without_the_kernel(monkeypatch):
     # constant mod n, so no residue is computed; the word that is not
     # constant takes one kernel call, on its own row.
     calls = []
-    kernel = representation._residue_rows
+    kernel = representation._residues
 
-    def recording(n, den, rows):
-        calls.append([tuple(g) for g in rows.elements])
-        return kernel(n, den, rows)
+    def recording(n, differences):
+        calls.append(differences.tolist())
+        return kernel(n, differences)
 
     def refuse(*args):
         raise AssertionError("no phase-shift products expected")
 
-    monkeypatch.setattr(representation, "_residue_rows", recording)
+    monkeypatch.setattr(representation, "_residues", recording)
     monkeypatch.setattr(PhaseShiftMatrix, "compose", refuse)
     monkeypatch.setattr(PhaseShiftMatrix, "adjoint", refuse)
     sigma = heisenberg_skinny()
@@ -607,7 +624,8 @@ def test_chi_scalar_check_proves_constant_words_without_the_kernel(monkeypatch):
     not_a_cocycle = PolyCocycle(lattice(2), MultiPoly(xy_variables(2, 1), {(1, 0, 2): 1}))
     with pytest.raises(NotScalar, match="diagonal entry 1 has residue"):
         chi_scalar_check(not_a_cocycle, 16, (2, 0), (2, 0))
-    assert calls == [[(2, 0)]]
+    # The word of x = y = (2, 0) is w(t) = -8t - 8.
+    assert calls == [[[-8, -8, 0]]]
 
 
 def test_defects_are_the_chords_of_the_cocycle_value():
