@@ -103,10 +103,11 @@ def character_representation(
 
 def resolve_group(source: str) -> MalcevGroup:
     """A builtin name (lattice:m, heisenberg3) or a path to a JSON document."""
-    if source == "heisenberg3":
+    name = _strip_builtin(source)
+    if name == "heisenberg3":
         return heisenberg3()
-    if source.startswith("lattice:"):
-        tail = source.split(":", 1)[1]
+    if name.startswith("lattice:"):
+        tail = name.split(":", 1)[1]
         try:
             m = int(tail)
         except ValueError:
@@ -146,10 +147,11 @@ def resolve_cycle(source: str, group: MalcevGroup) -> Chain2:
         chain = heisenberg_c1()
     else:
         chain = Chain2.from_json(read_json_document(source))
-    for _, a, b in chain.terms:
-        if len(a) != group.hirsch or len(b) != group.hirsch:
-            raise ParseError(
-                f"cycle terms have {len(a)} coordinates but the group needs "
-                f"{group.hirsch}"
-            )
+    for index, (_, a, b) in enumerate(chain.terms):
+        for side, g in (("a", a), ("b", b)):
+            if len(g) != group.hirsch:
+                raise ParseError(
+                    f"cycle term {index}: {side} has {len(g)} coordinates but "
+                    f"the group needs {group.hirsch}"
+                )
     return chain

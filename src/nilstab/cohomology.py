@@ -18,7 +18,9 @@ as alpha(y).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -28,6 +30,7 @@ from .groups import Element, MalcevGroup, symbolic_triple
 from .poly import (
     MultiPoly,
     _decode_json_int,
+    _encode_json_int,
     box_witness,
     poly_from_monomials,
     poly_to_monomials,
@@ -79,31 +82,14 @@ class PolyCocycle:
         """
         return self.poly.evaluate_int_columns([*x, y[0]])
 
-    def specialize_columns(
-        self, x: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """`specialize_first` for rows of elements given as m coordinate columns.
+    @cached_property
+    def newton(self) -> tuple[int, list[MultiPoly]]:
+        """`(den, q)`: p(x, y1) = sum_k q_k(x) C(y1, k), so q_k(x) = Delta^k p(x, 0).
 
-        Returns the column of scales and the coefficient columns c_0..c_d,
-        each reduced by its row's gcd(den, c_0..c_d); every entry is a
-        Python int.
+        den is the q_k's common denominator, which may be below the polynomial's.
         """
-        den, coeffs = self.poly.scaled_columns([*x, None], split=self.group.hirsch)
-        g = den
-        for c in coeffs:
-            g = np.gcd(g, c)
-        return den // g, [c // g for c in coeffs]
-
-    def specialize_first(self, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-        """Integer coefficients (den, c_0..c_d) of p(x, t) = sum(c_e t^e)/den.
-
-        The one-row case of `specialize_columns`: built from the
-        polynomial's scaled-integer form and reduced by gcd(den, c_0..c_d),
-        so den is the smallest denominator at x.
-        """
-        x = self.group.element(x)
-        scales, coeffs = self.specialize_columns([np.array([v], dtype=object) for v in x])
-        return scales[0], tuple(c[0] for c in coeffs)
+        q = self.poly.newton_coefficients(self.group.hirsch)
+        return math.lcm(*(c.denominator_lcm() for c in q)), q
 
     def to_document(self) -> dict:
         return {
@@ -206,8 +192,10 @@ class Chain2:
         return list(seen)
 
     def to_json(self) -> list[dict]:
+        """Coordinates past 64 bits as decimal strings (`poly._encode_json_int`)."""
         return [
-            {"coef": coef, "a": list(a), "b": list(b)} for coef, a, b in self.terms
+            {"coef": c, "a": [*map(_encode_json_int, a)], "b": [*map(_encode_json_int, b)]}
+            for c, a, b in self.terms
         ]
 
     @classmethod

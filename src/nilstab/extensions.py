@@ -42,7 +42,7 @@ from .errors import (
     PairingMismatch,
 )
 from .groups import Element, MalcevGroup
-from .poly import MultiPoly, _surjections, xy_variables
+from .poly import MultiPoly, xy_variables
 from .validation import DEFAULT_SEED, make_rng, sample_coords
 
 
@@ -252,21 +252,15 @@ def _power_of_first_generator(group: MalcevGroup) -> list[MultiPoly]:
 def _antiderivative(f: MultiPoly, index: int) -> MultiPoly:
     """S with S(i + 1) - S(i) = f and S(0) = 0, i the variable at `index`.
 
-    Each i^d is sum_k surj(d, k) * binom(i, k), and binom(i, k + 1) is the
-    sum of binom(j, k) over 0 <= j < i.
+    f = sum_k q_k * binom(i, k) (`newton_coefficients`), and binom(i, k + 1)
+    is the sum of binom(j, k) over 0 <= j < i.
     """
     i = MultiPoly.variable(f.variables, index)
-    binomials = [MultiPoly.constant(f.variables, 1)]  # binom(i, k)
+    binomial = i  # binom(i, k + 1)
     out = MultiPoly.zero(f.variables)
-    for exps, c in f.terms.items():
-        d = exps[index]
-        while len(binomials) < d + 2:
-            k = len(binomials)
-            binomials.append(binomials[-1] * (i - (k - 1)) * Fraction(1, k))
-        coefficient = MultiPoly(f.variables, {exps[:index] + (0,) + exps[index + 1:]: c})
-        out = out + coefficient * sum(
-            _surjections(d, k) * binomials[k + 1] for k in range(d + 1)
-        )
+    for k, q in enumerate(f.newton_coefficients(index)):
+        out = out + q * binomial
+        binomial = binomial * (i - (k + 1)) * Fraction(1, k + 2)
     return out
 
 

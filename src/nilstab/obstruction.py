@@ -291,8 +291,8 @@ def _exact_runs(
     2 pi i centred(r_j) / n, so the term adds coef * sum_j centred(r_j) / n.
 
     The per-term work is done once: the support's rows in Newton form with
-    each row's first non-integral j (one columnar specialization,
-    `representation._rows`), and for every term and ordering, in one call
+    each row's first non-integral j (the cocycle's Newton coefficients at
+    every support element, `representation._rows`), and for every term and ordering, in one call
     of `representation._word`, the Newton differences of the word
     polynomial w, whose residue at every column is w(t) mod n for some t.
     Per size the work is O(1): when n divides every Newton difference of w

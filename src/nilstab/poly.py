@@ -11,11 +11,11 @@ quotient as a Fraction; `evaluate_int` divides exactly and never builds a
 Fraction for integer input.  The same sum is exact for Fraction inputs.
 `scaled_columns` is that sum over many points at once: each variable is a
 column, a numpy array of dtype=object holding Python ints, so every step
-stays exact at any coordinate size; with one variable split out it gives
-the coefficient columns of that variable's powers.  `evaluate_int_columns`
-is `evaluate_int` over columns, with the same errors for the rows that
-fail.
-`box_witness` decides whether a polynomial is zero, or integer valued, and
+stays exact at any coordinate size.  `evaluate_int_columns` is
+`evaluate_int` over columns, with the same errors for the rows that fail.
+`newton_coefficients` writes a polynomial in one variable's binomial
+basis, by v^e = sum_k surj(e, k) binom(v, k), and `box_witness`, in all
+of them, decides whether a polynomial is zero, or integer valued, and
 turns a failure into a concrete integer point.
 """
 
@@ -212,44 +212,31 @@ class MultiPoly:
             f"{self} evaluated at {tuple(values)} gives non-integer {Fraction(total, den)}"
         )
 
-    def scaled_columns(
-        self, columns: Sequence[np.ndarray | None], split: int | None = None
-    ) -> tuple[int, list[np.ndarray]]:
+    def scaled_columns(self, columns: Sequence[np.ndarray | None]) -> tuple[int, np.ndarray]:
         """`(den, sums)`: den times the polynomial at every row of the columns.
 
         `columns` holds one array of Python ints (dtype=object) per
         variable, all of one length, and row i is the point
-        (columns[0][i], columns[1][i], ...).  With split=None, `sums` is the
-        one column of den * p.  With split=k, variable k stays free: sums[e]
-        is the column of den times the coefficient of its e-th power, for
-        e = 0..variable_degree(k), and columns[k] is not read (it may be
-        None; some other variable must be given).  Every product is a Python
-        int, so the sums are exact at any coordinate size.
+        (columns[0][i], columns[1][i], ...).  A column that no term reads
+        may be None, as long as some column is given.  Every product is a
+        Python int, so the sums are exact at any coordinate size.
         """
         if len(columns) != len(self.variables):
             raise ValueError(
                 f"expected {len(self.variables)} columns, got {len(columns)}"
             )
-        columns = [
-            c if k == split else np.asarray(c, dtype=object)
-            for k, c in enumerate(columns)
-        ]
-        size = len(next(c for k, c in enumerate(columns) if k != split))
+        columns = [c if c is None else np.asarray(c, dtype=object) for c in columns]
+        size = len(next(c for c in columns if c is not None))
         den, rows = self._scaled_form()
-        width = 1 if split is None else self.variable_degree(split) + 1
-        sums = [np.zeros(size, dtype=object) for _ in range(width)]
+        sums = np.zeros(size, dtype=object)
         powers: dict[tuple[int, int], np.ndarray] = {}
         for num, factors in rows:
-            degree = 0
             term = num
             for i, e in factors:
-                if i == split:
-                    degree = e
-                    continue
                 if (i, e) not in powers:
                     powers[i, e] = columns[i] if e == 1 else columns[i] ** e
                 term = term * powers[i, e]
-            sums[degree] += term
+            sums += term
         return den, sums
 
     def evaluate_int_columns(
@@ -260,7 +247,7 @@ class MultiPoly:
         Returns the column of values and, by row, the NonIntegralValue that
         `evaluate_int` raises there; a failing row's value is the floor.
         """
-        den, (total,) = self.scaled_columns(columns)
+        den, total = self.scaled_columns(columns)
         if den == 1:
             return total, {}
         failing = np.flatnonzero(total % den).tolist()
@@ -350,6 +337,23 @@ class MultiPoly:
         if not self.terms:
             return 0
         return max(e[index] for e in self.terms)
+
+    def newton_coefficients(self, index: int) -> list["MultiPoly"]:
+        """q_0..q_d with p = sum_k q_k * binom(v, k), v the variable at `index`.
+
+        Each q_k is free of v, and d = variable_degree(index).  The q_k(x)
+        are the Newton differences Delta^k p(x, 0) in v, from
+        v^e = sum_k surj(e, k) * binom(v, k).
+        """
+        coefficients = [{} for _ in range(self.variable_degree(index) + 1)]
+        for exps, c in self.terms.items():
+            e = exps[index]
+            rest = exps[:index] + (0,) + exps[index + 1 :]
+            # surj(e, 0) = 0 for e > 0, so k runs over 1..e, or is 0 if e = 0.
+            for k in range(min(e, 1), e + 1):
+                terms = coefficients[k]
+                terms[rest] = terms.get(rest, Fraction(0)) + c * _surjections(e, k)
+        return [MultiPoly(self.variables, terms) for terms in coefficients]
 
     def denominator_lcm(self) -> int:
         den = 1

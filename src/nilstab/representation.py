@@ -16,9 +16,11 @@ Every row p(x, .) and every word is held in one form, its Newton
 differences Delta^k p(x, 0) (`_Rows`, `_Words`): a polynomial is integer
 valued exactly when they are integers, it is constant mod n exactly when
 n divides those of order k >= 1, and its values are their sums
-p(x, t) = sum_k Delta^k p(x, 0) C(t, k).  `_rows` builds the rows of any
-number of elements at once, in exact Python-int columns, from
-`PolyCocycle.specialize_columns`, and records each row's first
+p(x, t) = sum_k Delta^k p(x, 0) C(t, k).  Those differences are the
+values at x of the cocycle's Newton coefficients q_k, the fixed
+polynomials with p(x, y1) = sum_k q_k(x) C(y1, k) (`PolyCocycle.newton`),
+so `_rows` builds the rows of any number of elements at once, in exact
+Python-int columns, by evaluating each q_k, and records each row's first
 non-integral j.  rho_n(x) is well defined only when its exponent matters
 only mod n, and one proof decides that for every caller:
 `_periodicity_errors` turns a row's first non-integral j into its
@@ -36,7 +38,7 @@ The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is a scalar
 chi_n(x, y)^{-1} = exp(-2 pi i p(x, y_1) / n) away from zero, giving the
 proven bounds 2*pi*|sigma(x,y)|/sqrt(n) (Frobenius) and 2*pi*|sigma(x,y)|/n
 (operator).  `defects` measures it for many pairs at once: x*y,
-sigma(x, y), the specializations of x, y and x*y and each pair's word
+sigma(x, y), the rows of x, y and x*y and each pair's word
 are computed for all pairs together in integer columns.  The defect's gap
 at column j is w(j) mod n, so at each size a pair whose word is constant
 mod n gets its norms in closed form from the one gap w(0) mod n
@@ -160,7 +162,7 @@ def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     den = sigma.poly.denominator_lcm()
     rows = _rows(sigma, [x])
     _require_rows(n, den, rows)
-    residues = _residues(n, rows.differences // rows.scales[:, None])
+    residues = _residues(n, rows.differences // rows.den)
     return PhaseShiftMatrix(n, x[0], residues[0])
 
 
@@ -184,40 +186,42 @@ def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
 class _Rows:
     """Rows p(x, t) of the cocycle at many elements x, as columns in Newton form.
 
-    Row i is p(x, t) = sum_k differences[i, k] C(t, k) / scales[i] at
-    x = elements[i]: `differences` holds scale * Delta^k p(x, 0).  Such a
+    Row i is p(x, t) = sum_k differences[i, k] C(t, k) / den at
+    x = elements[i]: `differences` holds den * Delta^k p(x, 0), with den
+    the common denominator of the cocycle's Newton coefficients.  Such a
     row is integer valued exactly when every Delta^k p(x, 0) is an integer
     (Polya), and its first non-integral j is the first k where one is not,
     since p(x, j) = sum_{k <= j} Delta^k p(x, 0) C(j, k).  `firsts` maps
-    each row that is not integer valued to that j.  `elements` (rows, m),
-    `scales` (rows,) and `differences` (rows, width) hold Python ints
-    (dtype=object).
+    each row that is not integer valued to that j and its scale, the least
+    denominator of p(x, t) in t.  `elements` (rows, m) and `differences`
+    (rows, width) hold Python ints (dtype=object).
     """
 
     elements: np.ndarray
-    scales: np.ndarray
+    den: int
     differences: np.ndarray
-    firsts: dict[int, int]
+    firsts: dict[int, tuple[int, int]]
 
 
 def _rows(sigma: PolyCocycle, elements) -> _Rows:
     """The rows of the elements: a list of Elements or an (rows, m) object array.
 
-    `PolyCocycle.specialize_columns` gives each row's scale and integer
-    coefficients; one product with the Vandermonde matrix, in Python ints,
-    gives scale * p(x, t) at t = 0..width-1, which are differenced in place.
+    Column k of the differences is the cocycle's Newton coefficient q_k
+    at every element (`PolyCocycle.newton`), from one `scaled_columns`
+    call, brought to the common denominator.
     """
     elements = np.asarray(elements, dtype=object).reshape(-1, sigma.group.hirsch)
-    scales, coeffs = sigma.specialize_columns(list(elements.T))
-    width = len(coeffs)
-    powers = np.array([[t**e for t in range(width)] for e in range(width)], dtype=object)
-    differences = np.stack(coeffs, axis=1) @ powers
-    for k in range(1, width):
-        differences[:, k:] = differences[:, k:] - differences[:, k - 1 : -1]
-    fractional = (differences % scales[:, None]).astype(bool)
-    failing = np.flatnonzero(fractional.any(axis=1)).tolist()
-    firsts = {i: int(fractional[i].argmax()) for i in failing}
-    return _Rows(elements, scales, differences, firsts)
+    den, coefficients = sigma.newton
+    columns = [*elements.T, None]
+    sums = [q.scaled_columns(columns) for q in coefficients]
+    differences = np.stack([s * (den // q_den) for q_den, s in sums], axis=1)
+    firsts = {}
+    if den != 1:
+        fractional = (differences % den).astype(bool)
+        for i in np.flatnonzero(fractional.any(axis=1)).tolist():
+            row = sigma.poly.substitute(dict(enumerate(elements[i])))
+            firsts[i] = int(fractional[i].argmax()), row.denominator_lcm()
+    return _Rows(elements, den, differences, firsts)
 
 
 def _residues(n: int, differences: np.ndarray) -> np.ndarray:
@@ -251,40 +255,42 @@ def _residues(n: int, differences: np.ndarray) -> np.ndarray:
 
 
 def _scaled(differences: Sequence[int], t: int) -> int:
-    """sum_k differences[k] C(t, k) in Python ints: a row's scale * p(x, t)."""
+    """sum_k differences[k] C(t, k) in Python ints: a row's den * p(x, t)."""
     return sum(d * math.comb(t, k) for k, d in enumerate(differences))
 
 
 def _periodicity_errors(rows: _Rows, n: int) -> dict[int, NonIntegralValue | NotCoprime]:
     """The rows whose residues are not well defined mod n, each with its error.
 
-    Only the rows in `rows.firsts` need a check: scale * p(x, t) is an
-    integer polynomial, so it changes by a multiple of n from t to t + n,
-    and since the scale divides the denominator, which is coprime to n,
-    p(x, t + n) - p(x, t) is a multiple of n as well when p is integer
-    valued.  A row failing at some j <= n gets NonIntegralValue.  For a row
-    integral just up to j = n, (p(x, t + n) - p(x, t)) / n has degree
-    < width, so t = 0..width-1 prove or refute that it is integer valued,
-    and the first failing t gives NotCoprime.  (Such a row always fails:
-    at t = first - n the difference is not even an integer.)  The errors
-    come in row order.
+    Only the rows in `rows.firsts` need a check: an integer-valued row
+    times its scale is an integer polynomial, so it changes by a multiple
+    of n from t to t + n, and since the scale divides the cocycle's
+    coefficient denominator, which is coprime to n, p(x, t + n) - p(x, t)
+    is a multiple of n as well.  A row failing at some j <= n gets
+    NonIntegralValue.  For a row integral just up to j = n,
+    (p(x, t + n) - p(x, t)) / n has degree < width, so t = 0..width-1
+    prove or refute that it is integer valued, and the first failing t
+    gives NotCoprime.  (Such a row always fails: at t = first - n the
+    difference is not even an integer.)  Messages print fractions over the
+    row's scale, and the errors come in row order.
     """
     errors: dict[int, NonIntegralValue | NotCoprime] = {}
-    for i, first in rows.firsts.items():
-        scale, differences = rows.scales[i], rows.differences[i].tolist()
+    for i, (first, scale) in rows.firsts.items():
+        differences = rows.differences[i].tolist()
         x = tuple(rows.elements[i])
         if first <= n:
+            value = _scaled(differences, first) * scale // rows.den
             errors[i] = NonIntegralValue(
-                f"cocycle value {_scaled(differences, first)}/{scale} at ({x}, {first}) "
+                f"cocycle value {value}/{scale} at ({x}, {first}) "
                 f"is not an integer"
             )
             continue
         for t in range(len(differences)):
             step = _scaled(differences, t + n) - _scaled(differences, t)
-            if step % (scale * n):
+            if step % (rows.den * n):
                 errors[i] = NotCoprime(
                     f"exponent is not periodic mod {n}: (p(x, t + n) - p(x, t))/n = "
-                    f"{step}/{scale * n} at ({x}, {t}) is not an integer"
+                    f"{step * scale // rows.den}/{scale * n} at ({x}, {t}) is not an integer"
                 )
                 break
     return errors
@@ -334,13 +340,13 @@ def _word(rows: _Rows, xy, x, y) -> _Words:
 
     Exact, on Python-int columns, for all words at once.  The rows must be
     integer valued, so each has integer Newton differences
-    d_g = differences // scales.  Newton's forward formula
+    d_g = differences // den.  Newton's forward formula
     Delta^k p(x, t + y_1) = sum_i C(y_1, i) Delta^(k+i) p(x, t) gives
     Delta^k w(0) = d_xy[k] - d_y[k] - sum_i C(y_1, i) d_x[k + i], with
     C(y_1, i) from the exact recurrence C(y_1, i) = C(y_1, i - 1) (y_1 - i + 1) / i.
     """
     xy, x, y = (np.asarray(i, dtype=np.intp) for i in (xy, x, y))
-    d_xy, d_x, d_y = (rows.differences[i] // rows.scales[i, None] for i in (xy, x, y))
+    d_xy, d_x, d_y = (rows.differences[i] // rows.den for i in (xy, x, y))
     y_1 = rows.elements[y, 0]
     width = d_x.shape[1]
     differences = d_xy - d_y

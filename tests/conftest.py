@@ -63,8 +63,9 @@ def boundary3(group: MalcevGroup, triples) -> Chain2:
 def specialize_first_by_fractions(sigma: PolyCocycle, x) -> tuple[int, tuple[int, ...]]:
     """(den, c_0..c_d) with p(x, t) = sum(c_e t^e)/den, summed in Fractions.
 
-    The oracle for `PolyCocycle.specialize_first`, which works on the
-    polynomial's scaled-integer form instead.
+    den is the smallest such denominator, the row's scale.  The oracles
+    build their rows from this monomial form, independently of the
+    library's rows, which come from the cocycle's Newton coefficients.
     """
     x = sigma.group.element(x)
     m = sigma.group.hirsch
@@ -84,6 +85,22 @@ def specialize_first_by_fractions(sigma: PolyCocycle, x) -> tuple[int, tuple[int
         int(by_degree.get(e, Fraction(0)) * den) for e in range(degree + 1)
     )
     return den, coeffs
+
+
+def newton_differences_by_fractions(sigma: PolyCocycle, x) -> list[Fraction]:
+    """Delta^k p(x, 0) for k = 0..d, differenced from Fraction values p(x, 0..d).
+
+    d is the cocycle's degree in y1; the oracle for the cocycle's Newton
+    coefficients (`PolyCocycle.newton`).
+    """
+    x = sigma.group.element(x)
+    degree = sigma.poly.variable_degree(sigma.group.hirsch)
+    values = [sigma.poly.evaluate(x + (t,)) for t in range(degree + 1)]
+    differences = []
+    for _ in range(degree + 1):
+        differences.append(values[0])
+        values = [v - u for u, v in zip(values, values[1:])]
+    return differences
 
 
 def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:

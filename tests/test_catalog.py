@@ -97,7 +97,9 @@ def test_character_representation_is_exactly_multiplicative():
 
 def test_resolve_group_builtin_names():
     assert resolve_group("heisenberg3") is heisenberg3()
+    assert resolve_group("builtin:heisenberg3") is heisenberg3()
     assert resolve_group("lattice:3").law == lattice(3).law
+    assert resolve_group("builtin:lattice:3").law == lattice(3).law
     with pytest.raises(ParseError):
         resolve_group("lattice:zero")
     with pytest.raises(ParseError):

@@ -214,14 +214,19 @@ def test_certify_emits_a_json_certificate(runner):
 
 
 def test_certify_heisenberg_at_odd_sizes(runner):
-    result = runner.invoke(
-        main,
-        ["certify", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny",
-         "--cycle", "heisenberg_c1", "--n", "17,33"],
-    )
-    assert result.exit_code == 0
-    doc = json.loads(result.output)
-    assert all(run["rounded"] == -1 for run in doc["runs"])
+    # The group takes the builtin: prefix as the cocycle and the cycle do.
+    outputs = []
+    for group in ("heisenberg3", "builtin:heisenberg3"):
+        result = runner.invoke(
+            main,
+            ["certify", "--group", group, "--cocycle", "heisenberg_skinny",
+             "--cycle", "heisenberg_c1", "--n", "17,33"],
+        )
+        assert result.exit_code == 0, everything(result)
+        doc = json.loads(result.output)
+        assert all(run["rounded"] == -1 for run in doc["runs"])
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1]
 
 
 def test_certify_fails_cleanly_on_a_torsion_pairing(runner):
@@ -312,20 +317,24 @@ def test_sizes_past_int64_for_the_cocycle_denominator_are_a_usage_error(runner, 
 
 
 def test_a_cycle_with_a_fractional_coordinate_is_a_usage_error(runner, tmp_path):
-    # 1.5 is refused, not truncated to 1 and certified.
+    # 1.5 is refused, not truncated to 1 and certified.  A term of the
+    # wrong length is refused too, naming the term and the side.
     path = tmp_path / "cycle.json"
-    path.write_text(json.dumps([
-        {"coef": 1, "a": [0, 1], "b": [1, 0]},
-        {"coef": -1, "a": [1.5, 0], "b": [0, 1]},
-    ]))
-    result = runner.invoke(
-        main,
-        ["certify", "--group", "lattice:2", "--cocycle", "z2_skinny",
-         "--cycle", str(path), "--n", "16"],
-    )
-    assert result.exit_code == 2, everything(result)
-    assert "1.5" in everything(result)
-    assert "Traceback" not in everything(result)
+    for terms, expected in (
+        ([{"coef": 1, "a": [0, 1], "b": [1, 0]},
+          {"coef": -1, "a": [1.5, 0], "b": [0, 1]}], "1.5"),
+        ([{"coef": 1, "a": [0, 1], "b": [1, 0, 0]}],
+         "cycle term 0: b has 3 coordinates but the group needs 2"),
+    ):
+        path.write_text(json.dumps(terms))
+        result = runner.invoke(
+            main,
+            ["certify", "--group", "lattice:2", "--cocycle", "z2_skinny",
+             "--cycle", str(path), "--n", "16"],
+        )
+        assert result.exit_code == 2, everything(result)
+        assert expected in everything(result)
+        assert "Traceback" not in everything(result)
 
 
 def test_certify_goes_past_the_dense_cap(runner):

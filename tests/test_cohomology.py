@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boundary3, specialize_first_by_fractions, witness_blocks
+from conftest import boundary3, newton_differences_by_fractions, witness_blocks
 from nilstab.catalog import (
     heisenberg3,
     heisenberg_c1,
@@ -36,6 +36,7 @@ from nilstab.cohomology import (
 from nilstab.errors import NonIntegralValue, ParseError
 from nilstab.groups import lattice
 from nilstab.poly import MultiPoly, xy_variables
+from nilstab.representation import _rows
 
 Z2 = lattice(2)
 H3 = heisenberg3()
@@ -74,16 +75,13 @@ def test_poly_cocycle_requires_matching_variables():
         PolyCocycle(Z2, MultiPoly.zero(xy_variables(3, 1)))
 
 
-def test_poly_cocycle_specialize_first_gives_integer_coefficients():
+def test_newton_coefficients_of_heisenberg_skinny():
     sigma = heisenberg_skinny()
-    den, coeffs = sigma.specialize_first((2, 3, 5))
-    # p((2,3,5), t) = -5t - 3t(t+1)/2 = (-13t - 3t^2) / 2
-    assert den == 2
-    assert coeffs == (0, -13, -3)
-    for t in range(-4, 5):
-        value = sum(c * t**e for e, c in enumerate(coeffs))
-        assert value % den == 0
-        assert value // den == sigma((2, 3, 5), (t, 0, 0))
+    den, q = sigma.newton
+    # p((2,3,5), t) = (-13t - 3t^2) / 2 takes 0, -8, -19 at t = 0, 1, 2.
+    assert den == 1
+    assert [c.evaluate((2, 3, 5, 0)) for c in q] == [0, -8, -3]
+    assert sigma.poly.denominator_lcm() == 2
 
 
 rational_cocycles = st.dictionaries(
@@ -98,9 +96,12 @@ rational_cocycles = st.dictionaries(
     st.one_of(st.just(heisenberg_skinny()), rational_cocycles),
     st.tuples(*[st.integers(-(10**6), 10**6)] * 3),
 )
-def test_specialize_first_matches_the_fraction_oracle(sigma, x):
-    # heisenberg_skinny's scale at x is 1 or 2 with the parity of x2.
-    assert sigma.specialize_first(x) == specialize_first_by_fractions(sigma, x)
+def test_newton_coefficients_match_the_fraction_oracle(sigma, x):
+    # q_k(x) = Delta^k p(x, 0), and den clears every q_k.
+    den, q = sigma.newton
+    values = [c.evaluate(x + (0,)) for c in q]
+    assert values == newton_differences_by_fractions(sigma, x)
+    assert all((den * v).denominator == 1 for v in values)
 
 
 @settings(deadline=None, max_examples=60)
@@ -111,10 +112,11 @@ def test_specialize_first_matches_the_fraction_oracle(sigma, x):
 def test_columns_match_the_scalar_evaluation_past_int64(sigma, points):
     # Rows (x1, x2, x3, y1) with coordinates up to 2^70, where any int64
     # step would overflow: sigma's columns equal evaluate_int (its value
-    # or its error) and the specializations the Fraction oracle, row by row.
+    # or its error) and the rows' Newton differences the Fraction oracle,
+    # row by row.
     columns = [np.array(c, dtype=object) for c in zip(*points)]
     values, errors = sigma.value_columns(columns[:3], columns[3:])
-    scales, coeffs = sigma.specialize_columns(columns[:3])
+    rows = _rows(sigma, [point[:3] for point in points])
     for i, point in enumerate(points):
         try:
             expected = sigma.poly.evaluate_int(point)
@@ -123,9 +125,8 @@ def test_columns_match_the_scalar_evaluation_past_int64(sigma, points):
         else:
             assert i not in errors
             assert values[i] == expected and type(values[i]) is int
-        assert (scales[i], tuple(c[i] for c in coeffs)) == specialize_first_by_fractions(
-            sigma, point[:3]
-        )
+        differences = [Fraction(d, rows.den) for d in rows.differences[i]]
+        assert differences == newton_differences_by_fractions(sigma, point[:3])
 
 
 def test_kernel_cocycle_rejects_non_integer_values():
@@ -278,10 +279,13 @@ def test_chain_support_includes_products():
 
 
 def test_chain_json_round_trip():
-    chain = heisenberg_c1()
-    doc = chain.to_json()
-    json.loads(json.dumps(doc))
-    assert Chain2.from_json(doc) == chain
+    # Coordinates past 64 bits travel as decimal strings; coef stays a number.
+    wide = Chain2.build([(1, (2**70, 0), (0, 1))])
+    for chain in (heisenberg_c1(), wide):
+        doc = chain.to_json()
+        assert json.loads(json.dumps(doc)) == doc
+        assert Chain2.from_json(doc) == chain
+    assert wide.to_json() == [{"coef": 1, "a": [str(2**70), 0], "b": [0, 1]}]
 
 
 @pytest.mark.parametrize(

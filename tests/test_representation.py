@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import defects_by_pairs
+from conftest import defects_by_pairs, specialize_first_by_fractions
 from nilstab.catalog import heisenberg3, heisenberg_skinny, z2_skinny
 from nilstab.cohomology import PolyCocycle
 from nilstab.errors import (
@@ -318,7 +318,7 @@ def test_defect_matches_the_dense_difference(make_sigma, sizes):
         ((2, -1, 4)[: group.hirsch], (y1, 3, -1)[: group.hirsch])
         for y1 in (-200, 150, 10**12)
     ]
-    scales = {sigma.specialize_first(v)[0] for pair in pairs for v in pair}
+    scales = {specialize_first_by_fractions(sigma, v)[0] for pair in pairs for v in pair}
     assert scales == {1, sigma.poly.denominator_lcm()}
     assert any(y[0] < 0 for _, y in pairs)
     for n, rows in zip(sizes, defects(sigma, sizes, pairs)):
@@ -402,7 +402,7 @@ def test_defects_match_the_pair_by_pair_oracle(make_sigma, sizes):
         ((2, -1, 4, 3)[:m], (y1, 3, -1, 5)[:m]) for y1 in (-200, 300, 10**12)
     ]
     pairs += [((-(2**70), 3 * 2**65, 7, -5)[:m], (2**66 + 1, -9, 2**70, 1)[:m])]
-    scales = {sigma.specialize_first(v)[0] for pair in pairs for v in pair}
+    scales = {specialize_first_by_fractions(sigma, v)[0] for pair in pairs for v in pair}
     assert len(scales) == (1 if m == 2 else 2 if m == 3 else 4)
     table = defects(sigma, sizes, pairs)
     assert_same_defects(table, defects_by_pairs(sigma, sizes, pairs))
