@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
-check or certificate fails, 2 for unparseable input or bad usage.  Every
+check or certificate fails (an unproved cocycle included), 2 for
+unparseable input or bad usage.  Every
 command is deterministic given its inputs and seed; rerunning writes
 byte-identical output.
 """
@@ -16,7 +17,7 @@ from typing import NoReturn
 import click
 
 from . import __version__, catalog
-from .cohomology import cocycle_check, skinny_check
+from .cohomology import skinny_check
 from .errors import NilstabError, NotCoprime, ParseError, ValidationError
 from .obstruction import certify_nonperturbability
 from .representation import defects, max_exact_size
@@ -100,7 +101,7 @@ def validate(group_src, cocycle_src, samples, bound, seed, grid, fmt, out_path):
         reports = [group.validate() if group.proof is None else group.proof]
         if cocycle_src:
             sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
-            reports += [cocycle_check(sigma), skinny_check(sigma)]
+            reports += [sigma.proof, skinny_check(sigma)]
     except ValidationError as exc:
         reports = [exc.report]  # a group document whose law failed its proof
     except NilstabError as exc:
@@ -157,15 +158,16 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     try:
         group = _usage_guard(catalog.resolve_group, group_src)
         sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
+        den = sigma.poly.denominator_lcm()
+        _check_sizes(n_list, den)
+        rng = make_rng(seed)
+        pairs = [
+            (sample_coords(rng, group.hirsch, bound), sample_coords(rng, group.hirsch, bound))
+            for _ in range(samples)
+        ]
+        table = defects(sigma, n_list, pairs)
     except NilstabError as exc:
         _fail(exc)
-    den = sigma.poly.denominator_lcm()
-    _check_sizes(n_list, den)
-    rng = make_rng(seed)
-    pairs = [
-        (sample_coords(rng, group.hirsch, bound), sample_coords(rng, group.hirsch, bound))
-        for _ in range(samples)
-    ]
     lines = ["n,x,y,sigma_xy,frob_defect,frob_bound,op_defect,op_bound,status"]
     failed = False
     # Each pair's "x,y" fields, formatted once for all sizes, and each
@@ -173,18 +175,11 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     # -0.0 or NaN, so equal tails print the same text.
     texts = [f"{';'.join(map(str, x))},{';'.join(map(str, y))}" for x, y in pairs]
     tails: dict[tuple, str] = {}
-    for n, rows in zip(n_list, defects(sigma, n_list, pairs)):
+    for n, rows in zip(n_list, table):
         for (x, y), text, row in zip(pairs, texts, rows):
             if isinstance(row, NotCoprime):
-                # A row refused at this size may pair with a failing sigma(x, y).
-                try:
-                    value = sigma(x, y)
-                except NilstabError as exc:
-                    row = exc
-                else:
-                    lines.append(f"{n},{text},{value},,,,,skipped:not_coprime")
-                    continue
-            if isinstance(row, NilstabError):
+                lines.append(f"{n},{text},{sigma(x, y)},,,,,skipped:not_coprime")
+            elif isinstance(row, NilstabError):
                 click.echo(f"error: {row}", err=True)
                 failed = True
             else:

@@ -13,7 +13,9 @@ A cocycle is "skinny" with respect to a homomorphism alpha: G -> Z when
 its value at (x, y) depends on y only through alpha(y) and it vanishes on
 ker(alpha) x ker(alpha).  Skinny cocycles with a polynomial kernel are
 represented by a polynomial in x_1..x_m and the single variable y1, read
-as alpha(y).
+as alpha(y).  Such a PolyCocycle is proved once, when first used
+(`PolyCocycle.proof`), and every consumer of its phase-shift family admits
+it only once that proof passes (`PolyCocycle.admit`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import NonIntegralValue, ParseError
+from .errors import InvalidCocycle, NonIntegralValue, ParseError
 from .groups import Element, MalcevGroup, symbolic_triple
 from .poly import (
     MultiPoly,
@@ -51,6 +53,7 @@ class PolyCocycle:
 
     The polynomial may have rational coefficients but must take integer
     values on integer points; evaluation raises NonIntegralValue otherwise.
+    `proof` is its `cocycle_check` report, computed at most once.
     """
 
     def __init__(self, group: MalcevGroup, poly: MultiPoly, name: str = ""):
@@ -81,6 +84,26 @@ class PolyCocycle:
         values and, by row, the NonIntegralValue that sigma(x, y) raises there.
         """
         return self.poly.evaluate_int_columns([*x, y[0]])
+
+    @cached_property
+    def proof(self) -> ValidationReport:
+        """`cocycle_check`'s exact report on this cocycle, computed once."""
+        return cocycle_check(self)
+
+    def admit(self) -> None:
+        """Raise InvalidCocycle, with the failed checks' witnesses, unless `proof` passed.
+
+        An admitted cocycle is normalized and integer valued, and its
+        cocycle identity at z = (t, 0, ..., 0) reads, for every x, y and t,
+
+            p(x*y, t) - p(y, t) - p(x, t + y1) = -sigma(x, y)
+
+        when the group law adds first coordinates (as a proved law does).
+        Skinniness needs no further check: the kernel condition
+        p(0, x2..xm, 0) = 0 is a case of p(x, 0) = 0.
+        """
+        if not self.proof.ok:
+            raise InvalidCocycle("the cocycle failed its proof:\n" + self.proof.summary())
 
     @cached_property
     def newton(self) -> tuple[int, list[MultiPoly]]:
@@ -192,9 +215,13 @@ class Chain2:
         return list(seen)
 
     def to_json(self) -> list[dict]:
-        """Coordinates past 64 bits as decimal strings (`poly._encode_json_int`)."""
+        """Integers past 64 bits as decimal strings (`poly._encode_json_int`)."""
         return [
-            {"coef": c, "a": [*map(_encode_json_int, a)], "b": [*map(_encode_json_int, b)]}
+            {
+                "coef": _encode_json_int(c),
+                "a": [*map(_encode_json_int, a)],
+                "b": [*map(_encode_json_int, b)],
+            }
             for c, a, b in self.terms
         ]
 
@@ -210,14 +237,12 @@ class Chain2:
                 coef, a, b = entry["coef"], entry["a"], entry["b"]
             except KeyError as exc:
                 raise ParseError(f"chain term missing key {exc}") from exc
-            if not isinstance(coef, int) or isinstance(coef, bool):
-                raise ParseError(f"chain coefficient must be an integer, got {coef!r}")
             if not (isinstance(a, list) and isinstance(b, list)):
                 raise ParseError(
                     f"chain term coordinates must be lists, got {a!r} and {b!r}"
                 )
             a, b = (tuple(_decode_json_int(v) for v in g) for g in (a, b))
-            terms.append((coef, a, b))
+            terms.append((_decode_json_int(coef), a, b))
         return cls.build(terms)
 
 

@@ -29,7 +29,6 @@ from .cohomology import (
     Cocycle,
     KernelCocycle,
     PolyCocycle,
-    cocycle_check,
     pair_cocycle_cycle,
     skinny_check,
 )
@@ -93,7 +92,7 @@ def central_extension(group: MalcevGroup, sigma: PolyCocycle) -> CentralExtensio
         tuple(law),
         name=f"ext({group.name or 'group'}; {sigma.name})",
     )
-    report = cocycle_check(sigma)
+    report = sigma.proof
     if not report.ok:
         raise InvalidCocycle("cocycle failed validation:\n" + report.summary())
     total_report = total.validate()
@@ -206,7 +205,7 @@ def promoted_cocycle(ext: CentralExtension) -> PolyCocycle:
     omega = s.compose(x + [x[0] + 1]) - s.compose(x + [x[0] + i + 1])
     sigma = PolyCocycle(total, omega, name=f"promoted({ext.cocycle.name})")
 
-    report = cocycle_check(sigma)
+    report = sigma.proof
     if not report.ok:
         raise InvalidCocycle("promoted cocycle failed its proof:\n" + report.summary())
     thin = skinny_check(sigma)

@@ -20,12 +20,12 @@ Two paths compute the pairing, chosen by what is paired:
   with residues r_j mod n, so it lies in the convergence ball exactly when
   6 |centred(r_j)| < n, its log is diagonal with entries
   2 pi i centred(r_j) / n, and the winding is the Fraction
-  sum coef * sum_j centred(r_j) / n.  The residues of each word are the
-  values mod n of one integer polynomial in the column, built once per
-  certificate from the support's rows.  When n divides its Newton
-  differences the word is a constant, which needs O(1) work per size;
-  only a word that is not constant mod n takes a residue kernel call.
-  This works at any n that `build_rho` accepts.
+  sum coef * sum_j centred(r_j) / n.  The cocycle is admitted first
+  (`PolyCocycle.admit`), so every word rho(ab) rho(b)* rho(a)* is the
+  scalar -sigma(a, b) mod n (see `representation`): a term whose a and b
+  commute needs O(1) work per size and no residues.  Only the other
+  ordering of a term whose a and b do not commute takes a residue kernel
+  call.  This works at any n that `build_rho` accepts.
 - `winding_pairing` takes dense matrices: general families such as the
   perturbed representations of the null test, and the oracle that the
   exact path is tested against.  It checks the ball with SVD norms, and
@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from . import __version__
+from . import __version__, representation
 from .cohomology import (
     Chain2,
     PolyCocycle,
@@ -65,9 +65,8 @@ from .errors import (
 )
 from .groups import Element, MalcevGroup
 from .representation import (
-    _require_rows,
     _rows,
-    _word,
+    _size_error,
     build_rho,
     frobenius_norm,
     operator_norm,
@@ -283,64 +282,65 @@ def _exact_runs(
 ) -> Iterator[CertificateRun]:
     """The winding of rho_n against the chain at each n, in exact residue arithmetic.
 
-    Each ordering of each term is a shift-0 phase-shift matrix with
-    residues r_j.  Its distance to the identity is
+    sigma must be admitted.  Each ordering of each term is a shift-0
+    phase-shift matrix with residues r_j.  Its distance to the identity is
     max_j 2 sin(pi |centred(r_j)| / n), which is below 1 exactly when
     6 |centred(r_j)| < n; otherwise TermOutOfRange names the term.  Inside
     the ball the series log is diagonal with entries
     2 pi i centred(r_j) / n, so the term adds coef * sum_j centred(r_j) / n.
 
-    The per-term work is done once: the support's rows in Newton form with
-    each row's first non-integral j (the cocycle's Newton coefficients at
-    every support element, `representation._rows`), and for every term and ordering, in one call
-    of `representation._word`, the Newton differences of the word
-    polynomial w, whose residue at every column is w(t) mod n for some t.
-    Per size the work is O(1): when n divides every Newton difference of w
-    the word is the constant centred(w(0)), with worst index 0, margin
-    n - 6 |c| and sum n c.  Only a word that is not constant mod n takes a
-    kernel call, on its differences.
+    The words are read off the cocycle identity once, for all sizes.
+    Ordering 1, rho(ab) rho(b)* rho(a)*, is the constant -sigma(a, b), and
+    ordering 2 is the constant -sigma(b, a) when ab = ba.  A constant c
+    costs O(1) per size: worst index 0, margin n - 6 |centred(c)| and sum
+    n centred(c).  When ab != ba, ordering 2 is rho(ab) rho(ba)* times the
+    scalar -sigma(b, a): its residue at column j + a_1 + b_1 is
+    p(ab, j) - p(ba, j) - sigma(b, a), which one kernel call per size
+    evaluates from the difference of the two rows (`representation._rows`).
     Runs come one size at a time, and each size raises its first failing
-    check: the size's own (`_size_error`), the rows' in support order
-    (`_periodicity_errors`), then per term the shift and both orderings'
-    ball tests.
+    check: the size's own (`_size_error`), then per term the shift and
+    both orderings' ball tests.
     """
-    support = chain.support(group)
     den = sigma.poly.denominator_lcm()
-    rows = _rows(sigma, support)
-    at = {g: i for i, g in enumerate(support)}
-    terms, triples = [], []
+    # Each term's two words: a constant, or (row of `kernel_words`, roll).
+    terms, swapped, scalars = [], [], []
     for coef, a, b in chain.terms:
-        ab = group.multiply(a, b)
-        terms.append((coef, ab[0] - a[0] - b[0]))
-        triples += [(at[ab], at[a], at[b]), (at[ab], at[b], at[a])]
-    # A row that is not integer valued fails every size, so the words are
-    # needed, and integral, only when every row is integer valued.  Word
-    # 2k + o is ordering o of term k.
-    words, values, steps = None, [], []
-    if not rows.firsts:
-        words = _word(rows, *np.array(triples, dtype=np.intp).reshape(-1, 3).T)
-        values, steps = words.values.tolist(), words.steps.tolist()
+        ab, ba = group.multiply(a, b), group.multiply(b, a)
+        second = -sigma(b, a)
+        if ab != ba:
+            swapped.append((ab, ba))
+            scalars.append(second)
+            second = (len(swapped) - 1, a[0] + b[0])
+        terms.append((coef, ab[0] - a[0] - b[0], (-sigma(a, b), second)))
+    if swapped:
+        rows = _rows(sigma, swapped)  # the rows of ab and ba, alternating
+        differences = rows.differences // rows.den
+        kernel_words = differences[0::2] - differences[1::2]
+        kernel_words[:, 0] += scalars
     for n in n_list:
-        _require_rows(n, den, rows)
+        error = _size_error(n, den)
+        if error is not None:
+            raise error
         half = (n - 1) // 2
         margin = n
         sums = []
-        for index, (coef, shift) in enumerate(terms):
+        for index, (coef, shift, words) in enumerate(terms):
             if shift % n:
                 raise TermOutOfRange(
                     f"term {index}: {ORDERINGS[0]} shifts by {shift % n}",
                     term_index=index,
                 )
             totals = []
-            for k, label in enumerate(ORDERINGS, start=2 * index):
+            for word, label in zip(words, ORDERINGS):
                 # Centre in (-n/2, n/2]: (r + h) mod n - h with h = (n - 1) // 2.
-                if steps[k] % n == 0:
+                if isinstance(word, int):
                     worst = 0
-                    value = (values[k] + half) % n - half
+                    value = (word + half) % n - half
                     total = n * value
                 else:
-                    centred = words.residues(n, k)
-                    centred += half
+                    row, roll = word
+                    residues = representation._residues(n, kernel_words[row : row + 1])
+                    centred = np.roll(residues[0], roll % n) + half
                     centred %= n
                     centred -= half
                     worst = int(np.argmax(np.abs(centred)))
@@ -377,15 +377,18 @@ def certify_nonperturbability(
 ) -> CertificateReport:
     """Winding certificate: the family rho_n pairs to -<sigma, c> for each n.
 
-    Every pairing is exact, and each term's words are built once for all
+    Every pairing is exact, and each term's words are read once for all
     sizes (see `_exact_runs`); the runs keep the order and multiplicity of
-    n_list.  Raises NotACycle if the chain has a boundary, TorsionPairing
-    if the cocycle pairs to zero (no obstruction to certify), and then the
-    first failing size's error: NotCoprime, a size past `max_exact_size`,
-    NonIntegralValue or a periodicity NotCoprime, TermOutOfRange if a log
-    argument leaves the convergence ball, or PairingMismatch if the
-    winding disagrees with the prediction.
+    n_list.  Raises InvalidCocycle unless sigma is admitted
+    (`PolyCocycle.admit`), before any size is looked at; then ValueError
+    for an empty n_list, NotACycle if the chain has a boundary,
+    TorsionPairing if the cocycle pairs to zero (no obstruction to
+    certify), and then the first failing size's error: NotCoprime, a size
+    past `max_exact_size`, TermOutOfRange if a log argument leaves the
+    convergence ball, or PairingMismatch if the winding disagrees with the
+    prediction.
     """
+    sigma.admit()
     if not n_list:
         raise ValueError("need at least one matrix size")
     boundary = boundary2(group, chain)

@@ -12,41 +12,35 @@ phases: products, adjoints and the scalar identity are exact residue
 arithmetic at any n up to `max_exact_size`, and only `phases` and
 `to_dense` (capped at MAX_DENSE) touch floating point.
 
-Every row p(x, .) and every word is held in one form, its Newton
-differences Delta^k p(x, 0) (`_Rows`, `_Words`): a polynomial is integer
-valued exactly when they are integers, it is constant mod n exactly when
-n divides those of order k >= 1, and its values are their sums
-p(x, t) = sum_k Delta^k p(x, 0) C(t, k).  Those differences are the
-values at x of the cocycle's Newton coefficients q_k, the fixed
-polynomials with p(x, y1) = sum_k q_k(x) C(y1, k) (`PolyCocycle.newton`),
-so `_rows` builds the rows of any number of elements at once, in exact
-Python-int columns, by evaluating each q_k, and records each row's first
-non-integral j.  rho_n(x) is well defined only when its exponent matters
-only mod n, and one proof decides that for every caller:
-`_periodicity_errors` turns a row's first non-integral j into its
-NonIntegralValue or NotCoprime at a given n.  One private kernel,
-`_residues`, computes the values mod n at j = 0..n-1 of a batch of integer
-difference rows at one size, by one prefix sum mod n per degree in int64.
-`build_rho` is its one-row case.  The word rho(x*y) rho(y)* rho(x)* needs
-no residue table: its residues are the values mod n of one integer
-polynomial w in the column, whose differences `_word` gets from those of
-the three rows (for many words at once).  `chi_scalar_check`, the
-certificate and `defects` prove their words constant that way, and run
-the kernel only on the words that are not.
+`build_rho`, `defects` and `chi_scalar_check` admit a cocycle only once
+its proof passes (`PolyCocycle.admit`), and raise InvalidCocycle
+otherwise.  An admitted cocycle is integer valued, and n is coprime to
+its denominator, so every row p(x, .) is periodic mod n and rho_n(x) is
+well defined.  Its cocycle identity at z = (t, 0, ..., 0) reads
+p(x*y, t) - p(y, t) - p(x, t + y_1) = -sigma(x, y), so the word
+rho(x*y) rho(y)* rho(x)* is the scalar exp(-2 pi i sigma(x, y) / n).
 
-The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is a scalar
-chi_n(x, y)^{-1} = exp(-2 pi i p(x, y_1) / n) away from zero, giving the
-proven bounds 2*pi*|sigma(x,y)|/sqrt(n) (Frobenius) and 2*pi*|sigma(x,y)|/n
-(operator).  `defects` measures it for many pairs at once: x*y,
-sigma(x, y), the rows of x, y and x*y and each pair's word
-are computed for all pairs together in integer columns.  The defect's gap
-at column j is w(j) mod n, so at each size a pair whose word is constant
-mod n gets its norms in closed form from the one gap w(0) mod n
-(`_constant_gap_norms`), with no residues; only the other pairs take the
-kernel, on their word differences, in chunks of at most BATCH_ENTRIES
-entries.
-The bounds are compared as arrays.  `defect` is its one-pair case.  The
-norms come from the residue gaps d_j: the difference of two phase-shift
+A row's residues come from its Newton differences Delta^k p(x, 0), which
+are the values at x of the cocycle's Newton coefficients q_k, the fixed
+polynomials with p(x, y1) = sum_k q_k(x) C(y1, k) (`PolyCocycle.newton`):
+`_rows` evaluates them for any number of elements at once, in exact
+Python-int columns.  One private kernel, `_residues`, computes the values
+mod n at j = 0..n-1 of a batch of integer difference rows at one size, by
+one prefix sum mod n per degree in int64.  `build_rho` is its one-row
+case.
+
+The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is thus the
+scalar chi_n(x, y)^{-1} - 1 times a unitary, giving the proven bounds
+2*pi*|sigma(x,y)|/sqrt(n) (Frobenius) and 2*pi*|sigma(x,y)|/n
+(operator).  `defects` measures it for many pairs at once from x*y and
+sigma(x, y), computed in integer columns: each pair's gap is
+-sigma(x, y) mod n in every column, so its norms come in closed form from
+that one gap (`_constant_gap_norms`), with no residues.  The bounds are
+compared as arrays.  `defect` is its one-pair case.  `chi_scalar_check`
+does not use the identity: it forms the word from `build_rho` matrices
+with `compose` and `adjoint` and proves every residue equal to
+-sigma(x, y) mod n, a second proof of what `defects` assumes.  The norms
+come from the residue gaps d_j: the difference of two phase-shift
 matrices with equal shift has one entry per column, so its norms are
 sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| with w = exp(2 pi i / n).
 The dense norms below (the Frobenius norm and the SVD operator norm)
@@ -67,7 +61,6 @@ from .errors import (
     BoundViolated,
     DimensionMismatch,
     NilstabError,
-    NonIntegralValue,
     NotCoprime,
     NotScalar,
 )
@@ -153,17 +146,17 @@ def max_exact_size(den: int = 1) -> int:
 def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     """The phase-shift unitary representing x at matrix size n.
 
-    Raises the size's error (`_size_error`), or the row's NonIntegralValue
-    or NotCoprime if its exponent is not well defined mod n
-    (`_periodicity_errors`); otherwise one kernel call on the row's integer
-    Newton differences gives the residues.
+    Raises InvalidCocycle unless sigma is admitted (`PolyCocycle.admit`),
+    then the size's error (`_size_error`); otherwise one kernel call on
+    the row's integer Newton differences gives the residues.
     """
+    sigma.admit()
     x = sigma.group.element(x)
-    den = sigma.poly.denominator_lcm()
+    error = _size_error(n, sigma.poly.denominator_lcm())
+    if error is not None:
+        raise error
     rows = _rows(sigma, [x])
-    _require_rows(n, den, rows)
-    residues = _residues(n, rows.differences // rows.den)
-    return PhaseShiftMatrix(n, x[0], residues[0])
+    return PhaseShiftMatrix(n, x[0], _residues(n, rows.differences // rows.den)[0])
 
 
 def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
@@ -186,21 +179,15 @@ def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
 class _Rows:
     """Rows p(x, t) of the cocycle at many elements x, as columns in Newton form.
 
-    Row i is p(x, t) = sum_k differences[i, k] C(t, k) / den at
-    x = elements[i]: `differences` holds den * Delta^k p(x, 0), with den
-    the common denominator of the cocycle's Newton coefficients.  Such a
-    row is integer valued exactly when every Delta^k p(x, 0) is an integer
-    (Polya), and its first non-integral j is the first k where one is not,
-    since p(x, j) = sum_{k <= j} Delta^k p(x, 0) C(j, k).  `firsts` maps
-    each row that is not integer valued to that j and its scale, the least
-    denominator of p(x, t) in t.  `elements` (rows, m) and `differences`
-    (rows, width) hold Python ints (dtype=object).
+    Row i is p(x, t) = sum_k differences[i, k] C(t, k) / den:
+    `differences` (rows, width) holds den * Delta^k p(x, 0) in Python ints
+    (dtype=object), with den the common denominator of the cocycle's
+    Newton coefficients.  An admitted cocycle's rows are integer valued,
+    so den divides every difference (Polya).
     """
 
-    elements: np.ndarray
     den: int
     differences: np.ndarray
-    firsts: dict[int, tuple[int, int]]
 
 
 def _rows(sigma: PolyCocycle, elements) -> _Rows:
@@ -214,14 +201,7 @@ def _rows(sigma: PolyCocycle, elements) -> _Rows:
     den, coefficients = sigma.newton
     columns = [*elements.T, None]
     sums = [q.scaled_columns(columns) for q in coefficients]
-    differences = np.stack([s * (den // q_den) for q_den, s in sums], axis=1)
-    firsts = {}
-    if den != 1:
-        fractional = (differences % den).astype(bool)
-        for i in np.flatnonzero(fractional.any(axis=1)).tolist():
-            row = sigma.poly.substitute(dict(enumerate(elements[i])))
-            firsts[i] = int(fractional[i].argmax()), row.denominator_lcm()
-    return _Rows(elements, den, differences, firsts)
+    return _Rows(den, np.stack([s * (den // q_den) for q_den, s in sums], axis=1))
 
 
 def _residues(n: int, differences: np.ndarray) -> np.ndarray:
@@ -252,112 +232,6 @@ def _residues(n: int, differences: np.ndarray) -> np.ndarray:
         np.cumsum(level, axis=1, out=level)
         level %= n
     return flat[: rows * n].reshape(rows, n)
-
-
-def _scaled(differences: Sequence[int], t: int) -> int:
-    """sum_k differences[k] C(t, k) in Python ints: a row's den * p(x, t)."""
-    return sum(d * math.comb(t, k) for k, d in enumerate(differences))
-
-
-def _periodicity_errors(rows: _Rows, n: int) -> dict[int, NonIntegralValue | NotCoprime]:
-    """The rows whose residues are not well defined mod n, each with its error.
-
-    Only the rows in `rows.firsts` need a check: an integer-valued row
-    times its scale is an integer polynomial, so it changes by a multiple
-    of n from t to t + n, and since the scale divides the cocycle's
-    coefficient denominator, which is coprime to n, p(x, t + n) - p(x, t)
-    is a multiple of n as well.  A row failing at some j <= n gets
-    NonIntegralValue.  For a row integral just up to j = n,
-    (p(x, t + n) - p(x, t)) / n has degree < width, so t = 0..width-1
-    prove or refute that it is integer valued, and the first failing t
-    gives NotCoprime.  (Such a row always fails: at t = first - n the
-    difference is not even an integer.)  Messages print fractions over the
-    row's scale, and the errors come in row order.
-    """
-    errors: dict[int, NonIntegralValue | NotCoprime] = {}
-    for i, (first, scale) in rows.firsts.items():
-        differences = rows.differences[i].tolist()
-        x = tuple(rows.elements[i])
-        if first <= n:
-            value = _scaled(differences, first) * scale // rows.den
-            errors[i] = NonIntegralValue(
-                f"cocycle value {value}/{scale} at ({x}, {first}) "
-                f"is not an integer"
-            )
-            continue
-        for t in range(len(differences)):
-            step = _scaled(differences, t + n) - _scaled(differences, t)
-            if step % (rows.den * n):
-                errors[i] = NotCoprime(
-                    f"exponent is not periodic mod {n}: (p(x, t + n) - p(x, t))/n = "
-                    f"{step * scale // rows.den}/{scale * n} at ({x}, {t}) is not an integer"
-                )
-                break
-    return errors
-
-
-def _require_rows(n: int, den: int, rows: _Rows) -> None:
-    """Raise the size's error, else the first row's `_periodicity_errors` entry."""
-    error = _size_error(n, den) or next(
-        iter(_periodicity_errors(rows, n).values()), None
-    )
-    if error is not None:
-        raise error
-
-
-@dataclass(frozen=True)
-class _Words:
-    """The diagonals of rho(x*y) rho(y)* rho(x)* as polynomials in the column.
-
-    With every row integer valued and periodic mod n, word i's residue at
-    column j is w(t) mod n at t = j - shifts[i] mod n, for the integer
-    valued polynomial w(t) = p(x*y, t) - p(y, t) - p(x, t + y_1) (see
-    `_word`); the defect rho(x*y) - rho(x) rho(y) has the gap w(j) at
-    column j.  `differences` holds each word's integer Newton differences
-    Delta^k w(0), so `values` (column 0) is each w(0), and `steps` holds
-    the gcd of the differences for k >= 1.  Since
-    w(t) = sum_k Delta^k w(0) C(t, k), word i is the constant w(0) mod n
-    whenever n divides steps[i].  `shifts` holds each x_1 + y_1.  The
-    columns hold Python ints (dtype=object).
-    """
-
-    differences: np.ndarray
-    steps: np.ndarray
-    shifts: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.differences[:, 0]
-
-    def residues(self, n: int, i: int) -> np.ndarray:
-        """Word i's n residues mod n in column order, from one kernel call."""
-        residues = _residues(n, self.differences[i : i + 1])
-        return np.roll(residues[0], self.shifts[i] % n)
-
-
-def _word(rows: _Rows, xy, x, y) -> _Words:
-    """The words rho(x*y) rho(y)* rho(x)* of the rows at index arrays xy, x, y.
-
-    Exact, on Python-int columns, for all words at once.  The rows must be
-    integer valued, so each has integer Newton differences
-    d_g = differences // den.  Newton's forward formula
-    Delta^k p(x, t + y_1) = sum_i C(y_1, i) Delta^(k+i) p(x, t) gives
-    Delta^k w(0) = d_xy[k] - d_y[k] - sum_i C(y_1, i) d_x[k + i], with
-    C(y_1, i) from the exact recurrence C(y_1, i) = C(y_1, i - 1) (y_1 - i + 1) / i.
-    """
-    xy, x, y = (np.asarray(i, dtype=np.intp) for i in (xy, x, y))
-    d_xy, d_x, d_y = (rows.differences[i] // rows.den for i in (xy, x, y))
-    y_1 = rows.elements[y, 0]
-    width = d_x.shape[1]
-    differences = d_xy - d_y
-    binomial = np.ones(len(y_1), dtype=object)  # C(y_1, i)
-    for i in range(width):
-        differences[:, : width - i] -= binomial[:, None] * d_x[:, i:]
-        binomial = binomial * (y_1 - i) // (i + 1)
-    steps = np.zeros(len(y_1), dtype=object)
-    for k in range(1, width):
-        steps = np.gcd(steps, differences[:, k])
-    return _Words(differences, steps, rows.elements[x, 0] + y_1)
 
 
 # ----------------------------------------------------------------------
@@ -397,13 +271,17 @@ def difference_norms(a: PhaseShiftMatrix, b: PhaseShiftMatrix) -> tuple[float, f
     return float(fro), float(op)
 
 
-def _chords(n: int) -> np.ndarray:
-    """The n chords |1 - w^d| = 2 |sin(pi d / n)| for d = 0..n-1."""
-    table = np.pi * np.arange(n)
-    table /= n
-    np.abs(np.sin(table, out=table), out=table)
-    table *= 2.0
-    return table
+def _chords(gaps: np.ndarray, n: int) -> np.ndarray:
+    """The chords |1 - w^d| = 2 |sin(pi d / n)| of integer gaps d in [0, n).
+
+    The same float operations in the same order at every d, so a chord
+    does not depend on which other gaps it is computed with.
+    """
+    chords = np.pi * gaps
+    chords /= n
+    np.abs(np.sin(chords, out=chords), out=chords)
+    chords *= 2.0
+    return chords
 
 
 def _gap_norms(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -412,10 +290,9 @@ def _gap_norms(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     A gap matters only mod n, so the n chords are computed once and
     gathered.  `np.take` wraps each gap into [0, n) by adding or
     subtracting n, which is cheap because the callers' gaps lie in
-    (-n, n).  Works in place on one float array, since `defects` passes
-    whole batches.
+    (-n, n).  Works in place on one float array.
     """
-    chords = np.take(_chords(n), gaps, mode="wrap")
+    chords = np.take(_chords(np.arange(n), n), gaps, mode="wrap")
     op = np.max(chords, axis=-1)
     chords *= chords
     return np.sqrt(np.sum(chords, axis=-1)), op
@@ -427,11 +304,11 @@ def _constant_gap_norms(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     The operator norm is the gap's chord.  The Frobenius norm sums n copies
     of its square as a broadcast view, which numpy sums in the same order
     as a stored row, so both floats equal `_gap_norms` on the full row
-    (a test checks this bit for bit).  Only the distinct gaps are summed,
-    so memory is O(n + distinct gaps).
+    (a test checks this bit for bit).  Only the distinct gaps are summed
+    and their chords computed, so memory is O(distinct gaps), whatever n.
     """
     distinct, inverse = np.unique(gaps, return_inverse=True)
-    chords = _chords(n)[distinct]
+    chords = _chords(distinct, n)
     squares = np.broadcast_to((chords * chords)[:, None], (len(distinct), n))
     return np.sqrt(np.sum(squares, axis=-1))[inverse], chords[inverse]
 
@@ -448,11 +325,6 @@ class DefectResult(NamedTuple):
 
 
 BOUND_SLACK = 1e-9
-# int64 entries per residue-kernel call (one word row of n per pair):
-# `defects` splits the pairs whose word is not constant mod n into chunks
-# that fit, so its memory does not grow with the sample count at large n
-# (one pair per call from n = 524,289 on).
-BATCH_ENTRIES = 1 << 20
 
 
 def defects(
@@ -462,29 +334,25 @@ def defects(
 ) -> list[list[DefectResult | NilstabError]]:
     """Measured multiplicativity defects of rho_n at every size and pair.
 
-    Returns one list per size, with one entry per pair: its DefectResult,
-    or the NilstabError that pair's check raised there, in `defect`'s order
-    (the rows of x*y, x and y, then sigma(x, y), then the bounds).  A size
-    sharing a factor with the coefficient denominator gives NotCoprime
-    throughout, or sigma(x, y)'s error where that fails.
+    Raises InvalidCocycle unless sigma is admitted (`PolyCocycle.admit`),
+    before any size or pair is looked at.  Returns one list per size, with
+    one entry per pair: its DefectResult, or the error of that pair there.
+    A size sharing a factor with the coefficient denominator gives
+    NotCoprime for every pair.
 
     The pair-only work is done once, for all pairs at once, on exact
-    integer columns: x*y (`MalcevGroup.multiply_columns`), sigma(x, y)
-    (`PolyCocycle.value_columns`), the rows of x, y and x*y in Newton form
-    with each row's first non-integral j (`_rows`), and the word w of each
-    pair whose rows are integer valued (`_word`); a pair with a row that is
-    not fails every size.  The gap of rho_n(x*y) - rho_n(x) rho_n(y) at column j is
-    w(j) mod n, so the norms come from the gaps (see `difference_norms`)
-    and no matrix is formed.  Each size proves its rows well defined mod n
-    (`_periodicity_errors`) and checks that the law adds first coordinates
-    mod n.  A pair whose word is constant mod n, which n dividing its
-    Newton differences proves, needs no residues: its norms are those of
-    the constant gap w(0) mod n (`_constant_gap_norms`).  Only the other
-    pairs take the residue kernel, on their words' differences, as many at
-    a time as fit in BATCH_ENTRIES.  The bounds are compared as arrays.  A
-    measured norm above its proven bound plus a 1e-9 slack gives
-    BoundViolated; that would falsify the construction, not the sample.
+    integer columns: the first coordinate of x*y
+    (`MalcevGroup.multiply_columns`) and sigma(x, y)
+    (`PolyCocycle.value_columns`).  Each size checks that the law adds
+    first coordinates mod n; then the gap of rho_n(x*y) - rho_n(x) rho_n(y)
+    is -sigma(x, y) mod n in every column (see the module docstring), so
+    each pair's norms are those of that one constant gap
+    (`_constant_gap_norms`), and no residue or matrix is formed.  The
+    bounds are compared as arrays.  A measured norm above its proven bound
+    plus a 1e-9 slack gives BoundViolated; that would falsify the
+    construction, not the sample.
     """
+    sigma.admit()
     group = sigma.group
     m = group.hirsch
     den = sigma.poly.denominator_lcm()
@@ -492,45 +360,23 @@ def defects(
     ys = [group.element(y) for _, y in pairs]
     x = np.array(xs, dtype=object).reshape(-1, m)
     y = np.array(ys, dtype=object).reshape(-1, m)
-    xy = np.stack(group.multiply_columns(list(x.T), list(y.T)), axis=1)
-    values, value_errors = sigma.value_columns(list(x.T), list(y.T))
-    shifts = xy[:, 0] - x[:, 0] - y[:, 0]
-    # Three rows per pair, in the order the checks run: x*y, x, y.
-    rows = _rows(sigma, np.stack([xy, x, y], axis=1))
-    failing = {row // 3 for row in rows.firsts}
-    integral = np.array([i for i in range(len(pairs)) if i not in failing], dtype=np.intp)
-    words = _word(rows, 3 * integral, 3 * integral + 1, 3 * integral + 2)
+    shifts = group.multiply_columns(list(x.T), list(y.T))[0] - x[:, 0] - y[:, 0]
+    values, _ = sigma.value_columns(list(x.T), list(y.T))
     table = []
     for n in sizes:
         error = _size_error(n, den)
         if isinstance(error, NotCoprime):
-            table.append([value_errors.get(i, error) for i in range(len(pairs))])
+            table.append([error] * len(pairs))
             continue
         if error is not None:
             raise error
-        failed: dict[int, NilstabError] = {}
-        for row, row_error in _periodicity_errors(rows, n).items():
-            failed.setdefault(row // 3, row_error)
-        for i, value_error in value_errors.items():
-            failed.setdefault(i, value_error)
         if np.any(shifts % n):
             raise ValueError(
                 f"the group law does not add first coordinates mod {n}; the "
                 f"defect is not a phase-shift matrix"
             )
-        # Pairs with a failing row keep zero norms; their error replaces them.
-        fro, op = np.zeros(len(pairs)), np.zeros(len(pairs))
-        constant = words.steps % n == 0
-        gaps = (words.values[constant] % n).astype(np.int64)
-        at = integral[constant]
-        fro[at], op[at] = _constant_gap_norms(gaps, n)
-        rest = np.flatnonzero(~constant)
-        step = max(1, BATCH_ENTRIES // n)
-        for start in range(0, len(rest), step):
-            chunk = rest[start : start + step]
-            at = integral[chunk]
-            fro[at], op[at] = _gap_norms(_residues(n, words.differences[chunk]), n)
-        table.append(_checked(n, xs, ys, values, fro, op, failed))
+        fro, op = _constant_gap_norms((-values % n).astype(np.int64), n)
+        table.append(_checked(n, xs, ys, values, fro, op))
     return table
 
 
@@ -541,17 +387,16 @@ def _checked(
     values: np.ndarray,
     fro: np.ndarray,
     op: np.ndarray,
-    failed: dict[int, NilstabError],
-) -> list[DefectResult | NilstabError]:
-    """Each pair's measured norms with their bounds, or its error.
+) -> list[DefectResult | BoundViolated]:
+    """Each pair's measured norms with their bounds, or BoundViolated.
 
-    `failed` holds the pairs whose rows or sigma(x, y) failed; a pair
-    whose norm exceeds its bound gets BoundViolated, the Frobenius bound
-    checked first.
+    A pair whose norm exceeds its bound gets BoundViolated, the Frobenius
+    bound checked first.
     """
     tau = 2 * math.pi * np.abs(values).astype(float)
     fro_bound = tau / math.sqrt(n)
     op_bound = tau / n
+    failed: dict[int, BoundViolated] = {}
     for label, measured, bound in (
         ("Frobenius", fro, fro_bound),
         ("operator", op, op_bound),
@@ -575,7 +420,7 @@ def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> De
     """Measured multiplicativity defect of rho_n at (x, y), with its bounds.
 
     The one-pair, one-size case of `defects`; raises the pair's error
-    (BoundViolated, NonIntegralValue or NotCoprime) instead of returning it.
+    (InvalidCocycle, NotCoprime or BoundViolated) instead of returning it.
     """
     ((row,),) = defects(sigma, [n], [(x, y)])
     if isinstance(row, NilstabError):
@@ -598,36 +443,27 @@ def chi_scalar_check(
 ) -> Chi:
     """Prove rho(x*y) rho(y)^-1 rho(x)^-1 = chi_n(x, y)^{-1} I and return chi.
 
-    The word is a shift-0 phase-shift matrix, and every residue must equal
-    -sigma(x, y) mod n exactly; NotScalar names the first one that does not.
-    The rows of x*y, x and y are checked as the certificate checks its
-    rows (`_periodicity_errors`), and the word is the polynomial of `_word`: a
-    constant word is proved from its Newton differences, and any other
-    word's residues take one kernel call.
+    The word is formed from the three `build_rho` matrices with `compose`
+    and `adjoint`, independently of the identity that `defects` reads it
+    from.  It must have shift 0, and every residue must equal
+    -sigma(x, y) mod n exactly; NotScalar names the first one that does
+    not.  Raises what `build_rho` raises (InvalidCocycle, the size's error)
+    first.
     """
     group = sigma.group
     x = group.element(x)
     y = group.element(y)
-    xy = group.multiply(x, y)
-    rows = _rows(sigma, [xy, x, y])
-    _require_rows(n, sigma.poly.denominator_lcm(), rows)
-    shift = (xy[0] - x[0] - y[0]) % n
-    if shift != 0:
-        raise NotScalar(f"triple product shifts by {shift}")
-    words = _word(rows, [0], [1], [2])
+    rho_xy, rho_x, rho_y = (build_rho(sigma, n, g) for g in (group.multiply(x, y), x, y))
+    word = rho_xy.compose(rho_y.adjoint()).compose(rho_x.adjoint())
+    if word.shift != 0:
+        raise NotScalar(f"triple product shifts by {word.shift}")
     residue = sigma(x, y) % n
     expected = -residue % n
-    if words.steps[0] % n == 0:
-        first, value = 0, words.values[0] % n
-    else:
-        # A periodic word that is constant on one period has every
-        # difference divisible by n, so this one is off somewhere.
-        residues = words.residues(n, 0)
-        first = int(np.flatnonzero(residues != expected)[0])
-        value = int(residues[first])
-    if value != expected:
+    off = np.flatnonzero(word.residues != expected)
+    if off.size:
+        first = int(off[0])
         raise NotScalar(
-            f"diagonal entry {first} has residue {value} mod {n}, "
+            f"diagonal entry {first} has residue {word.residues[first]} mod {n}, "
             f"expected {expected}",
             index=first,
         )

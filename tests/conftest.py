@@ -25,8 +25,6 @@ from nilstab.cohomology import (
 )
 from nilstab.errors import (
     BoundViolated,
-    NilstabError,
-    NonIntegralValue,
     NotCoprime,
     NotSkinny,
     PairingMismatch,
@@ -106,64 +104,42 @@ def newton_differences_by_fractions(sigma: PolyCocycle, x) -> list[Fraction]:
 def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
     """`representation.defects` pair by pair: the reference oracle.
 
-    Each pair is prepared on its own (`multiply`, sigma(x, y) and the
-    Fraction specialization of x*y, x and y), and each row's residues come
-    from Python-int values p(g, j) for j = 0..n, so neither the columnar
-    evaluation nor the residue kernel is used.  A row integral at j <= n
-    is proved periodic mod n by `_periodicity_refutation`.  The norms
-    compare x*y's phase-shift matrix with the product of x's and y's
-    (`compose`, `difference_norms`).  A pair's entry is the first of: the
-    size's NotCoprime (after sigma(x, y)'s error), a row's
-    NonIntegralValue or periodicity NotCoprime in the order x*y, x, y,
-    sigma(x, y)'s error, and the Frobenius and then the operator
-    BoundViolated, with `defects`' messages.
+    For an admitted cocycle, whose values are integers.  Each pair is
+    prepared on its own (`multiply`, sigma(x, y) and the Fraction
+    specialization of x*y, x and y), and each row's residues come from
+    Python-int values p(g, j) for j = 0..n-1, so neither the columnar
+    evaluation, nor the residue kernel, nor the cocycle identity that
+    `defects` reads its gaps from is used.  The norms compare x*y's
+    phase-shift matrix with the product of x's and y's (`compose`,
+    `difference_norms`).  A pair's entry is the size's NotCoprime, else
+    the Frobenius and then the operator BoundViolated, with `defects`'
+    messages, else its DefectResult.
     """
     group = sigma.group
     den = sigma.poly.denominator_lcm()
     prepared = []
     for x, y in pairs:
         x, y = group.element(x), group.element(y)
-        try:
-            s = sigma(x, y)
-        except NilstabError as exc:
-            s = exc
         triple = (group.multiply(x, y), x, y)
         rows = [(g, *specialize_first_by_fractions(sigma, g)) for g in triple]
-        prepared.append((x, y, s, rows))
+        prepared.append((x, y, sigma(x, y), rows))
     table = []
     for n in sizes:
+        if math.gcd(n, den) != 1:
+            refused = NotCoprime(f"n = {n} shares a factor with the coefficient denominator {den}")
+            table.append([refused] * len(prepared))
+            continue
         out = []
+        j = np.arange(n, dtype=object)
         for x, y, s, rows in prepared:
-            if math.gcd(n, den) != 1:
-                out.append(s if isinstance(s, NilstabError) else NotCoprime(
-                    f"n = {n} shares a factor with the coefficient denominator {den}"
-                ))
-                continue
             matrices = []
             for g, scale, coeffs in rows:
-                # scale * p(g, j) for j = 0..n, in Python ints.
-                j = np.arange(n + 1, dtype=object)
-                values = np.zeros(n + 1, dtype=object)
+                # scale * p(g, j) for j = 0..n-1, in Python ints.
+                values = np.zeros(n, dtype=object)
                 for c in reversed(coeffs):
                     values = values * j + c
-                bad = np.flatnonzero(values % scale)
-                if bad.size:
-                    at = int(bad[0])
-                    matrices.append(NonIntegralValue(
-                        f"cocycle value {values[at]}/{scale} at ({g}, {at}) "
-                        f"is not an integer"
-                    ))
-                    continue
-                refutation = _periodicity_refutation(g, scale, coeffs, n)
-                if refutation is not None:
-                    matrices.append(refutation)
-                    continue
-                residues = (values[:n] // scale % n).astype(np.int64)
+                residues = (values // scale % n).astype(np.int64)
                 matrices.append(PhaseShiftMatrix(n, g[0], residues))
-            failed = [m for m in matrices if isinstance(m, NilstabError)]
-            if failed or isinstance(s, NilstabError):
-                out.append(failed[0] if failed else s)
-                continue
             rho_xy, rho_x, rho_y = matrices
             fro, op = difference_norms(rho_xy, rho_x.compose(rho_y))
             fro_bound = 2 * math.pi * abs(s) / math.sqrt(n)
@@ -336,51 +312,19 @@ def extension_skinny_cocycle(ext: CentralExtension) -> KernelCocycle:
     )
 
 
-def _periodicity_refutation(g, scale: int, coeffs, n: int) -> NotCoprime | None:
-    """NotCoprime if p(g, t) = sum(c_e t^e)/scale is not periodic mod n, else None.
-
-    (p(g, t + n) - p(g, t)) / n has degree <= deg, so its exact values at
-    t = 0..deg decide whether it is integer valued; the first t where it
-    is not gives NotCoprime, with the message of
-    `certify_nonperturbability`.  The row must be integral at j <= n.
-    """
-    for t in range(len(coeffs)):
-        step = sum(c * ((t + n) ** e - t**e) for e, c in enumerate(coeffs))
-        if step % (scale * n):
-            return NotCoprime(
-                f"exponent is not periodic mod {n}: (p(x, t + n) - p(x, t))/n = "
-                f"{step}/{scale * n} at ({g}, {t}) is not an integer"
-            )
-    return None
-
-
-def _periodic_rho(sigma: PolyCocycle, n: int, g) -> PhaseShiftMatrix:
-    """`build_rho`, with the exponent proved periodic mod n here as well.
-
-    `build_rho` raises the size's and the row's errors; on a row it
-    accepts, the Fraction specialization is proved periodic mod n
-    (`_periodicity_refutation`), independently of the library's proof.
-    """
-    rho = build_rho(sigma, n, g)
-    refutation = _periodicity_refutation(g, *specialize_first_by_fractions(sigma, g), n)
-    if refutation is not None:
-        raise refutation
-    return rho
-
-
 def exact_run_by_words(
     group: MalcevGroup, sigma: PolyCocycle, chain: Chain2, n: int
 ) -> CertificateRun:
     """The exact winding at one size, word by word: the reference oracle.
 
     Builds each support element's phase-shift unitary with `build_rho`
-    and proves its exponent periodic mod n (`_periodic_rho`), forms both
-    orderings of every term with `compose` and `adjoint`, and applies the
-    ball test 6 |centred(r_j)| < n and the sum
+    and forms both orderings of every term with `compose` and `adjoint`,
+    without the cocycle identity that the certificate reads its words
+    from.  Applies the ball test 6 |centred(r_j)| < n and the sum
     coef * sum_j centred(r_j) / n to their residues, with the checks and
     messages of `certify_nonperturbability`.
     """
-    rho = {g: _periodic_rho(sigma, n, g) for g in chain.support(group)}
+    rho = {g: build_rho(sigma, n, g) for g in chain.support(group)}
     terms = []
     margin = n
     for index, (coef, a, b) in enumerate(chain.terms):

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.metadata
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import nilstab
-from nilstab import catalog, representation
+from nilstab import catalog, cohomology, representation
 from nilstab.catalog import z2_skinny
 from nilstab.cli import main
 from nilstab.cohomology import PolyCocycle
@@ -402,29 +408,116 @@ def test_sweep_skips_sizes_sharing_a_factor_with_the_denominator(runner):
         assert line.split(",")[4:8] == ["", "", "", ""]
 
 
-def test_sweep_skips_rows_not_periodic_mod_n(runner, tmp_path):
-    # 2*x2*C(y1, 3)/3 is not periodic mod 2 at any x2 that 3 does not
-    # divide, so every sampled pair is refused at n = 2: a pair whose
-    # sigma(x, y) is an integer is skipped, and one whose sigma(x, y) is
-    # not reports that error.
-    poly = MultiPoly(
+def test_sweep_skips_rows_not_periodic_mod_n(runner):
+    # heisenberg_skinny has denominator 2: at x2 odd its row
+    # p(x, t) = -x3*t - x2*(t^2 + t)/2 has p(x, t + 4) - p(x, t) =
+    # -4*x3 - x2*(4*t + 10), which 4 does not divide, so rho_4(x) is not
+    # well defined.  Every row at n = 4 is skipped and still prints
+    # sigma(x, y); at n = 5 every row is measured.
+    sigma = catalog.heisenberg_skinny()
+    result = runner.invoke(
+        main,
+        ["sweep", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny",
+         "--n", "4,5", "--samples", "6", "--seed", "3"],
+    )
+    assert result.exit_code == 0, everything(result)
+    rows = [line.split(",") for line in result.stdout.strip().split("\n")[1:]]
+    assert [row[0] for row in rows] == ["4"] * 6 + ["5"] * 6
+    odd = 0
+    for row in rows[:6]:
+        x, y = (tuple(int(c) for c in field.split(";")) for field in row[1:3])
+        assert row[3:] == [str(sigma(x, y)), "", "", "", "", "skipped:not_coprime"]
+        step = 4 * x[2] + x[1] * (4 * 1 + 10)
+        assert sigma.poly.evaluate((*x, 5)) - sigma.poly.evaluate((*x, 1)) == -step
+        if x[1] % 2:
+            odd += 1
+            assert step % 4 != 0
+    assert odd > 0
+    assert all(row[-1] == "ok" for row in rows[6:])
+
+
+SQUARE_OF_Y1 = {"name": "square", "hirsch": 2,
+                "poly": [{"coef": [1, 1], "x_exps": [1, 0], "y_exps": [2]}]}
+
+
+def test_certify_and_sweep_refuse_an_unproved_cocycle(runner, tmp_path):
+    # x1*y1^2 is no cocycle: certify and sweep exit 1 with the failed
+    # proof's witness and print nothing; validate prints its report and
+    # exits 1.  A polynomial that is not integer valued either is refused
+    # the same way.
+    witness = "defect 2*x1*y1*z1 is 2 at x=(1, 0), y=(1, 0), z=(1, 0)"
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(SQUARE_OF_Y1))
+    base = ["--group", "lattice:2", "--cocycle", str(path)]
+    for args in (
+        ["certify", *base, "--cycle", "voiculescu", "--n", "17,33"],
+        ["sweep", *base, "--n", "17,33", "--samples", "4"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: the cocycle failed its proof:\n")
+        assert f"[FAIL] cocycle identity (exact) -- {witness}" in result.stderr
+        assert "Traceback" not in everything(result)
+    result = runner.invoke(main, ["validate", *base])
+    assert result.exit_code == 1
+    assert f"[FAIL] cocycle identity (exact) -- {witness}" in result.stdout
+    den9 = MultiPoly(
         xy_variables(2, 1),
         {(0, 1, 1): Fraction(2, 9), (0, 1, 2): Fraction(-1, 3), (0, 1, 3): Fraction(1, 9)},
     )
     path = tmp_path / "den9.json"
-    path.write_text(json.dumps(PolyCocycle(lattice(2), poly).to_document()))
+    path.write_text(json.dumps(PolyCocycle(lattice(2), den9).to_document()))
     result = runner.invoke(
         main,
         ["sweep", "--group", "lattice:2", "--cocycle", str(path), "--n", "2",
          "--samples", "4", "--bound", "2", "--seed", "3"],
     )
-    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    assert result.stdout.strip().split("\n")[1:] == [
-        "2,-1;2,2;-1,0,,,,,skipped:not_coprime",
-        "2,0;2,1;2,0,,,,,skipped:not_coprime",
-    ]
-    errors = result.stderr.strip().split("\n")
-    assert len(errors) == 2 and all("gives non-integer" in e for e in errors)
+    assert result.exit_code == 1 and result.stdout == ""
+    assert "[FAIL] integrality (exact) -- sigma((0, 1), (3, 0)) = 2/3" in result.stderr
+
+
+def test_a_builtin_cocycle_is_proved_once_per_process(runner, monkeypatch):
+    # validate proves the cocycle; certify and sweep reuse that proof.
+    calls = []
+    prove = cohomology.cocycle_check
+
+    def counted(sigma, *args, **kwargs):
+        calls.append(sigma)
+        return prove(sigma, *args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "cocycle_check", counted)
+    monkeypatch.setattr(catalog, "z2_skinny", functools.cache(z2_skinny.__wrapped__))
+    base = ["--group", "lattice:2", "--cocycle", "z2_skinny"]
+    for args in (
+        ["validate", *base],
+        ["certify", *base, "--cycle", "voiculescu", "--n", "17"],
+        ["sweep", *base, "--n", "17", "--samples", "2"],
+        ["validate", *base],
+    ):
+        assert runner.invoke(main, args).exit_code == 0
+    assert len(calls) == 1 and calls[0] is catalog.z2_skinny()
+
+
+def test_a_sweep_at_a_billion_needs_no_n_entry_table(tmp_path):
+    # At n = 2^30 + 1 an n-entry float table is 8 GiB; the sweep's norms
+    # need only the chords of its distinct gaps, so it runs in a child
+    # process whose address space is capped at 1.5 GB.
+    def cap():
+        limit = 1500 * 10**6
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(nilstab.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "nilstab.cli", "sweep", "--group", "lattice:2",
+         "--cocycle", "builtin:z2_skinny", "--n", "1073741825", "--samples", "2",
+         "--seed", "1"],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = result.stdout.strip().split("\n")[1:]
+    assert len(rows) == 2
+    assert all(row.startswith("1073741825,") and row.endswith(",ok") for row in rows)
 
 
 def test_sweep_fails_when_no_size_is_coprime(runner):
@@ -449,9 +542,9 @@ def inflate_second_frobenius(monkeypatch) -> None:
     # size's norms are checked against their bounds.
     real = representation._checked
 
-    def inflated(n, xs, ys, values, fro, op, failed):
+    def inflated(n, xs, ys, values, fro, op):
         fro[1] += 1.0
-        return real(n, xs, ys, values, fro, op, failed)
+        return real(n, xs, ys, values, fro, op)
 
     monkeypatch.setattr(representation, "_checked", inflated)
 

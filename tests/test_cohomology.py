@@ -279,13 +279,19 @@ def test_chain_support_includes_products():
 
 
 def test_chain_json_round_trip():
-    # Coordinates past 64 bits travel as decimal strings; coef stays a number.
+    # Coordinates and coefficients past 64 bits travel as decimal strings.
     wide = Chain2.build([(1, (2**70, 0), (0, 1))])
-    for chain in (heisenberg_c1(), wide):
+    heavy = Chain2.build([(2**70, (0, 1), (1, 0))])
+    for chain in (heisenberg_c1(), wide, heavy):
         doc = chain.to_json()
         assert json.loads(json.dumps(doc)) == doc
         assert Chain2.from_json(doc) == chain
     assert wide.to_json() == [{"coef": 1, "a": [str(2**70), 0], "b": [0, 1]}]
+    assert heavy.to_json() == [{"coef": str(2**70), "a": [0, 1], "b": [1, 0]}]
+    # A small coefficient is accepted as a decimal string too, as coordinates are.
+    assert Chain2.from_json([{"coef": "-2", "a": [0, 1], "b": [1, 0]}]) == Chain2.build(
+        [(-2, (0, 1), (1, 0))]
+    )
 
 
 @pytest.mark.parametrize(
@@ -293,7 +299,7 @@ def test_chain_json_round_trip():
     [
         {"coef": 1},
         [{"coef": 1, "a": [0, 1]}],
-        [{"coef": "1", "a": [0, 1], "b": [1, 0]}],
+        [{"coef": "1.5", "a": [0, 1], "b": [1, 0]}],
         [{"coef": True, "a": [0, 1], "b": [1, 0]}],
         ["term"],
         [{"coef": 1, "a": [1.5, 0], "b": [0, 1]}],  # not truncated to (1, 0)

@@ -30,8 +30,8 @@ from nilstab.catalog import (
 )
 from nilstab.cohomology import Chain2, PolyCocycle, pair_cocycle_cycle
 from nilstab.errors import (
+    InvalidCocycle,
     NilstabError,
-    NonIntegralValue,
     NotACycle,
     NotCoprime,
     PairingMismatch,
@@ -62,6 +62,7 @@ from nilstab.representation import (
     frobenius_norm,
     operator_norm,
 )
+from nilstab.validation import make_rng, sample_coords
 
 Z2 = lattice(2)
 H3 = heisenberg3()
@@ -357,15 +358,14 @@ def test_batched_certificate_matches_the_size_by_size_oracle(name, n_list):
 
 
 def test_batched_certificate_raises_the_oracles_first_error():
+    # Both refuse a polynomial that fails its proof before any size:
+    # x2*y1/2 is a cocycle whose row of (1, 1) is 1/2 at j = 1, though
+    # sigma((0, 2), (1, 1)) = 1 and sigma((1, 1), (0, 2)) = 0 pair to 1.
     half = PolyCocycle(Z2, MultiPoly(xy_variables(2, 1), {(0, 1, 1): Fraction(1, 2)}))
-    # sigma((0, 2), (1, 1)) = 1 and sigma((1, 1), (0, 2)) = 0, so the
-    # pairing is 1, but the row of (1, 1) is 1/2 at j = 1.
     odd_row = Chain2.build([(1, (0, 2), (1, 1)), (-1, (1, 1), (0, 2))])
     voiculescu = voiculescu_cycle()
     # x2*(y1 + y1*(y1 - 1)/4) pairs to 1 with the Voiculescu cycle and is
-    # integral at j = 0, 1 but not at j = 2.  Size 1 checks integrality
-    # only at j <= 1, but p(x, t + 1) - p(x, t) is 3/2 at t = 1, so the
-    # exponent is not periodic mod 1.
+    # integral at j = 0, 1 but not at j = 2, and it is no cocycle.
     quarter = PolyCocycle(
         Z2,
         MultiPoly(
@@ -377,11 +377,10 @@ def test_batched_certificate_raises_the_oracles_first_error():
         (TermOutOfRange, Z2, z2_skinny(), voiculescu, [17, 3, 33]),
         (TermOutOfRange, H3, heisenberg_skinny().scale(-3), heisenberg_c1(), [33, 17, 16]),
         (NotCoprime, H3, heisenberg_skinny(), heisenberg_c1(), [17, 16, 33]),
-        (NonIntegralValue, Z2, half, odd_row, [17, 33]),
+        (InvalidCocycle, Z2, half, odd_row, [17, 33]),
         # 18 * x2*y1 has residue -18 = -1 mod 17, inside the ball: winding -1.
         (PairingMismatch, Z2, z2_skinny().scale(18), voiculescu, [109, 17, 3]),
-        (NotCoprime, Z2, quarter, voiculescu, [1, 35]),
-        (NonIntegralValue, Z2, quarter, voiculescu, [35, 1]),
+        (InvalidCocycle, Z2, quarter, voiculescu, [1, 35]),
         (ValueError, Z2, z2_skinny(), voiculescu, [17, 3037000500]),
     ]
     for expected, group, sigma, chain, n_list in cases:
@@ -389,6 +388,7 @@ def test_batched_certificate_raises_the_oracles_first_error():
         oracle = _runs_or_error(certificate_runs_by_words, group, sigma, chain, n_list)
         assert batched == oracle
         assert batched[0] is expected, batched
+    assert "sigma((0, 1), (1, 0)) = 1/2" in _runs_or_error(_batched_runs, Z2, half, odd_row, [17])[1]
 
 
 @pytest.mark.parametrize(
@@ -425,37 +425,38 @@ def test_certificate_of_non_commuting_terms_matches_both_oracles(a, b, c, n, exp
 def test_certificate_proves_the_exponent_periodic_where_the_spot_check_passes():
     # The row of (0, 1) is t + 2*C(t, 3)/3, integral at t = 0..2 but 11/3
     # at t = 3.  At n = 2 the spot check p(x, 2) = p(x, 0) mod 2 passes,
-    # but (p(x, t + 2) - p(x, t))/2 is 4/3 at t = 1: the certificate,
-    # build_rho, defect and chi_scalar_check all refuse the size with the
-    # same error.  At n = 5 the row fails at j = 3 <= n.
+    # but (p(x, t + 2) - p(x, t))/2 is 4/3 at t = 1.  The proof that makes
+    # every admitted row periodic mod n fails here, at integrality and at
+    # the cocycle identity, so the certificate, build_rho, defect and
+    # chi_scalar_check all refuse the cocycle with the same error, at
+    # every size.
     poly = MultiPoly(
         xy_variables(2, 1),
         {(0, 1, 1): Fraction(11, 9), (0, 1, 2): Fraction(-1, 3), (0, 1, 3): Fraction(1, 9)},
     )
     sigma = PolyCocycle(Z2, poly)
     chain = voiculescu_cycle()
-    for n, error, message in [
-        (2, NotCoprime, "(p(x, t + n) - p(x, t))/n = 24/18 at ((0, 1), 1) is not an integer"),
-        (5, NonIntegralValue, "cocycle value 33/9 at ((0, 1), 3) is not an integer"),
-    ]:
-        with pytest.raises(error) as info:
+    for n in (2, 5):
+        with pytest.raises(InvalidCocycle) as info:
             certify_nonperturbability(Z2, sigma, chain, [n])
-        assert message in str(info.value)
+        assert "[FAIL] integrality (exact) -- sigma((0, 1), (3, 0)) = 11/3" in str(info.value)
+        assert "[FAIL] cocycle identity (exact)" in str(info.value)
         for refused in (
             lambda: build_rho(sigma, n, (0, 1)),
             lambda: defect(sigma, n, (0, 1), (0, 0)),
             lambda: chi_scalar_check(sigma, n, (0, 1), (0, 0)),
         ):
-            with pytest.raises(error) as other:
+            with pytest.raises(InvalidCocycle) as other:
                 refused()
             assert str(other.value) == str(info.value)
         assert _runs_or_error(certificate_runs_by_words, Z2, sigma, chain, [n]) == (
-            error, str(info.value), None
+            InvalidCocycle, str(info.value), None
         )
 
 
 def test_certificates_of_the_builtin_cycles_need_no_kernel_call(monkeypatch):
-    # Every word of the builtin cycles is constant mod n, so no residue is
+    # Every term of the builtin cycles multiplies commuting elements, so
+    # each word is the constant -sigma(a, b) or -sigma(b, a): no residue is
     # computed at any size, and the memory does not grow with n.
     big = 2**20 + 1
     for n_list in ([big], [17, 33, big]):
@@ -481,7 +482,20 @@ def test_certificates_of_the_builtin_cycles_need_no_kernel_call(monkeypatch):
         ("hirsch4", [25, 35, big]),
     ]:
         certify_nonperturbability(*CERTIFIED[name](), n_list)
+    # Nor do the builtin cocycles' sweeps: each gap is -sigma(x, y) mod n.
+    rng = make_rng(7)
+    for sigma, count in ((heisenberg_skinny(), 200), (z2_skinny(), 20)):
+        m = sigma.group.hirsch
+        pairs = [(sample_coords(rng, m, 3), sample_coords(rng, m, 3)) for _ in range(count)]
+        table = representation.defects(sigma, [17, 1023, big], pairs)
+        assert all(isinstance(row, representation.DefectResult) for rows in table for row in rows)
     assert calls == []
+    # A term whose elements do not commute takes one kernel row per size
+    # for its second ordering, through the same patched name.
+    extra = boundary3(H3, [(1, (1, 0, 0), (0, 17, 0), (0, 0, 1))])
+    chain = Chain2.build([*heisenberg_c1().terms, *extra.terms])
+    certify_nonperturbability(H3, heisenberg_skinny(), chain, [17, 17])
+    assert calls and set(calls) == {1}
 
 
 def test_certificate_past_the_dense_cap():

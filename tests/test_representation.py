@@ -12,11 +12,11 @@ import pytest
 
 from conftest import defects_by_pairs, specialize_first_by_fractions
 from nilstab.catalog import heisenberg3, heisenberg_skinny, z2_skinny
-from nilstab.cohomology import PolyCocycle
+from nilstab.cohomology import PolyCocycle, cocycle_check
 from nilstab.errors import (
     DimensionMismatch,
+    InvalidCocycle,
     NilstabError,
-    NonIntegralValue,
     NotCoprime,
     NotScalar,
 )
@@ -25,7 +25,6 @@ from nilstab.groups import lattice
 from nilstab.poly import MultiPoly, xy_variables
 from nilstab import representation
 from nilstab.representation import (
-    BATCH_ENTRIES,
     MAX_DENSE,
     PhaseShiftMatrix,
     build_rho,
@@ -338,28 +337,47 @@ def test_defect_matches_the_dense_difference(make_sigma, sizes):
                 assert abs(result.operator - operator_norm(oracle)) < 1e-12
 
 
-def test_defects_report_a_non_integral_row_and_keep_the_others():
-    # x2*y1/2 is a cocycle whose value is not an integer at x2 odd, j odd.
-    # In the second pair only x = (1, 1) has such a row: x*y = (3, 2).  In
-    # the fourth sigma((0, 1), (1, 0)) = 1/2 fails too, but the row of
-    # x*y = (1, 1) fails first, as in `defect`'s order of checks.
-    poly = MultiPoly(xy_variables(2, 1), {(0, 1, 1): Fraction(1, 2)})
-    sigma = PolyCocycle(lattice(2), poly)
-    pairs = [((0, 2), (1, 0)), ((1, 1), (2, 1)), ((3, 4), (5, -2)), ((0, 1), (1, 0))]
-    (rows,) = defects(sigma, [7], pairs)
-    assert defects(sigma, [7, 9], []) == [[], []]
-    for row in (rows[1], rows[3]):
-        assert isinstance(row, NonIntegralValue)
-        assert "cocycle value 1/2 at ((1, 1), 1)" in str(row)
-    with pytest.raises(NonIntegralValue, match="non-integer 1/2"):
-        sigma(*pairs[3])
-    for (x, y), row in zip(pairs[::2], rows[::2]):
-        assert row == defect(sigma, 7, x, y)
-        assert row.sigma_xy == sigma(x, y)
-    with pytest.raises(NonIntegralValue, match=r"at \(\(1, 1\), 1\)"):
-        defect(sigma, 7, *pairs[1])
-    with pytest.raises(NonIntegralValue, match=r"at \(\(1, 1\), 1\)"):
-        build_rho(sigma, 7, (1, 1))
+def unproved(terms) -> PolyCocycle:
+    return PolyCocycle(lattice(2), MultiPoly(xy_variables(2, 1), terms))
+
+
+# x2*y1/2 is a cocycle whose value is not an integer at x2 odd, y1 odd.
+HALF = {(0, 1, 1): Fraction(1, 2)}
+# x1*y1^2 is integer valued but no cocycle.
+SQUARE = {(1, 0, 2): 1}
+# x2*(y1^3 - 3*y1^2 + 2*y1)/9 = 2*x2*C(y1, 3)/3 is neither.  Its row of
+# (0, 1) is integral at j <= 2 and p(x, 2) = p(x, 0), yet
+# (p(x, t + 2) - p(x, t))/2 is 1/3 at t = 1, so it is not periodic mod 2.
+DEN9 = {(0, 1, 1): Fraction(2, 9), (0, 1, 2): Fraction(-1, 3), (0, 1, 3): Fraction(1, 9)}
+
+
+def refusal(sigma: PolyCocycle) -> str:
+    # The admission error: the failed proof's report, witnesses included.
+    return "the cocycle failed its proof:\n" + cocycle_check(sigma).summary()
+
+
+def test_defects_refuse_an_unproved_cocycle():
+    # Every entry point refuses the cocycle before it looks at a size or
+    # a pair, even a size it would refuse itself, and names the failed
+    # check's witness.
+    for terms, witness in (
+        (HALF, "[FAIL] integrality (exact) -- sigma((0, 1), (1, 0)) = 1/2"),
+        (SQUARE, "[FAIL] cocycle identity (exact) -- defect 2*x1*y1*z1 is 2 at "
+                 "x=(1, 0), y=(1, 0), z=(1, 0)"),
+    ):
+        sigma = unproved(terms)
+        for refused in (
+            lambda: defects(sigma, [7, 0], [((1, 1), (2, 1))]),
+            lambda: defects(sigma, [0], []),
+            lambda: defect(sigma, 16, (2, 0), (2, 0)),
+            lambda: build_rho(sigma, 0, (1, 1)),
+            lambda: chi_scalar_check(sigma, 16, (2, 0), (2, 0)),
+        ):
+            with pytest.raises(InvalidCocycle) as info:
+                refused()
+            assert str(info.value) == refusal(sigma)
+            assert witness in str(info.value)
+        assert sigma.proof is sigma.proof  # proved once
 
 
 def assert_same_defects(table, oracle):
@@ -412,53 +430,36 @@ def test_defects_match_the_pair_by_pair_oracle(make_sigma, sizes):
 
 
 def test_defects_match_the_oracle_on_non_integral_rows():
-    # x2*y1/2 fails at x2 odd and j odd: rows and sigma(x, y) fail in
-    # several orders, and size 4 shares the factor 2.
-    poly = MultiPoly(xy_variables(2, 1), {(0, 1, 1): Fraction(1, 2)})
-    sigma = PolyCocycle(lattice(2), poly)
+    # Rows whose values are not all integers come only from a polynomial
+    # that fails its integrality proof, the oracle: every entry point
+    # refuses it with that proof's witness.  Rows with fractional
+    # coefficients and integer values (heisenberg_skinny's at x2 odd) are
+    # measured, and match the pair-by-pair oracle; size 4 shares the
+    # denominator's factor 2.
+    for terms, witness in (
+        (HALF, "sigma((0, 1), (1, 0)) = 1/2"),
+        (DEN9, "sigma((0, 1), (3, 0)) = 2/3"),
+    ):
+        sigma = unproved(terms)
+        assert not cocycle_check(sigma).checks[2].passed
+        for n in (2, 3, 5):
+            for refused in (
+                lambda: defects(sigma, [n], [((0, 1), (0, 0))]),
+                lambda: build_rho(sigma, n, (0, 1)),
+                lambda: chi_scalar_check(sigma, n, (0, 1), (0, 0)),
+            ):
+                with pytest.raises(InvalidCocycle) as info:
+                    refused()
+                assert str(info.value) == refusal(sigma)
+                assert f"[FAIL] integrality (exact) -- {witness}" in str(info.value)
+    sigma = heisenberg_skinny()
     rng = make_rng(47)
-    pairs = [(sample_coords(rng, 2, 3), sample_coords(rng, 2, 3)) for _ in range(20)]
-    pairs += [((0, 2), (1, 0)), ((1, 1), (2, 1)), ((3, 4), (5, -2)), ((0, 1), (1, 0))]
+    pairs = [(sample_coords(rng, 3, 3), sample_coords(rng, 3, 3)) for _ in range(20)]
+    assert {specialize_first_by_fractions(sigma, x)[0] for x, _ in pairs} == {1, 2}
     table = defects(sigma, [7, 4, 9], pairs)
     assert_same_defects(table, defects_by_pairs(sigma, [7, 4, 9], pairs))
-    kinds = {type(row) for row in table[0]}
-    assert kinds == {representation.DefectResult, NonIntegralValue}
-    assert {type(row) for row in table[1]} == {NotCoprime, NonIntegralValue}
-    # x2*(y1^3 - 3*y1^2 + 2*y1)/9 = 2*x2*C(y1, 3)/3: the row of (0, 1) is
-    # integral at j <= 2 and p(x, 2) = p(x, 0), yet (p(x, t + 2) - p(x, t))/2
-    # is 1/3 at t = 1, so it is not periodic mod 2; at 5 it fails at j = 3.
-    # The polynomial is no cocycle, so an accepted pair may break its bound.
-    den9 = PolyCocycle(lattice(2), MultiPoly(
-        xy_variables(2, 1),
-        {(0, 1, 1): Fraction(2, 9), (0, 1, 2): Fraction(-1, 3), (0, 1, 3): Fraction(1, 9)},
-    ))
-    pairs = [((0, 1), (0, 0)), ((1, 0), (0, 1)), ((1, 3), (2, 0)), ((2, 0), (1, 5))]
-    table = defects(den9, [2, 3, 5], pairs)
-    assert_same_defects(table, defects_by_pairs(den9, [2, 3, 5], pairs))
-    assert str(table[0][0]).endswith(
-        "(p(x, t + n) - p(x, t))/n = 6/18 at ((0, 1), 1) is not an integer"
-    )
-    assert [type(row).__name__ for row in table[0]] == [
-        "NotCoprime", "NotCoprime", "DefectResult", "NotCoprime"
-    ]
-    assert [type(row).__name__ for row in table[2]] == [
-        "NonIntegralValue", "NonIntegralValue", "BoundViolated", "NonIntegralValue"
-    ]
-    for n, rows in zip([2, 3, 5], table):
-        for refused in (
-            lambda: build_rho(den9, n, (0, 1)),
-            lambda: chi_scalar_check(den9, n, (0, 1), (0, 0)),
-        ):
-            with pytest.raises(type(rows[0])) as info:
-                refused()
-            assert str(info.value) == str(rows[0])
-
-
-def square_of_y1() -> PolyCocycle:
-    # x1*y1^2 on Z^2 is no cocycle: the word of (x, y) is
-    # w(t) = -2*x1*y1*t - x1*y1^2, constant mod n only where n divides
-    # 2*x1*y1, so most pairs need residues.
-    return PolyCocycle(lattice(2), MultiPoly(xy_variables(2, 1), {(1, 0, 2): 1}))
+    assert {type(row) for row in table[0] + table[2]} == {representation.DefectResult}
+    assert {type(row) for row in table[1]} == {NotCoprime}
 
 
 def record_kernel_calls(monkeypatch) -> list[int]:
@@ -474,84 +475,33 @@ def record_kernel_calls(monkeypatch) -> list[int]:
     return calls
 
 
-def test_defects_match_the_oracle_across_chunks():
-    # At n = 2^16 + 1 fifteen word rows fill a kernel call.  The cocycle's
-    # words are constant mod n and take none; the 18 words of x1*y1^2,
-    # all with x1*y1 != 0, take two calls (15 and 3 rows).
-    n = 2**16 + 1
-    assert BATCH_ENTRIES // n == 15
-    for sigma, count in ((heisenberg_skinny(), 12), (square_of_y1(), 18)):
-        rng = make_rng(53)
-        m = sigma.group.hirsch
-        pairs = [(sample_coords(rng, m, 9), sample_coords(rng, m, 9)) for _ in range(count)]
-        assert_same_defects(defects(sigma, [n], pairs), defects_by_pairs(sigma, [n], pairs))
-
-
 def test_defects_bound_their_memory_at_large_n(monkeypatch):
-    # heisenberg_skinny is a cocycle, so every pair's word is constant mod
-    # n: no residue is computed, and the peak allocation stays near that
-    # of a 4-pair sweep rather than growing tenfold with the sample count.
+    # heisenberg_skinny is a cocycle, so every pair's gap is the constant
+    # -sigma(x, y) mod n: no residue and no n-entry table is computed, and
+    # the peak allocation of a 40-pair sweep does not grow with n.  It
+    # stays below 64 KiB, an eighth of one int64 row at n = 2^16 + 1.
     sigma = heisenberg_skinny()
     n = 2**16 + 1
     rng = make_rng(41)
     pairs = [(sample_coords(rng, 3, 9), sample_coords(rng, 3, 9)) for _ in range(40)]
     expected = [defect(sigma, n, x, y) for x, y in pairs]
     peaks = []
-    for count in (4, 40):
+    for size in (17, n, 2**20 + 1):
         tracemalloc.start()
         try:
-            (rows,) = defects(sigma, [n], pairs[:count])
+            (rows,) = defects(sigma, [size], pairs)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert rows == expected[:count]
-    assert peaks[1] < 2 * peaks[0]
+        if size == n:
+            assert rows == expected
+    assert max(peaks) < 2 * min(peaks)
+    assert max(peaks) < 1 << 16
     calls = record_kernel_calls(monkeypatch)
     table = defects(sigma, [17, n, 2**20 + 1], pairs)
     assert table[1] == expected
     assert all(isinstance(row, representation.DefectResult) for row in table[2])
     assert calls == []
-
-
-def test_defects_chunk_the_words_that_are_not_constant(monkeypatch):
-    # With x1*y1^2 the 35 pairs with x1*y1 != 0 need residues at both
-    # sizes (|x1*y1| <= 81), and the other five none.  At 17 they take one
-    # kernel call; at 2^16 + 1 fifteen word rows fill a call, so they take
-    # three.
-    sigma = square_of_y1()
-    n = 2**16 + 1
-    rng = make_rng(41)
-    pairs = [(sample_coords(rng, 2, 9), sample_coords(rng, 2, 9)) for _ in range(40)]
-    assert sum(x[0] * y[0] != 0 for x, y in pairs) == 35
-    expected = [defects(sigma, [n], [pair])[0][0] for pair in pairs]
-    calls = record_kernel_calls(monkeypatch)
-    table = defects(sigma, [17, n], pairs)
-    assert calls == [35, 15, 15, 5]
-    assert_same_defects(table[1:], [expected])
-
-
-def test_defects_split_words_constant_mod_n_from_the_others(monkeypatch):
-    # With x1*y1^2 a pair with x1*y1 = 3 has a word that is no constant
-    # polynomial but is constant mod 3 and mod 6, since n divides
-    # 2*x1*y1 there; with x1*y1 = 2 it is constant mod 4 only, and with
-    # x1*y1 = 0 constant at every size.  Each size runs the kernel on
-    # exactly the words that are not constant mod n, and every entry
-    # matches the pair-by-pair oracle.
-    sigma = square_of_y1()
-    rng = make_rng(61)
-    pairs = [(sample_coords(rng, 2, 4), sample_coords(rng, 2, 4)) for _ in range(30)]
-    pairs += [((3, 1), (1, -2)), ((1, 0), (2, 5)), ((0, 1), (5, 2)), ((-1, 2), (-3, 0))]
-    sizes = [3, 4, 6, 7, 12]
-    calls = record_kernel_calls(monkeypatch)
-    table = defects(sigma, sizes, pairs)
-    busy = [sum(2 * x[0] * y[0] % n != 0 for x, y in pairs) for n in sizes]
-    assert calls == busy
-    assert all(0 < count < len(pairs) for count in busy)
-    for n in (3, 6):
-        assert any(x[0] * y[0] != 0 and 2 * x[0] * y[0] % n == 0 for x, y in pairs)
-    assert_same_defects(table, defects_by_pairs(sigma, sizes, pairs))
-    kinds = {type(row) for rows in table for row in rows}
-    assert representation.DefectResult in kinds and len(kinds) > 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1023, 2**16 + 1])
@@ -565,6 +515,16 @@ def test_constant_gap_norms_equal_the_norms_of_the_full_rows(n):
     full_fro, full_op = representation._gap_norms(np.repeat(gaps[:, None], n, axis=1), n)
     assert fro.tolist() == full_fro.tolist()
     assert op.tolist() == full_op.tolist()
+
+
+def test_chords_do_not_depend_on_the_other_gaps():
+    # `_constant_gap_norms` computes the chords of its distinct gaps only;
+    # each must be the very float of the n-entry table `_gap_norms` uses.
+    rng = np.random.default_rng(11)
+    for n in [*range(1, 400), 2**20 + 1, 2**21 + 3]:
+        gaps = np.unique(np.concatenate([rng.integers(0, n, size=20), [0, n - 1]]))
+        table = representation._chords(np.arange(n), n)
+        assert representation._chords(gaps, n).tolist() == table[gaps].tolist()
 
 
 def test_defect_shrinks_like_the_square_root_of_n():
@@ -585,47 +545,55 @@ def test_chi_scalar_check_returns_the_predicted_scalar():
         assert abs(chi.value - expected) < 1e-13
 
 
-def test_chi_scalar_check_names_the_first_entry_off_the_scalar():
-    # x1*y1^2 is not a cocycle: the word's residue at k is
-    # -x1*(y1^2 + 2*(k - x1 - y1)*y1), and -sigma(x, y) = -x1*y1^2.  At
-    # x = y = (2, 0) and n = 16 they agree mod 16 at k = 0 and differ at k = 1.
-    sigma = PolyCocycle(lattice(2), MultiPoly(xy_variables(2, 1), {(1, 0, 2): 1}))
-    with pytest.raises(NotScalar, match="diagonal entry 1 has residue") as info:
-        chi_scalar_check(sigma, 16, (2, 0), (2, 0))
-    assert info.value.index == 1
+def test_chi_scalar_check_names_the_first_entry_off_the_scalar(monkeypatch):
+    # x1*y1^2 is no cocycle, so it is refused before any word is formed.
+    # With a proved cocycle every entry is on the scalar, so one of x's
+    # residues is corrupted: rho(x)* reads x's column 3 at the word's
+    # column 3 + x1 = 5, which is off by -1 from -sigma(x, y) = 0 there.
+    with pytest.raises(InvalidCocycle, match="cocycle identity"):
+        chi_scalar_check(unproved(SQUARE), 16, (2, 0), (2, 0))
+    real = representation.build_rho
+
+    def corrupted(sigma, n, g):
+        rho = real(sigma, n, g)
+        if g != (2, 0):
+            return rho
+        residues = rho.residues.copy()
+        residues[3] += 1
+        return PhaseShiftMatrix(n, rho.shift, residues)
+
+    monkeypatch.setattr(representation, "build_rho", corrupted)
+    with pytest.raises(
+        NotScalar, match="diagonal entry 5 has residue 15 mod 16, expected 0"
+    ) as info:
+        chi_scalar_check(z2_skinny(), 16, (2, 0), (1, 1))
+    assert info.value.index == 5
 
 
-def test_chi_scalar_check_proves_constant_words_without_the_kernel(monkeypatch):
-    # The word is a polynomial in the column built from the rows of x*y, x
-    # and y, with no phase-shift products.  Its Newton differences prove it
-    # constant mod n, so no residue is computed; the word that is not
-    # constant takes one kernel call, on its own row.
-    calls = []
-    kernel = representation._residues
+def test_chi_scalar_check_forms_the_word_from_phase_shift_products(monkeypatch):
+    # The word is rho(x*y) rho(y)* rho(x)* from three kernel calls, two
+    # products and two adjoints, not the cocycle identity that `defects`
+    # reads; a size the cocycle's denominator refuses computes nothing.
+    calls = record_kernel_calls(monkeypatch)
+    products = []
+    for name in ("compose", "adjoint"):
+        method = getattr(PhaseShiftMatrix, name)
 
-    def recording(n, differences):
-        calls.append(differences.tolist())
-        return kernel(n, differences)
+        def counted(*args, _method=method, _name=name):
+            products.append(_name)
+            return _method(*args)
 
-    def refuse(*args):
-        raise AssertionError("no phase-shift products expected")
-
-    monkeypatch.setattr(representation, "_residues", recording)
-    monkeypatch.setattr(PhaseShiftMatrix, "compose", refuse)
-    monkeypatch.setattr(PhaseShiftMatrix, "adjoint", refuse)
+        monkeypatch.setattr(PhaseShiftMatrix, name, counted)
     sigma = heisenberg_skinny()
-    chi = chi_scalar_check(sigma, 33, (1, 2, -3), (4, 0, 5))
-    assert calls == []
-    residue = sigma((1, 2, -3), (4, 0, 5)) % 33
+    x, y = (1, 2, -3), (4, 0, 5)
+    chi = chi_scalar_check(sigma, 33, x, y)
+    assert calls == [1, 1, 1]
+    assert sorted(products) == ["adjoint", "adjoint", "compose", "compose"]
+    residue = sigma(x, y) % 33
     assert abs(chi.value - cmath.exp(2j * math.pi * residue / 33)) < 1e-13
     with pytest.raises(NotCoprime):
-        chi_scalar_check(sigma, 32, (1, 2, -3), (4, 0, 5))
-    assert calls == []
-    not_a_cocycle = PolyCocycle(lattice(2), MultiPoly(xy_variables(2, 1), {(1, 0, 2): 1}))
-    with pytest.raises(NotScalar, match="diagonal entry 1 has residue"):
-        chi_scalar_check(not_a_cocycle, 16, (2, 0), (2, 0))
-    # The word of x = y = (2, 0) is w(t) = -8t - 8.
-    assert calls == [[[-8, -8, 0]]]
+        chi_scalar_check(sigma, 32, x, y)
+    assert calls == [1, 1, 1]
 
 
 def test_defects_are_the_chords_of_the_cocycle_value():
