@@ -17,6 +17,7 @@ from nilstab.errors import (
     DimensionMismatch,
     InvalidCocycle,
     NilstabError,
+    NonIntegralValue,
     NotCoprime,
     NotScalar,
 )
@@ -356,28 +357,68 @@ def refusal(sigma: PolyCocycle) -> str:
     return "the cocycle failed its proof:\n" + cocycle_check(sigma).summary()
 
 
-def test_defects_refuse_an_unproved_cocycle():
+def assert_every_entry_point_refuses(sigma: PolyCocycle, witness: str) -> None:
     # Every entry point refuses the cocycle before it looks at a size or
     # a pair, even a size it would refuse itself, and names the failed
     # check's witness.
-    for terms, witness in (
-        (HALF, "[FAIL] integrality (exact) -- sigma((0, 1), (1, 0)) = 1/2"),
-        (SQUARE, "[FAIL] cocycle identity (exact) -- defect 2*x1*y1*z1 is 2 at "
-                 "x=(1, 0), y=(1, 0), z=(1, 0)"),
+    for refused in (
+        lambda: defects(sigma, [7, 0], [((1, 1), (2, 1))]),
+        lambda: defects(sigma, [0], []),
+        lambda: defect(sigma, 16, (2, 0), (2, 0)),
+        lambda: build_rho(sigma, 0, (1, 1)),
+        lambda: chi_scalar_check(sigma, 16, (2, 0), (2, 0)),
     ):
-        sigma = unproved(terms)
-        for refused in (
-            lambda: defects(sigma, [7, 0], [((1, 1), (2, 1))]),
-            lambda: defects(sigma, [0], []),
-            lambda: defect(sigma, 16, (2, 0), (2, 0)),
-            lambda: build_rho(sigma, 0, (1, 1)),
-            lambda: chi_scalar_check(sigma, 16, (2, 0), (2, 0)),
-        ):
-            with pytest.raises(InvalidCocycle) as info:
-                refused()
-            assert str(info.value) == refusal(sigma)
-            assert witness in str(info.value)
-        assert sigma.proof is sigma.proof  # proved once
+        with pytest.raises(InvalidCocycle) as info:
+            refused()
+        assert str(info.value) == refusal(sigma)
+        assert witness in str(info.value)
+    assert sigma.proof is sigma.proof  # proved once
+
+
+def test_defects_report_a_non_integral_row_and_keep_the_others():
+    # x2*y1/2 is a cocycle whose value is not an integer at x2 odd, y1
+    # odd.  The whole cocycle is refused with the integrality witness, and
+    # the report keeps the verdicts of the checks that passed.  The value
+    # stays integral, and evaluable, at the pairs that avoid such a row.
+    sigma = unproved(HALF)
+    assert_every_entry_point_refuses(
+        sigma, "[FAIL] integrality (exact) -- sigma((0, 1), (1, 0)) = 1/2"
+    )
+    assert [check.passed for check in cocycle_check(sigma).checks] == [True, True, False]
+    for verdict in ("[pass] normalization (exact)", "[pass] cocycle identity (exact)"):
+        assert verdict in refusal(sigma)
+    pairs = [((0, 2), (1, 0)), ((1, 1), (2, 1)), ((3, 4), (5, -2)), ((0, 1), (1, 0))]
+    assert [sigma(x, y) for x, y in pairs[:3]] == [1, 1, 10]
+    with pytest.raises(NonIntegralValue, match="non-integer 1/2"):
+        sigma(*pairs[3])
+
+
+def test_defects_split_words_constant_mod_n_from_the_others(monkeypatch):
+    # With x1*y1^2 a pair's word is no constant polynomial (the identity's
+    # defect is 2*x1*y1*z1), so the split happens at admission: the
+    # cocycle is refused with that witness.  A proved cocycle's word is
+    # the constant -sigma(x, y) at every size, so no size runs the kernel,
+    # and every entry matches the pair-by-pair oracle; heisenberg_skinny's
+    # denominator 2 refuses the even sizes.
+    assert_every_entry_point_refuses(
+        unproved(SQUARE),
+        "[FAIL] cocycle identity (exact) -- defect 2*x1*y1*z1 is 2 at "
+        "x=(1, 0), y=(1, 0), z=(1, 0)",
+    )
+    sigma = heisenberg_skinny()
+    rng = make_rng(61)
+    pairs = [(sample_coords(rng, 3, 4), sample_coords(rng, 3, 4)) for _ in range(30)]
+    pairs += [((3, 1, 0), (1, -2, 2)), ((1, 0, 5), (2, 5, -1)), ((-1, 2, 3), (-3, 0, 1))]
+    sizes = [3, 4, 6, 7, 12]
+    calls = record_kernel_calls(monkeypatch)
+    table = defects(sigma, sizes, pairs)
+    assert calls == []
+    assert_same_defects(table, defects_by_pairs(sigma, sizes, pairs))
+    for n, rows in zip(sizes, table):
+        kinds = {type(row) for row in rows}
+        assert kinds == ({NotCoprime} if n % 2 == 0 else {representation.DefectResult})
+        if n % 2:
+            assert [row.sigma_xy for row in rows] == [sigma(x, y) for x, y in pairs]
 
 
 def assert_same_defects(table, oracle):
