@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import cache
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .cohomology import Chain2, PolyCocycle, cocycle_from_document
 from .errors import ParseError
@@ -25,6 +23,9 @@ from .extensions import (
 )
 from .groups import MalcevGroup, lattice, load_group, read_json_document
 from .poly import MultiPoly, xy_variables
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @cache
@@ -59,10 +60,10 @@ def heisenberg_skinny() -> PolyCocycle:
     cocycle pairing 1 with c_1, raising if any proof fails; no kernel is
     evaluated and nothing is sampled.  The result is
     -x3*y1 - x2*(y1^2 + y1)/2, so its coefficient denominator is 2 and
-    phase-shift representations exist exactly at odd matrix sizes.
+    phase-shift representations exist exactly at odd matrix sizes.  It is
+    named here, so that its one proof is reported under that name.
     """
-    sigma = promoted_cocycle(heisenberg_extension())
-    return PolyCocycle(sigma.group, sigma.poly, name="heisenberg_skinny")
+    return promoted_cocycle(heisenberg_extension(), name="heisenberg_skinny")
 
 
 def zero_cocycle(group: MalcevGroup) -> PolyCocycle:
@@ -86,8 +87,10 @@ def character_representation(
     """Direct sum of lattice characters g -> exp(2 pi i <theta_k, g>).
 
     A genuine (exactly multiplicative) diagonal representation of Z^m,
-    one dimension per row of `exponents`.
+    one dimension per row of `exponents`.  It is dense, so it needs numpy.
     """
+    import numpy as np
+
     table = np.asarray(exponents, dtype=float)
 
     def rep(g: Sequence[int]) -> np.ndarray:

@@ -19,8 +19,7 @@ import click
 from . import __version__, catalog
 from .cohomology import skinny_check
 from .errors import NilstabError, NotCoprime, ParseError, ValidationError
-from .obstruction import certify_nonperturbability
-from .representation import defects, max_exact_size
+from .exact import certify_nonperturbability, defects, max_exact_size
 from .validation import DEFAULT_SEED, make_rng, sample_coords
 
 

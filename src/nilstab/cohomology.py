@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-import numpy as np
-
 from .errors import InvalidCocycle, NonIntegralValue, ParseError
 from .groups import Element, MalcevGroup, symbolic_triple
 from .poly import (
@@ -76,12 +74,12 @@ class PolyCocycle:
         return KernelCocycle(self.group, self.__call__, name=self.name)
 
     def value_columns(
-        self, x: Sequence[np.ndarray], y: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, dict[int, NonIntegralValue]]:
+        self, x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]
+    ) -> tuple[list[int], dict[int, NonIntegralValue]]:
         """sigma(x, y) for rows of pairs, each element given as m coordinate columns.
 
-        The columns are arrays of Python ints (dtype=object).  Returns the
-        values and, by row, the NonIntegralValue that sigma(x, y) raises there.
+        The columns are sequences of Python ints.  Returns the values as a
+        list and, by row, the NonIntegralValue that sigma(x, y) raises there.
         """
         return self.poly.evaluate_int_columns([*x, y[0]])
 

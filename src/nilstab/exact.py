@@ -1,0 +1,523 @@
+"""The closed-form certificate and sweep, in Python ints and floats.
+
+A proved polynomial cocycle (`PolyCocycle.admit`) is integer valued, and
+its cocycle identity at z = (t, 0, ..., 0) reads
+
+    p(x*y, t) - p(y, t) - p(x, t + y_1) = -sigma(x, y),
+
+so the word rho_n(x*y) rho_n(y)* rho_n(x)* of its phase-shift family is
+the scalar exp(-2 pi i sigma(x, y) / n) at every size n coprime to the
+coefficient denominator (see `representation`).  The paper's two facts
+then follow from sigma alone, with no matrix and no numpy:
+
+- `certify_nonperturbability` pairs the family with a cycle exactly: a
+  word with residue r lies in the log's convergence ball exactly when
+  6 |centred(r)| < n, and adds centred(r) / n per column to the winding.
+  Only the second ordering of a term whose elements do not commute is
+  not a scalar; it takes one residue kernel call per size, and that
+  kernel (`representation._residues`) is the one numpy step left here.
+- `defects` measures rho_n(x*y) - rho_n(x) rho_n(y), whose entries all
+  have the gap -sigma(x, y) mod n: its norms are sqrt(n) times and once
+  the chord 2 |sin(pi gap / n)|, computed with the same float operations,
+  in the same order, as the dense path's norms of the full matrix.
+
+`representation` and `obstruction` re-export the public names defined
+here, so both paths are reachable from either module.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator, NamedTuple, Sequence
+
+from . import __version__
+from .cohomology import Chain2, PolyCocycle, boundary2, pair_cocycle_cycle
+from .errors import (
+    BoundViolated,
+    NilstabError,
+    NotACycle,
+    NotCoprime,
+    PairingMismatch,
+    TermOutOfRange,
+    TorsionPairing,
+)
+from .groups import Element, MalcevGroup
+
+INT64_MAX = 2**63 - 1
+
+# Families closer than this to a representation always pair to zero.
+PERTURBATION_RADIUS = 1.0 / 24.0
+
+# The two multiplication orderings of a term's log argument.
+ORDERINGS = ("rho(ab)rho(b)*rho(a)*", "rho(ab)rho(a)*rho(b)*")
+
+SIGN_CONVENTION = (
+    "log arguments use rho(ab) rho(b)^-1 rho(a)^-1, under which the winding "
+    "equals minus the cocycle/cycle pairing; the reversed ordering flips the sign"
+)
+
+BOUND_SLACK = 1e-9
+
+
+# ----------------------------------------------------------------------
+# sizes and rows
+
+
+def max_exact_size(den: int = 1) -> int:
+    """The largest n with den * n * (n + 1) <= INT64_MAX.
+
+    `build_rho`, `defects` and the certificate accept exactly the sizes up
+    to this one for a cocycle whose coefficient denominator is den.  The
+    residue kernel itself needs only n * (n + 1) <= INT64_MAX, the bound at
+    den = 1; the cap's factor den is kept as the sizes' policy.
+    """
+    return (math.isqrt(4 * (INT64_MAX // den) + 1) - 1) // 2
+
+
+def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
+    """Why size n is refused for coefficient denominator den, if it is."""
+    if n < 1:
+        return ValueError(f"matrix size must be positive, got {n}")
+    if math.gcd(n, den) != 1:
+        return NotCoprime(
+            f"n = {n} shares a factor with the coefficient denominator {den}"
+        )
+    if n > max_exact_size(den):
+        return ValueError(
+            f"matrix size {n} is too large for int64 residue arithmetic "
+            f"with coefficient denominator {den}"
+        )
+    return None
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Rows p(x, t) of the cocycle at many elements x, in Newton form.
+
+    Row i is p(x, t) = sum_k differences[i][k] C(t, k) / den:
+    `differences` holds one list per element of den * Delta^k p(x, 0) in
+    Python ints, with den the common denominator of the cocycle's Newton
+    coefficients.  An admitted cocycle's rows are integer valued, so den
+    divides every difference (Polya).
+    """
+
+    den: int
+    differences: list[list[int]]
+
+
+def _rows(sigma: PolyCocycle, elements: Sequence[Sequence[int]]) -> _Rows:
+    """The rows of the elements, each a sequence of m ints.
+
+    Column k of the differences is the cocycle's Newton coefficient q_k
+    at every element (`PolyCocycle.newton`), from one `scaled_columns`
+    call, brought to the common denominator.
+    """
+    m = sigma.group.hirsch
+    den, coefficients = sigma.newton
+    columns = [*([g[k] for g in elements] for k in range(m)), None]
+    sums = [q.scaled_columns(columns) for q in coefficients]
+    scaled = [[v * (den // q_den) for v in s] for q_den, s in sums]
+    return _Rows(den, [list(row) for row in zip(*scaled)])
+
+
+# ----------------------------------------------------------------------
+# the sweep: defects from the constant gap -sigma(x, y) mod n
+
+
+def _chord(gap: int, n: int) -> float:
+    """|1 - w^gap| = 2 |sin(pi gap / n)| with w = exp(2 pi i / n).
+
+    The float operations of `representation._chords`, in its order (a
+    test checks the two bit for bit).
+    """
+    return 2.0 * abs(math.sin(math.pi * gap / n))
+
+
+def _copies(square: float, count: int, sums: dict[int, float]) -> float:
+    """numpy's pairwise float sum of `count` copies of `square`, memoised in sums.
+
+    numpy adds fewer than 8 terms one by one; up to 128 terms in 8
+    accumulators, each summing its share one by one, then combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest one
+    by one; and more terms as two halves, the first rounded down to a
+    multiple of 8.  All eight accumulators are equal here, so their
+    combination is exactly 8 times one.  The result depends on count only,
+    so each level of halving costs O(1): O(log count) per square.
+    """
+    total = sums.get(count)
+    if total is not None:
+        return total
+    if count > 128:
+        half = count // 2
+        half -= half % 8
+        total = _copies(square, half, sums) + _copies(square, count - half, sums)
+    else:
+        total = 0.0
+        if count >= 8:
+            block = square
+            for _ in range(count // 8 - 1):
+                block += square
+            total = 8 * block
+        for _ in range(count % 8):
+            total += square
+    sums[count] = total
+    return total
+
+
+def _constant_gap_norms(gaps: Sequence[int], n: int) -> tuple[list[float], list[float]]:
+    """The Frobenius and operator norms of n columns with one gap each, per gap.
+
+    For a gap d in [0, n) every column's entry is the chord |1 - w^d|.  The
+    operator norm is that chord, and the Frobenius norm is the square root
+    of n squared chords, summed in numpy's pairwise order (`_copies`), so
+    both floats equal `representation._gap_norms` on the stored row (a
+    test checks this bit for bit).  Each distinct gap costs O(log n).
+    """
+    norms = {}
+    for d in set(gaps):
+        chord = _chord(d, n)
+        norms[d] = (math.sqrt(_copies(chord * chord, n, {})), chord)
+    return [norms[d][0] for d in gaps], [norms[d][1] for d in gaps]
+
+
+class DefectResult(NamedTuple):
+    n: int
+    x: Element
+    y: Element
+    sigma_xy: int
+    frobenius: float
+    frobenius_bound: float
+    operator: float
+    operator_bound: float
+
+
+def defects(
+    sigma: PolyCocycle,
+    sizes: Sequence[int],
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> list[list[DefectResult | NilstabError]]:
+    """Measured multiplicativity defects of rho_n at every size and pair.
+
+    Raises InvalidCocycle unless sigma is admitted (`PolyCocycle.admit`),
+    before any size or pair is looked at.  Returns one list per size, with
+    one entry per pair: its DefectResult, or the error of that pair there.
+    A size sharing a factor with the coefficient denominator gives
+    NotCoprime for every pair.
+
+    The pair-only work is done once, for all pairs at once, on exact
+    integer columns: the first coordinate of x*y
+    (`MalcevGroup.multiply_columns`) and sigma(x, y)
+    (`PolyCocycle.value_columns`).  Each size checks that the law adds
+    first coordinates mod n; then the gap of rho_n(x*y) - rho_n(x) rho_n(y)
+    is -sigma(x, y) mod n in every column (see the module docstring), so
+    each pair's norms are those of that one constant gap
+    (`_constant_gap_norms`), and no residue or matrix is formed.  A
+    measured norm above its proven bound plus a 1e-9 slack gives
+    BoundViolated; that would falsify the construction, not the sample.
+    """
+    sigma.admit()
+    group = sigma.group
+    den = sigma.poly.denominator_lcm()
+    xs = [group.element(x) for x, _ in pairs]
+    ys = [group.element(y) for _, y in pairs]
+    x = [[g[k] for g in xs] for k in range(group.hirsch)]
+    y = [[g[k] for g in ys] for k in range(group.hirsch)]
+    first = group.multiply_columns(x, y)[0]
+    shifts = [p - a - b for p, a, b in zip(first, x[0], y[0])]
+    values, _ = sigma.value_columns(x, y)
+    table = []
+    for n in sizes:
+        error = _size_error(n, den)
+        if isinstance(error, NotCoprime):
+            table.append([error] * len(pairs))
+            continue
+        if error is not None:
+            raise error
+        if any(shift % n for shift in shifts):
+            raise ValueError(
+                f"the group law does not add first coordinates mod {n}; the "
+                f"defect is not a phase-shift matrix"
+            )
+        fro, op = _constant_gap_norms([-v % n for v in values], n)
+        table.append(_checked(n, xs, ys, values, fro, op))
+    return table
+
+
+def _checked(
+    n: int,
+    xs: Sequence[Element],
+    ys: Sequence[Element],
+    values: Sequence[int],
+    fro: Sequence[float],
+    op: Sequence[float],
+) -> list[DefectResult | BoundViolated]:
+    """Each pair's measured norms with their bounds, or BoundViolated.
+
+    The bounds are 2 pi |sigma(x, y)| / sqrt(n) (Frobenius) and
+    2 pi |sigma(x, y)| / n (operator).  A pair whose norm exceeds its bound
+    gets BoundViolated, the Frobenius bound checked first.
+    """
+    tau = [2 * math.pi * float(abs(v)) for v in values]
+    root = math.sqrt(n)
+    fro_bound = [t / root for t in tau]
+    op_bound = [t / n for t in tau]
+    failed: dict[int, BoundViolated] = {}
+    for label, measured, bound in (
+        ("Frobenius", fro, fro_bound),
+        ("operator", op, op_bound),
+    ):
+        for i, (norm, limit) in enumerate(zip(measured, bound)):
+            if norm > limit + BOUND_SLACK and i not in failed:
+                failed[i] = BoundViolated(
+                    f"{label} defect {norm} exceeds bound {limit} at "
+                    f"({xs[i]}, {ys[i]}), n={n}"
+                )
+    return [
+        failed[i] if i in failed else DefectResult(n, *fields)
+        for i, fields in enumerate(zip(xs, ys, values, fro, fro_bound, op, op_bound))
+    ]
+
+
+def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> DefectResult:
+    """Measured multiplicativity defect of rho_n at (x, y), with its bounds.
+
+    The one-pair, one-size case of `defects`; raises the pair's error
+    (InvalidCocycle, NotCoprime or BoundViolated) instead of returning it.
+    """
+    ((row,),) = defects(sigma, [n], [(x, y)])
+    if isinstance(row, NilstabError):
+        raise row
+    return row
+
+
+# ----------------------------------------------------------------------
+# certificates
+
+
+@dataclass(frozen=True)
+class CertificateRun:
+    """The winding at one matrix size and how it was obtained.
+
+    `winding` is exact and `raw` is its float value.  `margin` is the
+    smallest n - 6 max_j |centred(r_j)| over the terms and both orderings:
+    positive means every log argument is inside the convergence ball.
+    `terms` holds each chain term's contribution coef * sum_j centred(r_j) / n
+    (first ordering); they sum to `winding`.
+    """
+
+    n: int
+    raw: float
+    rounded: int | None
+    path: str
+    winding: Fraction
+    margin: int
+    terms: tuple[Fraction, ...]
+
+
+@dataclass(frozen=True)
+class CertificateReport:
+    """A machine-checkable record that a family is far from representations."""
+
+    group_name: str
+    cocycle: dict
+    cycle: list
+    sigma_pairing: int
+    expected_winding: int
+    runs: tuple[CertificateRun, ...]
+    distance_bound: float
+    statement: str
+    sign_convention: str
+
+    def to_json(self) -> dict:
+        return {
+            "group": self.group_name,
+            "cocycle": self.cocycle,
+            "cycle": self.cycle,
+            "sigma_pairing": self.sigma_pairing,
+            "expected_winding": self.expected_winding,
+            "runs": [
+                {
+                    "n": r.n,
+                    "raw": r.raw,
+                    "rounded": r.rounded,
+                    "path": r.path,
+                    "winding": str(r.winding),
+                    "margin": r.margin,
+                    "terms": [str(t) for t in r.terms],
+                }
+                for r in self.runs
+            ],
+            "distance_bound": self.distance_bound,
+            "statement": self.statement,
+            "sign_convention": self.sign_convention,
+            "version": __version__,
+        }
+
+
+def _exact_runs(
+    group: MalcevGroup, sigma: PolyCocycle, chain: Chain2, n_list: Sequence[int]
+) -> Iterator[CertificateRun]:
+    """The winding of rho_n against the chain at each n, in exact residue arithmetic.
+
+    sigma must be admitted.  Each ordering of each term is a shift-0
+    phase-shift matrix with residues r_j.  Its distance to the identity is
+    max_j 2 sin(pi |centred(r_j)| / n), which is below 1 exactly when
+    6 |centred(r_j)| < n; otherwise TermOutOfRange names the term.  Inside
+    the ball the series log is diagonal with entries
+    2 pi i centred(r_j) / n, so the term adds coef * sum_j centred(r_j) / n.
+
+    The words are read off the cocycle identity once, for all sizes.
+    Ordering 1, rho(ab) rho(b)* rho(a)*, is the constant -sigma(a, b), and
+    ordering 2 is the constant -sigma(b, a) when ab = ba.  A constant c
+    costs O(1) per size: worst index 0, margin n - 6 |centred(c)| and sum
+    n centred(c).  When ab != ba, ordering 2 is rho(ab) rho(ba)* times the
+    scalar -sigma(b, a): its residue at column j + a_1 + b_1 is
+    p(ab, j) - p(ba, j) - sigma(b, a), which one kernel call per size
+    (`representation._residues`, numpy) evaluates from the difference of
+    the two rows (`_rows`).  Runs come one size at a time, and each size
+    raises its first failing check: the size's own (`_size_error`), then
+    per term the shift and both orderings' ball tests.
+    """
+    den = sigma.poly.denominator_lcm()
+    # Each term's two words: a constant, or (row of `kernel_words`, roll).
+    terms, swapped, scalars = [], [], []
+    for coef, a, b in chain.terms:
+        ab, ba = group.multiply(a, b), group.multiply(b, a)
+        second = -sigma(b, a)
+        if ab != ba:
+            swapped.append((ab, ba))
+            scalars.append(second)
+            second = (len(swapped) - 1, a[0] + b[0])
+        terms.append((coef, ab[0] - a[0] - b[0], (-sigma(a, b), second)))
+    if swapped:
+        rows = _rows(sigma, [g for pair in swapped for g in pair])
+        differences = rows.differences
+        kernel_words = [
+            [(p - q) // rows.den for p, q in zip(differences[2 * i], differences[2 * i + 1])]
+            for i in range(len(swapped))
+        ]
+        for word, scalar in zip(kernel_words, scalars):
+            word[0] += scalar
+    for n in n_list:
+        error = _size_error(n, den)
+        if error is not None:
+            raise error
+        half = (n - 1) // 2
+        margin = n
+        sums = []
+        for index, (coef, shift, words) in enumerate(terms):
+            if shift % n:
+                raise TermOutOfRange(
+                    f"term {index}: {ORDERINGS[0]} shifts by {shift % n}",
+                    term_index=index,
+                )
+            totals = []
+            for word, label in zip(words, ORDERINGS):
+                # Centre in (-n/2, n/2]: (r + h) mod n - h with h = (n - 1) // 2.
+                if isinstance(word, int):
+                    worst = 0
+                    value = (word + half) % n - half
+                    total = n * value
+                else:
+                    worst, value, total = _kernel_word(n, kernel_words[word[0]], word[1])
+                term_margin = n - 6 * abs(value)
+                if term_margin <= 0:
+                    raise TermOutOfRange(
+                        f"term {index}: {label} has residue {value} mod {n} "
+                        f"at index {worst}, outside the log's convergence ball "
+                        f"(6|r| < n)",
+                        term_index=index,
+                    )
+                margin = min(margin, term_margin)
+                totals.append(total)
+            sums.append(coef * totals[0])
+        winding = Fraction(sum(sums), n)
+        yield CertificateRun(
+            n=n,
+            raw=float(winding),
+            rounded=winding.numerator if winding.denominator == 1 else None,
+            path="exact",
+            winding=winding,
+            margin=margin,
+            terms=tuple(Fraction(total, n) for total in sums),
+        )
+
+
+def _kernel_word(n: int, differences: list[int], roll: int) -> tuple[int, int, int]:
+    """(worst index, its centred residue, sum of centred residues) of a non-scalar word.
+
+    The word's residue at column j + roll is the integer polynomial with
+    these Newton differences at j, from one kernel call.  The kernel is
+    looked up when called, so that a replaced `representation._residues`
+    sees every call.
+    """
+    import numpy as np
+
+    from . import representation
+
+    half = (n - 1) // 2
+    residues = representation._residues(n, [differences])
+    centred = np.roll(residues[0], roll % n) + half
+    centred %= n
+    centred -= half
+    worst = int(np.argmax(np.abs(centred)))
+    return worst, int(centred[worst]), int(centred.sum())
+
+
+def certify_nonperturbability(
+    group: MalcevGroup,
+    sigma: PolyCocycle,
+    chain: Chain2,
+    n_list: Sequence[int],
+) -> CertificateReport:
+    """Winding certificate: the family rho_n pairs to -<sigma, c> for each n.
+
+    Every pairing is exact, and each term's words are read once for all
+    sizes (see `_exact_runs`); the runs keep the order and multiplicity of
+    n_list.  Raises InvalidCocycle unless sigma is admitted
+    (`PolyCocycle.admit`), before any size is looked at; then ValueError
+    for an empty n_list, NotACycle if the chain has a boundary,
+    TorsionPairing if the cocycle pairs to zero (no obstruction to
+    certify), and then the first failing size's error: NotCoprime, a size
+    past `max_exact_size`, TermOutOfRange if a log argument leaves the
+    convergence ball, or PairingMismatch if the winding disagrees with the
+    prediction.
+    """
+    sigma.admit()
+    if not n_list:
+        raise ValueError("need at least one matrix size")
+    boundary = boundary2(group, chain)
+    if not boundary.is_zero():
+        raise NotACycle(f"chain has boundary terms {boundary.terms}")
+    s = pair_cocycle_cycle(sigma, chain)
+    if s == 0:
+        raise TorsionPairing(
+            "the cocycle pairs to zero against this cycle; nothing to certify"
+        )
+    runs = []
+    for run in _exact_runs(group, sigma, chain, n_list):
+        if run.rounded != -s:
+            raise PairingMismatch(
+                f"at n={run.n} the winding is {run.winding}, expected {-s}"
+            )
+        runs.append(run)
+    statement = (
+        f"Any family of unitaries within {PERTURBATION_RADIUS:.6f} (= 1/24) of these "
+        f"matrices in operator norm on the listed elements has winding pairing 0 "
+        f"against the cycle; the measured pairing is {-s}, so for every listed n "
+        f"the family sits at operator-norm distance at least 1/24, hence Frobenius "
+        f"distance at least 1/24, from every genuine unitary representation."
+    )
+    return CertificateReport(
+        group_name=group.name or f"group(hirsch={group.hirsch})",
+        cocycle=sigma.to_document(),
+        cycle=chain.to_json(),
+        sigma_pairing=s,
+        expected_winding=-s,
+        runs=tuple(runs),
+        distance_bound=PERTURBATION_RADIUS,
+        statement=statement,
+        sign_convention=SIGN_CONVENTION,
+    )

@@ -167,7 +167,7 @@ def central_commutator_cycle(ext: CentralExtension, k: int) -> Chain2:
 # promotion of a skinny cocycle to the extension group
 
 
-def promoted_cocycle(ext: CentralExtension) -> PolyCocycle:
+def promoted_cocycle(ext: CentralExtension, name: str = "") -> PolyCocycle:
     """A skinny cocycle omega on the extension group with <omega, c_k> = k.
 
     Here c_k = central_commutator_cycle(ext, k).  With a = (1, 0, ..., 0)
@@ -186,7 +186,8 @@ def promoted_cocycle(ext: CentralExtension) -> PolyCocycle:
     Mal'cev coordinates: a^w is polynomial in w, conjugation by a is the
     group law, and S is summed in the binomial basis.  The result is proved
     a normalized, integer valued skinny cocycle pairing 1 with c_1; a
-    failed proof raises.
+    failed proof raises.  The result is named `name`, by default
+    promoted(<name of the extension's cocycle>).
     """
     total = ext.total
     m = total.hirsch
@@ -203,7 +204,7 @@ def promoted_cocycle(ext: CentralExtension) -> PolyCocycle:
     conjugate = total.multiply_symbolic(total.multiply_symbolic(a_to(-i), rest), a_to(i))
     s = _antiderivative(conjugate[-1], m)
     omega = s.compose(x + [x[0] + 1]) - s.compose(x + [x[0] + i + 1])
-    sigma = PolyCocycle(total, omega, name=f"promoted({ext.cocycle.name})")
+    sigma = PolyCocycle(total, omega, name=name or f"promoted({ext.cocycle.name})")
 
     report = sigma.proof
     if not report.ok:

@@ -19,8 +19,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import NotCentral, ParseError, ValidationError
 from .poly import (
     MultiPoly,
@@ -102,12 +100,12 @@ class MalcevGroup:
         return tuple(p.evaluate_int(point) for p in self.law)
 
     def multiply_columns(
-        self, x: Sequence[np.ndarray], y: Sequence[np.ndarray]
-    ) -> list[np.ndarray]:
+        self, x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]
+    ) -> list[list[int]]:
         """`multiply` for rows of pairs, each element given as m coordinate columns.
 
-        The columns are arrays of Python ints (dtype=object), and so are the
-        product's.  Raises the NonIntegralValue that `multiply` raises at
+        The columns are sequences of Python ints, and the product's are
+        lists of them.  Raises the NonIntegralValue that `multiply` raises at
         the first failing row, for its first failing law.
         """
         columns = [*x, *y]

@@ -16,8 +16,10 @@ that the family cannot be perturbed into a representation.
 Two paths compute the pairing, chosen by what is paired:
 
 - `certify_nonperturbability` pairs the phase-shift family of a
-  PolyCocycle exactly.  Each log argument is a shift-0 phase-shift matrix
-  with residues r_j mod n, so it lies in the convergence ball exactly when
+  PolyCocycle exactly, in Python ints.  It lives in `nilstab.exact`, which
+  needs no numpy, and is re-exported here with its report types and
+  constants.  Each log argument is a shift-0 phase-shift matrix with
+  residues r_j mod n, so it lies in the convergence ball exactly when
   6 |centred(r_j)| < n, its log is diagonal with entries
   2 pi i centred(r_j) / n, and the winding is the Fraction
   sum coef * sum_j centred(r_j) / n.  The cocycle is admitted first
@@ -26,12 +28,14 @@ Two paths compute the pairing, chosen by what is paired:
   commute needs O(1) work per size and no residues.  Only the other
   ordering of a term whose a and b do not commute takes a residue kernel
   call.  This works at any n that `build_rho` accepts.
-- `winding_pairing` takes dense matrices: general families such as the
-  perturbed representations of the null test, and the oracle that the
-  exact path is tested against.  It checks the ball with SVD norms, and
-  each term adds the arguments of the log argument's eigenvalues, since
-  the trace of the series log is the sum of the eigenvalues' principal
-  logs.  Every step is one LAPACK call, with no truncation budget.
+- `winding_pairing`, in this module on numpy, takes dense matrices:
+  general families such as the perturbed representations of the null
+  test, and the oracle that the exact path is tested against.  It checks
+  the ball with SVD norms, and each term adds the arguments of the log
+  argument's eigenvalues, since the trace of the series log is the sum of
+  the eigenvalues' principal logs.  Every step is one LAPACK call, with no
+  truncation budget.  `rho_family`, `matrix_exp`,
+  `matrix_log_near_identity` and the null test are dense too.
 
 Sign convention: the log argument uses rho(ab) rho(b)^-1 rho(a)^-1; the
 reversed ordering rho(ab) rho(a)^-1 rho(b)^-1 flips the sign of the
@@ -43,47 +47,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from . import __version__, representation
-from .cohomology import (
-    Chain2,
-    PolyCocycle,
-    boundary2,
-    pair_cocycle_cycle,
-)
+from .cohomology import Chain2, PolyCocycle, boundary2
 from .errors import (
     DimensionMismatch,
     NotACycle,
-    PairingMismatch,
     TermOutOfRange,
     TooFarFromIdentity,
-    TorsionPairing,
+)
+# The exact path's certificate, re-exported with its report types and
+# constants; the dense pairing shares ORDERINGS and PERTURBATION_RADIUS.
+from .exact import (
+    ORDERINGS,
+    PERTURBATION_RADIUS,
+    SIGN_CONVENTION,
+    CertificateReport,
+    CertificateRun,
+    certify_nonperturbability,
 )
 from .groups import Element, MalcevGroup
-from .representation import (
-    _rows,
-    _size_error,
-    build_rho,
-    frobenius_norm,
-    operator_norm,
-)
+from .representation import build_rho, frobenius_norm, operator_norm
 from .validation import DEFAULT_SEED
-
-# Families closer than this to a representation always pair to zero.
-PERTURBATION_RADIUS = 1.0 / 24.0
 
 PRECONDITION_MARGIN = 1e-8
 RESIDUAL_TOL = 1e-6
 # Largest Frobenius distance from the skew-Hermitian (matrix_exp) or the
 # unitary (matrix_log_near_identity) matrices that a dense input may have.
 DOMAIN_TOL = 1e-8
-
-# The two multiplication orderings of a term's log argument.
-ORDERINGS = ("rho(ab)rho(b)*rho(a)*", "rho(ab)rho(a)*rho(b)*")
 
 UnitaryFamily = Union[Mapping[Element, np.ndarray], Callable[[Element], np.ndarray]]
 
@@ -205,225 +198,6 @@ def rho_family(
 ) -> dict[Element, np.ndarray]:
     """Dense phase-shift unitaries for the listed elements."""
     return {g: build_rho(sigma, n, g).to_dense() for g in elements}
-
-
-# ----------------------------------------------------------------------
-# certificates
-
-
-@dataclass(frozen=True)
-class CertificateRun:
-    """The winding at one matrix size and how it was obtained.
-
-    `winding` is exact and `raw` is its float value.  `margin` is the
-    smallest n - 6 max_j |centred(r_j)| over the terms and both orderings:
-    positive means every log argument is inside the convergence ball.
-    `terms` holds each chain term's contribution coef * sum_j centred(r_j) / n
-    (first ordering); they sum to `winding`.
-    """
-
-    n: int
-    raw: float
-    rounded: int | None
-    path: str
-    winding: Fraction
-    margin: int
-    terms: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    """A machine-checkable record that a family is far from representations."""
-
-    group_name: str
-    cocycle: dict
-    cycle: list
-    sigma_pairing: int
-    expected_winding: int
-    runs: tuple[CertificateRun, ...]
-    distance_bound: float
-    statement: str
-    sign_convention: str
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group_name,
-            "cocycle": self.cocycle,
-            "cycle": self.cycle,
-            "sigma_pairing": self.sigma_pairing,
-            "expected_winding": self.expected_winding,
-            "runs": [
-                {
-                    "n": r.n,
-                    "raw": r.raw,
-                    "rounded": r.rounded,
-                    "path": r.path,
-                    "winding": str(r.winding),
-                    "margin": r.margin,
-                    "terms": [str(t) for t in r.terms],
-                }
-                for r in self.runs
-            ],
-            "distance_bound": self.distance_bound,
-            "statement": self.statement,
-            "sign_convention": self.sign_convention,
-            "version": __version__,
-        }
-
-
-SIGN_CONVENTION = (
-    "log arguments use rho(ab) rho(b)^-1 rho(a)^-1, under which the winding "
-    "equals minus the cocycle/cycle pairing; the reversed ordering flips the sign"
-)
-
-
-def _exact_runs(
-    group: MalcevGroup, sigma: PolyCocycle, chain: Chain2, n_list: Sequence[int]
-) -> Iterator[CertificateRun]:
-    """The winding of rho_n against the chain at each n, in exact residue arithmetic.
-
-    sigma must be admitted.  Each ordering of each term is a shift-0
-    phase-shift matrix with residues r_j.  Its distance to the identity is
-    max_j 2 sin(pi |centred(r_j)| / n), which is below 1 exactly when
-    6 |centred(r_j)| < n; otherwise TermOutOfRange names the term.  Inside
-    the ball the series log is diagonal with entries
-    2 pi i centred(r_j) / n, so the term adds coef * sum_j centred(r_j) / n.
-
-    The words are read off the cocycle identity once, for all sizes.
-    Ordering 1, rho(ab) rho(b)* rho(a)*, is the constant -sigma(a, b), and
-    ordering 2 is the constant -sigma(b, a) when ab = ba.  A constant c
-    costs O(1) per size: worst index 0, margin n - 6 |centred(c)| and sum
-    n centred(c).  When ab != ba, ordering 2 is rho(ab) rho(ba)* times the
-    scalar -sigma(b, a): its residue at column j + a_1 + b_1 is
-    p(ab, j) - p(ba, j) - sigma(b, a), which one kernel call per size
-    evaluates from the difference of the two rows (`representation._rows`).
-    Runs come one size at a time, and each size raises its first failing
-    check: the size's own (`_size_error`), then per term the shift and
-    both orderings' ball tests.
-    """
-    den = sigma.poly.denominator_lcm()
-    # Each term's two words: a constant, or (row of `kernel_words`, roll).
-    terms, swapped, scalars = [], [], []
-    for coef, a, b in chain.terms:
-        ab, ba = group.multiply(a, b), group.multiply(b, a)
-        second = -sigma(b, a)
-        if ab != ba:
-            swapped.append((ab, ba))
-            scalars.append(second)
-            second = (len(swapped) - 1, a[0] + b[0])
-        terms.append((coef, ab[0] - a[0] - b[0], (-sigma(a, b), second)))
-    if swapped:
-        rows = _rows(sigma, swapped)  # the rows of ab and ba, alternating
-        differences = rows.differences // rows.den
-        kernel_words = differences[0::2] - differences[1::2]
-        kernel_words[:, 0] += scalars
-    for n in n_list:
-        error = _size_error(n, den)
-        if error is not None:
-            raise error
-        half = (n - 1) // 2
-        margin = n
-        sums = []
-        for index, (coef, shift, words) in enumerate(terms):
-            if shift % n:
-                raise TermOutOfRange(
-                    f"term {index}: {ORDERINGS[0]} shifts by {shift % n}",
-                    term_index=index,
-                )
-            totals = []
-            for word, label in zip(words, ORDERINGS):
-                # Centre in (-n/2, n/2]: (r + h) mod n - h with h = (n - 1) // 2.
-                if isinstance(word, int):
-                    worst = 0
-                    value = (word + half) % n - half
-                    total = n * value
-                else:
-                    row, roll = word
-                    residues = representation._residues(n, kernel_words[row : row + 1])
-                    centred = np.roll(residues[0], roll % n) + half
-                    centred %= n
-                    centred -= half
-                    worst = int(np.argmax(np.abs(centred)))
-                    value = int(centred[worst])
-                    total = int(centred.sum())
-                term_margin = n - 6 * abs(value)
-                if term_margin <= 0:
-                    raise TermOutOfRange(
-                        f"term {index}: {label} has residue {value} mod {n} "
-                        f"at index {worst}, outside the log's convergence ball "
-                        f"(6|r| < n)",
-                        term_index=index,
-                    )
-                margin = min(margin, term_margin)
-                totals.append(total)
-            sums.append(coef * totals[0])
-        winding = Fraction(sum(sums), n)
-        yield CertificateRun(
-            n=n,
-            raw=float(winding),
-            rounded=winding.numerator if winding.denominator == 1 else None,
-            path="exact",
-            winding=winding,
-            margin=margin,
-            terms=tuple(Fraction(total, n) for total in sums),
-        )
-
-
-def certify_nonperturbability(
-    group: MalcevGroup,
-    sigma: PolyCocycle,
-    chain: Chain2,
-    n_list: Sequence[int],
-) -> CertificateReport:
-    """Winding certificate: the family rho_n pairs to -<sigma, c> for each n.
-
-    Every pairing is exact, and each term's words are read once for all
-    sizes (see `_exact_runs`); the runs keep the order and multiplicity of
-    n_list.  Raises InvalidCocycle unless sigma is admitted
-    (`PolyCocycle.admit`), before any size is looked at; then ValueError
-    for an empty n_list, NotACycle if the chain has a boundary,
-    TorsionPairing if the cocycle pairs to zero (no obstruction to
-    certify), and then the first failing size's error: NotCoprime, a size
-    past `max_exact_size`, TermOutOfRange if a log argument leaves the
-    convergence ball, or PairingMismatch if the winding disagrees with the
-    prediction.
-    """
-    sigma.admit()
-    if not n_list:
-        raise ValueError("need at least one matrix size")
-    boundary = boundary2(group, chain)
-    if not boundary.is_zero():
-        raise NotACycle(f"chain has boundary terms {boundary.terms}")
-    s = pair_cocycle_cycle(sigma, chain)
-    if s == 0:
-        raise TorsionPairing(
-            "the cocycle pairs to zero against this cycle; nothing to certify"
-        )
-    runs = []
-    for run in _exact_runs(group, sigma, chain, n_list):
-        if run.rounded != -s:
-            raise PairingMismatch(
-                f"at n={run.n} the winding is {run.winding}, expected {-s}"
-            )
-        runs.append(run)
-    statement = (
-        f"Any family of unitaries within {PERTURBATION_RADIUS:.6f} (= 1/24) of these "
-        f"matrices in operator norm on the listed elements has winding pairing 0 "
-        f"against the cycle; the measured pairing is {-s}, so for every listed n "
-        f"the family sits at operator-norm distance at least 1/24, hence Frobenius "
-        f"distance at least 1/24, from every genuine unitary representation."
-    )
-    return CertificateReport(
-        group_name=group.name or f"group(hirsch={group.hirsch})",
-        cocycle=sigma.to_document(),
-        cycle=chain.to_json(),
-        sigma_pairing=s,
-        expected_winding=-s,
-        runs=tuple(runs),
-        distance_bound=PERTURBATION_RADIUS,
-        statement=statement,
-        sign_convention=SIGN_CONVENTION,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ the powers of the variables that actually occur.  `evaluate` returns that
 quotient as a Fraction; `evaluate_int` divides exactly and never builds a
 Fraction for integer input.  The same sum is exact for Fraction inputs.
 `scaled_columns` is that sum over many points at once: each variable is a
-column, a numpy array of dtype=object holding Python ints, so every step
-stays exact at any coordinate size.  `evaluate_int_columns` is
+column, a sequence of Python ints, and the sums come back as a list of
+Python ints, so every step stays exact at any coordinate size.  `evaluate_int_columns` is
 `evaluate_int` over columns, with the same errors for the rows that fail.
 `newton_coefficients` writes a polynomial in one variable's binomial
 basis, by v^e = sum_k surj(e, k) binom(v, k), and `box_witness`, in all
@@ -24,9 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
-
-import numpy as np
 
 from .errors import NonIntegralValue, ParseError
 
@@ -212,36 +211,35 @@ class MultiPoly:
             f"{self} evaluated at {tuple(values)} gives non-integer {Fraction(total, den)}"
         )
 
-    def scaled_columns(self, columns: Sequence[np.ndarray | None]) -> tuple[int, np.ndarray]:
+    def scaled_columns(self, columns: Sequence[Sequence[int] | None]) -> tuple[int, list[int]]:
         """`(den, sums)`: den times the polynomial at every row of the columns.
 
-        `columns` holds one array of Python ints (dtype=object) per
-        variable, all of one length, and row i is the point
-        (columns[0][i], columns[1][i], ...).  A column that no term reads
-        may be None, as long as some column is given.  Every product is a
-        Python int, so the sums are exact at any coordinate size.
+        `columns` holds one sequence of Python ints per variable, all of one
+        length, and row i is the point (columns[0][i], columns[1][i], ...).
+        A column that no term reads may be None, as long as some column is
+        given.  Every product is a Python int, so the sums are exact at any
+        coordinate size.
         """
         if len(columns) != len(self.variables):
             raise ValueError(
                 f"expected {len(self.variables)} columns, got {len(columns)}"
             )
-        columns = [c if c is None else np.asarray(c, dtype=object) for c in columns]
         size = len(next(c for c in columns if c is not None))
         den, rows = self._scaled_form()
-        sums = np.zeros(size, dtype=object)
-        powers: dict[tuple[int, int], np.ndarray] = {}
+        sums = [0] * size
+        powers: dict[tuple[int, int], list[int]] = {}
         for num, factors in rows:
-            term = num
+            term = [num] * size
             for i, e in factors:
                 if (i, e) not in powers:
-                    powers[i, e] = columns[i] if e == 1 else columns[i] ** e
-                term = term * powers[i, e]
-            sums += term
+                    powers[i, e] = [v if e == 1 else v**e for v in columns[i]]
+                term = list(map(mul, term, powers[i, e]))
+            sums = list(map(add, sums, term))
         return den, sums
 
     def evaluate_int_columns(
-        self, columns: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, dict[int, NonIntegralValue]]:
+        self, columns: Sequence[Sequence[int]]
+    ) -> tuple[list[int], dict[int, NonIntegralValue]]:
         """`evaluate_int` at every row of the columns (see `scaled_columns`).
 
         Returns the column of values and, by row, the NonIntegralValue that
@@ -250,12 +248,12 @@ class MultiPoly:
         den, total = self.scaled_columns(columns)
         if den == 1:
             return total, {}
-        failing = np.flatnonzero(total % den).tolist()
         errors = {
-            i: self._non_integral([c[i] for c in columns], total[i], den)
-            for i in failing
+            i: self._non_integral([c[i] for c in columns], t, den)
+            for i, t in enumerate(total)
+            if t % den
         }
-        return total // den, errors
+        return [t // den for t in total], errors
 
     # ------------------------------------------------------------------
     # structural operations

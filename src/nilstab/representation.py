@@ -12,39 +12,40 @@ phases: products, adjoints and the scalar identity are exact residue
 arithmetic at any n up to `max_exact_size`, and only `phases` and
 `to_dense` (capped at MAX_DENSE) touch floating point.
 
-`build_rho`, `defects` and `chi_scalar_check` admit a cocycle only once
-its proof passes (`PolyCocycle.admit`), and raise InvalidCocycle
-otherwise.  An admitted cocycle is integer valued, and n is coprime to
-its denominator, so every row p(x, .) is periodic mod n and rho_n(x) is
-well defined.  Its cocycle identity at z = (t, 0, ..., 0) reads
+`build_rho` and `chi_scalar_check` admit a cocycle only once its proof
+passes (`PolyCocycle.admit`), and raise InvalidCocycle otherwise.  An
+admitted cocycle is integer valued, and n is coprime to its denominator,
+so every row p(x, .) is periodic mod n and rho_n(x) is well defined.  Its
+cocycle identity at z = (t, 0, ..., 0) reads
 p(x*y, t) - p(y, t) - p(x, t + y_1) = -sigma(x, y), so the word
 rho(x*y) rho(y)* rho(x)* is the scalar exp(-2 pi i sigma(x, y) / n).
+
+Two paths measure the family, and this module is the dense one, on
+numpy.  The exact path lives in `nilstab.exact`, in Python ints and
+floats: `defects` (and `defect`) read each pair's norms from the constant
+gap -sigma(x, y) mod n, and the certificate reads each word off the
+identity.  This module re-exports `defects`, `defect`, `DefectResult`,
+`BOUND_SLACK`, `max_exact_size` and `INT64_MAX` from there.
 
 A row's residues come from its Newton differences Delta^k p(x, 0), which
 are the values at x of the cocycle's Newton coefficients q_k, the fixed
 polynomials with p(x, y1) = sum_k q_k(x) C(y1, k) (`PolyCocycle.newton`):
-`_rows` evaluates them for any number of elements at once, in exact
-Python-int columns.  One private kernel, `_residues`, computes the values
-mod n at j = 0..n-1 of a batch of integer difference rows at one size, by
-one prefix sum mod n per degree in int64.  `build_rho` is its one-row
-case.
+`exact._rows` evaluates them for any number of elements at once, in exact
+Python ints.  One private kernel, `_residues`, computes the values mod n
+at j = 0..n-1 of a batch of integer difference rows at one size, by one
+prefix sum mod n per degree in int64.  `build_rho` is its one-row case.
 
 The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is thus the
 scalar chi_n(x, y)^{-1} - 1 times a unitary, giving the proven bounds
 2*pi*|sigma(x,y)|/sqrt(n) (Frobenius) and 2*pi*|sigma(x,y)|/n
-(operator).  `defects` measures it for many pairs at once from x*y and
-sigma(x, y), computed in integer columns: each pair's gap is
--sigma(x, y) mod n in every column, so its norms come in closed form from
-that one gap (`_constant_gap_norms`), with no residues.  The bounds are
-compared as arrays.  `defect` is its one-pair case.  `chi_scalar_check`
-does not use the identity: it forms the word from `build_rho` matrices
-with `compose` and `adjoint` and proves every residue equal to
--sigma(x, y) mod n, a second proof of what `defects` assumes.  The norms
-come from the residue gaps d_j: the difference of two phase-shift
-matrices with equal shift has one entry per column, so its norms are
-sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| with w = exp(2 pi i / n).
-The dense norms below (the Frobenius norm and the SVD operator norm)
-serve general matrices and the tests' oracle.
+(operator).  `chi_scalar_check` does not use the identity: it forms the
+word from `build_rho` matrices with `compose` and `adjoint` and proves
+every residue equal to -sigma(x, y) mod n, a second proof of what
+`defects` assumes.  The difference of two phase-shift matrices with equal
+shift has one entry per column, so its norms come from the residue gaps
+d_j: sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| with w = exp(2 pi i / n)
+(`difference_norms`).  The dense norms below (the Frobenius norm and the
+SVD operator norm) serve general matrices and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -52,22 +53,26 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cohomology import PolyCocycle
-from .errors import (
-    BoundViolated,
-    DimensionMismatch,
-    NilstabError,
-    NotCoprime,
-    NotScalar,
+from .errors import DimensionMismatch, NotScalar
+# The exact path's sweep and size policy, re-exported; `build_rho` uses
+# `_rows` and `_size_error` too.
+from .exact import (
+    BOUND_SLACK,
+    INT64_MAX,
+    DefectResult,
+    _rows,
+    _size_error,
+    defect,
+    defects,
+    max_exact_size,
 )
-from .groups import Element
 
 MAX_DENSE = 1024  # double precision keeps phases well below 1e-12 up to here
-INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,17 +137,6 @@ class PhaseShiftMatrix:
         return self.shift == 0 and bool(np.all(self.residues == self.residues[0]))
 
 
-def max_exact_size(den: int = 1) -> int:
-    """The largest n with den * n * (n + 1) <= INT64_MAX.
-
-    `build_rho`, `defects` and the certificate accept exactly the sizes up
-    to this one for a cocycle whose coefficient denominator is den.  The
-    residue kernel itself needs only n * (n + 1) <= INT64_MAX, the bound at
-    den = 1; the cap's factor den is kept as the sizes' policy.
-    """
-    return (math.isqrt(4 * (INT64_MAX // den) + 1) - 1) // 2
-
-
 def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     """The phase-shift unitary representing x at matrix size n.
 
@@ -156,59 +150,15 @@ def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     if error is not None:
         raise error
     rows = _rows(sigma, [x])
-    return PhaseShiftMatrix(n, x[0], _residues(n, rows.differences // rows.den)[0])
+    (row,) = rows.differences
+    return PhaseShiftMatrix(n, x[0], _residues(n, [[d // rows.den for d in row]])[0])
 
 
-def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
-    """Why size n is refused for coefficient denominator den, if it is."""
-    if n < 1:
-        return ValueError(f"matrix size must be positive, got {n}")
-    if math.gcd(n, den) != 1:
-        return NotCoprime(
-            f"n = {n} shares a factor with the coefficient denominator {den}"
-        )
-    if n > max_exact_size(den):
-        return ValueError(
-            f"matrix size {n} is too large for int64 residue arithmetic "
-            f"with coefficient denominator {den}"
-        )
-    return None
-
-
-@dataclass(frozen=True)
-class _Rows:
-    """Rows p(x, t) of the cocycle at many elements x, as columns in Newton form.
-
-    Row i is p(x, t) = sum_k differences[i, k] C(t, k) / den:
-    `differences` (rows, width) holds den * Delta^k p(x, 0) in Python ints
-    (dtype=object), with den the common denominator of the cocycle's
-    Newton coefficients.  An admitted cocycle's rows are integer valued,
-    so den divides every difference (Polya).
-    """
-
-    den: int
-    differences: np.ndarray
-
-
-def _rows(sigma: PolyCocycle, elements) -> _Rows:
-    """The rows of the elements: a list of Elements or an (rows, m) object array.
-
-    Column k of the differences is the cocycle's Newton coefficient q_k
-    at every element (`PolyCocycle.newton`), from one `scaled_columns`
-    call, brought to the common denominator.
-    """
-    elements = np.asarray(elements, dtype=object).reshape(-1, sigma.group.hirsch)
-    den, coefficients = sigma.newton
-    columns = [*elements.T, None]
-    sums = [q.scaled_columns(columns) for q in coefficients]
-    return _Rows(den, np.stack([s * (den // q_den) for q_den, s in sums], axis=1))
-
-
-def _residues(n: int, differences: np.ndarray) -> np.ndarray:
+def _residues(n: int, differences: Sequence[Sequence[int]]) -> np.ndarray:
     """Values mod n at t = 0..n-1 of integer polynomials given by Newton differences.
 
-    Row i is q(t) = sum_k differences[i, k] C(t, k), with integer
-    differences.  From the top degree down, Delta^k q(j) is Delta^k q(0)
+    Row i is q(t) = sum_k differences[i][k] C(t, k), with integer
+    differences of any size, one row of equal width per polynomial.  From the top degree down, Delta^k q(j) is Delta^k q(0)
     plus the exclusive prefix sum of Delta^(k+1) q up to j, reduced mod n.
     The summands lie in [0, n), so every value stays below n * n, which
     int64 holds at every size up to `max_exact_size()`; a larger size
@@ -217,7 +167,7 @@ def _residues(n: int, differences: np.ndarray) -> np.ndarray:
     error = _size_error(n, 1)
     if error is not None:
         raise error
-    table = (differences % n).astype(np.int64)
+    table = np.array([[d % n for d in row] for row in differences], dtype=np.int64)
     rows, width = table.shape
     # Delta^k q(j) of row i sits at flat[i * n + j + k], so each level's
     # prefix sum runs in place, one index before the level above: where it
@@ -275,7 +225,8 @@ def _chords(gaps: np.ndarray, n: int) -> np.ndarray:
     """The chords |1 - w^d| = 2 |sin(pi d / n)| of integer gaps d in [0, n).
 
     The same float operations in the same order at every d, so a chord
-    does not depend on which other gaps it is computed with.
+    does not depend on which other gaps it is computed with; they are
+    `exact._chord`'s, which a test checks bit for bit.
     """
     chords = np.pi * gaps
     chords /= n
@@ -296,136 +247,6 @@ def _gap_norms(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     op = np.max(chords, axis=-1)
     chords *= chords
     return np.sqrt(np.sum(chords, axis=-1)), op
-
-
-def _constant_gap_norms(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_gap_norms` of rows of n equal gaps, one gap in [0, n) per row.
-
-    The operator norm is the gap's chord.  The Frobenius norm sums n copies
-    of its square as a broadcast view, which numpy sums in the same order
-    as a stored row, so both floats equal `_gap_norms` on the full row
-    (a test checks this bit for bit).  Only the distinct gaps are summed
-    and their chords computed, so memory is O(distinct gaps), whatever n.
-    """
-    distinct, inverse = np.unique(gaps, return_inverse=True)
-    chords = _chords(distinct, n)
-    squares = np.broadcast_to((chords * chords)[:, None], (len(distinct), n))
-    return np.sqrt(np.sum(squares, axis=-1))[inverse], chords[inverse]
-
-
-class DefectResult(NamedTuple):
-    n: int
-    x: Element
-    y: Element
-    sigma_xy: int
-    frobenius: float
-    frobenius_bound: float
-    operator: float
-    operator_bound: float
-
-
-BOUND_SLACK = 1e-9
-
-
-def defects(
-    sigma: PolyCocycle,
-    sizes: Sequence[int],
-    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> list[list[DefectResult | NilstabError]]:
-    """Measured multiplicativity defects of rho_n at every size and pair.
-
-    Raises InvalidCocycle unless sigma is admitted (`PolyCocycle.admit`),
-    before any size or pair is looked at.  Returns one list per size, with
-    one entry per pair: its DefectResult, or the error of that pair there.
-    A size sharing a factor with the coefficient denominator gives
-    NotCoprime for every pair.
-
-    The pair-only work is done once, for all pairs at once, on exact
-    integer columns: the first coordinate of x*y
-    (`MalcevGroup.multiply_columns`) and sigma(x, y)
-    (`PolyCocycle.value_columns`).  Each size checks that the law adds
-    first coordinates mod n; then the gap of rho_n(x*y) - rho_n(x) rho_n(y)
-    is -sigma(x, y) mod n in every column (see the module docstring), so
-    each pair's norms are those of that one constant gap
-    (`_constant_gap_norms`), and no residue or matrix is formed.  The
-    bounds are compared as arrays.  A measured norm above its proven bound
-    plus a 1e-9 slack gives BoundViolated; that would falsify the
-    construction, not the sample.
-    """
-    sigma.admit()
-    group = sigma.group
-    m = group.hirsch
-    den = sigma.poly.denominator_lcm()
-    xs = [group.element(x) for x, _ in pairs]
-    ys = [group.element(y) for _, y in pairs]
-    x = np.array(xs, dtype=object).reshape(-1, m)
-    y = np.array(ys, dtype=object).reshape(-1, m)
-    shifts = group.multiply_columns(list(x.T), list(y.T))[0] - x[:, 0] - y[:, 0]
-    values, _ = sigma.value_columns(list(x.T), list(y.T))
-    table = []
-    for n in sizes:
-        error = _size_error(n, den)
-        if isinstance(error, NotCoprime):
-            table.append([error] * len(pairs))
-            continue
-        if error is not None:
-            raise error
-        if np.any(shifts % n):
-            raise ValueError(
-                f"the group law does not add first coordinates mod {n}; the "
-                f"defect is not a phase-shift matrix"
-            )
-        fro, op = _constant_gap_norms((-values % n).astype(np.int64), n)
-        table.append(_checked(n, xs, ys, values, fro, op))
-    return table
-
-
-def _checked(
-    n: int,
-    xs: Sequence[Element],
-    ys: Sequence[Element],
-    values: np.ndarray,
-    fro: np.ndarray,
-    op: np.ndarray,
-) -> list[DefectResult | BoundViolated]:
-    """Each pair's measured norms with their bounds, or BoundViolated.
-
-    A pair whose norm exceeds its bound gets BoundViolated, the Frobenius
-    bound checked first.
-    """
-    tau = 2 * math.pi * np.abs(values).astype(float)
-    fro_bound = tau / math.sqrt(n)
-    op_bound = tau / n
-    failed: dict[int, BoundViolated] = {}
-    for label, measured, bound in (
-        ("Frobenius", fro, fro_bound),
-        ("operator", op, op_bound),
-    ):
-        for i in np.flatnonzero(measured > bound + BOUND_SLACK).tolist():
-            failed.setdefault(
-                i,
-                BoundViolated(
-                    f"{label} defect {float(measured[i])} exceeds bound "
-                    f"{float(bound[i])} at ({xs[i]}, {ys[i]}), n={n}"
-                ),
-            )
-    columns = (values, fro, fro_bound, op, op_bound)
-    return [
-        failed[i] if i in failed else DefectResult(n, x, y, *fields)
-        for i, (x, y, *fields) in enumerate(zip(xs, ys, *(c.tolist() for c in columns)))
-    ]
-
-
-def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> DefectResult:
-    """Measured multiplicativity defect of rho_n at (x, y), with its bounds.
-
-    The one-pair, one-size case of `defects`; raises the pair's error
-    (InvalidCocycle, NotCoprime or BoundViolated) instead of returning it.
-    """
-    ((row,),) = defects(sigma, [n], [(x, y)])
-    if isinstance(row, NilstabError):
-        raise row
-    return row
 
 
 @dataclass(frozen=True)

@@ -66,10 +66,25 @@ def make_rng(seed: int | None) -> random.Random:
 
 
 def sample_coords(rng: random.Random, length: int, bound: int) -> tuple[int, ...]:
-    """A uniform integer tuple with every coordinate in [-bound, bound]."""
+    """A uniform integer tuple with every coordinate in [-bound, bound].
+
+    Each coordinate is `rng.randint(-bound, bound)`, drawn as randint
+    draws it: k = (2 bound + 1).bit_length() random bits, redrawn until
+    they are below 2 bound + 1, minus bound.  The same stream, without
+    randint's per-call argument handling.
+    """
     if bound < 1:
         raise ValueError("sampling bound must be at least 1")
-    return tuple(rng.randint(-bound, bound) for _ in range(length))
+    width = 2 * bound + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    coords = []
+    for _ in range(length):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        coords.append(r - bound)
+    return tuple(coords)
 
 
 def name_blocks(point: Sequence[int], length: int) -> str:

@@ -17,7 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 import nilstab
-from nilstab import catalog, cohomology, representation
+from nilstab import catalog, cohomology, exact
 from nilstab.catalog import z2_skinny
 from nilstab.cli import main
 from nilstab.cohomology import PolyCocycle
@@ -497,6 +497,18 @@ def test_a_builtin_cocycle_is_proved_once_per_process(runner, monkeypatch):
     ):
         assert runner.invoke(main, args).exit_code == 0
     assert len(calls) == 1 and calls[0] is catalog.z2_skinny()
+    # heisenberg_skinny is the promotion itself, named, so the promotion's
+    # proof is the one validate reports.
+    calls.clear()
+    monkeypatch.setattr(
+        catalog, "heisenberg_skinny", functools.cache(catalog.heisenberg_skinny.__wrapped__)
+    )
+    result = runner.invoke(
+        main, ["validate", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny"]
+    )
+    assert result.exit_code == 0
+    assert "cocycle heisenberg_skinny: ok" in result.output
+    assert len(calls) == 1 and calls[0] is catalog.heisenberg_skinny()
 
 
 def test_a_sweep_at_a_billion_needs_no_n_entry_table(tmp_path):
@@ -540,13 +552,13 @@ def test_sweep_fails_when_no_size_is_coprime(runner):
 def inflate_second_frobenius(monkeypatch) -> None:
     # Add 1 to the second pair's measured Frobenius norm before each
     # size's norms are checked against their bounds.
-    real = representation._checked
+    real = exact._checked
 
     def inflated(n, xs, ys, values, fro, op):
         fro[1] += 1.0
         return real(n, xs, ys, values, fro, op)
 
-    monkeypatch.setattr(representation, "_checked", inflated)
+    monkeypatch.setattr(exact, "_checked", inflated)
 
 
 def test_sweep_reports_a_failed_row_and_prints_the_others(runner, monkeypatch):

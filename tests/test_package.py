@@ -1,0 +1,130 @@
+"""The package's lazy exports, and an exact path that loads no numpy."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import nilstab
+from nilstab import exact, obstruction, representation
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The public names that the exact module defines and both dense modules re-export.
+RE_EXPORTED = {
+    representation: (
+        "BOUND_SLACK", "INT64_MAX", "DefectResult", "defect", "defects", "max_exact_size",
+    ),
+    obstruction: (
+        "ORDERINGS", "PERTURBATION_RADIUS", "SIGN_CONVENTION", "CertificateReport",
+        "CertificateRun", "certify_nonperturbability",
+    ),
+}
+
+
+def test_every_public_name_resolves():
+    for name in nilstab.__all__:
+        value = getattr(nilstab, name)
+        module = sys.modules[f"nilstab.{nilstab._MODULE_OF[name]}"]
+        assert value is getattr(module, name)
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from nilstab import *", namespace)
+    for name in nilstab.__all__:
+        assert namespace[name] is getattr(nilstab, name)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'build_matrix'"):
+        nilstab.build_matrix  # noqa: B018
+
+
+@pytest.mark.parametrize("module", list(RE_EXPORTED), ids=lambda m: m.__name__)
+def test_the_dense_modules_re_export_the_exact_names(module):
+    for name in RE_EXPORTED[module]:
+        assert getattr(module, name) is getattr(exact, name)
+        if name in nilstab.__all__:
+            assert getattr(nilstab, name) is getattr(exact, name)
+
+
+def fresh(code: str) -> str:
+    """Run code in a new interpreter that imports this checkout; return its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=env, timeout=300, cwd=ROOT,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_validate_certify_and_sweep_load_no_numpy():
+    # The benchmark's set-up and every CLI command it runs, on both of its
+    # CLI workloads, in one fresh process: numpy is needed only by the
+    # dense path.
+    out = fresh(
+        """
+        import contextlib, importlib.util, io, sys
+        import nilstab, nilstab.cli
+        from nilstab import catalog
+
+        spec = importlib.util.spec_from_file_location("session", "perfbench/session.py")
+        session = sys.modules["session"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(session)
+        for name in ("heisenberg", "lattice-dense"):
+            workload = session.WORKLOADS[name]
+            workload.set_up(catalog, 1)
+            for op in workload.operations:
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        nilstab.cli.main.main(args=workload.argv(op, 1), standalone_mode=False)
+                except SystemExit as exc:
+                    assert exc.code in (0, None), (name, op, exc.code)
+                print(name, op, "numpy" in sys.modules)
+        """
+    )
+    lines = out.splitlines()
+    assert len(lines) == 6
+    assert all(line.endswith(" False") for line in lines), out
+
+
+def test_the_dense_path_loads_numpy():
+    # Positive controls: a certificate term whose elements do not commute
+    # takes the residue kernel, and build_rho forms a dense-path matrix.
+    out = fresh(
+        """
+        import sys
+        from nilstab.catalog import heisenberg3, heisenberg_c1, heisenberg_skinny
+        from nilstab.cohomology import Chain2
+        from nilstab.exact import certify_nonperturbability
+
+        group, sigma = heisenberg3(), heisenberg_skinny()
+        certify_nonperturbability(group, sigma, heisenberg_c1(), [17])
+        print("numpy" in sys.modules)
+        a, b, c = (1, 0, 0), (0, 17, 0), (0, 0, 1)
+        ab, bc = group.multiply(a, b), group.multiply(b, c)
+        extra = [(1, b, c), (-1, ab, c), (1, a, bc), (-1, a, b)]
+        chain = Chain2.build([*heisenberg_c1().terms, *extra])
+        certify_nonperturbability(group, sigma, chain, [17])
+        print("numpy" in sys.modules)
+        """
+    )
+    assert out.split() == ["False", "True"]
+    out = fresh(
+        """
+        import sys
+        from nilstab.catalog import z2_skinny
+        import nilstab
+
+        nilstab.build_rho(z2_skinny(), 4, (1, 1))
+        print("numpy" in sys.modules)
+        """
+    )
+    assert out.split() == ["True"]

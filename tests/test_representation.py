@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from nilstab.errors import (
 from nilstab.extensions import central_extension, promoted_cocycle
 from nilstab.groups import lattice
 from nilstab.poly import MultiPoly, xy_variables
-from nilstab import representation
+from nilstab import exact, representation
 from nilstab.representation import (
     MAX_DENSE,
     PhaseShiftMatrix,
@@ -545,27 +546,45 @@ def test_defects_bound_their_memory_at_large_n(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1023, 2**16 + 1])
+@pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1023, 8193, 2**16 + 1, 2**20 + 1])
 def test_constant_gap_norms_equal_the_norms_of_the_full_rows(n):
-    # The closed form sums a broadcast row of n equal squared chords; it
-    # must give the very floats that `_gap_norms` gives on the stored row.
+    # The closed form sums n equal squared chords in numpy's pairwise
+    # order, in Python floats; it must give the very floats that
+    # `_gap_norms` gives on the stored row.  8193 is past numpy's 8192-entry
+    # buffer; at 2^20 + 1 only a few rows are stored.
     rng = np.random.default_rng(n)
-    gaps = rng.integers(0, n, size=12)
+    gaps = rng.integers(0, n, size=12 if n < 2**20 else 1)
     gaps = np.concatenate([gaps, gaps[:4], [0, n - 1]])
-    fro, op = representation._constant_gap_norms(gaps, n)
+    fro, op = exact._constant_gap_norms(gaps.tolist(), n)
     full_fro, full_op = representation._gap_norms(np.repeat(gaps[:, None], n, axis=1), n)
-    assert fro.tolist() == full_fro.tolist()
-    assert op.tolist() == full_op.tolist()
+    assert fro == full_fro.tolist()
+    assert op == full_op.tolist()
 
 
 def test_chords_do_not_depend_on_the_other_gaps():
-    # `_constant_gap_norms` computes the chords of its distinct gaps only;
-    # each must be the very float of the n-entry table `_gap_norms` uses.
+    # The exact path computes each gap's chord alone, in Python floats, and
+    # `_gap_norms` gathers from an n-entry numpy table; every chord must be
+    # the very float of that table, whichever gaps it is computed with.
     rng = np.random.default_rng(11)
-    for n in [*range(1, 400), 2**20 + 1, 2**21 + 3]:
+    for n in [*range(1, 400), 8193, 2**20 + 1, 2**21 + 3]:
         gaps = np.unique(np.concatenate([rng.integers(0, n, size=20), [0, n - 1]]))
         table = representation._chords(np.arange(n), n)
         assert representation._chords(gaps, n).tolist() == table[gaps].tolist()
+        assert [exact._chord(d, n) for d in gaps.tolist()] == table[gaps].tolist()
+
+
+def test_a_sweep_near_the_size_cap_takes_o_log_n_per_gap():
+    # Twelve distinct gaps at n = 2^31 - 1: summing n squared chords each
+    # took seconds; the pairwise sum of equal terms takes O(log n) steps.
+    pairs = [((0, s), (1, 0)) for s in range(7001, 7013)]
+    n = 2**31 - 1
+    start = time.perf_counter()
+    (rows,) = defects(z2_skinny(), [n], pairs)
+    assert time.perf_counter() - start < 1.0
+    for row, ((_, s), _) in zip(rows, pairs):
+        chord = 2 * abs(math.sin(math.pi * (-s % n) / n))  # the gap is -sigma mod n
+        assert row.sigma_xy == s and row.operator == chord
+        assert abs(row.frobenius - math.sqrt(n) * chord) <= 1e-9 * row.frobenius
 
 
 def test_defect_shrinks_like_the_square_root_of_n():
