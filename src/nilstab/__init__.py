@@ -61,71 +61,4 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
-__all__ = [
-    "BoundViolated",
-    "CentralExtension",
-    "CertificateReport",
-    "Chain1",
-    "Chain2",
-    "CheckResult",
-    "Chi",
-    "DEFAULT_SEED",
-    "DefectResult",
-    "DegreeBoundTooSmall",
-    "DimensionMismatch",
-    "Element",
-    "InvalidCocycle",
-    "KernelCocycle",
-    "MalcevGroup",
-    "MultiPoly",
-    "NilstabError",
-    "NonIntegralValue",
-    "NotACycle",
-    "NotASection",
-    "NotCentral",
-    "NotCoprime",
-    "NotScalar",
-    "NotSkinny",
-    "NullTestReport",
-    "PERTURBATION_RADIUS",
-    "PairingMismatch",
-    "PairingResult",
-    "ParseError",
-    "PhaseShiftMatrix",
-    "PolyCocycle",
-    "TermOutOfRange",
-    "TooFarFromIdentity",
-    "TorsionPairing",
-    "ValidationError",
-    "ValidationReport",
-    "boundary2",
-    "build_rho",
-    "central_commutator_cycle",
-    "central_extension",
-    "certify_nonperturbability",
-    "chi_scalar_check",
-    "coboundary",
-    "cocycle_check",
-    "cocycle_from_document",
-    "defect",
-    "defects",
-    "from_document",
-    "frobenius_norm",
-    "interpolate_polynomial_cocycle",
-    "is_cycle",
-    "lattice",
-    "load_group",
-    "matrix_exp",
-    "matrix_log_near_identity",
-    "operator_norm",
-    "pair_cocycle_cycle",
-    "perturbation_null_test",
-    "promoted_cocycle",
-    "rho_family",
-    "scaling_map",
-    "section_cocycle",
-    "skinny_check",
-    "voiculescu_pair",
-    "winding_pairing",
-    "xy_variables",
-]
+__all__ = sorted(_MODULE_OF)

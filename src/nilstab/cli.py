@@ -97,7 +97,7 @@ def validate(group_src, cocycle_src, samples, bound, seed, grid, fmt, out_path):
     """
     try:
         group = _usage_guard(catalog.resolve_group, group_src)
-        reports = [group.validate() if group.proof is None else group.proof]
+        reports = [group.proof]
         if cocycle_src:
             sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
             reports += [sigma.proof, skinny_check(sigma)]

@@ -14,8 +14,9 @@ its value at (x, y) depends on y only through alpha(y) and it vanishes on
 ker(alpha) x ker(alpha).  Skinny cocycles with a polynomial kernel are
 represented by a polynomial in x_1..x_m and the single variable y1, read
 as alpha(y).  Such a PolyCocycle is proved once, when first used
-(`PolyCocycle.proof`), and every consumer of its phase-shift family admits
-it only once that proof passes (`PolyCocycle.admit`).
+(`PolyCocycle.proof`), as is its group (`MalcevGroup.proof`), and every
+consumer of its phase-shift family admits it only once both proofs pass
+(`PolyCocycle.admit`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import InvalidCocycle, NonIntegralValue, ParseError
+from .errors import InvalidCocycle, NonIntegralValue, ParseError, ValidationError
 from .groups import Element, MalcevGroup, symbolic_triple
 from .poly import (
     MultiPoly,
@@ -75,11 +76,11 @@ class PolyCocycle:
 
     def value_columns(
         self, x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]
-    ) -> tuple[list[int], dict[int, NonIntegralValue]]:
+    ) -> list[int]:
         """sigma(x, y) for rows of pairs, each element given as m coordinate columns.
 
-        The columns are sequences of Python ints.  Returns the values as a
-        list and, by row, the NonIntegralValue that sigma(x, y) raises there.
+        The columns are sequences of Python ints.  Raises the
+        NonIntegralValue that sigma(x, y) raises at the first failing row.
         """
         return self.poly.evaluate_int_columns([*x, y[0]])
 
@@ -89,17 +90,25 @@ class PolyCocycle:
         return cocycle_check(self)
 
     def admit(self) -> None:
-        """Raise InvalidCocycle, with the failed checks' witnesses, unless `proof` passed.
+        """Raise unless the group law's and this cocycle's proofs passed.
 
-        An admitted cocycle is normalized and integer valued, and its
+        ValidationError, with the failed checks' witnesses, when the group
+        law fails its proof (`MalcevGroup.proof`), and then InvalidCocycle
+        when the cocycle fails `proof`.  An admitted cocycle's group law is
+        triangular and satisfies the identity laws, so law_1 = x1 + y1
+        exactly.  The cocycle is normalized and integer valued, and its
         cocycle identity at z = (t, 0, ..., 0) reads, for every x, y and t,
 
-            p(x*y, t) - p(y, t) - p(x, t + y1) = -sigma(x, y)
+            p(x*y, t) - p(y, t) - p(x, t + y1) = -sigma(x, y).
 
-        when the group law adds first coordinates (as a proved law does).
         Skinniness needs no further check: the kernel condition
         p(0, x2..xm, 0) = 0 is a case of p(x, 0) = 0.
         """
+        group_proof = self.group.proof
+        if not group_proof.ok:
+            raise ValidationError(
+                "the group law failed its proof:\n" + group_proof.summary(), group_proof
+            )
         if not self.proof.ok:
             raise InvalidCocycle("the cocycle failed its proof:\n" + self.proof.summary())
 

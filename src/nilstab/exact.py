@@ -1,14 +1,16 @@
 """The closed-form certificate and sweep, in Python ints and floats.
 
-A proved polynomial cocycle (`PolyCocycle.admit`) is integer valued, and
-its cocycle identity at z = (t, 0, ..., 0) reads
+An admitted polynomial cocycle (`PolyCocycle.admit`) lives on a proved
+group law, whose first coordinate is x_1 + y_1, and is integer valued; its
+cocycle identity at z = (t, 0, ..., 0) reads
 
     p(x*y, t) - p(y, t) - p(x, t + y_1) = -sigma(x, y),
 
 so the word rho_n(x*y) rho_n(y)* rho_n(x)* of its phase-shift family is
 the scalar exp(-2 pi i sigma(x, y) / n) at every size n coprime to the
 coefficient denominator (see `representation`).  The paper's two facts
-then follow from sigma alone, with no matrix and no numpy:
+then follow from sigma alone, with no matrix, no numpy, no group product
+per pair and no shift check:
 
 - `certify_nonperturbability` pairs the family with a cycle exactly: a
   word with residue r lies in the log's convergence ball exactly when
@@ -200,33 +202,30 @@ def defects(
 ) -> list[list[DefectResult | NilstabError]]:
     """Measured multiplicativity defects of rho_n at every size and pair.
 
-    Raises InvalidCocycle unless sigma is admitted (`PolyCocycle.admit`),
-    before any size or pair is looked at.  Returns one list per size, with
-    one entry per pair: its DefectResult, or the error of that pair there.
-    A size sharing a factor with the coefficient denominator gives
-    NotCoprime for every pair.
+    Raises what `PolyCocycle.admit` raises (ValidationError for the group
+    law, InvalidCocycle for sigma) before any size or pair is looked at.
+    Returns one list per size, with one entry per pair: its DefectResult,
+    or the error of that pair there.  A size sharing a factor with the
+    coefficient denominator gives NotCoprime for every pair.
 
-    The pair-only work is done once, for all pairs at once, on exact
-    integer columns: the first coordinate of x*y
-    (`MalcevGroup.multiply_columns`) and sigma(x, y)
-    (`PolyCocycle.value_columns`).  Each size checks that the law adds
-    first coordinates mod n; then the gap of rho_n(x*y) - rho_n(x) rho_n(y)
-    is -sigma(x, y) mod n in every column (see the module docstring), so
-    each pair's norms are those of that one constant gap
-    (`_constant_gap_norms`), and no residue or matrix is formed.  A
-    measured norm above its proven bound plus a 1e-9 slack gives
-    BoundViolated; that would falsify the construction, not the sample.
+    The pair-only work is sigma(x, y) for all pairs at once, on exact
+    integer columns (`PolyCocycle.value_columns`); no group product is
+    formed.  The admitted law adds first coordinates, so the gap of
+    rho_n(x*y) - rho_n(x) rho_n(y) is -sigma(x, y) mod n in every column
+    (see the module docstring), and each pair's norms are those of that
+    one constant gap (`_constant_gap_norms`); no residue or matrix is
+    formed.  A measured norm above its proven bound plus a 1e-9 slack
+    gives BoundViolated; that would falsify the construction, not the
+    sample.
     """
     sigma.admit()
     group = sigma.group
     den = sigma.poly.denominator_lcm()
     xs = [group.element(x) for x, _ in pairs]
     ys = [group.element(y) for _, y in pairs]
-    x = [[g[k] for g in xs] for k in range(group.hirsch)]
-    y = [[g[k] for g in ys] for k in range(group.hirsch)]
-    first = group.multiply_columns(x, y)[0]
-    shifts = [p - a - b for p, a, b in zip(first, x[0], y[0])]
-    values, _ = sigma.value_columns(x, y)
+    values = sigma.value_columns(
+        [[g[k] for g in xs] for k in range(group.hirsch)], [[g[0] for g in ys]]
+    )
     table = []
     for n in sizes:
         error = _size_error(n, den)
@@ -235,11 +234,6 @@ def defects(
             continue
         if error is not None:
             raise error
-        if any(shift % n for shift in shifts):
-            raise ValueError(
-                f"the group law does not add first coordinates mod {n}; the "
-                f"defect is not a phase-shift matrix"
-            )
         fro, op = _constant_gap_norms([-v % n for v in values], n)
         table.append(_checked(n, xs, ys, values, fro, op))
     return table
@@ -283,8 +277,8 @@ def _checked(
 def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> DefectResult:
     """Measured multiplicativity defect of rho_n at (x, y), with its bounds.
 
-    The one-pair, one-size case of `defects`; raises the pair's error
-    (InvalidCocycle, NotCoprime or BoundViolated) instead of returning it.
+    The one-pair, one-size case of `defects`, raising what it raises; the
+    pair's error (NotCoprime or BoundViolated) is raised, not returned.
     """
     ((row,),) = defects(sigma, [n], [(x, y)])
     if isinstance(row, NilstabError):
@@ -361,8 +355,9 @@ def _exact_runs(
 ) -> Iterator[CertificateRun]:
     """The winding of rho_n against the chain at each n, in exact residue arithmetic.
 
-    sigma must be admitted.  Each ordering of each term is a shift-0
-    phase-shift matrix with residues r_j.  Its distance to the identity is
+    sigma must be admitted: its proved group law adds first coordinates,
+    so each ordering of each term is a shift-0 phase-shift matrix with
+    residues r_j, and no shift is checked.  Its distance to the identity is
     max_j 2 sin(pi |centred(r_j)| / n), which is below 1 exactly when
     6 |centred(r_j)| < n; otherwise TermOutOfRange names the term.  Inside
     the ball the series log is diagonal with entries
@@ -376,9 +371,10 @@ def _exact_runs(
     scalar -sigma(b, a): its residue at column j + a_1 + b_1 is
     p(ab, j) - p(ba, j) - sigma(b, a), which one kernel call per size
     (`representation._residues`, numpy) evaluates from the difference of
-    the two rows (`_rows`).  Runs come one size at a time, and each size
-    raises its first failing check: the size's own (`_size_error`), then
-    per term the shift and both orderings' ball tests.
+    the two rows (`_rows`).  Each term's products ab and ba are formed once,
+    for all sizes: they pick the case and give its rows.  Runs come one size
+    at a time, and each size raises its first failing check: the size's
+    own (`_size_error`), then per term both orderings' ball tests.
     """
     den = sigma.poly.denominator_lcm()
     # Each term's two words: a constant, or (row of `kernel_words`, roll).
@@ -390,7 +386,7 @@ def _exact_runs(
             swapped.append((ab, ba))
             scalars.append(second)
             second = (len(swapped) - 1, a[0] + b[0])
-        terms.append((coef, ab[0] - a[0] - b[0], (-sigma(a, b), second)))
+        terms.append((coef, (-sigma(a, b), second)))
     if swapped:
         rows = _rows(sigma, [g for pair in swapped for g in pair])
         differences = rows.differences
@@ -407,12 +403,7 @@ def _exact_runs(
         half = (n - 1) // 2
         margin = n
         sums = []
-        for index, (coef, shift, words) in enumerate(terms):
-            if shift % n:
-                raise TermOutOfRange(
-                    f"term {index}: {ORDERINGS[0]} shifts by {shift % n}",
-                    term_index=index,
-                )
+        for index, (coef, words) in enumerate(terms):
             totals = []
             for word, label in zip(words, ORDERINGS):
                 # Centre in (-n/2, n/2]: (r + h) mod n - h with h = (n - 1) // 2.
@@ -476,16 +467,18 @@ def certify_nonperturbability(
 
     Every pairing is exact, and each term's words are read once for all
     sizes (see `_exact_runs`); the runs keep the order and multiplicity of
-    n_list.  Raises InvalidCocycle unless sigma is admitted
-    (`PolyCocycle.admit`), before any size is looked at; then ValueError
-    for an empty n_list, NotACycle if the chain has a boundary,
-    TorsionPairing if the cocycle pairs to zero (no obstruction to
-    certify), and then the first failing size's error: NotCoprime, a size
-    past `max_exact_size`, TermOutOfRange if a log argument leaves the
-    convergence ball, or PairingMismatch if the winding disagrees with the
-    prediction.
+    n_list.  Raises what `PolyCocycle.admit` raises (ValidationError for
+    the group law, InvalidCocycle for sigma) before any size is looked at;
+    then ValueError if group is not sigma's group or n_list is empty,
+    NotACycle if the chain has a boundary, TorsionPairing if the cocycle
+    pairs to zero (no obstruction to certify), and then the first failing
+    size's error: NotCoprime, a size past `max_exact_size`, TermOutOfRange
+    if a log argument leaves the convergence ball, or PairingMismatch if
+    the winding disagrees with the prediction.
     """
     sigma.admit()
+    if sigma.group is not group and sigma.group != group:
+        raise ValueError("the cocycle lives on a different group")
     if not n_list:
         raise ValueError("need at least one matrix size")
     boundary = boundary2(group, chain)

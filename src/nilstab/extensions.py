@@ -95,7 +95,7 @@ def central_extension(group: MalcevGroup, sigma: PolyCocycle) -> CentralExtensio
     report = sigma.proof
     if not report.ok:
         raise InvalidCocycle("cocycle failed validation:\n" + report.summary())
-    total_report = total.validate()
+    total_report = total.proof
     if not total_report.ok:
         raise InvalidCocycle(
             "extension law failed validation:\n" + total_report.summary()

@@ -10,13 +10,14 @@ triangular,
 which makes the zero tuple the identity and lets inverses be solved by
 back substitution.  `MalcevGroup.validate` proves this and associativity
 as polynomial identities, and proves each law integer valued; nothing is
-sampled.
+sampled.  Each group object is proved at most once (`MalcevGroup.proof`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Mapping, Sequence
 
 from .errors import NotCentral, ParseError, ValidationError
@@ -47,11 +48,6 @@ class MalcevGroup:
     hirsch: int
     law: tuple[MultiPoly, ...]
     name: str = ""
-    # The passing report that admitted a group read by `from_document`;
-    # None for groups built in code.
-    proof: ValidationReport | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         if self.hirsch < 1:
@@ -98,25 +94,6 @@ class MalcevGroup:
     def multiply(self, x: Sequence[int], y: Sequence[int]) -> Element:
         point = self.element(x) + self.element(y)
         return tuple(p.evaluate_int(point) for p in self.law)
-
-    def multiply_columns(
-        self, x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]
-    ) -> list[list[int]]:
-        """`multiply` for rows of pairs, each element given as m coordinate columns.
-
-        The columns are sequences of Python ints, and the product's are
-        lists of them.  Raises the NonIntegralValue that `multiply` raises at
-        the first failing row, for its first failing law.
-        """
-        columns = [*x, *y]
-        product, failures = [], []
-        for k, p in enumerate(self.law):
-            values, errors = p.evaluate_int_columns(columns)
-            product.append(values)
-            failures += [(row, k, error) for row, error in errors.items()]
-        if failures:
-            raise min(failures, key=lambda f: f[:2])[2]
-        return product
 
     def inverse(self, x: Sequence[int]) -> Element:
         """Solve multiply(x, z) = identity by back substitution.
@@ -199,6 +176,11 @@ class MalcevGroup:
                 checks.append(CheckResult(f"{kind} (law {k})", bad is None, bad))
         return ValidationReport(self.name or f"group(hirsch={self.hirsch})", tuple(checks))
 
+    @cached_property
+    def proof(self) -> ValidationReport:
+        """`validate`'s report on this group, computed once."""
+        return self.validate()
+
     # ------------------------------------------------------------------
     # quotient
 
@@ -234,8 +216,9 @@ class MalcevGroup:
         }
 
 
+@cache
 def lattice(m: int) -> MalcevGroup:
-    """The free abelian group Z^m with componentwise addition."""
+    """The free abelian group Z^m with componentwise addition, one object per m."""
     variables = xy_variables(m, m)
     law = tuple(
         MultiPoly.variable(variables, i) + MultiPoly.variable(variables, m + i)
@@ -245,10 +228,7 @@ def lattice(m: int) -> MalcevGroup:
 
 
 def from_document(doc: Mapping) -> MalcevGroup:
-    """Build a group from its JSON document, then prove its law valid.
-
-    The passing report is kept as the group's `proof`.
-    """
+    """Build a group from its JSON document; raise ValidationError unless its `proof` passes."""
     if not isinstance(doc, Mapping):
         raise ParseError(f"group document must be an object, got {type(doc).__name__}")
     try:
@@ -265,12 +245,10 @@ def from_document(doc: Mapping) -> MalcevGroup:
     if not isinstance(name, str):
         raise ParseError("group name must be a string")
     group = MalcevGroup(hirsch, law, name=name)
-    report = group.validate()
-    if not report.ok:
+    if not group.proof.ok:
         raise ValidationError(
-            "group document failed validation:\n" + report.summary(), report
+            "group document failed validation:\n" + group.proof.summary(), group.proof
         )
-    object.__setattr__(group, "proof", report)
     return group
 
 

@@ -12,7 +12,7 @@ Fraction for integer input.  The same sum is exact for Fraction inputs.
 `scaled_columns` is that sum over many points at once: each variable is a
 column, a sequence of Python ints, and the sums come back as a list of
 Python ints, so every step stays exact at any coordinate size.  `evaluate_int_columns` is
-`evaluate_int` over columns, with the same errors for the rows that fail.
+`evaluate_int` over columns, raising its error at the first row that fails.
 `newton_coefficients` writes a polynomial in one variable's binomial
 basis, by v^e = sum_k surj(e, k) binom(v, k), and `box_witness`, in all
 of them, decides whether a polynomial is zero, or integer valued, and
@@ -237,23 +237,17 @@ class MultiPoly:
             sums = list(map(add, sums, term))
         return den, sums
 
-    def evaluate_int_columns(
-        self, columns: Sequence[Sequence[int]]
-    ) -> tuple[list[int], dict[int, NonIntegralValue]]:
+    def evaluate_int_columns(self, columns: Sequence[Sequence[int]]) -> list[int]:
         """`evaluate_int` at every row of the columns (see `scaled_columns`).
 
-        Returns the column of values and, by row, the NonIntegralValue that
-        `evaluate_int` raises there; a failing row's value is the floor.
+        Raises the NonIntegralValue that `evaluate_int` raises at the first
+        failing row.
         """
         den, total = self.scaled_columns(columns)
-        if den == 1:
-            return total, {}
-        errors = {
-            i: self._non_integral([c[i] for c in columns], t, den)
-            for i, t in enumerate(total)
-            if t % den
-        }
-        return [t // den for t in total], errors
+        for i, t in enumerate(total):
+            if t % den:
+                raise self._non_integral([c[i] for c in columns], t, den)
+        return total if den == 1 else [t // den for t in total]
 
     # ------------------------------------------------------------------
     # structural operations

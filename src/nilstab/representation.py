@@ -12,9 +12,10 @@ phases: products, adjoints and the scalar identity are exact residue
 arithmetic at any n up to `max_exact_size`, and only `phases` and
 `to_dense` (capped at MAX_DENSE) touch floating point.
 
-`build_rho` and `chi_scalar_check` admit a cocycle only once its proof
-passes (`PolyCocycle.admit`), and raise InvalidCocycle otherwise.  An
-admitted cocycle is integer valued, and n is coprime to its denominator,
+`build_rho` and `chi_scalar_check` admit a cocycle only once its group
+law's proof and its own pass (`PolyCocycle.admit`), and raise
+ValidationError or InvalidCocycle otherwise.  An admitted cocycle is
+integer valued, and n is coprime to its denominator,
 so every row p(x, .) is periodic mod n and rho_n(x) is well defined.  Its
 cocycle identity at z = (t, 0, ..., 0) reads
 p(x*y, t) - p(y, t) - p(x, t + y_1) = -sigma(x, y), so the word
@@ -140,9 +141,10 @@ class PhaseShiftMatrix:
 def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     """The phase-shift unitary representing x at matrix size n.
 
-    Raises InvalidCocycle unless sigma is admitted (`PolyCocycle.admit`),
-    then the size's error (`_size_error`); otherwise one kernel call on
-    the row's integer Newton differences gives the residues.
+    Raises what `PolyCocycle.admit` raises (ValidationError for the group
+    law, InvalidCocycle for sigma), then the size's error (`_size_error`);
+    otherwise one kernel call on the row's integer Newton differences
+    gives the residues.
     """
     sigma.admit()
     x = sigma.group.element(x)
@@ -268,9 +270,10 @@ def chi_scalar_check(
     and `adjoint`, independently of the identity that `defects` reads it
     from.  It must have shift 0, and every residue must equal
     -sigma(x, y) mod n exactly; NotScalar names the first one that does
-    not.  Raises what `build_rho` raises (InvalidCocycle, the size's error)
-    first.
+    not.  Raises what `PolyCocycle.admit` raises before x and y are looked
+    at, then the size's error (`build_rho`).
     """
+    sigma.admit()
     group = sigma.group
     x = group.element(x)
     y = group.element(y)

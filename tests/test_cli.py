@@ -511,6 +511,36 @@ def test_a_builtin_cocycle_is_proved_once_per_process(runner, monkeypatch):
     assert len(calls) == 1 and calls[0] is catalog.heisenberg_skinny()
 
 
+def test_a_builtin_group_is_proved_once_per_process(runner, monkeypatch):
+    # validate proves lattice:2's law; certify and sweep admit z2_skinny on
+    # that same group object and reuse the proof.
+    calls = []
+    prove = MalcevGroup.validate
+
+    def counted(group):
+        calls.append(group)
+        return prove(group)
+
+    monkeypatch.setattr(MalcevGroup, "validate", counted)
+    monkeypatch.setattr(catalog, "lattice", functools.cache(lattice.__wrapped__))
+    monkeypatch.setattr(catalog, "z2_skinny", functools.cache(z2_skinny.__wrapped__))
+    base = ["--group", "lattice:2", "--cocycle", "z2_skinny"]
+    for args in (
+        ["validate", *base],
+        ["certify", *base, "--cycle", "voiculescu", "--n", "17"],
+        ["sweep", *base, "--n", "17", "--samples", "2"],
+        ["validate", *base],
+    ):
+        assert runner.invoke(main, args).exit_code == 0
+    assert len(calls) == 1 and calls[0] is catalog.lattice(2)
+    # A second validate of heisenberg3 reuses the first one's proof.
+    args = ["validate", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny"]
+    assert runner.invoke(main, args).exit_code == 0
+    first = len(calls)
+    assert runner.invoke(main, args).exit_code == 0
+    assert len(calls) == first
+
+
 def test_a_sweep_at_a_billion_needs_no_n_entry_table(tmp_path):
     # At n = 2^30 + 1 an n-entry float table is 8 GiB; the sweep's norms
     # need only the chords of its distinct gaps, so it runs in a child

@@ -111,20 +111,23 @@ def test_newton_coefficients_match_the_fraction_oracle(sigma, x):
 )
 def test_columns_match_the_scalar_evaluation_past_int64(sigma, points):
     # Rows (x1, x2, x3, y1) with coordinates up to 2^70, where any int64
-    # step would overflow: sigma's columns equal evaluate_int (its value
-    # or its error) and the rows' Newton differences the Fraction oracle,
-    # row by row.
+    # step would overflow: sigma's columns equal evaluate_int row by row,
+    # or raise its error at the first row that is not integral, and the
+    # rows' Newton differences equal the Fraction oracle.
     columns = [np.array(c, dtype=object) for c in zip(*points)]
-    values, errors = sigma.value_columns(columns[:3], columns[3:])
+    expected = []
+    for point in points:
+        try:
+            expected.append(sigma.poly.evaluate_int(point))
+        except NonIntegralValue as exc:
+            with pytest.raises(NonIntegralValue, match=re.escape(str(exc))):
+                sigma.value_columns(columns[:3], columns[3:])
+            break
+    else:
+        values = sigma.value_columns(columns[:3], columns[3:])
+        assert values == expected and all(type(v) is int for v in values)
     rows = _rows(sigma, [point[:3] for point in points])
     for i, point in enumerate(points):
-        try:
-            expected = sigma.poly.evaluate_int(point)
-        except NonIntegralValue as exc:
-            assert str(errors[i]) == str(exc)
-        else:
-            assert i not in errors
-            assert values[i] == expected and type(values[i]) is int
         differences = [Fraction(d, rows.den) for d in rows.differences[i]]
         assert differences == newton_differences_by_fractions(sigma, point[:3])
 

@@ -3,20 +3,17 @@
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import witness_blocks
-from nilstab.catalog import heisenberg3, heisenberg_skinny
-from nilstab.errors import NonIntegralValue, NotCentral, ParseError, ValidationError
-from nilstab.extensions import central_extension
+from nilstab.catalog import heisenberg3
+from nilstab.errors import NotCentral, ParseError, ValidationError
 from nilstab.groups import (
     MalcevGroup,
     from_document,
@@ -53,40 +50,6 @@ def test_heisenberg_products_match_hand_values():
 @given(coords3, coords3)
 def test_heisenberg_matches_the_matrix_model(x, y):
     assert H3.multiply(x, y) == upper_triangular_oracle(x, y)
-
-
-huge = st.integers(-(2**70), 2**70)
-H4 = central_extension(H3, heisenberg_skinny()).total
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    st.sampled_from([H3, H4]),
-    st.lists(st.tuples(*[huge] * 8), min_size=1, max_size=6),
-)
-def test_multiply_columns_matches_multiply_past_int64(group, rows):
-    # Coordinates up to 2^70: an int64 step anywhere would break equality.
-    m = group.hirsch
-    x = [np.array(c, dtype=object) for c in zip(*(r[:m] for r in rows))]
-    y = [np.array(c, dtype=object) for c in zip(*(r[m : 2 * m] for r in rows))]
-    product = group.multiply_columns(x, y)
-    for i, r in enumerate(rows):
-        expected = group.multiply(r[:m], r[m : 2 * m])
-        assert tuple(c[i] for c in product) == expected
-        assert all(type(c[i]) is int for c in product)
-
-
-def test_multiply_columns_raises_multiplys_error_at_the_first_failing_row():
-    # law_3 + x1*y1/2 is not integral where x1*y1 is odd.
-    vars6 = xy_variables(3, 3)
-    group = broken_heisenberg(MultiPoly(vars6, {(1, 0, 0, 1, 0, 0): Fraction(1, 2)}))
-    xs, ys = [(2, 0, 0), (1, 5, 0), (3, 0, 1)], [(1, 0, 0), (1, 0, 0), (3, 0, 0)]
-    x = [np.array(c, dtype=object) for c in zip(*xs)]
-    y = [np.array(c, dtype=object) for c in zip(*ys)]
-    with pytest.raises(NonIntegralValue) as info:
-        group.multiply(xs[1], ys[1])
-    with pytest.raises(NonIntegralValue, match=re.escape(str(info.value))):
-        group.multiply_columns(x, y)
 
 
 @settings(deadline=None)

@@ -44,7 +44,7 @@ from nilstab.extensions import (
     central_extension,
     promoted_cocycle,
 )
-from nilstab.groups import lattice
+from nilstab.groups import MalcevGroup, lattice
 from nilstab.obstruction import (
     PERTURBATION_RADIUS,
     certify_nonperturbability,
@@ -520,6 +520,16 @@ def test_certificate_requires_a_nonzero_pairing():
         certify_nonperturbability(
             Z2, z2_skinny().scale(0), voiculescu_cycle(), [16]
         )
+
+
+def test_certificate_requires_the_cocycles_group():
+    # law_1 = x1 + y1 + x2*y2 is no group law, but it multiplies the
+    # voiculescu cycle's elements as Z^2 does; only z2_skinny's own group,
+    # whose proof admitted it, may carry the certificate.
+    v = [MultiPoly.variable(xy_variables(2, 2), i) for i in range(4)]
+    skew = MalcevGroup(2, (v[0] + v[2] + v[1] * v[3], v[1] + v[3]), name="skew")
+    with pytest.raises(ValueError, match="different group"):
+        certify_nonperturbability(skew, z2_skinny(), voiculescu_cycle(), [17])
 
 
 def test_certificate_requires_at_least_one_size():

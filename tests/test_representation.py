@@ -13,7 +13,7 @@ import pytest
 
 from conftest import defects_by_pairs, specialize_first_by_fractions
 from nilstab.catalog import heisenberg3, heisenberg_skinny, z2_skinny
-from nilstab.cohomology import PolyCocycle, cocycle_check
+from nilstab.cohomology import Chain2, PolyCocycle, cocycle_check
 from nilstab.errors import (
     DimensionMismatch,
     InvalidCocycle,
@@ -21,9 +21,10 @@ from nilstab.errors import (
     NonIntegralValue,
     NotCoprime,
     NotScalar,
+    ValidationError,
 )
 from nilstab.extensions import central_extension, promoted_cocycle
-from nilstab.groups import lattice
+from nilstab.groups import MalcevGroup, lattice
 from nilstab.poly import MultiPoly, xy_variables
 from nilstab import exact, representation
 from nilstab.representation import (
@@ -374,6 +375,41 @@ def assert_every_entry_point_refuses(sigma: PolyCocycle, witness: str) -> None:
         assert str(info.value) == refusal(sigma)
         assert witness in str(info.value)
     assert sigma.proof is sigma.proof  # proved once
+
+
+def test_every_entry_point_refuses_a_cocycle_on_a_law_that_is_no_group():
+    # law_3 = x3 + y3 + x2*y2*y1 is triangular, integral and satisfies the
+    # identity laws, but it is not associative.  x2*y1 passes its own
+    # proof on it, whose identity reads only the first two laws.  Every
+    # entry point refuses the pair with the group's associativity witness
+    # before it looks at a size or a pair, even one it would refuse itself.
+    v = [MultiPoly.variable(xy_variables(3, 3), i) for i in range(6)]
+    law = (v[0] + v[3], v[1] + v[4], v[2] + v[5] + v[1] * v[4] * v[3])
+    group = MalcevGroup(3, law, name="not-a-group")
+    sigma = PolyCocycle(group, MultiPoly(xy_variables(3, 1), {(0, 1, 0, 1): 1}))
+    assert sigma.proof.ok
+    chain = Chain2.build([(1, (0, 1, 0), (1, 0, 0)), (-1, (1, 0, 0), (0, 1, 0))])
+    x, y = (0, 1, 0), (1, 0, 0)
+    for refused in (
+        lambda: exact.certify_nonperturbability(group, sigma, chain, [17, 33]),
+        lambda: exact.certify_nonperturbability(group, sigma, chain, []),
+        lambda: defects(sigma, [17, 0], [(x, y)]),
+        lambda: defects(sigma, [0], []),
+        lambda: defect(sigma, 17, x, y),
+        lambda: build_rho(sigma, 0, x),
+        lambda: chi_scalar_check(sigma, 17, x, (1, 0)),
+    ):
+        with pytest.raises(ValidationError) as info:
+            refused()
+        assert str(info.value) == (
+            "the group law failed its proof:\n" + group.validate().summary()
+        )
+        assert (
+            "[FAIL] associativity (law 3) -- ((x*y)*z)_3 - (x*(y*z))_3 = "
+            "-x2*y1*z2 - x2*y2*z1, which is -1 at x=(0, 1, 0), y=(0, 1, 0), "
+            "z=(1, 0, 0)"
+        ) in str(info.value)
+        assert info.value.report is group.proof  # proved once
 
 
 def test_defects_report_a_non_integral_row_and_keep_the_others():
