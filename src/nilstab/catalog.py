@@ -9,7 +9,6 @@ exercises of the package.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -39,12 +38,7 @@ def z2_skinny() -> PolyCocycle:
 @cache
 def heisenberg_extension() -> CentralExtension:
     """The rank-2 lattice extended by x2*y1: the discrete Heisenberg group."""
-    ext = central_extension(lattice(2), z2_skinny())
-    return CentralExtension(
-        base=ext.base,
-        total=replace(ext.total, name="heisenberg3"),
-        cocycle=ext.cocycle,
-    )
+    return central_extension(lattice(2), z2_skinny(), name="heisenberg3")
 
 
 def heisenberg3() -> MalcevGroup:

@@ -18,7 +18,7 @@ import click
 
 from . import __version__, catalog
 from .cohomology import skinny_check
-from .errors import NilstabError, NotCoprime, ParseError, ValidationError
+from .errors import BoundViolated, NilstabError, NotCoprime, ParseError, ValidationError
 from .exact import certify_nonperturbability, defects, max_exact_size
 from .validation import DEFAULT_SEED, make_rng, sample_coords
 
@@ -159,37 +159,34 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
         sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
         den = sigma.poly.denominator_lcm()
         _check_sizes(n_list, den)
-        rng = make_rng(seed)
-        pairs = [
-            (sample_coords(rng, group.hirsch, bound), sample_coords(rng, group.hirsch, bound))
-            for _ in range(samples)
-        ]
+        m = group.hirsch
+        coords = sample_coords(make_rng(seed), 2 * m * samples, bound)
+        pairs = [(coords[i:i + m], coords[i + m:i + 2 * m]) for i in range(0, len(coords), 2 * m)]
         table = defects(sigma, n_list, pairs)
     except NilstabError as exc:
         _fail(exc)
     lines = ["n,x,y,sigma_xy,frob_defect,frob_bound,op_defect,op_bound,status"]
     failed = False
-    # Each pair's "x,y" fields, formatted once for all sizes, and each
-    # distinct tail of measured fields once per sweep.  No field is ever
-    # -0.0 or NaN, so equal tails print the same text.
+    # Each pair's "x,y" fields are formatted once for all sizes.  The pairs
+    # sharing sigma(x, y) at a size share its entry, so each size formats
+    # the tail of each distinct value once.
     texts = [f"{';'.join(map(str, x))},{';'.join(map(str, y))}" for x, y in pairs]
-    tails: dict[tuple, str] = {}
     for n, rows in zip(n_list, table):
-        for (x, y), text, row in zip(pairs, texts, rows):
-            if isinstance(row, NotCoprime):
-                lines.append(f"{n},{text},{sigma(x, y)},,,,,skipped:not_coprime")
-            elif isinstance(row, NilstabError):
+        tails: dict[int, str] = {}
+        for text, row in zip(texts, rows):
+            if isinstance(row, BoundViolated):
                 click.echo(f"error: {row}", err=True)
                 failed = True
-            else:
-                key = row[3:]  # sigma_xy, the two norms and their bounds
-                tail = tails.get(key)
-                if tail is None:
-                    tail = tails[key] = (
-                        f"{row.sigma_xy},{row.frobenius!r},{row.frobenius_bound!r},"
-                        f"{row.operator!r},{row.operator_bound!r},ok"
-                    )
-                lines.append(f"{n},{text},{tail}")
+                continue
+            tail = tails.get(row.sigma_xy)
+            if tail is None:
+                tail = tails[row.sigma_xy] = (
+                    f"{row.sigma_xy},,,,,skipped:not_coprime"
+                    if isinstance(row, NotCoprime)
+                    else f"{row.sigma_xy},{row.frobenius!r},{row.frobenius_bound!r},"
+                    f"{row.operator!r},{row.operator_bound!r},ok"
+                )
+            lines.append(f"{n},{text},{tail}")
     if all(math.gcd(n, den) != 1 for n in n_list):
         click.echo(
             f"error: no size in --n is coprime to the coefficient denominator {den}",

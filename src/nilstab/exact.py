@@ -21,7 +21,8 @@ per pair and no shift check:
 - `defects` measures rho_n(x*y) - rho_n(x) rho_n(y), whose entries all
   have the gap -sigma(x, y) mod n: its norms are sqrt(n) times and once
   the chord 2 |sin(pi gap / n)|, computed with the same float operations,
-  in the same order, as the dense path's norms of the full matrix.
+  in the same order, as the dense path's norms of the full matrix, once
+  per size and distinct sigma(x, y).
 
 `representation` and `obstruction` re-export the public names defined
 here, so both paths are reachable from either module.
@@ -45,7 +46,7 @@ from .errors import (
     TermOutOfRange,
     TorsionPairing,
 )
-from .groups import Element, MalcevGroup
+from .groups import MalcevGroup
 
 INT64_MAX = 2**63 - 1
 
@@ -168,26 +169,28 @@ def _copies(square: float, count: int, sums: dict[int, float]) -> float:
     return total
 
 
-def _constant_gap_norms(gaps: Sequence[int], n: int) -> tuple[list[float], list[float]]:
-    """The Frobenius and operator norms of n columns with one gap each, per gap.
+def _constant_gap_norms(gap: int, n: int) -> tuple[float, float]:
+    """The Frobenius and operator norms of n columns with the one gap d in [0, n).
 
-    For a gap d in [0, n) every column's entry is the chord |1 - w^d|.  The
-    operator norm is that chord, and the Frobenius norm is the square root
-    of n squared chords, summed in numpy's pairwise order (`_copies`), so
-    both floats equal `representation._gap_norms` on the stored row (a
-    test checks this bit for bit).  Each distinct gap costs O(log n).
+    Every column's entry is the chord |1 - w^d|.  The operator norm is that
+    chord, and the Frobenius norm is the square root of n squared chords,
+    summed in numpy's pairwise order (`_copies`), so both floats equal
+    `representation._gap_norms` on the stored row (a test checks this bit
+    for bit).  It costs O(log n).
     """
-    norms = {}
-    for d in set(gaps):
-        chord = _chord(d, n)
-        norms[d] = (math.sqrt(_copies(chord * chord, n, {})), chord)
-    return [norms[d][0] for d in gaps], [norms[d][1] for d in gaps]
+    chord = _chord(gap, n)
+    return math.sqrt(_copies(chord * chord, n, {})), chord
 
 
 class DefectResult(NamedTuple):
+    """The defect of rho_n at a pair, with its bounds.
+
+    It depends on n and the pair's sigma(x, y) only, so the pairs sharing
+    that value at a size share one result; a pair is known by its position
+    among the pairs that `defects` was given.
+    """
+
     n: int
-    x: Element
-    y: Element
     sigma_xy: int
     frobenius: float
     frobenius_bound: float
@@ -206,17 +209,20 @@ def defects(
     law, InvalidCocycle for sigma) before any size or pair is looked at.
     Returns one list per size, with one entry per pair: its DefectResult,
     or the error of that pair there.  A size sharing a factor with the
-    coefficient denominator gives NotCoprime for every pair.
+    coefficient denominator gives NotCoprime for every pair, carrying the
+    pair's sigma(x, y).
 
     The pair-only work is sigma(x, y) for all pairs at once, on exact
     integer columns (`PolyCocycle.value_columns`); no group product is
     formed.  The admitted law adds first coordinates, so the gap of
     rho_n(x*y) - rho_n(x) rho_n(y) is -sigma(x, y) mod n in every column
-    (see the module docstring), and each pair's norms are those of that
-    one constant gap (`_constant_gap_norms`); no residue or matrix is
-    formed.  A measured norm above its proven bound plus a 1e-9 slack
-    gives BoundViolated; that would falsify the construction, not the
-    sample.
+    (see the module docstring), and the norms depend on n and sigma(x, y)
+    alone (`_constant_gap_norms`); no residue or matrix is formed.  Each
+    size measures and checks each distinct value once, and the pairs that
+    share it share its entry, so a size costs O(distinct sigma * log n)
+    plus one lookup per pair.  A measured norm above its proven bound plus
+    a 1e-9 slack gives each such pair a BoundViolated naming it; that
+    would falsify the construction, not the sample.
     """
     sigma.admit()
     group = sigma.group
@@ -226,52 +232,38 @@ def defects(
     values = sigma.value_columns(
         [[g[k] for g in xs] for k in range(group.hirsch)], [[g[0] for g in ys]]
     )
+    distinct = set(values)
     table = []
     for n in sizes:
         error = _size_error(n, den)
         if isinstance(error, NotCoprime):
-            table.append([error] * len(pairs))
-            continue
-        if error is not None:
+            shared = {v: NotCoprime(str(error), sigma_xy=v) for v in distinct}
+        elif error is not None:
             raise error
-        fro, op = _constant_gap_norms([-v % n for v in values], n)
-        table.append(_checked(n, xs, ys, values, fro, op))
+        else:
+            shared = {v: _checked(n, v, *_constant_gap_norms(-v % n, n)) for v in distinct}
+        table.append([
+            BoundViolated(f"{row} at ({x}, {y}), n={n}") if isinstance(row, str) else row
+            for x, y, row in zip(xs, ys, map(shared.__getitem__, values))
+        ])
     return table
 
 
-def _checked(
-    n: int,
-    xs: Sequence[Element],
-    ys: Sequence[Element],
-    values: Sequence[int],
-    fro: Sequence[float],
-    op: Sequence[float],
-) -> list[DefectResult | BoundViolated]:
-    """Each pair's measured norms with their bounds, or BoundViolated.
+def _checked(n: int, value: int, fro: float, op: float) -> DefectResult | str:
+    """The measured norms at sigma(x, y) = value with their bounds, or a violation.
 
-    The bounds are 2 pi |sigma(x, y)| / sqrt(n) (Frobenius) and
-    2 pi |sigma(x, y)| / n (operator).  A pair whose norm exceeds its bound
-    gets BoundViolated, the Frobenius bound checked first.
+    The bounds are 2 pi |value| / sqrt(n) (Frobenius) and 2 pi |value| / n
+    (operator).  A norm above its bound gives the violation's message
+    instead, the Frobenius bound checked first; `defects` names each pair
+    with that value in its own BoundViolated.
     """
-    tau = [2 * math.pi * float(abs(v)) for v in values]
-    root = math.sqrt(n)
-    fro_bound = [t / root for t in tau]
-    op_bound = [t / n for t in tau]
-    failed: dict[int, BoundViolated] = {}
-    for label, measured, bound in (
-        ("Frobenius", fro, fro_bound),
-        ("operator", op, op_bound),
-    ):
-        for i, (norm, limit) in enumerate(zip(measured, bound)):
-            if norm > limit + BOUND_SLACK and i not in failed:
-                failed[i] = BoundViolated(
-                    f"{label} defect {norm} exceeds bound {limit} at "
-                    f"({xs[i]}, {ys[i]}), n={n}"
-                )
-    return [
-        failed[i] if i in failed else DefectResult(n, *fields)
-        for i, fields in enumerate(zip(xs, ys, values, fro, fro_bound, op, op_bound))
-    ]
+    tau = 2 * math.pi * float(abs(value))
+    fro_bound = tau / math.sqrt(n)
+    op_bound = tau / n
+    for label, norm, limit in (("Frobenius", fro, fro_bound), ("operator", op, op_bound)):
+        if norm > limit + BOUND_SLACK:
+            return f"{label} defect {norm} exceeds bound {limit}"
+    return DefectResult(n, value, fro, fro_bound, op, op_bound)
 
 
 def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> DefectResult:

@@ -66,9 +66,13 @@ class CentralExtension:
         return self.base.element(g) + (0,)
 
 
-def central_extension(group: MalcevGroup, sigma: PolyCocycle) -> CentralExtension:
+def central_extension(
+    group: MalcevGroup, sigma: PolyCocycle, name: str = ""
+) -> CentralExtension:
     """Build the extension group of `group` by the skinny cocycle `sigma`.
 
+    The extension group is called `name`, by default after its parts; it
+    is named here, so that its one proof is the one a caller reports.
     Raises InvalidCocycle unless sigma is proved a normalized, integer
     valued cocycle and the extension law is proved a group law.
     """
@@ -90,7 +94,7 @@ def central_extension(group: MalcevGroup, sigma: PolyCocycle) -> CentralExtensio
     total = MalcevGroup(
         m + 1,
         tuple(law),
-        name=f"ext({group.name or 'group'}; {sigma.name})",
+        name=name or f"ext({group.name or 'group'}; {sigma.name})",
     )
     report = sigma.proof
     if not report.ok:

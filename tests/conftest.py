@@ -153,7 +153,7 @@ def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
                     f"operator defect {op} exceeds bound {op_bound} at ({x}, {y}), n={n}"
                 ))
             else:
-                out.append(DefectResult(n, x, y, s, fro, fro_bound, op, op_bound))
+                out.append(DefectResult(n, s, fro, fro_bound, op, op_bound))
         table.append(out)
     return table
 

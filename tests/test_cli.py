@@ -23,6 +23,7 @@ from nilstab.cli import main
 from nilstab.cohomology import PolyCocycle
 from nilstab.groups import MalcevGroup, lattice
 from nilstab.poly import MultiPoly, xy_variables
+from nilstab.validation import make_rng, sample_coords
 
 
 @pytest.fixture()
@@ -533,12 +534,20 @@ def test_a_builtin_group_is_proved_once_per_process(runner, monkeypatch):
     ):
         assert runner.invoke(main, args).exit_code == 0
     assert len(calls) == 1 and calls[0] is catalog.lattice(2)
-    # A second validate of heisenberg3 reuses the first one's proof.
-    args = ["validate", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny"]
-    assert runner.invoke(main, args).exit_code == 0
-    first = len(calls)
-    assert runner.invoke(main, args).exit_code == 0
-    assert len(calls) == first
+    # heisenberg3 is named where the extension builds it, so a fresh
+    # heisenberg3 is proved once across validate, certify and sweep; no
+    # renamed copy of the extension group is proved again.
+    calls.clear()
+    for name in ("heisenberg_extension", "heisenberg_skinny"):
+        monkeypatch.setattr(catalog, name, functools.cache(getattr(catalog, name).__wrapped__))
+    base = ["--group", "heisenberg3", "--cocycle", "heisenberg_skinny"]
+    for args in (
+        ["validate", *base],
+        ["certify", *base, "--cycle", "heisenberg_c1", "--n", "17"],
+        ["sweep", *base, "--n", "17", "--samples", "2"],
+    ):
+        assert runner.invoke(main, args).exit_code == 0
+    assert len(calls) == 1 and calls[0] is catalog.heisenberg3()
 
 
 def test_a_sweep_at_a_billion_needs_no_n_entry_table(tmp_path):
@@ -579,35 +588,40 @@ def test_sweep_fails_when_no_size_is_coprime(runner):
     )
 
 
-def inflate_second_frobenius(monkeypatch) -> None:
-    # Add 1 to the second pair's measured Frobenius norm before each
-    # size's norms are checked against their bounds.
+def inflate_frobenius_at_sigma(monkeypatch, value: int) -> None:
+    # Add 1 to the measured Frobenius norm at sigma(x, y) = value, at every
+    # size, before it is checked against its bound: every pair sharing that
+    # value fails.
     real = exact._checked
 
-    def inflated(n, xs, ys, values, fro, op):
-        fro[1] += 1.0
-        return real(n, xs, ys, values, fro, op)
+    def inflated(n, sigma_xy, fro, op):
+        return real(n, sigma_xy, fro + 1.0 if sigma_xy == value else fro, op)
 
     monkeypatch.setattr(exact, "_checked", inflated)
 
 
 def test_sweep_reports_a_failed_row_and_prints_the_others(runner, monkeypatch):
-    # Inflate the second pair's measured Frobenius norm at every size: its
-    # rows fail their bound, and the rows of the other pairs still print.
-    inflate_second_frobenius(monkeypatch)
+    # Inflate the norm at the second pair's sigma(x, y) = 0, which the third
+    # pair shares: both pairs' rows fail their bound at every size, each
+    # named on stderr, and the first pair's rows still print.
+    inflate_frobenius_at_sigma(monkeypatch, 0)
     args = ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny",
             "--n", "4,8", "--samples", "3"]
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     errors = result.stderr.splitlines()
-    assert len(errors) == 2
+    assert len(errors) == 4
     assert all(e.startswith("error: Frobenius defect") for e in errors)
+    assert [e.split(" at ")[1] for e in errors] == [
+        "((-3, 3), (0, -2)), n=4", "((-3, 0), (2, 1)), n=4",
+        "((-3, 3), (0, -2)), n=8", "((-3, 0), (2, 1)), n=8",
+    ]
     rows = result.stdout.strip().split("\n")[1:]
-    assert [row.split(",")[0] for row in rows] == ["4", "4", "8", "8"]
+    assert [row.split(",")[0] for row in rows] == ["4", "8"]
     assert all(row.endswith(",ok") for row in rows)
     monkeypatch.undo()
     rows_kept = runner.invoke(main, args).stdout.strip().split("\n")[1:]
-    assert rows == rows_kept[:1] + rows_kept[2:4] + rows_kept[5:]
+    assert rows == rows_kept[:1] + rows_kept[3:4]
 
 
 def test_sweep_writes_to_a_file(runner, tmp_path):
@@ -686,9 +700,59 @@ def test_benchmark_certificates_print_the_pinned_json(runner, args, digest):
     assert result.stderr == ""
 
 
+HEISENBERG_SWEEP = ["sweep", "--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
+                    "--samples", "200", "--seed", "1"]
+
+
+def test_a_sweep_measures_each_distinct_sigma_once_per_size(runner, monkeypatch):
+    # The heisenberg benchmark sweep has 800 rows but only 26 distinct
+    # sigma(x, y) per size: one chord per distinct (n, sigma), not one per
+    # row, and not one per distinct gap -sigma mod n either, since the
+    # bounds differ.
+    calls = []
+    chord = exact._chord
+
+    def counted(gap, n):
+        calls.append((gap, n))
+        return chord(gap, n)
+
+    monkeypatch.setattr(exact, "_chord", counted)
+    result = runner.invoke(main, [*HEISENBERG_SWEEP, "--n", "17,33,65,129"])
+    assert result.exit_code == 0, everything(result)
+    rows = [row.split(",") for row in result.stdout.splitlines()[1:]]
+    assert len(rows) == 800
+    assert len(calls) == len({(row[0], row[3]) for row in rows}) == 4 * 26
+
+
+def test_every_sweep_row_is_its_pairs_own_defect(runner):
+    # The reference, row by row: each pair drawn on its own (two
+    # `sample_coords` calls), its row built from `exact.defect` on that pair
+    # alone, or from sigma(x, y) at size 16, which shares heisenberg_skinny's
+    # denominator 2 and is skipped.
+    sigma = catalog.heisenberg_skinny()
+    rng = make_rng(1)
+    pairs = [(sample_coords(rng, 3, 3), sample_coords(rng, 3, 3)) for _ in range(200)]
+    expected = ["n,x,y,sigma_xy,frob_defect,frob_bound,op_defect,op_bound,status"]
+    for n in (16, 17, 33, 65, 129):
+        for x, y in pairs:
+            head = f"{n},{';'.join(map(str, x))},{';'.join(map(str, y))}"
+            if n == 16:
+                expected.append(f"{head},{sigma(x, y)},,,,,skipped:not_coprime")
+                continue
+            row = exact.defect(sigma, n, x, y)
+            expected.append(
+                f"{head},{row.sigma_xy},{row.frobenius!r},{row.frobenius_bound!r},"
+                f"{row.operator!r},{row.operator_bound!r},ok"
+            )
+    result = runner.invoke(main, [*HEISENBERG_SWEEP, "--n", "16,17,33,65,129"])
+    assert result.exit_code == 0, everything(result)
+    assert result.stdout.splitlines() == expected
+
+
 def test_failing_sweeps_keep_their_exit_codes_and_stderr(runner, monkeypatch):
-    # The all-skipped sweep, and a sweep whose second pair fails its
-    # Frobenius bound (inflated, as above), with their pinned outputs.
+    # The all-skipped sweep, and a sweep whose second and third pairs fail
+    # their Frobenius bound (inflated at their sigma(x, y) = 0, as above),
+    # with their pinned outputs.
     skipped = runner.invoke(
         main,
         ["sweep", "--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
@@ -701,7 +765,7 @@ def test_failing_sweeps_keep_their_exit_codes_and_stderr(runner, monkeypatch):
     assert skipped.stderr == (
         "error: no size in --n is coprime to the coefficient denominator 2\n"
     )
-    inflate_second_frobenius(monkeypatch)
+    inflate_frobenius_at_sigma(monkeypatch, 0)
     failed = runner.invoke(
         main,
         ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny",
@@ -709,9 +773,11 @@ def test_failing_sweeps_keep_their_exit_codes_and_stderr(runner, monkeypatch):
     )
     assert failed.exit_code == 1
     assert _sha256(failed.stdout) == (
-        "6d9ad001080d562fe95787d4949429a504360da499beb5a2ee98d380043d4244"
+        "851a758fc970c87f0ffdb12010701308ca25862d4898a63131d491c051e80eb2"
     )
     assert failed.stderr == (
         "error: Frobenius defect 1.0 exceeds bound 0.0 at ((-3, 3), (0, -2)), n=4\n"
+        "error: Frobenius defect 1.0 exceeds bound 0.0 at ((-3, 0), (2, 1)), n=4\n"
         "error: Frobenius defect 1.0 exceeds bound 0.0 at ((-3, 3), (0, -2)), n=8\n"
+        "error: Frobenius defect 1.0 exceeds bound 0.0 at ((-3, 0), (2, 1)), n=8\n"
     )

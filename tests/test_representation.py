@@ -591,10 +591,10 @@ def test_constant_gap_norms_equal_the_norms_of_the_full_rows(n):
     rng = np.random.default_rng(n)
     gaps = rng.integers(0, n, size=12 if n < 2**20 else 1)
     gaps = np.concatenate([gaps, gaps[:4], [0, n - 1]])
-    fro, op = exact._constant_gap_norms(gaps.tolist(), n)
+    fro, op = zip(*(exact._constant_gap_norms(d, n) for d in gaps.tolist()))
     full_fro, full_op = representation._gap_norms(np.repeat(gaps[:, None], n, axis=1), n)
-    assert fro == full_fro.tolist()
-    assert op == full_op.tolist()
+    assert list(fro) == full_fro.tolist()
+    assert list(op) == full_op.tolist()
 
 
 def test_chords_do_not_depend_on_the_other_gaps():
