@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
 check or certificate fails (an unproved cocycle included), 2 for
-unparseable input or bad usage.  Every
+unparseable input or bad usage, a size the library refuses included.  Every
 command is deterministic given its inputs and seed; rerunning writes
 byte-identical output.
 """
@@ -19,7 +19,7 @@ import click
 from . import __version__, catalog
 from .cohomology import skinny_check
 from .errors import BoundViolated, NilstabError, NotCoprime, ParseError, ValidationError
-from .exact import certify_nonperturbability, defects, max_exact_size
+from .exact import certify_nonperturbability, defects
 from .validation import DEFAULT_SEED, make_rng, sample_coords
 
 
@@ -31,10 +31,10 @@ def _usage_guard(fn, *args, **kwargs):
         raise click.UsageError(str(exc)) from exc
 
 
-def _fail(exc: NilstabError) -> NoReturn:
-    """Report a failed check on stderr and exit 1."""
+def _fail(exc: Exception, code: int = 1) -> NoReturn:
+    """Report a failed check (exit 1) or a refused size (exit 2) on stderr."""
     click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
+    sys.exit(code)
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -44,18 +44,7 @@ def _parse_n_list(text: str) -> list[int]:
         raise click.UsageError(f"bad matrix size list {text!r}") from None
     if not values or any(v < 1 for v in values):
         raise click.UsageError("matrix sizes must be positive integers")
-    _check_sizes(values, 1)
     return values
-
-
-def _check_sizes(values: list[int], den: int) -> None:
-    """Refuse sizes whose residues overflow int64 under coefficient denominator den."""
-    limit = max_exact_size(den)
-    if max(values) > limit:
-        raise click.UsageError(
-            f"matrix size {max(values)} is too large for int64 residue arithmetic; "
-            f"the limit is {limit} for coefficient denominator {den}"
-        )
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -130,10 +119,11 @@ def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
         group = _usage_guard(catalog.resolve_group, group_src)
         sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
         chain = _usage_guard(catalog.resolve_cycle, cycle_src, group)
-        _check_sizes(n_list, sigma.poly.denominator_lcm())
         report = certify_nonperturbability(group, sigma, chain, n_list)
     except NilstabError as exc:
         _fail(exc)
+    except ValueError as exc:  # a size past a non-commuting term's int64 kernel
+        _fail(exc, 2)
     text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     _emit(text, out_path)
     sys.exit(0)
@@ -158,13 +148,14 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
         group = _usage_guard(catalog.resolve_group, group_src)
         sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
         den = sigma.poly.denominator_lcm()
-        _check_sizes(n_list, den)
         m = group.hirsch
         coords = sample_coords(make_rng(seed), 2 * m * samples, bound)
         pairs = [(coords[i:i + m], coords[i + m:i + 2 * m]) for i in range(0, len(coords), 2 * m)]
         table = defects(sigma, n_list, pairs)
     except NilstabError as exc:
         _fail(exc)
+    except ValueError as exc:  # a size too large for the float norms
+        _fail(exc, 2)
     lines = ["n,x,y,sigma_xy,frob_defect,frob_bound,op_defect,op_bound,status"]
     failed = False
     # Each pair's "x,y" fields are formatted once for all sizes.  The pairs

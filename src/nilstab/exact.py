@@ -17,12 +17,18 @@ per pair and no shift check:
   6 |centred(r)| < n, and adds centred(r) / n per column to the winding.
   Only the second ordering of a term whose elements do not commute is
   not a scalar; it takes one residue kernel call per size, and that
-  kernel (`representation._residues`) is the one numpy step left here.
-- `defects` measures rho_n(x*y) - rho_n(x) rho_n(y), whose entries all
-  have the gap -sigma(x, y) mod n: its norms are sqrt(n) times and once
-  the chord 2 |sin(pi gap / n)|, computed with the same float operations,
-  in the same order, as the dense path's norms of the full matrix, once
-  per size and distinct sigma(x, y).
+  kernel (`representation._residues`) is the one numpy step left here
+  and the only step with a size limit: n * n must fit in int64, and a
+  size past it is refused naming the term.
+- `defects` measures rho_n(x*y) - rho_n(x) rho_n(y), whose n entries all
+  have the modulus 2 |sin(pi c / n)|, c the centred value of
+  -sigma(x, y) mod n: its norms are sqrt(n) times and once that chord,
+  once per size and distinct sigma(x, y).
+
+A size is valid when n >= 1 and n is coprime to the cocycle's
+coefficient denominator (`_size_error`); sizes are Python ints, so the
+certificate holds at any such n, and the sweep at any n that a float
+can hold (below about 2^1024), where its float norms end.
 
 `representation` and `obstruction` re-export the public names defined
 here, so both paths are reachable from either module.
@@ -47,8 +53,7 @@ from .errors import (
     TorsionPairing,
 )
 from .groups import MalcevGroup
-
-INT64_MAX = 2**63 - 1
+from .poly import _encode_json_int
 
 # Families closer than this to a representation always pair to zero.
 PERTURBATION_RADIUS = 1.0 / 24.0
@@ -68,29 +73,16 @@ BOUND_SLACK = 1e-9
 # sizes and rows
 
 
-def max_exact_size(den: int = 1) -> int:
-    """The largest n with den * n * (n + 1) <= INT64_MAX.
-
-    `build_rho`, `defects` and the certificate accept exactly the sizes up
-    to this one for a cocycle whose coefficient denominator is den.  The
-    residue kernel itself needs only n * (n + 1) <= INT64_MAX, the bound at
-    den = 1; the cap's factor den is kept as the sizes' policy.
-    """
-    return (math.isqrt(4 * (INT64_MAX // den) + 1) - 1) // 2
-
-
 def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
-    """Why size n is refused for coefficient denominator den, if it is."""
+    """Why size n is refused for coefficient denominator den, if it is.
+
+    The one size rule: n >= 1 and gcd(n, den) = 1, with no upper bound.
+    """
     if n < 1:
         return ValueError(f"matrix size must be positive, got {n}")
     if math.gcd(n, den) != 1:
         return NotCoprime(
             f"n = {n} shares a factor with the coefficient denominator {den}"
-        )
-    if n > max_exact_size(den):
-        return ValueError(
-            f"matrix size {n} is too large for int64 residue arithmetic "
-            f"with coefficient denominator {den}"
         )
     return None
 
@@ -126,60 +118,19 @@ def _rows(sigma: PolyCocycle, elements: Sequence[Sequence[int]]) -> _Rows:
 
 
 # ----------------------------------------------------------------------
-# the sweep: defects from the constant gap -sigma(x, y) mod n
+# the sweep: defects from the constant value -sigma(x, y) mod n
 
 
-def _chord(gap: int, n: int) -> float:
-    """|1 - w^gap| = 2 |sin(pi gap / n)| with w = exp(2 pi i / n).
+def _chord(value: int, n: int) -> float:
+    """|1 - w^-value| = 2 |sin(pi c / n)| with w = exp(2 pi i / n).
 
-    The float operations of `representation._chords`, in its order (a
-    test checks the two bit for bit).
+    c is the centred value of -value mod n, in (-n/2, n/2], so the sine's
+    argument pi * (c / n) lies in (-pi/2, pi/2] and keeps its precision
+    at any n: c / n is one correctly rounded division of Python ints.
     """
-    return 2.0 * abs(math.sin(math.pi * gap / n))
-
-
-def _copies(square: float, count: int, sums: dict[int, float]) -> float:
-    """numpy's pairwise float sum of `count` copies of `square`, memoised in sums.
-
-    numpy adds fewer than 8 terms one by one; up to 128 terms in 8
-    accumulators, each summing its share one by one, then combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest one
-    by one; and more terms as two halves, the first rounded down to a
-    multiple of 8.  All eight accumulators are equal here, so their
-    combination is exactly 8 times one.  The result depends on count only,
-    so each level of halving costs O(1): O(log count) per square.
-    """
-    total = sums.get(count)
-    if total is not None:
-        return total
-    if count > 128:
-        half = count // 2
-        half -= half % 8
-        total = _copies(square, half, sums) + _copies(square, count - half, sums)
-    else:
-        total = 0.0
-        if count >= 8:
-            block = square
-            for _ in range(count // 8 - 1):
-                block += square
-            total = 8 * block
-        for _ in range(count % 8):
-            total += square
-    sums[count] = total
-    return total
-
-
-def _constant_gap_norms(gap: int, n: int) -> tuple[float, float]:
-    """The Frobenius and operator norms of n columns with the one gap d in [0, n).
-
-    Every column's entry is the chord |1 - w^d|.  The operator norm is that
-    chord, and the Frobenius norm is the square root of n squared chords,
-    summed in numpy's pairwise order (`_copies`), so both floats equal
-    `representation._gap_norms` on the stored row (a test checks this bit
-    for bit).  It costs O(log n).
-    """
-    chord = _chord(gap, n)
-    return math.sqrt(_copies(chord * chord, n, {})), chord
+    half = (n - 1) // 2
+    centred = (half - value) % n - half
+    return 2.0 * abs(math.sin(math.pi * (centred / n)))
 
 
 class DefectResult(NamedTuple):
@@ -214,15 +165,17 @@ def defects(
 
     The pair-only work is sigma(x, y) for all pairs at once, on exact
     integer columns (`PolyCocycle.value_columns`); no group product is
-    formed.  The admitted law adds first coordinates, so the gap of
-    rho_n(x*y) - rho_n(x) rho_n(y) is -sigma(x, y) mod n in every column
-    (see the module docstring), and the norms depend on n and sigma(x, y)
-    alone (`_constant_gap_norms`); no residue or matrix is formed.  Each
-    size measures and checks each distinct value once, and the pairs that
-    share it share its entry, so a size costs O(distinct sigma * log n)
-    plus one lookup per pair.  A measured norm above its proven bound plus
-    a 1e-9 slack gives each such pair a BoundViolated naming it; that
-    would falsify the construction, not the sample.
+    formed.  The admitted law adds first coordinates, so every entry of
+    rho_n(x*y) - rho_n(x) rho_n(y) has the modulus `_chord(sigma(x, y), n)`
+    (see the module docstring): the operator norm is that chord and the
+    Frobenius norm is sqrt(n) times it; no residue or matrix is formed.
+    Each size measures and checks each distinct value once, and the pairs
+    that share it share its entry, so a size costs O(distinct sigma) plus
+    one lookup per pair.  A measured norm above its proven bound plus a
+    1e-9 slack gives each such pair a BoundViolated naming it; that would
+    falsify the construction, not the sample.  A coprime size too large
+    for a float (from about 2^1024 on), where sqrt(n) has no value,
+    raises ValueError naming it.
     """
     sigma.admit()
     group = sigma.group
@@ -241,7 +194,14 @@ def defects(
         elif error is not None:
             raise error
         else:
-            shared = {v: _checked(n, v, *_constant_gap_norms(-v % n, n)) for v in distinct}
+            try:
+                root = math.sqrt(n)
+            except OverflowError:
+                raise ValueError(f"matrix size {n} is too large for float norms") from None
+            shared = {}
+            for v in distinct:
+                chord = _chord(v, n)
+                shared[v] = _checked(n, v, chord * root, chord)
         table.append([
             BoundViolated(f"{row} at ({x}, {y}), n={n}") if isinstance(row, str) else row
             for x, y, row in zip(xs, ys, map(shared.__getitem__, values))
@@ -290,7 +250,8 @@ class CertificateRun:
     smallest n - 6 max_j |centred(r_j)| over the terms and both orderings:
     positive means every log argument is inside the convergence ball.
     `terms` holds each chain term's contribution coef * sum_j centred(r_j) / n
-    (first ordering); they sum to `winding`.
+    (first ordering); they sum to `winding`.  In JSON, `n` and `margin`
+    past int64 are decimal strings, as wide chain coefficients are.
     """
 
     n: int
@@ -325,12 +286,12 @@ class CertificateReport:
             "expected_winding": self.expected_winding,
             "runs": [
                 {
-                    "n": r.n,
+                    "n": _encode_json_int(r.n),
                     "raw": r.raw,
                     "rounded": r.rounded,
                     "path": r.path,
                     "winding": str(r.winding),
-                    "margin": r.margin,
+                    "margin": _encode_json_int(r.margin),
                     "terms": [str(t) for t in r.terms],
                 }
                 for r in self.runs
@@ -366,7 +327,8 @@ def _exact_runs(
     the two rows (`_rows`).  Each term's products ab and ba are formed once,
     for all sizes: they pick the case and give its rows.  Runs come one size
     at a time, and each size raises its first failing check: the size's
-    own (`_size_error`), then per term both orderings' ball tests.
+    own (`_size_error`), then per term both orderings' ball tests, where a
+    size past the kernel's int64 limit raises ValueError naming the term.
     """
     den = sigma.poly.denominator_lcm()
     # Each term's two words: a constant, or (row of `kernel_words`, roll).
@@ -404,7 +366,10 @@ def _exact_runs(
                     value = (word + half) % n - half
                     total = n * value
                 else:
-                    worst, value, total = _kernel_word(n, kernel_words[word[0]], word[1])
+                    try:
+                        worst, value, total = _kernel_word(n, kernel_words[word[0]], word[1])
+                    except ValueError as exc:
+                        raise ValueError(f"term {index}: {label}: {exc}") from None
                 term_margin = n - 6 * abs(value)
                 if term_margin <= 0:
                     raise TermOutOfRange(
@@ -464,9 +429,11 @@ def certify_nonperturbability(
     then ValueError if group is not sigma's group or n_list is empty,
     NotACycle if the chain has a boundary, TorsionPairing if the cocycle
     pairs to zero (no obstruction to certify), and then the first failing
-    size's error: NotCoprime, a size past `max_exact_size`, TermOutOfRange
-    if a log argument leaves the convergence ball, or PairingMismatch if
-    the winding disagrees with the prediction.
+    size's error: NotCoprime, ValueError naming a term whose elements do
+    not commute when n * n exceeds int64 (its kernel's limit),
+    TermOutOfRange if a log argument leaves the convergence ball, or
+    PairingMismatch if the winding disagrees with the prediction.  Every
+    other size is valid, however large.
     """
     sigma.admit()
     if sigma.group is not group and sigma.group != group:

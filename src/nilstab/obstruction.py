@@ -27,7 +27,8 @@ Two paths compute the pairing, chosen by what is paired:
   scalar -sigma(a, b) mod n (see `representation`): a term whose a and b
   commute needs O(1) work per size and no residues.  Only the other
   ordering of a term whose a and b do not commute takes a residue kernel
-  call.  This works at any n that `build_rho` accepts.
+  call.  This works at any n >= 1 coprime to the coefficient denominator,
+  in Python ints; only such a kernel call is limited, to n * n <= 2^63 - 1.
 - `winding_pairing`, in this module on numpy, takes dense matrices:
   general families such as the perturbed representations of the null
   test, and the oracle that the exact path is tested against.  It checks

@@ -9,8 +9,9 @@ standard basis of C^n by
 so each rho_n(x) is a cyclic shift with one root of unity per column.  A
 PhaseShiftMatrix stores the integer residues p(x, j) mod n, not the
 phases: products, adjoints and the scalar identity are exact residue
-arithmetic at any n up to `max_exact_size`, and only `phases` and
-`to_dense` (capped at MAX_DENSE) touch floating point.
+arithmetic in int64, at any n with n * n <= 2^63 - 1 (the kernel's
+limit, `_residues`), and only `phases` and `to_dense` (capped at
+MAX_DENSE) touch floating point.
 
 `build_rho` and `chi_scalar_check` admit a cocycle only once its group
 law's proof and its own pass (`PolyCocycle.admit`), and raise
@@ -24,9 +25,9 @@ rho(x*y) rho(y)* rho(x)* is the scalar exp(-2 pi i sigma(x, y) / n).
 Two paths measure the family, and this module is the dense one, on
 numpy.  The exact path lives in `nilstab.exact`, in Python ints and
 floats: `defects` (and `defect`) read each pair's norms from the constant
-gap -sigma(x, y) mod n, and the certificate reads each word off the
-identity.  This module re-exports `defects`, `defect`, `DefectResult`,
-`BOUND_SLACK`, `max_exact_size` and `INT64_MAX` from there.
+-sigma(x, y) mod n, and the certificate reads each word off the
+identity; neither has a size limit.  This module re-exports `defects`,
+`defect`, `DefectResult` and `BOUND_SLACK` from there.
 
 A row's residues come from its Newton differences Delta^k p(x, 0), which
 are the values at x of the cocycle's Newton coefficients q_k, the fixed
@@ -60,18 +61,9 @@ import numpy as np
 
 from .cohomology import PolyCocycle
 from .errors import DimensionMismatch, NotScalar
-# The exact path's sweep and size policy, re-exported; `build_rho` uses
-# `_rows` and `_size_error` too.
-from .exact import (
-    BOUND_SLACK,
-    INT64_MAX,
-    DefectResult,
-    _rows,
-    _size_error,
-    defect,
-    defects,
-    max_exact_size,
-)
+# The exact path's sweep, re-exported; `build_rho` uses `_rows` and
+# `_size_error` too.
+from .exact import BOUND_SLACK, DefectResult, _rows, _size_error, defect, defects
 
 MAX_DENSE = 1024  # double precision keeps phases well below 1e-12 up to here
 
@@ -144,7 +136,7 @@ def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     Raises what `PolyCocycle.admit` raises (ValidationError for the group
     law, InvalidCocycle for sigma), then the size's error (`_size_error`);
     otherwise one kernel call on the row's integer Newton differences
-    gives the residues.
+    gives the residues, past whose int64 limit it raises ValueError.
     """
     sigma.admit()
     x = sigma.group.element(x)
@@ -160,15 +152,18 @@ def _residues(n: int, differences: Sequence[Sequence[int]]) -> np.ndarray:
     """Values mod n at t = 0..n-1 of integer polynomials given by Newton differences.
 
     Row i is q(t) = sum_k differences[i][k] C(t, k), with integer
-    differences of any size, one row of equal width per polynomial.  From the top degree down, Delta^k q(j) is Delta^k q(0)
-    plus the exclusive prefix sum of Delta^(k+1) q up to j, reduced mod n.
-    The summands lie in [0, n), so every value stays below n * n, which
-    int64 holds at every size up to `max_exact_size()`; a larger size
-    raises.  Returns a contiguous int64 array of n columns.
+    differences of any size, one row of equal width per polynomial.  From
+    the top degree down, Delta^k q(j) is Delta^k q(0) plus the exclusive
+    prefix sum of Delta^(k+1) q up to j, reduced mod n.  The summands lie
+    in [0, n), so every value stays below n * n; a size with
+    n * n > 2^63 - 1 raises ValueError before any array is allocated.
+    Returns a contiguous int64 array of n columns.
     """
-    error = _size_error(n, 1)
-    if error is not None:
-        raise error
+    if n * n > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"matrix size {n} is too large for int64 residue arithmetic "
+            f"(n * n must not exceed 2^63 - 1)"
+        )
     table = np.array([[d % n for d in row] for row in differences], dtype=np.int64)
     rows, width = table.shape
     # Delta^k q(j) of row i sits at flat[i * n + j + k], so each level's
@@ -223,29 +218,17 @@ def difference_norms(a: PhaseShiftMatrix, b: PhaseShiftMatrix) -> tuple[float, f
     return float(fro), float(op)
 
 
-def _chords(gaps: np.ndarray, n: int) -> np.ndarray:
-    """The chords |1 - w^d| = 2 |sin(pi d / n)| of integer gaps d in [0, n).
-
-    The same float operations in the same order at every d, so a chord
-    does not depend on which other gaps it is computed with; they are
-    `exact._chord`'s, which a test checks bit for bit.
-    """
-    chords = np.pi * gaps
-    chords /= n
-    np.abs(np.sin(chords, out=chords), out=chords)
-    chords *= 2.0
-    return chords
-
-
 def _gap_norms(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Norms sqrt(sum |1 - w^d_j|^2) and max |1 - w^d_j| over the last axis.
 
-    A gap matters only mod n, so the n chords are computed once and
-    gathered.  `np.take` wraps each gap into [0, n) by adding or
-    subtracting n, which is cheap because the callers' gaps lie in
-    (-n, n).  Works in place on one float array.
+    A gap matters only mod n, so the n chords 2 |sin(pi d / n)|,
+    d = 0..n-1, are computed once and gathered.  `np.take` wraps each gap
+    into [0, n) by adding or subtracting n, which is cheap because the
+    callers' gaps lie in (-n, n).
     """
-    chords = np.take(_chords(np.arange(n), n), gaps, mode="wrap")
+    angles = np.pi * np.arange(n)
+    angles /= n
+    chords = np.take(2.0 * np.abs(np.sin(angles)), gaps, mode="wrap")
     op = np.max(chords, axis=-1)
     chords *= chords
     return np.sqrt(np.sum(chords, axis=-1)), op

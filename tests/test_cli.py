@@ -17,12 +17,13 @@ import pytest
 from click.testing import CliRunner
 
 import nilstab
+from conftest import defect_ulps
 from nilstab import catalog, cohomology, exact
 from nilstab.catalog import z2_skinny
 from nilstab.cli import main
 from nilstab.cohomology import PolyCocycle
 from nilstab.groups import MalcevGroup, lattice
-from nilstab.poly import MultiPoly, xy_variables
+from nilstab.poly import MultiPoly, _decode_json_int, xy_variables
 from nilstab.validation import make_rng, sample_coords
 
 
@@ -260,7 +261,7 @@ def test_certify_fails_cleanly_when_no_size_is_coprime(runner):
     "args",
     [
         ["certify", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny",
-         "--cycle", "heisenberg_c1", "--n", "3037000500"],
+         "--cycle", "heisenberg_c1", "--n", "17,0"],
         ["sweep", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny",
          "--n", "17,x"],
     ],
@@ -293,9 +294,9 @@ def test_certify_rejects_bad_size_lists(runner):
         ["validate", "--group", "lattice:2", "--bound", "0"],
         ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--bound", "0"],
         ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--samples", "0"],
-        ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--n", "3037000500"],
+        ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--n", "17,-1"],
         ["certify", "--group", "lattice:2", "--cocycle", "z2_skinny",
-         "--cycle", "voiculescu", "--n", "16,3037000500"],
+         "--cycle", "voiculescu", "--n", "16,-3"],
     ],
 )
 def test_bad_numeric_input_is_a_usage_error(runner, args):
@@ -303,24 +304,54 @@ def test_bad_numeric_input_is_a_usage_error(runner, args):
     assert result.exit_code == 2, everything(result)
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["certify", "--cycle", "heisenberg_c1"],
-        ["sweep"],
-    ],
-)
-def test_sizes_past_int64_for_the_cocycle_denominator_are_a_usage_error(runner, args):
-    # n * (n + 1) fits in int64 at n = 2147483649, but twice it does not:
-    # heisenberg_skinny has denominator 2.  Refused before any residue is formed.
-    result = runner.invoke(
-        main,
-        [*args, "--group", "heisenberg3", "--cocycle", "heisenberg_skinny",
-         "--n", "2147483649"],
-    )
+def assert_refused(result, message: str) -> None:
+    # A size the library refuses: exit 2, one line on stderr, no output.
     assert result.exit_code == 2, everything(result)
-    assert "int64" in everything(result)
-    assert "Traceback" not in everything(result)
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_a_non_commuting_term_past_the_int64_kernel_is_a_usage_error(runner, tmp_path):
+    # heisenberg_c1 plus the boundary of [a|b|c] has terms whose elements do
+    # not commute; their second ordering takes the residue kernel, which
+    # needs n * n <= 2^63 - 1.  This cycle winds to -1 at n = 17; at the
+    # first odd size past the kernel's limit it is refused, naming the
+    # term, before any array is allocated.  The builtin cycle, all
+    # commuting, is certified there.
+    a, b, c = (1, 0, 0), (0, 17, 0), (0, 0, 1)
+    group = catalog.heisenberg3()
+    ab, bc = group.multiply(a, b), group.multiply(b, c)
+    extra = [(1, b, c), (-1, ab, c), (1, a, bc), (-1, a, b)]
+    chain = cohomology.Chain2.build([*catalog.heisenberg_c1().terms, *extra])
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(chain.to_json()))
+    args = ["certify", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny"]
+    n = 3037000501
+    assert n * n > 2**63 - 1 and n % 2 == 1
+    result = runner.invoke(main, [*args, "--cycle", str(path), "--n", f"17,{n}"])
+    assert_refused(
+        result,
+        f"term 4: rho(ab)rho(a)*rho(b)*: matrix size {n} is too large for int64 "
+        f"residue arithmetic (n * n must not exceed 2^63 - 1)",
+    )
+    result = runner.invoke(main, [*args, "--cycle", "heisenberg_c1", "--n", str(n)])
+    assert result.exit_code == 0, everything(result)
+
+
+def test_a_sweep_size_past_the_floats_is_a_usage_error(runner):
+    # The sweep's norms are floats: sqrt(n) has no value from 2^1024 on.
+    # A size just below is measured; a skipped size needs no float.
+    args = ["sweep", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny",
+            "--samples", "2"]
+    n = 2**1024 + 1
+    assert_refused(
+        runner.invoke(main, [*args, "--n", f"17,{n}"]),
+        f"matrix size {n} is too large for float norms",
+    )
+    result = runner.invoke(main, [*args, "--n", f"{2**1023 + 1},{2**1024}"])
+    assert result.exit_code == 0, everything(result)
+    rows = result.stdout.splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["ok"] * 2 + ["skipped:not_coprime"] * 2
 
 
 def test_a_cycle_with_a_fractional_coordinate_is_a_usage_error(runner, tmp_path):
@@ -639,32 +670,39 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def assert_sweep_is_exact(stdout: str) -> None:
+    # Every row is ok, and its norms are within 4 ulp of the true values.
+    for line in stdout.splitlines()[1:]:
+        n, _, _, sigma_xy, fro, _, op, _, status = line.split(",")
+        assert status == "ok", line
+        assert defect_ulps(int(n), int(sigma_xy), float(fro), float(op)) <= 4, line
+
+
 @pytest.mark.parametrize(
     "args, digest",
     [
         (["--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
           "--n", "17,33,65,129", "--samples", "200", "--seed", "1"],
-         "4e5c67a054a26831990ae2213c119bc6fc3df8a83c8be31938dce3d855f688e7"),
+         "4055013fd1b3aa09be50372b79235c593bce7e2206ea849c8f90c29e32b40d80"),
         (["--group", "lattice:2", "--cocycle", "builtin:z2_skinny",
           "--n", "257,513,1023", "--samples", "20", "--seed", "1"],
-         "f9667ebb71226fc097999eec8e9b33cb74d8ff3c663483eb0a115b10e75925c3"),
+         "067ad97e24e3b9bc0b15513c73146105f2df10979ad9990920406dab6cf02658"),
     ],
     ids=["heisenberg", "lattice-dense"],
 )
 def test_benchmark_sweeps_print_the_pinned_csv(runner, args, digest):
-    # The SHA-256 of the CSV these sweeps printed before the sweep's
-    # per-pair work became columnar (x86-64, numpy 2.4): every row, sigma
-    # value and float repr is unchanged.
+    # The SHA-256 of the CSV these sweeps print since each row's norms are
+    # the closed form 2 |sin(pi c / n)| and sqrt(n) times it (x86-64,
+    # glibc's libm); every row is within 4 ulp of the true norms.
     result = runner.invoke(main, ["sweep", *args])
     assert result.exit_code == 0, everything(result)
     assert _sha256(result.stdout) == digest
     assert result.stderr == ""
+    assert_sweep_is_exact(result.stdout)
 
 
 def test_a_sweep_past_the_dense_cap_prints_the_pinned_csv(runner):
-    # The SHA-256 of the CSV this sweep printed when every pair's defect
-    # came from a residue table of 3 * (2^20 + 1) entries per pair (x86-64,
-    # numpy 2.4); now every word is proved constant mod n instead.
+    # As above, at n = 2^20 + 1, where a dense row would hold 2^40 entries.
     result = runner.invoke(
         main,
         ["sweep", "--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
@@ -672,8 +710,40 @@ def test_a_sweep_past_the_dense_cap_prints_the_pinned_csv(runner):
     )
     assert result.exit_code == 0, everything(result)
     assert _sha256(result.stdout) == (
-        "48d42c5d1c27a859d7cb227c59b2c19da63b3b93c9ab0e19033d2106c43fe357"
+        "df8c4dd4d08b9c2f1b950b12fdad66a79558dc8e23818e001cae5cd66ff7a7ac"
     )
+    assert result.stderr == ""
+    assert_sweep_is_exact(result.stdout)
+
+
+@pytest.mark.parametrize(
+    "group, cocycle, cycle",
+    [("heisenberg3", "heisenberg_skinny", "heisenberg_c1"),
+     ("lattice:2", "z2_skinny", "voiculescu")],
+    ids=["heisenberg3", "lattice2"],
+)
+def test_certify_and_sweep_run_at_any_size(runner, group, cocycle, cycle):
+    # Far past int64: every run winds to -1 inside the convergence ball,
+    # and n and margin travel as decimal strings that read back exactly.
+    sizes = [2**127 - 1, 10**40 + 1]
+    given = ["--group", group, "--cocycle", cocycle]
+    result = runner.invoke(
+        main, ["certify", *given, "--cycle", cycle, "--n", ",".join(map(str, sizes))]
+    )
+    assert result.exit_code == 0, everything(result)
+    runs = json.loads(result.stdout)["runs"]
+    assert [run["n"] for run in runs] == [str(n) for n in sizes]
+    assert [_decode_json_int(run["n"]) for run in runs] == sizes
+    assert all(run["winding"] == "-1" and run["rounded"] == -1 for run in runs)
+    assert all(_decode_json_int(run["margin"]) > 0 for run in runs)
+    g = catalog.resolve_group(group)
+    sigma, chain = catalog.resolve_cocycle(cocycle, g), catalog.resolve_cycle(cycle, g)
+    report = exact.certify_nonperturbability(g, sigma, chain, sizes)
+    assert [_decode_json_int(run["margin"]) for run in runs] == [r.margin for r in report.runs]
+    result = runner.invoke(main, ["sweep", *given, "--n", str(sizes[0])])
+    assert result.exit_code == 0, everything(result)
+    assert len(result.stdout.splitlines()) == 21
+    assert_sweep_is_exact(result.stdout)
     assert result.stderr == ""
 
 
@@ -712,9 +782,9 @@ def test_a_sweep_measures_each_distinct_sigma_once_per_size(runner, monkeypatch)
     calls = []
     chord = exact._chord
 
-    def counted(gap, n):
-        calls.append((gap, n))
-        return chord(gap, n)
+    def counted(value, n):
+        calls.append((value, n))
+        return chord(value, n)
 
     monkeypatch.setattr(exact, "_chord", counted)
     result = runner.invoke(main, [*HEISENBERG_SWEEP, "--n", "17,33,65,129"])

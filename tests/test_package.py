@@ -17,9 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # The public names that the exact module defines and both dense modules re-export.
 RE_EXPORTED = {
-    representation: (
-        "BOUND_SLACK", "INT64_MAX", "DefectResult", "defect", "defects", "max_exact_size",
-    ),
+    representation: ("BOUND_SLACK", "DefectResult", "defect", "defects"),
     obstruction: (
         "ORDERINGS", "PERTURBATION_RADIUS", "SIGN_CONVENTION", "CertificateReport",
         "CertificateRun", "certify_nonperturbability",
@@ -67,13 +65,23 @@ def fresh(code: str) -> str:
 
 def test_validate_certify_and_sweep_load_no_numpy():
     # The benchmark's set-up and every CLI command it runs, on both of its
-    # CLI workloads, in one fresh process: numpy is needed only by the
-    # dense path.
+    # CLI workloads, then `certify` and `sweep` on both builtins at
+    # n = 2^127 - 1, in one fresh process: numpy is needed only by the
+    # dense path.  The residue kernel lives in `representation`, which the
+    # exact path imports only to call it, so an unloaded `representation`
+    # means the kernel was called 0 times.
     out = fresh(
         """
         import contextlib, importlib.util, io, sys
         import nilstab, nilstab.cli
         from nilstab import catalog
+
+        def run(args):
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    nilstab.cli.main.main(args=args, standalone_mode=False)
+            except SystemExit as exc:
+                assert exc.code in (0, None), (args, exc.code)
 
         spec = importlib.util.spec_from_file_location("session", "perfbench/session.py")
         session = sys.modules["session"] = importlib.util.module_from_spec(spec)
@@ -82,16 +90,22 @@ def test_validate_certify_and_sweep_load_no_numpy():
             workload = session.WORKLOADS[name]
             workload.set_up(catalog, 1)
             for op in workload.operations:
-                try:
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        nilstab.cli.main.main(args=workload.argv(op, 1), standalone_mode=False)
-                except SystemExit as exc:
-                    assert exc.code in (0, None), (name, op, exc.code)
+                run(workload.argv(op, 1))
                 print(name, op, "numpy" in sys.modules)
+        n = str(2**127 - 1)
+        for group, cocycle, cycle in (
+            ("heisenberg3", "heisenberg_skinny", "heisenberg_c1"),
+            ("lattice:2", "z2_skinny", "voiculescu"),
+        ):
+            given = ["--group", group, "--cocycle", cocycle, "--n", n]
+            run(["certify", *given, "--cycle", cycle])
+            run(["sweep", *given])
+            print(group, "wide", "numpy" in sys.modules)
+        print("kernel", "nilstab.representation" in sys.modules)
         """
     )
     lines = out.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 9
     assert all(line.endswith(" False") for line in lines), out
 
 

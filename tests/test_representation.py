@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import defects_by_pairs, specialize_first_by_fractions
+from conftest import defect_ulps, defects_by_pairs, specialize_first_by_fractions
 from nilstab.catalog import heisenberg3, heisenberg_skinny, z2_skinny
 from nilstab.cohomology import Chain2, PolyCocycle, cocycle_check
 from nilstab.errors import (
@@ -170,11 +170,12 @@ def test_rho_rejects_out_of_range_sizes():
     assert big.residues.tolist() == list(range(MAX_DENSE + 1))
     with pytest.raises(ValueError):
         big.to_dense()
-    # n * (n + 1) past int64 is refused before any array is allocated.
+    # n * n past int64 is the residue kernel's limit, refused before any
+    # array is allocated, whatever the cocycle's denominator.
     with pytest.raises(ValueError, match="int64"):
         build_rho(z2_skinny(), 2**32, (1, 1))
     with pytest.raises(ValueError, match="int64"):
-        build_rho(heisenberg_skinny(), 2**31 + 1, (1, 1, 1))
+        build_rho(heisenberg_skinny(), 2**32 + 1, (1, 1, 1))
 
 
 def test_rho_matches_a_loop_over_exact_integer_exponents():
@@ -459,7 +460,10 @@ def test_defects_split_words_constant_mod_n_from_the_others(monkeypatch):
 
 
 def assert_same_defects(table, oracle):
-    # Field for field, and errors by type and message.
+    # Field for field, and errors by type and message.  n, sigma(x, y) and
+    # both bounds are equal; the measured norms agree to 1e-11 relative,
+    # since the oracle's chords lose digits near d = n (2.7e-12 relative at
+    # n = 2^16 + 1), while the closed form is within 4 ulp.
     assert len(table) == len(oracle)
     for rows, expected in zip(table, oracle):
         assert len(rows) == len(expected)
@@ -468,7 +472,12 @@ def assert_same_defects(table, oracle):
                 assert type(row) is type(want)
                 assert str(row) == str(want)
             else:
-                assert row == want
+                assert type(row) is type(want)
+                assert (row.n, row.sigma_xy, row.frobenius_bound, row.operator_bound) == (
+                    want.n, want.sigma_xy, want.frobenius_bound, want.operator_bound
+                )
+                assert math.isclose(row.frobenius, want.frobenius, rel_tol=1e-11)
+                assert math.isclose(row.operator, want.operator, rel_tol=1e-11)
 
 
 def hirsch4_skinny() -> PolyCocycle:
@@ -584,43 +593,48 @@ def test_defects_bound_their_memory_at_large_n(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1023, 8193, 2**16 + 1, 2**20 + 1])
 def test_constant_gap_norms_equal_the_norms_of_the_full_rows(n):
-    # The closed form sums n equal squared chords in numpy's pairwise
-    # order, in Python floats; it must give the very floats that
-    # `_gap_norms` gives on the stored row.  8193 is past numpy's 8192-entry
-    # buffer; at 2^20 + 1 only a few rows are stored.
+    # The closed form (a chord, and sqrt(n) times it) against numpy's norms
+    # of the stored row of n equal gaps d, that is sigma = -d: they agree
+    # to the dense row's own rounding, whose chord table computes
+    # pi * d / n near pi for d near n and so loses digits as n grows.
     rng = np.random.default_rng(n)
     gaps = rng.integers(0, n, size=12 if n < 2**20 else 1)
     gaps = np.concatenate([gaps, gaps[:4], [0, n - 1]])
-    fro, op = zip(*(exact._constant_gap_norms(d, n) for d in gaps.tolist()))
     full_fro, full_op = representation._gap_norms(np.repeat(gaps[:, None], n, axis=1), n)
-    assert list(fro) == full_fro.tolist()
-    assert list(op) == full_op.tolist()
+    for d, fro, op in zip(gaps.tolist(), full_fro.tolist(), full_op.tolist()):
+        chord = exact._chord(-d, n)
+        assert math.isclose(chord * math.sqrt(n), fro, rel_tol=1e-11, abs_tol=1e-300)
+        assert math.isclose(chord, op, rel_tol=1e-11, abs_tol=1e-300)
 
 
-def test_chords_do_not_depend_on_the_other_gaps():
-    # The exact path computes each gap's chord alone, in Python floats, and
-    # `_gap_norms` gathers from an n-entry numpy table; every chord must be
-    # the very float of that table, whichever gaps it is computed with.
-    rng = np.random.default_rng(11)
-    for n in [*range(1, 400), 8193, 2**20 + 1, 2**21 + 3]:
-        gaps = np.unique(np.concatenate([rng.integers(0, n, size=20), [0, n - 1]]))
-        table = representation._chords(np.arange(n), n)
-        assert representation._chords(gaps, n).tolist() == table[gaps].tolist()
-        assert [exact._chord(d, n) for d in gaps.tolist()] == table[gaps].tolist()
+@pytest.mark.parametrize(
+    "n",
+    [17, 33, 65, 129, 257, 513, 1023, 2**31 - 1, 2**61 - 1, 2**127 - 1, 10**40 + 1],
+)
+def test_defect_norms_are_within_4_ulp_of_the_true_values(n):
+    # The benchmark sizes and sizes far past int64.  Small sigma of both
+    # signs, where -sigma mod n lies next to n, and sigma near n / 3 and n / 2.
+    values = [*range(-40, 41), n // 3, -(n // 3), n // 2, n // 2 + 1, n - 1, 7001, -7001]
+    pairs = [((0, s), (1, 0)) for s in values]  # sigma(x, y) = x2 * y1 = s
+    (rows,) = defects(z2_skinny(), [n], pairs)
+    for row, s in zip(rows, values):
+        assert row.sigma_xy == s
+        assert defect_ulps(n, s, row.frobenius, row.operator) <= 4, (n, s)
 
 
 def test_a_sweep_near_the_size_cap_takes_o_log_n_per_gap():
-    # Twelve distinct gaps at n = 2^31 - 1: summing n squared chords each
-    # took seconds; the pairwise sum of equal terms takes O(log n) steps.
+    # Twelve distinct gaps at n = 2^31 - 1, the old int64 size cap: summing
+    # n squared chords each took seconds; the closed form takes O(1) each.
     pairs = [((0, s), (1, 0)) for s in range(7001, 7013)]
     n = 2**31 - 1
     start = time.perf_counter()
     (rows,) = defects(z2_skinny(), [n], pairs)
     assert time.perf_counter() - start < 1.0
     for row, ((_, s), _) in zip(rows, pairs):
-        chord = 2 * abs(math.sin(math.pi * (-s % n) / n))  # the gap is -sigma mod n
-        assert row.sigma_xy == s and row.operator == chord
-        assert abs(row.frobenius - math.sqrt(n) * chord) <= 1e-9 * row.frobenius
+        chord = 2 * abs(math.sin(math.pi * s / n))
+        assert row.sigma_xy == s
+        assert math.isclose(row.operator, chord, rel_tol=1e-15)
+        assert math.isclose(row.frobenius, math.sqrt(n) * chord, rel_tol=1e-15)
 
 
 def test_defect_shrinks_like_the_square_root_of_n():
