@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
 import click
@@ -45,6 +46,44 @@ def _parse_n_list(text: str) -> list[int]:
     if not values or any(v < 1 for v in values):
         raise click.UsageError("matrix sizes must be positive integers")
     return values
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, without json's Python encoder.
+
+    With an indent, json falls back from its C encoder to a generator-based
+    one, which costs more than building a certificate.  This walks dicts
+    (keys sorted), lists and tuples, and writes str, int, finite float,
+    bool and None as json does; `indent` is the newline and indentation of
+    value's own depth.  Anything else (nan, inf, a subclass of a JSON type,
+    non-str keys) is written by json itself: its indentation only prefixes
+    each line, so re-indenting its lines gives the same bytes.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict and set(map(type, value)) <= {str}:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+            for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -95,8 +134,7 @@ def validate(group_src, cocycle_src, samples, bound, seed, grid, fmt, out_path):
     except NilstabError as exc:
         _fail(exc)
     if fmt == "json":
-        text = json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True)
-        text += "\n"
+        text = _json_text([r.to_json() for r in reports]) + "\n"
     else:
         text = "\n".join(r.summary() for r in reports) + "\n"
     _emit(text, out_path)
@@ -124,7 +162,7 @@ def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
         _fail(exc)
     except ValueError as exc:  # a size past a non-commuting term's int64 kernel
         _fail(exc, 2)
-    text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    text = _json_text(report.to_json()) + "\n"
     _emit(text, out_path)
     sys.exit(0)
 

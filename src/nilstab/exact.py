@@ -36,7 +36,9 @@ here, so both paths are reachable from either module.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
@@ -66,7 +68,12 @@ SIGN_CONVENTION = (
     "equals minus the cocycle/cycle pairing; the reversed ordering flips the sign"
 )
 
-BOUND_SLACK = 1e-9
+# The sweep's bound check is relative: a norm passes when it is at most
+# its bound times 1 + BOUND_SLACK.  The float chord and bound each carry a
+# few ulp of rounding (under 4 ulp together at every size tested, from 17
+# to 2^1023 + 1), and the true chord never exceeds the true bound, so
+# 8 ulp of 1 admits rounding only, at any n.
+BOUND_SLACK = 8 * sys.float_info.epsilon
 
 
 # ----------------------------------------------------------------------
@@ -171,11 +178,11 @@ def defects(
     Frobenius norm is sqrt(n) times it; no residue or matrix is formed.
     Each size measures and checks each distinct value once, and the pairs
     that share it share its entry, so a size costs O(distinct sigma) plus
-    one lookup per pair.  A measured norm above its proven bound plus a
-    1e-9 slack gives each such pair a BoundViolated naming it; that would
-    falsify the construction, not the sample.  A coprime size too large
-    for a float (from about 2^1024 on), where sqrt(n) has no value,
-    raises ValueError naming it.
+    one lookup per pair.  A measured norm above its proven bound by more
+    than the relative `BOUND_SLACK` gives each such pair a BoundViolated
+    naming it; that would falsify the construction, not the sample.  A
+    coprime size too large for a float (from about 2^1024 on), where
+    sqrt(n) has no value, raises ValueError naming it.
     """
     sigma.admit()
     group = sigma.group
@@ -213,15 +220,15 @@ def _checked(n: int, value: int, fro: float, op: float) -> DefectResult | str:
     """The measured norms at sigma(x, y) = value with their bounds, or a violation.
 
     The bounds are 2 pi |value| / sqrt(n) (Frobenius) and 2 pi |value| / n
-    (operator).  A norm above its bound gives the violation's message
-    instead, the Frobenius bound checked first; `defects` names each pair
-    with that value in its own BoundViolated.
+    (operator).  A norm above its bound times 1 + BOUND_SLACK gives the
+    violation's message instead, the Frobenius bound checked first;
+    `defects` names each pair with that value in its own BoundViolated.
     """
     tau = 2 * math.pi * float(abs(value))
     fro_bound = tau / math.sqrt(n)
     op_bound = tau / n
     for label, norm, limit in (("Frobenius", fro, fro_bound), ("operator", op, op_bound)):
-        if norm > limit + BOUND_SLACK:
+        if norm > limit * (1 + BOUND_SLACK):
             return f"{label} defect {norm} exceeds bound {limit}"
     return DefectResult(n, value, fro, fro_bound, op, op_bound)
 
@@ -242,8 +249,7 @@ def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> De
 # certificates
 
 
-@dataclass(frozen=True)
-class CertificateRun:
+class CertificateRun(NamedTuple):
     """The winding at one matrix size and how it was obtained.
 
     `winding` is exact and `raw` is its float value.  `margin` is the
@@ -317,84 +323,79 @@ def _exact_runs(
     2 pi i centred(r_j) / n, so the term adds coef * sum_j centred(r_j) / n.
 
     The words are read off the cocycle identity once, for all sizes.
-    Ordering 1, rho(ab) rho(b)* rho(a)*, is the constant -sigma(a, b), and
-    ordering 2 is the constant -sigma(b, a) when ab = ba.  A constant c
-    costs O(1) per size: worst index 0, margin n - 6 |centred(c)| and sum
-    n centred(c).  When ab != ba, ordering 2 is rho(ab) rho(ba)* times the
-    scalar -sigma(b, a): its residue at column j + a_1 + b_1 is
+    Ordering 1, rho(ab) rho(b)* rho(a)*, is the constant -sigma(a, b), so
+    the term adds the integer coef * centred(-sigma(a, b)) and the winding
+    is an integer.  Ordering 2 is the constant -sigma(b, a) when ab = ba.
+    A constant costs O(1) int operations per size, with worst index 0.
+    When ab != ba, ordering 2 is rho(ab) rho(ba)* times the scalar
+    -sigma(b, a): its residue at column j + a_1 + b_1 is
     p(ab, j) - p(ba, j) - sigma(b, a), which one kernel call per size
     (`representation._residues`, numpy) evaluates from the difference of
-    the two rows (`_rows`).  Each term's products ab and ba are formed once,
-    for all sizes: they pick the case and give its rows.  Runs come one size
-    at a time, and each size raises its first failing check: the size's
-    own (`_size_error`), then per term both orderings' ball tests, where a
-    size past the kernel's int64 limit raises ValueError naming the term.
+    the two rows (`_rows`); it enters the ball test only.  Each term's
+    products ab and ba are formed once, for all sizes: they pick the case
+    and give its rows.  Runs come one size at a time, and each size raises
+    its first failing check: the size's own (`_size_error`), then per term
+    both orderings' ball tests, where a size past the kernel's int64 limit
+    raises ValueError naming the term.
     """
     den = sigma.poly.denominator_lcm()
-    # Each term's two words: a constant, or (row of `kernel_words`, roll).
-    terms, swapped, scalars = [], [], []
-    for coef, a, b in chain.terms:
-        ab, ba = group.multiply(a, b), group.multiply(b, a)
-        second = -sigma(b, a)
-        if ab != ba:
-            swapped.append((ab, ba))
-            scalars.append(second)
-            second = (len(swapped) - 1, a[0] + b[0])
-        terms.append((coef, (-sigma(a, b), second)))
+    products = [(group.multiply(a, b), group.multiply(b, a)) for _, a, b in chain.terms]
+    swapped = [g for ab, ba in products if ab != ba for g in (ab, ba)]
     if swapped:
-        rows = _rows(sigma, [g for pair in swapped for g in pair])
-        differences = rows.differences
-        kernel_words = [
-            [(p - q) // rows.den for p, q in zip(differences[2 * i], differences[2 * i + 1])]
-            for i in range(len(swapped))
-        ]
-        for word, scalar in zip(kernel_words, scalars):
-            word[0] += scalar
+        rows = _rows(sigma, swapped)
+        differences = iter(rows.differences)
+    # Each term: index, coef, both orderings' constants, and ordering 2's
+    # kernel word (its Newton differences and roll) when ab != ba.
+    terms = []
+    for index, ((coef, a, b), (ab, ba)) in enumerate(zip(chain.terms, products)):
+        second, kernel = -sigma(b, a), None
+        if ab != ba:
+            word = [(p - q) // rows.den for p, q in zip(next(differences), next(differences))]
+            word[0] += second
+            kernel = (word, a[0] + b[0])
+        terms.append((index, coef, -sigma(a, b), second, kernel))
+    fraction = functools.cache(Fraction)  # the runs share one Fraction per value
     for n in n_list:
         error = _size_error(n, den)
         if error is not None:
             raise error
+        # Centre in (-n/2, n/2]: (r + h) mod n - h with h = (n - 1) // 2.
         half = (n - 1) // 2
-        margin = n
-        sums = []
-        for index, (coef, words) in enumerate(terms):
-            totals = []
-            for word, label in zip(words, ORDERINGS):
-                # Centre in (-n/2, n/2]: (r + h) mod n - h with h = (n - 1) // 2.
-                if isinstance(word, int):
-                    worst = 0
-                    value = (word + half) % n - half
-                    total = n * value
-                else:
-                    try:
-                        worst, value, total = _kernel_word(n, kernel_words[word[0]], word[1])
-                    except ValueError as exc:
-                        raise ValueError(f"term {index}: {label}: {exc}") from None
-                term_margin = n - 6 * abs(value)
-                if term_margin <= 0:
-                    raise TermOutOfRange(
-                        f"term {index}: {label} has residue {value} mod {n} "
-                        f"at index {worst}, outside the log's convergence ball "
-                        f"(6|r| < n)",
-                        term_index=index,
-                    )
-                margin = min(margin, term_margin)
-                totals.append(total)
-            sums.append(coef * totals[0])
-        winding = Fraction(sum(sums), n)
+        widest = 0
+        contributions = []
+        for index, coef, first, second, kernel in terms:
+            value = (first + half) % n - half
+            if 6 * abs(value) >= n:
+                raise _out_of_ball(index, 0, value, n, 0)
+            if kernel is None:
+                worst, other = 0, (second + half) % n - half
+            else:
+                try:
+                    worst, other = _kernel_word(n, *kernel)
+                except ValueError as exc:
+                    raise ValueError(f"term {index}: {ORDERINGS[1]}: {exc}") from None
+            if 6 * abs(other) >= n:
+                raise _out_of_ball(index, 1, other, n, worst)
+            widest = max(widest, abs(value), abs(other))
+            contributions.append(coef * value)
+        winding = sum(contributions)
         yield CertificateRun(
-            n=n,
-            raw=float(winding),
-            rounded=winding.numerator if winding.denominator == 1 else None,
-            path="exact",
-            winding=winding,
-            margin=margin,
-            terms=tuple(Fraction(total, n) for total in sums),
+            n, float(winding), winding, "exact", fraction(winding), n - 6 * widest,
+            tuple(map(fraction, contributions)),
         )
 
 
-def _kernel_word(n: int, differences: list[int], roll: int) -> tuple[int, int, int]:
-    """(worst index, its centred residue, sum of centred residues) of a non-scalar word.
+def _out_of_ball(index: int, ordering: int, value: int, n: int, worst: int) -> TermOutOfRange:
+    """The error of a term whose word has centred residue value at index worst."""
+    return TermOutOfRange(
+        f"term {index}: {ORDERINGS[ordering]} has residue {value} mod {n} "
+        f"at index {worst}, outside the log's convergence ball (6|r| < n)",
+        term_index=index,
+    )
+
+
+def _kernel_word(n: int, differences: list[int], roll: int) -> tuple[int, int]:
+    """(worst index, its centred residue) of a non-scalar word.
 
     The word's residue at column j + roll is the integer polynomial with
     these Newton differences at j, from one kernel call.  The kernel is
@@ -411,7 +412,7 @@ def _kernel_word(n: int, differences: list[int], roll: int) -> tuple[int, int, i
     centred %= n
     centred -= half
     worst = int(np.argmax(np.abs(centred)))
-    return worst, int(centred[worst]), int(centred.sum())
+    return worst, int(centred[worst])
 
 
 def certify_nonperturbability(

@@ -145,11 +145,11 @@ def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
             fro, op = difference_norms(rho_xy, rho_x.compose(rho_y))
             fro_bound = 2 * math.pi * abs(s) / math.sqrt(n)
             op_bound = 2 * math.pi * abs(s) / n
-            if fro > fro_bound + BOUND_SLACK:
+            if fro > fro_bound * (1 + BOUND_SLACK):
                 out.append(BoundViolated(
                     f"Frobenius defect {fro} exceeds bound {fro_bound} at ({x}, {y}), n={n}"
                 ))
-            elif op > op_bound + BOUND_SLACK:
+            elif op > op_bound * (1 + BOUND_SLACK):
                 out.append(BoundViolated(
                     f"operator defect {op} exceeds bound {op_bound} at ({x}, {y}), n={n}"
                 ))

@@ -15,13 +15,16 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nilstab
 from conftest import defect_ulps
 from nilstab import catalog, cohomology, exact
 from nilstab.catalog import z2_skinny
-from nilstab.cli import main
-from nilstab.cohomology import PolyCocycle
+from nilstab.cli import _json_text, main
+from nilstab.cohomology import PolyCocycle, skinny_check
+from nilstab.errors import ValidationError
 from nilstab.groups import MalcevGroup, lattice
 from nilstab.poly import MultiPoly, _decode_json_int, xy_variables
 from nilstab.validation import make_rng, sample_coords
@@ -851,3 +854,58 @@ def test_failing_sweeps_keep_their_exit_codes_and_stderr(runner, monkeypatch):
         "error: Frobenius defect 1.0 exceeds bound 0.0 at ((-3, 3), (0, -2)), n=8\n"
         "error: Frobenius defect 1.0 exceeds bound 0.0 at ((-3, 0), (2, 1)), n=8\n"
     )
+
+
+# ----------------------------------------------------------------------
+# the JSON writer
+
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**63)
+    | st.floats() | st.text()
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_LEAVES,
+    lambda children: (
+        st.lists(children) | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+        | st.dictionaries(st.integers(), children, max_size=3)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(JSON_DOCUMENTS)
+@example({
+    "quotes and controls": ['"\\/', "\x00\x1f\x7f\n\t", "é ünï \u2028 😀"],
+    "wide": [2**64, -(2**64) - 1, 10**40],
+    "floats": [-0.0, 0.0, 1e-300, 1.5e308, float("nan"), float("inf"), -float("inf")],
+    "empty": [{}, [], (), ""],
+    "bools among ints": [True, 1, False, 0, None],
+    "tuples": ((1, (2, ())), [("a", {"b": (None,)})]),
+})
+@example({"a": {2: [True], 1: {}}, "b": [{False: 0.5}]})
+def test_the_json_writer_writes_what_json_dumps_writes(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_the_cli_documents_are_written_as_json_dumps_writes_them(broken_group):
+    # Both benchmark certificates, `validate` on both builtins, and a group
+    # document that fails its proof, whose checks carry witnesses.
+    documents = []
+    for group_name, cocycle_name, cycle_name, sizes in (
+        ("heisenberg3", "heisenberg_skinny", "heisenberg_c1", range(17, 130, 2)),
+        ("lattice:2", "z2_skinny", "voiculescu", [257, 513, 1023]),
+    ):
+        group = catalog.resolve_group(group_name)
+        sigma = catalog.resolve_cocycle(cocycle_name, group)
+        chain = catalog.resolve_cycle(cycle_name, group)
+        report = exact.certify_nonperturbability(group, sigma, chain, list(sizes))
+        documents.append(report.to_json())
+        documents.append([r.to_json() for r in (group.proof, sigma.proof, skinny_check(sigma))])
+    with pytest.raises(ValidationError) as failed:
+        catalog.resolve_group(broken_group)
+    documents.append([failed.value.report.to_json()])
+    assert any(check["witness"] is not None for check in documents[-1][0]["checks"])
+    for doc in documents:
+        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -9,9 +11,11 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import nilstab
 from nilstab import exact, obstruction, representation
+from nilstab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -107,6 +111,42 @@ def test_validate_certify_and_sweep_load_no_numpy():
     lines = out.splitlines()
     assert len(lines) == 9
     assert all(line.endswith(" False") for line in lines), out
+
+
+HEISENBERG = ["--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny"]
+LATTICE = ["--group", "lattice:2", "--cocycle", "builtin:z2_skinny"]
+
+# The benchmark certificates and `validate --format json` on both builtins,
+# with the SHA-256 of what they print.
+PINNED_JSON = [
+    (["certify", *HEISENBERG, "--cycle", "builtin:heisenberg_c1",
+      "--n", ",".join(str(n) for n in range(17, 130, 2))],
+     "4fefdc6f799f5a99c234b81451151df6d9b88e8cbeda229099bd7c6dad260f8f"),
+    (["certify", *LATTICE, "--cycle", "builtin:voiculescu", "--n", "257,513,1023"],
+     "8d3f9e376f9c24e31abb708bb5396a61a2f915b885a41b3a1e4f219598d72b81"),
+    (["validate", *HEISENBERG, "--format", "json"],
+     "6cecf1d39f3067345b4416489c3b9e35663f3bb937fe0018ca5d89674aa95883"),
+    (["validate", *LATTICE, "--format", "json"],
+     "246a3dcda76d3f198ab4fb5de63e071b442171cbf36a2bf46a63142b700ad8fb"),
+]
+
+
+def test_the_cli_writes_json_without_json_s_python_encoder(monkeypatch):
+    # json.dumps with an indent cannot use json's C encoder and builds
+    # json's generator-based one (`json.encoder._make_iterencode`), which
+    # costs more than a certificate.  With that builder refusing, the CLI
+    # still prints its pinned bytes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's Python encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="Python encoder"):
+        json.dumps([1], indent=2)
+    runner = CliRunner()
+    for args, digest in PINNED_JSON:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output, result.exception)
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, args
 
 
 def test_the_dense_path_loads_numpy():

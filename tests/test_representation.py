@@ -29,6 +29,7 @@ from nilstab.poly import MultiPoly, xy_variables
 from nilstab import exact, representation
 from nilstab.representation import (
     MAX_DENSE,
+    DefectResult,
     PhaseShiftMatrix,
     build_rho,
     chi_scalar_check,
@@ -635,6 +636,48 @@ def test_a_sweep_near_the_size_cap_takes_o_log_n_per_gap():
         assert row.sigma_xy == s
         assert math.isclose(row.operator, chord, rel_tol=1e-15)
         assert math.isclose(row.frobenius, math.sqrt(n) * chord, rel_tol=1e-15)
+
+
+def test_the_bound_check_is_relative_at_every_size():
+    # At n = 2^127 - 1 and sigma = 5 the bounds are 2.4e-18 (Frobenius) and
+    # 1.8e-37 (operator): norms of 1e-10 exceed them 4e7 and 5e26 times
+    # over, which an absolute slack of 1e-9 let pass.
+    n = 2**127 - 1
+    assert exact._checked(n, 5, 1e-10, 1e-10).startswith("Frobenius defect 1e-10 exceeds")
+    fro_bound = 2 * math.pi * 5 / math.sqrt(n)
+    assert exact._checked(n, 5, fro_bound, 1e-10).startswith("operator defect 1e-10 exceeds")
+    # Every measured row stays ok, from 17 to 2^1023 + 1: small sigma of
+    # both signs, where at large n the chord and its bound agree to
+    # rounding, and sigma near n / 3, n / 2 and n.  A sigma whose
+    # 2 pi |sigma| overflows a float has infinite bounds, which pass any
+    # norm, so such values are left out and every bound must be finite.
+    rng = make_rng(23)
+    sizes = [17, 33, 1023, 2**31 - 1, 2**61 - 1, 2**127 - 1, 10**40 + 1, 2**521 - 1,
+             2**1023 + 1, *(rng.getrandbits(bits) | 1 for bits in range(8, 1024, 61))]
+    for n in sizes:
+        values = [*range(-40, 41), n // 3, n // 2, n // 2 + 1, n - 1]
+        values += [-v for v in values[-4:]]
+        values = [s for s in values if math.isfinite(2 * math.pi * float(abs(s)))]
+        (rows,) = defects(z2_skinny(), [n], [((0, s), (1, 0)) for s in values])
+        for row in rows:
+            assert type(row) is DefectResult, (n, row)
+            assert math.isfinite(row.frobenius_bound) and math.isfinite(row.operator_bound)
+
+
+def test_defects_refuse_a_malformed_pair_as_the_group_does():
+    # The pairs' coordinates are checked as `MalcevGroup.element` checks
+    # them, every x before every y, and the first bad one is named.
+    sigma = heisenberg_skinny()
+    good = ((1, 2, 3), (0, 1, 0))
+    with pytest.raises(ValueError, match=r"^element has 2 coordinates, expected 3$"):
+        defects(sigma, [17], [good, ((1, 2), (0, 0, 0)), ((1, 2, 3.0), (0, 0, 0))])
+    with pytest.raises(ValueError, match=r"^coordinates must be integers, got \(1, 2, 3\.0\)$"):
+        defects(sigma, [17], [((0, 0, 0), (1, 2)), good, ((1, 2, 3.0), (0, 0, 0))])
+    with pytest.raises(ValueError, match=r"^coordinates must be integers, got \(0, 0\.5, 0\)$"):
+        defects(sigma, [17], [good, ((0, 0, 0), (0, 0.5, 0)), ((0, 0, 0), (1, 2))])
+    # Any sequences of ints will do, lists included.
+    as_lists = [([1, 2, 3], [0, 1, 0])]
+    assert defects(sigma, [17, 33], as_lists) == defects(sigma, [17, 33], [good])
 
 
 def test_defect_shrinks_like_the_square_root_of_n():
