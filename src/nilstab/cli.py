@@ -160,8 +160,6 @@ def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
         report = certify_nonperturbability(group, sigma, chain, n_list)
     except NilstabError as exc:
         _fail(exc)
-    except ValueError as exc:  # a size past a non-commuting term's int64 kernel
-        _fail(exc, 2)
     text = _json_text(report.to_json()) + "\n"
     _emit(text, out_path)
     sys.exit(0)

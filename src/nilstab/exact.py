@@ -12,14 +12,12 @@ coefficient denominator (see `representation`).  The paper's two facts
 then follow from sigma alone, with no matrix, no numpy, no group product
 per pair and no shift check:
 
-- `certify_nonperturbability` pairs the family with a cycle exactly: a
-  word with residue r lies in the log's convergence ball exactly when
-  6 |centred(r)| < n, and adds centred(r) / n per column to the winding.
-  Only the second ordering of a term whose elements do not commute is
-  not a scalar; it takes one residue kernel call per size, and that
-  kernel (`representation._residues`) is the one numpy step left here
-  and the only step with a size limit: n * n must fit in int64, and a
-  size past it is refused naming the term.
+- `certify_nonperturbability` pairs the family with a cycle exactly: the
+  winding sums only the words rho(ab) rho(b)* rho(a)*, each the scalar
+  with residue -sigma(a, b); such a word lies in the log's convergence
+  ball exactly when 6 |centred(-sigma(a, b))| < n, and its term adds
+  coef * centred(-sigma(a, b)) to the winding.  A size costs O(terms)
+  int operations, for any cycle.
 - `defects` measures rho_n(x*y) - rho_n(x) rho_n(y), whose n entries all
   have the modulus 2 |sin(pi c / n)|, c the centred value of
   -sigma(x, y) mod n: its norms are sqrt(n) times and once that chord,
@@ -28,7 +26,8 @@ per pair and no shift check:
 A size is valid when n >= 1 and n is coprime to the cocycle's
 coefficient denominator (`_size_error`); sizes are Python ints, so the
 certificate holds at any such n, and the sweep at any n that a float
-can hold (below about 2^1024), where its float norms end.
+can hold (below about 2^1024), where its float norms end.  No step here
+imports numpy or the dense modules.
 
 `representation` and `obstruction` re-export the public names defined
 here, so both paths are reachable from either module.
@@ -60,8 +59,8 @@ from .poly import _encode_json_int
 # Families closer than this to a representation always pair to zero.
 PERTURBATION_RADIUS = 1.0 / 24.0
 
-# The two multiplication orderings of a term's log argument.
-ORDERINGS = ("rho(ab)rho(b)*rho(a)*", "rho(ab)rho(a)*rho(b)*")
+# The word whose log the winding sums, as error messages name it.
+SUMMED_WORD = "rho(ab)rho(b)*rho(a)*"
 
 SIGN_CONVENTION = (
     "log arguments use rho(ab) rho(b)^-1 rho(a)^-1, under which the winding "
@@ -70,14 +69,14 @@ SIGN_CONVENTION = (
 
 # The sweep's bound check is relative: a norm passes when it is at most
 # its bound times 1 + BOUND_SLACK.  The float chord and bound each carry a
-# few ulp of rounding (under 4 ulp together at every size tested, from 17
+# few ulp of rounding (under 4.5 ulp together at every size tested, from 17
 # to 2^1023 + 1), and the true chord never exceeds the true bound, so
 # 8 ulp of 1 admits rounding only, at any n.
 BOUND_SLACK = 8 * sys.float_info.epsilon
 
 
 # ----------------------------------------------------------------------
-# sizes and rows
+# sizes
 
 
 def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
@@ -92,36 +91,6 @@ def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
             f"n = {n} shares a factor with the coefficient denominator {den}"
         )
     return None
-
-
-@dataclass(frozen=True)
-class _Rows:
-    """Rows p(x, t) of the cocycle at many elements x, in Newton form.
-
-    Row i is p(x, t) = sum_k differences[i][k] C(t, k) / den:
-    `differences` holds one list per element of den * Delta^k p(x, 0) in
-    Python ints, with den the common denominator of the cocycle's Newton
-    coefficients.  An admitted cocycle's rows are integer valued, so den
-    divides every difference (Polya).
-    """
-
-    den: int
-    differences: list[list[int]]
-
-
-def _rows(sigma: PolyCocycle, elements: Sequence[Sequence[int]]) -> _Rows:
-    """The rows of the elements, each a sequence of m ints.
-
-    Column k of the differences is the cocycle's Newton coefficient q_k
-    at every element (`PolyCocycle.newton`), from one `scaled_columns`
-    call, brought to the common denominator.
-    """
-    m = sigma.group.hirsch
-    den, coefficients = sigma.newton
-    columns = [*([g[k] for g in elements] for k in range(m)), None]
-    sums = [q.scaled_columns(columns) for q in coefficients]
-    scaled = [[v * (den // q_den) for v in s] for q_den, s in sums]
-    return _Rows(den, [list(row) for row in zip(*scaled)])
 
 
 # ----------------------------------------------------------------------
@@ -219,14 +188,15 @@ def defects(
 def _checked(n: int, value: int, fro: float, op: float) -> DefectResult | str:
     """The measured norms at sigma(x, y) = value with their bounds, or a violation.
 
-    The bounds are 2 pi |value| / sqrt(n) (Frobenius) and 2 pi |value| / n
-    (operator).  A norm above its bound times 1 + BOUND_SLACK gives the
-    violation's message instead, the Frobenius bound checked first;
-    `defects` names each pair with that value in its own BoundViolated.
+    The bounds are 2 pi |value| / n (operator) and sqrt(n) times it
+    (Frobenius), from the one correctly rounded division |value| / n, so
+    they stay finite wherever the chord does.  A norm above its bound
+    times 1 + BOUND_SLACK gives the violation's message instead, the
+    Frobenius bound checked first; `defects` names each pair with that
+    value in its own BoundViolated.
     """
-    tau = 2 * math.pi * float(abs(value))
-    fro_bound = tau / math.sqrt(n)
-    op_bound = tau / n
+    op_bound = 2 * math.pi * (abs(value) / n)
+    fro_bound = op_bound * math.sqrt(n)
     for label, norm, limit in (("Frobenius", fro, fro_bound), ("operator", op, op_bound)):
         if norm > limit * (1 + BOUND_SLACK):
             return f"{label} defect {norm} exceeds bound {limit}"
@@ -252,12 +222,12 @@ def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> De
 class CertificateRun(NamedTuple):
     """The winding at one matrix size and how it was obtained.
 
-    `winding` is exact and `raw` is its float value.  `margin` is the
-    smallest n - 6 max_j |centred(r_j)| over the terms and both orderings:
-    positive means every log argument is inside the convergence ball.
-    `terms` holds each chain term's contribution coef * sum_j centred(r_j) / n
-    (first ordering); they sum to `winding`.  In JSON, `n` and `margin`
-    past int64 are decimal strings, as wide chain coefficients are.
+    `winding` is exact and `raw` is its float value.  `margin` is
+    n - 6 max_t |centred(-sigma(a_t, b_t))| over the terms t: positive
+    means every summed word is inside the convergence ball.  `terms` holds
+    each chain term's contribution coef * centred(-sigma(a, b)); they sum
+    to `winding`.  In JSON, `n` and `margin` past int64 are decimal
+    strings, as wide chain coefficients are.
     """
 
     n: int
@@ -310,50 +280,23 @@ class CertificateReport:
 
 
 def _exact_runs(
-    group: MalcevGroup, sigma: PolyCocycle, chain: Chain2, n_list: Sequence[int]
+    sigma: PolyCocycle, chain: Chain2, n_list: Sequence[int]
 ) -> Iterator[CertificateRun]:
-    """The winding of rho_n against the chain at each n, in exact residue arithmetic.
+    """The winding of rho_n against the chain at each n, in exact integer arithmetic.
 
-    sigma must be admitted: its proved group law adds first coordinates,
-    so each ordering of each term is a shift-0 phase-shift matrix with
-    residues r_j, and no shift is checked.  Its distance to the identity is
-    max_j 2 sin(pi |centred(r_j)| / n), which is below 1 exactly when
-    6 |centred(r_j)| < n; otherwise TermOutOfRange names the term.  Inside
-    the ball the series log is diagonal with entries
-    2 pi i centred(r_j) / n, so the term adds coef * sum_j centred(r_j) / n.
-
-    The words are read off the cocycle identity once, for all sizes.
-    Ordering 1, rho(ab) rho(b)* rho(a)*, is the constant -sigma(a, b), so
-    the term adds the integer coef * centred(-sigma(a, b)) and the winding
-    is an integer.  Ordering 2 is the constant -sigma(b, a) when ab = ba.
-    A constant costs O(1) int operations per size, with worst index 0.
-    When ab != ba, ordering 2 is rho(ab) rho(ba)* times the scalar
-    -sigma(b, a): its residue at column j + a_1 + b_1 is
-    p(ab, j) - p(ba, j) - sigma(b, a), which one kernel call per size
-    (`representation._residues`, numpy) evaluates from the difference of
-    the two rows (`_rows`); it enters the ball test only.  Each term's
-    products ab and ba are formed once, for all sizes: they pick the case
-    and give its rows.  Runs come one size at a time, and each size raises
-    its first failing check: the size's own (`_size_error`), then per term
-    both orderings' ball tests, where a size past the kernel's int64 limit
-    raises ValueError naming the term.
+    sigma must be admitted: by its cocycle identity (module docstring) the
+    word rho(ab) rho(b)* rho(a)* of each term is the scalar with residue
+    -sigma(a, b) mod n, read once for all sizes, with no group product.
+    With c its centred residue, the word's distance to the identity is
+    2 sin(pi |c| / n), below 1 exactly when 6 |c| < n; otherwise
+    TermOutOfRange names the term.  Inside the ball the series log is the
+    scalar 2 pi i c / n on n columns, so the term adds the integer coef * c
+    and the winding is an integer.  Runs come one size at a time, and
+    each size raises its first failing check: the size's own
+    (`_size_error`), then the terms' ball tests in order.
     """
     den = sigma.poly.denominator_lcm()
-    products = [(group.multiply(a, b), group.multiply(b, a)) for _, a, b in chain.terms]
-    swapped = [g for ab, ba in products if ab != ba for g in (ab, ba)]
-    if swapped:
-        rows = _rows(sigma, swapped)
-        differences = iter(rows.differences)
-    # Each term: index, coef, both orderings' constants, and ordering 2's
-    # kernel word (its Newton differences and roll) when ab != ba.
-    terms = []
-    for index, ((coef, a, b), (ab, ba)) in enumerate(zip(chain.terms, products)):
-        second, kernel = -sigma(b, a), None
-        if ab != ba:
-            word = [(p - q) // rows.den for p, q in zip(next(differences), next(differences))]
-            word[0] += second
-            kernel = (word, a[0] + b[0])
-        terms.append((index, coef, -sigma(a, b), second, kernel))
+    words = [(index, coef, -sigma(a, b)) for index, (coef, a, b) in enumerate(chain.terms)]
     fraction = functools.cache(Fraction)  # the runs share one Fraction per value
     for n in n_list:
         error = _size_error(n, den)
@@ -363,56 +306,22 @@ def _exact_runs(
         half = (n - 1) // 2
         widest = 0
         contributions = []
-        for index, coef, first, second, kernel in terms:
-            value = (first + half) % n - half
+        for index, coef, word in words:
+            value = (word + half) % n - half
             if 6 * abs(value) >= n:
-                raise _out_of_ball(index, 0, value, n, 0)
-            if kernel is None:
-                worst, other = 0, (second + half) % n - half
-            else:
-                try:
-                    worst, other = _kernel_word(n, *kernel)
-                except ValueError as exc:
-                    raise ValueError(f"term {index}: {ORDERINGS[1]}: {exc}") from None
-            if 6 * abs(other) >= n:
-                raise _out_of_ball(index, 1, other, n, worst)
-            widest = max(widest, abs(value), abs(other))
+                # Every column of the scalar word has this residue; index 0 is named.
+                raise TermOutOfRange(
+                    f"term {index}: {SUMMED_WORD} has residue {value} mod {n} "
+                    f"at index 0, outside the log's convergence ball (6|r| < n)",
+                    term_index=index,
+                )
+            widest = max(widest, abs(value))
             contributions.append(coef * value)
         winding = sum(contributions)
         yield CertificateRun(
             n, float(winding), winding, "exact", fraction(winding), n - 6 * widest,
             tuple(map(fraction, contributions)),
         )
-
-
-def _out_of_ball(index: int, ordering: int, value: int, n: int, worst: int) -> TermOutOfRange:
-    """The error of a term whose word has centred residue value at index worst."""
-    return TermOutOfRange(
-        f"term {index}: {ORDERINGS[ordering]} has residue {value} mod {n} "
-        f"at index {worst}, outside the log's convergence ball (6|r| < n)",
-        term_index=index,
-    )
-
-
-def _kernel_word(n: int, differences: list[int], roll: int) -> tuple[int, int]:
-    """(worst index, its centred residue) of a non-scalar word.
-
-    The word's residue at column j + roll is the integer polynomial with
-    these Newton differences at j, from one kernel call.  The kernel is
-    looked up when called, so that a replaced `representation._residues`
-    sees every call.
-    """
-    import numpy as np
-
-    from . import representation
-
-    half = (n - 1) // 2
-    residues = representation._residues(n, [differences])
-    centred = np.roll(residues[0], roll % n) + half
-    centred %= n
-    centred -= half
-    worst = int(np.argmax(np.abs(centred)))
-    return worst, int(centred[worst])
 
 
 def certify_nonperturbability(
@@ -423,16 +332,15 @@ def certify_nonperturbability(
 ) -> CertificateReport:
     """Winding certificate: the family rho_n pairs to -<sigma, c> for each n.
 
-    Every pairing is exact, and each term's words are read once for all
-    sizes (see `_exact_runs`); the runs keep the order and multiplicity of
-    n_list.  Raises what `PolyCocycle.admit` raises (ValidationError for
-    the group law, InvalidCocycle for sigma) before any size is looked at;
-    then ValueError if group is not sigma's group or n_list is empty,
-    NotACycle if the chain has a boundary, TorsionPairing if the cocycle
-    pairs to zero (no obstruction to certify), and then the first failing
-    size's error: NotCoprime, ValueError naming a term whose elements do
-    not commute when n * n exceeds int64 (its kernel's limit),
-    TermOutOfRange if a log argument leaves the convergence ball, or
+    Every pairing is exact, and each term's summed word is read once for
+    all sizes (see `_exact_runs`); the runs keep the order and
+    multiplicity of n_list.  Raises what `PolyCocycle.admit` raises
+    (ValidationError for the group law, InvalidCocycle for sigma) before
+    any size is looked at; then ValueError if group is not sigma's group
+    or n_list is empty, NotACycle if the chain has a boundary,
+    TorsionPairing if the cocycle pairs to zero (no obstruction to
+    certify), and then the first failing size's error: NotCoprime,
+    TermOutOfRange if a summed word leaves the convergence ball, or
     PairingMismatch if the winding disagrees with the prediction.  Every
     other size is valid, however large.
     """
@@ -450,7 +358,7 @@ def certify_nonperturbability(
             "the cocycle pairs to zero against this cycle; nothing to certify"
         )
     runs = []
-    for run in _exact_runs(group, sigma, chain, n_list):
+    for run in _exact_runs(sigma, chain, n_list):
         if run.rounded != -s:
             raise PairingMismatch(
                 f"at n={run.n} the winding is {run.winding}, expected {-s}"

@@ -18,17 +18,13 @@ Two paths compute the pairing, chosen by what is paired:
 - `certify_nonperturbability` pairs the phase-shift family of a
   PolyCocycle exactly, in Python ints.  It lives in `nilstab.exact`, which
   needs no numpy, and is re-exported here with its report types and
-  constants.  Each log argument is a shift-0 phase-shift matrix with
-  residues r_j mod n, so it lies in the convergence ball exactly when
-  6 |centred(r_j)| < n, its log is diagonal with entries
-  2 pi i centred(r_j) / n, and the winding is the Fraction
-  sum coef * sum_j centred(r_j) / n.  The cocycle is admitted first
-  (`PolyCocycle.admit`), so every word rho(ab) rho(b)* rho(a)* is the
-  scalar -sigma(a, b) mod n (see `representation`): a term whose a and b
-  commute needs O(1) work per size and no residues.  Only the other
-  ordering of a term whose a and b do not commute takes a residue kernel
-  call.  This works at any n >= 1 coprime to the coefficient denominator,
-  in Python ints; only such a kernel call is limited, to n * n <= 2^63 - 1.
+  constants.  The cocycle is admitted first (`PolyCocycle.admit`), so
+  every word rho(ab) rho(b)* rho(a)* is the scalar with residue
+  -sigma(a, b) mod n (see `representation`): it lies in the convergence
+  ball exactly when 6 |centred(-sigma(a, b))| < n, its log is the scalar
+  2 pi i centred(-sigma(a, b)) / n, and the term adds
+  coef * centred(-sigma(a, b)) to the winding.  Each size costs O(1) per
+  term, at any n >= 1 coprime to the coefficient denominator.
 - `winding_pairing`, in this module on numpy, takes dense matrices:
   general families such as the perturbed representations of the null
   test, and the oracle that the exact path is tested against.  It checks
@@ -40,8 +36,13 @@ Two paths compute the pairing, chosen by what is paired:
 
 Sign convention: the log argument uses rho(ab) rho(b)^-1 rho(a)^-1; the
 reversed ordering rho(ab) rho(a)^-1 rho(b)^-1 flips the sign of the
-pairing.  Both orderings are required to stay inside the convergence
-ball, and certificates record the convention.
+pairing, and certificates record the convention.  Only the summed word
+must stay inside the convergence ball.  A family U within 1/24 of a
+representation V keeps every summed word within 1/8 of I along the path
+V(g) exp(t log(V(g)* U(g))) from V to U, so the winding, an integer at
+every point of the path, equals V's, which is 0 (Exel and Loring, Proc.
+AMS 106, 1989).  The reversed word of V itself is V(ab) V(ba)^-1, far
+from I when ab != ba, so it belongs to no part of that argument.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ from .errors import (
     TooFarFromIdentity,
 )
 # The exact path's certificate, re-exported with its report types and
-# constants; the dense pairing shares ORDERINGS and PERTURBATION_RADIUS.
+# constants; the dense pairing shares SUMMED_WORD and PERTURBATION_RADIUS.
 from .exact import (
-    ORDERINGS,
     PERTURBATION_RADIUS,
     SIGN_CONVENTION,
+    SUMMED_WORD,
     CertificateReport,
     CertificateRun,
     certify_nonperturbability,
@@ -162,10 +163,10 @@ def winding_pairing(
     """Evaluate the winding pairing of a unitary family against a 2-chain.
 
     `rho` is a mapping (or callable) defined on every a_j, b_j, and a_j*b_j
-    of the chain.  Each log argument, in both multiplication orderings,
-    must lie strictly inside the unit ball around the identity, else
-    TermOutOfRange names the offending term.  Inside the ball every
-    eigenvalue l_j of the argument W lies in |z - 1| < 1, so
+    of the chain.  Each term's log argument W = rho(ab) rho(b)* rho(a)*,
+    the word the winding sums, must lie strictly inside the unit ball
+    around the identity, else TermOutOfRange names the offending term.
+    Inside the ball every eigenvalue l_j of W lies in |z - 1| < 1, so
     Im Tr log W = sum_j arg l_j, with the eigenvalues from LAPACK.
     """
     lookup = _family_lookup(rho)
@@ -176,15 +177,12 @@ def winding_pairing(
         m_a = _square(lookup(a))
         m_b = _square(lookup(b))
         word = m_ab @ m_b.conj().T @ m_a.conj().T
-        other = m_ab @ m_a.conj().T @ m_b.conj().T
-        eye = np.eye(word.shape[0], dtype=complex)
-        for ordering, label in zip((word, other), ORDERINGS):
-            distance = operator_norm(ordering - eye)
-            if distance + PRECONDITION_MARGIN >= 1.0:
-                raise TermOutOfRange(
-                    f"term {index}: ||{label} - I|| = {distance:.6f} >= 1",
-                    term_index=index,
-                )
+        distance = operator_norm(word - np.eye(word.shape[0], dtype=complex))
+        if distance + PRECONDITION_MARGIN >= 1.0:
+            raise TermOutOfRange(
+                f"term {index}: ||{SUMMED_WORD} - I|| = {distance:.6f} >= 1",
+                term_index=index,
+            )
         total += coef * float(np.sum(np.angle(np.linalg.eigvals(word))))
     raw = total / (2 * math.pi)
     nearest = round(raw)

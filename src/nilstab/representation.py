@@ -25,17 +25,19 @@ rho(x*y) rho(y)* rho(x)* is the scalar exp(-2 pi i sigma(x, y) / n).
 Two paths measure the family, and this module is the dense one, on
 numpy.  The exact path lives in `nilstab.exact`, in Python ints and
 floats: `defects` (and `defect`) read each pair's norms from the constant
--sigma(x, y) mod n, and the certificate reads each word off the
-identity; neither has a size limit.  This module re-exports `defects`,
-`defect`, `DefectResult` and `BOUND_SLACK` from there.
+-sigma(x, y) mod n, and the certificate reads each summed word off the
+identity; neither forms a row or has a size limit.  This module
+re-exports `defects`, `defect`, `DefectResult` and `BOUND_SLACK` from
+there.
 
 A row's residues come from its Newton differences Delta^k p(x, 0), which
 are the values at x of the cocycle's Newton coefficients q_k, the fixed
 polynomials with p(x, y1) = sum_k q_k(x) C(y1, k) (`PolyCocycle.newton`):
-`exact._rows` evaluates them for any number of elements at once, in exact
+`_rows` evaluates them for any number of elements at once, in exact
 Python ints.  One private kernel, `_residues`, computes the values mod n
 at j = 0..n-1 of a batch of integer difference rows at one size, by one
-prefix sum mod n per degree in int64.  `build_rho` is its one-row case.
+prefix sum mod n per degree in int64.  `build_rho` is its one-row case,
+and with it `chi_scalar_check`; both are dense oracles.
 
 The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is thus the
 scalar chi_n(x, y)^{-1} - 1 times a unitary, giving the proven bounds
@@ -61,9 +63,8 @@ import numpy as np
 
 from .cohomology import PolyCocycle
 from .errors import DimensionMismatch, NotScalar
-# The exact path's sweep, re-exported; `build_rho` uses `_rows` and
-# `_size_error` too.
-from .exact import BOUND_SLACK, DefectResult, _rows, _size_error, defect, defects
+# The exact path's sweep, re-exported; `build_rho` uses `_size_error` too.
+from .exact import BOUND_SLACK, DefectResult, _size_error, defect, defects
 
 MAX_DENSE = 1024  # double precision keeps phases well below 1e-12 up to here
 
@@ -128,6 +129,36 @@ class PhaseShiftMatrix:
 
     def is_scalar(self) -> bool:
         return self.shift == 0 and bool(np.all(self.residues == self.residues[0]))
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Rows p(x, t) of the cocycle at many elements x, in Newton form.
+
+    Row i is p(x, t) = sum_k differences[i][k] C(t, k) / den:
+    `differences` holds one list per element of den * Delta^k p(x, 0) in
+    Python ints, with den the common denominator of the cocycle's Newton
+    coefficients.  An admitted cocycle's rows are integer valued, so den
+    divides every difference (Polya).
+    """
+
+    den: int
+    differences: list[list[int]]
+
+
+def _rows(sigma: PolyCocycle, elements: Sequence[Sequence[int]]) -> _Rows:
+    """The rows of the elements, each a sequence of m ints.
+
+    Column k of the differences is the cocycle's Newton coefficient q_k
+    at every element (`PolyCocycle.newton`), from one `scaled_columns`
+    call, brought to the common denominator.
+    """
+    m = sigma.group.hirsch
+    den, coefficients = sigma.newton
+    columns = [*([g[k] for g in elements] for k in range(m)), None]
+    sums = [q.scaled_columns(columns) for q in coefficients]
+    scaled = [[v * (den // q_den) for v in s] for q_den, s in sums]
+    return _Rows(den, [list(row) for row in zip(*scaled)])
 
 
 def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:

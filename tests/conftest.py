@@ -33,7 +33,7 @@ from nilstab.errors import (
 )
 from nilstab.extensions import CentralExtension
 from nilstab.groups import Element, MalcevGroup
-from nilstab.obstruction import ORDERINGS, CertificateRun
+from nilstab.obstruction import SUMMED_WORD, CertificateRun
 from nilstab.representation import (
     BOUND_SLACK,
     DefectResult,
@@ -143,8 +143,8 @@ def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
                 matrices.append(PhaseShiftMatrix(n, g[0], residues))
             rho_xy, rho_x, rho_y = matrices
             fro, op = difference_norms(rho_xy, rho_x.compose(rho_y))
-            fro_bound = 2 * math.pi * abs(s) / math.sqrt(n)
-            op_bound = 2 * math.pi * abs(s) / n
+            op_bound = 2 * math.pi * (abs(s) / n)
+            fro_bound = op_bound * math.sqrt(n)
             if fro > fro_bound * (1 + BOUND_SLACK):
                 out.append(BoundViolated(
                     f"Frobenius defect {fro} exceeds bound {fro_bound} at ({x}, {y}), n={n}"
@@ -334,41 +334,34 @@ def exact_run_by_words(
     """The exact winding at one size, word by word: the reference oracle.
 
     Builds each support element's phase-shift unitary with `build_rho`
-    and forms both orderings of every term with `compose` and `adjoint`,
-    without the cocycle identity that the certificate reads its words
-    from.  Applies the ball test 6 |centred(r_j)| < n and the sum
-    coef * sum_j centred(r_j) / n to their residues, with the checks and
-    messages of `certify_nonperturbability`.
+    and forms the summed word rho(ab) rho(b)* rho(a)* of every term with
+    `compose` and `adjoint`, without the cocycle identity that the
+    certificate reads its words from.  Applies the ball test
+    6 |centred(r_j)| < n and the sum coef * sum_j centred(r_j) / n to its
+    residues, with the checks and messages of `certify_nonperturbability`.
     """
     rho = {g: build_rho(sigma, n, g) for g in chain.support(group)}
     terms = []
     margin = n
     for index, (coef, a, b) in enumerate(chain.terms):
         ab = group.multiply(a, b)
-        a_inv, b_inv = rho[a].adjoint(), rho[b].adjoint()
-        words = (
-            rho[ab].compose(b_inv).compose(a_inv),
-            rho[ab].compose(a_inv).compose(b_inv),
-        )
-        centred = []
-        for word, label in zip(words, ORDERINGS):
-            if word.shift != 0:
-                raise TermOutOfRange(
-                    f"term {index}: {label} shifts by {word.shift}", term_index=index
-                )
-            r = word.residues
-            c = np.where(2 * r > n, r - n, r)
-            worst = int(np.argmax(np.abs(c)))
-            term_margin = n - 6 * abs(int(c[worst]))
-            if term_margin <= 0:
-                raise TermOutOfRange(
-                    f"term {index}: {label} has residue {int(c[worst])} mod {n} at "
-                    f"index {worst}, outside the log's convergence ball (6|r| < n)",
-                    term_index=index,
-                )
-            margin = min(margin, term_margin)
-            centred.append(c)
-        terms.append(coef * Fraction(int(np.sum(centred[0])), n))
+        word = rho[ab].compose(rho[b].adjoint()).compose(rho[a].adjoint())
+        if word.shift != 0:
+            raise TermOutOfRange(
+                f"term {index}: {SUMMED_WORD} shifts by {word.shift}", term_index=index
+            )
+        r = word.residues
+        c = np.where(2 * r > n, r - n, r)
+        worst = int(np.argmax(np.abs(c)))
+        term_margin = n - 6 * abs(int(c[worst]))
+        if term_margin <= 0:
+            raise TermOutOfRange(
+                f"term {index}: {SUMMED_WORD} has residue {int(c[worst])} mod {n} at "
+                f"index {worst}, outside the log's convergence ball (6|r| < n)",
+                term_index=index,
+            )
+        margin = min(margin, term_margin)
+        terms.append(coef * Fraction(int(np.sum(c)), n))
     winding = sum(terms, Fraction(0))
     return CertificateRun(
         n=n,

@@ -314,13 +314,11 @@ def assert_refused(result, message: str) -> None:
     assert result.stderr == f"error: {message}\n"
 
 
-def test_a_non_commuting_term_past_the_int64_kernel_is_a_usage_error(runner, tmp_path):
+def test_a_cycle_with_non_commuting_terms_is_certified_past_int64(runner, tmp_path):
     # heisenberg_c1 plus the boundary of [a|b|c] has terms whose elements do
-    # not commute; their second ordering takes the residue kernel, which
-    # needs n * n <= 2^63 - 1.  This cycle winds to -1 at n = 17; at the
-    # first odd size past the kernel's limit it is refused, naming the
-    # term, before any array is allocated.  The builtin cycle, all
-    # commuting, is certified there.
+    # not commute.  Each term's summed word is still the constant
+    # -sigma(a, b), so the cycle is certified at any size, here past
+    # n * n = 2^63 - 1, where no int64 residue table could be formed.
     a, b, c = (1, 0, 0), (0, 17, 0), (0, 0, 1)
     group = catalog.heisenberg3()
     ab, bc = group.multiply(a, b), group.multiply(b, c)
@@ -328,17 +326,18 @@ def test_a_non_commuting_term_past_the_int64_kernel_is_a_usage_error(runner, tmp
     chain = cohomology.Chain2.build([*catalog.heisenberg_c1().terms, *extra])
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(chain.to_json()))
-    args = ["certify", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny"]
     n = 3037000501
     assert n * n > 2**63 - 1 and n % 2 == 1
-    result = runner.invoke(main, [*args, "--cycle", str(path), "--n", f"17,{n}"])
-    assert_refused(
-        result,
-        f"term 4: rho(ab)rho(a)*rho(b)*: matrix size {n} is too large for int64 "
-        f"residue arithmetic (n * n must not exceed 2^63 - 1)",
+    result = runner.invoke(
+        main,
+        ["certify", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny",
+         "--cycle", str(path), "--n", f"17,{n}"],
     )
-    result = runner.invoke(main, [*args, "--cycle", "heisenberg_c1", "--n", str(n)])
     assert result.exit_code == 0, everything(result)
+    runs = json.loads(result.stdout)["runs"]
+    assert [(run["n"], run["winding"], run["margin"]) for run in runs] == [
+        (17, "-1", 11), (n, "-1", n - 6),
+    ]
 
 
 def test_a_sweep_size_past_the_floats_is_a_usage_error(runner):
@@ -686,17 +685,18 @@ def assert_sweep_is_exact(stdout: str) -> None:
     [
         (["--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
           "--n", "17,33,65,129", "--samples", "200", "--seed", "1"],
-         "4055013fd1b3aa09be50372b79235c593bce7e2206ea849c8f90c29e32b40d80"),
+         "22dcfe22e70d20768db9f9cf47e425ec5fa02036c9620fbcd36824718d550ce6"),
         (["--group", "lattice:2", "--cocycle", "builtin:z2_skinny",
           "--n", "257,513,1023", "--samples", "20", "--seed", "1"],
-         "067ad97e24e3b9bc0b15513c73146105f2df10979ad9990920406dab6cf02658"),
+         "a177fe1c87dfa5a054f1d8ace8a4ebf1ee95a029f80002417a229e09f1df6367"),
     ],
     ids=["heisenberg", "lattice-dense"],
 )
 def test_benchmark_sweeps_print_the_pinned_csv(runner, args, digest):
     # The SHA-256 of the CSV these sweeps print since each row's norms are
-    # the closed form 2 |sin(pi c / n)| and sqrt(n) times it (x86-64,
-    # glibc's libm); every row is within 4 ulp of the true norms.
+    # the closed form 2 |sin(pi c / n)| and sqrt(n) times it, and its
+    # bounds 2 pi (|sigma| / n) and sqrt(n) times that (x86-64, glibc's
+    # libm); every row is within 4 ulp of the true norms.
     result = runner.invoke(main, ["sweep", *args])
     assert result.exit_code == 0, everything(result)
     assert _sha256(result.stdout) == digest

@@ -36,7 +36,7 @@ from nilstab.cohomology import (
 from nilstab.errors import NonIntegralValue, ParseError
 from nilstab.groups import lattice
 from nilstab.poly import MultiPoly, xy_variables
-from nilstab.exact import _rows
+from nilstab.representation import _rows
 
 Z2 = lattice(2)
 H3 = heisenberg3()

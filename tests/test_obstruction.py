@@ -18,7 +18,7 @@ from conftest import (
     exact_expm,
     random_unitary_near_identity,
 )
-from nilstab import representation
+from nilstab import exact, representation
 from nilstab.catalog import (
     character_representation,
     heisenberg3,
@@ -196,18 +196,6 @@ def test_winding_rejects_log_arguments_on_the_unit_sphere():
     assert info.value.term_index == 0
 
 
-def test_winding_checks_both_orderings_of_each_term():
-    # rho(ab) rho(b)* rho(a)* is exactly I here, but the reversed word
-    # rho(ab) rho(a)* rho(b)* is the commutator diag(i, -i), at distance
-    # sqrt(2) from the identity; a single-ordering check would miss it.
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    clock = np.diag([1.0, 1j])
-    family = {(1, 0): flip, (0, 1): clock, (1, 1): flip @ clock}
-    chain = Chain2.build([(1, (1, 0), (0, 1))])
-    with pytest.raises(TermOutOfRange):
-        winding_pairing(family, chain, Z2)
-
-
 def test_winding_accepts_callable_families():
     rep = character_representation([[0.2, 0.1]])
     result = winding_pairing(rep, voiculescu_cycle(), Z2)
@@ -225,8 +213,8 @@ def test_certificate_for_the_lattice_cocycle():
     assert [run.n for run in report.runs] == [16, 32]
     assert all(run.rounded == -1 for run in report.runs)
     assert all(run.winding == -1 and run.raw == -1.0 for run in report.runs)
-    # The first ordering has residue -1 on the diagonal, the second 0, so
-    # the margin n - 6*max|centred(r_j)| is n - 6.
+    # The terms' summed words have residues -1 and 0, so the margin
+    # n - 6*max|centred(-sigma(a, b))| is n - 6.
     assert [run.margin for run in report.runs] == [10, 26]
     assert report.distance_bound == PERTURBATION_RADIUS
     assert "1/24" in report.statement
@@ -266,11 +254,28 @@ def _dense_outcome(group, sigma, chain, n):
 
 
 def _exact_outcome(group, sigma, chain, n):
+    # A run that the certificate refuses by PairingMismatch is read from
+    # its runs directly, so that its winding is compared too.
     try:
         run = certify_nonperturbability(group, sigma, chain, [n]).runs[0]
     except TermOutOfRange as exc:
         return ("out of range", exc.term_index), None
+    except PairingMismatch:
+        (run,) = exact._exact_runs(sigma, chain, [n])
     return run.rounded, run.raw
+
+
+def non_commuting_cycle(b2: int) -> Chain2:
+    """heisenberg_c1 plus the boundary of [(1, 0, 0)|(0, b2, 0)|(0, 0, 1)].
+
+    A cycle pairing 1 with heisenberg_skinny whose added terms multiply
+    elements that do not commute.
+    """
+    triple = [(1, (1, 0, 0), (0, b2, 0), (0, 0, 1))]
+    return Chain2.build([*heisenberg_c1().terms, *boundary3(H3, triple).terms])
+
+
+ODD_TO_129 = tuple(range(1, 130, 2))
 
 
 @pytest.mark.parametrize(
@@ -278,15 +283,20 @@ def _exact_outcome(group, sigma, chain, n):
     [
         (Z2, z2_skinny, voiculescu_cycle, (17, 33, 65, 257, 1023)),
         (H3, heisenberg_skinny, heisenberg_c1, (17, 33, 65, 257)),
+        *(pytest.param(H3, heisenberg_skinny, lambda b2=b2: non_commuting_cycle(b2),
+                       ODD_TO_129, id=f"b2={b2}")
+          for b2 in (1, 2, 17)),
     ],
 )
 def test_exact_certificate_agrees_with_the_dense_pairing(
     group, make_sigma, make_cycle, sizes
 ):
     # Everything is checked twice: the exact residue pairing against the
-    # dense series-log pairing, for the builtin and scaled cocycles.  For
+    # dense series-log pairing, for the builtin and scaled cocycles, and
+    # for cycles with non-commuting terms at every odd n up to 129.  For
     # k = -3 at n = 17 the first term's word has residue 3 and 6 * 3 > 17,
-    # so both paths must refuse that term.
+    # so both paths must refuse that term.  Where n divides k every word
+    # is I, so a size inside the ball winds to 0 there and to -k elsewhere.
     chain = make_cycle()
     for k in (1, 2, -3):
         sigma = make_sigma().scale(k)
@@ -295,7 +305,7 @@ def test_exact_certificate_agrees_with_the_dense_pairing(
             dense_rounded, dense_raw = _dense_outcome(group, sigma, chain, n)
             assert exact_rounded == dense_rounded, (k, n)
             if exact_raw is not None:
-                assert exact_rounded == -k
+                assert exact_rounded == (0 if k % n == 0 else -k), (k, n)
                 assert abs(exact_raw - dense_raw) < 1e-9
 
 
@@ -388,41 +398,27 @@ def test_batched_certificate_raises_the_oracles_first_error():
         assert batched == oracle
         assert batched[0] is expected, batched
     assert "sigma((0, 1), (1, 0)) = 1/2" in _runs_or_error(_batched_runs, Z2, half, odd_row, [17])[1]
-    # A size past int64 is no error: the Voiculescu cycle's terms commute,
-    # so no residue kernel is called, and the exact path winds to -1.
+    # A size past int64 is no error: no residue kernel is called, and the
+    # exact path winds to -1.
     runs = _batched_runs(Z2, z2_skinny(), voiculescu, [17, 3037000500])
     assert [(run.n, run.winding) for run in runs] == [(17, -1), (3037000500, -1)]
 
 
-@pytest.mark.parametrize(
-    "a, b, c, n, expected",
-    [
-        # A word that is not constant mod 17: the kernel fallback.
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1), 17,
-         "term 4: rho(ab)rho(a)*rho(b)* has residue 8 mod 17 at index 7"),
-        # Constant mod 17 but not a constant polynomial: winds to -1.
-        ((1, 0, 0), (0, 17, 0), (0, 0, 1), 17, None),
-        ((1, 0, 0), (0, 17, 0), (0, 0, 1), 19,
-         "term 4: rho(ab)rho(a)*rho(b)* has residue -9 mod 19 at index 5"),
-    ],
-)
-def test_certificate_of_non_commuting_terms_matches_both_oracles(a, b, c, n, expected):
-    # heisenberg_c1 plus the boundary of [a|b|c] is a cycle whose terms
-    # multiply non-commuting elements, so their words are not all the
-    # constant -sigma(a, b).
-    chain = Chain2.build([*heisenberg_c1().terms, *boundary3(H3, [(1, a, b, c)]).terms])
+@pytest.mark.parametrize("b2", [1, 2, 17], ids=lambda b2: f"b2={b2}")
+def test_certificate_of_non_commuting_terms_matches_both_oracles(b2):
+    # The winding sums each term's word rho(ab) rho(b)* rho(a)*, the
+    # constant -sigma(a, b) even when a and b do not commute, so the cycle
+    # winds to -1 at every odd n from 7 on, term by term as the word-by-word
+    # oracle finds; the dense pairing agrees at n = 17.
+    chain = non_commuting_cycle(b2)
     sigma = heisenberg_skinny()
-    runs = _runs_or_error(_batched_runs, H3, sigma, chain, [n])
-    assert runs == _runs_or_error(certificate_runs_by_words, H3, sigma, chain, [n])
-    dense_rounded, dense_raw = _dense_outcome(H3, sigma, chain, n)
-    if expected is None:
-        (run,) = runs
-        assert (run.winding, run.margin) == (-1, 11)
-        assert dense_rounded == -1 and abs(dense_raw + 1) < 1e-9
-    else:
-        assert runs[0] is TermOutOfRange and runs[2] == 4
-        assert runs[1].startswith(expected)
-        assert dense_rounded == ("out of range", 4)
+    sizes = list(range(7, 400, 2))
+    runs = _batched_runs(H3, sigma, chain, sizes)
+    assert runs == certificate_runs_by_words(H3, sigma, chain, sizes)
+    assert [run.winding for run in runs] == [-1] * len(sizes)
+    assert {run.n: run.margin for run in runs}[17] == 11
+    dense_rounded, dense_raw = _dense_outcome(H3, sigma, chain, 17)
+    assert dense_rounded == -1 and abs(dense_raw + 1) < 1e-9
 
 
 def test_certificate_proves_the_exponent_periodic_where_the_spot_check_passes():
@@ -458,9 +454,8 @@ def test_certificate_proves_the_exponent_periodic_where_the_spot_check_passes():
 
 
 def test_certificates_of_the_builtin_cycles_need_no_kernel_call(monkeypatch):
-    # Every term of the builtin cycles multiplies commuting elements, so
-    # each word is the constant -sigma(a, b) or -sigma(b, a): no residue is
-    # computed at any size, and the memory does not grow with n.
+    # Each summed word is the constant -sigma(a, b): no residue is computed
+    # at any size, and the memory does not grow with n.
     big = 2**20 + 1
     for n_list in ([big], [17, 33, big]):
         tracemalloc.start()
@@ -493,12 +488,10 @@ def test_certificates_of_the_builtin_cycles_need_no_kernel_call(monkeypatch):
         table = representation.defects(sigma, [17, 1023, big], pairs)
         assert all(isinstance(row, representation.DefectResult) for rows in table for row in rows)
     assert calls == []
-    # A term whose elements do not commute takes one kernel row per size
-    # for its second ordering, through the same patched name.
-    extra = boundary3(H3, [(1, (1, 0, 0), (0, 17, 0), (0, 0, 1))])
-    chain = Chain2.build([*heisenberg_c1().terms, *extra.terms])
-    certify_nonperturbability(H3, heisenberg_skinny(), chain, [17, 17])
-    assert calls and set(calls) == {1}
+    # Nor does a cycle whose terms' elements do not commute: its summed
+    # words are the constants -sigma(a, b) too.
+    certify_nonperturbability(H3, heisenberg_skinny(), non_commuting_cycle(17), [17, big])
+    assert calls == []
 
 
 def test_certificate_past_the_dense_cap():
@@ -563,6 +556,33 @@ def test_null_test_pairs_a_trial_with_nearly_tied_singular_values_to_zero():
         Z2, rep, voiculescu_cycle(), epsilon=1 / 25, trials=1, seed=2105841877
     )
     assert [p.rounded for p in report.pairings] == [0]
+
+
+def clock_and_shift(x) -> np.ndarray:
+    """V(x) = w^-x3 C^x1 S^x2, a genuine 7-dimensional representation of H3.
+
+    C = diag(w^j) and S sends delta_j to delta_(j+1 mod 7), w = exp(2 pi i / 7).
+    """
+    w = cmath.exp(2j * math.pi / 7)
+    clock = np.diag([w ** (x[0] * j) for j in range(7)])
+    shift = np.roll(np.eye(7, dtype=complex), x[1], axis=0)
+    return w ** -x[2] * clock @ shift
+
+
+def test_null_test_pairs_a_non_commuting_representation_to_zero():
+    # Against a cycle whose terms' elements do not commute, the reversed
+    # word rho(ab) rho(a)* rho(b)* of V is V(ab) V(ba)*, far from I; only
+    # the summed word, within 1/8 of I, enters the pairing.
+    rng = make_rng(3)
+    for _ in range(200):
+        x, y = sample_coords(rng, 3, 5), sample_coords(rng, 3, 5)
+        gap = clock_and_shift(H3.multiply(x, y)) - clock_and_shift(x) @ clock_and_shift(y)
+        assert frobenius_norm(gap) < 1e-12
+    chain = non_commuting_cycle(2)
+    assert winding_pairing(clock_and_shift, chain, H3).rounded == 0
+    report = perturbation_null_test(H3, clock_and_shift, chain, trials=25, seed=5)
+    assert report.all_zero
+    assert max(p.residual for p in report.pairings) < 1e-6
 
 
 def test_null_test_is_deterministic_for_a_fixed_seed():

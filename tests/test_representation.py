@@ -644,20 +644,26 @@ def test_the_bound_check_is_relative_at_every_size():
     # over, which an absolute slack of 1e-9 let pass.
     n = 2**127 - 1
     assert exact._checked(n, 5, 1e-10, 1e-10).startswith("Frobenius defect 1e-10 exceeds")
-    fro_bound = 2 * math.pi * 5 / math.sqrt(n)
+    fro_bound = 2 * math.pi * (5 / n) * math.sqrt(n)
     assert exact._checked(n, 5, fro_bound, 1e-10).startswith("operator defect 1e-10 exceeds")
+    # At n = 2^1023 + 1 and sigma = n // 2 the operator bound is pi, though
+    # 2 pi |sigma| overflows a float: the bounds come from |sigma| / n.
+    n = 2**1023 + 1
+    assert exact._checked(n, n // 2, 5.0, 5.0) == (
+        f"operator defect 5.0 exceeds bound {math.pi}"
+    )
+    row = exact._checked(n, n // 2, 1.0, 1.0)
+    assert row.operator_bound == math.pi and math.isfinite(row.frobenius_bound)
     # Every measured row stays ok, from 17 to 2^1023 + 1: small sigma of
     # both signs, where at large n the chord and its bound agree to
-    # rounding, and sigma near n / 3, n / 2 and n.  A sigma whose
-    # 2 pi |sigma| overflows a float has infinite bounds, which pass any
-    # norm, so such values are left out and every bound must be finite.
+    # rounding, and sigma near n / 3, n / 2 and n, whose 2 pi |sigma|
+    # would overflow a float from about 2^1021 on.  Every bound is finite.
     rng = make_rng(23)
     sizes = [17, 33, 1023, 2**31 - 1, 2**61 - 1, 2**127 - 1, 10**40 + 1, 2**521 - 1,
              2**1023 + 1, *(rng.getrandbits(bits) | 1 for bits in range(8, 1024, 61))]
     for n in sizes:
         values = [*range(-40, 41), n // 3, n // 2, n // 2 + 1, n - 1]
         values += [-v for v in values[-4:]]
-        values = [s for s in values if math.isfinite(2 * math.pi * float(abs(s)))]
         (rows,) = defects(z2_skinny(), [n], [((0, s), (1, 0)) for s in values])
         for row in rows:
             assert type(row) is DefectResult, (n, row)
