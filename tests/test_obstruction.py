@@ -404,8 +404,54 @@ def test_batched_certificate_raises_the_oracles_first_error():
     assert [(run.n, run.winding) for run in runs] == [(17, -1), (3037000500, -1)]
 
 
+def _reversed_word_outside_the_ball(sigma, chain, n):
+    """The first term whose reversed word rho(ab)rho(a)*rho(b)* leaves the ball, or None."""
+    for index, (_, a, b) in enumerate(chain.terms):
+        rho_a, rho_b = build_rho(sigma, n, a), build_rho(sigma, n, b)
+        word = build_rho(sigma, n, H3.multiply(a, b)).compose(rho_a.adjoint())
+        r = word.compose(rho_b.adjoint()).residues
+        c = np.where(2 * r > n, r - n, r)
+        worst = int(np.argmax(np.abs(c)))
+        if 6 * abs(int(c[worst])) >= n:
+            return (
+                f"term {index}: rho(ab)rho(a)*rho(b)* has residue {int(c[worst])} "
+                f"mod {n} at index {worst}"
+            )
+    return None
+
+
+@pytest.mark.parametrize(
+    "a, b, c, n, expected",
+    [
+        # The reversed word of term 4 is not constant mod 17.
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), 17,
+         "term 4: rho(ab)rho(a)*rho(b)* has residue 8 mod 17 at index 7"),
+        # Every reversed word is constant mod 17, inside the ball.
+        ((1, 0, 0), (0, 17, 0), (0, 0, 1), 17, None),
+        ((1, 0, 0), (0, 17, 0), (0, 0, 1), 19,
+         "term 4: rho(ab)rho(a)*rho(b)* has residue -9 mod 19 at index 5"),
+    ],
+)
+def test_certificate_of_non_commuting_terms_matches_both_oracles(a, b, c, n, expected):
+    # heisenberg_c1 plus the boundary of [a|b|c] is a cycle whose terms
+    # multiply non-commuting elements.  Their reversed words
+    # rho(ab) rho(a)* rho(b)* may leave the log's ball (`expected`), but
+    # the winding reads only the summed words rho(ab) rho(b)* rho(a)*, so
+    # the certificate, the word-by-word oracle and the dense pairing all
+    # wind to -1.
+    chain = Chain2.build([*heisenberg_c1().terms, *boundary3(H3, [(1, a, b, c)]).terms])
+    sigma = heisenberg_skinny()
+    assert _reversed_word_outside_the_ball(sigma, chain, n) == expected
+    runs = _batched_runs(H3, sigma, chain, [n])
+    assert runs == certificate_runs_by_words(H3, sigma, chain, [n])
+    (run,) = runs
+    assert (run.winding, run.margin) == (-1, n - 6)
+    dense_rounded, dense_raw = _dense_outcome(H3, sigma, chain, n)
+    assert dense_rounded == -1 and abs(dense_raw + 1) < 1e-9
+
+
 @pytest.mark.parametrize("b2", [1, 2, 17], ids=lambda b2: f"b2={b2}")
-def test_certificate_of_non_commuting_terms_matches_both_oracles(b2):
+def test_non_commuting_terms_wind_term_by_term_at_every_odd_size(b2):
     # The winding sums each term's word rho(ab) rho(b)* rho(a)*, the
     # constant -sigma(a, b) even when a and b do not commute, so the cycle
     # winds to -1 at every odd n from 7 on, term by term as the word-by-word
