@@ -190,7 +190,7 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
         table = defects(sigma, n_list, pairs)
     except NilstabError as exc:
         _fail(exc)
-    except ValueError as exc:  # a size too large for the float norms
+    except ValueError as exc:  # a size, or a sigma(x, y), past the float norms or bounds
         _fail(exc, 2)
     lines = ["n,x,y,sigma_xy,frob_defect,frob_bound,op_defect,op_bound,status"]
     failed = False

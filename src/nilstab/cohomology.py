@@ -21,7 +21,6 @@ consumer of its phase-shift family admits it only once both proofs pass
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -74,15 +73,14 @@ class PolyCocycle:
     def as_kernel(self) -> "KernelCocycle":
         return KernelCocycle(self.group, self.__call__, name=self.name)
 
-    def value_columns(
-        self, x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]
-    ) -> list[int]:
-        """sigma(x, y) for rows of pairs, each element given as m coordinate columns.
+    def value_columns(self, x: Sequence[Sequence[int]], y1: Sequence[int]) -> list[int]:
+        """sigma(x, y) for rows of pairs: x as m coordinate columns, y as its y1 column.
 
-        The columns are sequences of Python ints.  Raises the
+        sigma reads y only through y1, so no other coordinate of y is
+        given.  The columns are sequences of Python ints.  Raises the
         NonIntegralValue that sigma(x, y) raises at the first failing row.
         """
-        return self.poly.evaluate_int_columns([*x, y[0]])
+        return self.poly.evaluate_int_columns([*x, y1])
 
     @cached_property
     def proof(self) -> ValidationReport:
@@ -113,13 +111,13 @@ class PolyCocycle:
             raise InvalidCocycle("the cocycle failed its proof:\n" + self.proof.summary())
 
     @cached_property
-    def newton(self) -> tuple[int, list[MultiPoly]]:
-        """`(den, q)`: p(x, y1) = sum_k q_k(x) C(y1, k), so q_k(x) = Delta^k p(x, 0).
+    def newton(self) -> list[MultiPoly]:
+        """The q_k with p(x, y1) = sum_k q_k(x) C(y1, k), so q_k(x) = Delta^k p(x, 0).
 
-        den is the q_k's common denominator, which may be below the polynomial's.
+        Each q_k is free of y1.  For an integer valued cocycle every q_k(x)
+        at integer x is an integer (Polya), whatever its coefficients.
         """
-        q = self.poly.newton_coefficients(self.group.hirsch)
-        return math.lcm(*(c.denominator_lcm() for c in q)), q
+        return self.poly.newton_coefficients(self.group.hirsch)
 
     def to_document(self) -> dict:
         return {

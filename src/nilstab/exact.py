@@ -151,7 +151,9 @@ def defects(
     than the relative `BOUND_SLACK` gives each such pair a BoundViolated
     naming it; that would falsify the construction, not the sample.  A
     coprime size too large for a float (from about 2^1024 on), where
-    sqrt(n) has no value, raises ValueError naming it.
+    sqrt(n) has no value, raises ValueError naming it.  So does a value
+    whose bounds are not finite floats (|sigma(x, y)| / sqrt(n) from
+    about 2^1021 on), naming it, the first pair with it, and n.
     """
     sigma.admit()
     group = sigma.group
@@ -159,9 +161,9 @@ def defects(
     xs = [group.element(x) for x, _ in pairs]
     ys = [group.element(y) for _, y in pairs]
     values = sigma.value_columns(
-        [[g[k] for g in xs] for k in range(group.hirsch)], [[g[0] for g in ys]]
+        [[g[k] for g in xs] for k in range(group.hirsch)], [g[0] for g in ys]
     )
-    distinct = set(values)
+    distinct = dict.fromkeys(values)
     table = []
     for n in sizes:
         error = _size_error(n, den)
@@ -177,7 +179,14 @@ def defects(
             shared = {}
             for v in distinct:
                 chord = _chord(v, n)
-                shared[v] = _checked(n, v, chord * root, chord)
+                try:
+                    shared[v] = _checked(n, v, chord * root, chord)
+                except OverflowError:
+                    i = values.index(v)
+                    raise ValueError(
+                        f"sigma(x, y) = {v} at ({xs[i]}, {ys[i]}) is too large "
+                        f"for float bounds at n = {n}"
+                    ) from None
         table.append([
             BoundViolated(f"{row} at ({x}, {y}), n={n}") if isinstance(row, str) else row
             for x, y, row in zip(xs, ys, map(shared.__getitem__, values))
@@ -189,14 +198,17 @@ def _checked(n: int, value: int, fro: float, op: float) -> DefectResult | str:
     """The measured norms at sigma(x, y) = value with their bounds, or a violation.
 
     The bounds are 2 pi |value| / n (operator) and sqrt(n) times it
-    (Frobenius), from the one correctly rounded division |value| / n, so
-    they stay finite wherever the chord does.  A norm above its bound
-    times 1 + BOUND_SLACK gives the violation's message instead, the
-    Frobenius bound checked first; `defects` names each pair with that
-    value in its own BoundViolated.
+    (Frobenius), from the one correctly rounded division |value| / n.  A
+    bound that is not a finite float, where the check would prove
+    nothing, raises OverflowError.  A norm above its bound times
+    1 + BOUND_SLACK gives the violation's message instead, the Frobenius
+    bound checked first; `defects` names each pair with that value in its
+    own BoundViolated.
     """
     op_bound = 2 * math.pi * (abs(value) / n)
     fro_bound = op_bound * math.sqrt(n)
+    if fro_bound == math.inf:
+        raise OverflowError("the bounds are not finite floats")
     for label, norm, limit in (("Frobenius", fro, fro_bound), ("operator", op, op_bound)):
         if norm > limit * (1 + BOUND_SLACK):
             return f"{label} defect {norm} exceeds bound {limit}"

@@ -9,10 +9,10 @@ cleared to a common denominator `den` once, and a point's value is
 the powers of the variables that actually occur.  `evaluate` returns that
 quotient as a Fraction; `evaluate_int` divides exactly and never builds a
 Fraction for integer input.  The same sum is exact for Fraction inputs.
-`scaled_columns` is that sum over many points at once: each variable is a
-column, a sequence of Python ints, and the sums come back as a list of
-Python ints, so every step stays exact at any coordinate size.  `evaluate_int_columns` is
-`evaluate_int` over columns, raising its error at the first row that fails.
+`evaluate_int_columns` is `evaluate_int` over many points at once: each
+variable is a column, a sequence of Python ints, so every step stays exact
+at any coordinate size, and it raises `evaluate_int`'s error at the first
+row that fails.
 `newton_coefficients` writes a polynomial in one variable's binomial
 basis, by v^e = sum_k surj(e, k) binom(v, k), and `box_witness`, in all
 of them, decides whether a polynomial is zero, or integer valued, and
@@ -211,22 +211,22 @@ class MultiPoly:
             f"{self} evaluated at {tuple(values)} gives non-integer {Fraction(total, den)}"
         )
 
-    def scaled_columns(self, columns: Sequence[Sequence[int] | None]) -> tuple[int, list[int]]:
-        """`(den, sums)`: den times the polynomial at every row of the columns.
+    def evaluate_int_columns(self, columns: Sequence[Sequence[int]]) -> list[int]:
+        """`evaluate_int` at every row of the columns.
 
         `columns` holds one sequence of Python ints per variable, all of one
         length, and row i is the point (columns[0][i], columns[1][i], ...).
-        A column that no term reads may be None, as long as some column is
-        given.  Every product is a Python int, so the sums are exact at any
-        coordinate size.
+        Every product is a Python int, so the scaled sums are exact at any
+        coordinate size.  Raises the NonIntegralValue that `evaluate_int`
+        raises at the first failing row.
         """
         if len(columns) != len(self.variables):
             raise ValueError(
                 f"expected {len(self.variables)} columns, got {len(columns)}"
             )
-        size = len(next(c for c in columns if c is not None))
+        size = len(columns[0])
         den, rows = self._scaled_form()
-        sums = [0] * size
+        total = [0] * size
         powers: dict[tuple[int, int], list[int]] = {}
         for num, factors in rows:
             term = [num] * size
@@ -234,16 +234,7 @@ class MultiPoly:
                 if (i, e) not in powers:
                     powers[i, e] = [v if e == 1 else v**e for v in columns[i]]
                 term = list(map(mul, term, powers[i, e]))
-            sums = list(map(add, sums, term))
-        return den, sums
-
-    def evaluate_int_columns(self, columns: Sequence[Sequence[int]]) -> list[int]:
-        """`evaluate_int` at every row of the columns (see `scaled_columns`).
-
-        Raises the NonIntegralValue that `evaluate_int` raises at the first
-        failing row.
-        """
-        den, total = self.scaled_columns(columns)
+            total = list(map(add, total, term))
         for i, t in enumerate(total):
             if t % den:
                 raise self._non_integral([c[i] for c in columns], t, den)

@@ -30,14 +30,13 @@ identity; neither forms a row or has a size limit.  This module
 re-exports `defects`, `defect`, `DefectResult` and `BOUND_SLACK` from
 there.
 
-A row's residues come from its Newton differences Delta^k p(x, 0), which
-are the values at x of the cocycle's Newton coefficients q_k, the fixed
-polynomials with p(x, y1) = sum_k q_k(x) C(y1, k) (`PolyCocycle.newton`):
-`_rows` evaluates them for any number of elements at once, in exact
-Python ints.  One private kernel, `_residues`, computes the values mod n
-at j = 0..n-1 of a batch of integer difference rows at one size, by one
-prefix sum mod n per degree in int64.  `build_rho` is its one-row case,
-and with it `chi_scalar_check`; both are dense oracles.
+`build_rho` builds the row of one element x from its Newton differences
+Delta^k p(x, 0), the values at x of the cocycle's Newton coefficients q_k,
+the fixed polynomials with p(x, y1) = sum_k q_k(x) C(y1, k)
+(`PolyCocycle.newton`), in exact Python ints.  One private kernel,
+`_residues`, turns those differences into the row's values mod n at
+j = 0..n-1, by one prefix sum mod n per degree on an int64 n-vector.
+`build_rho`, and with it `chi_scalar_check`, are dense oracles.
 
 The multiplicativity defect rho_n(x*y) - rho_n(x) rho_n(y) is thus the
 scalar chi_n(x, y)^{-1} - 1 times a unitary, giving the proven bounds
@@ -131,85 +130,50 @@ class PhaseShiftMatrix:
         return self.shift == 0 and bool(np.all(self.residues == self.residues[0]))
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """Rows p(x, t) of the cocycle at many elements x, in Newton form.
-
-    Row i is p(x, t) = sum_k differences[i][k] C(t, k) / den:
-    `differences` holds one list per element of den * Delta^k p(x, 0) in
-    Python ints, with den the common denominator of the cocycle's Newton
-    coefficients.  An admitted cocycle's rows are integer valued, so den
-    divides every difference (Polya).
-    """
-
-    den: int
-    differences: list[list[int]]
-
-
-def _rows(sigma: PolyCocycle, elements: Sequence[Sequence[int]]) -> _Rows:
-    """The rows of the elements, each a sequence of m ints.
-
-    Column k of the differences is the cocycle's Newton coefficient q_k
-    at every element (`PolyCocycle.newton`), from one `scaled_columns`
-    call, brought to the common denominator.
-    """
-    m = sigma.group.hirsch
-    den, coefficients = sigma.newton
-    columns = [*([g[k] for g in elements] for k in range(m)), None]
-    sums = [q.scaled_columns(columns) for q in coefficients]
-    scaled = [[v * (den // q_den) for v in s] for q_den, s in sums]
-    return _Rows(den, [list(row) for row in zip(*scaled)])
-
-
 def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     """The phase-shift unitary representing x at matrix size n.
 
     Raises what `PolyCocycle.admit` raises (ValidationError for the group
     law, InvalidCocycle for sigma), then the size's error (`_size_error`);
-    otherwise one kernel call on the row's integer Newton differences
-    gives the residues, past whose int64 limit it raises ValueError.
+    otherwise the row's Newton differences Delta^k p(x, 0), the cocycle's
+    Newton coefficients q_k at x (`PolyCocycle.newton`), give the residues
+    (`_residues`), past whose int64 limit it raises ValueError.  The
+    differences are Python ints: t -> p(x, t) is integer valued, so its
+    Newton differences are integers (Polya).
     """
     sigma.admit()
     x = sigma.group.element(x)
     error = _size_error(n, sigma.poly.denominator_lcm())
     if error is not None:
         raise error
-    rows = _rows(sigma, [x])
-    (row,) = rows.differences
-    return PhaseShiftMatrix(n, x[0], _residues(n, [[d // rows.den for d in row]])[0])
+    point = x + (0,)
+    differences = [q.evaluate_int(point) for q in sigma.newton]
+    return PhaseShiftMatrix(n, x[0], _residues(n, differences))
 
 
-def _residues(n: int, differences: Sequence[Sequence[int]]) -> np.ndarray:
-    """Values mod n at t = 0..n-1 of integer polynomials given by Newton differences.
+def _residues(n: int, differences: Sequence[int]) -> np.ndarray:
+    """Values mod n at t = 0..n-1 of q(t) = sum_k differences[k] C(t, k).
 
-    Row i is q(t) = sum_k differences[i][k] C(t, k), with integer
-    differences of any size, one row of equal width per polynomial.  From
-    the top degree down, Delta^k q(j) is Delta^k q(0) plus the exclusive
-    prefix sum of Delta^(k+1) q up to j, reduced mod n.  The summands lie
-    in [0, n), so every value stays below n * n; a size with
+    The differences are integers of any size.  From the top degree down,
+    Delta^k q(j) is Delta^k q(0) plus the exclusive prefix sum of
+    Delta^(k+1) q up to j, reduced mod n: one `np.cumsum` per degree.  The
+    summands lie in [0, n), so every sum stays below n * n; a size with
     n * n > 2^63 - 1 raises ValueError before any array is allocated.
-    Returns a contiguous int64 array of n columns.
+    Returns an int64 array of n values.
     """
     if n * n > np.iinfo(np.int64).max:
         raise ValueError(
             f"matrix size {n} is too large for int64 residue arithmetic "
             f"(n * n must not exceed 2^63 - 1)"
         )
-    table = np.array([[d % n for d in row] for row in differences], dtype=np.int64)
-    rows, width = table.shape
-    # Delta^k q(j) of row i sits at flat[i * n + j + k], so each level's
-    # prefix sum runs in place, one index before the level above: where it
-    # writes Delta^k q(j) it reads Delta^(k+1) q(j - 1).  Delta^k q(0)
-    # overwrites the previous row's Delta^(k+1) q(n - 1), which no exclusive
-    # sum reads.
-    flat = np.empty(rows * n + width - 1, dtype=np.int64)
-    flat[width - 1 :].reshape(rows, n)[:] = table[:, -1:]
-    for k in range(width - 2, -1, -1):
-        level = flat[k : k + rows * n].reshape(rows, n)
-        level[:, 0] = table[:, k]
-        np.cumsum(level, axis=1, out=level)
+    level = np.full(n, differences[-1] % n, dtype=np.int64)
+    for d in reversed(differences[:-1]):
+        # Shift the level above by one place, so its cumsum is exclusive.
+        level[1:] = level[:-1]
+        level[0] = d % n
+        np.cumsum(level, out=level)
         level %= n
-    return flat[: rows * n].reshape(rows, n)
+    return level
 
 
 # ----------------------------------------------------------------------

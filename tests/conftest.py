@@ -3,7 +3,9 @@ the pointwise promotion of a skinny cocycle, a Fraction specialization, the
 pair-by-pair defect measurement and the size-by-size exact winding pairing.
 
 The helpers here are deliberately written against the public definitions
-rather than against library internals, so they can serve as oracles.
+rather than against library internals, so they can serve as oracles.  The
+one exception, `record_kernel_calls`, is a probe, not an oracle: it
+records what `build_rho` hands its residue kernel.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from nilstab import representation
 from nilstab.cohomology import (
     Chain2,
     KernelCocycle,
@@ -100,6 +103,19 @@ def newton_differences_by_fractions(sigma: PolyCocycle, x) -> list[Fraction]:
         differences.append(values[0])
         values = [v - u for u, v in zip(values, values[1:])]
     return differences
+
+
+def record_kernel_calls(monkeypatch) -> list[list[int]]:
+    """The Newton differences of each `_residues` call from now on, one list per call."""
+    calls = []
+    kernel = representation._residues
+
+    def recording(n, differences):
+        calls.append(list(differences))
+        return kernel(n, differences)
+
+    monkeypatch.setattr(representation, "_residues", recording)
+    return calls
 
 
 def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:

@@ -27,7 +27,7 @@ from nilstab.cohomology import PolyCocycle, skinny_check
 from nilstab.errors import ValidationError
 from nilstab.groups import MalcevGroup, lattice
 from nilstab.poly import MultiPoly, _decode_json_int, xy_variables
-from nilstab.validation import make_rng, sample_coords
+from nilstab.validation import DEFAULT_SEED, make_rng, sample_coords
 
 
 @pytest.fixture()
@@ -354,6 +354,26 @@ def test_a_sweep_size_past_the_floats_is_a_usage_error(runner):
     assert result.exit_code == 0, everything(result)
     rows = result.stdout.splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["ok"] * 2 + ["skipped:not_coprime"] * 2
+
+
+def test_a_sweep_value_past_the_float_bounds_is_a_usage_error(runner):
+    # At --bound 10^400, sigma(x, y) = x2 * y1 / 17 has no float value, so
+    # the bound check would prove nothing: exit 2 naming the value, its
+    # pair and n, where an OverflowError used to escape.
+    bound = 10**400
+    x1, x2, y1, y2 = sample_coords(make_rng(DEFAULT_SEED), 4, bound)
+    assert abs(x2 * y1) // 17 > 2**1024
+    result = runner.invoke(
+        main,
+        ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--n", "17",
+         "--samples", "1", "--bound", str(bound)],
+    )
+    assert_refused(
+        result,
+        f"sigma(x, y) = {x2 * y1} at ({(x1, x2)}, {(y1, y2)}) is too large "
+        f"for float bounds at n = 17",
+    )
+    assert "Traceback" not in everything(result)
 
 
 def test_a_cycle_with_a_fractional_coordinate_is_a_usage_error(runner, tmp_path):

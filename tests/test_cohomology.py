@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boundary3, newton_differences_by_fractions, witness_blocks
+from conftest import (
+    boundary3,
+    newton_differences_by_fractions,
+    record_kernel_calls,
+    witness_blocks,
+)
 from nilstab.catalog import (
     heisenberg3,
     heisenberg_c1,
@@ -34,9 +39,11 @@ from nilstab.cohomology import (
     skinny_check,
 )
 from nilstab.errors import NonIntegralValue, ParseError
+from nilstab.extensions import central_extension, promoted_cocycle
 from nilstab.groups import lattice
 from nilstab.poly import MultiPoly, xy_variables
-from nilstab.representation import _rows
+from nilstab.representation import build_rho
+from nilstab.validation import make_rng, sample_coords
 
 Z2 = lattice(2)
 H3 = heisenberg3()
@@ -77,9 +84,9 @@ def test_poly_cocycle_requires_matching_variables():
 
 def test_newton_coefficients_of_heisenberg_skinny():
     sigma = heisenberg_skinny()
-    den, q = sigma.newton
+    q = sigma.newton
     # p((2,3,5), t) = (-13t - 3t^2) / 2 takes 0, -8, -19 at t = 0, 1, 2.
-    assert den == 1
+    assert [c.denominator_lcm() for c in q] == [1, 1, 1]
     assert [c.evaluate((2, 3, 5, 0)) for c in q] == [0, -8, -3]
     assert sigma.poly.denominator_lcm() == 2
 
@@ -97,11 +104,9 @@ rational_cocycles = st.dictionaries(
     st.tuples(*[st.integers(-(10**6), 10**6)] * 3),
 )
 def test_newton_coefficients_match_the_fraction_oracle(sigma, x):
-    # q_k(x) = Delta^k p(x, 0), and den clears every q_k.
-    den, q = sigma.newton
-    values = [c.evaluate(x + (0,)) for c in q]
+    # q_k(x) = Delta^k p(x, 0).
+    values = [c.evaluate(x + (0,)) for c in sigma.newton]
     assert values == newton_differences_by_fractions(sigma, x)
-    assert all((den * v).denominator == 1 for v in values)
 
 
 @settings(deadline=None, max_examples=60)
@@ -112,8 +117,7 @@ def test_newton_coefficients_match_the_fraction_oracle(sigma, x):
 def test_columns_match_the_scalar_evaluation_past_int64(sigma, points):
     # Rows (x1, x2, x3, y1) with coordinates up to 2^70, where any int64
     # step would overflow: sigma's columns equal evaluate_int row by row,
-    # or raise its error at the first row that is not integral, and the
-    # rows' Newton differences equal the Fraction oracle.
+    # or raise its error at the first row that is not integral.
     columns = [np.array(c, dtype=object) for c in zip(*points)]
     expected = []
     for point in points:
@@ -121,15 +125,39 @@ def test_columns_match_the_scalar_evaluation_past_int64(sigma, points):
             expected.append(sigma.poly.evaluate_int(point))
         except NonIntegralValue as exc:
             with pytest.raises(NonIntegralValue, match=re.escape(str(exc))):
-                sigma.value_columns(columns[:3], columns[3:])
+                sigma.value_columns(columns[:3], columns[3])
             break
     else:
-        values = sigma.value_columns(columns[:3], columns[3:])
+        values = sigma.value_columns(columns[:3], columns[3])
         assert values == expected and all(type(v) is int for v in values)
-    rows = _rows(sigma, [point[:3] for point in points])
-    for i, point in enumerate(points):
-        differences = [Fraction(d, rows.den) for d in rows.differences[i]]
-        assert differences == newton_differences_by_fractions(sigma, point[:3])
+
+
+@pytest.mark.parametrize(
+    "make_sigma",
+    [
+        heisenberg_skinny,
+        lambda: promoted_cocycle(central_extension(H3, heisenberg_skinny())),
+        lambda: heisenberg_skinny().scale(3),
+    ],
+    ids=["heisenberg3", "hirsch4", "scaled"],
+)
+def test_build_rho_reads_integer_newton_differences_past_int64(monkeypatch, make_sigma):
+    # The one row build_rho hands its kernel is Delta^k p(x, 0) in Python
+    # ints, with no common denominator: heisenberg_skinny (denominator 2),
+    # the Hirsch-4 cocycle (denominator 6) and 3 * heisenberg_skinny, at
+    # coordinates up to 2^70, where any int64 step would overflow.
+    sigma = make_sigma()
+    m = sigma.group.hirsch
+    calls = record_kernel_calls(monkeypatch)
+    rng = make_rng(29)
+    elements = [sample_coords(rng, m, 2**70) for _ in range(6)]
+    elements += [(1, 2, 3, 4)[:m], (-(2**70), 3 * 2**65, -7, 2**64 + 9)[:m]]
+    for x in elements:
+        build_rho(sigma, 5, x)
+        (differences,) = calls
+        assert all(type(d) is int for d in differences)
+        assert differences == newton_differences_by_fractions(sigma, x)
+        calls.clear()
 
 
 def test_kernel_cocycle_rejects_non_integer_values():

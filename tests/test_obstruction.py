@@ -17,6 +17,7 @@ from conftest import (
     certificate_runs_by_words,
     exact_expm,
     random_unitary_near_identity,
+    record_kernel_calls,
 )
 from nilstab import exact, representation
 from nilstab.catalog import (
@@ -512,14 +513,7 @@ def test_certificates_of_the_builtin_cycles_need_no_kernel_call(monkeypatch):
             tracemalloc.stop()
         assert [(run.n, run.rounded) for run in report.runs] == [(n, -1) for n in n_list]
         assert peak < 1 << 20
-    calls = []
-    kernel = representation._residues
-
-    def recording(n, differences):
-        calls.append(len(differences))
-        return kernel(n, differences)
-
-    monkeypatch.setattr(representation, "_residues", recording)
+    calls = record_kernel_calls(monkeypatch)
     for name, n_list in [
         ("lattice:2", [17, 33, big]),
         ("heisenberg3", list(range(17, 130, 2)) + [big]),

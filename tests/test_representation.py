@@ -11,7 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import defect_ulps, defects_by_pairs, specialize_first_by_fractions
+from conftest import (
+    defect_ulps,
+    defects_by_pairs,
+    record_kernel_calls,
+    specialize_first_by_fractions,
+)
 from nilstab.catalog import heisenberg3, heisenberg_skinny, z2_skinny
 from nilstab.cohomology import Chain2, PolyCocycle, cocycle_check
 from nilstab.errors import (
@@ -550,19 +555,6 @@ def test_defects_match_the_oracle_on_non_integral_rows():
     assert {type(row) for row in table[1]} == {NotCoprime}
 
 
-def record_kernel_calls(monkeypatch) -> list[int]:
-    # The number of rows in each `_residues` call from now on.
-    calls = []
-    kernel = representation._residues
-
-    def recording(n, differences):
-        calls.append(len(differences))
-        return kernel(n, differences)
-
-    monkeypatch.setattr(representation, "_residues", recording)
-    return calls
-
-
 def test_defects_bound_their_memory_at_large_n(monkeypatch):
     # heisenberg_skinny is a cocycle, so every pair's gap is the constant
     # -sigma(x, y) mod n: no residue and no n-entry table is computed, and
@@ -670,6 +662,29 @@ def test_the_bound_check_is_relative_at_every_size():
             assert math.isfinite(row.frobenius_bound) and math.isfinite(row.operator_bound)
 
 
+def test_defects_refuse_a_value_whose_bounds_are_not_finite():
+    # sigma((x1, x2), y) = x2 * y1.  Past the floats lie |sigma| / n
+    # (2^2000 / 17), 2 pi |sigma| / n (2 pi * 2^1023) and a Frobenius bound
+    # sqrt(n) times a finite operator bound (2^530 * 2^500): each is a
+    # ValueError naming sigma(x, y), the first pair with it and n, where
+    # the bound check would prove nothing.
+    sigma = z2_skinny()
+    for n, value in ((17, 2**2000), (17, 17 * 2**1023), (2**1000 + 1, 2**1530)):
+        pairs = [((0, 1), (3, 0)), ((0, value), (1, 0)), ((0, 1), (value, 5))]
+        for refused, first in (
+            (lambda: defects(sigma, [n], pairs), pairs[1]),
+            (lambda: defect(sigma, n, *pairs[2]), pairs[2]),
+        ):
+            with pytest.raises(ValueError) as info:
+                refused()
+            assert str(info.value) == (
+                f"sigma(x, y) = {value} at {first} is too large for float bounds at n = {n}"
+            )
+    # Just below, at 2 pi * 2^1019 * sqrt(17) < 2^1024, the row is measured.
+    row = defect(sigma, 17, (0, 17 * 2**1019), (1, 0))
+    assert math.isfinite(row.frobenius_bound) and row.operator_bound == 2 * math.pi * 2**1019
+
+
 def test_defects_refuse_a_malformed_pair_as_the_group_does():
     # The pairs' coordinates are checked as `MalcevGroup.element` checks
     # them, every x before every y, and the first bad one is named.
@@ -746,13 +761,13 @@ def test_chi_scalar_check_forms_the_word_from_phase_shift_products(monkeypatch):
     sigma = heisenberg_skinny()
     x, y = (1, 2, -3), (4, 0, 5)
     chi = chi_scalar_check(sigma, 33, x, y)
-    assert calls == [1, 1, 1]
+    assert len(calls) == 3
     assert sorted(products) == ["adjoint", "adjoint", "compose", "compose"]
     residue = sigma(x, y) % 33
     assert abs(chi.value - cmath.exp(2j * math.pi * residue / 33)) < 1e-13
     with pytest.raises(NotCoprime):
         chi_scalar_check(sigma, 32, x, y)
-    assert calls == [1, 1, 1]
+    assert len(calls) == 3
 
 
 def test_defects_are_the_chords_of_the_cocycle_value():
