@@ -160,6 +160,8 @@ def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
         report = certify_nonperturbability(group, sigma, chain, n_list)
     except NilstabError as exc:
         _fail(exc)
+    except ValueError as exc:  # a pairing past the float winding
+        _fail(exc, 2)
     text = _json_text(report.to_json()) + "\n"
     _emit(text, out_path)
     sys.exit(0)

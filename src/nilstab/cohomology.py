@@ -73,15 +73,6 @@ class PolyCocycle:
     def as_kernel(self) -> "KernelCocycle":
         return KernelCocycle(self.group, self.__call__, name=self.name)
 
-    def value_columns(self, x: Sequence[Sequence[int]], y1: Sequence[int]) -> list[int]:
-        """sigma(x, y) for rows of pairs: x as m coordinate columns, y as its y1 column.
-
-        sigma reads y only through y1, so no other coordinate of y is
-        given.  The columns are sequences of Python ints.  Raises the
-        NonIntegralValue that sigma(x, y) raises at the first failing row.
-        """
-        return self.poly.evaluate_int_columns([*x, y1])
-
     @cached_property
     def proof(self) -> ValidationReport:
         """`cocycle_check`'s exact report on this cocycle, computed once."""

@@ -139,30 +139,29 @@ def defects(
     coefficient denominator gives NotCoprime for every pair, carrying the
     pair's sigma(x, y).
 
-    The pair-only work is sigma(x, y) for all pairs at once, on exact
-    integer columns (`PolyCocycle.value_columns`); no group product is
-    formed.  The admitted law adds first coordinates, so every entry of
-    rho_n(x*y) - rho_n(x) rho_n(y) has the modulus `_chord(sigma(x, y), n)`
-    (see the module docstring): the operator norm is that chord and the
-    Frobenius norm is sqrt(n) times it; no residue or matrix is formed.
-    Each size measures and checks each distinct value once, and the pairs
-    that share it share its entry, so a size costs O(distinct sigma) plus
-    one lookup per pair.  A measured norm above its proven bound by more
-    than the relative `BOUND_SLACK` gives each such pair a BoundViolated
-    naming it; that would falsify the construction, not the sample.  A
-    coprime size too large for a float (from about 2^1024 on), where
-    sqrt(n) has no value, raises ValueError naming it.  So does a value
-    whose bounds are not finite floats (|sigma(x, y)| / sqrt(n) from
-    about 2^1021 on), naming it, the first pair with it, and n.
+    The pair-only work is one exact evaluation of sigma(x, y) per pair;
+    no group product is formed.  The admitted law adds first coordinates,
+    so every entry of rho_n(x*y) - rho_n(x) rho_n(y) has the modulus
+    `_chord(sigma(x, y), n)` (see the module docstring): the operator
+    norm is that chord and the Frobenius norm is sqrt(n) times it; no
+    residue or matrix is formed.  Each size measures and checks each
+    distinct value once, and the pairs that share it share its entry, so a
+    size costs O(distinct sigma) plus one lookup per pair.  A measured
+    norm above its proven bound by more than the relative `BOUND_SLACK`
+    gives each such pair a BoundViolated naming it; that would falsify the
+    construction, not the sample.  A coprime size too large for a float
+    (from about 2^1024 on), where sqrt(n) has no value, raises ValueError
+    naming it.  So does a value whose bounds are not finite floats
+    (|sigma(x, y)| / sqrt(n) from about 2^1021 on), naming it (by its bit
+    length past the int-to-str limit), the first pair with it, and n.
     """
     sigma.admit()
     group = sigma.group
     den = sigma.poly.denominator_lcm()
     xs = [group.element(x) for x, _ in pairs]
     ys = [group.element(y) for _, y in pairs]
-    values = sigma.value_columns(
-        [[g[k] for g in xs] for k in range(group.hirsch)], [g[0] for g in ys]
-    )
+    evaluate = sigma.poly.evaluate_int
+    values = [evaluate(x + y[:1]) for x, y in zip(xs, ys)]
     distinct = dict.fromkeys(values)
     table = []
     for n in sizes:
@@ -184,7 +183,7 @@ def defects(
                 except OverflowError:
                     i = values.index(v)
                     raise ValueError(
-                        f"sigma(x, y) = {v} at ({xs[i]}, {ys[i]}) is too large "
+                        f"sigma(x, y) = {_int_text(v)} at ({xs[i]}, {ys[i]}) is too large "
                         f"for float bounds at n = {n}"
                     ) from None
         table.append([
@@ -192,6 +191,14 @@ def defects(
             for x, y, row in zip(xs, ys, map(shared.__getitem__, values))
         ])
     return table
+
+
+def _int_text(value: int) -> str:
+    """value in decimal, or by its bit length past Python's int-to-str limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
 def _checked(n: int, value: int, fro: float, op: float) -> DefectResult | str:
@@ -351,7 +358,8 @@ def certify_nonperturbability(
     any size is looked at; then ValueError if group is not sigma's group
     or n_list is empty, NotACycle if the chain has a boundary,
     TorsionPairing if the cocycle pairs to zero (no obstruction to
-    certify), and then the first failing size's error: NotCoprime,
+    certify), ValueError if the pairing has no float value for the runs'
+    `raw`, and then the first failing size's error: NotCoprime,
     TermOutOfRange if a summed word leaves the convergence ball, or
     PairingMismatch if the winding disagrees with the prediction.  Every
     other size is valid, however large.
@@ -369,6 +377,12 @@ def certify_nonperturbability(
         raise TorsionPairing(
             "the cocycle pairs to zero against this cycle; nothing to certify"
         )
+    try:
+        float(s)
+    except OverflowError:
+        raise ValueError(
+            f"the pairing <sigma, c> = {_int_text(s)} is too large for a float winding"
+        ) from None
     runs = []
     for run in _exact_runs(sigma, chain, n_list):
         if run.rounded != -s:

@@ -54,12 +54,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .cohomology import Chain2, PolyCocycle, boundary2
-from .errors import (
-    DimensionMismatch,
-    NotACycle,
-    TermOutOfRange,
-    TooFarFromIdentity,
-)
+from .errors import NotACycle, TermOutOfRange, TooFarFromIdentity
 # The exact path's certificate, re-exported with its report types and
 # constants; the dense pairing shares SUMMED_WORD and PERTURBATION_RADIUS.
 from .exact import (
@@ -71,7 +66,7 @@ from .exact import (
     certify_nonperturbability,
 )
 from .groups import Element, MalcevGroup
-from .representation import build_rho, frobenius_norm, operator_norm
+from .representation import _square, build_rho, frobenius_norm, operator_norm
 from .validation import DEFAULT_SEED
 
 PRECONDITION_MARGIN = 1e-8
@@ -81,13 +76,6 @@ RESIDUAL_TOL = 1e-6
 DOMAIN_TOL = 1e-8
 
 UnitaryFamily = Union[Mapping[Element, np.ndarray], Callable[[Element], np.ndarray]]
-
-
-def _square(matrix) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {matrix.shape}")
-    return matrix
 
 
 def _require(gap: np.ndarray, domain: str) -> None:

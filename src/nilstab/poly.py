@@ -9,10 +9,6 @@ cleared to a common denominator `den` once, and a point's value is
 the powers of the variables that actually occur.  `evaluate` returns that
 quotient as a Fraction; `evaluate_int` divides exactly and never builds a
 Fraction for integer input.  The same sum is exact for Fraction inputs.
-`evaluate_int_columns` is `evaluate_int` over many points at once: each
-variable is a column, a sequence of Python ints, so every step stays exact
-at any coordinate size, and it raises `evaluate_int`'s error at the first
-row that fails.
 `newton_coefficients` writes a polynomial in one variable's binomial
 basis, by v^e = sum_k surj(e, k) binom(v, k), and `box_witness`, in all
 of them, decides whether a polynomial is zero, or integer valued, and
@@ -24,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import NonIntegralValue, ParseError
@@ -201,44 +196,10 @@ class MultiPoly:
         den, total = self._scaled_sum(values)
         value, remainder = divmod(total, den)
         if remainder:
-            raise self._non_integral(values, total, den)
-        return value
-
-    def _non_integral(
-        self, values: Sequence[Scalar], total: int, den: int
-    ) -> NonIntegralValue:
-        return NonIntegralValue(
-            f"{self} evaluated at {tuple(values)} gives non-integer {Fraction(total, den)}"
-        )
-
-    def evaluate_int_columns(self, columns: Sequence[Sequence[int]]) -> list[int]:
-        """`evaluate_int` at every row of the columns.
-
-        `columns` holds one sequence of Python ints per variable, all of one
-        length, and row i is the point (columns[0][i], columns[1][i], ...).
-        Every product is a Python int, so the scaled sums are exact at any
-        coordinate size.  Raises the NonIntegralValue that `evaluate_int`
-        raises at the first failing row.
-        """
-        if len(columns) != len(self.variables):
-            raise ValueError(
-                f"expected {len(self.variables)} columns, got {len(columns)}"
+            raise NonIntegralValue(
+                f"{self} evaluated at {tuple(values)} gives non-integer {Fraction(total, den)}"
             )
-        size = len(columns[0])
-        den, rows = self._scaled_form()
-        total = [0] * size
-        powers: dict[tuple[int, int], list[int]] = {}
-        for num, factors in rows:
-            term = [num] * size
-            for i, e in factors:
-                if (i, e) not in powers:
-                    powers[i, e] = [v if e == 1 else v**e for v in columns[i]]
-                term = list(map(mul, term, powers[i, e]))
-            total = list(map(add, total, term))
-        for i, t in enumerate(total):
-            if t % den:
-                raise self._non_integral([c[i] for c in columns], t, den)
-        return total if den == 1 else [t // den for t in total]
+        return value
 
     # ------------------------------------------------------------------
     # structural operations

@@ -184,12 +184,17 @@ def frobenius_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix))
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value of a square matrix, from LAPACK's SVD."""
+def _square(matrix) -> np.ndarray:
+    """The matrix as a complex array, or DimensionMismatch if it is not square."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {matrix.shape}")
-    return float(np.linalg.norm(matrix, 2))
+    return matrix
+
+
+def operator_norm(matrix: np.ndarray) -> float:
+    """Largest singular value of a square matrix, from LAPACK's SVD."""
+    return float(np.linalg.norm(_square(matrix), 2))
 
 
 # ----------------------------------------------------------------------

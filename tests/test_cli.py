@@ -357,21 +357,51 @@ def test_a_sweep_size_past_the_floats_is_a_usage_error(runner):
 
 
 def test_a_sweep_value_past_the_float_bounds_is_a_usage_error(runner):
-    # At --bound 10^400, sigma(x, y) = x2 * y1 / 17 has no float value, so
-    # the bound check would prove nothing: exit 2 naming the value, its
-    # pair and n, where an OverflowError used to escape.
-    bound = 10**400
-    x1, x2, y1, y2 = sample_coords(make_rng(DEFAULT_SEED), 4, bound)
-    assert abs(x2 * y1) // 17 > 2**1024
+    # At --bound 10^400, sigma(x, y) = x2 * y1 has no float value over 17,
+    # so the bound check would prove nothing: exit 2 naming the value, its
+    # pair and n, where an OverflowError used to escape.  At 4,290 nines
+    # the value is past Python's 4,300-digit int-to-str limit, so it is
+    # named by its bit length.
+    for bound in (10**400, int("9" * 4290)):
+        x1, x2, y1, y2 = sample_coords(make_rng(DEFAULT_SEED), 4, bound)
+        value = x2 * y1
+        assert abs(value) // 17 > 2**1024
+        if bound == 10**400:
+            text = str(value)
+        else:
+            with pytest.raises(ValueError, match="4300"):
+                str(value)
+            text = f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        result = runner.invoke(
+            main,
+            ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--n", "17",
+             "--samples", "1", "--bound", str(bound)],
+        )
+        assert_refused(
+            result,
+            f"sigma(x, y) = {text} at ({(x1, x2)}, {(y1, y2)}) is too large "
+            f"for float bounds at n = 17",
+        )
+        assert "Traceback" not in everything(result)
+
+
+def test_a_pairing_past_the_float_winding_is_a_usage_error(runner, tmp_path):
+    # Chain coefficients are decimal strings past int64, so a cycle may
+    # pair to 10^400, which no run's float `raw` can hold: exit 2 naming
+    # the pairing, with no traceback.
+    wide = 10**400
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps([
+        {"coef": str(wide), "a": [0, 1], "b": [1, 0]},
+        {"coef": str(-wide), "a": [1, 0], "b": [0, 1]},
+    ]))
     result = runner.invoke(
         main,
-        ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--n", "17",
-         "--samples", "1", "--bound", str(bound)],
+        ["certify", "--group", "lattice:2", "--cocycle", "z2_skinny",
+         "--cycle", str(path), "--n", "7"],
     )
     assert_refused(
-        result,
-        f"sigma(x, y) = {x2 * y1} at ({(x1, x2)}, {(y1, y2)}) is too large "
-        f"for float bounds at n = 17",
+        result, f"the pairing <sigma, c> = {wide} is too large for a float winding"
     )
     assert "Traceback" not in everything(result)
 

@@ -7,7 +7,6 @@ import json
 import re
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,29 +106,6 @@ def test_newton_coefficients_match_the_fraction_oracle(sigma, x):
     # q_k(x) = Delta^k p(x, 0).
     values = [c.evaluate(x + (0,)) for c in sigma.newton]
     assert values == newton_differences_by_fractions(sigma, x)
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    st.one_of(st.just(heisenberg_skinny()), rational_cocycles),
-    st.lists(st.tuples(*[st.integers(-(2**70), 2**70)] * 4), min_size=1, max_size=8),
-)
-def test_columns_match_the_scalar_evaluation_past_int64(sigma, points):
-    # Rows (x1, x2, x3, y1) with coordinates up to 2^70, where any int64
-    # step would overflow: sigma's columns equal evaluate_int row by row,
-    # or raise its error at the first row that is not integral.
-    columns = [np.array(c, dtype=object) for c in zip(*points)]
-    expected = []
-    for point in points:
-        try:
-            expected.append(sigma.poly.evaluate_int(point))
-        except NonIntegralValue as exc:
-            with pytest.raises(NonIntegralValue, match=re.escape(str(exc))):
-                sigma.value_columns(columns[:3], columns[3])
-            break
-    else:
-        values = sigma.value_columns(columns[:3], columns[3])
-        assert values == expected and all(type(v) is int for v in values)
 
 
 @pytest.mark.parametrize(

@@ -558,6 +558,25 @@ def test_certificate_requires_a_nonzero_pairing():
         )
 
 
+@pytest.mark.parametrize(
+    "wide, named",
+    [(10**400, str(10**400)), (2**20000, "an integer of 20001 bits")],
+    ids=["decimal", "bit-length"],
+)
+def test_certificate_requires_a_pairing_with_a_float_value(wide, named):
+    # Every run's raw is float(-<sigma, c>); a pairing past the floats is
+    # refused before any run, by its bit length past the int-to-str limit.
+    chain = Chain2.build([(wide, (0, 1), (1, 0)), (-wide, (1, 0), (0, 1))])
+    assert pair_cocycle_cycle(z2_skinny(), chain) == wide
+    message = f"the pairing <sigma, c> = {named} is too large for a float winding"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        certify_nonperturbability(Z2, z2_skinny(), chain, [7])
+    # A pairing of 2^1023 has a float value and is certified.
+    chain = Chain2.build([(2**1023, (0, 1), (1, 0)), (-(2**1023), (1, 0), (0, 1))])
+    (run,) = certify_nonperturbability(Z2, z2_skinny(), chain, [7]).runs
+    assert (run.rounded, run.raw) == (-(2**1023), -(2.0**1023))
+
+
 def test_certificate_requires_the_cocycles_group():
     # law_1 = x1 + y1 + x2*y2 is no group law, but it multiplies the
     # voiculescu cycle's elements as Z^2 does; only z2_skinny's own group,
