@@ -20,7 +20,7 @@ import click
 from . import __version__, catalog
 from .cohomology import skinny_check
 from .errors import BoundViolated, NilstabError, NotCoprime, ParseError, ValidationError
-from .exact import certify_nonperturbability, defects
+from .exact import _int_text, certify_nonperturbability, defects
 from .validation import DEFAULT_SEED, make_rng, sample_coords
 
 
@@ -202,17 +202,22 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     texts = [f"{';'.join(map(str, x))},{';'.join(map(str, y))}" for x, y in pairs]
     for n, rows in zip(n_list, table):
         tails: dict[int, str] = {}
-        for text, row in zip(texts, rows):
+        for (x, y), text, row in zip(pairs, texts, rows):
             if isinstance(row, BoundViolated):
                 click.echo(f"error: {row}", err=True)
                 failed = True
                 continue
             tail = tails.get(row.sigma_xy)
             if tail is None:
+                try:
+                    value = str(row.sigma_xy)
+                except ValueError:  # past the int-to-str limit: only a skipped row gets here
+                    _fail(ValueError(f"sigma(x, y) = {_int_text(row.sigma_xy)} at ({x}, {y}) "
+                                     f"is too large to write in decimal at n = {n}"), 2)
                 tail = tails[row.sigma_xy] = (
-                    f"{row.sigma_xy},,,,,skipped:not_coprime"
+                    f"{value},,,,,skipped:not_coprime"
                     if isinstance(row, NotCoprime)
-                    else f"{row.sigma_xy},{row.frobenius!r},{row.frobenius_bound!r},"
+                    else f"{value},{row.frobenius!r},{row.frobenius_bound!r},"
                     f"{row.operator!r},{row.operator_bound!r},ok"
                 )
             lines.append(f"{n},{text},{tail}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import InvalidCocycle, NonIntegralValue, ParseError, ValidationError
+from .errors import InvalidCocycle, NonIntegralValue, ParseError
 from .groups import Element, MalcevGroup, symbolic_triple
 from .poly import (
     MultiPoly,
@@ -82,7 +82,7 @@ class PolyCocycle:
         """Raise unless the group law's and this cocycle's proofs passed.
 
         ValidationError, with the failed checks' witnesses, when the group
-        law fails its proof (`MalcevGroup.proof`), and then InvalidCocycle
+        law fails its proof (`MalcevGroup.admit`), and then InvalidCocycle
         when the cocycle fails `proof`.  An admitted cocycle's group law is
         triangular and satisfies the identity laws, so law_1 = x1 + y1
         exactly.  The cocycle is normalized and integer valued, and its
@@ -93,11 +93,7 @@ class PolyCocycle:
         Skinniness needs no further check: the kernel condition
         p(0, x2..xm, 0) = 0 is a case of p(x, 0) = 0.
         """
-        group_proof = self.group.proof
-        if not group_proof.ok:
-            raise ValidationError(
-                "the group law failed its proof:\n" + group_proof.summary(), group_proof
-            )
+        self.group.admit()
         if not self.proof.ok:
             raise InvalidCocycle("the cocycle failed its proof:\n" + self.proof.summary())
 

@@ -35,11 +35,9 @@ here, so both paths are reachable from either module.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from . import __version__
@@ -241,21 +239,21 @@ def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> De
 class CertificateRun(NamedTuple):
     """The winding at one matrix size and how it was obtained.
 
-    `winding` is exact and `raw` is its float value.  `margin` is
-    n - 6 max_t |centred(-sigma(a_t, b_t))| over the terms t: positive
+    `winding` is exact, an integer, and `raw` is its float value.  `margin`
+    is n - 6 max_t |centred(-sigma(a_t, b_t))| over the terms t: positive
     means every summed word is inside the convergence ball.  `terms` holds
-    each chain term's contribution coef * centred(-sigma(a, b)); they sum
-    to `winding`.  In JSON, `n` and `margin` past int64 are decimal
-    strings, as wide chain coefficients are.
+    each chain term's integer contribution coef * centred(-sigma(a, b));
+    they sum to `winding`.  In JSON, `n` and `margin` past int64 are
+    decimal strings, as wide chain coefficients are.
     """
 
     n: int
     raw: float
     rounded: int | None
     path: str
-    winding: Fraction
+    winding: int
     margin: int
-    terms: tuple[Fraction, ...]
+    terms: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -316,7 +314,6 @@ def _exact_runs(
     """
     den = sigma.poly.denominator_lcm()
     words = [(index, coef, -sigma(a, b)) for index, (coef, a, b) in enumerate(chain.terms)]
-    fraction = functools.cache(Fraction)  # the runs share one Fraction per value
     for n in n_list:
         error = _size_error(n, den)
         if error is not None:
@@ -338,8 +335,7 @@ def _exact_runs(
             contributions.append(coef * value)
         winding = sum(contributions)
         yield CertificateRun(
-            n, float(winding), winding, "exact", fraction(winding), n - 6 * widest,
-            tuple(map(fraction, contributions)),
+            n, float(winding), winding, "exact", winding, n - 6 * widest, tuple(contributions)
         )
 
 

@@ -10,9 +10,9 @@ the last coordinate.  This module also promotes a skinny cocycle on G to
 a skinny cocycle on the extension group that pairs to k against the cycle
 [a | z^k] - [z^k | a] (a the first-coordinate generator lift, z the
 central generator).  The promotion is derived in closed form from exact
-polynomial operations (powers of a, conjugation by a, a discrete sum) and
-proved before it is returned.  `interpolate_polynomial_cocycle` fits
-polynomial representatives to pointwise kernels by exact finite
+polynomial operations (powers of a, conjugation by a, discrete sums) and
+admitted (`admit()`) before it is returned.  `interpolate_polynomial_cocycle`
+fits polynomial representatives to pointwise kernels by exact finite
 differences.
 """
 
@@ -34,8 +34,6 @@ from .cohomology import (
 )
 from .errors import (
     DegreeBoundTooSmall,
-    InvalidCocycle,
-    NilstabError,
     NotASection,
     NotSkinny,
     PairingMismatch,
@@ -73,8 +71,9 @@ def central_extension(
 
     The extension group is called `name`, by default after its parts; it
     is named here, so that its one proof is the one a caller reports.
-    Raises InvalidCocycle unless sigma is proved a normalized, integer
-    valued cocycle and the extension law is proved a group law.
+    Raises what `sigma.admit()` raises (ValidationError for the base law,
+    InvalidCocycle for sigma), then ValidationError unless the extension
+    law is admitted (`MalcevGroup.admit`).
     """
     if sigma.group is not group and sigma.group != group:
         raise ValueError("cocycle lives on a different group")
@@ -96,14 +95,8 @@ def central_extension(
         tuple(law),
         name=name or f"ext({group.name or 'group'}; {sigma.name})",
     )
-    report = sigma.proof
-    if not report.ok:
-        raise InvalidCocycle("cocycle failed validation:\n" + report.summary())
-    total_report = total.proof
-    if not total_report.ok:
-        raise InvalidCocycle(
-            "extension law failed validation:\n" + total_report.summary()
-        )
+    sigma.admit()
+    total.admit()
     return CentralExtension(base=group, total=total, cocycle=sigma)
 
 
@@ -187,13 +180,17 @@ def promoted_cocycle(ext: CentralExtension, name: str = "") -> PolyCocycle:
     U(g) = S(g_1 + 1) - S(1), into the central extension of E by Z that
     splits E as (Z x K) x| Z (K the kernel of alpha in the base, z the new
     central generator).  Every step is exact polynomial arithmetic in
-    Mal'cev coordinates: a^w is polynomial in w, conjugation by a is the
-    group law, and S is summed in the binomial basis.  The result is proved
-    a normalized, integer valued skinny cocycle pairing 1 with c_1; a
-    failed proof raises.  The result is named `name`, by default
+    Mal'cev coordinates: each coordinate of a^w is a discrete sum in w
+    (`_power_of_first_generator`), conjugation by a is the group law, and
+    S is summed in the binomial basis.  The extension law is admitted
+    first and the result last (`admit()` raises on a failed proof); an
+    admitted result is skinny, as it reads y through y1 alone and its
+    kernel condition is a case of p(x, 0) = 0.  PairingMismatch if it does
+    not pair 1 with c_1.  The result is named `name`, by default
     promoted(<name of the extension's cocycle>).
     """
     total = ext.total
+    total.admit()
     m = total.hirsch
     power = _power_of_first_generator(total)
     variables = xy_variables(m, 1)
@@ -210,12 +207,7 @@ def promoted_cocycle(ext: CentralExtension, name: str = "") -> PolyCocycle:
     omega = s.compose(x + [x[0] + 1]) - s.compose(x + [x[0] + i + 1])
     sigma = PolyCocycle(total, omega, name=name or f"promoted({ext.cocycle.name})")
 
-    report = sigma.proof
-    if not report.ok:
-        raise InvalidCocycle("promoted cocycle failed its proof:\n" + report.summary())
-    thin = skinny_check(sigma)
-    if not thin.ok:
-        raise NotSkinny("promoted cocycle is not skinny:\n" + thin.summary())
+    sigma.admit()
     pairing = pair_cocycle_cycle(sigma, central_commutator_cycle(ext, 1))
     if pairing != 1:
         raise PairingMismatch(f"promoted cocycle pairs to {pairing} with c_1, not 1")
@@ -225,31 +217,19 @@ def promoted_cocycle(ext: CentralExtension, name: str = "") -> PolyCocycle:
 def _power_of_first_generator(group: MalcevGroup) -> list[MultiPoly]:
     """The coordinates of a^w, a = (1, 0, ..., 0), as polynomials in w.
 
-    Newton interpolation through w = 0..m+1, then a proof for every integer
-    w: P(0) = e and P(w) * a = P(w + 1) as polynomial identities, so
-    P(w) = a^w by induction upward and, multiplying by a^-1, downward.
+    The group must be admitted.  Its triangular law_i reads x_i only as
+    the summand x_i, so (a^(w+1))_i - (a^w)_i is law_i at x = a^w with x_i
+    and the coordinates after it set to 0 and y = a: a polynomial in the
+    coordinates (a^w)_j, j < i, found before it.  Each coordinate is then
+    the discrete antiderivative of its step with value 0 at w = 0.
     """
-    m = group.hirsch
-    a = group.basis(1)
-    values = [group.identity]
-    for _ in range(m + 1):
-        values.append(group.multiply(values[-1], a))
-    w = MultiPoly.variable(("w",), 0)
-    power = [MultiPoly.zero(w.variables) for _ in range(m)]
-    binomial = MultiPoly.constant(w.variables, 1)  # binom(w, k)
-    columns = [list(c) for c in zip(*values)]
-    for k in range(m + 2):
-        power = [p + col[0] * binomial for p, col in zip(power, columns)]
-        columns = [[v - u for u, v in zip(col, col[1:])] for col in columns]
-        binomial = binomial * (w - k) * Fraction(1, k + 1)
-    a_const = [MultiPoly.constant(w.variables, c) for c in a]
-    if tuple(p.evaluate((0,)) for p in power) != group.identity or (
-        group.multiply_symbolic(power, a_const) != [p.compose([w + 1]) for p in power]
-    ):
-        raise NilstabError(
-            f"a^w in {group.name or 'the group'} is not a polynomial of degree "
-            f"at most {m + 1} in w"
-        )
+    w = ("w",)
+    zero = [MultiPoly.zero(w)] * group.hirsch
+    a = [MultiPoly.constant(w, c) for c in group.basis(1)]
+    power: list[MultiPoly] = []
+    for law in group.law:
+        step = law.compose(power + zero[len(power):] + a)
+        power.append(_antiderivative(step, 0))
     return power
 
 

@@ -10,7 +10,8 @@ triangular,
 which makes the zero tuple the identity and lets inverses be solved by
 back substitution.  `MalcevGroup.validate` proves this and associativity
 as polynomial identities, and proves each law integer valued; nothing is
-sampled.  Each group object is proved at most once (`MalcevGroup.proof`).
+sampled.  Each group object is proved at most once (`MalcevGroup.proof`),
+and `MalcevGroup.admit` raises when that proof failed.
 """
 
 from __future__ import annotations
@@ -181,6 +182,13 @@ class MalcevGroup:
         """`validate`'s report on this group, computed once."""
         return self.validate()
 
+    def admit(self) -> None:
+        """Raise ValidationError, with the failed checks' witnesses, unless `proof` passed."""
+        if not self.proof.ok:
+            raise ValidationError(
+                "the group law failed its proof:\n" + self.proof.summary(), self.proof
+            )
+
     # ------------------------------------------------------------------
     # quotient
 
@@ -228,7 +236,7 @@ def lattice(m: int) -> MalcevGroup:
 
 
 def from_document(doc: Mapping) -> MalcevGroup:
-    """Build a group from its JSON document; raise ValidationError unless its `proof` passes."""
+    """Build a group from its JSON document; raise ValidationError unless it is admitted."""
     if not isinstance(doc, Mapping):
         raise ParseError(f"group document must be an object, got {type(doc).__name__}")
     try:
@@ -245,10 +253,7 @@ def from_document(doc: Mapping) -> MalcevGroup:
     if not isinstance(name, str):
         raise ParseError("group name must be a string")
     group = MalcevGroup(hirsch, law, name=name)
-    if not group.proof.ok:
-        raise ValidationError(
-            "group document failed validation:\n" + group.proof.summary(), group.proof
-        )
+    group.admit()
     return group
 
 

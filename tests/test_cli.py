@@ -25,6 +25,7 @@ from nilstab.catalog import z2_skinny
 from nilstab.cli import _json_text, main
 from nilstab.cohomology import PolyCocycle, skinny_check
 from nilstab.errors import ValidationError
+from nilstab.extensions import central_commutator_cycle, central_extension, promoted_cocycle
 from nilstab.groups import MalcevGroup, lattice
 from nilstab.poly import MultiPoly, _decode_json_int, xy_variables
 from nilstab.validation import DEFAULT_SEED, make_rng, sample_coords
@@ -205,7 +206,7 @@ def test_an_invalid_group_document_fails_cleanly(runner, broken_group, args):
     result = runner.invoke(main, [*args, "--group", broken_group])
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert everything(result).startswith("error: group document failed validation")
+    assert everything(result).startswith("error: the group law failed its proof")
     assert "Traceback" not in everything(result)
 
 
@@ -222,6 +223,42 @@ def test_certify_emits_a_json_certificate(runner):
     assert [run["n"] for run in doc["runs"]] == [16, 32]
     assert all(run["rounded"] == -1 for run in doc["runs"])
     assert "seed" not in doc  # certify draws no random numbers
+
+
+def test_a_promoted_tower_certifies_from_its_documents(runner, tmp_path):
+    # Z by x1*y1, promoted and extended once more: a Hirsch-3 law whose a^w
+    # is not (w, 0, 0), and a promoted cocycle with denominator 4.
+    variables = xy_variables(1, 1)
+    square = PolyCocycle(
+        lattice(1), MultiPoly.variable(variables, 0) * MultiPoly.variable(variables, 1)
+    )
+    first = central_extension(lattice(1), square)
+    ext = central_extension(first.total, promoted_cocycle(first), name="tower")
+    omega = promoted_cocycle(ext)
+    assert omega.poly.denominator_lcm() == 4
+    paths = {}
+    for key, doc in (
+        ("group", ext.total.to_document()),
+        ("cocycle", omega.to_document()),
+        ("cycle", central_commutator_cycle(ext, 1).to_json()),
+    ):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))
+    result = runner.invoke(
+        main, ["validate", "--group", str(paths["group"]), "--cocycle", str(paths["cocycle"])]
+    )
+    assert result.exit_code == 0, everything(result)
+    result = runner.invoke(
+        main,
+        ["certify", "--group", str(paths["group"]), "--cocycle", str(paths["cocycle"]),
+         "--cycle", str(paths["cycle"]), "--n", "17,33,2199023255553"],
+    )
+    assert result.exit_code == 0, everything(result)
+    doc = json.loads(result.output)
+    assert doc["sigma_pairing"] == 1
+    assert [(run["n"], run["rounded"]) for run in doc["runs"]] == [
+        (17, -1), (33, -1), (2199023255553, -1),
+    ]
 
 
 def test_certify_heisenberg_at_odd_sizes(runner):
@@ -383,6 +420,22 @@ def test_a_sweep_value_past_the_float_bounds_is_a_usage_error(runner):
             f"for float bounds at n = 17",
         )
         assert "Traceback" not in everything(result)
+    # At a size that shares a factor with the denominator no bound is formed,
+    # but the skipped row cannot write the value in decimal either.
+    bound = int("9" * 4290)
+    coords = sample_coords(make_rng(DEFAULT_SEED), 6, bound)
+    x, y = coords[:3], coords[3:]
+    value = catalog.heisenberg_skinny()(x, y)
+    text = f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    result = runner.invoke(
+        main,
+        ["sweep", "--group", "heisenberg3", "--cocycle", "heisenberg_skinny", "--n", "2",
+         "--samples", "1", "--bound", str(bound)],
+    )
+    assert_refused(
+        result, f"sigma(x, y) = {text} at ({x}, {y}) is too large to write in decimal at n = 2"
+    )
+    assert "Traceback" not in everything(result)
 
 
 def test_a_pairing_past_the_float_winding_is_a_usage_error(runner, tmp_path):

@@ -27,9 +27,9 @@ from nilstab.cohomology import (
 from nilstab.errors import (
     DegreeBoundTooSmall,
     InvalidCocycle,
-    NilstabError,
     NotASection,
     NotSkinny,
+    ValidationError,
 )
 from nilstab.extensions import (
     CentralExtension,
@@ -192,8 +192,24 @@ def hirsch4_extension() -> CentralExtension:
     return central_extension(H3, heisenberg_skinny())
 
 
+def square_extension() -> CentralExtension:
+    # Z by x1*y1: law_2 = x2 + y2 + x1*y1, so a^w = (w, w(w - 1)/2), and
+    # omega = 1/2*x1^2*y1 - 1/2*x1*y1 - x2*y1.
+    variables = xy_variables(1, 1)
+    x1, y1 = (MultiPoly.variable(variables, j) for j in range(2))
+    return central_extension(lattice(1), PolyCocycle(lattice(1), x1 * y1, name="x1*y1"))
+
+
+def square_tower() -> CentralExtension:
+    # The second level: extend by the promotion of square_extension.
+    ext = square_extension()
+    return central_extension(ext.total, promoted_cocycle(ext))
+
+
 @pytest.mark.parametrize(
-    "make_ext", [heisenberg_extension, hirsch4_extension], ids=["heisenberg3", "hirsch4"]
+    "make_ext",
+    [heisenberg_extension, hirsch4_extension, square_extension, square_tower],
+    ids=["heisenberg3", "hirsch4", "square", "square-tower"],
 )
 def test_closed_form_matches_the_pointwise_oracle(make_ext):
     ext = make_ext()
@@ -210,15 +226,16 @@ def test_closed_form_matches_the_pointwise_oracle(make_ext):
         assert closed(x, y) == oracle(x, y), (x, y)
 
 
-def test_promotion_refuses_a_power_that_is_not_polynomial_of_low_degree():
-    # law_2 = x2 + y2 + x1^3*y1 makes (a^w)_2 = sum_{j<w} j^3, of degree 4 in w,
-    # beyond the degree m + 1 = 3 that the interpolation proves.
+def test_promotion_refuses_an_unproved_extension_law():
+    # law_2 = x2 + y2 + x1^3*y1 is not associative, so the extension law is
+    # refused before a^w is built.
     variables = xy_variables(2, 2)
     x1, x2, y1, y2 = (MultiPoly.variable(variables, j) for j in range(4))
     skew = MalcevGroup(2, (x1 + y1, x2 + y2 + x1**3 * y1), name="skew")
     zero = PolyCocycle(lattice(1), MultiPoly.zero(xy_variables(1, 1)))
-    with pytest.raises(NilstabError, match="not a polynomial of degree at most 3"):
+    with pytest.raises(ValidationError, match=r"the group law failed its proof:\n") as info:
         promoted_cocycle(CentralExtension(base=lattice(1), total=skew, cocycle=zero))
+    assert "[FAIL] associativity (law 2)" in str(info.value)
 
 
 def test_promoted_cocycle_passes_the_cocycle_and_skinny_checks():
