@@ -24,11 +24,11 @@ _EXPORTS = {
         "pair_cocycle_cycle", "skinny_check",
     ),
     "errors": (
-        "BoundViolated", "DegreeBoundTooSmall", "DimensionMismatch",
-        "InvalidCocycle", "NilstabError", "NonIntegralValue", "NotACycle",
-        "NotASection", "NotCentral", "NotCoprime", "NotScalar", "NotSkinny",
-        "PairingMismatch", "ParseError", "TermOutOfRange", "TooFarFromIdentity",
-        "TorsionPairing", "ValidationError",
+        "DegreeBoundTooSmall", "DimensionMismatch", "InvalidCocycle",
+        "NilstabError", "NonIntegralValue", "NotACycle", "NotASection",
+        "NotCentral", "NotCoprime", "NotScalar", "NotSkinny", "PairingMismatch",
+        "ParseError", "TermOutOfRange", "TooFarFromIdentity", "TorsionPairing",
+        "ValidationError",
     ),
     "exact": (
         "PERTURBATION_RADIUS", "CertificateReport", "DefectResult",

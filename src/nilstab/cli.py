@@ -19,7 +19,7 @@ import click
 
 from . import __version__, catalog
 from .cohomology import skinny_check
-from .errors import BoundViolated, NilstabError, NotCoprime, ParseError, ValidationError
+from .errors import NilstabError, NotCoprime, ParseError, ValidationError
 from .exact import _int_text, certify_nonperturbability, defects
 from .validation import DEFAULT_SEED, make_rng, sample_coords
 
@@ -185,7 +185,6 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     try:
         group = _usage_guard(catalog.resolve_group, group_src)
         sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
-        den = sigma.poly.denominator_lcm()
         m = group.hirsch
         coords = sample_coords(make_rng(seed), 2 * m * samples, bound)
         pairs = [(coords[i:i + m], coords[i + m:i + 2 * m]) for i in range(0, len(coords), 2 * m)]
@@ -195,7 +194,6 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     except ValueError as exc:  # a size, or a sigma(x, y), past the float norms or bounds
         _fail(exc, 2)
     lines = ["n,x,y,sigma_xy,frob_defect,frob_bound,op_defect,op_bound,status"]
-    failed = False
     # Each pair's "x,y" fields are formatted once for all sizes.  The pairs
     # sharing sigma(x, y) at a size share its entry, so each size formats
     # the tail of each distinct value once.
@@ -203,10 +201,6 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     for n, rows in zip(n_list, table):
         tails: dict[int, str] = {}
         for (x, y), text, row in zip(pairs, texts, rows):
-            if isinstance(row, BoundViolated):
-                click.echo(f"error: {row}", err=True)
-                failed = True
-                continue
             tail = tails.get(row.sigma_xy)
             if tail is None:
                 try:
@@ -221,14 +215,16 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
                     f"{row.operator!r},{row.operator_bound!r},ok"
                 )
             lines.append(f"{n},{text},{tail}")
-    if all(math.gcd(n, den) != 1 for n in n_list):
+    # A size's rows are all NotCoprime or none is; --samples keeps them nonempty.
+    skipped = all(isinstance(rows[0], NotCoprime) for rows in table)
+    if skipped:
         click.echo(
-            f"error: no size in --n is coprime to the coefficient denominator {den}",
+            "error: no size in --n is coprime to the coefficient denominator "
+            f"{sigma.poly.denominator_lcm()}",
             err=True,
         )
-        failed = True
     _emit("\n".join(lines) + "\n", out_path)
-    sys.exit(1 if failed else 0)
+    sys.exit(1 if skipped else 0)
 
 
 if __name__ == "__main__":

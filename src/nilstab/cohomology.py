@@ -21,6 +21,7 @@ consumer of its phase-shift family admits it only once both proofs pass
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -192,7 +193,7 @@ class Chain2:
     def build(cls, terms: Iterable[tuple[int, Sequence[int], Sequence[int]]]) -> "Chain2":
         clean = []
         for coef, a, b in terms:
-            coef = int(coef)
+            coef = operator.index(coef)
             if coef == 0:
                 continue
             clean.append((coef, tuple(a), tuple(b)))

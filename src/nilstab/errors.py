@@ -58,10 +58,6 @@ class DimensionMismatch(NilstabError):
     """Two matrices of different sizes were combined."""
 
 
-class BoundViolated(NilstabError):
-    """A measured defect exceeded its proven bound plus tolerance."""
-
-
 class NotScalar(NilstabError):
     """A matrix expected to be a scalar multiple of the identity is not."""
 

@@ -21,7 +21,9 @@ per pair and no shift check:
 - `defects` measures rho_n(x*y) - rho_n(x) rho_n(y), whose n entries all
   have the modulus 2 |sin(pi c / n)|, c the centred value of
   -sigma(x, y) mod n: its norms are sqrt(n) times and once that chord,
-  once per size and distinct sigma(x, y).
+  once per size and distinct sigma(x, y).  As |c| <= |sigma(x, y)| and
+  |sin t| <= |t|, they are at most 2 pi |sigma(x, y)| / sqrt(n) and
+  2 pi |sigma(x, y)| / n: a theorem at every pair and n, not a check.
 
 A size is valid when n >= 1 and n is coprime to the cocycle's
 coefficient denominator (`_size_error`); sizes are Python ints, so the
@@ -36,15 +38,12 @@ here, so both paths are reachable from either module.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .cohomology import Chain2, PolyCocycle, boundary2, pair_cocycle_cycle
 from .errors import (
-    BoundViolated,
-    NilstabError,
     NotACycle,
     NotCoprime,
     PairingMismatch,
@@ -64,14 +63,6 @@ SIGN_CONVENTION = (
     "log arguments use rho(ab) rho(b)^-1 rho(a)^-1, under which the winding "
     "equals minus the cocycle/cycle pairing; the reversed ordering flips the sign"
 )
-
-# The sweep's bound check is relative: a norm passes when it is at most
-# its bound times 1 + BOUND_SLACK.  The float chord and bound each carry a
-# few ulp of rounding (under 4.5 ulp together at every size tested, from 17
-# to 2^1023 + 1), and the true chord never exceeds the true bound, so
-# 8 ulp of 1 admits rounding only, at any n.
-BOUND_SLACK = 8 * sys.float_info.epsilon
-
 
 # ----------------------------------------------------------------------
 # sizes
@@ -95,6 +86,12 @@ def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
 # the sweep: defects from the constant value -sigma(x, y) mod n
 
 
+def _centred(r: int, n: int) -> int:
+    """The residue of r mod n in (-n/2, n/2]."""
+    half = (n - 1) // 2
+    return (r + half) % n - half
+
+
 def _chord(value: int, n: int) -> float:
     """|1 - w^-value| = 2 |sin(pi c / n)| with w = exp(2 pi i / n).
 
@@ -102,17 +99,19 @@ def _chord(value: int, n: int) -> float:
     argument pi * (c / n) lies in (-pi/2, pi/2] and keeps its precision
     at any n: c / n is one correctly rounded division of Python ints.
     """
-    half = (n - 1) // 2
-    centred = (half - value) % n - half
-    return 2.0 * abs(math.sin(math.pi * (centred / n)))
+    return 2.0 * abs(math.sin(math.pi * (_centred(-value, n) / n)))
 
 
 class DefectResult(NamedTuple):
     """The defect of rho_n at a pair, with its bounds.
 
-    It depends on n and the pair's sigma(x, y) only, so the pairs sharing
-    that value at a size share one result; a pair is known by its position
-    among the pairs that `defects` was given.
+    The bounds are theorems of the admitted cocycle: with c the centred
+    value of -sigma(x, y) mod n, |c| <= |sigma(x, y)| and |sin t| <= |t|
+    give operator = 2 |sin(pi c / n)| <= 2 pi |sigma(x, y)| / n, and the
+    Frobenius norm and bound are sqrt(n) times these.  The result depends
+    on n and the pair's sigma(x, y) only, so the pairs sharing that value
+    at a size share one result; a pair is known by its position among the
+    pairs that `defects` was given.
     """
 
     n: int
@@ -127,31 +126,31 @@ def defects(
     sigma: PolyCocycle,
     sizes: Sequence[int],
     pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> list[list[DefectResult | NilstabError]]:
-    """Measured multiplicativity defects of rho_n at every size and pair.
+) -> list[list[DefectResult | NotCoprime]]:
+    """Multiplicativity defects of rho_n at every size and pair, with their bounds.
 
     Raises what `PolyCocycle.admit` raises (ValidationError for the group
     law, InvalidCocycle for sigma) before any size or pair is looked at.
     Returns one list per size, with one entry per pair: its DefectResult,
-    or the error of that pair there.  A size sharing a factor with the
-    coefficient denominator gives NotCoprime for every pair, carrying the
-    pair's sigma(x, y).
+    or at a size sharing a factor with the coefficient denominator a
+    NotCoprime carrying the pair's sigma(x, y).
 
     The pair-only work is one exact evaluation of sigma(x, y) per pair;
     no group product is formed.  The admitted law adds first coordinates,
     so every entry of rho_n(x*y) - rho_n(x) rho_n(y) has the modulus
     `_chord(sigma(x, y), n)` (see the module docstring): the operator
     norm is that chord and the Frobenius norm is sqrt(n) times it; no
-    residue or matrix is formed.  Each size measures and checks each
-    distinct value once, and the pairs that share it share its entry, so a
-    size costs O(distinct sigma) plus one lookup per pair.  A measured
-    norm above its proven bound by more than the relative `BOUND_SLACK`
-    gives each such pair a BoundViolated naming it; that would falsify the
-    construction, not the sample.  A coprime size too large for a float
-    (from about 2^1024 on), where sqrt(n) has no value, raises ValueError
-    naming it.  So does a value whose bounds are not finite floats
-    (|sigma(x, y)| / sqrt(n) from about 2^1021 on), naming it (by its bit
-    length past the int-to-str limit), the first pair with it, and n.
+    residue or matrix is formed.  The bounds 2 pi |sigma(x, y)| / n and
+    sqrt(n) times it are proved (`DefectResult`), so they are computed,
+    from the one correctly rounded division |sigma(x, y)| / n, and not
+    checked.  Each size measures and bounds each distinct value once, and
+    the pairs that share it share its entry, so a size costs
+    O(distinct sigma) plus one lookup per pair.  A coprime size too large
+    for a float (from about 2^1024 on), where sqrt(n) has no value,
+    raises ValueError naming it.  So does a value whose bounds are not
+    finite floats (|sigma(x, y)| / sqrt(n) from about 2^1021 on), naming
+    it (by its bit length past the int-to-str limit), the first pair with
+    it, and n.
     """
     sigma.admit()
     group = sigma.group
@@ -175,19 +174,20 @@ def defects(
                 raise ValueError(f"matrix size {n} is too large for float norms") from None
             shared = {}
             for v in distinct:
-                chord = _chord(v, n)
                 try:
-                    shared[v] = _checked(n, v, chord * root, chord)
-                except OverflowError:
+                    op_bound = 2 * math.pi * (abs(v) / n)
+                except OverflowError:  # |sigma| / n is past the floats
+                    op_bound = math.inf
+                fro_bound = op_bound * root
+                if fro_bound == math.inf:
                     i = values.index(v)
                     raise ValueError(
                         f"sigma(x, y) = {_int_text(v)} at ({xs[i]}, {ys[i]}) is too large "
                         f"for float bounds at n = {n}"
-                    ) from None
-        table.append([
-            BoundViolated(f"{row} at ({x}, {y}), n={n}") if isinstance(row, str) else row
-            for x, y, row in zip(xs, ys, map(shared.__getitem__, values))
-        ])
+                    )
+                chord = _chord(v, n)
+                shared[v] = DefectResult(n, v, chord * root, fro_bound, chord, op_bound)
+        table.append(list(map(shared.__getitem__, values)))
     return table
 
 
@@ -199,35 +199,14 @@ def _int_text(value: int) -> str:
         return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
-def _checked(n: int, value: int, fro: float, op: float) -> DefectResult | str:
-    """The measured norms at sigma(x, y) = value with their bounds, or a violation.
-
-    The bounds are 2 pi |value| / n (operator) and sqrt(n) times it
-    (Frobenius), from the one correctly rounded division |value| / n.  A
-    bound that is not a finite float, where the check would prove
-    nothing, raises OverflowError.  A norm above its bound times
-    1 + BOUND_SLACK gives the violation's message instead, the Frobenius
-    bound checked first; `defects` names each pair with that value in its
-    own BoundViolated.
-    """
-    op_bound = 2 * math.pi * (abs(value) / n)
-    fro_bound = op_bound * math.sqrt(n)
-    if fro_bound == math.inf:
-        raise OverflowError("the bounds are not finite floats")
-    for label, norm, limit in (("Frobenius", fro, fro_bound), ("operator", op, op_bound)):
-        if norm > limit * (1 + BOUND_SLACK):
-            return f"{label} defect {norm} exceeds bound {limit}"
-    return DefectResult(n, value, fro, fro_bound, op, op_bound)
-
-
 def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> DefectResult:
-    """Measured multiplicativity defect of rho_n at (x, y), with its bounds.
+    """Multiplicativity defect of rho_n at (x, y), with its bounds.
 
-    The one-pair, one-size case of `defects`, raising what it raises; the
-    pair's error (NotCoprime or BoundViolated) is raised, not returned.
+    The one-pair, one-size case of `defects`, raising what it raises; a
+    size's NotCoprime is raised, not returned.
     """
     ((row,),) = defects(sigma, [n], [(x, y)])
-    if isinstance(row, NilstabError):
+    if isinstance(row, NotCoprime):
         raise row
     return row
 
@@ -318,12 +297,10 @@ def _exact_runs(
         error = _size_error(n, den)
         if error is not None:
             raise error
-        # Centre in (-n/2, n/2]: (r + h) mod n - h with h = (n - 1) // 2.
-        half = (n - 1) // 2
         widest = 0
         contributions = []
         for index, coef, word in words:
-            value = (word + half) % n - half
+            value = _centred(word, n)
             if 6 * abs(value) >= n:
                 # Every column of the scalar word has this residue; index 0 is named.
                 raise TermOutOfRange(

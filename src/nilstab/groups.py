@@ -258,7 +258,11 @@ def from_document(doc: Mapping) -> MalcevGroup:
 
 
 def read_json_document(path) -> object:
-    """The JSON document at path; ParseError names where invalid JSON breaks."""
+    """The JSON document at path; ParseError names path and why it cannot be read.
+
+    That is where invalid JSON breaks, the first byte that is not UTF-8,
+    or nesting past the interpreter's recursion limit.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -266,6 +270,10 @@ def read_json_document(path) -> object:
             raise ParseError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply to read") from None
 
 
 def load_group(path) -> MalcevGroup:

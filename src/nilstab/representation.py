@@ -27,8 +27,7 @@ numpy.  The exact path lives in `nilstab.exact`, in Python ints and
 floats: `defects` (and `defect`) read each pair's norms from the constant
 -sigma(x, y) mod n, and the certificate reads each summed word off the
 identity; neither forms a row or has a size limit.  This module
-re-exports `defects`, `defect`, `DefectResult` and `BOUND_SLACK` from
-there.
+re-exports `defects`, `defect` and `DefectResult` from there.
 
 `build_rho` builds the row of one element x from its Newton differences
 Delta^k p(x, 0), the values at x of the cocycle's Newton coefficients q_k,
@@ -63,7 +62,7 @@ import numpy as np
 from .cohomology import PolyCocycle
 from .errors import DimensionMismatch, NotScalar
 # The exact path's sweep, re-exported; `build_rho` uses `_size_error` too.
-from .exact import BOUND_SLACK, DefectResult, _size_error, defect, defects
+from .exact import DefectResult, _size_error, defect, defects
 
 MAX_DENSE = 1024  # double precision keeps phases well below 1e-12 up to here
 

@@ -14,6 +14,7 @@ import ast
 import functools
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +29,6 @@ from nilstab.cohomology import (
     skinny_check,
 )
 from nilstab.errors import (
-    BoundViolated,
     NotCoprime,
     NotSkinny,
     PairingMismatch,
@@ -38,7 +38,6 @@ from nilstab.extensions import CentralExtension
 from nilstab.groups import Element, MalcevGroup
 from nilstab.obstruction import SUMMED_WORD, CertificateRun
 from nilstab.representation import (
-    BOUND_SLACK,
     DefectResult,
     PhaseShiftMatrix,
     build_rho,
@@ -118,6 +117,20 @@ def record_kernel_calls(monkeypatch) -> list[list[int]]:
     return calls
 
 
+# A float norm passes its proved bound when it is at most the bound times
+# 1 + ROUNDING_SLACK.  The float chord and bound each carry a few ulp of
+# rounding (under 4.5 ulp together at every size tested, from 17 to
+# 2^1023 + 1), and the true chord never exceeds the true bound, so 8 ulp
+# of 1 admits rounding only, at any n.
+ROUNDING_SLACK = 8 * sys.float_info.epsilon
+
+
+def assert_within_bounds(row: DefectResult) -> None:
+    """Both measured norms of row are within their proved bounds, to rounding."""
+    assert row.frobenius <= row.frobenius_bound * (1 + ROUNDING_SLACK), row
+    assert row.operator <= row.operator_bound * (1 + ROUNDING_SLACK), row
+
+
 def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
     """`representation.defects` pair by pair: the reference oracle.
 
@@ -129,8 +142,8 @@ def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
     `defects` reads its gaps from is used.  The norms compare x*y's
     phase-shift matrix with the product of x's and y's (`compose`,
     `difference_norms`).  A pair's entry is the size's NotCoprime, else
-    the Frobenius and then the operator BoundViolated, with `defects`'
-    messages, else its DefectResult.
+    its DefectResult, whose norms are asserted to be within their proved
+    bounds up to the relative rounding `ROUNDING_SLACK`.
     """
     group = sigma.group
     den = sigma.poly.denominator_lcm()
@@ -161,16 +174,9 @@ def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
             fro, op = difference_norms(rho_xy, rho_x.compose(rho_y))
             op_bound = 2 * math.pi * (abs(s) / n)
             fro_bound = op_bound * math.sqrt(n)
-            if fro > fro_bound * (1 + BOUND_SLACK):
-                out.append(BoundViolated(
-                    f"Frobenius defect {fro} exceeds bound {fro_bound} at ({x}, {y}), n={n}"
-                ))
-            elif op > op_bound * (1 + BOUND_SLACK):
-                out.append(BoundViolated(
-                    f"operator defect {op} exceeds bound {op_bound} at ({x}, {y}), n={n}"
-                ))
-            else:
-                out.append(DefectResult(n, s, fro, fro_bound, op, op_bound))
+            row = DefectResult(n, s, fro, fro_bound, op, op_bound)
+            assert_within_bounds(row)
+            out.append(row)
         table.append(out)
     return table
 

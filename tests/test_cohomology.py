@@ -7,6 +7,7 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,6 +278,19 @@ def test_skinny_check_accepts_a_custom_homomorphism():
 def test_chain_build_drops_zero_terms():
     chain = Chain2.build([(0, (1, 0), (0, 1)), (2, (1, 1), (0, 0))])
     assert chain.terms == ((2, (1, 1), (0, 0)),)
+
+
+def test_chain_build_refuses_a_coefficient_that_is_not_an_integer():
+    # 1.9 was truncated to 1, so this chain paired as the Voiculescu cycle;
+    # ints, bools and numpy ints pass as ints.
+    for coef in (1.9, 2.0, Fraction(3)):
+        with pytest.raises(TypeError):
+            Chain2.build([(coef, (0, 1), (1, 0)), (-coef, (1, 0), (0, 1))])
+    chain = Chain2.build(
+        [(np.int64(3), (0, 1), (1, 0)), (True, (1, 0), (0, 1)), (2**70, (1, 1), (0, 0))]
+    )
+    assert chain.terms == ((3, (0, 1), (1, 0)), (1, (1, 0), (0, 1)), (2**70, (1, 1), (0, 0)))
+    assert {type(coef) for coef, _, _ in chain.terms} == {int}
 
 
 def test_chain_support_includes_products():

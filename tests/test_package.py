@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # The public names that the exact module defines and both dense modules re-export.
 RE_EXPORTED = {
-    representation: ("BOUND_SLACK", "DefectResult", "defect", "defects"),
+    representation: ("DefectResult", "defect", "defects"),
     obstruction: (
         "PERTURBATION_RADIUS", "SIGN_CONVENTION", "SUMMED_WORD", "CertificateReport",
         "CertificateRun", "certify_nonperturbability",

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_within_bounds,
     defect_ulps,
     defects_by_pairs,
     record_kernel_calls,
@@ -293,7 +294,8 @@ def test_defect_bounds_hold_on_random_samples():
         for _ in range(25):
             x = sample_coords(rng, 3, 3)
             y = sample_coords(rng, 3, 3)
-            result = defect(sigma, n, x, y)  # raises BoundViolated on failure
+            result = defect(sigma, n, x, y)
+            assert_within_bounds(result)
             s = abs(result.sigma_xy)
             expected = 2 * math.sqrt(n) * abs(math.sin(math.pi * (s % n) / n))
             assert abs(result.frobenius - expected) < 1e-9
@@ -631,24 +633,18 @@ def test_a_sweep_near_the_size_cap_takes_o_log_n_per_gap():
 
 
 def test_the_bound_check_is_relative_at_every_size():
-    # At n = 2^127 - 1 and sigma = 5 the bounds are 2.4e-18 (Frobenius) and
-    # 1.8e-37 (operator): norms of 1e-10 exceed them 4e7 and 5e26 times
-    # over, which an absolute slack of 1e-9 let pass.
-    n = 2**127 - 1
-    assert exact._checked(n, 5, 1e-10, 1e-10).startswith("Frobenius defect 1e-10 exceeds")
-    fro_bound = 2 * math.pi * (5 / n) * math.sqrt(n)
-    assert exact._checked(n, 5, fro_bound, 1e-10).startswith("operator defect 1e-10 exceeds")
-    # At n = 2^1023 + 1 and sigma = n // 2 the operator bound is pi, though
-    # 2 pi |sigma| overflows a float: the bounds come from |sigma| / n.
+    # The sweep's bounds are proved, not checked; this checks them, with a
+    # relative slack: at n = 2^127 - 1 and sigma = 5 the bounds are 2.4e-18
+    # (Frobenius) and 1.8e-37 (operator), which an absolute slack of 1e-9
+    # would not test at all.  At n = 2^1023 + 1 and sigma = n // 2 the
+    # operator bound is pi, though 2 pi |sigma| overflows a float: the
+    # bounds come from |sigma| / n.
     n = 2**1023 + 1
-    assert exact._checked(n, n // 2, 5.0, 5.0) == (
-        f"operator defect 5.0 exceeds bound {math.pi}"
-    )
-    row = exact._checked(n, n // 2, 1.0, 1.0)
+    row = defect(z2_skinny(), n, (0, n // 2), (1, 0))
     assert row.operator_bound == math.pi and math.isfinite(row.frobenius_bound)
-    # Every measured row stays ok, from 17 to 2^1023 + 1: small sigma of
-    # both signs, where at large n the chord and its bound agree to
-    # rounding, and sigma near n / 3, n / 2 and n, whose 2 pi |sigma|
+    # Every measured row is within its bounds, from 17 to 2^1023 + 1: small
+    # sigma of both signs, where at large n the chord and its bound agree
+    # to rounding, and sigma near n / 3, n / 2 and n, whose 2 pi |sigma|
     # would overflow a float from about 2^1021 on.  Every bound is finite.
     rng = make_rng(23)
     sizes = [17, 33, 1023, 2**31 - 1, 2**61 - 1, 2**127 - 1, 10**40 + 1, 2**521 - 1,
@@ -660,6 +656,7 @@ def test_the_bound_check_is_relative_at_every_size():
         for row in rows:
             assert type(row) is DefectResult, (n, row)
             assert math.isfinite(row.frobenius_bound) and math.isfinite(row.operator_bound)
+            assert_within_bounds(row)
 
 
 def test_defects_refuse_a_value_whose_bounds_are_not_finite():
