@@ -28,7 +28,7 @@ def _usage_guard(fn, *args, **kwargs):
     """Run a resolver, translating bad input into usage errors (exit 2)."""
     try:
         return fn(*args, **kwargs)
-    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ParseError, OSError) as exc:  # OSError: a path that cannot be opened
         raise click.UsageError(str(exc)) from exc
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .cohomology import (
@@ -244,7 +243,7 @@ def _antiderivative(f: MultiPoly, index: int) -> MultiPoly:
     out = MultiPoly.zero(f.variables)
     for k, q in enumerate(f.newton_coefficients(index)):
         out = out + q * binomial
-        binomial = binomial * (i - (k + 1)) * Fraction(1, k + 2)
+        binomial = binomial * (i - (k + 1)) / (k + 2)
     return out
 
 
@@ -312,7 +311,7 @@ def interpolate_polynomial_cocycle(
         v = MultiPoly.variable(variables, index)
         for r in range(e):
             p = p * (v + (D - r))
-        return Fraction(1, math.factorial(e)) * p
+        return p / math.factorial(e)
 
     fitted = MultiPoly.zero(variables)
     for flat, coeff in enumerate(values):

@@ -261,7 +261,7 @@ def read_json_document(path) -> object:
     """The JSON document at path; ParseError names path and why it cannot be read.
 
     That is where invalid JSON breaks, the first byte that is not UTF-8,
-    or nesting past the interpreter's recursion limit.
+    nesting past the recursion limit, or an integer past the digit limit.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -274,6 +274,8 @@ def read_json_document(path) -> object:
             raise ParseError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
         except RecursionError:
             raise ParseError(f"{path}: JSON nested too deeply to read") from None
+        except ValueError as exc:  # an integer literal past the digit limit
+            raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_group(path) -> MalcevGroup:

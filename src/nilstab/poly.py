@@ -1,14 +1,12 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction` and exponent vectors are tuples
-indexed by a fixed, ordered variable list.  Every polynomial this package
-evaluates on group elements is integer valued even when its coefficients
-are not, so evaluation has one scaled-integer path: the coefficients are
-cleared to a common denominator `den` once, and a point's value is
-`scaled_sum / den`, where `scaled_sum` sums the integer numerators times
-the powers of the variables that actually occur.  `evaluate` returns that
-quotient as a Fraction; `evaluate_int` divides exactly and never builds a
-Fraction for integer input.  The same sum is exact for Fraction inputs.
+A polynomial is integer numerators `nums`, keyed by exponent tuples over a
+fixed, ordered variable list, over one denominator `den` > 0.  The form is
+canonical (gcd(den, *nums) = 1, and zero has den 1), so `==` and `hash` are
+structural, and every operation works on ints.  `fractions.Fraction` stays
+at the edges: the public constructor and the JSON reader accept it,
+`evaluate` returns it, and `terms` and `__str__` show coefficients in it.
+`evaluate_int` divides the integer sum over the terms by den exactly.
 `newton_coefficients` writes a polynomial in one variable's binomial
 basis, by v^e = sum_k surj(e, k) binom(v, k), and `box_witness`, in all
 of them, decides whether a polynomial is zero, or integer valued, and
@@ -20,15 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import NonIntegralValue, ParseError
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
-# (den, ((num, ((i, e), ...)), ...)): den times the polynomial as integer
-# terms, each listing only the variables with a nonzero exponent.
-ScaledForm = tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
 
 # JSON transports integers beyond this magnitude as decimal strings.
 _INT64_MAX = 2**63 - 1
@@ -42,51 +39,62 @@ def xy_variables(x_count: int, y_count: int) -> tuple[str, ...]:
 
 
 class MultiPoly:
-    """A polynomial in a fixed tuple of named variables.
+    """A polynomial in a fixed tuple of named variables: `nums` over `den`.
 
     Instances are treated as immutable; arithmetic returns new objects.
-    The zero polynomial has an empty term map.
+    The zero polynomial has no terms and `den` 1.
     """
 
-    __slots__ = ("variables", "terms", "_scaled")
+    __slots__ = ("variables", "den", "nums", "_rows", "_terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar]):
-        self.variables = tuple(variables)
-        width = len(self.variables)
-        clean: dict[Exponents, Fraction] = {}
+        width = len(variables := tuple(variables))
+        clean: dict[Exponents, Scalar] = {}
+        den = 1
         for exps, coef in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != width:
                 raise ValueError(f"exponent vector {exps} does not match {width} variables")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = Fraction(coef)
-            if c == 0:
-                continue
-            clean[exps] = clean.get(exps, Fraction(0)) + c
-            if clean[exps] == 0:
-                del clean[exps]
-        self.terms = clean
-        self._scaled: ScaledForm | None = None
+            if not isinstance(coef, (int, Fraction)):
+                raise TypeError(f"coefficient {coef!r} is not an int or a Fraction")
+            clean[exps] = clean.get(exps, 0) + coef
+            den = math.lcm(den, coef.denominator)
+        self._set(variables, den, {e: (c * den).numerator for e, c in clean.items()})
+
+    def _set(self, variables, den: int, nums: Mapping[Exponents, int]) -> "MultiPoly":
+        g = math.gcd(den, *nums.values())
+        self.variables, self.den = variables, den // g
+        self.nums = {e: c // g for e, c in nums.items() if c}
+        self._rows = self._terms = None
+        return self
+
+    @classmethod
+    def _from(cls, variables, den: int, nums: Mapping[Exponents, int]) -> "MultiPoly":
+        """Trusted: int numerators over den > 0; drops zero terms, reduces by one gcd."""
+        return object.__new__(cls)._set(variables, den, nums)
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, variables: Iterable[str]) -> "MultiPoly":
-        return cls(variables, {})
+        return cls._from(tuple(variables), 1, {})
 
     @classmethod
     def constant(cls, variables: Iterable[str], value: Scalar) -> "MultiPoly":
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"constant {value!r} is not an int or a Fraction")
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): value})
+        return cls._from(variables, value.denominator, {(0,) * len(variables): value.numerator})
 
     @classmethod
     def variable(cls, variables: Iterable[str], index: int) -> "MultiPoly":
         variables = tuple(variables)
         exps = [0] * len(variables)
         exps[index] = 1
-        return cls(variables, {tuple(exps): 1})
+        return cls._from(variables, 1, {tuple(exps): 1})
 
     # ------------------------------------------------------------------
     # ring operations
@@ -100,25 +108,27 @@ class MultiPoly:
             return MultiPoly.constant(self.variables, other)
         return None
 
+    def _plus(self, other: "MultiPoly", scale: int) -> "MultiPoly":
+        """self + scale * other, for an int scale."""
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, scale * (den // other.den)
+        out = {e: c * a for e, c in self.nums.items()}
+        for e, c in other.nums.items():
+            out[e] = out.get(e, 0) + c * b
+        return MultiPoly._from(self.variables, den, out)
+
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return MultiPoly(self.variables, out)
+        return NotImplemented if other is None else self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._from(self.variables, self.den, {e: -c for e, c in self.nums.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self._plus(other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
         return -(self - other)
@@ -127,14 +137,22 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(self.variables, out)
+        out: dict[Exponents, int] = {}
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return MultiPoly._from(self.variables, self.den * other.den, out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, d: int) -> "MultiPoly":
+        """p / d for a nonzero int d: the denominator is scaled."""
+        if d < 0:
+            return -self / -d
+        if d == 0:
+            raise ZeroDivisionError("polynomial divided by zero")
+        return MultiPoly._from(self.variables, self.den * d, self.nums)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -151,88 +169,86 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables, self.den, self.nums) == (other.variables, other.den, other.nums)
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.den, frozenset(self.nums.items())))
+
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """Each exponent vector's coefficient as a Fraction, a read-only view."""
+        if self._terms is None:
+            self._terms = MappingProxyType({e: Fraction(c, self.den) for e, c in self.nums.items()})
+        return self._terms
 
     # ------------------------------------------------------------------
     # evaluation
 
-    def _scaled_form(self) -> ScaledForm:
-        if self._scaled is None:
-            den = self.denominator_lcm()
-            rows = tuple(
-                (
-                    c.numerator * (den // c.denominator),
-                    tuple((i, e) for i, e in enumerate(exps) if e),
-                )
-                for exps, c in sorted(self.terms.items())
-            )
-            self._scaled = (den, rows)
-        return self._scaled
-
-    def _scaled_sum(self, values: Sequence[Scalar]) -> tuple[int, Scalar]:
-        """`(den, den * value)` at the point; the sum is an int for int input."""
+    def _scaled_sum(self, values: Sequence[Scalar]) -> Scalar:
+        """den times the value at the point; an int for int input."""
         if len(values) != len(self.variables):
-            raise ValueError(
-                f"expected {len(self.variables)} values, got {len(values)}"
+            raise ValueError(f"expected {len(self.variables)} values, got {len(values)}")
+        if self._rows is None:  # each term's numerator and the variables it reads
+            self._rows = tuple(
+                (c, tuple((i, e) for i, e in enumerate(exps) if e)) for exps, c in self.nums.items()
             )
-        den, rows = self._scaled_form()
         total = 0
-        for num, factors in rows:
+        for num, factors in self._rows:
             for i, e in factors:
                 num *= values[i] if e == 1 else values[i] ** e
             total += num
-        return den, total
+        return total
 
     def evaluate(self, values: Sequence[Scalar]) -> Fraction:
         """Exact value at the given point (ints or Fractions): scaled sum over den."""
-        den, total = self._scaled_sum(values)
-        return Fraction(total, den)
+        return Fraction(self._scaled_sum(values), self.den)
 
     def evaluate_int(self, values: Sequence[Scalar]) -> int:
         """Exact value, required to be an integer: divmod of the scaled sum by den."""
-        den, total = self._scaled_sum(values)
-        value, remainder = divmod(total, den)
+        total = self._scaled_sum(values)
+        value, remainder = divmod(total, self.den)
         if remainder:
             raise NonIntegralValue(
-                f"{self} evaluated at {tuple(values)} gives non-integer {Fraction(total, den)}"
+                f"{self} evaluated at {tuple(values)} gives non-integer {Fraction(total, self.den)}"
             )
         return value
 
     # ------------------------------------------------------------------
     # structural operations
 
-    def substitute(self, assignment: Mapping[int, Scalar]) -> "MultiPoly":
-        """Fix the listed variable indices to constants (variables kept)."""
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            factor = c
+    def substitute(self, assignment: Mapping[int, int]) -> "MultiPoly":
+        """Fix the listed variable indices to integers (variables kept)."""
+        out: dict[Exponents, int] = {}
+        for exps, c in self.nums.items():
             new = list(exps)
             for i, value in assignment.items():
-                e = exps[i]
-                if e:
-                    factor *= Fraction(value) ** e
+                if exps[i]:
+                    c *= value ** exps[i]
                 new[i] = 0
-            if factor == 0:
-                continue
             key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + factor
-        return MultiPoly(self.variables, out)
+            out[key] = out.get(key, 0) + c
+        return MultiPoly._from(self.variables, self.den, out)
 
     def compose(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute images[i] for variable i; the result uses the images' variables."""
+        """Substitute images[i] for variable i; the result uses the images' variables.
+
+        Each image's powers are computed once, as far as a term needs them.
+        """
         if not images or len(images) != len(self.variables):
             raise ValueError(f"expected {len(self.variables)} images, got {len(images)}")
-        out = MultiPoly.zero(images[0].variables)
-        for exps, c in self.terms.items():
-            term = MultiPoly.constant(out.variables, c)
-            for image, e in zip(images, exps):
+        one = MultiPoly.constant(images[0].variables, 1)
+        powers = [[one] for _ in images]  # powers[i][e] = images[i] ** e
+        out = MultiPoly.zero(one.variables)
+        for exps, c in self.nums.items():
+            term = one
+            for i, e in enumerate(exps):
                 if e:
-                    term = term * image**e
-            out = out + term
-        return out
+                    row = powers[i]
+                    while len(row) <= e:
+                        row.append(row[-1] * images[i])
+                    term = row[e] if term is one else term * row[e]
+            out = out._plus(term, c)
+        return out / self.den
 
     def project(self, keep: Sequence[int], new_variables: Iterable[str]) -> "MultiPoly":
         """Re-express over `new_variables` = old variables at `keep` indices.
@@ -243,44 +259,40 @@ class MultiPoly:
         if len(keep) != len(new_variables):
             raise ValueError("keep list and new variable list differ in length")
         keep_set = set(keep)
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
+        out: dict[Exponents, int] = {}
+        for exps, c in self.nums.items():
             for i, e in enumerate(exps):
                 if e and i not in keep_set:
                     raise ValueError(
                         f"variable {self.variables[i]} appears in a term being projected away"
                     )
             out[tuple(exps[i] for i in keep)] = c
-        return MultiPoly(new_variables, out)
+        return MultiPoly._from(new_variables, self.den, out)
 
     def embed(self, new_variables: Iterable[str], index_map: Sequence[int]) -> "MultiPoly":
         """Re-express over a wider variable tuple; old index i becomes index_map[i]."""
         new_variables = tuple(new_variables)
         if len(index_map) != len(self.variables):
             raise ValueError("index map must cover every old variable")
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
+        out: dict[Exponents, int] = {}
+        for exps, c in self.nums.items():
             new = [0] * len(new_variables)
             for i, e in enumerate(exps):
                 new[index_map[i]] = e
             out[tuple(new)] = c
-        return MultiPoly(new_variables, out)
+        return MultiPoly._from(new_variables, self.den, out)
 
     # ------------------------------------------------------------------
     # inspection
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.nums), default=0)
 
     def variable_degree(self, index: int) -> int:
-        if not self.terms:
-            return 0
-        return max(e[index] for e in self.terms)
+        return max((e[index] for e in self.nums), default=0)
 
     def newton_coefficients(self, index: int) -> list["MultiPoly"]:
         """q_0..q_d with p = sum_k q_k * binom(v, k), v the variable at `index`.
@@ -290,43 +302,27 @@ class MultiPoly:
         v^e = sum_k surj(e, k) * binom(v, k).
         """
         coefficients = [{} for _ in range(self.variable_degree(index) + 1)]
-        for exps, c in self.terms.items():
+        for exps, c in self.nums.items():
             e = exps[index]
             rest = exps[:index] + (0,) + exps[index + 1 :]
             # surj(e, 0) = 0 for e > 0, so k runs over 1..e, or is 0 if e = 0.
             for k in range(min(e, 1), e + 1):
                 terms = coefficients[k]
-                terms[rest] = terms.get(rest, Fraction(0)) + c * _surjections(e, k)
-        return [MultiPoly(self.variables, terms) for terms in coefficients]
+                terms[rest] = terms.get(rest, 0) + c * _surjections(e, k)
+        return [MultiPoly._from(self.variables, self.den, terms) for terms in coefficients]
 
     def denominator_lcm(self) -> int:
-        den = 1
-        for c in self.terms.values():
-            den = math.lcm(den, c.denominator)
-        return den
+        """The common denominator `den`, the lcm of the coefficients' denominators."""
+        return self.den
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for exps, c in sorted(self.terms.items(), reverse=True):
-            factors = []
-            for name, e in zip(self.variables, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        joined = " + ".join(parts)
-        return joined.replace("+ -", "- ")
+            body = "*".join(
+                name if e == 1 else f"{name}^{e}" for name, e in zip(self.variables, exps) if e
+            )
+            parts.append(({1: "", -1: "-"}.get(c, f"{c}*") if body else str(c)) + body)
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
@@ -344,16 +340,16 @@ def box_witness(
     b_K is 0, and p is integer valued iff every b_K is an integer (Polya),
     so None is a proof.  Otherwise the least failing K is the witness:
     every smaller b_J is 0 (or an integer), so p(K) = b_K (or b_K mod 1).
+    Each b_K is kept as den * b_K: it is 0 iff b_K is, and den divides it
+    iff b_K is an integer.
     """
-    coefficients: dict[Exponents, Fraction] = {}
-    for exps, c in p.terms.items():
+    scaled: dict[Exponents, int] = {}
+    for exps, c in p.nums.items():
         # surj(e, 0) = 0 for e > 0, so k_i runs over 1..e_i, or is 0 if e_i = 0.
         for k in itertools.product(*(range(1, e + 1) if e else (0,) for e in exps)):
             weight = math.prod(_surjections(e, j) for e, j in zip(exps, k))
-            coefficients[k] = coefficients.get(k, Fraction(0)) + c * weight
-    failing = [
-        k for k, b in coefficients.items() if (b.denominator != 1 if integral else b != 0)
-    ]
+            scaled[k] = scaled.get(k, 0) + c * weight
+    failing = [k for k, b in scaled.items() if (b % p.den if integral else b)]
     if not failing:
         return None
     point = min(failing, key=lambda k: (sum(k), k))
@@ -394,10 +390,11 @@ def poly_to_monomials(p: MultiPoly, x_count: int, y_count: int) -> list[dict]:
     if len(p.variables) != x_count + y_count:
         raise ValueError("variable split does not match the polynomial")
     out = []
-    for exps, c in sorted(p.terms.items(), reverse=True):
+    for exps, c in sorted(p.nums.items(), reverse=True):
+        g = math.gcd(c, p.den)
         out.append(
             {
-                "coef": [_encode_json_int(c.numerator), _encode_json_int(c.denominator)],
+                "coef": [_encode_json_int(c // g), _encode_json_int(p.den // g)],
                 "x_exps": list(exps[:x_count]),
                 "y_exps": list(exps[x_count:]),
             }

@@ -210,18 +210,21 @@ def test_an_invalid_group_document_fails_cleanly(runner, broken_group, args):
     assert "Traceback" not in everything(result)
 
 
+EVERY_COMMAND = pytest.mark.parametrize(
+    "args",
+    [["validate"], ["certify", "--cocycle", "zero", "--cycle", "voiculescu"],
+     ["sweep", "--cocycle", "zero"]],
+    ids=["validate", "certify", "sweep"],
+)
+
+
 @pytest.mark.parametrize(
     "content, reason",
     [(bytes(range(156, 256)), "not UTF-8 at byte 0: invalid start byte"),
      (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply to read")],
     ids=["not-utf8", "deep"],
 )
-@pytest.mark.parametrize(
-    "args",
-    [["validate"], ["certify", "--cocycle", "zero", "--cycle", "voiculescu"],
-     ["sweep", "--cocycle", "zero"]],
-    ids=["validate", "certify", "sweep"],
-)
+@EVERY_COMMAND
 def test_an_unreadable_json_document_is_a_usage_error(runner, tmp_path, args, content, reason):
     # 100 bytes that are not UTF-8, and 100,000 nested lists, are refused
     # with the path and exit 2 by every command, as invalid JSON is.
@@ -230,6 +233,35 @@ def test_an_unreadable_json_document_is_a_usage_error(runner, tmp_path, args, co
     result = runner.invoke(main, [*args, "--group", str(path)])
     assert result.exit_code == 2, everything(result)
     assert f"Error: {path}: {reason}\n" in result.stderr
+    assert "Traceback" not in everything(result)
+
+
+@EVERY_COMMAND
+def test_an_integer_past_the_digit_limit_is_a_usage_error(runner, tmp_path, args):
+    # json reads an integer literal with int(), which refuses one past the
+    # int-to-str digit limit (4,300 by default) with a ValueError.
+    path = tmp_path / "doc.json"
+    path.write_text('{"hirsch": ' + "1" * 5000 + "}")
+    with pytest.raises(ValueError) as refused:
+        int("1" * 5000)
+    result = runner.invoke(main, [*args, "--group", str(path)])
+    assert result.exit_code == 2, everything(result)
+    assert f"Error: {path}: {refused.value}\n" in result.stderr
+    assert "Traceback" not in everything(result)
+
+
+@pytest.mark.parametrize("name", ["file/doc.json", "a" * 300], ids=["not-a-directory", "too-long"])
+@EVERY_COMMAND
+def test_a_document_path_that_cannot_be_opened_is_a_usage_error(runner, tmp_path, args, name):
+    # A path through a regular file, and a name past the file system's
+    # length limit, fail to open with an OSError; each is one error line.
+    (tmp_path / "file").write_text("{}")
+    path = tmp_path / name
+    with pytest.raises(OSError) as refused:
+        open(path)
+    result = runner.invoke(main, [*args, "--group", str(path)])
+    assert result.exit_code == 2, everything(result)
+    assert f"Error: {refused.value}\n" in result.stderr
     assert "Traceback" not in everything(result)
 
 

@@ -180,3 +180,26 @@ def test_the_dense_path_loads_numpy():
         """
     )
     assert out.split() == ["True"]
+
+
+def test_the_heisenberg_catalog_builds_without_fractions():
+    # The group law's proof, the promotion and the cocycle's proof are
+    # integer polynomial arithmetic (numerators over one denominator), so
+    # building the three Heisenberg builtins makes no Fraction at all.
+    out = fresh(
+        """
+        import cProfile, pstats
+        from nilstab import catalog
+
+        profile = cProfile.Profile()
+        profile.enable()
+        group = catalog.resolve_group("heisenberg3")
+        catalog.resolve_cocycle("builtin:heisenberg_skinny", group)
+        catalog.resolve_cycle("builtin:heisenberg_c1", group)
+        profile.disable()
+        stats = pstats.Stats(profile).stats
+        print(sum(row[1] for (path, _, name), row in stats.items()
+                  if name == "__new__" and path.endswith("fractions.py")))
+        """
+    )
+    assert int(out) == 0

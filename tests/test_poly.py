@@ -48,6 +48,15 @@ points = st.tuples(
 )
 
 
+def assert_canonical(p: MultiPoly) -> None:
+    # Integer numerators over one denominator, reduced, with zero over 1.
+    assert p.den >= 1
+    assert all(type(c) is int for c in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert p.nums or p.den == 1
+    assert p.terms == {e: Fraction(c, p.den) for e, c in p.nums.items()}
+
+
 def test_constructors_agree_with_hand_built_terms():
     x1 = MultiPoly.variable(VARS, 0)
     assert x1.terms == {(1, 0, 0): Fraction(1)}
@@ -68,6 +77,10 @@ def test_ring_laws(p, q, r):
     assert p - p == MultiPoly.zero(VARS)
     assert p + MultiPoly.zero(VARS) == p
     assert p * MultiPoly.constant(VARS, 1) == p
+    for s in (p, p + q, p - q, p * q, (p * q) * r, p + q - q, p - p, -p):
+        assert_canonical(s)
+    assert hash((p * q) * r) == hash(p * (q * r))
+    assert p + q - q == p and hash(p + q - q) == hash(p)
 
 
 @settings(deadline=None)
@@ -317,3 +330,7 @@ def test_equal_polynomials_share_a_hash():
     assert p == q
     assert hash(p) == hash(q)
     assert len({p, q}) == 1
+    assert (p.den, p.nums) == (3, {(1, 1, 0): 2})
+    for s in (p, p - q, MultiPoly.zero(VARS)):
+        assert_canonical(s)
+    assert (p - q).den == 1
