@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # (`representation`, `obstruction`) imports it.
 _EXPORTS = {
     "cohomology": (
-        "Chain1", "Chain2", "KernelCocycle", "PolyCocycle", "boundary2",
+        "Chain2", "KernelCocycle", "PolyCocycle", "boundary2",
         "coboundary", "cocycle_check", "cocycle_from_document", "is_cycle",
         "pair_cocycle_cycle", "skinny_check",
     ),
@@ -46,7 +46,7 @@ _EXPORTS = {
     ),
     "poly": ("MultiPoly", "xy_variables"),
     "representation": (
-        "Chi", "PhaseShiftMatrix", "build_rho", "chi_scalar_check",
+        "PhaseShiftMatrix", "build_rho", "chi_scalar_check",
         "frobenius_norm", "operator_norm", "voiculescu_pair",
     ),
     "validation": ("DEFAULT_SEED", "CheckResult", "ValidationReport"),

@@ -4,7 +4,8 @@ Everything here is constructed from the library's own operations (the
 discrete Heisenberg group is the central extension of the rank-2 lattice
 by the cocycle x2*y1, and its skinny cocycle is the promotion of x2*y1,
 derived in closed form and proved), so these objects double as end-to-end
-exercises of the package.
+exercises of the package.  Only the Heisenberg builders import
+`nilstab.extensions`, when called, so the lattice builtins never load it.
 """
 
 from __future__ import annotations
@@ -14,18 +15,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .cohomology import Chain2, PolyCocycle, cocycle_from_document
 from .errors import ParseError
-from .extensions import (
-    CentralExtension,
-    central_commutator_cycle,
-    central_extension,
-    promoted_cocycle,
-)
 from .groups import MalcevGroup, lattice, load_group, read_json_document
 from .poly import MultiPoly, xy_variables
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .extensions import CentralExtension
 
 @cache
 def z2_skinny() -> PolyCocycle:
@@ -38,6 +34,7 @@ def z2_skinny() -> PolyCocycle:
 @cache
 def heisenberg_extension() -> CentralExtension:
     """The rank-2 lattice extended by x2*y1: the discrete Heisenberg group."""
+    from .extensions import central_extension
     return central_extension(lattice(2), z2_skinny(), name="heisenberg3")
 
 
@@ -57,6 +54,7 @@ def heisenberg_skinny() -> PolyCocycle:
     phase-shift representations exist exactly at odd matrix sizes.  It is
     named here, so that its one proof is reported under that name.
     """
+    from .extensions import promoted_cocycle
     return promoted_cocycle(heisenberg_extension(), name="heisenberg_skinny")
 
 
@@ -72,6 +70,7 @@ def voiculescu_cycle() -> Chain2:
 
 
 def heisenberg_c1() -> Chain2:
+    from .extensions import central_commutator_cycle
     return central_commutator_cycle(heisenberg_extension(), 1)
 
 

@@ -2,9 +2,9 @@
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
 check or certificate fails (an unproved cocycle included), 2 for
-unparseable input or bad usage, a size the library refuses included.  Every
-command is deterministic given its inputs and seed; rerunning writes
-byte-identical output.
+unparseable input or bad usage, a size the library refuses and an `--out`
+path that cannot be written included.  Every command is deterministic
+given its inputs and seed; rerunning writes byte-identical output.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ def _usage_guard(fn, *args, **kwargs):
         raise click.UsageError(str(exc)) from exc
 
 
-def _fail(exc: Exception, code: int = 1) -> NoReturn:
-    """Report a failed check (exit 1) or a refused size (exit 2) on stderr."""
+def _fail(exc: Exception | str, code: int = 1) -> NoReturn:
+    """Report a failed check (exit 1), or a refused size or path (exit 2), on stderr."""
     click.echo(f"error: {exc}", err=True)
     sys.exit(code)
 
@@ -87,9 +87,13 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write text to out_path, or to stdout; a path that cannot be written exits 2."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(f"cannot write {out_path}: {exc.strerror}", 2)
     else:
         click.echo(text, nl=False)
 
@@ -220,7 +224,7 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     if skipped:
         click.echo(
             "error: no size in --n is coprime to the coefficient denominator "
-            f"{sigma.poly.denominator_lcm()}",
+            f"{sigma.poly.den}",
             err=True,
         )
     _emit("\n".join(lines) + "\n", out_path)

@@ -31,6 +31,10 @@ certificate holds at any such n, and the sweep at any n that a float
 can hold (below about 2^1024), where its float norms end.  No step here
 imports numpy or the dense modules.
 
+A certificate stores only what it computed: the pairing <sigma, c> and,
+per size, n, the winding, the margin and the terms' contributions.  Its
+JSON writes the values derived from these (`CertificateReport.to_json`).
+
 `representation` and `obstruction` re-export the public names defined
 here, so both paths are reachable from either module.
 """
@@ -154,7 +158,7 @@ def defects(
     """
     sigma.admit()
     group = sigma.group
-    den = sigma.poly.denominator_lcm()
+    den = sigma.poly.den
     xs = [group.element(x) for x, _ in pairs]
     ys = [group.element(y) for _, y in pairs]
     evaluate = sigma.poly.evaluate_int
@@ -218,18 +222,15 @@ def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> De
 class CertificateRun(NamedTuple):
     """The winding at one matrix size and how it was obtained.
 
-    `winding` is exact, an integer, and `raw` is its float value.  `margin`
-    is n - 6 max_t |centred(-sigma(a_t, b_t))| over the terms t: positive
-    means every summed word is inside the convergence ball.  `terms` holds
-    each chain term's integer contribution coef * centred(-sigma(a, b));
-    they sum to `winding`.  In JSON, `n` and `margin` past int64 are
+    `winding` is exact, an integer.  `margin` is n - 6 max_t
+    |centred(-sigma(a_t, b_t))| over the terms t: positive means every
+    summed word is inside the convergence ball.  `terms` holds each chain
+    term's integer contribution coef * centred(-sigma(a, b)); they sum to
+    `winding`.  In JSON, `n` and `margin` past int64 are
     decimal strings, as wide chain coefficients are.
     """
 
     n: int
-    raw: float
-    rounded: int | None
-    path: str
     winding: int
     margin: int
     terms: tuple[int, ...]
@@ -237,17 +238,29 @@ class CertificateRun(NamedTuple):
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """A machine-checkable record that a family is far from representations."""
+    """A machine-checkable record that a family is far from representations.
+
+    It stores the pairing s = <sigma, c> and one run per size; `to_json`
+    also writes -s, PERTURBATION_RADIUS, SIGN_CONVENTION, the `statement`,
+    and each run's `raw` (float winding), `rounded` (winding) and `path`.
+    """
 
     group_name: str
     cocycle: dict
     cycle: list
     sigma_pairing: int
-    expected_winding: int
     runs: tuple[CertificateRun, ...]
-    distance_bound: float
-    statement: str
-    sign_convention: str
+
+    @property
+    def statement(self) -> str:
+        return (
+            f"Any family of unitaries within {PERTURBATION_RADIUS:.6f} (= 1/24) of these "
+            f"matrices in operator norm on the listed elements has winding pairing 0 "
+            f"against the cycle; the measured pairing is {-self.sigma_pairing}, so for "
+            f"every listed n the family sits at operator-norm distance at least 1/24, "
+            f"hence Frobenius distance at least 1/24, from every genuine unitary "
+            f"representation."
+        )
 
     def to_json(self) -> dict:
         return {
@@ -255,22 +268,22 @@ class CertificateReport:
             "cocycle": self.cocycle,
             "cycle": self.cycle,
             "sigma_pairing": self.sigma_pairing,
-            "expected_winding": self.expected_winding,
+            "expected_winding": -self.sigma_pairing,
             "runs": [
                 {
                     "n": _encode_json_int(r.n),
-                    "raw": r.raw,
-                    "rounded": r.rounded,
-                    "path": r.path,
+                    "raw": float(r.winding),
+                    "rounded": r.winding,
+                    "path": "exact",
                     "winding": str(r.winding),
                     "margin": _encode_json_int(r.margin),
                     "terms": [str(t) for t in r.terms],
                 }
                 for r in self.runs
             ],
-            "distance_bound": self.distance_bound,
+            "distance_bound": PERTURBATION_RADIUS,
             "statement": self.statement,
-            "sign_convention": self.sign_convention,
+            "sign_convention": SIGN_CONVENTION,
             "version": __version__,
         }
 
@@ -291,7 +304,7 @@ def _exact_runs(
     each size raises its first failing check: the size's own
     (`_size_error`), then the terms' ball tests in order.
     """
-    den = sigma.poly.denominator_lcm()
+    den = sigma.poly.den
     words = [(index, coef, -sigma(a, b)) for index, (coef, a, b) in enumerate(chain.terms)]
     for n in n_list:
         error = _size_error(n, den)
@@ -311,9 +324,7 @@ def _exact_runs(
             widest = max(widest, abs(value))
             contributions.append(coef * value)
         winding = sum(contributions)
-        yield CertificateRun(
-            n, float(winding), winding, "exact", winding, n - 6 * widest, tuple(contributions)
-        )
+        yield CertificateRun(n, winding, n - 6 * widest, tuple(contributions))
 
 
 def certify_nonperturbability(
@@ -343,8 +354,8 @@ def certify_nonperturbability(
     if not n_list:
         raise ValueError("need at least one matrix size")
     boundary = boundary2(group, chain)
-    if not boundary.is_zero():
-        raise NotACycle(f"chain has boundary terms {boundary.terms}")
+    if boundary:
+        raise NotACycle(f"chain has boundary terms {boundary}")
     s = pair_cocycle_cycle(sigma, chain)
     if s == 0:
         raise TorsionPairing(
@@ -358,26 +369,15 @@ def certify_nonperturbability(
         ) from None
     runs = []
     for run in _exact_runs(sigma, chain, n_list):
-        if run.rounded != -s:
+        if run.winding != -s:
             raise PairingMismatch(
                 f"at n={run.n} the winding is {run.winding}, expected {-s}"
             )
         runs.append(run)
-    statement = (
-        f"Any family of unitaries within {PERTURBATION_RADIUS:.6f} (= 1/24) of these "
-        f"matrices in operator norm on the listed elements has winding pairing 0 "
-        f"against the cycle; the measured pairing is {-s}, so for every listed n "
-        f"the family sits at operator-norm distance at least 1/24, hence Frobenius "
-        f"distance at least 1/24, from every genuine unitary representation."
-    )
     return CertificateReport(
         group_name=group.name or f"group(hirsch={group.hirsch})",
         cocycle=sigma.to_document(),
         cycle=chain.to_json(),
         sigma_pairing=s,
-        expected_winding=-s,
         runs=tuple(runs),
-        distance_bound=PERTURBATION_RADIUS,
-        statement=statement,
-        sign_convention=SIGN_CONVENTION,
     )

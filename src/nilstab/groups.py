@@ -174,7 +174,7 @@ class MalcevGroup:
                 bad = found and (
                     f"{what} = {poly}, which is {found[1]} at {name_blocks(found[0], m)}"
                 )
-                checks.append(CheckResult(f"{kind} (law {k})", bad is None, bad))
+                checks.append(CheckResult(f"{kind} (law {k})", bad))
         return ValidationReport(self.name or f"group(hirsch={self.hirsch})", tuple(checks))
 
     @cached_property

@@ -27,11 +27,12 @@ Two paths compute the pairing, chosen by what is paired:
   term, at any n >= 1 coprime to the coefficient denominator.
 - `winding_pairing`, in this module on numpy, takes dense matrices:
   general families such as the perturbed representations of the null
-  test, and the oracle that the exact path is tested against.  It checks
-  the ball with SVD norms, and each term adds the arguments of the log
-  argument's eigenvalues, since the trace of the series log is the sum of
-  the eigenvalues' principal logs.  Every step is one LAPACK call, with no
-  truncation budget.  `rho_family`, `matrix_exp`,
+  test, and the oracle that the exact path is tested against.  It refuses
+  a log argument that is not unitary, reads its distance to the identity
+  off its eigenvalues (a unitary minus I is normal), and each term adds
+  the eigenvalues' arguments, since the trace of the series log is the
+  sum of the eigenvalues' principal logs.  Every step is one LAPACK call,
+  with no truncation budget.  `rho_family`, `matrix_exp`,
   `matrix_log_near_identity` and the null test are dense too.
 
 Sign convention: the log argument uses rho(ab) rho(b)^-1 rho(a)^-1; the
@@ -53,7 +54,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .cohomology import Chain2, PolyCocycle, boundary2
+from .cohomology import Chain2, PolyCocycle, is_cycle
 from .errors import NotACycle, TermOutOfRange, TooFarFromIdentity
 # The exact path's certificate, re-exported with its report types and
 # constants; the dense pairing shares SUMMED_WORD and PERTURBATION_RADIUS.
@@ -72,7 +73,8 @@ from .validation import DEFAULT_SEED
 PRECONDITION_MARGIN = 1e-8
 RESIDUAL_TOL = 1e-6
 # Largest Frobenius distance from the skew-Hermitian (matrix_exp) or the
-# unitary (matrix_log_near_identity) matrices that a dense input may have.
+# unitary (matrix_log_near_identity, winding_pairing) matrices that a dense
+# input may have.
 DOMAIN_TOL = 1e-8
 
 UnitaryFamily = Union[Mapping[Element, np.ndarray], Callable[[Element], np.ndarray]]
@@ -137,6 +139,16 @@ class PairingResult:
     cycle: bool
 
 
+def _unitary_spectrum(word: np.ndarray) -> tuple[np.ndarray, float]:
+    """The eigenvalues l_j of a unitary W, and ||W - I|| = max_j |l_j - 1|.
+
+    W - I is normal.  ValueError if ||W* W - I||_F exceeds DOMAIN_TOL.
+    """
+    _require(word.conj().T @ word - np.eye(word.shape[0], dtype=complex), "unitary")
+    eigenvalues = np.linalg.eigvals(word)
+    return eigenvalues, float(np.max(np.abs(eigenvalues - 1.0)))
+
+
 def _family_lookup(rho: UnitaryFamily) -> Callable[[Element], np.ndarray]:
     if callable(rho):
         return rho
@@ -152,10 +164,12 @@ def winding_pairing(
 
     `rho` is a mapping (or callable) defined on every a_j, b_j, and a_j*b_j
     of the chain.  Each term's log argument W = rho(ab) rho(b)* rho(a)*,
-    the word the winding sums, must lie strictly inside the unit ball
-    around the identity, else TermOutOfRange names the offending term.
-    Inside the ball every eigenvalue l_j of W lies in |z - 1| < 1, so
-    Im Tr log W = sum_j arg l_j, with the eigenvalues from LAPACK.
+    the word the winding sums, must be unitary (ValueError if
+    ||W* W - I||_F exceeds DOMAIN_TOL) and lie strictly inside the unit
+    ball around the identity, else TermOutOfRange names the offending
+    term.  Its distance to I is read off its eigenvalues l_j, which LAPACK
+    computes once (`_unitary_spectrum`).  Inside the ball every l_j lies
+    in |z - 1| < 1, so Im Tr log W = sum_j arg l_j.
     """
     lookup = _family_lookup(rho)
     total = 0.0
@@ -165,17 +179,17 @@ def winding_pairing(
         m_a = _square(lookup(a))
         m_b = _square(lookup(b))
         word = m_ab @ m_b.conj().T @ m_a.conj().T
-        distance = operator_norm(word - np.eye(word.shape[0], dtype=complex))
+        eigenvalues, distance = _unitary_spectrum(word)
         if distance + PRECONDITION_MARGIN >= 1.0:
             raise TermOutOfRange(
                 f"term {index}: ||{SUMMED_WORD} - I|| = {distance:.6f} >= 1",
                 term_index=index,
             )
-        total += coef * float(np.sum(np.angle(np.linalg.eigvals(word))))
+        total += coef * float(np.sum(np.angle(eigenvalues)))
     raw = total / (2 * math.pi)
     nearest = round(raw)
     residual = abs(raw - nearest)
-    closed = boundary2(group, chain).is_zero()
+    closed = is_cycle(group, chain)
     rounded = nearest if (closed and residual < RESIDUAL_TOL) else None
     return PairingResult(raw=raw, rounded=rounded, residual=residual, cycle=closed)
 
@@ -220,7 +234,7 @@ def perturbation_null_test(
     """
     if not 0 <= epsilon <= PERTURBATION_RADIUS:
         raise ValueError(f"epsilon must lie in [0, 1/24], got {epsilon}")
-    if not boundary2(group, chain).is_zero():
+    if not is_cycle(group, chain):
         raise NotACycle("the null test needs a cycle")
     lookup = _family_lookup(rep)
     support = chain.support(group)

@@ -311,10 +311,6 @@ class MultiPoly:
                 terms[rest] = terms.get(rest, 0) + c * _surjections(e, k)
         return [MultiPoly._from(self.variables, self.den, terms) for terms in coefficients]
 
-    def denominator_lcm(self) -> int:
-        """The common denominator `den`, the lcm of the coefficients' denominators."""
-        return self.den
-
     def __str__(self) -> str:
         parts = []
         for exps, c in sorted(self.terms.items(), reverse=True):

@@ -142,7 +142,7 @@ def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     """
     sigma.admit()
     x = sigma.group.element(x)
-    error = _size_error(n, sigma.poly.denominator_lcm())
+    error = _size_error(n, sigma.poly.den)
     if error is not None:
         raise error
     point = x + (0,)
@@ -233,20 +233,16 @@ def _gap_norms(gaps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(np.sum(chords, axis=-1)), op
 
 
-@dataclass(frozen=True)
-class Chi:
-    """The unit scalar chi_n(x, y) with rho(x) rho(y) = chi * rho(x*y)."""
-
-    value: complex
-
-
 def chi_scalar_check(
     sigma: PolyCocycle,
     n: int,
     x: Sequence[int],
     y: Sequence[int],
-) -> Chi:
+) -> complex:
     """Prove rho(x*y) rho(y)^-1 rho(x)^-1 = chi_n(x, y)^{-1} I and return chi.
+
+    chi_n(x, y) = exp(2 pi i sigma(x, y) / n) is the unit scalar with
+    rho(x) rho(y) = chi * rho(x*y).
 
     The word is formed from the three `build_rho` matrices with `compose`
     and `adjoint`, independently of the identity that `defects` reads it
@@ -273,7 +269,7 @@ def chi_scalar_check(
             f"expected {expected}",
             index=first,
         )
-    return Chi(cmath.exp(2j * math.pi * residue / n))
+    return cmath.exp(2j * math.pi * residue / n)
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,14 @@ DEFAULT_SEED = 0x1715
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A named check and its failure witness; it passed when there is none."""
+
     name: str
-    passed: bool
     witness: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class ValidationReport:
         for c in self.checks:
             mark = "pass" if c.passed else "FAIL"
             line = f"  [{mark}] {c.name}"
-            if c.witness and not c.passed:
+            if not c.passed:
                 line += f" -- {c.witness}"
             lines.append(line)
         return "\n".join(lines)

@@ -146,7 +146,7 @@ def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
     bounds up to the relative rounding `ROUNDING_SLACK`.
     """
     group = sigma.group
-    den = sigma.poly.denominator_lcm()
+    den = sigma.poly.den
     prepared = []
     for x, y in pairs:
         x, y = group.element(x), group.element(y)
@@ -385,15 +385,7 @@ def exact_run_by_words(
         margin = min(margin, term_margin)
         terms.append(coef * Fraction(int(np.sum(c)), n))
     winding = sum(terms, Fraction(0))
-    return CertificateRun(
-        n=n,
-        raw=float(winding),
-        rounded=winding.numerator if winding.denominator == 1 else None,
-        path="exact",
-        winding=winding,
-        margin=margin,
-        terms=tuple(terms),
-    )
+    return CertificateRun(n, winding, margin, tuple(terms))
 
 
 def certificate_runs_by_words(
@@ -407,7 +399,7 @@ def certificate_runs_by_words(
     runs = []
     for n in n_list:
         run = exact_run_by_words(group, sigma, chain, n)
-        if run.rounded != -s:
+        if run.winding != -s:
             raise PairingMismatch(
                 f"at n={n} the winding is {run.winding}, expected {-s}"
             )

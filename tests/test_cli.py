@@ -212,7 +212,7 @@ def test_an_invalid_group_document_fails_cleanly(runner, broken_group, args):
 
 EVERY_COMMAND = pytest.mark.parametrize(
     "args",
-    [["validate"], ["certify", "--cocycle", "zero", "--cycle", "voiculescu"],
+    [["validate"], ["certify", "--cocycle", "z2_skinny", "--cycle", "voiculescu"],
      ["sweep", "--cocycle", "zero"]],
     ids=["validate", "certify", "sweep"],
 )
@@ -265,6 +265,19 @@ def test_a_document_path_that_cannot_be_opened_is_a_usage_error(runner, tmp_path
     assert "Traceback" not in everything(result)
 
 
+@EVERY_COMMAND
+def test_an_out_path_that_cannot_be_written_is_a_usage_error(runner, tmp_path, args):
+    # Each command succeeds on lattice:2, then cannot open its --out path
+    # in a missing directory: one error line and exit 2, no traceback.
+    out = tmp_path / "missing" / "out.txt"
+    result = runner.invoke(main, [*args, "--group", "lattice:2", "--out", str(out)])
+    assert result.exit_code == 2, everything(result)
+    assert result.stderr == f"error: cannot write {out}: No such file or directory\n"
+    assert result.stdout == ""
+    assert "Traceback" not in everything(result)
+    assert not out.parent.exists()
+
+
 def test_certify_emits_a_json_certificate(runner):
     result = runner.invoke(
         main,
@@ -290,7 +303,7 @@ def test_a_promoted_tower_certifies_from_its_documents(runner, tmp_path):
     first = central_extension(lattice(1), square)
     ext = central_extension(first.total, promoted_cocycle(first), name="tower")
     omega = promoted_cocycle(ext)
-    assert omega.poly.denominator_lcm() == 4
+    assert omega.poly.den == 4
     paths = {}
     for key, doc in (
         ("group", ext.total.to_document()),
@@ -891,6 +904,34 @@ def test_benchmark_certificates_print_the_pinned_json(runner, args, digest):
     # JSON records the package version, so a version bump re-pins them.
     result = runner.invoke(main, ["certify", *args])
     assert result.exit_code == 0, everything(result)
+    assert _sha256(result.stdout) == digest
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "given, fmt, code, digest",
+    [
+        (["--group", "heisenberg3", "--cocycle", "heisenberg_skinny"], "text", 0,
+         "a2890d84a8c3f311bb0bf9e4a4c4747b4445545a455519235486db8ff8c6c852"),
+        (["--group", "heisenberg3", "--cocycle", "heisenberg_skinny"], "json", 0,
+         "6cecf1d39f3067345b4416489c3b9e35663f3bb937fe0018ca5d89674aa95883"),
+        (["--group", "lattice:2", "--cocycle", "z2_skinny"], "text", 0,
+         "8044b53c49b5a7a2adda9366495cffbae008a396ad04c3ed52731f37184be5e3"),
+        (["--group", "lattice:2", "--cocycle", "z2_skinny"], "json", 0,
+         "246a3dcda76d3f198ab4fb5de63e071b442171cbf36a2bf46a63142b700ad8fb"),
+        (None, "text", 1, "51b8a80445f84f3872f49a8f730832abfc5087691af1096f31b05f94062b9532"),
+        (None, "json", 1, "6278ba96a33e68064011573c95c8e8c196985239c6e877677d17e1389ec2078b"),
+    ],
+    ids=["heisenberg-text", "heisenberg-json", "lattice-text", "lattice-json",
+         "broken-text", "broken-json"],
+)
+def test_validate_prints_the_pinned_report(runner, broken_group, given, fmt, code, digest):
+    # The SHA-256 of what `validate` printed when each check stored its
+    # `passed` flag beside its witness.  The broken group's two failing
+    # checks print "passed": false, or [FAIL], with their witnesses.
+    result = runner.invoke(main, ["validate", *(given or ["--group", broken_group]),
+                                  "--format", fmt])
+    assert result.exit_code == code, everything(result)
     assert _sha256(result.stdout) == digest
     assert result.stderr == ""
 

@@ -293,7 +293,7 @@ def test_shipped_promoted_cocycle_is_the_interpolated_closed_form():
         },
     )
     assert sigma.poly == expected
-    assert sigma.poly.denominator_lcm() == 2
+    assert sigma.poly.den == 2
 
 
 @settings(deadline=None, max_examples=40)

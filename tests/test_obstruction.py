@@ -19,7 +19,7 @@ from conftest import (
     random_unitary_near_identity,
     record_kernel_calls,
 )
-from nilstab import exact, representation
+from nilstab import exact, obstruction, representation
 from nilstab.catalog import (
     character_representation,
     heisenberg3,
@@ -48,6 +48,7 @@ from nilstab.extensions import (
 from nilstab.groups import MalcevGroup, lattice
 from nilstab.obstruction import (
     PERTURBATION_RADIUS,
+    SIGN_CONVENTION,
     certify_nonperturbability,
     matrix_exp,
     matrix_log_near_identity,
@@ -203,6 +204,53 @@ def test_winding_accepts_callable_families():
     assert result.rounded == 0
 
 
+def test_the_eigenvalue_distance_is_the_operator_norm(monkeypatch):
+    # A unitary word W has ||W - I|| = max |l_j - 1|: checked against the
+    # SVD norm on the phase-shift words at each size, inside and outside
+    # the ball, and on unitaries that are not scalars.  The pairing itself
+    # makes no operator_norm (SVD) call.
+    calls = []
+
+    def counted(matrix):
+        calls.append(np.shape(matrix))
+        return operator_norm(matrix)
+
+    monkeypatch.setattr(obstruction, "operator_norm", counted)
+    monkeypatch.setattr(representation, "operator_norm", counted)
+    cycle = voiculescu_cycle()
+    words = []
+    for n in (3, 7, 64, 1023):
+        family = rho_family(z2_skinny(), n, cycle.support(Z2))
+        if n == 3:
+            with pytest.raises(TermOutOfRange):
+                winding_pairing(family, cycle, Z2)
+        else:
+            assert winding_pairing(family, cycle, Z2).rounded == -1
+        for _, a, b in cycle.terms:
+            ab = Z2.multiply(a, b)
+            words.append(family[ab] @ family[b].conj().T @ family[a].conj().T)
+    assert calls == []
+    rng = np.random.default_rng(45)
+    words += [random_unitary_near_identity(rng, dim, 0.9) for dim in (3, 7, 64)]
+    for word in words:
+        _, distance = obstruction._unitary_spectrum(word)
+        eye = np.eye(word.shape[0], dtype=complex)
+        assert abs(distance - operator_norm(word - eye)) < 1e-12
+
+
+def test_winding_refuses_a_family_that_is_not_unitary():
+    # A Jordan block's eigenvalues are all 1, but it is no unitary, so its
+    # distance to I cannot be read off them.
+    cycle = voiculescu_cycle()
+    family = {g: np.eye(3, dtype=complex) for g in cycle.support(Z2)}
+    family[(1, 1)] = np.eye(3, dtype=complex) + 0.5 * np.eye(3, k=1)
+    with pytest.raises(ValueError, match="expected a unitary matrix"):
+        winding_pairing(family, cycle, Z2)
+    scaled = {g: 1.01 * m for g, m in rho_family(z2_skinny(), 16, cycle.support(Z2)).items()}
+    with pytest.raises(ValueError, match="expected a unitary matrix"):
+        winding_pairing(scaled, cycle, Z2)
+
+
 # ----------------------------------------------------------------------
 # certificates
 
@@ -210,23 +258,24 @@ def test_winding_accepts_callable_families():
 def test_certificate_for_the_lattice_cocycle():
     report = certify_nonperturbability(Z2, z2_skinny(), voiculescu_cycle(), [16, 32])
     assert report.sigma_pairing == 1
-    assert report.expected_winding == -1
     assert [run.n for run in report.runs] == [16, 32]
-    assert all(run.rounded == -1 for run in report.runs)
-    assert all(run.winding == -1 and run.raw == -1.0 for run in report.runs)
+    assert all(run.winding == -1 for run in report.runs)
     # The terms' summed words have residues -1 and 0, so the margin
     # n - 6*max|centred(-sigma(a, b))| is n - 6.
     assert [run.margin for run in report.runs] == [10, 26]
-    assert report.distance_bound == PERTURBATION_RADIUS
     assert "1/24" in report.statement
     doc = report.to_json()
     json.loads(json.dumps(doc))
+    # The derived fields are written from the pairing and the windings.
     assert doc["expected_winding"] == -1
-    assert doc["sign_convention"]
-    assert [(r["path"], r["winding"], r["margin"]) for r in doc["runs"]] == [
-        ("exact", "-1", 10),
-        ("exact", "-1", 26),
+    assert doc["distance_bound"] == PERTURBATION_RADIUS
+    assert doc["statement"] == report.statement
+    assert doc["sign_convention"] == SIGN_CONVENTION
+    assert [(r["path"], r["winding"], r["rounded"], r["margin"]) for r in doc["runs"]] == [
+        ("exact", "-1", -1, 10),
+        ("exact", "-1", -1, 26),
     ]
+    assert [r["raw"] for r in doc["runs"]] == [-1.0, -1.0]
     assert isinstance(doc["runs"][0]["raw"], float)
     # The first term's word is the scalar residue -1, the second's is 0.
     assert [run.terms for run in report.runs] == [(-1, 0), (-1, 0)]
@@ -242,8 +291,8 @@ def test_certificate_for_the_promoted_heisenberg_cocycle():
     report = certify_nonperturbability(
         H3, heisenberg_skinny(), heisenberg_c1(), [17, 33]
     )
-    assert report.expected_winding == -1
-    assert all(run.rounded == -1 for run in report.runs)
+    assert report.sigma_pairing == 1
+    assert all(run.winding == -1 for run in report.runs)
 
 
 def _dense_outcome(group, sigma, chain, n):
@@ -263,7 +312,7 @@ def _exact_outcome(group, sigma, chain, n):
         return ("out of range", exc.term_index), None
     except PairingMismatch:
         (run,) = exact._exact_runs(sigma, chain, [n])
-    return run.rounded, run.raw
+    return run.winding, float(run.winding)
 
 
 def non_commuting_cycle(b2: int) -> Chain2:
@@ -511,7 +560,7 @@ def test_certificates_of_the_builtin_cycles_need_no_kernel_call(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [(run.n, run.rounded) for run in report.runs] == [(n, -1) for n in n_list]
+        assert [(run.n, run.winding) for run in report.runs] == [(n, -1) for n in n_list]
         assert peak < 1 << 20
     calls = record_kernel_calls(monkeypatch)
     for name, n_list in [
@@ -538,7 +587,7 @@ def test_certificate_past_the_dense_cap():
     n = 2**20 + 1
     report = certify_nonperturbability(Z2, z2_skinny(), voiculescu_cycle(), [n])
     (run,) = report.runs
-    assert (run.rounded, run.winding, run.margin) == (-1, -1, n - 6)
+    assert (run.winding, run.margin) == (-1, n - 6)
     with pytest.raises(ValueError):
         rho_family(z2_skinny(), n, [(1, 0)])
 
@@ -573,8 +622,10 @@ def test_certificate_requires_a_pairing_with_a_float_value(wide, named):
         certify_nonperturbability(Z2, z2_skinny(), chain, [7])
     # A pairing of 2^1023 has a float value and is certified.
     chain = Chain2.build([(2**1023, (0, 1), (1, 0)), (-(2**1023), (1, 0), (0, 1))])
-    (run,) = certify_nonperturbability(Z2, z2_skinny(), chain, [7]).runs
-    assert (run.rounded, run.raw) == (-(2**1023), -(2.0**1023))
+    report = certify_nonperturbability(Z2, z2_skinny(), chain, [7])
+    assert [run.winding for run in report.runs] == [-(2**1023)]
+    (run,) = report.to_json()["runs"]
+    assert (run["rounded"], run["raw"]) == (-(2**1023), -(2.0**1023))
 
 
 def test_certificate_requires_the_cocycles_group():

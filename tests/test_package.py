@@ -73,6 +73,8 @@ def test_validate_certify_and_sweep_load_no_numpy():
     # n = 2^127 - 1, in one fresh process: numpy is needed only by the
     # dense path.  The residue kernel lives in `representation`, so an
     # unloaded `representation` means the kernel was called 0 times.
+    # `extensions` is needed only by the Heisenberg builtins, so the
+    # lattice workload, which runs first, leaves it unloaded.
     out = fresh(
         """
         import contextlib, importlib.util, io, sys
@@ -89,12 +91,12 @@ def test_validate_certify_and_sweep_load_no_numpy():
         spec = importlib.util.spec_from_file_location("session", "perfbench/session.py")
         session = sys.modules["session"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(session)
-        for name in ("heisenberg", "lattice-dense"):
+        for name in ("lattice-dense", "heisenberg"):
             workload = session.WORKLOADS[name]
             workload.set_up(catalog, 1)
             for op in workload.operations:
                 run(workload.argv(op, 1))
-                print(name, op, "numpy" in sys.modules)
+                print(name, op, "numpy" in sys.modules, "nilstab.extensions" in sys.modules)
         n = str(2**127 - 1)
         for group, cocycle, cycle in (
             ("heisenberg3", "heisenberg_skinny", "heisenberg_c1"),
@@ -107,9 +109,13 @@ def test_validate_certify_and_sweep_load_no_numpy():
         print("kernel", "nilstab.representation" in sys.modules)
         """
     )
-    lines = out.splitlines()
-    assert len(lines) == 9
-    assert all(line.endswith(" False") for line in lines), out
+    assert out.splitlines() == [
+        *(f"lattice-dense {op} False False" for op in ("validate", "certify", "sweep")),
+        *(f"heisenberg {op} False True" for op in ("validate", "certify", "sweep")),
+        "heisenberg3 wide False",
+        "lattice:2 wide False",
+        "kernel False",
+    ]
 
 
 HEISENBERG = ["--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny"]

@@ -251,9 +251,9 @@ def test_degrees_and_denominators():
     assert p.total_degree() == 3
     assert p.variable_degree(0) == 2
     assert p.variable_degree(2) == 3
-    assert p.denominator_lcm() == 12
+    assert p.den == 12
     assert MultiPoly.zero(VARS).total_degree() == 0
-    assert MultiPoly.zero(VARS).denominator_lcm() == 1
+    assert MultiPoly.zero(VARS).den == 1
 
 
 def test_str_rendering_is_stable():
