@@ -11,7 +11,9 @@ sum(coef_j * sigma(a_j, b_j)).
 
 A cocycle is "skinny" with respect to a homomorphism alpha: G -> Z when
 its value at (x, y) depends on y only through alpha(y) and it vanishes on
-ker(alpha) x ker(alpha).  Skinny cocycles with a polynomial kernel are
+ker(alpha) x ker(alpha).  Here alpha is always the first Mal'cev
+coordinate, alpha(x) = x_1, the homomorphism the phase-shift family rho_n
+shifts the basis by.  Skinny cocycles with a polynomial kernel are
 represented by a polynomial in x_1..x_m and the single variable y1, read
 as alpha(y).  Such a PolyCocycle is proved once, when first used
 (`PolyCocycle.proof`), as is its group (`MalcevGroup.proof`), and every
@@ -39,11 +41,10 @@ from .poly import (
 )
 from .validation import (
     CheckResult,
-    DEFAULT_SEED,
+    SAMPLES,
     ValidationReport,
-    make_rng,
     name_blocks,
-    sample_coords,
+    sample_plan,
 )
 
 
@@ -265,32 +266,23 @@ def pair_cocycle_cycle(sigma: Cocycle, chain: Chain2) -> int:
 # checks
 
 
-def cocycle_check(
-    sigma: Cocycle,
-    samples: int = 500,
-    bound: int = 3,
-    seed: int | None = DEFAULT_SEED,
-) -> ValidationReport:
+def cocycle_check(sigma: Cocycle) -> ValidationReport:
     """Normalization and the cocycle identity, proved or, for a kernel, sampled.
 
     For a PolyCocycle p(x, y1) both are polynomial identities, in generic
     x, y and z for the cocycle identity, and p is proved integer valued
-    (see `poly.box_witness`); `samples`, `bound` and `seed` are not used.  A
-    KernelCocycle has no polynomial, so it is checked on seeded samples.
+    (see `poly.box_witness`).  A KernelCocycle has no polynomial, so it is
+    checked on the SAMPLES draws of `validation.sample_plan`.
     """
     if isinstance(sigma, PolyCocycle):
         return _prove_poly_cocycle(sigma)
 
     group = sigma.group
     m = group.hirsch
-    rng = make_rng(seed)
     e = group.identity
     norm_bad = None
     ident_bad = None
-    for _ in range(samples):
-        x = sample_coords(rng, m, bound)
-        y = sample_coords(rng, m, bound)
-        z = sample_coords(rng, m, bound)
+    for x, y, z in sample_plan(m, m, m):
         if norm_bad is None:
             if sigma(e, y) != 0:
                 norm_bad = f"sigma(e, {y}) = {sigma(e, y)}"
@@ -305,8 +297,8 @@ def cocycle_check(
     return ValidationReport(
         f"cocycle {sigma.name}",
         (
-            CheckResult(f"normalization on {samples} samples", norm_bad),
-            CheckResult(f"cocycle identity on {samples} sampled triples", ident_bad),
+            CheckResult(f"normalization on {SAMPLES} samples", norm_bad),
+            CheckResult(f"cocycle identity on {SAMPLES} sampled triples", ident_bad),
         ),
     )
 
@@ -348,50 +340,38 @@ def _prove_poly_cocycle(sigma: PolyCocycle) -> ValidationReport:
     )
 
 
-def skinny_check(
-    sigma: Cocycle,
-    alpha: Callable[[Element], int] | None = None,
-    samples: int = 500,
-    bound: int = 3,
-    seed: int | None = DEFAULT_SEED,
-) -> ValidationReport:
+def skinny_check(sigma: Cocycle) -> ValidationReport:
     """Check that sigma factors through (x, alpha(y)) and kills ker x ker.
 
-    A PolyCocycle reads y only through y1 = alpha(y), the canonical
-    homomorphism, so it factors by construction, and p(0, x2..xm, 0) = 0 is
-    proved as a polynomial identity.  A KernelCocycle is sampled instead.
+    alpha is the first coordinate.  A PolyCocycle reads y only through
+    y1 = alpha(y), so it factors by construction, and p(0, x2..xm, 0) = 0
+    is proved as a polynomial identity.  A KernelCocycle is checked on the
+    SAMPLES draws of `validation.sample_plan` instead: each draw compares
+    sigma(x, y) with sigma(x, y') for a y' that keeps y1 and redraws the
+    rest, and tests sigma on the kernel pair (0, x2..xm), (0, y2..ym).
     """
     group = sigma.group
     m = group.hirsch
     dep_bad = None
     ker_bad = None
     if isinstance(sigma, PolyCocycle):
-        if alpha is not None:
-            raise ValueError("a polynomial cocycle reads alpha(y) as y1")
         found = box_witness(sigma.poly.substitute({0: 0, m: 0}))
         if found:
             ker_bad = f"sigma({found[0][:m]}, {group.identity}) = {found[1]} on kernel pair"
         how = "exact"
     else:
-        if alpha is None:
-            alpha = group.canonical_hom
-        rng = make_rng(seed)
-        for _ in range(samples):
-            x = sample_coords(rng, m, bound)
-            y = sample_coords(rng, m, bound)
-            y_alt = (y[0],) + sample_coords(rng, m - 1, bound) if m > 1 else y
-            if alpha(y) == alpha(y_alt):
-                if dep_bad is None and sigma(x, y) != sigma(x, y_alt):
-                    dep_bad = (
-                        f"sigma({x}, {y}) = {sigma(x, y)} but "
-                        f"sigma({x}, {y_alt}) = {sigma(x, y_alt)} with equal alpha"
-                    )
+        for x, y, tail in sample_plan(m, m, m - 1):
+            y_alt = (y[0],) + tail
+            if dep_bad is None and sigma(x, y) != sigma(x, y_alt):
+                dep_bad = (
+                    f"sigma({x}, {y}) = {sigma(x, y)} but "
+                    f"sigma({x}, {y_alt}) = {sigma(x, y_alt)} with equal alpha"
+                )
             kx = (0,) + x[1:]
             ky = (0,) + y[1:]
-            if alpha(kx) == 0 and alpha(ky) == 0:
-                if ker_bad is None and sigma(kx, ky) != 0:
-                    ker_bad = f"sigma({kx}, {ky}) = {sigma(kx, ky)} on kernel pair"
-        how = f"{samples} samples"
+            if ker_bad is None and sigma(kx, ky) != 0:
+                ker_bad = f"sigma({kx}, {ky}) = {sigma(kx, ky)} on kernel pair"
+        how = f"{SAMPLES} samples"
     return ValidationReport(
         f"skinny {sigma.name}",
         (

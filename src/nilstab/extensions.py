@@ -39,7 +39,7 @@ from .errors import (
 )
 from .groups import Element, MalcevGroup
 from .poly import MultiPoly, xy_variables
-from .validation import DEFAULT_SEED, make_rng, sample_coords
+from .validation import sample_plan
 
 
 @dataclass(frozen=True)
@@ -116,24 +116,19 @@ def scaling_map(k: int, ext: CentralExtension) -> Callable[[Element], Element]:
 
 
 def section_cocycle(
-    ext: CentralExtension,
-    theta: Callable[[Element], Element],
-    samples: int = 200,
-    bound: int = 3,
-    seed: int | None = DEFAULT_SEED,
+    ext: CentralExtension, theta: Callable[[Element], Element]
 ) -> KernelCocycle:
     """Recover the fiber cocycle of a set-theoretic section theta.
 
     The value at (g, h) is the fiber coordinate of
     theta(g) * theta(h) * theta(g*h)^{-1}, an element of the central copy
     of the integers.  theta must satisfy project(theta(g)) = g; this is
-    checked on samples and on the identity.
+    checked on the identity and the SAMPLES draws of
+    `validation.sample_plan`, and NotASection names any pair on which the
+    value is not central.
     """
     base, total = ext.base, ext.total
-    rng = make_rng(seed)
-    probes = [base.identity] + [
-        sample_coords(rng, base.hirsch, bound) for _ in range(samples)
-    ]
+    probes = [base.identity] + [g for (g,) in sample_plan(base.hirsch)]
     for g in probes:
         lifted = total.element(theta(g))
         if ext.project(lifted) != base.element(g):
@@ -252,13 +247,7 @@ def _antiderivative(f: MultiPoly, index: int) -> MultiPoly:
 
 
 # No package caller: kept only because the benchmark tracer (perfbench/tracing.py) targets it.
-def interpolate_polynomial_cocycle(
-    omega: Cocycle,
-    degree_bound: int = 4,
-    verify_samples: int = 200,
-    verify_bound: int = 3,
-    seed: int | None = DEFAULT_SEED,
-) -> PolyCocycle:
+def interpolate_polynomial_cocycle(omega: Cocycle, degree_bound: int = 4) -> PolyCocycle:
     """Fit p(x_1..x_m, y1) to a skinny kernel by exact interpolation.
 
     Values of omega(x, (y1, 0, ..., 0)) are taken on the integer grid
@@ -266,12 +255,13 @@ def interpolate_polynomial_cocycle(
     polynomial is assembled from iterated finite differences (a Newton
     binomial basis), so all arithmetic is exact.  Raises
     DegreeBoundTooSmall if a difference above total degree D is nonzero
-    or if the fit disagrees with omega on fresh samples, which also
-    re-tests skinniness since the fresh samples use full second arguments.
+    or if the fit disagrees with omega on the draws of
+    `validation.sample_plan`, which also re-tests skinniness since the
+    draws use full second arguments.
     """
     group = omega.group
     m = group.hirsch
-    skinny = skinny_check(omega, samples=min(200, max(50, verify_samples)))
+    skinny = skinny_check(omega)
     if not skinny.ok:
         raise NotSkinny("kernel is not skinny:\n" + skinny.summary())
 
@@ -335,10 +325,7 @@ def interpolate_polynomial_cocycle(
 
     result = PolyCocycle(group, fitted, name=f"fit({omega.name}; degree<={D})")
 
-    rng = make_rng(seed)
-    for _ in range(verify_samples):
-        x = sample_coords(rng, m, verify_bound)
-        y = sample_coords(rng, m, verify_bound)
+    for x, y in sample_plan(m, m):
         want = omega(x, y)
         got = result(x, y)
         if want != got:

@@ -131,10 +131,6 @@ class MalcevGroup:
         xy = self.multiply(x, y)
         return self.multiply(self.multiply(xy, self.inverse(x)), self.inverse(y))
 
-    def canonical_hom(self, x: Sequence[int]) -> int:
-        """The homomorphism to the integers reading the first coordinate."""
-        return self.element(x)[0]
-
     # ------------------------------------------------------------------
     # validation
 

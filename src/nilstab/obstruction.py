@@ -227,13 +227,15 @@ def perturbation_null_test(
 ) -> NullTestReport:
     """Perturb a genuine representation and confirm the pairing stays zero.
 
-    Each trial multiplies every needed unitary by exp(S) for an independent
-    random skew-adjoint S with operator norm strictly below epsilon, which
-    must not exceed 1/24.  The representation property is first checked on
-    the support of the chain.
+    Each trial, of at least one, multiplies every needed unitary by exp(S)
+    for an independent random skew-adjoint S with operator norm strictly
+    below epsilon, which must not exceed 1/24.  The representation property
+    is first checked on the support of the chain.
     """
     if not 0 <= epsilon <= PERTURBATION_RADIUS:
         raise ValueError(f"epsilon must lie in [0, 1/24], got {epsilon}")
+    if trials < 1:
+        raise ValueError(f"the null test needs at least one trial, got {trials}")
     if not is_cycle(group, chain):
         raise NotACycle("the null test needs a cycle")
     lookup = _family_lookup(rep)

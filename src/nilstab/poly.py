@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
@@ -52,7 +53,7 @@ class MultiPoly:
         clean: dict[Exponents, Scalar] = {}
         den = 1
         for exps, coef in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(operator.index, exps))
             if len(exps) != width:
                 raise ValueError(f"exponent vector {exps} does not match {width} variables")
             if any(e < 0 for e in exps):

@@ -5,18 +5,24 @@ kernel function are sampled, and sampled checks are falsification
 searches, not proofs.  Every failure is recorded with a concrete integer
 witness so it can be replayed.  All sampling is driven by `random.Random`
 with an explicit seed, so a rerun with the same inputs reproduces the same
-report byte for byte.
+report byte for byte.  Every sampled check on a kernel follows one plan
+(`sample_plan`): SAMPLES draws from `make_rng(DEFAULT_SEED)`, each
+coordinate in [-SAMPLE_BOUND, SAMPLE_BOUND].
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 # Fixed default so sampled checks reproduce across runs.  (The project
 # convention is one shared seed everywhere unless a caller overrides it.)
 DEFAULT_SEED = 0x1715
+
+# The one sample plan of every sampled check on a kernel cocycle.
+SAMPLES = 500
+SAMPLE_BOUND = 3
 
 
 @dataclass(frozen=True)
@@ -66,8 +72,8 @@ class ValidationReport:
         }
 
 
-def make_rng(seed: int | None) -> random.Random:
-    return random.Random(DEFAULT_SEED if seed is None else seed)
+def make_rng(seed: int) -> random.Random:
+    return random.Random(seed)
 
 
 def sample_coords(rng: random.Random, length: int, bound: int) -> tuple[int, ...]:
@@ -90,6 +96,18 @@ def sample_coords(rng: random.Random, length: int, bound: int) -> tuple[int, ...
             r = getrandbits(bits)
         coords.append(r - bound)
     return tuple(coords)
+
+
+def sample_plan(*lengths: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """SAMPLES draws, each one coordinate tuple per length, in that order.
+
+    The stream is `sample_coords(make_rng(DEFAULT_SEED), length,
+    SAMPLE_BOUND)` for each length in turn, draw after draw; a length of 0
+    draws nothing and gives ().
+    """
+    rng = make_rng(DEFAULT_SEED)
+    for _ in range(SAMPLES):
+        yield tuple(sample_coords(rng, length, SAMPLE_BOUND) for length in lengths)
 
 
 def name_blocks(point: Sequence[int], length: int) -> str:

@@ -43,7 +43,7 @@ from nilstab.extensions import central_extension, promoted_cocycle
 from nilstab.groups import lattice
 from nilstab.poly import MultiPoly, xy_variables
 from nilstab.representation import build_rho
-from nilstab.validation import make_rng, sample_coords
+from nilstab.validation import SAMPLE_BOUND, SAMPLES, make_rng, sample_coords
 
 Z2 = lattice(2)
 H3 = heisenberg3()
@@ -172,11 +172,11 @@ def test_proved_verdicts_agree_with_sampled_kernel_verdicts(sigma):
     # The sampled checks on the same values, seen as a kernel, are an
     # independent oracle for the proofs: each check must agree.
     proved = cocycle_check(sigma)
-    sampled = cocycle_check(sigma.as_kernel(), samples=500)
+    sampled = cocycle_check(sigma.as_kernel())
     assert [c.passed for c in proved.checks[:2]] == [c.passed for c in sampled.checks]
     assert proved.checks[2].passed  # every polynomial here is integer valued
     proved_skinny = skinny_check(sigma)
-    sampled_skinny = skinny_check(sigma.as_kernel(), samples=500)
+    sampled_skinny = skinny_check(sigma.as_kernel())
     assert [c.passed for c in proved_skinny.checks] == [
         c.passed for c in sampled_skinny.checks
     ]
@@ -189,7 +189,7 @@ def test_cocycle_check_flags_a_normalization_failure():
         MultiPoly.variable(vars21, 0) + MultiPoly.variable(vars21, 2),
         name="affine",
     )
-    for report in (cocycle_check(sigma), cocycle_check(sigma.as_kernel(), samples=50)):
+    for report in (cocycle_check(sigma), cocycle_check(sigma.as_kernel())):
         failed = [c for c in report.failures() if c.name.startswith("normalization")]
         assert failed and "sigma(" in failed[0].witness
         value, stated = replay_sigma(sigma, failed[0].witness)
@@ -202,7 +202,7 @@ def test_cocycle_check_flags_a_cocycle_identity_failure():
     sigma = PolyCocycle(
         Z2, MultiPoly(vars21, {(2, 0, 1): Fraction(1)}), name="quadratic"
     )
-    reports = (cocycle_check(sigma), cocycle_check(sigma.as_kernel(), samples=200))
+    reports = (cocycle_check(sigma), cocycle_check(sigma.as_kernel()))
     for report in reports:
         failed = [c for c in report.failures() if "identity" in c.name]
         assert failed and "defect" in failed[0].witness
@@ -224,7 +224,7 @@ def test_cocycle_check_flags_a_cocycle_that_is_not_integer_valued():
     value, stated = replay_sigma(sigma, failure.witness)
     assert value == stated and value.denominator != 1
     with pytest.raises(NonIntegralValue):
-        cocycle_check(sigma.as_kernel(), samples=50)
+        cocycle_check(sigma.as_kernel())
 
 
 def test_coboundaries_always_satisfy_the_cocycle_identity():
@@ -232,7 +232,7 @@ def test_coboundaries_always_satisfy_the_cocycle_identity():
         return g[0] ** 2 * g[1] + 3 * g[1]
 
     cb = coboundary(Z2, f)
-    report = cocycle_check(cb, samples=300)
+    report = cocycle_check(cb)
     assert report.ok, report.summary()
     # Coboundaries pair to zero against cycles: the pairing only sees
     # cohomology classes.
@@ -251,13 +251,11 @@ def test_skinny_check_proves_vanishing_on_the_kernel():
     assert "ker(alpha)" in failure.name and "kernel pair" in failure.witness
     value, stated = replay_sigma(sigma, failure.witness.removesuffix(" on kernel pair"))
     assert value == stated != 0
-    with pytest.raises(ValueError):
-        skinny_check(sigma, alpha=lambda g: g[1])
 
 
 def test_skinny_check_flags_dependence_and_kernel_failures():
     bilinear = KernelCocycle(Z2, lambda x, y: x[1] * y[1], name="x2*y2")
-    report = skinny_check(bilinear, samples=200)
+    report = skinny_check(bilinear)
     names = {c.name: c for c in report.failures()}
     assert len(names) == 2
     dependence = [c for c in report.failures() if "depends" in c.name]
@@ -266,13 +264,26 @@ def test_skinny_check_flags_dependence_and_kernel_failures():
     assert kernel and "kernel pair" in kernel[0].witness
 
 
-def test_skinny_check_accepts_a_custom_homomorphism():
-    # With alpha reading the second coordinate, x1*y2 becomes skinny.
-    sigma = KernelCocycle(Z2, lambda x, y: x[1] * y[1], name="x2*y2")
-    report = skinny_check(sigma, alpha=lambda g: g[1])
-    # Dependence through alpha(y) = y2 holds, but x = (x1, 0) kernel pairs
-    # still vanish, so the whole report passes.
-    assert report.ok, report.summary()
+def test_kernel_checks_evaluate_sigma_on_every_draw_of_the_plan():
+    # No knob can shrink the plan: a kernel check reports on SAMPLES draws,
+    # with six kernel values per cocycle draw and three per skinny draw.
+    calls = []
+
+    def zero(x, y):
+        calls.append((x, y))
+        return 0
+
+    sigma = KernelCocycle(Z2, zero, name="zero")
+    report = cocycle_check(sigma)
+    assert report.ok and len(calls) == 6 * SAMPLES
+    assert [c.name for c in report.checks] == [
+        "normalization on 500 samples",
+        "cocycle identity on 500 sampled triples",
+    ]
+    calls.clear()
+    assert skinny_check(sigma).ok and len(calls) == 3 * SAMPLES
+    assert (SAMPLES, SAMPLE_BOUND) == (500, 3)
+    assert all(abs(c) <= SAMPLE_BOUND for x, y in calls for c in x + y)
 
 
 def test_chain_build_drops_zero_terms():

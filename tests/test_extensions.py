@@ -152,6 +152,26 @@ def test_section_cocycle_rejects_a_non_section():
         section_cocycle(ext, lambda g: (2 * g[0], g[1], 0))
 
 
+def test_section_cocycle_names_a_pair_on_which_theta_is_not_a_section():
+    # theta is the zero section on the probe box [-3, 3]^2 and shifts the
+    # first coordinate outside it, so every construction probe passes and
+    # only a pair whose product leaves the box is refused.
+    ext = heisenberg_extension()
+
+    def theta(g):
+        if max(map(abs, g)) <= 3:
+            return ext.section(g)
+        return (g[0] + 1, g[1], 0)
+
+    recovered = section_cocycle(ext, theta)
+    assert recovered((1, 2), (-1, 1)) == ext.cocycle((1, 2), (-1, 1))
+    with pytest.raises(NotASection) as info:
+        recovered((3, 0), (1, 0))
+    assert str(info.value) == (
+        "theta is not a section over the pair ((3, 0), (1, 0)): got (-1, 0, 0)"
+    )
+
+
 def test_central_commutator_cycle_is_a_cycle_with_the_expected_terms():
     ext = heisenberg_extension()
     from nilstab.cohomology import is_cycle
@@ -240,9 +260,9 @@ def test_promotion_refuses_an_unproved_extension_law():
 
 def test_promoted_cocycle_passes_the_cocycle_and_skinny_checks():
     omega = extension_skinny_cocycle(heisenberg_extension())
-    report = cocycle_check(omega, samples=300)
+    report = cocycle_check(omega)
     assert report.ok, report.summary()
-    thin = skinny_check(omega, samples=300)
+    thin = skinny_check(omega)
     assert thin.ok, thin.summary()
 
 

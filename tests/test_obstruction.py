@@ -708,6 +708,14 @@ def test_null_test_rejects_radii_beyond_the_certified_radius():
         perturbation_null_test(Z2, rep, voiculescu_cycle(), epsilon=1 / 20)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_null_test_refuses_fewer_than_one_trial(trials):
+    # With no trial there is no pairing, so all_zero would hold vacuously.
+    rep = character_representation([[0.3, 0.7]])
+    with pytest.raises(ValueError, match="at least one trial"):
+        perturbation_null_test(Z2, rep, voiculescu_cycle(), trials=trials)
+
+
 def test_null_test_rejects_non_multiplicative_families():
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     clock = np.diag([1.0, 1j])

@@ -7,6 +7,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,6 +323,16 @@ def test_json_codec_merges_repeated_monomials():
 def test_json_codec_rejects_malformed_documents(doc):
     with pytest.raises(ParseError):
         poly_from_monomials(doc, 2, 1)
+
+
+def test_constructor_refuses_an_exponent_that_is_not_an_integer():
+    # 1.9 was truncated to 1, building x1; ints, bools and numpy ints pass.
+    for exps in ((1.9, 0, 0), (2.0, 0, 0), (Fraction(1), 0, 0)):
+        with pytest.raises(TypeError):
+            MultiPoly(VARS, {exps: 1})
+    p = MultiPoly(VARS, {(np.int64(2), True, 0): 3})
+    assert p.nums == {(2, 1, 0): 3}
+    assert all(type(e) is int for e in next(iter(p.nums)))
 
 
 def test_equal_polynomials_share_a_hash():
