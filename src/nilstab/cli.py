@@ -111,8 +111,6 @@ def main():
               help="Optional cocycle to check: builtin name or JSON path.")
 @click.option("--samples", default=None, type=click.IntRange(min=1),
               help="Not used: polynomial checks are exact proofs.")
-@click.option("--bound", default=3, type=click.IntRange(min=1), show_default=True,
-              help="Not used: polynomial checks are exact proofs.")
 @click.option("--seed", default=DEFAULT_SEED, type=int, show_default=True,
               help="Not used: polynomial checks are exact proofs.")
 @click.option("--grid/--no-grid", default=False,
@@ -121,7 +119,7 @@ def main():
               show_default=True)
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False),
               help="Write the report here instead of stdout.")
-def validate(group_src, cocycle_src, samples, bound, seed, grid, fmt, out_path):
+def validate(group_src, cocycle_src, samples, seed, grid, fmt, out_path):
     """Prove a group law and, optionally, a cocycle on it.
 
     Every group law and cocycle given here is polynomial, so each check is

@@ -120,7 +120,7 @@ class PolyCocycle:
 
 
 class KernelCocycle:
-    """A cocycle given by an arbitrary integer-valued kernel function."""
+    """A cocycle given by a kernel function; each value passes `operator.index`."""
 
     def __init__(
         self,
@@ -134,9 +134,10 @@ class KernelCocycle:
 
     def __call__(self, x: Sequence[int], y: Sequence[int]) -> int:
         value = self.fn(self.group.element(x), self.group.element(y))
-        if not isinstance(value, int):
-            raise NonIntegralValue(f"kernel returned non-integer {value!r}")
-        return value
+        try:
+            return operator.index(value)
+        except TypeError:
+            raise NonIntegralValue(f"kernel returned non-integer {value!r}") from None
 
     def scale(self, k: int) -> "KernelCocycle":
         return KernelCocycle(
@@ -192,12 +193,11 @@ class Chain2:
 
     @classmethod
     def build(cls, terms: Iterable[tuple[int, Sequence[int], Sequence[int]]]) -> "Chain2":
+        """The nonzero terms, each coefficient and coordinate through `operator.index`."""
         clean = []
         for coef, a, b in terms:
-            coef = operator.index(coef)
-            if coef == 0:
-                continue
-            clean.append((coef, tuple(a), tuple(b)))
+            if coef := operator.index(coef):
+                clean.append((coef, tuple(map(operator.index, a)), tuple(map(operator.index, b))))
         return cls(tuple(clean))
 
     def support(self, group: MalcevGroup) -> list[Element]:

@@ -26,10 +26,11 @@ per pair and no shift check:
   2 pi |sigma(x, y)| / n: a theorem at every pair and n, not a check.
 
 A size is valid when n >= 1 and n is coprime to the cocycle's
-coefficient denominator (`_size_error`); sizes are Python ints, so the
-certificate holds at any such n, and the sweep at any n that a float
-can hold (below about 2^1024), where its float norms end.  No step here
-imports numpy or the dense modules.
+coefficient denominator.  `_size` checks it and returns it as a Python
+int (`operator.index`), and every step computes with that int, whatever
+integer type the caller passed; so the certificate holds at any such n,
+and the sweep at any n that a float can hold (below about 2^1024), where
+its float norms end.  No step here imports numpy or the dense modules.
 
 A certificate stores only what it computed: the pairing <sigma, c> and,
 per size, n, the winding, the margin and the terms' contributions.  Its
@@ -42,6 +43,7 @@ here, so both paths are reachable from either module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -72,18 +74,14 @@ SIGN_CONVENTION = (
 # sizes
 
 
-def _size_error(n: int, den: int) -> ValueError | NotCoprime | None:
-    """Why size n is refused for coefficient denominator den, if it is.
-
-    The one size rule: n >= 1 and gcd(n, den) = 1, with no upper bound.
-    """
+def _size(n: int, den: int) -> int:
+    """n as a Python int (`operator.index`); raises unless n >= 1 and gcd(n, den) = 1."""
+    n = operator.index(n)
     if n < 1:
-        return ValueError(f"matrix size must be positive, got {n}")
+        raise ValueError(f"matrix size must be positive, got {n}")
     if math.gcd(n, den) != 1:
-        return NotCoprime(
-            f"n = {n} shares a factor with the coefficient denominator {den}"
-        )
-    return None
+        raise NotCoprime(f"n = {n} shares a factor with the coefficient denominator {den}")
+    return n
 
 
 # ----------------------------------------------------------------------
@@ -166,11 +164,10 @@ def defects(
     distinct = dict.fromkeys(values)
     table = []
     for n in sizes:
-        error = _size_error(n, den)
-        if isinstance(error, NotCoprime):
+        try:
+            n = _size(n, den)
+        except NotCoprime as error:
             shared = {v: NotCoprime(str(error), sigma_xy=v) for v in distinct}
-        elif error is not None:
-            raise error
         else:
             try:
                 root = math.sqrt(n)
@@ -302,14 +299,12 @@ def _exact_runs(
     scalar 2 pi i c / n on n columns, so the term adds the integer coef * c
     and the winding is an integer.  Runs come one size at a time, and
     each size raises its first failing check: the size's own
-    (`_size_error`), then the terms' ball tests in order.
+    (`_size`), then the terms' ball tests in order.
     """
     den = sigma.poly.den
     words = [(index, coef, -sigma(a, b)) for index, (coef, a, b) in enumerate(chain.terms)]
     for n in n_list:
-        error = _size_error(n, den)
-        if error is not None:
-            raise error
+        n = _size(n, den)
         widest = 0
         contributions = []
         for index, coef, word in words:

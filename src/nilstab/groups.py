@@ -17,6 +17,7 @@ and `MalcevGroup.admit` raises when that proof failed.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Mapping, Sequence
@@ -72,14 +73,16 @@ class MalcevGroup:
         return (0,) * self.hirsch
 
     def element(self, coords: Sequence[int]) -> Element:
+        """coords as a tuple of Python ints, each through `operator.index`."""
         coords = tuple(coords)
         if len(coords) != self.hirsch:
             raise ValueError(
                 f"element has {len(coords)} coordinates, expected {self.hirsch}"
             )
-        if not all(isinstance(c, int) for c in coords):
-            raise ValueError(f"coordinates must be integers, got {coords!r}")
-        return coords
+        try:
+            return tuple(map(operator.index, coords))
+        except TypeError:
+            raise ValueError(f"coordinates must be integers, got {coords!r}") from None
 
     def basis(self, index: int) -> Element:
         """The index-th (1-based) standard generator a_index."""

@@ -58,8 +58,7 @@ class MultiPoly:
                 raise ValueError(f"exponent vector {exps} does not match {width} variables")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if not isinstance(coef, (int, Fraction)):
-                raise TypeError(f"coefficient {coef!r} is not an int or a Fraction")
+            coef = coef if isinstance(coef, Fraction) else operator.index(coef)
             clean[exps] = clean.get(exps, 0) + coef
             den = math.lcm(den, coef.denominator)
         self._set(variables, den, {e: (c * den).numerator for e, c in clean.items()})
@@ -85,8 +84,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, variables: Iterable[str], value: Scalar) -> "MultiPoly":
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"constant {value!r} is not an int or a Fraction")
+        value = value if isinstance(value, Fraction) else operator.index(value)
         variables = tuple(variables)
         return cls._from(variables, value.denominator, {(0,) * len(variables): value.numerator})
 
@@ -376,10 +374,13 @@ def _decode_json_int(v) -> int:
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        try:
-            return int(v, 10)
-        except ValueError as exc:
-            raise ParseError(f"bad integer literal {v!r}") from exc
+        # Only what `_encode_json_int` writes: an optional "-", then ASCII digits.
+        if v.isascii() and v.removeprefix("-").isdigit():
+            try:
+                return int(v)
+            except ValueError:  # past the int-to-str digit limit
+                pass
+        raise ParseError(f"bad integer literal {v!r}")
     raise ParseError(f"expected an integer or decimal string, got {v!r}")
 
 

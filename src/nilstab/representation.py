@@ -61,8 +61,8 @@ import numpy as np
 
 from .cohomology import PolyCocycle
 from .errors import DimensionMismatch, NotScalar
-# The exact path's sweep, re-exported; `build_rho` uses `_size_error` too.
-from .exact import DefectResult, _size_error, defect, defects
+# The exact path's sweep, re-exported; `build_rho` uses `_size` too.
+from .exact import DefectResult, _size, defect, defects
 
 MAX_DENSE = 1024  # double precision keeps phases well below 1e-12 up to here
 
@@ -133,7 +133,7 @@ def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     """The phase-shift unitary representing x at matrix size n.
 
     Raises what `PolyCocycle.admit` raises (ValidationError for the group
-    law, InvalidCocycle for sigma), then the size's error (`_size_error`);
+    law, InvalidCocycle for sigma), then the size's error (`_size`);
     otherwise the row's Newton differences Delta^k p(x, 0), the cocycle's
     Newton coefficients q_k at x (`PolyCocycle.newton`), give the residues
     (`_residues`), past whose int64 limit it raises ValueError.  The
@@ -142,9 +142,7 @@ def build_rho(sigma: PolyCocycle, n: int, x: Sequence[int]) -> PhaseShiftMatrix:
     """
     sigma.admit()
     x = sigma.group.element(x)
-    error = _size_error(n, sigma.poly.den)
-    if error is not None:
-        raise error
+    n = _size(n, sigma.poly.den)
     point = x + (0,)
     differences = [q.evaluate_int(point) for q in sigma.newton]
     return PhaseShiftMatrix(n, x[0], _residues(n, differences))
@@ -249,12 +247,14 @@ def chi_scalar_check(
     from.  It must have shift 0, and every residue must equal
     -sigma(x, y) mod n exactly; NotScalar names the first one that does
     not.  Raises what `PolyCocycle.admit` raises before x and y are looked
-    at, then the size's error (`build_rho`).
+    at, then the size's error (`_size`); the residues are reduced modulo
+    the int it returns.
     """
     sigma.admit()
     group = sigma.group
     x = group.element(x)
     y = group.element(y)
+    n = _size(n, sigma.poly.den)
     rho_xy, rho_x, rho_y = (build_rho(sigma, n, g) for g in (group.multiply(x, y), x, y))
     word = rho_xy.compose(rho_y.adjoint()).compose(rho_x.adjoint())
     if word.shift != 0:

@@ -399,7 +399,7 @@ def test_certify_rejects_bad_size_lists(runner):
     [
         ["validate", "--group", "heisenberg3", "--samples", "-1"],
         ["validate", "--group", "lattice:2", "--samples", "0"],
-        ["validate", "--group", "lattice:2", "--bound", "0"],
+        ["validate", "--group", "lattice:2", "--seed", "x"],
         ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--bound", "0"],
         ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--samples", "0"],
         ["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--n", "17,-1"],
@@ -410,6 +410,32 @@ def test_certify_rejects_bad_size_lists(runner):
 def test_bad_numeric_input_is_a_usage_error(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, everything(result)
+
+
+def test_validate_has_no_bound_option(runner):
+    # validate's checks are exact proofs; --bound was parsed and never read.
+    result = runner.invoke(main, ["validate", "--group", "lattice:2", "--bound", "3"])
+    assert result.exit_code == 2, everything(result)
+    assert "Error: No such option '--bound'" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "kind, args",
+    [("group", ["validate", "--group", "{path}"]),
+     ("cocycle", ["validate", "--group", "lattice:2", "--cocycle", "{path}"]),
+     ("cocycle", ["certify", "--group", "lattice:2", "--cocycle", "{path}",
+                  "--cycle", "voiculescu", "--n", "17"])],
+    ids=["validate-group", "validate-cocycle", "certify-cocycle"],
+)
+def test_a_document_name_that_is_not_a_string_is_a_usage_error(runner, tmp_path, kind, args):
+    doc = lattice(2).to_document() if kind == "group" else z2_skinny().to_document()
+    doc["name"] = 5 if kind == "group" else 7
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, [arg.format(path=path) for arg in args])
+    assert result.exit_code == 2, everything(result)
+    assert f"Error: {kind} name must be a string\n" in result.stderr
+    assert "Traceback" not in everything(result)
 
 
 def assert_refused(result, message: str) -> None:

@@ -89,6 +89,12 @@ def test_extension_rejects_a_non_cocycle():
         central_extension(Z2, half)
 
 
+def test_extension_refuses_a_cocycle_on_another_group():
+    other = PolyCocycle(lattice(1), MultiPoly.zero(xy_variables(1, 1)), name="zero")
+    with pytest.raises(ValueError, match=r"^cocycle lives on a different group$"):
+        central_extension(Z2, other)
+
+
 def test_extension_by_zero_is_the_direct_product():
     zero = PolyCocycle(Z2, MultiPoly.zero(xy_variables(2, 1)), name="zero")
     ext = central_extension(Z2, zero)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from nilstab.errors import NonIntegralValue, ParseError
 from nilstab.poly import (
     MultiPoly,
+    _decode_json_int,
     box_witness,
     poly_from_monomials,
     poly_to_monomials,
@@ -292,6 +293,23 @@ def test_json_codec_accepts_small_integers_as_strings_too():
     assert poly_from_monomials(doc, 2, 1) == MultiPoly(
         VARS, {(1, 0, 0): Fraction(7)}
     )
+
+
+@pytest.mark.parametrize("text", ["1_000", " 12 ", "+5", "\u0663", "\uff11\uff12"])
+def test_json_codec_reads_only_the_decimal_strings_it_writes(text):
+    # int(text, 10) reads each of these (1000, 12, 5, 3 and 12), but the
+    # writer only ever writes an optional "-" followed by ASCII digits.
+    doc = [{"coef": [text, 1], "x_exps": [1, 0], "y_exps": [0]}]
+    with pytest.raises(ParseError, match=r"^bad integer literal "):
+        poly_from_monomials(doc, 2, 1)
+    with pytest.raises(ParseError, match=r"^bad integer literal "):
+        _decode_json_int(text)
+
+
+def test_json_codec_reads_a_minus_sign_and_wide_digits():
+    assert _decode_json_int("-0") == 0
+    assert _decode_json_int(str(2**70)) == 2**70
+    assert _decode_json_int(str(-(2**70))) == -(2**70)
 
 
 def test_json_codec_merges_repeated_monomials():

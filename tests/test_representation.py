@@ -698,6 +698,26 @@ def test_defects_refuse_a_malformed_pair_as_the_group_does():
     assert defects(sigma, [17, 33], as_lists) == defects(sigma, [17, 33], [good])
 
 
+def test_defect_raises_the_not_coprime_entry_that_defects_returns():
+    # `defects` returns a size's NotCoprime as the pair's entry; `defect`
+    # raises it, carrying the pair's sigma(x, y).
+    sigma = heisenberg_skinny()
+    x, y = (1, 2, 3), (0, 1, 0)
+    ((entry,),) = defects(sigma, [16], [(x, y)])
+    with pytest.raises(NotCoprime) as info:
+        defect(sigma, 16, x, y)
+    assert str(info.value) == str(entry)
+    assert str(info.value) == "n = 16 shares a factor with the coefficient denominator 2"
+    assert info.value.sigma_xy == entry.sigma_xy == sigma(x, y)
+
+
+def test_defects_refuse_a_size_below_one_on_a_proved_cocycle():
+    pairs = [((0, 1), (1, 0))]
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=rf"^matrix size must be positive, got {n}$"):
+            defects(z2_skinny(), [17, n], pairs)
+
+
 def test_defect_shrinks_like_the_square_root_of_n():
     small = defect(z2_skinny(), 256, (0, 1), (1, 0))
     large = defect(z2_skinny(), 512, (0, 1), (1, 0))
