@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .cohomology import Chain2, PolyCocycle, cocycle_from_document
 from .errors import ParseError
 from .groups import MalcevGroup, lattice, load_group, read_json_document
-from .poly import MultiPoly, xy_variables
+from .poly import MultiPoly, _int_literal, xy_variables
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,11 +103,7 @@ def resolve_group(source: str) -> MalcevGroup:
     if name == "heisenberg3":
         return heisenberg3()
     if name.startswith("lattice:"):
-        tail = name.split(":", 1)[1]
-        try:
-            m = int(tail)
-        except ValueError:
-            raise ParseError(f"bad lattice rank {tail!r}") from None
+        m = _int_literal(name.split(":", 1)[1], "lattice rank")
         if m < 1:
             raise ParseError("lattice rank must be positive")
         return lattice(m)

@@ -10,9 +10,7 @@ given its inputs and seed; rerunning writes byte-identical output.
 from __future__ import annotations
 
 import json
-import math
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
 import click
@@ -21,6 +19,7 @@ from . import __version__, catalog
 from .cohomology import skinny_check
 from .errors import NilstabError, NotCoprime, ParseError, ValidationError
 from .exact import _int_text, certify_nonperturbability, defects
+from .poly import _int_literal
 from .validation import DEFAULT_SEED, make_rng, sample_coords
 
 
@@ -40,50 +39,12 @@ def _fail(exc: Exception | str, code: int = 1) -> NoReturn:
 
 def _parse_n_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise click.UsageError(f"bad matrix size list {text!r}") from None
+        values = [_int_literal(part, "matrix size") for part in text.split(",") if part]
+    except ParseError as exc:
+        raise click.UsageError(str(exc)) from None
     if not values or any(v < 1 for v in values):
         raise click.UsageError("matrix sizes must be positive integers")
     return values
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)`, without json's Python encoder.
-
-    With an indent, json falls back from its C encoder to a generator-based
-    one, which costs more than building a certificate.  This walks dicts
-    (keys sorted), lists and tuples, and writes str, int, finite float,
-    bool and None as json does; `indent` is the newline and indentation of
-    value's own depth.  Anything else (nan, inf, a subclass of a JSON type,
-    non-str keys) is written by json itself: its indentation only prefixes
-    each line, so re-indenting its lines gives the same bytes.
-    """
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is dict and set(map(type, value)) <= {str}:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = [
-            f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
-            for key in sorted(value)
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -136,7 +97,7 @@ def validate(group_src, cocycle_src, samples, seed, grid, fmt, out_path):
     except NilstabError as exc:
         _fail(exc)
     if fmt == "json":
-        text = _json_text([r.to_json() for r in reports]) + "\n"
+        text = json.dumps([r.to_json() for r in reports], sort_keys=True) + "\n"
     else:
         text = "\n".join(r.summary() for r in reports) + "\n"
     _emit(text, out_path)
@@ -148,7 +109,7 @@ def validate(group_src, cocycle_src, samples, seed, grid, fmt, out_path):
 @click.option("--cocycle", "cocycle_src", required=True)
 @click.option("--cycle", "cycle_src", required=True,
               help="Builtin name (voiculescu, heisenberg_c1) or JSON path.")
-@click.option("--n", "n_text", default="16,32,64,128", show_default=True,
+@click.option("--n", "n_text", default="17,33,65,129", show_default=True,
               help="Comma-separated matrix sizes, each coprime to the cocycle's "
                    "coefficient denominator (odd sizes for heisenberg_skinny).")
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
@@ -164,7 +125,7 @@ def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
         _fail(exc)
     except ValueError as exc:  # a pairing past the float winding
         _fail(exc, 2)
-    text = _json_text(report.to_json()) + "\n"
+    text = json.dumps(report.to_json(), sort_keys=True) + "\n"
     _emit(text, out_path)
     sys.exit(0)
 
@@ -172,7 +133,7 @@ def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
 @main.command()
 @click.option("--group", "group_src", required=True)
 @click.option("--cocycle", "cocycle_src", required=True)
-@click.option("--n", "n_text", default="16,32,64,128,256", show_default=True,
+@click.option("--n", "n_text", default="17,33,65,129,257", show_default=True,
               help="Comma-separated matrix sizes, each coprime to the cocycle's "
                    "coefficient denominator (odd sizes for heisenberg_skinny); "
                    "rows at other sizes are skipped:not_coprime.")

@@ -368,19 +368,30 @@ def _encode_json_int(v: int):
     return str(v) if abs(v) > _INT64_MAX else v
 
 
+def _int_literal(text: str, what: str) -> int:
+    """text as an int, if it is an optional "-" and then ASCII digits.
+
+    That is what `_encode_json_int` writes, and documents and the command
+    line read integers by this one rule.  Other text raises ParseError
+    naming `what`; text past 40 characters is named by its length, not
+    quoted whole.
+    """
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the int-to-str digit limit
+            pass
+    shown = repr(text) if len(text) <= 40 else f"of {len(text)} characters"
+    raise ParseError(f"bad {what} {shown}")
+
+
 def _decode_json_int(v) -> int:
     if isinstance(v, bool):
         raise ParseError(f"expected an integer, got {v!r}")
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        # Only what `_encode_json_int` writes: an optional "-", then ASCII digits.
-        if v.isascii() and v.removeprefix("-").isdigit():
-            try:
-                return int(v)
-            except ValueError:  # past the int-to-str digit limit
-                pass
-        raise ParseError(f"bad integer literal {v!r}")
+        return _int_literal(v, "integer literal")
     raise ParseError(f"expected an integer or decimal string, got {v!r}")
 
 

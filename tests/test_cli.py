@@ -15,14 +15,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import nilstab
 from conftest import defect_ulps
 from nilstab import catalog, cohomology, exact
 from nilstab.catalog import z2_skinny
-from nilstab.cli import _json_text, main
+from nilstab.cli import main
 from nilstab.cohomology import PolyCocycle, skinny_check
 from nilstab.errors import ValidationError
 from nilstab.extensions import central_commutator_cycle, central_extension, promoted_cocycle
@@ -410,6 +408,58 @@ def test_certify_rejects_bad_size_lists(runner):
 def test_bad_numeric_input_is_a_usage_error(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, everything(result)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["certify", "--group", "lattice:2", "--cocycle", "z2_skinny", "--cycle", "voiculescu",
+          "--n", text], f"bad matrix size {text.split(',')[-1]!r}")
+        for text in ("1_7", "\u0661\u0667", " +17", "+17", "17, 33")
+    ] + [
+        (["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--n", "1" * 5000],
+         "bad matrix size of 5000 characters"),
+    ] + [
+        (["validate", "--group", f"lattice:{rank}"], f"bad lattice rank {rank!r}")
+        for rank in ("+2", "\u0662", " 2", "2 ", "2_0")
+    ],
+)
+def test_command_line_integers_are_read_as_documents_read_them(runner, args, message):
+    # An optional "-", then ASCII digits: int() reads each of these (the
+    # size 17 and the rank 2, 20), but a document may not hold them.
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, everything(result)
+    assert [line for line in result.stderr.splitlines() if line.startswith("Error:")] == [
+        f"Error: {message}"
+    ]
+
+
+def test_a_long_bad_integer_literal_is_named_by_its_length(runner, tmp_path):
+    # 5,000 digits past the int-to-str limit, and 5,000 characters that are
+    # not digits, are each one short error line, not the literal quoted whole.
+    for literal in ("1" * 5000, "1_" * 2500):
+        doc = z2_skinny().to_document()
+        doc["poly"][0]["coef"][0] = literal
+        path = tmp_path / "cocycle.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", "--group", "lattice:2", "--cocycle", str(path)])
+        assert result.exit_code == 2, everything(result)
+        assert result.stderr.splitlines()[-1] == "Error: bad integer literal of 5000 characters"
+        assert len(result.stderr) < 200
+
+
+def test_the_default_sizes_are_odd(runner):
+    # heisenberg_skinny has denominator 2, so it certifies and sweeps at the
+    # default sizes only because they are odd.
+    given = ["--group", "heisenberg3", "--cocycle", "heisenberg_skinny"]
+    result = runner.invoke(main, ["certify", *given, "--cycle", "heisenberg_c1"])
+    assert result.exit_code == 0, everything(result)
+    assert [run["n"] for run in json.loads(result.stdout)["runs"]] == [17, 33, 65, 129]
+    result = runner.invoke(main, ["sweep", *given, "--samples", "1"])
+    assert result.exit_code == 0, everything(result)
+    rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["17", "33", "65", "129", "257"]
+    assert all(row[-1] == "ok" for row in rows)
 
 
 def test_validate_has_no_bound_option(runner):
@@ -802,12 +852,12 @@ def test_a_sweep_at_a_billion_needs_no_n_entry_table(tmp_path):
 
 
 def test_sweep_fails_when_no_size_is_coprime(runner):
-    # The default sizes are all even and heisenberg_skinny has denominator 2:
-    # every row is skipped, so nothing was measured.
+    # Every size is even and heisenberg_skinny has denominator 2: every row
+    # is skipped, so nothing was measured.
     result = runner.invoke(
         main,
         ["sweep", "--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
-         "--samples", "2"],
+         "--n", "16,32,64,128,256", "--samples", "2"],
     )
     assert result.exit_code == 1
     rows = result.stdout.strip().split("\n")[1:]
@@ -917,17 +967,18 @@ def test_certify_and_sweep_run_at_any_size(runner, group, cocycle, cycle):
         (["--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
           "--cycle", "builtin:heisenberg_c1",
           "--n", ",".join(str(n) for n in range(17, 130, 2))],
-         "4fefdc6f799f5a99c234b81451151df6d9b88e8cbeda229099bd7c6dad260f8f"),
+         "39a283018a2f1376557a4c1d8b97583c905f04090c3bdcc0faa79b8c09b415c6"),
         (["--group", "lattice:2", "--cocycle", "builtin:z2_skinny",
           "--cycle", "builtin:voiculescu", "--n", "257,513,1023"],
-         "8d3f9e376f9c24e31abb708bb5396a61a2f915b885a41b3a1e4f219598d72b81"),
+         "7e628861d2991823faae6cce6d953795506cb3bd04635e624b04888477502715"),
     ],
     ids=["heisenberg", "lattice-dense"],
 )
 def test_benchmark_certificates_print_the_pinned_json(runner, args, digest):
-    # The SHA-256 of the JSON these certificates printed when every size
-    # was paired through residue tables, before the closed form.  The
-    # JSON records the package version, so a version bump re-pins them.
+    # The SHA-256 of the one-line JSON these certificates print.  It parses
+    # to the documents they printed when every size was paired through
+    # residue tables, before the closed form.  The JSON records the package
+    # version, so a version bump re-pins them.
     result = runner.invoke(main, ["certify", *args])
     assert result.exit_code == 0, everything(result)
     assert _sha256(result.stdout) == digest
@@ -940,21 +991,22 @@ def test_benchmark_certificates_print_the_pinned_json(runner, args, digest):
         (["--group", "heisenberg3", "--cocycle", "heisenberg_skinny"], "text", 0,
          "a2890d84a8c3f311bb0bf9e4a4c4747b4445545a455519235486db8ff8c6c852"),
         (["--group", "heisenberg3", "--cocycle", "heisenberg_skinny"], "json", 0,
-         "6cecf1d39f3067345b4416489c3b9e35663f3bb937fe0018ca5d89674aa95883"),
+         "3971c0f40a8209f3a027cc8cbc9591e7c1713683b891b812d5b4c752de3a3ffc"),
         (["--group", "lattice:2", "--cocycle", "z2_skinny"], "text", 0,
          "8044b53c49b5a7a2adda9366495cffbae008a396ad04c3ed52731f37184be5e3"),
         (["--group", "lattice:2", "--cocycle", "z2_skinny"], "json", 0,
-         "246a3dcda76d3f198ab4fb5de63e071b442171cbf36a2bf46a63142b700ad8fb"),
+         "e11e806969296d54f992c1309a8782004f1fdab0ccef3e8ebf7910442b6be31d"),
         (None, "text", 1, "51b8a80445f84f3872f49a8f730832abfc5087691af1096f31b05f94062b9532"),
-        (None, "json", 1, "6278ba96a33e68064011573c95c8e8c196985239c6e877677d17e1389ec2078b"),
+        (None, "json", 1, "0fc4c1f3adbcf3547c49cce37bff1cfc0aa80c160a8bdbae88508881facb09c9"),
     ],
     ids=["heisenberg-text", "heisenberg-json", "lattice-text", "lattice-json",
          "broken-text", "broken-json"],
 )
 def test_validate_prints_the_pinned_report(runner, broken_group, given, fmt, code, digest):
-    # The SHA-256 of what `validate` printed when each check stored its
-    # `passed` flag beside its witness.  The broken group's two failing
-    # checks print "passed": false, or [FAIL], with their witnesses.
+    # The SHA-256 of what `validate` prints; its JSON parses to the documents
+    # it printed when each check stored its `passed` flag beside its
+    # witness.  The broken group's two failing checks print "passed": false,
+    # or [FAIL], with their witnesses.
     result = runner.invoke(main, ["validate", *(given or ["--group", broken_group]),
                                   "--format", fmt])
     assert result.exit_code == code, everything(result)
@@ -1016,7 +1068,7 @@ def test_failing_sweeps_keep_their_exit_codes_and_stderr(runner):
     skipped = runner.invoke(
         main,
         ["sweep", "--group", "heisenberg3", "--cocycle", "builtin:heisenberg_skinny",
-         "--samples", "2"],
+         "--n", "16,32,64,128,256", "--samples", "2"],
     )
     assert skipped.exit_code == 1
     assert _sha256(skipped.stdout) == (
@@ -1028,42 +1080,14 @@ def test_failing_sweeps_keep_their_exit_codes_and_stderr(runner):
 
 
 # ----------------------------------------------------------------------
-# the JSON writer
-
-JSON_LEAVES = (
-    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**63)
-    | st.floats() | st.text()
-)
-JSON_DOCUMENTS = st.recursive(
-    JSON_LEAVES,
-    lambda children: (
-        st.lists(children) | st.lists(children).map(tuple)
-        | st.dictionaries(st.text(), children)
-        | st.dictionaries(st.integers(), children, max_size=3)
-    ),
-    max_leaves=40,
-)
+# the JSON documents
 
 
-@settings(deadline=None, max_examples=200)
-@given(JSON_DOCUMENTS)
-@example({
-    "quotes and controls": ['"\\/', "\x00\x1f\x7f\n\t", "é ünï \u2028 😀"],
-    "wide": [2**64, -(2**64) - 1, 10**40],
-    "floats": [-0.0, 0.0, 1e-300, 1.5e308, float("nan"), float("inf"), -float("inf")],
-    "empty": [{}, [], (), ""],
-    "bools among ints": [True, 1, False, 0, None],
-    "tuples": ((1, (2, ())), [("a", {"b": (None,)})]),
-})
-@example({"a": {2: [True], 1: {}}, "b": [{False: 0.5}]})
-def test_the_json_writer_writes_what_json_dumps_writes(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
-
-
-def test_the_cli_documents_are_written_as_json_dumps_writes_them(broken_group):
+def test_the_cli_documents_are_written_as_json_dumps_writes_them(runner, broken_group):
     # Both benchmark certificates, `validate` on both builtins, and a group
-    # document that fails its proof, whose checks carry witnesses.
-    documents = []
+    # document that fails its proof, whose checks carry witnesses: each
+    # prints json.dumps(..., sort_keys=True) of the library's to_json().
+    cases = []
     for group_name, cocycle_name, cycle_name, sizes in (
         ("heisenberg3", "heisenberg_skinny", "heisenberg_c1", range(17, 130, 2)),
         ("lattice:2", "z2_skinny", "voiculescu", [257, 513, 1023]),
@@ -1072,11 +1096,17 @@ def test_the_cli_documents_are_written_as_json_dumps_writes_them(broken_group):
         sigma = catalog.resolve_cocycle(cocycle_name, group)
         chain = catalog.resolve_cycle(cycle_name, group)
         report = exact.certify_nonperturbability(group, sigma, chain, list(sizes))
-        documents.append(report.to_json())
-        documents.append([r.to_json() for r in (group.proof, sigma.proof, skinny_check(sigma))])
+        given = ["--group", group_name, "--cocycle", cocycle_name]
+        cases.append((["certify", *given, "--cycle", cycle_name, "--n", ",".join(map(str, sizes))],
+                      0, report.to_json()))
+        cases.append((["validate", *given, "--format", "json"], 0,
+                      [r.to_json() for r in (group.proof, sigma.proof, skinny_check(sigma))]))
     with pytest.raises(ValidationError) as failed:
         catalog.resolve_group(broken_group)
-    documents.append([failed.value.report.to_json()])
-    assert any(check["witness"] is not None for check in documents[-1][0]["checks"])
-    for doc in documents:
-        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    broken = [failed.value.report.to_json()]
+    assert any(check["witness"] is not None for check in broken[0]["checks"])
+    cases.append((["validate", "--group", broken_group, "--format", "json"], 1, broken))
+    for args, code, doc in cases:
+        result = runner.invoke(main, args)
+        assert result.exit_code == code, everything(result)
+        assert result.stdout == json.dumps(doc, sort_keys=True) + "\n"

@@ -7,6 +7,7 @@ a float is refused with that site's own error.
 
 from __future__ import annotations
 
+import json
 import warnings
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ import pytest
 
 from nilstab import exact
 from nilstab.catalog import heisenberg3, heisenberg_skinny, voiculescu_cycle, z2_skinny
-from nilstab.cli import _json_text
 from nilstab.cohomology import Chain2, KernelCocycle
 from nilstab.errors import NonIntegralValue, NotCoprime, PairingMismatch, TermOutOfRange
 from nilstab.exact import certify_nonperturbability, defects
@@ -28,7 +28,7 @@ Z2 = lattice(2)
 
 def certificate_text(sizes) -> str:
     report = certify_nonperturbability(Z2, z2_skinny(), voiculescu_cycle(), sizes)
-    return _json_text(report.to_json())
+    return json.dumps(report.to_json(), sort_keys=True)
 
 
 @pytest.mark.parametrize(

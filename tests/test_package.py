@@ -126,13 +126,13 @@ LATTICE = ["--group", "lattice:2", "--cocycle", "builtin:z2_skinny"]
 PINNED_JSON = [
     (["certify", *HEISENBERG, "--cycle", "builtin:heisenberg_c1",
       "--n", ",".join(str(n) for n in range(17, 130, 2))],
-     "4fefdc6f799f5a99c234b81451151df6d9b88e8cbeda229099bd7c6dad260f8f"),
+     "39a283018a2f1376557a4c1d8b97583c905f04090c3bdcc0faa79b8c09b415c6"),
     (["certify", *LATTICE, "--cycle", "builtin:voiculescu", "--n", "257,513,1023"],
-     "8d3f9e376f9c24e31abb708bb5396a61a2f915b885a41b3a1e4f219598d72b81"),
+     "7e628861d2991823faae6cce6d953795506cb3bd04635e624b04888477502715"),
     (["validate", *HEISENBERG, "--format", "json"],
-     "6cecf1d39f3067345b4416489c3b9e35663f3bb937fe0018ca5d89674aa95883"),
+     "3971c0f40a8209f3a027cc8cbc9591e7c1713683b891b812d5b4c752de3a3ffc"),
     (["validate", *LATTICE, "--format", "json"],
-     "246a3dcda76d3f198ab4fb5de63e071b442171cbf36a2bf46a63142b700ad8fb"),
+     "e11e806969296d54f992c1309a8782004f1fdab0ccef3e8ebf7910442b6be31d"),
 ]
 
 
