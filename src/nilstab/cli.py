@@ -18,8 +18,8 @@ import click
 from . import __version__, catalog
 from .cohomology import skinny_check
 from .errors import NilstabError, NotCoprime, ParseError, ValidationError
-from .exact import _int_text, certify_nonperturbability, defects
-from .poly import _int_literal
+from .exact import certify_nonperturbability, defects
+from .poly import _int_literal, _int_text
 from .validation import DEFAULT_SEED, make_rng, sample_coords
 
 
@@ -33,7 +33,7 @@ def _usage_guard(fn, *args, **kwargs):
 
 def _fail(exc: Exception | str, code: int = 1) -> NoReturn:
     """Report a failed check (exit 1), or a refused size or path (exit 2), on stderr."""
-    click.echo(f"error: {exc}", err=True)
+    sys.stderr.write(f"error: {exc}\n")
     sys.exit(code)
 
 
@@ -56,7 +56,8 @@ def _emit(text: str, out_path: str | None) -> None:
         except OSError as exc:
             _fail(f"cannot write {out_path}: {exc.strerror}", 2)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()  # so a closed pipe raises inside click, which handles it
 
 
 @click.group()
@@ -151,42 +152,36 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
         m = group.hirsch
         coords = sample_coords(make_rng(seed), 2 * m * samples, bound)
         pairs = [(coords[i:i + m], coords[i + m:i + 2 * m]) for i in range(0, len(coords), 2 * m)]
-        table = defects(sigma, n_list, pairs)
+        values, by_size = defects(sigma, n_list, pairs)
     except NilstabError as exc:
         _fail(exc)
     except ValueError as exc:  # a size, or a sigma(x, y), past the float norms or bounds
         _fail(exc, 2)
-    lines = ["n,x,y,sigma_xy,frob_defect,frob_bound,op_defect,op_bound,status"]
-    # Each pair's "x,y" fields are formatted once for all sizes.  The pairs
-    # sharing sigma(x, y) at a size share its entry, so each size formats
-    # the tail of each distinct value once.
-    texts = [f"{';'.join(map(str, x))},{';'.join(map(str, y))}" for x, y in pairs]
-    for n, rows in zip(n_list, table):
-        tails: dict[int, str] = {}
-        for (x, y), text, row in zip(pairs, texts, rows):
-            tail = tails.get(row.sigma_xy)
-            if tail is None:
-                try:
-                    value = str(row.sigma_xy)
-                except ValueError:  # past the int-to-str limit: only a skipped row gets here
-                    _fail(ValueError(f"sigma(x, y) = {_int_text(row.sigma_xy)} at ({x}, {y}) "
-                                     f"is too large to write in decimal at n = {n}"), 2)
-                tail = tails[row.sigma_xy] = (
-                    f"{value},,,,,skipped:not_coprime"
-                    if isinstance(row, NotCoprime)
-                    else f"{value},{row.frobenius!r},{row.frobenius_bound!r},"
-                    f"{row.operator!r},{row.operator_bound!r},ok"
-                )
-            lines.append(f"{n},{text},{tail}")
-    # A size's rows are all NotCoprime or none is; --samples keeps them nonempty.
-    skipped = all(isinstance(rows[0], NotCoprime) for rows in table)
+    # Each distinct sigma(x, y), pair's "x,y," and (size, sigma) tail is formatted once.
+    words: dict[int, str] = {}
+    for (x, y), value in zip(pairs, values):
+        if value not in words:
+            try:
+                words[value] = str(value)
+            except ValueError:  # past the int-to-str limit: every size was refused
+                _fail(f"sigma(x, y) = {_int_text(value)} at ({x}, {y}) is too large to "
+                      f"write in decimal at n = {n_list[0]}", 2)
+    head = ",".join([";".join(["{}"] * m)] * 2) + ","  # "x1;..;xm,y1;..;ym,"
+    heads = [head.format(*coords[i:i + 2 * m]) for i in range(0, len(coords), 2 * m)]
+    blocks = ["n,x,y,sigma_xy,frob_defect,frob_bound,op_defect,op_bound,status"]
+    for n, results in zip(n_list, by_size):
+        if isinstance(results, NotCoprime):
+            tails = {v: f"{word},,,,,skipped:not_coprime" for v, word in words.items()}
+        else:
+            tails = {v: f"{words[v]},{r.frobenius!r},{r.frobenius_bound!r},{r.operator!r},"
+                        f"{r.operator_bound!r},ok" for v, r in results.items()}
+        rows = map(str.__add__, heads, map(tails.__getitem__, values))
+        blocks.append(f"{n}," + f"\n{n},".join(rows))
+    skipped = all(isinstance(results, NotCoprime) for results in by_size)
     if skipped:
-        click.echo(
-            "error: no size in --n is coprime to the coefficient denominator "
-            f"{sigma.poly.den}",
-            err=True,
-        )
-    _emit("\n".join(lines) + "\n", out_path)
+        sys.stderr.write("error: no size in --n is coprime to the coefficient denominator "
+                         f"{sigma.poly.den}\n")
+    _emit("\n".join(blocks) + "\n", out_path)
     sys.exit(1 if skipped else 0)
 
 

@@ -34,6 +34,7 @@ from .poly import (
     MultiPoly,
     _decode_json_int,
     _encode_json_int,
+    _quoted,
     box_witness,
     poly_from_monomials,
     poly_to_monomials,
@@ -160,7 +161,7 @@ def cocycle_from_document(group: MalcevGroup, doc: Mapping) -> PolyCocycle:
         raise ParseError(f"cocycle document missing key {exc}") from exc
     hirsch = doc.get("hirsch", group.hirsch)
     if not isinstance(hirsch, int) or isinstance(hirsch, bool):
-        raise ParseError(f"hirsch must be an integer, got {hirsch!r}")
+        raise ParseError(f"hirsch must be an integer, got {_quoted(hirsch)}")
     if hirsch != group.hirsch:
         raise ParseError(
             f"cocycle is for Hirsch length {hirsch}, group has {group.hirsch}"
@@ -226,14 +227,14 @@ class Chain2:
         terms = []
         for entry in doc:
             if not isinstance(entry, Mapping):
-                raise ParseError(f"chain term must be an object, got {entry!r}")
+                raise ParseError(f"chain term must be an object, got {_quoted(entry)}")
             try:
                 coef, a, b = entry["coef"], entry["a"], entry["b"]
             except KeyError as exc:
                 raise ParseError(f"chain term missing key {exc}") from exc
             if not (isinstance(a, list) and isinstance(b, list)):
                 raise ParseError(
-                    f"chain term coordinates must be lists, got {a!r} and {b!r}"
+                    f"chain term coordinates must be lists, got {_quoted(a)} and {_quoted(b)}"
                 )
             a, b = (tuple(_decode_json_int(v) for v in g) for g in (a, b))
             terms.append((_decode_json_int(coef), a, b))

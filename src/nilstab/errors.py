@@ -44,14 +44,7 @@ class DegreeBoundTooSmall(NilstabError):
 
 
 class NotCoprime(NilstabError):
-    """The matrix size shares a factor with a coefficient denominator.
-
-    A sweep's refused entry carries its pair's sigma(x, y) as `sigma_xy`.
-    """
-
-    def __init__(self, message: str, sigma_xy: int | None = None):
-        super().__init__(message)
-        self.sigma_xy = sigma_xy
+    """The matrix size shares a factor with a coefficient denominator."""
 
 
 class DimensionMismatch(NilstabError):

@@ -21,9 +21,10 @@ per pair and no shift check:
 - `defects` measures rho_n(x*y) - rho_n(x) rho_n(y), whose n entries all
   have the modulus 2 |sin(pi c / n)|, c the centred value of
   -sigma(x, y) mod n: its norms are sqrt(n) times and once that chord,
-  once per size and distinct sigma(x, y).  As |c| <= |sigma(x, y)| and
-  |sin t| <= |t|, they are at most 2 pi |sigma(x, y)| / sqrt(n) and
-  2 pi |sigma(x, y)| / n: a theorem at every pair and n, not a check.
+  once per size and distinct sigma(x, y): a size costs O(distinct sigma)
+  float operations.  As |c| <= |sigma(x, y)| and |sin t| <= |t|, they are
+  at most 2 pi |sigma(x, y)| / sqrt(n) and 2 pi |sigma(x, y)| / n: a
+  theorem at every pair and n, not a check.
 
 A size is valid when n >= 1 and n is coprime to the cocycle's
 coefficient denominator.  `_size` checks it and returns it as a Python
@@ -57,7 +58,7 @@ from .errors import (
     TorsionPairing,
 )
 from .groups import MalcevGroup
-from .poly import _encode_json_int
+from .poly import _encode_json_int, _int_text
 
 # Families closer than this to a representation always pair to zero.
 PERTURBATION_RADIUS = 1.0 / 24.0
@@ -105,15 +106,14 @@ def _chord(value: int, n: int) -> float:
 
 
 class DefectResult(NamedTuple):
-    """The defect of rho_n at a pair, with its bounds.
+    """The defect of rho_n at the pairs with one value sigma(x, y), with its bounds.
 
     The bounds are theorems of the admitted cocycle: with c the centred
     value of -sigma(x, y) mod n, |c| <= |sigma(x, y)| and |sin t| <= |t|
     give operator = 2 |sin(pi c / n)| <= 2 pi |sigma(x, y)| / n, and the
     Frobenius norm and bound are sqrt(n) times these.  The result depends
-    on n and the pair's sigma(x, y) only, so the pairs sharing that value
-    at a size share one result; a pair is known by its position among the
-    pairs that `defects` was given.
+    on n and sigma(x, y) only, so `defects` forms one per size and
+    distinct value, and every pair with that value has it.
     """
 
     n: int
@@ -128,76 +128,66 @@ def defects(
     sigma: PolyCocycle,
     sizes: Sequence[int],
     pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> list[list[DefectResult | NotCoprime]]:
+) -> tuple[list[int], list[dict[int, DefectResult] | NotCoprime]]:
     """Multiplicativity defects of rho_n at every size and pair, with their bounds.
 
     Raises what `PolyCocycle.admit` raises (ValidationError for the group
     law, InvalidCocycle for sigma) before any size or pair is looked at.
-    Returns one list per size, with one entry per pair: its DefectResult,
-    or at a size sharing a factor with the coefficient denominator a
-    NotCoprime carrying the pair's sigma(x, y).
+    Returns (values, by_size): values[j] is sigma(x, y) at the j-th pair;
+    by_size[k] is the NotCoprime that `_size` raised at the k-th size, or
+    a dict from each distinct value, in order of first occurrence, to its
+    DefectResult, so the j-th pair's is by_size[k][values[j]].
 
-    The pair-only work is one exact evaluation of sigma(x, y) per pair;
-    no group product is formed.  The admitted law adds first coordinates,
-    so every entry of rho_n(x*y) - rho_n(x) rho_n(y) has the modulus
-    `_chord(sigma(x, y), n)` (see the module docstring): the operator
-    norm is that chord and the Frobenius norm is sqrt(n) times it; no
-    residue or matrix is formed.  The bounds 2 pi |sigma(x, y)| / n and
-    sqrt(n) times it are proved (`DefectResult`), so they are computed,
-    from the one correctly rounded division |sigma(x, y)| / n, and not
-    checked.  Each size measures and bounds each distinct value once, and
-    the pairs that share it share its entry, so a size costs
-    O(distinct sigma) plus one lookup per pair.  A coprime size too large
-    for a float (from about 2^1024 on), where sqrt(n) has no value,
-    raises ValueError naming it.  So does a value whose bounds are not
-    finite floats (|sigma(x, y)| / sqrt(n) from about 2^1021 on), naming
-    it (by its bit length past the int-to-str limit), the first pair with
-    it, and n.
+    The pair-only work is one pass: each pair's x, then its y, passes
+    `MalcevGroup.element` once (the first bad one raises its ValueError),
+    and sigma(x, y) is evaluated once; no group product is formed.  The
+    admitted law adds first coordinates, so every entry of
+    rho_n(x*y) - rho_n(x) rho_n(y) has the modulus `_chord(sigma(x, y), n)`
+    (module docstring): the operator norm is that chord and the Frobenius
+    norm sqrt(n) times it; no residue or matrix is formed.  The bounds
+    2 pi |sigma(x, y)| / n and sqrt(n) times it are proved (`DefectResult`),
+    so they are computed, from the one correctly rounded division
+    |sigma(x, y)| / n, and not checked.  A size costs O(distinct sigma),
+    whatever the number of pairs.  A coprime size too large for a float
+    (from about 2^1024 on), where sqrt(n) has no value, raises ValueError
+    naming it.  So does a value whose bounds are not finite floats
+    (|sigma(x, y)| / sqrt(n) from about 2^1021 on), naming it (by its bit
+    length past the int-to-str limit), the first pair with it, and n.
     """
     sigma.admit()
-    group = sigma.group
-    den = sigma.poly.den
-    xs = [group.element(x) for x, _ in pairs]
-    ys = [group.element(y) for _, y in pairs]
+    element = sigma.group.element
     evaluate = sigma.poly.evaluate_int
-    values = [evaluate(x + y[:1]) for x, y in zip(xs, ys)]
+    den = sigma.poly.den
+    values = [evaluate(element(x) + element(y)[:1]) for x, y in pairs]
     distinct = dict.fromkeys(values)
-    table = []
+    by_size: list[dict[int, DefectResult] | NotCoprime] = []
     for n in sizes:
         try:
             n = _size(n, den)
         except NotCoprime as error:
-            shared = {v: NotCoprime(str(error), sigma_xy=v) for v in distinct}
-        else:
+            by_size.append(error)
+            continue
+        try:
+            root = math.sqrt(n)
+        except OverflowError:
+            raise ValueError(f"matrix size {n} is too large for float norms") from None
+        results = {}
+        for v in distinct:
             try:
-                root = math.sqrt(n)
-            except OverflowError:
-                raise ValueError(f"matrix size {n} is too large for float norms") from None
-            shared = {}
-            for v in distinct:
-                try:
-                    op_bound = 2 * math.pi * (abs(v) / n)
-                except OverflowError:  # |sigma| / n is past the floats
-                    op_bound = math.inf
-                fro_bound = op_bound * root
-                if fro_bound == math.inf:
-                    i = values.index(v)
-                    raise ValueError(
-                        f"sigma(x, y) = {_int_text(v)} at ({xs[i]}, {ys[i]}) is too large "
-                        f"for float bounds at n = {n}"
-                    )
-                chord = _chord(v, n)
-                shared[v] = DefectResult(n, v, chord * root, fro_bound, chord, op_bound)
-        table.append(list(map(shared.__getitem__, values)))
-    return table
-
-
-def _int_text(value: int) -> str:
-    """value in decimal, or by its bit length past Python's int-to-str limit."""
-    try:
-        return str(value)
-    except ValueError:
-        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+                op_bound = 2 * math.pi * (abs(v) / n)
+            except OverflowError:  # |sigma| / n is past the floats
+                op_bound = math.inf
+            fro_bound = op_bound * root
+            if fro_bound == math.inf:
+                x, y = pairs[values.index(v)]
+                raise ValueError(
+                    f"sigma(x, y) = {_int_text(v)} at ({element(x)}, {element(y)}) is too "
+                    f"large for float bounds at n = {n}"
+                )
+            chord = _chord(v, n)
+            results[v] = DefectResult(n, v, chord * root, fro_bound, chord, op_bound)
+        by_size.append(results)
+    return values, by_size
 
 
 def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> DefectResult:
@@ -206,10 +196,10 @@ def defect(sigma: PolyCocycle, n: int, x: Sequence[int], y: Sequence[int]) -> De
     The one-pair, one-size case of `defects`, raising what it raises; a
     size's NotCoprime is raised, not returned.
     """
-    ((row,),) = defects(sigma, [n], [(x, y)])
-    if isinstance(row, NotCoprime):
-        raise row
-    return row
+    (value,), (results,) = defects(sigma, [n], [(x, y)])
+    if isinstance(results, NotCoprime):
+        raise results
+    return results[value]
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 from .errors import NotCentral, ParseError, ValidationError
 from .poly import (
     MultiPoly,
+    _quoted,
     box_witness,
     poly_from_monomials,
     poly_to_monomials,
@@ -244,7 +245,7 @@ def from_document(doc: Mapping) -> MalcevGroup:
     except KeyError as exc:
         raise ParseError(f"group document missing key {exc}") from exc
     if not isinstance(hirsch, int) or isinstance(hirsch, bool) or hirsch < 1:
-        raise ParseError(f"hirsch must be a positive integer, got {hirsch!r}")
+        raise ParseError(f"hirsch must be a positive integer, got {_quoted(hirsch)}")
     if not isinstance(law_docs, list) or len(law_docs) != hirsch:
         raise ParseError(f"law must be a list of {hirsch} polynomials")
     law = tuple(poly_from_monomials(p, hirsch, hirsch) for p in law_docs)

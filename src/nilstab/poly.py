@@ -385,6 +385,26 @@ def _int_literal(text: str, what: str) -> int:
     raise ParseError(f"bad {what} {shown}")
 
 
+def _int_text(value: int) -> str:
+    """value in decimal, or by its bit length past Python's int-to-str limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
+def _quoted(value) -> str:
+    """repr(value), or past 40 characters its JSON type and length, as `_int_literal` does."""
+    text = _int_text(value) if isinstance(value, int) else repr(value)
+    if len(text) <= 40:
+        return text
+    for kind, name, unit in ((str, "a string", "characters"), (list, "an array", "items"),
+                             (dict, "an object", "keys")):
+        if isinstance(value, kind):
+            return f"{name} of {len(value)} {unit}"
+    return f"a number of {len(text)} characters"
+
+
 def _decode_json_int(v) -> int:
     if isinstance(v, bool):
         raise ParseError(f"expected an integer, got {v!r}")
@@ -392,7 +412,7 @@ def _decode_json_int(v) -> int:
         return v
     if isinstance(v, str):
         return _int_literal(v, "integer literal")
-    raise ParseError(f"expected an integer or decimal string, got {v!r}")
+    raise ParseError(f"expected an integer or decimal string, got {_quoted(v)}")
 
 
 def poly_to_monomials(p: MultiPoly, x_count: int, y_count: int) -> list[dict]:
@@ -418,7 +438,7 @@ def poly_from_monomials(monomials, x_count: int, y_count: int) -> MultiPoly:
     terms: dict[Exponents, Fraction] = {}
     for mono in monomials:
         if not isinstance(mono, dict):
-            raise ParseError(f"monomial must be an object, got {mono!r}")
+            raise ParseError(f"monomial must be an object, got {_quoted(mono)}")
         try:
             raw_coef = mono["coef"]
             x_exps = mono["x_exps"]
@@ -426,14 +446,14 @@ def poly_from_monomials(monomials, x_count: int, y_count: int) -> MultiPoly:
         except KeyError as exc:
             raise ParseError(f"monomial missing key {exc}") from exc
         if not (isinstance(raw_coef, list) and len(raw_coef) == 2):
-            raise ParseError(f"coef must be a [num, den] pair, got {raw_coef!r}")
+            raise ParseError(f"coef must be a [num, den] pair, got {_quoted(raw_coef)}")
         num = _decode_json_int(raw_coef[0])
         den = _decode_json_int(raw_coef[1])
         if den == 0:
             raise ParseError("zero denominator in coefficient")
         if not (isinstance(x_exps, list) and isinstance(y_exps, list)):
             raise ParseError(
-                f"x_exps and y_exps must be lists, got {x_exps!r} and {y_exps!r}"
+                f"x_exps and y_exps must be lists, got {_quoted(x_exps)} and {_quoted(y_exps)}"
             )
         if len(x_exps) != x_count or len(y_exps) != y_count:
             raise ParseError(

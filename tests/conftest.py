@@ -131,7 +131,7 @@ def assert_within_bounds(row: DefectResult) -> None:
     assert row.operator <= row.operator_bound * (1 + ROUNDING_SLACK), row
 
 
-def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
+def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> tuple[list[int], list]:
     """`representation.defects` pair by pair: the reference oracle.
 
     For an admitted cocycle, whose values are integers.  Each pair is
@@ -141,9 +141,14 @@ def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
     evaluation, nor the residue kernel, nor the cocycle identity that
     `defects` reads its gaps from is used.  The norms compare x*y's
     phase-shift matrix with the product of x's and y's (`compose`,
-    `difference_norms`).  A pair's entry is the size's NotCoprime, else
-    its DefectResult, whose norms are asserted to be within their proved
-    bounds up to the relative rounding `ROUNDING_SLACK`.
+    `difference_norms`), and each is asserted to be within its proved
+    bound up to the relative rounding `ROUNDING_SLACK`.
+
+    Returns the shape `defects` returns: each pair's sigma(x, y), and per
+    size the size's NotCoprime, or a dict from each distinct sigma(x, y),
+    in order of first occurrence, to the DefectResult of the first pair
+    with it.  Every pair is measured, and a later pair with the same value
+    must measure the same norms, to the dense rounding (1e-11 relative).
     """
     group = sigma.group
     den = sigma.poly.den
@@ -152,16 +157,17 @@ def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
         x, y = group.element(x), group.element(y)
         triple = (group.multiply(x, y), x, y)
         rows = [(g, *specialize_first_by_fractions(sigma, g)) for g in triple]
-        prepared.append((x, y, sigma(x, y), rows))
-    table = []
+        prepared.append((sigma(x, y), rows))
+    by_size = []
     for n in sizes:
         if math.gcd(n, den) != 1:
-            refused = NotCoprime(f"n = {n} shares a factor with the coefficient denominator {den}")
-            table.append([refused] * len(prepared))
+            by_size.append(
+                NotCoprime(f"n = {n} shares a factor with the coefficient denominator {den}")
+            )
             continue
-        out = []
+        results = {}
         j = np.arange(n, dtype=object)
-        for x, y, s, rows in prepared:
+        for s, rows in prepared:
             matrices = []
             for g, scale, coeffs in rows:
                 # scale * p(g, j) for j = 0..n-1, in Python ints.
@@ -176,9 +182,11 @@ def defects_by_pairs(sigma: PolyCocycle, sizes, pairs) -> list[list]:
             fro_bound = op_bound * math.sqrt(n)
             row = DefectResult(n, s, fro, fro_bound, op, op_bound)
             assert_within_bounds(row)
-            out.append(row)
-        table.append(out)
-    return table
+            first = results.setdefault(s, row)
+            assert math.isclose(row.frobenius, first.frobenius, rel_tol=1e-11), (row, first)
+            assert math.isclose(row.operator, first.operator, rel_tol=1e-11), (row, first)
+        by_size.append(results)
+    return [s for s, _ in prepared], by_size
 
 
 def defect_ulps(n: int, sigma_xy: int, frobenius: float, operator: float) -> float:

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import importlib.metadata
 import json
+import math
 import os
 import resource
 import subprocess
@@ -17,12 +18,12 @@ import pytest
 from click.testing import CliRunner
 
 import nilstab
-from conftest import defect_ulps
+from conftest import defect_ulps, defects_by_pairs
 from nilstab import catalog, cohomology, exact
 from nilstab.catalog import z2_skinny
 from nilstab.cli import main
 from nilstab.cohomology import PolyCocycle, skinny_check
-from nilstab.errors import ValidationError
+from nilstab.errors import NotCoprime, ValidationError
 from nilstab.extensions import central_commutator_cycle, central_extension, promoted_cocycle
 from nilstab.groups import MalcevGroup, lattice
 from nilstab.poly import MultiPoly, _decode_json_int, xy_variables
@@ -446,6 +447,59 @@ def test_a_long_bad_integer_literal_is_named_by_its_length(runner, tmp_path):
         assert result.exit_code == 2, everything(result)
         assert result.stderr.splitlines()[-1] == "Error: bad integer literal of 5000 characters"
         assert len(result.stderr) < 200
+
+
+@pytest.mark.parametrize(
+    "where, value, shown",
+    [
+        ("numerator", [1] * 5000, "an array of 5000 items"),
+        ("numerator", {str(i): i for i in range(50)}, "an object of 50 keys"),
+        ("coef", [1] * 5000, "an array of 5000 items"),
+        ("x_exps", "x" * 60, "a string of 60 characters"),
+        ("numerator", [1, 2], "[1, 2]"),
+        ("coef", [1, 2, 3], "[1, 2, 3]"),
+        ("x_exps", "x" * 30, repr("x" * 30)),
+    ],
+)
+def test_a_long_json_value_is_named_by_its_type_and_length(runner, tmp_path, where, value, shown):
+    # A value that a document error quotes is named by its JSON type and
+    # length past 40 characters, so the error stays one short line; a
+    # short value is still quoted whole.
+    doc = z2_skinny().to_document()
+    monomial = doc["poly"][0]
+    if where == "numerator":
+        monomial["coef"][0] = value
+        message = f"expected an integer or decimal string, got {shown}"
+    elif where == "coef":
+        monomial["coef"] = value
+        message = f"coef must be a [num, den] pair, got {shown}"
+    else:
+        monomial["x_exps"] = value
+        message = f"x_exps and y_exps must be lists, got {shown} and {monomial['y_exps']!r}"
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["validate", "--group", "lattice:2", "--cocycle", str(path)])
+    assert result.exit_code == 2, everything(result)
+    assert result.stderr.splitlines()[-1] == f"Error: {message}"
+    assert len(result.stderr) < 200
+
+
+def test_long_values_in_group_cycle_and_cocycle_documents_are_named_too(runner, tmp_path):
+    group, cycle, cocycle = (tmp_path / f"{name}.json" for name in ("group", "cycle", "cocycle"))
+    group.write_text(json.dumps({"hirsch": [0] * 100, "law": []}))
+    cycle.write_text(json.dumps([{"coef": 1, "a": "a" * 50, "b": [0, 1]}]))
+    cocycle.write_text(json.dumps({**z2_skinny().to_document(), "hirsch": {"g" * 30: 2, "h" * 30: 2}}))
+    for args, message in (
+        (["validate", "--group", str(group)],
+         "hirsch must be a positive integer, got an array of 100 items"),
+        (["certify", "--group", "lattice:2", "--cocycle", "z2_skinny", "--cycle", str(cycle)],
+         "chain term coordinates must be lists, got a string of 50 characters and [0, 1]"),
+        (["validate", "--group", "lattice:2", "--cocycle", str(cocycle)],
+         "hirsch must be an integer, got an object of 2 keys"),
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, everything(result)
+        assert result.stderr.splitlines()[-1] == f"Error: {message}"
 
 
 def test_the_default_sizes_are_odd(runner):
@@ -1061,6 +1115,51 @@ def test_every_sweep_row_is_its_pairs_own_defect(runner):
     result = runner.invoke(main, [*HEISENBERG_SWEEP, "--n", "16,17,33,65,129"])
     assert result.exit_code == 0, everything(result)
     assert result.stdout.splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "group_name, cocycle_name",
+    [("lattice:2", "z2_skinny"), ("heisenberg3", "heisenberg_skinny")],
+)
+def test_the_sweep_csv_is_the_pair_by_pair_oracle(runner, group_name, cocycle_name):
+    # Row by row from `defects_by_pairs`, which measures every pair on its
+    # own from dense phase-shift products.  At n = 16 heisenberg_skinny's
+    # rows are skipped:not_coprime and lattice:2's are measured.  Every
+    # field but the two measured norms is equal as text; those agree to
+    # the oracle's dense rounding (1e-11 relative).
+    group = catalog.resolve_group(group_name)
+    sigma = catalog.resolve_cocycle(cocycle_name, group)
+    m = group.hirsch
+    rng = make_rng(1)
+    pairs = [(sample_coords(rng, m, 3), sample_coords(rng, m, 3)) for _ in range(40)]
+    values, by_size = defects_by_pairs(sigma, [16, 17], pairs)
+    expected = []
+    for n, results in zip((16, 17), by_size):
+        for (x, y), value in zip(pairs, values):
+            head = [str(n), ";".join(map(str, x)), ";".join(map(str, y)), str(value)]
+            if isinstance(results, NotCoprime):
+                expected.append(head + ["", "", "", "", "skipped:not_coprime"])
+            else:
+                row = results[value]
+                expected.append(head + [row.frobenius, repr(row.frobenius_bound),
+                                        row.operator, repr(row.operator_bound), "ok"])
+    result = runner.invoke(main, ["sweep", "--group", group_name, "--cocycle", cocycle_name,
+                                  "--n", "16,17", "--samples", "40", "--seed", "1"])
+    assert result.exit_code == 0, everything(result)
+    lines = result.stdout.splitlines()
+    assert lines[0] == "n,x,y,sigma_xy,frob_defect,frob_bound,op_defect,op_bound,status"
+    assert len(lines) == 1 + len(expected) == 81
+    for line, want in zip(lines[1:], expected):
+        fields = line.split(",")
+        assert len(fields) == len(want), line
+        for got, field in zip(fields, want):
+            if isinstance(field, float):
+                assert math.isclose(float(got), field, rel_tol=1e-11), (line, want)
+            else:
+                assert got == field, (line, want)
+    statuses = [line.rsplit(",", 1)[1] for line in lines[1:]]
+    skipped = 40 if cocycle_name == "heisenberg_skinny" else 0
+    assert statuses == ["skipped:not_coprime"] * skipped + ["ok"] * (80 - skipped)
 
 
 def test_failing_sweeps_keep_their_exit_codes_and_stderr(runner):

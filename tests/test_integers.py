@@ -17,9 +17,15 @@ import pytest
 from nilstab import exact
 from nilstab.catalog import heisenberg3, heisenberg_skinny, voiculescu_cycle, z2_skinny
 from nilstab.cohomology import Chain2, KernelCocycle
-from nilstab.errors import NonIntegralValue, NotCoprime, PairingMismatch, TermOutOfRange
+from nilstab.errors import (
+    NonIntegralValue,
+    NotCoprime,
+    PairingMismatch,
+    ParseError,
+    TermOutOfRange,
+)
 from nilstab.exact import certify_nonperturbability, defects
-from nilstab.groups import lattice
+from nilstab.groups import from_document, lattice
 from nilstab.poly import MultiPoly
 from nilstab.representation import build_rho, chi_scalar_check
 
@@ -95,15 +101,15 @@ def test_a_bool_size_is_refused_as_one_is():
 @pytest.mark.parametrize("kind", [np.int64, np.int32], ids=lambda kind: kind.__name__)
 def test_defects_at_numpy_sizes_hold_python_numbers(kind):
     pairs = [((0, 1, 0), (1, 0, 1)), ((2, 3, 0), (1, -1, 1)), ((0, 0, 0), (4, 4, 1))]
-    table = defects(heisenberg_skinny(), [kind(17), kind(16)], pairs)
-    expected = defects(heisenberg_skinny(), [17, 16], pairs)
-    assert table[0] == expected[0]
-    for row in table[0]:
-        assert type(row.n) is int and type(row.sigma_xy) is int
+    values, (measured, skipped) = defects(heisenberg_skinny(), [kind(17), kind(16)], pairs)
+    expected_values, (expected, expected_skipped) = defects(heisenberg_skinny(), [17, 16], pairs)
+    assert (values, measured) == (expected_values, expected)
+    assert {type(value) for value in values} == {int}
+    for value, row in measured.items():
+        assert type(value) is int and type(row.n) is int and type(row.sigma_xy) is int
         assert {type(value) for value in row[2:]} == {float}
-    skipped = [(type(row), str(row), row.sigma_xy) for row in table[1]]
-    assert skipped == [(type(row), str(row), row.sigma_xy) for row in expected[1]]
-    assert {error_type for error_type, _, _ in skipped} == {NotCoprime}
+    assert type(skipped) is type(expected_skipped) is NotCoprime
+    assert str(skipped) == str(expected_skipped)
 
 
 def test_the_dense_path_reduces_modulo_the_int_size():
@@ -159,3 +165,14 @@ def test_a_polynomial_coefficient_is_a_python_int_or_a_fraction():
             MultiPoly(("x",), {(1,): bad})
         with pytest.raises(TypeError):
             MultiPoly.constant(("x",), bad)
+
+
+def test_an_int_past_the_digit_limit_is_named_by_its_bit_length_in_a_document_error():
+    # repr fails past Python's 4,300-digit int-to-str limit, so the error
+    # names the int by its bit length instead of raising that ValueError.
+    value = -(10**5000)
+    with pytest.raises(ParseError) as info:
+        from_document({"hirsch": value, "law": []})
+    assert str(info.value) == (
+        f"hirsch must be a positive integer, got a negative integer of {value.bit_length()} bits"
+    )

@@ -574,8 +574,12 @@ def test_certificates_of_the_builtin_cycles_need_no_kernel_call(monkeypatch):
     for sigma, count in ((heisenberg_skinny(), 200), (z2_skinny(), 20)):
         m = sigma.group.hirsch
         pairs = [(sample_coords(rng, m, 3), sample_coords(rng, m, 3)) for _ in range(count)]
-        table = representation.defects(sigma, [17, 1023, big], pairs)
-        assert all(isinstance(row, representation.DefectResult) for rows in table for row in rows)
+        _, by_size = representation.defects(sigma, [17, 1023, big], pairs)
+        assert all(
+            isinstance(row, representation.DefectResult)
+            for results in by_size
+            for row in results.values()
+        )
     assert calls == []
     # Nor does a cycle whose terms' elements do not commute: its summed
     # words are the constants -sigma(a, b) too.

@@ -332,9 +332,11 @@ def test_defect_matches_the_dense_difference(make_sigma, sizes):
     scales = {specialize_first_by_fractions(sigma, v)[0] for pair in pairs for v in pair}
     assert scales == {1, sigma.poly.den}
     assert any(y[0] < 0 for _, y in pairs)
-    for n, rows in zip(sizes, defects(sigma, sizes, pairs)):
+    values, by_size = defects(sigma, sizes, pairs)
+    for n, results in zip(sizes, by_size):
         assert any(y[0] >= n for _, y in pairs)
-        for (x, y), result in zip(pairs, rows):
+        for (x, y), value in zip(pairs, values):
+            result = results[value]
             assert result == defect(sigma, n, x, y)
             xy = group.multiply(x, y)
             dense = build_rho(sigma, n, xy).to_dense() - (
@@ -457,35 +459,43 @@ def test_defects_split_words_constant_mod_n_from_the_others(monkeypatch):
     pairs += [((3, 1, 0), (1, -2, 2)), ((1, 0, 5), (2, 5, -1)), ((-1, 2, 3), (-3, 0, 1))]
     sizes = [3, 4, 6, 7, 12]
     calls = record_kernel_calls(monkeypatch)
-    table = defects(sigma, sizes, pairs)
+    result = defects(sigma, sizes, pairs)
     assert calls == []
-    assert_same_defects(table, defects_by_pairs(sigma, sizes, pairs))
-    for n, rows in zip(sizes, table):
-        kinds = {type(row) for row in rows}
-        assert kinds == ({NotCoprime} if n % 2 == 0 else {representation.DefectResult})
-        if n % 2:
-            assert [row.sigma_xy for row in rows] == [sigma(x, y) for x, y in pairs]
+    assert_same_defects(result, defects_by_pairs(sigma, sizes, pairs))
+    values, by_size = result
+    assert values == [sigma(x, y) for x, y in pairs]
+    for n, results in zip(sizes, by_size):
+        if n % 2 == 0:
+            assert type(results) is NotCoprime
+        else:
+            assert {type(row) for row in results.values()} == {representation.DefectResult}
+            assert [row.sigma_xy for row in results.values()] == list(dict.fromkeys(values))
 
 
-def assert_same_defects(table, oracle):
-    # Field for field, and errors by type and message.  n, sigma(x, y) and
-    # both bounds are equal; the measured norms agree to 1e-11 relative,
-    # since the oracle's chords lose digits near d = n (2.7e-12 relative at
-    # n = 2^16 + 1), while the closed form is within 4 ulp.
-    assert len(table) == len(oracle)
-    for rows, expected in zip(table, oracle):
-        assert len(rows) == len(expected)
-        for row, want in zip(rows, expected):
-            if isinstance(want, NilstabError):
-                assert type(row) is type(want)
-                assert str(row) == str(want)
-            else:
-                assert type(row) is type(want)
-                assert (row.n, row.sigma_xy, row.frobenius_bound, row.operator_bound) == (
-                    want.n, want.sigma_xy, want.frobenius_bound, want.operator_bound
-                )
-                assert math.isclose(row.frobenius, want.frobenius, rel_tol=1e-11)
-                assert math.isclose(row.operator, want.operator, rel_tol=1e-11)
+def assert_same_defects(result, oracle):
+    # The same values, and per size the same error by type and message, or
+    # the same distinct values in the same order with their results field
+    # for field.  n, sigma(x, y) and both bounds are equal; the measured
+    # norms agree to 1e-11 relative, since the oracle's chords lose digits
+    # near d = n (2.7e-12 relative at n = 2^16 + 1), while the closed form
+    # is within 4 ulp.
+    (values, by_size), (want_values, want_by_size) = result, oracle
+    assert values == want_values
+    assert len(by_size) == len(want_by_size)
+    for results, expected in zip(by_size, want_by_size):
+        if isinstance(expected, NilstabError):
+            assert type(results) is type(expected)
+            assert str(results) == str(expected)
+            continue
+        assert type(results) is dict
+        assert list(results) == list(expected)
+        for row, want in zip(results.values(), expected.values()):
+            assert type(row) is type(want)
+            assert (row.n, row.sigma_xy, row.frobenius_bound, row.operator_bound) == (
+                want.n, want.sigma_xy, want.frobenius_bound, want.operator_bound
+            )
+            assert math.isclose(row.frobenius, want.frobenius, rel_tol=1e-11)
+            assert math.isclose(row.operator, want.operator, rel_tol=1e-11)
 
 
 def hirsch4_skinny() -> PolyCocycle:
@@ -517,11 +527,9 @@ def test_defects_match_the_pair_by_pair_oracle(make_sigma, sizes):
     pairs += [((-(2**70), 3 * 2**65, 7, -5)[:m], (2**66 + 1, -9, 2**70, 1)[:m])]
     scales = {specialize_first_by_fractions(sigma, v)[0] for pair in pairs for v in pair}
     assert len(scales) == (1 if m == 2 else 2 if m == 3 else 4)
-    table = defects(sigma, sizes, pairs)
-    assert_same_defects(table, defects_by_pairs(sigma, sizes, pairs))
-    kinds = {type(row) for rows in table for row in rows}
-    assert kinds == ({representation.DefectResult, NotCoprime} if m > 2
-                     else {representation.DefectResult})
+    result = defects(sigma, sizes, pairs)
+    assert_same_defects(result, defects_by_pairs(sigma, sizes, pairs))
+    assert {type(results) for results in result[1]} == ({dict, NotCoprime} if m > 2 else {dict})
 
 
 def test_defects_match_the_oracle_on_non_integral_rows():
@@ -551,10 +559,13 @@ def test_defects_match_the_oracle_on_non_integral_rows():
     rng = make_rng(47)
     pairs = [(sample_coords(rng, 3, 3), sample_coords(rng, 3, 3)) for _ in range(20)]
     assert {specialize_first_by_fractions(sigma, x)[0] for x, _ in pairs} == {1, 2}
-    table = defects(sigma, [7, 4, 9], pairs)
-    assert_same_defects(table, defects_by_pairs(sigma, [7, 4, 9], pairs))
-    assert {type(row) for row in table[0] + table[2]} == {representation.DefectResult}
-    assert {type(row) for row in table[1]} == {NotCoprime}
+    result = defects(sigma, [7, 4, 9], pairs)
+    assert_same_defects(result, defects_by_pairs(sigma, [7, 4, 9], pairs))
+    seven, four, nine = result[1]
+    assert {type(row) for row in [*seven.values(), *nine.values()]} == {
+        representation.DefectResult
+    }
+    assert type(four) is NotCoprime
 
 
 def test_defects_bound_their_memory_at_large_n(monkeypatch):
@@ -571,18 +582,18 @@ def test_defects_bound_their_memory_at_large_n(monkeypatch):
     for size in (17, n, 2**20 + 1):
         tracemalloc.start()
         try:
-            (rows,) = defects(sigma, [size], pairs)
+            values, (results,) = defects(sigma, [size], pairs)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         if size == n:
-            assert rows == expected
+            assert [results[v] for v in values] == expected
     assert max(peaks) < 2 * min(peaks)
     assert max(peaks) < 1 << 16
     calls = record_kernel_calls(monkeypatch)
-    table = defects(sigma, [17, n, 2**20 + 1], pairs)
-    assert table[1] == expected
-    assert all(isinstance(row, representation.DefectResult) for row in table[2])
+    values, by_size = defects(sigma, [17, n, 2**20 + 1], pairs)
+    assert [by_size[1][v] for v in values] == expected
+    assert all(isinstance(row, representation.DefectResult) for row in by_size[2].values())
     assert calls == []
 
 
@@ -611,8 +622,9 @@ def test_defect_norms_are_within_4_ulp_of_the_true_values(n):
     # signs, where -sigma mod n lies next to n, and sigma near n / 3 and n / 2.
     values = [*range(-40, 41), n // 3, -(n // 3), n // 2, n // 2 + 1, n - 1, 7001, -7001]
     pairs = [((0, s), (1, 0)) for s in values]  # sigma(x, y) = x2 * y1 = s
-    (rows,) = defects(z2_skinny(), [n], pairs)
-    for row, s in zip(rows, values):
+    _, (results,) = defects(z2_skinny(), [n], pairs)
+    for s in values:
+        row = results[s]
         assert row.sigma_xy == s
         assert defect_ulps(n, s, row.frobenius, row.operator) <= 4, (n, s)
 
@@ -623,9 +635,10 @@ def test_a_sweep_near_the_size_cap_takes_o_log_n_per_gap():
     pairs = [((0, s), (1, 0)) for s in range(7001, 7013)]
     n = 2**31 - 1
     start = time.perf_counter()
-    (rows,) = defects(z2_skinny(), [n], pairs)
+    _, (results,) = defects(z2_skinny(), [n], pairs)
     assert time.perf_counter() - start < 1.0
-    for row, ((_, s), _) in zip(rows, pairs):
+    for (_, s), _ in pairs:
+        row = results[s]
         chord = 2 * abs(math.sin(math.pi * s / n))
         assert row.sigma_xy == s
         assert math.isclose(row.operator, chord, rel_tol=1e-15)
@@ -652,8 +665,8 @@ def test_the_bound_check_is_relative_at_every_size():
     for n in sizes:
         values = [*range(-40, 41), n // 3, n // 2, n // 2 + 1, n - 1]
         values += [-v for v in values[-4:]]
-        (rows,) = defects(z2_skinny(), [n], [((0, s), (1, 0)) for s in values])
-        for row in rows:
+        _, (results,) = defects(z2_skinny(), [n], [((0, s), (1, 0)) for s in values])
+        for row in results.values():
             assert type(row) is DefectResult, (n, row)
             assert math.isfinite(row.frobenius_bound) and math.isfinite(row.operator_bound)
             assert_within_bounds(row)
@@ -684,13 +697,16 @@ def test_defects_refuse_a_value_whose_bounds_are_not_finite():
 
 def test_defects_refuse_a_malformed_pair_as_the_group_does():
     # The pairs' coordinates are checked as `MalcevGroup.element` checks
-    # them, every x before every y, and the first bad one is named.
+    # them, in one pass: pair by pair, each x before its y, and the first
+    # bad one is named.
     sigma = heisenberg_skinny()
     good = ((1, 2, 3), (0, 1, 0))
     with pytest.raises(ValueError, match=r"^element has 2 coordinates, expected 3$"):
         defects(sigma, [17], [good, ((1, 2), (0, 0, 0)), ((1, 2, 3.0), (0, 0, 0))])
-    with pytest.raises(ValueError, match=r"^coordinates must be integers, got \(1, 2, 3\.0\)$"):
+    with pytest.raises(ValueError, match=r"^element has 2 coordinates, expected 3$"):
         defects(sigma, [17], [((0, 0, 0), (1, 2)), good, ((1, 2, 3.0), (0, 0, 0))])
+    with pytest.raises(ValueError, match=r"^coordinates must be integers, got \(1, 2, 3\.0\)$"):
+        defects(sigma, [17], [good, ((1, 2, 3.0), (1, 2)), ((0, 0, 0), (1, 2))])
     with pytest.raises(ValueError, match=r"^coordinates must be integers, got \(0, 0\.5, 0\)$"):
         defects(sigma, [17], [good, ((0, 0, 0), (0, 0.5, 0)), ((0, 0, 0), (1, 2))])
     # Any sequences of ints will do, lists included.
@@ -699,16 +715,42 @@ def test_defects_refuse_a_malformed_pair_as_the_group_does():
 
 
 def test_defect_raises_the_not_coprime_entry_that_defects_returns():
-    # `defects` returns a size's NotCoprime as the pair's entry; `defect`
-    # raises it, carrying the pair's sigma(x, y).
+    # `defects` returns a size's NotCoprime as the size's entry; `defect`
+    # raises it.
     sigma = heisenberg_skinny()
     x, y = (1, 2, 3), (0, 1, 0)
-    ((entry,),) = defects(sigma, [16], [(x, y)])
+    _, (entry,) = defects(sigma, [16], [(x, y)])
     with pytest.raises(NotCoprime) as info:
         defect(sigma, 16, x, y)
+    assert type(entry) is NotCoprime
     assert str(info.value) == str(entry)
     assert str(info.value) == "n = 16 shares a factor with the coefficient denominator 2"
-    assert info.value.sigma_xy == entry.sigma_xy == sigma(x, y)
+
+
+def test_defects_hold_one_result_per_size_and_distinct_value():
+    # values[j] is the j-th pair's sigma(x, y).  Each coprime size maps
+    # every distinct value, in order of first occurrence (not sorted), to
+    # its one result, shared by a repeated pair and by different pairs
+    # with that value; a size sharing a factor with the denominator is
+    # the single NotCoprime that `_size` raises.
+    sigma = heisenberg_skinny()
+    pairs = [((2, 3, 0), (1, -1, 1)), ((1, 0, 5), (2, 5, -1)), ((0, 1, 0), (1, 0, 1)),
+             ((2, 3, 0), (1, -1, 1)), ((3, 1, 0), (1, -2, 2)), ((1, 2, 3), (0, 1, 0))]
+    values, by_size = defects(sigma, [17, 16, 33, 16], pairs)
+    assert values == [sigma(x, y) for x, y in pairs] == [-3, -10, -1, -3, -1, 0]
+    assert len(by_size) == 4
+    for n, results in zip((17, 33), by_size[::2]):
+        assert type(results) is dict
+        assert list(results) == [-3, -10, -1, 0]
+        for value, row in results.items():
+            assert (row.n, row.sigma_xy) == (n, value)
+        for (x, y), value in zip(pairs, values):
+            assert results[value] == defect(sigma, n, x, y)
+    with pytest.raises(NotCoprime) as info:
+        exact._size(16, sigma.poly.den)
+    for refused in by_size[1::2]:
+        assert type(refused) is NotCoprime
+        assert str(refused) == str(info.value)
 
 
 def test_defects_refuse_a_size_below_one_on_a_proved_cocycle():
@@ -797,8 +839,8 @@ def test_defects_are_the_chords_of_the_cocycle_value():
     rng = make_rng(59)
     pairs = [(sample_coords(rng, 3, 9), sample_coords(rng, 3, 9)) for _ in range(600)]
     sizes = [17, 129, 1023]
-    for n, rows in zip(sizes, defects(sigma, sizes, pairs)):
-        for row in rows:
+    for n, results in zip(sizes, defects(sigma, sizes, pairs)[1]):
+        for row in results.values():
             chord = 2 * abs(math.sin(math.pi * row.sigma_xy / n))
             assert abs(row.frobenius - math.sqrt(n) * chord) <= 1e-10
             assert abs(row.operator - chord) <= 1e-10
