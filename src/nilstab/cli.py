@@ -1,16 +1,18 @@
 """Command line interface.
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
-check or certificate fails (an unproved cocycle included), 2 for
-unparseable input or bad usage, a size the library refuses and an `--out`
-path that cannot be written included.  Every command is deterministic
-given its inputs and seed; rerunning writes byte-identical output.
+check or certificate fails (an unproved cocycle included), 2 for input the
+package refuses, each refusal one `error:` line from `_fail`; click only
+parses the options, and prints its usage block for one it cannot parse.
+Every command is deterministic given its inputs and seed; rerunning writes
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from typing import NoReturn
 
 import click
@@ -18,33 +20,30 @@ import click
 from . import __version__, catalog
 from .cohomology import skinny_check
 from .errors import NilstabError, NotCoprime, ParseError, ValidationError
-from .exact import certify_nonperturbability, defects
+from .exact import _size, certify_nonperturbability, defects
 from .poly import _int_literal, _int_text
 from .validation import DEFAULT_SEED, make_rng, sample_coords
 
 
-def _usage_guard(fn, *args, **kwargs):
-    """Run a resolver, translating bad input into usage errors (exit 2)."""
-    try:
-        return fn(*args, **kwargs)
-    except (ParseError, OSError) as exc:  # OSError: a path that cannot be opened
-        raise click.UsageError(str(exc)) from exc
-
-
 def _fail(exc: Exception | str, code: int = 1) -> NoReturn:
-    """Report a failed check (exit 1), or a refused size or path (exit 2), on stderr."""
+    """Report a failed check (exit 1), or refused input (exit 2), as `error: <exc>` on stderr."""
     sys.stderr.write(f"error: {exc}\n")
     sys.exit(code)
 
 
-def _parse_n_list(text: str) -> list[int]:
+@contextmanager
+def _refusals():
+    """Exit 2 on refused input (ParseError, OSError, ValueError), 1 on any other NilstabError."""
     try:
-        values = [_int_literal(part, "matrix size") for part in text.split(",") if part]
-    except ParseError as exc:
-        raise click.UsageError(str(exc)) from None
-    if not values or any(v < 1 for v in values):
-        raise click.UsageError("matrix sizes must be positive integers")
-    return values
+        yield
+    except (ParseError, OSError, ValueError) as exc:
+        _fail(exc, 2)
+    except NilstabError as exc:
+        _fail(exc)
+
+
+def _parse_n_list(text: str) -> list[int]:
+    return [_size(_int_literal(part, "matrix size"), 1) for part in text.split(",") if part]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -87,16 +86,15 @@ def validate(group_src, cocycle_src, samples, seed, grid, fmt, out_path):
     Every group law and cocycle given here is polynomial, so each check is
     an exact proof and the sampling and grid options are accepted unused.
     """
-    try:
-        group = _usage_guard(catalog.resolve_group, group_src)
-        reports = [group.proof]
-        if cocycle_src:
-            sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
-            reports += [sigma.proof, skinny_check(sigma)]
-    except ValidationError as exc:
-        reports = [exc.report]  # a group document whose law failed its proof
-    except NilstabError as exc:
-        _fail(exc)
+    with _refusals():
+        try:
+            group = catalog.resolve_group(group_src)
+            reports = [group.proof]
+            if cocycle_src:
+                sigma = catalog.resolve_cocycle(cocycle_src, group)
+                reports += [sigma.proof, skinny_check(sigma)]
+        except ValidationError as exc:
+            reports = [exc.report]  # a group document whose law failed its proof
     if fmt == "json":
         text = json.dumps([r.to_json() for r in reports], sort_keys=True) + "\n"
     else:
@@ -116,16 +114,12 @@ def validate(group_src, cocycle_src, samples, seed, grid, fmt, out_path):
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
     """Emit a JSON non-perturbability certificate for a cocycle and cycle."""
-    n_list = _parse_n_list(n_text)
-    try:
-        group = _usage_guard(catalog.resolve_group, group_src)
-        sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
-        chain = _usage_guard(catalog.resolve_cycle, cycle_src, group)
+    with _refusals():  # the sizes first, so a bad one is refused before any document is read
+        n_list = _parse_n_list(n_text)
+        group = catalog.resolve_group(group_src)
+        sigma = catalog.resolve_cocycle(cocycle_src, group)
+        chain = catalog.resolve_cycle(cycle_src, group)
         report = certify_nonperturbability(group, sigma, chain, n_list)
-    except NilstabError as exc:
-        _fail(exc)
-    except ValueError as exc:  # a pairing past the float winding
-        _fail(exc, 2)
     text = json.dumps(report.to_json(), sort_keys=True) + "\n"
     _emit(text, out_path)
     sys.exit(0)
@@ -145,18 +139,14 @@ def certify(group_src, cocycle_src, cycle_src, n_text, out_path):
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
     """Tabulate multiplicativity defects and their bounds as CSV."""
-    n_list = _parse_n_list(n_text)
-    try:
-        group = _usage_guard(catalog.resolve_group, group_src)
-        sigma = _usage_guard(catalog.resolve_cocycle, cocycle_src, group)
+    with _refusals():  # the sizes first, so a bad one is refused before any document is read
+        n_list = _parse_n_list(n_text)
+        group = catalog.resolve_group(group_src)
+        sigma = catalog.resolve_cocycle(cocycle_src, group)
         m = group.hirsch
         coords = sample_coords(make_rng(seed), 2 * m * samples, bound)
         pairs = [(coords[i:i + m], coords[i + m:i + 2 * m]) for i in range(0, len(coords), 2 * m)]
         values, by_size = defects(sigma, n_list, pairs)
-    except NilstabError as exc:
-        _fail(exc)
-    except ValueError as exc:  # a size, or a sigma(x, y), past the float norms or bounds
-        _fail(exc, 2)
     # Each distinct sigma(x, y), pair's "x,y," and (size, sigma) tail is formatted once.
     words: dict[int, str] = {}
     for (x, y), value in zip(pairs, values):
@@ -177,12 +167,10 @@ def sweep(group_src, cocycle_src, n_text, samples, bound, seed, out_path):
                         f"{r.operator_bound!r},ok" for v, r in results.items()}
         rows = map(str.__add__, heads, map(tails.__getitem__, values))
         blocks.append(f"{n}," + f"\n{n},".join(rows))
-    skipped = all(isinstance(results, NotCoprime) for results in by_size)
-    if skipped:
-        sys.stderr.write("error: no size in --n is coprime to the coefficient denominator "
-                         f"{sigma.poly.den}\n")
     _emit("\n".join(blocks) + "\n", out_path)
-    sys.exit(1 if skipped else 0)
+    if all(isinstance(results, NotCoprime) for results in by_size):
+        _fail(f"no size in --n is coprime to the coefficient denominator {sigma.poly.den}")
+    sys.exit(0)
 
 
 if __name__ == "__main__":

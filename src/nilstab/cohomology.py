@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidCocycle, NonIntegralValue, ParseError
-from .groups import Element, MalcevGroup, symbolic_triple
+from .groups import Element, MalcevGroup, _document_name, symbolic_triple
 from .poly import (
     MultiPoly,
     _decode_json_int,
@@ -167,10 +167,7 @@ def cocycle_from_document(group: MalcevGroup, doc: Mapping) -> PolyCocycle:
             f"cocycle is for Hirsch length {hirsch}, group has {group.hirsch}"
         )
     poly = poly_from_monomials(poly_doc, group.hirsch, 1)
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise ParseError("cocycle name must be a string")
-    return PolyCocycle(group, poly, name=name)
+    return PolyCocycle(group, poly, name=_document_name(doc, "cocycle"))
 
 
 def coboundary(group: MalcevGroup, f: Callable[[Element], int]) -> KernelCocycle:

@@ -26,12 +26,10 @@ per pair and no shift check:
   at most 2 pi |sigma(x, y)| / sqrt(n) and 2 pi |sigma(x, y)| / n: a
   theorem at every pair and n, not a check.
 
-A size is valid when n >= 1 and n is coprime to the cocycle's
-coefficient denominator.  `_size` checks it and returns it as a Python
-int (`operator.index`), and every step computes with that int, whatever
-integer type the caller passed; so the certificate holds at any such n,
-and the sweep at any n that a float can hold (below about 2^1024), where
-its float norms end.  No step here imports numpy or the dense modules.
+Every step computes with the Python int that `_size` returns for a valid
+size, whatever integer type the caller passed; so the certificate holds at
+any valid n, and the sweep at any n that a float can hold (below about
+2^1024).  No step here imports numpy or the dense modules.
 
 A certificate stores only what it computed: the pairing <sigma, c> and,
 per size, n, the winding, the margin and the terms' contributions.  Its
@@ -76,7 +74,11 @@ SIGN_CONVENTION = (
 
 
 def _size(n: int, den: int) -> int:
-    """n as a Python int (`operator.index`); raises unless n >= 1 and gcd(n, den) = 1."""
+    """n as a Python int (`operator.index`); raises unless n >= 1 and gcd(n, den) = 1.
+
+    The only statement of the size rule: `defects`, `_exact_runs`, `build_rho`,
+    `chi_scalar_check`, `PhaseShiftMatrix` and `cli._parse_n_list` call it.
+    """
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
@@ -132,7 +134,7 @@ def defects(
     """Multiplicativity defects of rho_n at every size and pair, with their bounds.
 
     Raises what `PolyCocycle.admit` raises (ValidationError for the group
-    law, InvalidCocycle for sigma) before any size or pair is looked at.
+    law, InvalidCocycle for sigma), then ValueError if sizes is empty.
     Returns (values, by_size): values[j] is sigma(x, y) at the j-th pair;
     by_size[k] is the NotCoprime that `_size` raised at the k-th size, or
     a dict from each distinct value, in order of first occurrence, to its
@@ -155,6 +157,8 @@ def defects(
     length past the int-to-str limit), the first pair with it, and n.
     """
     sigma.admit()
+    if not sizes:
+        raise ValueError("need at least one matrix size")
     element = sigma.group.element
     evaluate = sigma.poly.evaluate_int
     den = sigma.poly.den

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,8 +52,8 @@ class CentralExtension:
     cocycle: Cocycle
 
     def embed(self, k: int) -> Element:
-        """The central element (0, ..., 0, k)."""
-        return (0,) * self.base.hirsch + (int(k),)
+        """The central element (0, ..., 0, k), k through `operator.index`."""
+        return (0,) * self.base.hirsch + (operator.index(k),)
 
     def project(self, g: Sequence[int]) -> Element:
         """Drop the fiber coordinate."""
@@ -106,6 +107,7 @@ def scaling_map(k: int, ext: CentralExtension) -> Callable[[Element], Element]:
     k*sigma, and sends the central generator to its k-th power.
     """
 
+    k = operator.index(k)
     m = ext.base.hirsch
 
     def apply(g: Sequence[int]) -> Element:

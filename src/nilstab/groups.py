@@ -235,6 +235,14 @@ def lattice(m: int) -> MalcevGroup:
     return MalcevGroup(m, law, name=f"lattice:{m}")
 
 
+def _document_name(doc: Mapping, kind: str) -> str:
+    """doc's optional "name", which reports write as it is: a printable string."""
+    name = doc.get("name", "")
+    if not (isinstance(name, str) and name.isprintable()):
+        raise ParseError(f"{kind} name must be a printable string, got {_quoted(name)}")
+    return name
+
+
 def from_document(doc: Mapping) -> MalcevGroup:
     """Build a group from its JSON document; raise ValidationError unless it is admitted."""
     if not isinstance(doc, Mapping):
@@ -249,10 +257,7 @@ def from_document(doc: Mapping) -> MalcevGroup:
     if not isinstance(law_docs, list) or len(law_docs) != hirsch:
         raise ParseError(f"law must be a list of {hirsch} polynomials")
     law = tuple(poly_from_monomials(p, hirsch, hirsch) for p in law_docs)
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise ParseError("group name must be a string")
-    group = MalcevGroup(hirsch, law, name=name)
+    group = MalcevGroup(hirsch, law, name=_document_name(doc, "group"))
     group.admit()
     return group
 

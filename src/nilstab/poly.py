@@ -19,6 +19,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from functools import cache
 from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -351,8 +352,9 @@ def box_witness(
     return point, p.evaluate(point)
 
 
+@cache
 def _surjections(n: int, k: int) -> int:
-    """The number of maps from n onto k elements, k! * Stirling2(n, k)."""
+    """The number of maps from n onto k elements, k! * Stirling2(n, k), computed once."""
     return sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
 
 

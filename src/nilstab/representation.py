@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,7 +62,7 @@ import numpy as np
 
 from .cohomology import PolyCocycle
 from .errors import DimensionMismatch, NotScalar
-# The exact path's sweep, re-exported; `build_rho` uses `_size` too.
+# The exact path's sweep, re-exported; `PhaseShiftMatrix` and `build_rho` use `_size` too.
 from .exact import DefectResult, _size, defect, defects
 
 MAX_DENSE = 1024  # double precision keeps phases well below 1e-12 up to here
@@ -71,8 +72,9 @@ MAX_DENSE = 1024  # double precision keeps phases well below 1e-12 up to here
 class PhaseShiftMatrix:
     """A unitary acting by delta_j -> w^residues[j] * delta_{(j + shift) mod n}.
 
-    Here w = exp(2 pi i / n).  The residues are int64 values reduced mod n,
-    so every phase is exactly an n-th root of unity.
+    Here w = exp(2 pi i / n).  n passes `_size` and the shift `operator.index`;
+    the shift and the int64 residues are reduced mod n, so every phase is
+    exactly an n-th root of unity.
     """
 
     n: int
@@ -80,17 +82,15 @@ class PhaseShiftMatrix:
     residues: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"matrix size must be positive, got {self.n}")
+        n = _size(self.n, 1)
         residues = np.asarray(self.residues)
-        if residues.shape != (self.n,):
-            raise DimensionMismatch(
-                f"expected {self.n} residues, got shape {residues.shape}"
-            )
+        if residues.shape != (n,):
+            raise DimensionMismatch(f"expected {n} residues, got shape {residues.shape}")
         if not np.issubdtype(residues.dtype, np.integer):
             raise ValueError(f"residues must be integers, got dtype {residues.dtype}")
-        object.__setattr__(self, "residues", residues.astype(np.int64) % self.n)
-        object.__setattr__(self, "shift", self.shift % self.n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "shift", operator.index(self.shift) % n)
+        object.__setattr__(self, "residues", residues.astype(np.int64) % n)
 
     @classmethod
     def identity(cls, n: int) -> "PhaseShiftMatrix":

@@ -231,7 +231,7 @@ def test_an_unreadable_json_document_is_a_usage_error(runner, tmp_path, args, co
     path.write_bytes(content)
     result = runner.invoke(main, [*args, "--group", str(path)])
     assert result.exit_code == 2, everything(result)
-    assert f"Error: {path}: {reason}\n" in result.stderr
+    assert result.stderr == f"error: {path}: {reason}\n"
     assert "Traceback" not in everything(result)
 
 
@@ -245,7 +245,7 @@ def test_an_integer_past_the_digit_limit_is_a_usage_error(runner, tmp_path, args
         int("1" * 5000)
     result = runner.invoke(main, [*args, "--group", str(path)])
     assert result.exit_code == 2, everything(result)
-    assert f"Error: {path}: {refused.value}\n" in result.stderr
+    assert result.stderr == f"error: {path}: {refused.value}\n"
     assert "Traceback" not in everything(result)
 
 
@@ -260,7 +260,7 @@ def test_a_document_path_that_cannot_be_opened_is_a_usage_error(runner, tmp_path
         open(path)
     result = runner.invoke(main, [*args, "--group", str(path)])
     assert result.exit_code == 2, everything(result)
-    assert f"Error: {refused.value}\n" in result.stderr
+    assert result.stderr == f"error: {refused.value}\n"
     assert "Traceback" not in everything(result)
 
 
@@ -430,9 +430,7 @@ def test_command_line_integers_are_read_as_documents_read_them(runner, args, mes
     # size 17 and the rank 2, 20), but a document may not hold them.
     result = runner.invoke(main, args)
     assert result.exit_code == 2, everything(result)
-    assert [line for line in result.stderr.splitlines() if line.startswith("Error:")] == [
-        f"Error: {message}"
-    ]
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_a_long_bad_integer_literal_is_named_by_its_length(runner, tmp_path):
@@ -445,7 +443,7 @@ def test_a_long_bad_integer_literal_is_named_by_its_length(runner, tmp_path):
         path.write_text(json.dumps(doc))
         result = runner.invoke(main, ["validate", "--group", "lattice:2", "--cocycle", str(path)])
         assert result.exit_code == 2, everything(result)
-        assert result.stderr.splitlines()[-1] == "Error: bad integer literal of 5000 characters"
+        assert result.stderr == "error: bad integer literal of 5000 characters\n"
         assert len(result.stderr) < 200
 
 
@@ -480,7 +478,7 @@ def test_a_long_json_value_is_named_by_its_type_and_length(runner, tmp_path, whe
     path.write_text(json.dumps(doc))
     result = runner.invoke(main, ["validate", "--group", "lattice:2", "--cocycle", str(path)])
     assert result.exit_code == 2, everything(result)
-    assert result.stderr.splitlines()[-1] == f"Error: {message}"
+    assert result.stderr == f"error: {message}\n"
     assert len(result.stderr) < 200
 
 
@@ -499,7 +497,7 @@ def test_long_values_in_group_cycle_and_cocycle_documents_are_named_too(runner, 
     ):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, everything(result)
-        assert result.stderr.splitlines()[-1] == f"Error: {message}"
+        assert result.stderr == f"error: {message}\n"
 
 
 def test_the_default_sizes_are_odd(runner):
@@ -538,15 +536,106 @@ def test_a_document_name_that_is_not_a_string_is_a_usage_error(runner, tmp_path,
     path.write_text(json.dumps(doc))
     result = runner.invoke(main, [arg.format(path=path) for arg in args])
     assert result.exit_code == 2, everything(result)
-    assert f"Error: {kind} name must be a string\n" in result.stderr
+    assert result.stderr == f"error: {kind} name must be a printable string, got {doc['name']}\n"
     assert "Traceback" not in everything(result)
 
 
 def assert_refused(result, message: str) -> None:
-    # A size the library refuses: exit 2, one line on stderr, no output.
+    # Input the package refuses: exit 2, one line on stderr, no output.
     assert result.exit_code == 2, everything(result)
     assert result.stdout == ""
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, args",
+    [("group", ["validate", "--group", "{path}"]),
+     ("cocycle", ["validate", "--group", "lattice:2", "--cocycle", "{path}"]),
+     ("cocycle", ["certify", "--group", "lattice:2", "--cocycle", "{path}",
+                  "--cycle", "voiculescu", "--n", "17"])],
+    ids=["validate-group", "validate-cocycle", "certify-cocycle"],
+)
+@pytest.mark.parametrize(
+    "name, shown",
+    [("red\x1b[31mdoc", "'red\\x1b[31mdoc'"), ("two\nlines", "'two\\nlines'"),
+     ("\x07" * 50, "a string of 50 characters")],
+    ids=["escape", "newline", "long"],
+)
+def test_a_document_name_that_is_not_printable_is_refused(
+    runner, tmp_path, kind, args, name, shown
+):
+    # A report writes a document's name as it is, so a control character in
+    # it would reach the terminal: the document is refused, the name escaped.
+    doc = lattice(2).to_document() if kind == "group" else z2_skinny().to_document()
+    doc["name"] = name
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, [arg.format(path=path) for arg in args])
+    assert_refused(result, f"{kind} name must be a printable string, got {shown}")
+
+
+def test_a_printable_non_ascii_document_name_is_reported_as_it_is(runner, tmp_path):
+    group, cocycle = tmp_path / "group.json", tmp_path / "cocycle.json"
+    doc = lattice(2).to_document()
+    doc["name"] = "Heisenberg\u20133"
+    group.write_text(json.dumps(doc))
+    doc = z2_skinny().to_document()
+    doc["name"] = "\u03c3 skinny"
+    cocycle.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["validate", "--group", str(group), "--cocycle", str(cocycle)])
+    assert result.exit_code == 0, everything(result)
+    assert result.stdout.startswith("Heisenberg\u20133: ok\n")
+    assert "cocycle \u03c3 skinny: ok\n" in result.stdout
+
+
+CERTIFY = ["certify", "--group", "lattice:2", "--cocycle", "z2_skinny"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([*CERTIFY, "--cycle", "voiculescu", "--n", "16,x"], "bad matrix size 'x'"),
+        ([*CERTIFY, "--cycle", "voiculescu", "--n", "0"], "matrix size must be positive, got 0"),
+        (["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--n", "17,-1"],
+         "matrix size must be positive, got -1"),
+        ([*CERTIFY, "--cycle", "voiculescu", "--n", ""], "need at least one matrix size"),
+        (["sweep", "--group", "lattice:2", "--cocycle", "z2_skinny", "--n", ","],
+         "need at least one matrix size"),
+        (["validate", "--group", "{tmp}/missing.json"],
+         "[Errno 2] No such file or directory: '{tmp}/missing.json'"),
+        (["validate", "--group", "{tmp}/group.json"], "group document missing key 'law'"),
+        (["certify", "--group", "lattice:3", "--cocycle", "z2_skinny", "--cycle", "voiculescu"],
+         "z2_skinny lives on the group lattice:2"),
+        ([*CERTIFY, "--cycle", "{tmp}/cycle.json"],
+         "cycle term 0: b has 3 coordinates but the group needs 2"),
+    ],
+    ids=["literal", "zero", "negative", "empty", "no-size", "missing", "malformed",
+         "wrong-group", "cycle-length"],
+)
+def test_a_refusal_is_one_error_line(runner, tmp_path, args, message):
+    # Whatever the package refuses, it says so in one line, exit 2, with no
+    # usage block and nothing on stdout.
+    (tmp_path / "group.json").write_text('{"hirsch": 2}')
+    (tmp_path / "cycle.json").write_text('[{"coef": 1, "a": [0, 1], "b": [1, 0, 0]}]')
+    result = runner.invoke(main, [arg.format(tmp=tmp_path) for arg in args])
+    assert_refused(result, message.format(tmp=tmp_path))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["validate", "--group", "lattice:2", "--bound", "3"], "No such option '--bound'"),
+     (["validate", "--group", "lattice:2", "--samples", "0"],
+      "Invalid value for '--samples': 0 is not in the range x>=1."),
+     ([*CERTIFY], "Missing option '--cycle'.")],
+    ids=["no-such-option", "int-range", "missing-option"],
+)
+def test_an_option_click_cannot_parse_keeps_its_usage_block(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, everything(result)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert lines[0] == f"Usage: main {args[0]} [OPTIONS]"
+    assert lines[-1].startswith(f"Error: {message}")
 
 
 def test_a_cycle_with_non_commuting_terms_is_certified_past_int64(runner, tmp_path):

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from nilstab import exact
-from nilstab.catalog import heisenberg3, heisenberg_skinny, voiculescu_cycle, z2_skinny
+from nilstab.catalog import (
+    heisenberg3,
+    heisenberg_extension,
+    heisenberg_skinny,
+    voiculescu_cycle,
+    z2_skinny,
+)
 from nilstab.cohomology import Chain2, KernelCocycle
 from nilstab.errors import (
     NonIntegralValue,
@@ -25,9 +31,10 @@ from nilstab.errors import (
     TermOutOfRange,
 )
 from nilstab.exact import certify_nonperturbability, defects
+from nilstab.extensions import central_commutator_cycle, scaling_map
 from nilstab.groups import from_document, lattice
 from nilstab.poly import MultiPoly
-from nilstab.representation import build_rho, chi_scalar_check
+from nilstab.representation import PhaseShiftMatrix, build_rho, chi_scalar_check
 
 Z2 = lattice(2)
 
@@ -120,6 +127,57 @@ def test_the_dense_path_reduces_modulo_the_int_size():
         rho = build_rho(sigma, kind(33), x)
         assert type(rho.n) is int
         assert np.array_equal(rho.residues, build_rho(sigma, 33, x).residues)
+
+
+def test_defects_refuse_an_empty_size_list_as_the_certificate_does():
+    pairs = [((0, 1), (1, 0))]
+    for refused in (
+        lambda: defects(z2_skinny(), [], pairs),
+        lambda: certify_nonperturbability(Z2, z2_skinny(), voiculescu_cycle(), []),
+    ):
+        with pytest.raises(ValueError, match=r"^need at least one matrix size$"):
+            refused()
+
+
+@pytest.mark.parametrize("n, shift", [(4.0, 1), (4, 1.5), (Fraction(4), 1), (4, "1")])
+def test_a_phase_shift_size_or_shift_that_is_not_an_integer_is_a_type_error(n, shift):
+    # 4.0 used to build float residues, and 1.5 was kept as the shift.
+    with pytest.raises(TypeError):
+        PhaseShiftMatrix(n, shift, np.zeros(4, dtype=np.int64))
+
+
+def test_a_phase_shift_matrix_holds_python_ints():
+    m = PhaseShiftMatrix(np.int64(5), np.int64(7), np.arange(5, dtype=np.int32))
+    assert type(m.n) is int and type(m.shift) is int
+    assert (m.n, m.shift) == (5, 2)
+    assert m.residues.dtype == np.int64
+    with pytest.raises(ValueError, match=r"^matrix size must be positive, got 0$"):
+        PhaseShiftMatrix(np.int64(0), 0, np.zeros(0, dtype=np.int64))
+
+
+def test_a_central_element_or_scaling_that_is_not_an_integer_is_a_type_error():
+    # 2.7 used to embed as 2, building c_2, which pairs 2 with heisenberg_skinny;
+    # and the scaling by 0.5 mapped (1, 2, 3) to (1, 2, 1.5).
+    ext = heisenberg_extension()
+    for refused in (
+        lambda: ext.embed(2.7),
+        lambda: central_commutator_cycle(ext, 2.7),
+        lambda: scaling_map(0.5, ext),
+        lambda: scaling_map(2.0, ext),
+    ):
+        with pytest.raises(TypeError):
+            refused()
+
+
+@pytest.mark.parametrize("k, expected", [(np.int64(3), 3), (np.int32(-2), -2), (True, 1)])
+def test_a_central_element_and_a_scaling_hold_python_ints(k, expected):
+    ext = heisenberg_extension()
+    assert ext.embed(k) == (0, 0, expected)
+    assert {type(v) for v in ext.embed(k)} == {int}
+    image = scaling_map(k, ext)((1, 2, 3))
+    assert image == (1, 2, 3 * expected)
+    assert {type(v) for v in image} == {int}
+    assert central_commutator_cycle(ext, k) == central_commutator_cycle(ext, expected)
 
 
 def test_an_element_keeps_python_ints():

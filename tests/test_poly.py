@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilstab import poly
+from nilstab.cohomology import PolyCocycle
 from nilstab.errors import NonIntegralValue, ParseError
+from nilstab.groups import lattice
 from nilstab.poly import (
     MultiPoly,
     _decode_json_int,
@@ -207,6 +210,19 @@ def test_box_witness_finds_the_least_failing_point():
     wide = xy_variables(30, 30)
     product = MultiPoly(wide, {(1,) * 60: 1})
     assert box_witness(product) == ((1,) * 60, 1)
+
+
+def test_proving_a_degree_60_cocycle_computes_each_surjection_number_once():
+    # x2*y1^60 is no cocycle.  Its proof weighs about 216,000 products in the
+    # binomial basis by surj(e, k), k <= e <= 60, and computes each such
+    # number once, not once per product.
+    poly._surjections.cache_clear()
+    computed = []
+    for _ in range(2):
+        sigma = PolyCocycle(lattice(2), MultiPoly(VARS, {(0, 1, 60): 1}))
+        assert not sigma.proof.ok
+        computed.append(poly._surjections.cache_info().misses)
+    assert 0 < computed[0] == computed[1] <= 61 * 62 // 2
 
 
 def test_evaluate_int_requires_an_integer_value():
